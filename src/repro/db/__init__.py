@@ -22,7 +22,6 @@ from repro.db.database import Database
 from repro.db.algebra import (
     OperatorStats,
     cartesian_product,
-    chunk_rows_for_budget,
     evaluate_node_expression,
     join_all,
     natural_join,
@@ -94,7 +93,6 @@ __all__ = [
     "OperatorStats",
     "TaskScheduler",
     "cartesian_product",
-    "chunk_rows_for_budget",
     "evaluate_node_expression",
     "join_all",
     "natural_join",

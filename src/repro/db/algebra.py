@@ -168,27 +168,6 @@ class OperatorStats:
         }
 
 
-#: Transient int64 words the chunked join kernel allocates per morsel row
-#: (5 emit-sized index arrays + 3 probe-sized range arrays, rounded up for
-#: slack) -- the constant that converts a byte budget into ``chunk_rows``.
-_CHUNK_WORDS_PER_ROW = 16
-
-#: Smallest useful morsel: below this the per-chunk Python overhead swamps
-#: any memory saving.
-_MIN_CHUNK_ROWS = 32
-
-
-def chunk_rows_for_budget(memory_budget_bytes: Optional[int]) -> Optional[int]:
-    """Translate a per-query memory budget into the morsel size the chunked
-    columnar kernels use.  ``None`` and non-positive values both mean
-    unbounded (the single-batch oracle kernels) -- the same normalisation
-    :class:`~repro.db.database.Database` applies to its knob, so ``0``
-    disables the budget at every entry point."""
-    if memory_budget_bytes is None or memory_budget_bytes <= 0:
-        return None
-    return max(_MIN_CHUNK_ROWS, int(memory_budget_bytes) // (8 * _CHUNK_WORDS_PER_ROW))
-
-
 def _shared_attributes(left: Relation, right: Relation) -> Tuple[str, ...]:
     return tuple(a for a in left.attributes if a in right.attributes)
 
@@ -199,7 +178,6 @@ def natural_join(
     stats: Optional[OperatorStats] = None,
     name: Optional[str] = None,
     keep=None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """Hash-based natural join on all shared attributes.
@@ -215,12 +193,10 @@ def natural_join(
     because ``keep`` never changes join semantics, cardinalities or stats,
     only which columns the columnar result carries.
 
-    ``chunk_rows`` is the memory-bounding morsel size, honoured by the
-    columnar kernel only (the row engine materialises per tuple and needs
-    no bounding); like ``keep`` it never changes results or stats.
-    ``memory_budget_bytes`` upgrades the columnar kernel to adaptive morsel
-    sizing (exact per-chunk transient cost against the budget) -- also
-    result- and stats-neutral apart from the peak-memory diagnostics.
+    ``memory_budget_bytes`` bounds the columnar kernel's transient index
+    arrays (the row engine materialises per tuple and needs no bounding);
+    like ``keep`` it never changes results or stats, apart from the
+    peak-memory diagnostics.
     """
     if _columnar_pair(left, right):
         return columnar_natural_join(
@@ -229,7 +205,6 @@ def natural_join(
             stats=stats,
             name=name,
             keep=keep,
-            chunk_rows=chunk_rows,
             memory_budget_bytes=memory_budget_bytes,
         )
     shared = _shared_attributes(left, right)
@@ -275,7 +250,6 @@ def join_all(
     stats: Optional[OperatorStats] = None,
     order: Optional[Sequence[int]] = None,
     needed: Optional[Iterable[str]] = None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """Join a list of relations left-to-right (optionally in a given order).
@@ -296,10 +270,7 @@ def join_all(
     if needed is None:
         for relation in sequence[1:]:
             result = natural_join(
-                result,
-                relation,
-                stats=stats,
-                chunk_rows=chunk_rows,
+                result, relation, stats=stats,
                 memory_budget_bytes=memory_budget_bytes,
             )
         return result
@@ -317,7 +288,6 @@ def join_all(
             relation,
             stats=stats,
             keep=needed_set | suffix_attrs[index],
-            chunk_rows=chunk_rows,
             memory_budget_bytes=memory_budget_bytes,
         )
     return result
@@ -327,13 +297,15 @@ def semijoin(
     left: Relation,
     right: Relation,
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """``left ⋉ right``: the rows of ``left`` that join with some row of
-    ``right`` (on the shared attributes).  ``chunk_rows`` bounds the
-    columnar membership test's transient arrays (row engine: ignored)."""
+    ``right`` (on the shared attributes).  ``memory_budget_bytes`` bounds
+    the columnar membership test's transient arrays (row engine: ignored)."""
     if _columnar_pair(left, right):
-        return columnar_semijoin(left, right, stats=stats, chunk_rows=chunk_rows)
+        return columnar_semijoin(
+            left, right, stats=stats, memory_budget_bytes=memory_budget_bytes
+        )
     if stats is not None:
         stats.check(left.cardinality + right.cardinality)
     shared = _shared_attributes(left, right)
@@ -362,7 +334,7 @@ def project(
     stats: Optional[OperatorStats] = None,
     name: Optional[str] = None,
     distinct: bool = True,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """``Π_attributes(relation)``.
 
@@ -378,7 +350,7 @@ def project(
             stats=stats,
             name=name,
             distinct=distinct,
-            chunk_rows=chunk_rows,
+            memory_budget_bytes=memory_budget_bytes,
         )
     wanted = [a for a in attributes if a in relation.attributes]
     positions = [relation.position(a) for a in wanted]
@@ -426,7 +398,6 @@ def evaluate_node_expression(
     relations: Sequence[Relation],
     projection: Sequence[str],
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """The paper's per-node expression ``E(p) = Π_{χ(p)} ⋈_{h ∈ λ(p)} rel(h)``.
@@ -442,7 +413,8 @@ def evaluate_node_expression(
         stats=stats,
         order=ordered,
         needed=projection,
-        chunk_rows=chunk_rows,
         memory_budget_bytes=memory_budget_bytes,
     )
-    return project(joined, projection, stats=stats, chunk_rows=chunk_rows)
+    return project(
+        joined, projection, stats=stats, memory_budget_bytes=memory_budget_bytes
+    )

@@ -53,27 +53,21 @@ dictionary (a list index per id -- each distinct value is decoded exactly
 once, at interning time) and caches the materialised tuples, so the
 row-based surface the rest of the library sees is unchanged.
 
-Every kernel accepts an optional ``chunk_rows``: the probe/filter side is
-then processed in fixed-size morsels (and materialisation in emit-bounded
-chunks), so no kernel ever holds more than O(``chunk_rows``) transient
-index elements at once -- results, emit counts, budget-stop behaviour and
-``OperatorStats`` are **byte-identical** to the unchunked path, only the
-peak size of the intermediate index arrays changes.  Callers derive
-``chunk_rows`` from a memory budget via
-:func:`repro.db.algebra.chunk_rows_for_budget`; ``None`` (the default)
-keeps the historical single-batch kernels, which remain the oracle.
-
-The join kernel additionally sizes its own materialisation morsels: it
-knows the exact per-probe-row emit counts before materialising anything,
-so with a ``memory_budget_bytes`` it resizes each emit chunk online
-toward the budget (bounded by the exact transient-cost formula rather
-than a fixed dual row bound), and with *no* budget at all it auto-enables
-chunking once the emit count crosses ``REPRO_DB_AUTO_CHUNK_MIN_EMIT``
-(default 4M rows; ``0`` disables) against a default budget of
-``REPRO_DB_AUTO_CHUNK_BUDGET_BYTES`` (64 MiB).  All sizing decisions are
-computed from element counts only -- never dtypes -- so packed and raw
-runs of the same query make identical chunking decisions and report
-identical ``peak_transient_elements``.
+Every kernel accepts an optional ``memory_budget_bytes`` that bounds its
+transient index arrays; results, emit counts, budget-stop behaviour and
+``OperatorStats`` are **byte-identical** with and without it, only the
+peak size of the intermediates changes.  The probe, membership and
+packed-key passes run in fixed-size morsels derived from the budget
+(:func:`_morsel_rows`).  The join's materialisation phase knows the exact
+per-probe-row emit counts before materialising anything, so it grows
+each emit chunk to the largest probe-row prefix whose transient cost fits
+the budget; with *no* budget it still switches to emit-bounded chunks
+once the emit count reaches ``_AUTO_CHUNK_MIN_EMIT`` (4M rows, against
+``_AUTO_CHUNK_BUDGET_BYTES`` = 64 MiB), so a runaway join never
+materialises output-sized transients.  All sizing decisions are computed
+from element counts only -- never dtypes -- so packed and raw runs of the
+same query make identical chunking decisions and report identical
+``peak_transient_elements``.
 
 The module requires numpy; :mod:`repro.db.database` degrades to the
 row-based engine when it is unavailable.
@@ -81,7 +75,6 @@ row-based engine when it is unavailable.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -106,26 +99,33 @@ _ID_DTYPES = (
     np.dtype(np.int64),
 )
 
-#: Auto-chunking knobs of the join kernel (see module docstring): the emit
-#: count that switches materialisation to emit-bounded chunks even with no
-#: memory budget, and the byte budget those auto chunks aim for.
-AUTO_CHUNK_MIN_EMIT_ENV = "REPRO_DB_AUTO_CHUNK_MIN_EMIT"
-AUTO_CHUNK_BUDGET_ENV = "REPRO_DB_AUTO_CHUNK_BUDGET_BYTES"
+#: Auto-chunking of the join kernel (see module docstring): the emit count
+#: that switches materialisation to emit-bounded chunks even with no memory
+#: budget, and the byte budget those auto chunks aim for.
 _AUTO_CHUNK_MIN_EMIT = 1 << 22
 _AUTO_CHUNK_BUDGET_BYTES = 64 << 20
 #: Floor of the adaptive chunk budget, in int64 words: below this the
 #: per-chunk Python overhead swamps any memory saving.
 _MIN_BUDGET_WORDS = 512
 
+#: Transient int64 words the join kernel allocates per morsel row (5
+#: emit-sized index arrays + 3 probe-sized range arrays, rounded up for
+#: slack) -- the constant that converts a byte budget into a morsel size.
+_MORSEL_WORDS_PER_ROW = 16
+#: Smallest useful morsel: below this the per-morsel Python overhead
+#: swamps any memory saving.
+_MIN_MORSEL_ROWS = 32
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+
+def _morsel_rows(memory_budget_bytes: Optional[int]) -> Optional[int]:
+    """The fixed morsel size of the probe, membership and packed-key passes
+    under a memory budget; ``None`` and non-positive budgets both mean
+    unbounded (single-batch passes)."""
+    if memory_budget_bytes is None or memory_budget_bytes <= 0:
+        return None
+    return max(
+        _MIN_MORSEL_ROWS, int(memory_budget_bytes) // (8 * _MORSEL_WORDS_PER_ROW)
+    )
 
 
 def _key_dtype(bits: int) -> np.dtype:
@@ -507,26 +507,26 @@ def _combine_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
 def _shift_pack(
     columns: Sequence[np.ndarray],
     width: int,
-    chunk_rows: Optional[int] = None,
+    morsel_rows: Optional[int] = None,
     total_bits: Optional[int] = None,
 ) -> np.ndarray:
     """Fold id columns into one key per row by shift-and-or, in the
     smallest dtype holding ``total_bits`` (int64 when not given).  With
-    ``chunk_rows`` the fold runs over morsels into a preallocated output,
+    ``morsel_rows`` the fold runs over morsels into a preallocated output,
     so the per-step temporaries are morsel-sized instead of column-sized;
     the resulting keys are byte-identical."""
     dtype = np.dtype(np.int64) if total_bits is None else _key_dtype(total_bits)
     shift = dtype.type(width)
     length = columns[0].shape[0]
-    if chunk_rows is None or length <= chunk_rows:
+    if morsel_rows is None or length <= morsel_rows:
         keys = columns[0].astype(dtype)
         for col in columns[1:]:
             keys <<= shift
             keys |= col.astype(dtype, copy=False)
         return keys
     out = np.empty(length, dtype=dtype)
-    for start in range(0, length, chunk_rows):
-        stop = min(start + chunk_rows, length)
+    for start in range(0, length, morsel_rows):
+        stop = min(start + morsel_rows, length)
         keys = columns[0][start:stop].astype(dtype)
         for col in columns[1:]:
             keys <<= shift
@@ -538,7 +538,7 @@ def _shift_pack(
 def _local_keys(
     relation: ColumnarRelation,
     attrs: Sequence[str],
-    chunk_rows: Optional[int] = None,
+    morsel_rows: Optional[int] = None,
 ) -> np.ndarray:
     """One packed key per logical row over ``attrs`` (keys comparable only
     within this relation).  References need no handling here: a column's
@@ -554,19 +554,19 @@ def _local_keys(
     width = max(_column_bits([col]) for col in cols[1:])
     total = _column_bits([cols[0]]) + width * (len(cols) - 1)
     if total <= _PACK_BITS:
-        return _shift_pack(cols, width, chunk_rows, total_bits=total)
+        return _shift_pack(cols, width, morsel_rows, total_bits=total)
     return _combine_columns(cols)
 
 
 def _distinct_selection(
     relation: ColumnarRelation,
     attrs: Sequence[str],
-    chunk_rows: Optional[int] = None,
+    morsel_rows: Optional[int] = None,
 ) -> np.ndarray:
     """The base indices of the first occurrence of every distinct ``attrs``
     combination, in row order -- the shared dedup kernel behind
     ``distinct()`` and project-distinct."""
-    keys = _local_keys(relation, attrs, chunk_rows=chunk_rows)
+    keys = _local_keys(relation, attrs, morsel_rows=morsel_rows)
     _, first = np.unique(keys, return_index=True)
     first.sort()
     return relation._row_indices()[first]
@@ -576,7 +576,7 @@ def _joint_keys(
     left: ColumnarRelation,
     right: ColumnarRelation,
     shared: Sequence[str],
-    chunk_rows: Optional[int] = None,
+    morsel_rows: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Packed keys for the shared columns of two relations, built from one
     packing so equal rows get equal keys on both sides.  Each shared
@@ -612,8 +612,8 @@ def _joint_keys(
     total = lead + width * (len(shared) - 1)
     if total <= _PACK_BITS:
         return (
-            _shift_pack(left_cols, width, chunk_rows, total_bits=total),
-            _shift_pack(right_cols, width, chunk_rows, total_bits=total),
+            _shift_pack(left_cols, width, morsel_rows, total_bits=total),
+            _shift_pack(right_cols, width, morsel_rows, total_bits=total),
         )
     # Too wide for a shift pack: combine over the concatenation so the
     # data-dependent densify steps are shared by both sides.
@@ -637,7 +637,6 @@ def columnar_natural_join(
     stats=None,
     name: Optional[str] = None,
     keep=None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> ColumnarRelation:
     """Sort-and-probe hash-equivalent join on packed keys.
@@ -656,25 +655,22 @@ def columnar_natural_join(
     attribute that later operators (joins on shared variables, the final
     projection) still need.
 
-    ``chunk_rows`` bounds peak memory: the probe side is range-probed in
-    fixed-size morsels and the match indices are materialised in
-    emit-bounded chunks straight into the preallocated output columns, so
-    the transient index arrays (``starts``/``within``/``matched``/...) hold
-    O(``chunk_rows``) elements instead of O(emitted).  The per-morsel emit
-    counts sum to exactly the unchunked total *before* anything is
+    ``memory_budget_bytes`` bounds peak memory: the probe side is
+    range-probed in fixed-size morsels and the match indices are
+    materialised in emit-bounded chunks straight into the preallocated
+    output columns, so the transient index arrays (``starts``/``within``/
+    ``matched``/...) hold O(budget) elements instead of O(emitted).  Each
+    emit chunk is grown to the largest probe-row prefix whose transient
+    cost ``5*chunk_emit + 3*chunk_probe`` fits the budget (in 8-byte
+    words), computed exactly from the per-row emit counts.  The per-morsel
+    emit counts sum to exactly the unchunked total *before* anything is
     materialised, so the budget stop, the output (values **and** row
     order) and all ``OperatorStats`` counters are byte-identical to the
-    unchunked path.
-
-    ``memory_budget_bytes`` switches materialisation to *adaptive* morsel
-    sizing: each chunk is grown to the largest probe-row prefix whose
-    transient cost ``5*chunk_emit + 3*chunk_probe`` fits the budget (in
-    8-byte words), computed exactly from the per-row emit counts.  With
-    neither ``chunk_rows`` nor a budget, chunking auto-enables when the
-    exact emit count reaches ``REPRO_DB_AUTO_CHUNK_MIN_EMIT`` (the
-    default budget is ``REPRO_DB_AUTO_CHUNK_BUDGET_BYTES``).  All sizing
-    decisions are element counts, never bytes-of-dtype, so packed and raw
-    runs chunk identically and ``peak_transient_elements`` stays pinned.
+    unchunked path.  Without a budget, chunking auto-enables when the
+    exact emit count reaches ``_AUTO_CHUNK_MIN_EMIT`` (against
+    ``_AUTO_CHUNK_BUDGET_BYTES``).  All sizing decisions are element
+    counts, never bytes-of-dtype, so packed and raw runs chunk identically
+    and ``peak_transient_elements`` stays pinned.
     """
     positions = right._positions
     shared = tuple(a for a in left.attributes if a in positions)
@@ -707,7 +703,8 @@ def columnar_natural_join(
             stats.record("join", reads, 0)
         return result
 
-    left_keys, right_keys = _joint_keys(left, right, shared, chunk_rows=chunk_rows)
+    morsel_rows = _morsel_rows(memory_budget_bytes)
+    left_keys, right_keys = _joint_keys(left, right, shared, morsel_rows)
     if left.cardinality <= right.cardinality:
         build, build_keys, probe, probe_keys = left, left_keys, right, right_keys
         build_is_left = True
@@ -719,14 +716,14 @@ def columnar_natural_join(
     sorted_keys = build_keys[order]
     probe_card = probe.cardinality
 
-    if chunk_rows is not None and probe_card > chunk_rows:
+    if morsel_rows is not None and probe_card > morsel_rows:
         # Morsel-wise probe: each morsel runs the same searchsorted kernel;
         # only the full lo/counts arrays (input-sized, as in the unchunked
         # path) survive the pass.
         lo = np.empty(probe_card, dtype=np.int64)
         counts = np.empty(probe_card, dtype=np.int64)
-        for start in range(0, probe_card, chunk_rows):
-            stop = min(start + chunk_rows, probe_card)
+        for start in range(0, probe_card, morsel_rows):
+            stop = min(start + morsel_rows, probe_card)
             morsel = probe_keys[start:stop]
             morsel_lo = np.searchsorted(sorted_keys, morsel, side="left")
             lo[start:stop] = morsel_lo
@@ -759,22 +756,16 @@ def columnar_natural_join(
 
     # Materialisation strategy.  All quantities are element counts (dtype
     # independent), so packed and raw runs make identical decisions.
+    budget_bytes = memory_budget_bytes
+    if morsel_rows is None:  # no budget: only a runaway emit is chunked
+        budget_bytes = (
+            _AUTO_CHUNK_BUDGET_BYTES if emitted >= _AUTO_CHUNK_MIN_EMIT else None
+        )
     budget_words = None
-    if memory_budget_bytes is not None and memory_budget_bytes > 0:
-        budget_words = max(int(memory_budget_bytes) // 8, _MIN_BUDGET_WORDS)
-    elif chunk_rows is None and memory_budget_bytes is None:
-        min_emit = _env_int(AUTO_CHUNK_MIN_EMIT_ENV, _AUTO_CHUNK_MIN_EMIT)
-        if min_emit > 0 and emitted >= min_emit:
-            budget_words = max(
-                _env_int(AUTO_CHUNK_BUDGET_ENV, _AUTO_CHUNK_BUDGET_BYTES) // 8,
-                _MIN_BUDGET_WORDS,
-            )
-    if budget_words is not None:
-        single_batch = 5 * emitted + 3 * probe_card <= budget_words
-    else:
-        single_batch = chunk_rows is None or emitted <= chunk_rows
+    if budget_bytes is not None:
+        budget_words = max(int(budget_bytes) // 8, _MIN_BUDGET_WORDS)
 
-    if single_batch:
+    if budget_words is None or 5 * emitted + 3 * probe_card <= budget_words:
         # Single-batch materialisation (the oracle path).
         probe_idx = np.repeat(probe_rows, counts)
         # Expand every [lo, hi) range: start offset per output row plus its
@@ -803,35 +794,18 @@ def columnar_natural_join(
         out_columns = [
             np.empty(emitted, dtype=column.dtype) for column, _ in gather
         ]
-        if budget_words is not None:
-            # Adaptive morsels: the largest prefix of remaining probe rows
-            # whose transient cost 5*chunk_emit + 3*chunk_probe fits the
-            # budget, found on a strictly increasing cost curve (cum is
-            # non-decreasing, the 3-per-row term strictly increases).
-            cost = 5 * cum + 3 * np.arange(1, probe_card + 1, dtype=np.int64)
-
-            def next_stop(start_row: int, offset: int) -> int:
-                limit = 5 * offset + 3 * start_row + budget_words
-                stop = int(np.searchsorted(cost, limit, side="right"))
-                return max(start_row + 1, min(stop, probe_card))
-
-        else:
-            # Legacy fixed-size morsels (explicit chunk_rows): each chunk
-            # emits at most chunk_rows rows (a single exploding probe row
-            # may exceed that on its own) and covers at most chunk_rows
-            # probe rows.
-            def next_stop(start_row: int, offset: int) -> int:
-                stop = int(
-                    np.searchsorted(cum, offset + chunk_rows, side="right")
-                )
-                stop = max(stop, start_row + 1)
-                return min(stop, start_row + chunk_rows, probe_card)
-
+        # Adaptive morsels: the largest prefix of remaining probe rows
+        # whose transient cost 5*chunk_emit + 3*chunk_probe fits the
+        # budget, found on a strictly increasing cost curve (cum is
+        # non-decreasing, the 3-per-row term strictly increases).
+        cost = 5 * cum + 3 * np.arange(1, probe_card + 1, dtype=np.int64)
         peak = 0
         start_row = 0
         offset = 0
         while start_row < probe_card:
-            stop_row = next_stop(start_row, offset)
+            limit = 5 * offset + 3 * start_row + budget_words
+            stop_row = int(np.searchsorted(cost, limit, side="right"))
+            stop_row = max(start_row + 1, min(stop_row, probe_card))
             chunk_counts = counts[start_row:stop_row]
             chunk_emit = int(cum[stop_row - 1] - offset)
             if chunk_emit:
@@ -880,17 +854,17 @@ def columnar_semijoin(
     left: ColumnarRelation,
     right: ColumnarRelation,
     stats=None,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> ColumnarRelation:
     """``left ⋉ right`` as pure selection-vector filtering: an ``np.isin``
     membership mask over the key column, no tuple ever materialised.
 
     An empty side short-circuits before any key is packed; a build side
     known to be duplicate-free (project-distinct output) picks ``np.isin``'s
-    sort-based algorithm directly.  With ``chunk_rows`` the filter side is
-    probed in morsels against the once-sorted build keys, bounding the
-    transient membership arrays at O(``chunk_rows``); the mask -- and hence
-    the selection vector and all counters -- is byte-identical.
+    sort-based algorithm directly.  With ``memory_budget_bytes`` the filter
+    side is probed in morsels against the once-sorted build keys, bounding
+    the transient membership arrays at O(budget); the mask -- and hence the
+    selection vector and all counters -- is byte-identical.
     """
     shared = tuple(a for a in left.attributes if a in right._positions)
     reads = left.cardinality + right.cardinality
@@ -906,13 +880,14 @@ def columnar_semijoin(
             else np.empty(0, dtype=np.int64)
         )
     else:
-        left_keys, right_keys = _joint_keys(left, right, shared, chunk_rows=chunk_rows)
+        morsel_rows = _morsel_rows(memory_budget_bytes)
+        left_keys, right_keys = _joint_keys(left, right, shared, morsel_rows)
         filter_card = left_keys.shape[0]
-        if chunk_rows is not None and filter_card > chunk_rows:
+        if morsel_rows is not None and filter_card > morsel_rows:
             sorted_right = np.sort(right_keys)
             mask = np.empty(filter_card, dtype=bool)
-            for start in range(0, filter_card, chunk_rows):
-                stop = min(start + chunk_rows, filter_card)
+            for start in range(0, filter_card, morsel_rows):
+                stop = min(start + morsel_rows, filter_card)
                 morsel = left_keys[start:stop]
                 found = np.searchsorted(sorted_right, morsel, side="left")
                 hit = found < sorted_right.shape[0]
@@ -920,12 +895,12 @@ def columnar_semijoin(
                 mask[start:stop] = hit
                 _obs_note("filter_morsels")
             if stats is not None:
-                elements = right_keys.shape[0] + 4 * min(chunk_rows, filter_card)
+                # filter_card > morsel_rows here: every morsel but the last
+                # is full-sized.
                 stats.note_transient(
-                    elements,
+                    right_keys.shape[0] + 4 * morsel_rows,
                     sorted_right.nbytes
-                    + min(chunk_rows, filter_card)
-                    * (left_keys.itemsize + 3 * 8),
+                    + morsel_rows * (left_keys.itemsize + 3 * 8),
                 )
         else:
             # np.isin picks table- vs sort-based internally; when the build
@@ -963,11 +938,11 @@ def columnar_project(
     stats=None,
     name: Optional[str] = None,
     distinct: bool = True,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> ColumnarRelation:
     """``Π_attributes`` as column subsetting; ``distinct`` deduplicates
     packed keys into a first-occurrence selection vector (the packed-key
-    builder honours ``chunk_rows``)."""
+    builder runs morsel-wise under ``memory_budget_bytes``)."""
     positions = relation._positions
     wanted = [a for a in attributes if a in positions]
     columns = tuple(relation._columns[positions[a]] for a in wanted)
@@ -975,7 +950,9 @@ def columnar_project(
     if stats is not None:
         stats.check(relation.cardinality)
     if distinct:
-        selection = _distinct_selection(relation, wanted, chunk_rows=chunk_rows)
+        selection = _distinct_selection(
+            relation, wanted, _morsel_rows(memory_budget_bytes)
+        )
     else:
         selection = relation._selection
     result = ColumnarRelation(

@@ -28,7 +28,7 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     ColumnarRelation = None  # type: ignore[assignment]
 from repro.db.dictionary import Dictionary
 from repro.db.relation import Relation
-from repro.db.scheduler import memory_budget_from_env, threads_from_env
+from repro.db.scheduler import number_from_env
 from repro.db.statistics import CatalogStatistics, analyze_relation
 from repro.exceptions import DatabaseError
 from repro.query.atoms import Atom, is_variable
@@ -44,8 +44,9 @@ class Database:
     Yannakakis task DAG, and the cap on each columnar kernel's transient
     index arrays.  When not given they default to the ``REPRO_DB_THREADS``
     and ``REPRO_DB_MEMORY_BUDGET_BYTES`` environment variables (1 /
-    unbounded), so whole suites can be switched onto the parallel,
-    memory-bounded plane without touching call sites.
+    unbounded; a malformed value raises :class:`DatabaseError`), so whole
+    suites can be switched onto the parallel, memory-bounded plane without
+    touching call sites.
     """
 
     def __init__(
@@ -61,10 +62,12 @@ class Database:
         self.name = name
         self.columnar = columnar
         self.threads = (
-            threads_from_env(1) if threads is None else max(1, int(threads))
+            number_from_env("REPRO_DB_THREADS", default=1)
+            if threads is None
+            else max(1, int(threads))
         )
         if memory_budget_bytes is None:
-            memory_budget_bytes = memory_budget_from_env(None)
+            memory_budget_bytes = number_from_env("REPRO_DB_MEMORY_BUDGET_BYTES")
         elif memory_budget_bytes <= 0:
             memory_budget_bytes = None
         self.memory_budget_bytes = memory_budget_bytes

@@ -14,25 +14,24 @@ directly comparable.  :func:`execute_hypertree_plan` and
 :func:`naive_join_evaluation` remain as the public entry points and report
 the work performed, which is what the Fig. 8 experiments measure.
 
-The execution plane is parallel and memory-bounded:
+There is one execution path: every plan lowers to a task DAG
+(:func:`~repro.db.plan_ir.yannakakis_task_dag` /
+:func:`~repro.db.plan_ir.join_input_task_dag`) that a
+:class:`~repro.db.scheduler.TaskScheduler` runs -- inline and in list order
+at ``threads=1`` (the textbook serial algorithm), on a thread pool above
+(independent sibling subtrees overlap and the big numpy kernels release the
+GIL).  Two knobs, each defaulting per call to the database's value, which
+defaults to an environment variable:
 
-* ``threads`` (per call, defaulting to the database's knob, defaulting to
-  the ``REPRO_DB_THREADS`` environment variable, defaulting to 1) runs the
-  per-subtree task DAG of a Yannakakis plan -- per-node expressions, both
-  semijoin passes, the join fold -- on a
-  :class:`~repro.db.scheduler.TaskScheduler` thread pool; independent
-  sibling subtrees execute concurrently and the big numpy kernels release
-  the GIL.  ``threads=1`` is the serial oracle path, byte-identical by
-  construction; the parallel path is pinned to it by the equivalence suite
-  (answers, row order, ``OperatorStats``).
-* ``memory_budget_bytes`` (same defaulting chain, env var
-  ``REPRO_DB_MEMORY_BUDGET_BYTES``) caps each columnar kernel's transient
-  index arrays: the probe/membership kernels of :mod:`repro.db.columnar`
-  get a fixed morsel size
-  (:func:`repro.db.algebra.chunk_rows_for_budget`) and the join's
-  materialisation phase sizes its morsels *adaptively* from the exact
-  per-chunk emit counts against the byte budget -- results, emit counts
-  and the evaluation-budget stop are unchanged.
+* ``threads`` (``REPRO_DB_THREADS``, default 1) -- the scheduler's width.
+  Answers, row order and ``OperatorStats`` are scheduling-independent;
+  ``threads=1`` is the reference configuration the equivalence suite
+  compares against, and the row engine (``columnar=False``) is the
+  independent oracle of the whole plane.
+* ``memory_budget_bytes`` (``REPRO_DB_MEMORY_BUDGET_BYTES``, default
+  unbounded) -- caps each columnar kernel's transient index arrays (see
+  :mod:`repro.db.columnar`); results, emit counts and the
+  evaluation-budget stop are unchanged.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.db.algebra import (
     OperatorStats,
-    chunk_rows_for_budget,
     evaluate_node_expression,
     join_all,
     project,
@@ -61,16 +59,9 @@ from repro.db.plan_ir import (
     yannakakis_task_dag,
 )
 from repro.db.relation import Relation
-from repro.db.scheduler import TaskScheduler, resolve_threads
+from repro.db.scheduler import TaskScheduler
+from repro.db.yannakakis import TreeQuery, fold_plan, fold_steps, reduction_steps
 from repro.obs.trace import TraceRecorder, obs_enabled, span_context
-from repro.db.yannakakis import (
-    TreeQuery,
-    evaluate,
-    evaluate_boolean,
-    fold_plan,
-    fold_task_functions,
-    reduction_task_functions,
-)
 from repro.decomposition.hypertree import HypertreeDecomposition
 from repro.exceptions import DatabaseError
 from repro.query.conjunctive import ConjunctiveQuery
@@ -174,69 +165,77 @@ def execute_plan(
     see the module docstring.
 
     ``trace`` (a :class:`repro.obs.trace.TraceRecorder`) records one span
-    per plan node -- scans, joins, projections, Yannakakis phases, parallel
-    scheduler tasks -- tagged ``trace_id``, with morsel counts and emit
-    sizes in the span attrs.  Tracing is a write-only sidecar: answers,
-    row order and every ``OperatorStats`` counter are byte-identical with
-    it on or off (``REPRO_OBS=1`` forces a throwaway recorder to pin this
-    in whole-suite runs).
+    per plan node (``scan:``/``join``/``project:``, category ``plan``) and
+    per Yannakakis task (``expr:``/``up:``/``down:``/``fold:<node>``,
+    ``project:answer``, category ``yannakakis``) -- the same set at every
+    thread count -- tagged ``trace_id``, with morsel counts and emit sizes
+    in the span attrs.  Tracing is a write-only sidecar: answers, row
+    order and every ``OperatorStats`` counter are byte-identical with it on
+    or off (``REPRO_OBS=1`` forces a throwaway recorder to pin this in
+    whole-suite runs).
     """
-    threads = resolve_threads(threads, default=getattr(database, "threads", 1))
+    if threads is None:
+        threads = database.threads
     if memory_budget_bytes is None:
-        memory_budget_bytes = getattr(database, "memory_budget_bytes", None)
-    if memory_budget_bytes is not None and memory_budget_bytes <= 0:
-        memory_budget_bytes = None
-    chunk_rows = chunk_rows_for_budget(memory_budget_bytes)
+        memory_budget_bytes = database.memory_budget_bytes
     scheduler = TaskScheduler(threads)
+    inline = TaskScheduler(1)
     if trace is None and obs_enabled():
         trace = TraceRecorder()
 
     stats = OperatorStats(budget=budget)
     atoms = {atom.name: atom for atom in plan.query.atoms}
+    # Scans run first and serially, whatever the thread count: binding may
+    # intern fresh-variable surrogates into the shared dictionary, which
+    # must happen in one deterministic order.
     bound: Dict[str, Relation] = {}
+    for atom_name in scan_order(plan.root):
+        with span_context(trace, f"scan:{atom_name}", "plan", trace_id) as span:
+            if atom_name not in bound:
+                bound[atom_name] = database.bind_atom(atoms[atom_name])
+            span.attrs["rows"] = bound[atom_name].cardinality
 
-    def scan(atom_name: str) -> Relation:
-        relation = bound.get(atom_name)
-        if relation is None:
-            relation = database.bind_atom(atoms[atom_name])
-            bound[atom_name] = relation
-        return relation
-
-    def fold_inputs(node: JoinNode, relations, needed=None) -> Relation:
-        """Join a JoinNode's already-evaluated inputs -- the single fold
-        implementation both the serial interpreter and the parallel root
-        path use, so the two can never drift apart."""
-        order = None
-        if node.smallest_first:
-            order = sorted(
-                range(len(relations)), key=lambda i: relations[i].cardinality
-            )
-        return join_all(
-            relations, stats=stats, order=order, needed=needed,
-            chunk_rows=chunk_rows, memory_budget_bytes=memory_budget_bytes,
-        )
-
-    def run(node, needed=None) -> Relation:
+    def run(node, needed=None, pool: TaskScheduler = inline) -> Relation:
+        """Evaluate a Scan/Join/Project subtree.  ``pool`` is where the
+        inputs of the first join below ``node`` run as independent tasks:
+        the thread pool for the plan root, inline everywhere deeper."""
         if isinstance(node, ScanNode):
-            with span_context(
-                trace, f"scan:{node.atom_name}", "plan", trace_id
-            ) as span:
-                relation = scan(node.atom_name)
-                span.attrs["rows"] = relation.cardinality
-            return relation
+            return bound[node.atom_name]
         if isinstance(node, JoinNode):
-            inputs = [run(child) for child in node.inputs]
+            inputs: list = [None] * len(node.inputs)
+
+            def input_task(index, child):
+                def evaluate_input() -> None:
+                    inputs[index] = run(child)
+                return evaluate_input
+
+            pool.run(
+                [
+                    (spec.key, spec.deps, input_task(index, child))
+                    for index, (spec, child) in enumerate(
+                        zip(join_input_task_dag(node), node.inputs)
+                    )
+                ]
+            )
             with span_context(
                 trace, "join", "plan", trace_id, inputs=len(inputs)
             ) as span:
-                relation = fold_inputs(node, inputs, needed)
+                order = None
+                if node.smallest_first:
+                    order = sorted(
+                        range(len(inputs)), key=lambda i: inputs[i].cardinality
+                    )
+                relation = join_all(
+                    inputs, stats=stats, order=order, needed=needed,
+                    memory_budget_bytes=memory_budget_bytes,
+                )
                 span.attrs["rows"] = relation.cardinality
             return relation
         if isinstance(node, ProjectNode):
             # Kernel-level projection pushdown: the join below gathers only
             # the columns this projection (or a later join key) still needs;
             # cardinalities and OperatorStats are unchanged.
-            inner = run(node.input, needed=frozenset(node.attributes))
+            inner = run(node.input, needed=frozenset(node.attributes), pool=pool)
             with span_context(
                 trace, f"project:{node.name or 'answer'}", "plan", trace_id
             ) as span:
@@ -246,64 +245,21 @@ def execute_plan(
                     stats=stats,
                     name=node.name,
                     distinct=node.distinct,
-                    chunk_rows=chunk_rows,
+                    memory_budget_bytes=memory_budget_bytes,
                 )
                 span.attrs["rows"] = relation.cardinality
             return relation
         raise DatabaseError(f"unknown plan node: {node!r}")
 
-    wrap = None
-    if trace is not None:
-        def wrap(key, fn, _trace=trace, _trace_id=trace_id):
-            def traced_task() -> None:
-                with _trace.span(
-                    f"{key[0]}:{key[1]}", category="task", trace_id=_trace_id
-                ):
-                    fn()
-            return traced_task
-
     root = plan.root
     if isinstance(root, YannakakisNode):
-        if scheduler.parallel:
-            return _execute_yannakakis_parallel(
-                root, scan, run, stats, scheduler, chunk_rows,
-                memory_budget_bytes, wrap=wrap,
-            )
-        relations = {}
-        for node_id, expr in root.expressions:
-            with span_context(
-                trace, f"expr:{node_id}", "yannakakis", trace_id
-            ) as span:
-                relations[node_id] = run(expr)
-                span.attrs["rows"] = relations[node_id].cardinality
-        tree = TreeQuery(
-            root=root.root,
-            children={node_id: kids for node_id, kids in root.children},
-            relations=relations,
+        return _execute_yannakakis(
+            root, run, stats, scheduler, memory_budget_bytes, trace, trace_id
         )
-        if root.boolean:
-            answer = evaluate_boolean(
-                tree, stats=stats, chunk_rows=chunk_rows,
-                trace=trace, trace_id=trace_id,
-            )
-            return ExecutionResult(relation=None, boolean=answer, stats=stats)
-        result = evaluate(
-            tree, list(root.output_variables), stats=stats, chunk_rows=chunk_rows,
-            memory_budget_bytes=memory_budget_bytes,
-            trace=trace, trace_id=trace_id,
-        )
-        return ExecutionResult(relation=result, boolean=None, stats=stats)
-
     # A Boolean plan only needs the root cardinality, so the top-level join
     # may drop every column that no longer feeds a join key.
     needed = frozenset() if plan.boolean else None
-    if scheduler.parallel:
-        result = _run_root_parallel(
-            root, scan, run, fold_inputs, stats, scheduler, chunk_rows, needed,
-            wrap=wrap,
-        )
-    else:
-        result = run(root, needed=needed)
+    result = run(root, needed=needed, pool=scheduler)
     if plan.boolean:
         return ExecutionResult(
             relation=None, boolean=result.cardinality > 0, stats=stats
@@ -311,113 +267,75 @@ def execute_plan(
     return ExecutionResult(relation=result, boolean=None, stats=stats)
 
 
-def _run_root_parallel(
-    node, scan, run, fold_inputs, stats, scheduler: TaskScheduler, chunk_rows,
-    needed=None, wrap=None,
-) -> Relation:
-    """Evaluate a Join/Project plan root with the top join's inputs as
-    concurrent tasks; the join fold itself is the serial interpreter's
-    ``fold_inputs``, so the result (and every counter) matches it."""
-    for atom_name in scan_order(node):
-        scan(atom_name)  # serial pre-bind: dictionary interning stays ordered
-    if isinstance(node, ProjectNode):
-        inner = _run_root_parallel(
-            node.input, scan, run, fold_inputs, stats, scheduler, chunk_rows,
-            needed=frozenset(node.attributes), wrap=wrap,
-        )
-        return project(
-            inner,
-            list(node.attributes),
-            stats=stats,
-            name=node.name,
-            distinct=node.distinct,
-            chunk_rows=chunk_rows,
-        )
-    if isinstance(node, JoinNode) and len(node.inputs) > 1:
-        results: list = [None] * len(node.inputs)
-        specs = join_input_task_dag(node)
-
-        def input_task(index, child):
-            def evaluate_input() -> None:
-                results[index] = run(child)
-            return evaluate_input
-
-        scheduler.run(
-            [
-                (spec.key, spec.deps, input_task(index, child))
-                for index, (spec, child) in enumerate(zip(specs, node.inputs))
-            ],
-            wrap=wrap,
-        )
-        return fold_inputs(node, results, needed)
-    return run(node, needed=needed)
-
-
-def _execute_yannakakis_parallel(
-    root: YannakakisNode, scan, run, stats, scheduler: TaskScheduler, chunk_rows,
-    memory_budget_bytes=None, wrap=None,
+def _execute_yannakakis(
+    root: YannakakisNode, run, stats, scheduler: TaskScheduler,
+    memory_budget_bytes, trace, trace_id,
 ) -> ExecutionResult:
     """Run one Yannakakis plan as its per-subtree task DAG.
 
     Phase one executes expressions and both semijoin passes as one DAG
     (independent sibling subtrees overlap freely); the join fold needs the
     reduced tree's metadata (:func:`repro.db.yannakakis.fold_plan`), so it
-    runs as a second DAG.  Every task performs the identical kernel calls
-    of the serial path on the identical operands; determinism comes from
-    the dependency edges (each relation slot has exactly one writer per
-    pass) and the commutative ``OperatorStats`` counters.
+    runs as a second DAG.  Determinism comes from the dependency edges
+    (each relation slot has exactly one writer at a time) and the
+    commutative ``OperatorStats`` counters.
     """
-    for atom_name in scan_order(root):
-        scan(atom_name)  # serial pre-bind: dictionary interning stays ordered
-    children = {node_id: tuple(kids) for node_id, kids in root.children}
     # Pre-seed the mapping in canonical order: concurrent writes then
     # preserve this key order, keeping attribute collection deterministic.
     relations: Dict[object, Relation] = {
         node_id: None for node_id, _ in root.expressions
     }
-    tree = TreeQuery(root=root.root, children=children, relations=relations)
+    tree = TreeQuery(
+        root=root.root,
+        children={node_id: tuple(kids) for node_id, kids in root.children},
+        relations=relations,
+    )
+    tree.validate()
     specs = yannakakis_task_dag(root)
 
-    def expression_task(node_id, expression):
-        def evaluate_expression() -> None:
-            relations[node_id] = run(expression)
-        return evaluate_expression
+    def traced(key, step):
+        """One span per task, named after its key."""
+        def traced_step() -> None:
+            with trace.span(
+                f"{key[0]}:{key[1]}", category="yannakakis", trace_id=trace_id
+            ) as span:
+                span.attrs["rows"] = step().cardinality
+        return traced_step
 
-    functions = {
-        ("expr", node_id): expression_task(node_id, expression)
+    def run_steps(steps) -> None:
+        scheduler.run(
+            [(s.key, s.deps, steps[s.key]) for s in specs if s.key in steps],
+            wrap=None if trace is None else traced,
+        )
+
+    def expression_step(node_id, expression):
+        def step() -> Relation:
+            relations[node_id] = run(expression)
+            return relations[node_id]
+        return step
+
+    steps = {
+        ("expr", node_id): expression_step(node_id, expression)
         for node_id, expression in root.expressions
     }
-    functions.update(
-        reduction_task_functions(
-            tree, relations, stats=stats, full=not root.boolean,
-            chunk_rows=chunk_rows,
+    steps.update(
+        reduction_steps(
+            tree, relations, stats, full=not root.boolean,
+            memory_budget_bytes=memory_budget_bytes,
         )
     )
-    reduction_specs = [spec for spec in specs if spec.key[0] != "fold"]
-    scheduler.run(
-        [(s.key, s.deps, functions[s.key]) for s in reduction_specs], wrap=wrap
-    )
-
+    run_steps(steps)
     if root.boolean:
         answer = relations[root.root].cardinality > 0
         return ExecutionResult(relation=None, boolean=answer, stats=stats)
 
-    plan = fold_plan(tree, list(root.output_variables))
-    folded = dict(relations)
-    fold_functions = fold_task_functions(
-        tree, folded, plan, stats=stats, chunk_rows=chunk_rows,
-        memory_budget_bytes=memory_budget_bytes,
+    run_steps(
+        fold_steps(
+            tree, relations, fold_plan(tree, list(root.output_variables)),
+            stats, memory_budget_bytes,
+        )
     )
-    fold_specs = [spec for spec in specs if spec.key[0] == "fold"]
-    scheduler.run(
-        [(s.key, s.deps, fold_functions[s.key]) for s in fold_specs], wrap=wrap
-    )
-
-    result = project(
-        folded[root.root], plan.wanted, stats=stats, name="answer",
-        chunk_rows=chunk_rows,
-    )
-    return ExecutionResult(relation=result, boolean=None, stats=stats)
+    return ExecutionResult(relation=relations[root.root], boolean=None, stats=stats)
 
 
 def execute_hypertree_plan(

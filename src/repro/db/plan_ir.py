@@ -26,13 +26,14 @@ reproduce, operator for operator, the exact sequences the historical
 
 Task extraction
 ---------------
-For the parallel execution plane, :func:`yannakakis_task_dag` walks a
-:class:`YannakakisNode` into the dependency DAG of its per-subtree tasks
-(expression evaluation, both semijoin passes, the join fold) and
+:func:`yannakakis_task_dag` walks a :class:`YannakakisNode` into the
+dependency DAG of its per-subtree tasks (expression evaluation, both
+semijoin passes, the join fold, the answer projection) and
 :func:`join_input_task_dag` does the same for the independent inputs of a
 :class:`JoinNode`.  The specs carry keys and dependencies only -- the
-executor supplies the callables -- and are emitted in the serial engine's
-canonical order, so running them in list order *is* the serial execution.
+executor supplies the callables -- and are emitted in the order of the
+serial algorithm, so running them in list order (``threads=1``) *is* the
+serial execution.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class QueryPlanIR:
 
 
 # ----------------------------------------------------------------------
-# Task extraction: the dependency DAG of the parallel execution plane.
+# Task extraction: the dependency DAG the executor runs.
 # ----------------------------------------------------------------------
 
 
@@ -173,45 +174,65 @@ def yannakakis_task_dag(node: YannakakisNode) -> Tuple[TaskSpec, ...]:
     Task kinds (``v`` ranges over decomposition nodes):
 
     * ``("expr", v)`` -- evaluate ``E(v)``; no dependencies.
-    * ``("up", v)`` -- bottom-up pass at ``v``: semijoin ``v`` with each
-      child; needs ``v``'s expression and every child's ``up``.
+    * ``("up", v)`` (inner nodes) -- bottom-up pass at ``v``: semijoin
+      ``v`` with each child; needs ``v``'s expression and every child's
+      bottom-up result.
     * ``("down", v)`` (non-root, full reduction only) -- top-down pass:
-      semijoin ``v`` with its parent's final relation; needs ``v``'s ``up``
-      and the parent's own final task.
-    * ``("fold", v)`` (non-Boolean only) -- join pass for the subtree at
-      ``v``: fold every child's completed subtree into ``v``; needs ``v``'s
-      final reduction and every child's ``fold``.
+      semijoin ``v`` with its parent's final relation; needs ``v``'s
+      bottom-up result and the parent's own final task.
+    * ``("fold", v)`` (non-root, non-Boolean only) -- join pass: project
+      ``v``'s folded subtree onto what the rest of the tree still needs and
+      join it into ``v``'s parent.  It reads ``v``'s slot (final reduction,
+      every child's ``fold``) and rewrites the parent's (the parent's final
+      reduction, and the previous sibling's ``fold`` -- siblings join into
+      the parent in child order, which fixes the answer's row order).
+    * ``("project", "answer")`` (non-Boolean only) -- project the folded
+      root onto the output variables.
 
     Sibling subtrees share no dependency, which is exactly the parallelism
     the selection-vector representation makes safe.  Specs are emitted in
-    the serial engine's evaluation order (expressions, bottom-up post-order,
-    top-down BFS, fold post-order), so inline execution in list order
-    reproduces the serial run.
+    the order of the textbook serial algorithm (expressions, bottom-up
+    post-order, top-down BFS, fold post-order, answer), so inline execution
+    in list order *is* that algorithm.
     """
     children, bfs, post = _tree_orders(node)
+
+    def reduced_up(node_id) -> Tuple[str, object]:
+        """The task after which a node's bottom-up relation is in place."""
+        return ("up", node_id) if children.get(node_id) else ("expr", node_id)
 
     def final(node_id) -> Tuple[str, object]:
         """The task after which a node's reduced relation is final."""
         if node.boolean or node_id == node.root:
-            return ("up", node_id)
+            return reduced_up(node_id)
         return ("down", node_id)
 
     specs = [TaskSpec(("expr", node_id), ()) for node_id, _ in node.expressions]
     for node_id in post:
-        deps = (("expr", node_id),) + tuple(
-            ("up", kid) for kid in children.get(node_id, ())
-        )
-        specs.append(TaskSpec(("up", node_id), deps))
+        kids = children.get(node_id, ())
+        if kids:
+            deps = (("expr", node_id),) + tuple(reduced_up(kid) for kid in kids)
+            specs.append(TaskSpec(("up", node_id), deps))
     if node.boolean:
         return tuple(specs)
-    for parent_id in bfs:
-        for kid in children.get(parent_id, ()):
-            specs.append(TaskSpec(("down", kid), (("up", kid), final(parent_id))))
-    for node_id in post:
-        deps = (final(node_id),) + tuple(
-            ("fold", kid) for kid in children.get(node_id, ())
+    parent = {kid: node_id for node_id in bfs for kid in children.get(node_id, ())}
+    for kid in bfs[1:]:
+        specs.append(
+            TaskSpec(("down", kid), (reduced_up(kid), final(parent[kid])))
+        )
+    previous = {b: a for kids in children.values() for a, b in zip(kids, kids[1:])}
+    for node_id in post[:-1]:
+        writers = children.get(node_id, ()) + (
+            (previous[node_id],) if node_id in previous else ()
+        )
+        deps = (final(node_id), final(parent[node_id])) + tuple(
+            ("fold", other) for other in writers
         )
         specs.append(TaskSpec(("fold", node_id), deps))
+    deps = (final(node.root),) + tuple(
+        ("fold", kid) for kid in children.get(node.root, ())
+    )
+    specs.append(TaskSpec(("project", "answer"), deps))
     return tuple(specs)
 
 
@@ -223,30 +244,20 @@ def join_input_task_dag(node: JoinNode) -> Tuple[TaskSpec, ...]:
 
 
 def scan_order(node: PlanNode) -> Tuple[str, ...]:
-    """Every atom name scanned under ``node``, in first-use order of the
-    serial interpreter.  The parallel executor binds atoms in exactly this
-    order *before* spawning tasks: binding may intern fresh-variable
-    surrogates into the database's shared dictionary, which must stay
-    single-threaded and deterministic."""
-    seen: list = []
-    seen_set = set()
-
-    def visit(current) -> None:
-        if isinstance(current, ScanNode):
-            if current.atom_name not in seen_set:
-                seen_set.add(current.atom_name)
-                seen.append(current.atom_name)
-        elif isinstance(current, JoinNode):
-            for child in current.inputs:
-                visit(child)
-        elif isinstance(current, ProjectNode):
-            visit(current.input)
-        elif isinstance(current, YannakakisNode):
-            for _, expression in current.expressions:
-                visit(expression)
-
-    visit(node)
-    return tuple(seen)
+    """The atom name of every :class:`ScanNode` under ``node``, in the
+    order the interpreter reaches them.  The executor binds atoms in
+    exactly this order *before* running any task: binding may intern
+    fresh-variable surrogates into the database's shared dictionary, which
+    must stay single-threaded and deterministic."""
+    if isinstance(node, ScanNode):
+        return (node.atom_name,)
+    if isinstance(node, JoinNode):
+        below = node.inputs
+    elif isinstance(node, ProjectNode):
+        below = (node.input,)
+    else:
+        below = tuple(expression for _, expression in node.expressions)
+    return tuple(name for child in below for name in scan_order(child))
 
 
 # ----------------------------------------------------------------------

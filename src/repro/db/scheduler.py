@@ -1,14 +1,14 @@
-"""A dependency-DAG task scheduler for the parallel execution plane.
+"""A dependency-DAG task scheduler for the execution plane.
 
-The parallel Yannakakis executor (:mod:`repro.db.executor`) decomposes a
-plan into *tasks* -- per-decomposition-node expression evaluations,
-per-subtree semijoin reductions, per-subtree join folds -- whose data
-dependencies form a DAG (see :func:`repro.db.plan_ir.yannakakis_task_dag`).
-This module runs such a DAG:
+The executor (:mod:`repro.db.executor`) decomposes every plan into *tasks*
+-- per-decomposition-node expression evaluations, per-node semijoin
+reductions and join folds -- whose data dependencies form a DAG (see
+:func:`repro.db.plan_ir.yannakakis_task_dag`).  This module runs such a
+DAG:
 
 * with ``threads == 1`` every task executes inline, in the submission
-  order, which by construction is the serial engine's canonical order --
-  the scheduler adds nothing but a function call;
+  order, which by construction is the serial algorithm's order -- the
+  scheduler adds nothing but a function call;
 * with ``threads > 1`` tasks run on a ``ThreadPoolExecutor``: a task is
   submitted as soon as all of its dependencies completed, so independent
   sibling subtrees execute concurrently.  The big columnar kernels
@@ -19,8 +19,8 @@ Determinism: tasks communicate only through per-node slots each task owns
 exclusively (the dependency edges serialise every read-after-write), and
 the shared :class:`~repro.db.algebra.OperatorStats` accumulator is
 thread-safe with purely commutative counters -- so answers, row orderings
-and work counters are identical to the serial run regardless of the
-interleaving.  Exceptions (including the evaluation-budget watchdog)
+and work counters are identical to the ``threads == 1`` run regardless of
+the interleaving.  Exceptions (including the evaluation-budget watchdog)
 propagate to the caller under the **first-error contract**: once any task
 fails, no further task is started (queued-but-unstarted futures are
 cancelled), already-running tasks are drained, and the error surfaced is
@@ -39,68 +39,32 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Callable, Hashable, Sequence, Tuple
 
-Task = Tuple[Hashable, Tuple[Hashable, ...], Callable[[], None]]
+from repro.exceptions import DatabaseError
+
+#: ``(key, dependency keys, callable)``; the callable's result is ignored.
+Task = Tuple[Hashable, Tuple[Hashable, ...], Callable[[], object]]
 
 
-def resolve_threads(threads=None, default: int = 1) -> int:
-    """Normalise a thread-count knob: ``None`` falls back to ``default``
-    (itself usually the ``REPRO_DB_THREADS`` environment default), anything
-    below one is clamped to one (the serial path)."""
-    if threads is None:
-        threads = default
-    return max(1, int(threads))
-
-
-def threads_from_env(default: int = 1) -> int:
-    """The ``REPRO_DB_THREADS`` environment default (used by
-    :class:`~repro.db.database.Database` so whole test-suite runs can be
-    switched to the parallel plane without touching call sites)."""
-    raw = os.environ.get("REPRO_DB_THREADS", "").strip()
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
-
-def memory_budget_from_env(default=None):
-    """The ``REPRO_DB_MEMORY_BUDGET_BYTES`` environment default (empty,
-    unset, unparsable or non-positive values mean "unbounded")."""
-    raw = os.environ.get("REPRO_DB_MEMORY_BUDGET_BYTES", "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else None
-
-
-def seconds_from_env(name: str, default=None):
-    """A float-seconds environment knob.  Empty, unset or ``0`` mean
-    ``default`` (the knob is disabled); malformed or negative values raise
+def number_from_env(name: str, parse=int, default=None):
+    """A non-negative numeric environment knob (``parse`` is ``int`` or
+    ``float``).  Empty, unset or ``0`` mean ``default`` (the knob is off);
+    malformed or negative values raise
     :class:`~repro.exceptions.DatabaseError` rather than being silently
-    swallowed -- a mistyped deadline that quietly disables deadlines is
-    exactly the failure mode a serving knob must not have.  The serving
-    plane uses this for its request-deadline default
-    (``REPRO_SERVE_DEADLINE_SECONDS``), mirroring how the execution plane
-    reads its thread/budget knobs."""
-    from repro.exceptions import DatabaseError
-
+    swallowed -- a mistyped thread count that quietly runs serial, or a
+    mistyped deadline that quietly disables deadlines, is exactly the
+    failure mode a knob must not have.  Every numeric ``REPRO_*`` knob
+    (``REPRO_DB_THREADS``, ``REPRO_DB_MEMORY_BUDGET_BYTES``,
+    ``REPRO_SERVE_DEADLINE_SECONDS``) is read through here."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        value = float(raw)
+        value = parse(raw)
     except ValueError:
-        raise DatabaseError(
-            f"{name} must be a number of seconds, got {raw!r}"
-        ) from None
+        kind = "an integer" if parse is int else "a number"
+        raise DatabaseError(f"{name} must be {kind}, got {raw!r}") from None
     if value < 0:
-        raise DatabaseError(
-            f"{name} must be non-negative, got {raw!r}"
-        )
+        raise DatabaseError(f"{name} must be non-negative, got {raw!r}")
     return value if value > 0 else default
 
 
@@ -110,23 +74,19 @@ class TaskScheduler:
     def __init__(self, threads: int = 1) -> None:
         self.threads = max(1, int(threads))
 
-    @property
-    def parallel(self) -> bool:
-        return self.threads > 1
-
     def run(self, tasks: Sequence[Task], wrap=None) -> None:
         """Execute every ``(key, deps, fn)`` task respecting dependencies.
 
         ``tasks`` must be topologically ordered (dependencies listed before
-        dependents), which is how every extractor emits them -- the serial
-        path can then simply execute in list order.
+        dependents), which is how every extractor emits them -- at
+        ``threads == 1`` they simply execute in list order.
 
         ``wrap`` is the observability hook: ``wrap(key, fn)`` returns the
         callable actually executed (the executor uses it to open a trace
-        span per task).  It must be a pure decoration -- ordering,
+        span per Yannakakis task).  It must be a pure decoration -- ordering,
         dependency resolution and the first-error contract are unchanged.
         """
-        if not self.parallel:
+        if self.threads == 1:
             for key, _, fn in tasks:
                 (fn if wrap is None else wrap(key, fn))()
             return
@@ -140,7 +100,7 @@ class TaskScheduler:
         functions = {
             key: (fn if wrap is None else wrap(key, fn)) for key, _, fn in tasks
         }
-        # Tasks arrive in the serial engine's canonical order; the list
+        # Tasks arrive in the serial algorithm's order; the list
         # index below makes the first-error choice deterministic.
         order = {key: index for index, (key, _, _) in enumerate(tasks)}
         dependents: dict = {}

@@ -85,7 +85,7 @@ from repro.db.database import Database
 from repro.db.executor import execute_plan
 from repro.db.faults import FaultPlan, resolve_fault_plan
 from repro.db.plan_ir import plan_ir_from_payload
-from repro.db.scheduler import seconds_from_env
+from repro.db.scheduler import number_from_env
 from repro.db.storage import (
     PlanCache,
     canonical_digest,
@@ -95,7 +95,7 @@ from repro.db.storage import (
 )
 from repro.exceptions import DatabaseError
 from repro.obs.metrics import resolve_registry
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import TraceRecorder, span_context
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 
@@ -114,7 +114,7 @@ SERVING_VERSION = 1
 MP_CONTEXT_ENV = "REPRO_SERVE_MP_CONTEXT"
 
 #: Environment default for per-request deadlines (seconds; unset = no
-#: deadline).  Parsed by :func:`repro.db.scheduler.seconds_from_env`.
+#: deadline).  Parsed by :func:`repro.db.scheduler.number_from_env`.
 DEADLINE_ENV = "REPRO_SERVE_DEADLINE_SECONDS"
 
 #: Response key of the pool-side provenance block (``attempts`` /
@@ -347,24 +347,15 @@ def execute_payload(payload: Mapping, database: Database) -> Dict[str, object]:
         }
 
     try:
-        if recorder is not None:
-            with recorder.span("execute", "serving", trace_id=trace_id):
-                result = execute_plan(
-                    plan_ir,
-                    database,
-                    budget=payload.get("budget"),
-                    threads=payload.get("threads"),
-                    memory_budget_bytes=payload.get("memory_budget_bytes"),
-                    trace=recorder,
-                    trace_id=trace_id,
-                )
-        else:
+        with span_context(recorder, "execute", "serving", trace_id):
             result = execute_plan(
                 plan_ir,
                 database,
                 budget=payload.get("budget"),
                 threads=payload.get("threads"),
                 memory_budget_bytes=payload.get("memory_budget_bytes"),
+                trace=recorder,
+                trace_id=trace_id,
             )
     except EvaluationBudgetExceeded as exc:
         response = {
@@ -638,7 +629,7 @@ class ServingPool:
         self.max_worker_restarts = max(0, int(max_worker_restarts))
         self.default_max_attempts = max(1, int(default_max_attempts))
         if default_deadline_seconds is None:
-            default_deadline_seconds = seconds_from_env(DEADLINE_ENV)
+            default_deadline_seconds = number_from_env(DEADLINE_ENV, float)
         self.default_deadline_seconds = default_deadline_seconds
         self.retry_backoff_seconds = max(0.0, float(retry_backoff_seconds))
         self.trace = trace

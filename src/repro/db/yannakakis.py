@@ -23,14 +23,14 @@ what each node holds.
 
 Both semijoin passes and the join pass are *per-subtree parallel*: sibling
 subtrees never read each other's relations, only parent/child pairs do.
-:func:`reduction_task_functions` and :func:`fold_task_functions` expose
-each pass as a dictionary of per-node task callables keyed exactly like the
-dependency DAG of :func:`repro.db.plan_ir.yannakakis_task_dag`; the
-parallel executor zips the two and runs them on a
-:class:`~repro.db.scheduler.TaskScheduler`.  The serial loops below stay
-the oracle: every task performs the same operator calls on the same
-operands in the same per-node order, so answers and ``OperatorStats`` are
-identical (the counters commute; see :class:`~repro.db.algebra.OperatorStats`).
+:func:`reduction_steps` and :func:`fold_steps` are the one implementation
+of each pass: dictionaries of per-node step callables over a shared
+relation mapping, keyed exactly like the dependency DAG of
+:func:`repro.db.plan_ir.yannakakis_task_dag` and inserted in the serial
+algorithm's order.  The executor zips them with the DAG and runs them on a
+:class:`~repro.db.scheduler.TaskScheduler`; :func:`semijoin_reduce`,
+:func:`evaluate_boolean` and :func:`evaluate` simply call them in
+insertion order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.db.algebra import OperatorStats, natural_join, project, semijoin
 from repro.db.relation import Relation
 from repro.exceptions import DatabaseError
-from repro.obs.trace import span_context
+
+#: One schedulable step of a pass; returns the relation it wrote.
+Step = Callable[[], Relation]
 
 
 @dataclass
@@ -84,68 +86,74 @@ class TreeQuery:
             )
 
 
+def reduction_steps(
+    tree: TreeQuery,
+    relations: Dict[object, Relation],
+    stats: Optional[OperatorStats] = None,
+    full: bool = True,
+    memory_budget_bytes: Optional[int] = None,
+) -> Dict[Tuple[str, object], Step]:
+    """The semijoin program as per-node steps over the shared ``relations``
+    mapping: ``("up", v)`` semijoins an inner node ``v`` with each child in
+    child order (bottom-up, children first); ``("down", c)`` semijoins ``c``
+    with its already-final parent (top-down, parents first; only when
+    ``full``).  Each step owns the slot it writes and reads only slots its
+    DAG dependencies wrote."""
+
+    def reduce_step(node, partners) -> Step:
+        def step() -> Relation:
+            for partner in partners:
+                relations[node] = semijoin(
+                    relations[node], relations[partner], stats=stats,
+                    memory_budget_bytes=memory_budget_bytes,
+                )
+            return relations[node]
+        return step
+
+    steps: Dict[Tuple[str, object], Step] = {}
+    for node in tree.post_order():
+        kids = tree.children.get(node, ())
+        if kids:
+            steps[("up", node)] = reduce_step(node, kids)
+    if full:
+        for node in tree.node_ids():
+            for child in tree.children.get(node, ()):
+                steps[("down", child)] = reduce_step(child, (node,))
+    return steps
+
+
 def semijoin_reduce(
     tree: TreeQuery,
     stats: Optional[OperatorStats] = None,
     full: bool = True,
-    chunk_rows: Optional[int] = None,
-    trace=None,
-    trace_id=None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> TreeQuery:
     """The semijoin program of Yannakakis' algorithm.
 
     The bottom-up pass is always performed; the top-down pass only when
     ``full`` is true (it is not needed for Boolean queries).  Returns a new
-    :class:`TreeQuery` with reduced relations.  ``chunk_rows`` bounds the
-    columnar semijoin kernels' transient memory (results unchanged).
-    ``trace`` records one span per reduced node (``up:<node>`` /
-    ``down:<node>``, matching the parallel task keys) without changing any
-    operator call.
+    :class:`TreeQuery` with reduced relations.  ``memory_budget_bytes``
+    bounds the columnar semijoin kernels' transient memory (results
+    unchanged).
     """
     tree.validate()
     relations = dict(tree.relations)
-
-    # Bottom-up: parent ⋉ child, children first.
-    for node in tree.post_order():
-        kids = tree.children.get(node, ())
-        if not kids:
-            continue
-        with span_context(trace, f"up:{node}", "yannakakis", trace_id) as span:
-            for child in kids:
-                relations[node] = semijoin(
-                    relations[node], relations[child], stats=stats,
-                    chunk_rows=chunk_rows,
-                )
-            span.attrs["rows"] = relations[node].cardinality
-
-    if full:
-        # Top-down: child ⋉ parent, parents first.
-        for node in tree.node_ids():
-            for child in tree.children.get(node, ()):
-                with span_context(
-                    trace, f"down:{child}", "yannakakis", trace_id
-                ) as span:
-                    relations[child] = semijoin(
-                        relations[child], relations[node], stats=stats,
-                        chunk_rows=chunk_rows,
-                    )
-                    span.attrs["rows"] = relations[child].cardinality
-
+    for step in reduction_steps(
+        tree, relations, stats, full, memory_budget_bytes
+    ).values():
+        step()
     return TreeQuery(root=tree.root, children=dict(tree.children), relations=relations)
 
 
 def evaluate_boolean(
     tree: TreeQuery,
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
-    trace=None,
-    trace_id=None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> bool:
     """Answer the Boolean query represented by the tree: true iff the
     semijoin-reduced root is non-empty."""
     reduced = semijoin_reduce(
-        tree, stats=stats, full=False, chunk_rows=chunk_rows,
-        trace=trace, trace_id=trace_id,
+        tree, stats=stats, full=False, memory_budget_bytes=memory_budget_bytes
     )
     return reduced.relations[reduced.root].cardinality > 0
 
@@ -160,8 +168,7 @@ class FoldPlan:
     map, and ``keeps[v]`` the projection list applied to the folded subtree
     of ``v`` before it is joined into its parent (output variables plus the
     variables still needed higher up, the discipline that makes Yannakakis
-    output-polynomial).  Both the serial fold loop and the per-subtree fold
-    tasks consume the same plan, which is what keeps them byte-identical.
+    output-polynomial).
     """
 
     wanted: List[str]
@@ -228,14 +235,54 @@ def fold_plan(tree: TreeQuery, output_variables: Sequence[str]) -> FoldPlan:
     return FoldPlan(wanted=wanted, parent=parent, keeps=keeps)
 
 
+def fold_steps(
+    tree: TreeQuery,
+    folded: Dict[object, Relation],
+    plan: FoldPlan,
+    stats: Optional[OperatorStats] = None,
+    memory_budget_bytes: Optional[int] = None,
+) -> Dict[Tuple[str, object], Step]:
+    """The join pass as per-node steps over the shared ``folded`` mapping
+    (initially the reduced relations): ``("fold", v)`` projects ``v``'s
+    completed subtree onto its keep list and joins it into ``v``'s parent
+    (bottom-up, children first, siblings in child order);
+    ``("project", "answer")`` finally replaces the root's slot with its
+    projection onto the output attributes."""
+
+    def fold_step(node, parent) -> Step:
+        def step() -> Relation:
+            contribution = project(
+                folded[node], plan.keeps[node], stats=stats,
+                memory_budget_bytes=memory_budget_bytes,
+            )
+            folded[parent] = natural_join(
+                folded[parent], contribution, stats=stats,
+                memory_budget_bytes=memory_budget_bytes,
+            )
+            return folded[parent]
+        return step
+
+    def answer_step() -> Relation:
+        folded[tree.root] = project(
+            folded[tree.root], plan.wanted, stats=stats, name="answer",
+            memory_budget_bytes=memory_budget_bytes,
+        )
+        return folded[tree.root]
+
+    steps: Dict[Tuple[str, object], Step] = {
+        ("fold", node): fold_step(node, plan.parent[node])
+        for node in tree.post_order()
+        if node != tree.root
+    }
+    steps[("project", "answer")] = answer_step
+    return steps
+
+
 def evaluate(
     tree: TreeQuery,
     output_variables: Sequence[str],
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
-    trace=None,
-    trace_id=None,
 ) -> Relation:
     """Full evaluation: the projection of the join of all node relations onto
     ``output_variables`` (all variables of the tree if empty).
@@ -243,111 +290,15 @@ def evaluate(
     After full semijoin reduction, nodes are joined bottom-up; each
     intermediate result is projected onto the output variables plus the
     variables shared with the remaining (upper) part of the tree (the
-    precomputed :func:`fold_plan`).  ``trace`` records one ``fold:<node>``
-    span per contribution joined upward (matching the parallel task keys).
+    precomputed :func:`fold_plan`).
     """
     reduced = semijoin_reduce(
-        tree, stats=stats, full=True, chunk_rows=chunk_rows,
-        trace=trace, trace_id=trace_id,
+        tree, stats=stats, full=True, memory_budget_bytes=memory_budget_bytes
     )
-    plan = fold_plan(reduced, output_variables)
-
     folded = dict(reduced.relations)
-    for node in reduced.post_order():
-        if node == reduced.root:
-            continue
-        with span_context(trace, f"fold:{node}", "yannakakis", trace_id) as span:
-            contribution = project(
-                folded[node], plan.keeps[node], stats=stats, chunk_rows=chunk_rows
-            )
-            up = plan.parent[node]
-            folded[up] = natural_join(
-                folded[up], contribution, stats=stats, chunk_rows=chunk_rows,
-                memory_budget_bytes=memory_budget_bytes,
-            )
-            span.attrs["rows"] = folded[up].cardinality
-
-    with span_context(trace, "project:answer", "yannakakis", trace_id) as span:
-        answer = project(
-            folded[reduced.root], plan.wanted, stats=stats, name="answer",
-            chunk_rows=chunk_rows,
-        )
-        span.attrs["rows"] = answer.cardinality
-    return answer
-
-
-# ----------------------------------------------------------------------
-# Per-subtree task functions for the parallel executor.  Keys match the
-# dependency DAG of repro.db.plan_ir.yannakakis_task_dag; each task owns
-# the relation slot it writes and only reads slots its dependencies wrote,
-# so the scheduler's dependency edges serialise every read-after-write.
-# ----------------------------------------------------------------------
-
-
-def reduction_task_functions(
-    tree: TreeQuery,
-    relations: Dict[object, Relation],
-    stats: Optional[OperatorStats] = None,
-    full: bool = True,
-    chunk_rows: Optional[int] = None,
-) -> Dict[Tuple[str, object], Callable[[], None]]:
-    """The semijoin passes as per-node tasks over a shared ``relations``
-    mapping: ``("up", v)`` semijoins ``v`` with each child (children order,
-    as the serial pass does), ``("down", c)`` semijoins ``c`` with its
-    already-final parent."""
-
-    def up_task(node):
-        def run() -> None:
-            for child in tree.children.get(node, ()):
-                relations[node] = semijoin(
-                    relations[node], relations[child], stats=stats,
-                    chunk_rows=chunk_rows,
-                )
-        return run
-
-    def down_task(child, parent_id):
-        def run() -> None:
-            relations[child] = semijoin(
-                relations[child], relations[parent_id], stats=stats,
-                chunk_rows=chunk_rows,
-            )
-        return run
-
-    functions: Dict[Tuple[str, object], Callable[[], None]] = {}
-    for node in tree.post_order():
-        functions[("up", node)] = up_task(node)
-    if full:
-        for node in tree.node_ids():
-            for child in tree.children.get(node, ()):
-                functions[("down", child)] = down_task(child, node)
-    return functions
-
-
-def fold_task_functions(
-    tree: TreeQuery,
-    folded: Dict[object, Relation],
-    plan: FoldPlan,
-    stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-) -> Dict[Tuple[str, object], Callable[[], None]]:
-    """The join pass as per-subtree tasks: ``("fold", v)`` projects each
-    child's completed fold onto its keep list and joins it into ``v``, in
-    children order -- the identical operator sequence the serial fold
-    applies at ``v``."""
-
-    def fold_task(node):
-        def run() -> None:
-            for child in tree.children.get(node, ()):
-                contribution = project(
-                    folded[child], plan.keeps[child], stats=stats,
-                    chunk_rows=chunk_rows,
-                )
-                folded[node] = natural_join(
-                    folded[node], contribution, stats=stats,
-                    chunk_rows=chunk_rows,
-                    memory_budget_bytes=memory_budget_bytes,
-                )
-        return run
-
-    return {("fold", node): fold_task(node) for node in tree.post_order()}
+    for step in fold_steps(
+        reduced, folded, fold_plan(reduced, output_variables), stats,
+        memory_budget_bytes,
+    ).values():
+        step()
+    return folded[reduced.root]

@@ -31,8 +31,6 @@ def fig8a_experiment(
     seed: int = 3,
     budget: Optional[int] = 6_000_000,
     columnar: bool = True,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
     plan_cache=None,
 ) -> ExperimentResult:
     """Fig. 8(A): Q1, sweep of the width bound ``k``.
@@ -59,7 +57,6 @@ def fig8a_experiment(
     )
     report = compare_planners(
         query, database, k_values=k_values, completion="fresh", budget=budget,
-        threads=threads, memory_budget_bytes=memory_budget_bytes,
         plan_cache=plan_cache,
     )
     result = ExperimentResult(
@@ -117,8 +114,6 @@ def fig8b_experiment(
     seed: int = 11,
     budget: Optional[int] = 6_000_000,
     columnar: bool = True,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
     plan_cache=None,
 ) -> ExperimentResult:
     """Fig. 8(B): absolute evaluation measurements for Q2 and Q3 at ``k``
@@ -140,7 +135,6 @@ def fig8b_experiment(
         )
         report = compare_planners(
             query, database, k_values=(k,), completion="fresh", budget=budget,
-            threads=threads, memory_budget_bytes=memory_budget_bytes,
             plan_cache=plan_cache,
         )
         base = report.baseline

@@ -10,7 +10,6 @@ from repro.hypergraph.components import (
     find_path,
     is_adjacent,
     is_connected_set,
-    separated_adjacency,
     sub_components,
 )
 from repro.hypergraph.acyclicity import (
@@ -51,7 +50,6 @@ __all__ = [
     "find_path",
     "is_adjacent",
     "is_connected_set",
-    "separated_adjacency",
     "sub_components",
     "GYOTrace",
     "JoinTree",

@@ -27,44 +27,6 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 from repro.hypergraph.hypergraph import EdgeName, Hypergraph, Vertex
 
 
-def separated_adjacency(
-    hypergraph: Hypergraph, separator: Iterable[Vertex]
-) -> Dict[Vertex, FrozenSet[Vertex]]:
-    """Adjacency map of the [separator]-adjacency relation.
-
-    Two vertices are adjacent iff they co-occur in some edge once the
-    separator vertices have been removed from every edge.
-
-    .. note::
-       This materialises a dense O(|V|²)-entry map and exists only as a
-       compatibility shim for callers that genuinely need the whole
-       relation (and for the tests that pin down its semantics).  Nothing
-       on the component path uses it any more: :func:`components` and
-       :func:`find_path` run on the bitset core directly.
-    """
-    bitset = hypergraph.bitset()
-    sep = bitset.vertex_mask(separator)
-    edge_masks = bitset.edge_masks
-    vertex_edges = bitset.vertex_edges
-    adjacency: Dict[Vertex, FrozenSet[Vertex]] = {}
-    remaining = bitset.all_vertices & ~sep
-    probe = remaining
-    while probe:
-        bit = probe & -probe
-        probe ^= bit
-        edges = vertex_edges[bit.bit_length() - 1]
-        neighbours = 0
-        while edges:
-            edge_bit = edges & -edges
-            neighbours |= edge_masks[edge_bit.bit_length() - 1]
-            edges ^= edge_bit
-        neighbours &= remaining & ~bit
-        adjacency[bitset.vertices.name_of(bit.bit_length() - 1)] = (
-            bitset.vertex_names(neighbours)
-        )
-    return adjacency
-
-
 def is_adjacent(
     hypergraph: Hypergraph, x: Vertex, y: Vertex, separator: Iterable[Vertex]
 ) -> bool:

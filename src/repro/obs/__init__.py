@@ -9,12 +9,11 @@ missing request-path view without disturbing them:
   per-request trace ids.  Span taxonomy by category:
 
   - ``planner``: ``plan:<query>`` around ``cost_k_decomp``'s timed search.
-  - ``plan`` / ``yannakakis`` / ``task``: executor spans -- one per plan
-    node (``scan:<atom>``, ``join``, ``project:<name>``,
-    ``expr:<node>``), per serial Yannakakis phase (``up:<node>``,
-    ``down:<node>``, ``fold:<node>``), and per parallel scheduler task
-    (``expr:/up:/down:/fold:/input:``), carrying morsel counts and emit
-    sizes in ``args``.
+  - ``plan`` / ``yannakakis``: executor spans -- one per plan node
+    (``scan:<atom>``, ``join``, ``project:<name>``) and one per
+    Yannakakis task (``expr:<node>``, ``up:<node>``, ``down:<node>``,
+    ``fold:<node>``, ``project:answer``), the same set at every thread
+    count, carrying morsel counts and emit sizes in ``args``.
   - ``serving``: pool-side request phases -- ``admission`` (includes the
     admission-control wait/reject decision), ``queue`` (backlog time
     per attempt), ``attempt`` (dispatch to result, with worker id and
@@ -53,7 +52,7 @@ or programmatically::
 
     from repro.obs import TraceRecorder, write_chrome_trace
     trace = TraceRecorder()
-    plan.execute(database, trace=trace)
+    plan.to_ir().execute(database, trace=trace)
     write_chrome_trace("trace.json", trace)
 
 Then open https://ui.perfetto.dev in a browser, choose *Open trace

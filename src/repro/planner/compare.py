@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.db.database import Database
-from repro.db.executor import ExecutionResult
 from repro.db.storage import (
     PlanCache,
     decomposition_from_payload,
@@ -131,14 +130,9 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _measure_execution(plan, database: Database) -> ExecutionResult:
-    return plan.execute(database)
-
-
 def _execute_and_measure(
     plan, database: Database, label: str, budget: Optional[int], width=None,
-    weighting: str = "-", threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
+    weighting: str = "-",
 ) -> PlanMeasurement:
     from repro.db.algebra import EvaluationBudgetExceeded
 
@@ -147,36 +141,21 @@ def _execute_and_measure(
     plan_ir = plan.to_ir()
     started = time.perf_counter()
     try:
-        result = plan_ir.execute(
-            database,
-            budget=budget,
-            threads=threads,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-        elapsed = time.perf_counter() - started
-        return PlanMeasurement(
-            label=label,
-            planning_seconds=plan.planning_seconds,
-            evaluation_seconds=elapsed,
-            estimated_cost=plan.estimated_cost,
-            evaluation_work=result.stats.total_work,
-            answer_cardinality=result.cardinality,
-            width=width,
-            weighting=weighting,
-        )
+        result = plan_ir.execute(database, budget=budget)
+        work, cardinality = result.stats.total_work, result.cardinality
     except EvaluationBudgetExceeded as exc:
-        elapsed = time.perf_counter() - started
-        return PlanMeasurement(
-            label=label,
-            planning_seconds=plan.planning_seconds,
-            evaluation_seconds=elapsed,
-            estimated_cost=plan.estimated_cost,
-            evaluation_work=exc.work_so_far,
-            answer_cardinality=-1,
-            width=width,
-            budget_exceeded=True,
-            weighting=weighting,
-        )
+        work, cardinality = exc.work_so_far, -1
+    return PlanMeasurement(
+        label=label,
+        planning_seconds=plan.planning_seconds,
+        evaluation_seconds=time.perf_counter() - started,
+        estimated_cost=plan.estimated_cost,
+        evaluation_work=work,
+        answer_cardinality=cardinality,
+        width=width,
+        budget_exceeded=cardinality < 0,
+        weighting=weighting,
+    )
 
 
 def _baseline_cache_key(query: ConjunctiveQuery, statistics) -> Dict[str, object]:
@@ -288,16 +267,12 @@ def _cached_structural_plan(
 
 def measure_baseline(
     query: ConjunctiveQuery, database: Database, budget: Optional[int] = None,
-    threads: Optional[int] = None, memory_budget_bytes: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> PlanMeasurement:
     """Plan with the left-deep optimiser (or replay the cached order) and
     execute."""
     plan = _cached_baseline_plan(query, database.statistics, plan_cache)
-    return _execute_and_measure(
-        plan, database, "baseline(left-deep)", budget,
-        threads=threads, memory_budget_bytes=memory_budget_bytes,
-    )
+    return _execute_and_measure(plan, database, "baseline(left-deep)", budget)
 
 
 def measure_structural(
@@ -307,8 +282,6 @@ def measure_structural(
     completion: str = "fresh",
     budget: Optional[int] = None,
     family: Optional[CostPlanningFamily] = None,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
     _family_factory=None,
 ) -> PlanMeasurement:
@@ -333,8 +306,7 @@ def measure_structural(
     )
     return _execute_and_measure(
         plan, database, f"cost-{k}-decomp", budget, width=plan.width,
-        weighting=plan.weighting, threads=threads,
-        memory_budget_bytes=memory_budget_bytes,
+        weighting=plan.weighting,
     )
 
 
@@ -345,8 +317,6 @@ def compare_planners(
     completion: str = "fresh",
     check_answers: bool = True,
     budget: Optional[int] = 20_000_000,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> ComparisonReport:
     """Run the full comparison for one query over one database.
@@ -354,17 +324,15 @@ def compare_planners(
     ``budget`` caps the evaluation work of every plan (default 20M tuples,
     roughly tens of seconds of pure-Python evaluation); a plan that exceeds
     it is reported with ``budget_exceeded=True`` and its work-so-far as a
-    lower bound, mirroring a query timeout in a real system.
-    ``threads``/``memory_budget_bytes`` select the parallel, memory-bounded
-    execution plane for every executed plan (defaults: the database's
-    knobs); work counters and answers are engine-identical either way, so
-    the comparison stays fair.  ``plan_cache`` makes the whole sweep
+    lower bound, mirroring a query timeout in a real system.  Every plan
+    executes under the database's ``threads``/``memory_budget_bytes``
+    knobs; work counters and answers are identical at any setting, so the
+    comparison stays fair.  ``plan_cache`` makes the whole sweep
     persistent: with unchanged statistics a repeated comparison replays
     every winning plan with zero planning time.
     """
     baseline_measurement = measure_baseline(
-        query, database, budget=budget, threads=threads,
-        memory_budget_bytes=memory_budget_bytes, plan_cache=plan_cache,
+        query, database, budget=budget, plan_cache=plan_cache,
     )
     report = ComparisonReport(query_name=query.name, baseline=baseline_measurement)
     # The family is built lazily, on the first k the plan cache cannot
@@ -382,9 +350,7 @@ def compare_planners(
         try:
             measurement = measure_structural(
                 query, database, k, completion=completion, budget=budget,
-                threads=threads,
-                memory_budget_bytes=memory_budget_bytes, plan_cache=plan_cache,
-                _family_factory=family_factory,
+                plan_cache=plan_cache, _family_factory=family_factory,
             )
         except PlanningError:
             continue

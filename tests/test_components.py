@@ -11,7 +11,6 @@ from repro.hypergraph.components import (
     find_path,
     is_adjacent,
     is_connected_set,
-    separated_adjacency,
     sub_components,
 )
 from repro.hypergraph.hypergraph import Hypergraph
@@ -31,12 +30,9 @@ class TestAdjacency:
     def test_separator_breaks_adjacency(self, chain):
         assert not is_adjacent(chain, "A", "B", separator=["B"])
         assert not is_adjacent(chain, "B", "A", separator=["A"])
-
-    def test_adjacency_map(self, chain):
-        adjacency = separated_adjacency(chain, separator=["C"])
-        assert adjacency["A"] == {"B"}
-        assert adjacency["B"] == {"A"}
-        assert adjacency["D"] == frozenset()
+        # A separator elsewhere leaves A-B adjacent and isolates D.
+        assert is_adjacent(chain, "A", "B", separator=["C"])
+        assert not any(is_adjacent(chain, "D", v, separator=["C"]) for v in "ABC")
 
     def test_adjacency_in_larger_edge(self):
         h = Hypergraph({"e": ["A", "B", "C"]})

@@ -446,8 +446,11 @@ class TestConnectionFaultMatrix:
                             "never released its budget"
                         )
                         time.sleep(0.1)
+                # The oracle runs what the pool shipped: the admitted
+                # slice is written into the payload and bounds the kernels.
+                shipped = dict(payload, memory_budget_bytes=slice_bytes)
                 assert strip_provenance(response) == execute_payload(
-                    payload, serial_db
+                    shipped, serial_db
                 )
                 health = healthy.health()
             assert health["counters"]["abandoned_requests"] >= 1

@@ -362,15 +362,9 @@ class TestExecutorByteIdentity:
         spans = recorder.spans()
         assert spans and all(s.trace_id == "req-hyper" for s in spans)
         names = {s.name for s in spans}
-        if threads == 1:
-            # Serial oracle path: per-node Yannakakis spans.
-            assert any(n.startswith("up:") for n in names)
-            assert any(n.startswith("fold:") for n in names)
-            assert "project:answer" in names
-        else:
-            # Parallel path: the scheduler's wrapped task keys.
-            assert {s.category for s in spans} >= {"task"}
-            assert any(n.startswith("up:") for n in names)
+        assert any(n.startswith("up:") for n in names)
+        assert any(n.startswith("fold:") for n in names)
+        assert "project:answer" in names
 
     @settings(
         max_examples=12,
@@ -389,11 +383,55 @@ class TestExecutorByteIdentity:
         _identical(traced, untraced)
         names = {s.name for s in recorder.spans()}
         assert any(n.startswith("scan:") for n in names)
-        if threads == 1:
-            assert "join" in names and "project:answer" in names
-        else:
-            # Parallel path: the scheduler's wrapped task keys.
-            assert {s.category for s in recorder.spans()} >= {"task"}
+        assert "join" in names and "project:answer" in names
+
+    @pytest.mark.parametrize("shape", ["hypertree", "baseline"])
+    def test_span_set_is_thread_count_independent(
+        self, database, hypertree_plan, shape
+    ):
+        # One request records the same (category, name) multiset at every
+        # thread count: the whole fold stays attributed at threads > 1.
+        from collections import Counter
+
+        from repro.planner.baseline import baseline_plan
+
+        plan = hypertree_plan
+        if shape == "baseline":
+            plan = baseline_plan(_query(), database.statistics)
+
+        def span_multiset(threads):
+            recorder = TraceRecorder()
+            plan.to_ir().execute(
+                database, budget=20_000_000, threads=threads, trace=recorder
+            )
+            return Counter((s.category, s.name) for s in recorder.spans())
+
+        serial = span_multiset(1)
+        assert span_multiset(2) == serial
+        assert span_multiset(4) == serial
+        for atom in ATOMS:
+            assert serial[("plan", f"scan:{atom}")] >= 1
+        if shape == "baseline":
+            assert set(serial) == {("plan", f"scan:{a}") for a in ATOMS} | {
+                ("plan", "join"), ("plan", "project:answer"),
+            }
+            return
+        nodes = hypertree_plan.decomposition.node_ids()
+        inner = [n for n in nodes if hypertree_plan.decomposition.children(n)]
+        below_root = [n for n in nodes if n != hypertree_plan.decomposition.root]
+        expected = Counter(
+            [("yannakakis", f"expr:{n}") for n in nodes]
+            + [("yannakakis", f"up:{n}") for n in inner]
+            + [("yannakakis", f"down:{n}") for n in below_root]
+            + [("yannakakis", f"fold:{n}") for n in below_root]
+            + [("yannakakis", "project:answer")]
+            # Each E(p) is one join under one (unnamed) projection.
+            + [("plan", "join"), ("plan", "project:answer")] * len(nodes)
+        )
+        yannakakis_and_operators = Counter(
+            {key: n for key, n in serial.items() if not key[1].startswith("scan:")}
+        )
+        assert yannakakis_and_operators == expected
 
     def test_morsel_counters_appear_under_memory_budget(
         self, database, hypertree_plan

@@ -34,8 +34,6 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.db.algebra import OperatorStats
 from repro.db.columnar import (
-    AUTO_CHUNK_BUDGET_ENV,
-    AUTO_CHUNK_MIN_EMIT_ENV,
     ColumnarRelation,
     columnar_natural_join,
     columnar_project,
@@ -699,16 +697,18 @@ class TestAdaptiveMorsels:
             columnar_project(oracle, ["k"], distinct=True).rows
         )
 
-    def test_auto_chunk_env_knobs(self, monkeypatch):
+    def test_auto_chunk_thresholds(self, monkeypatch):
+        from repro.db import columnar
+
         left, right = _skewed_pair(pack=False)
-        monkeypatch.delenv(AUTO_CHUNK_MIN_EMIT_ENV, raising=False)
-        monkeypatch.delenv(AUTO_CHUNK_BUDGET_ENV, raising=False)
+        # Far below the 4M-row auto-chunk threshold: single-batch oracle.
         oracle_stats = OperatorStats()
         oracle = columnar_natural_join(left, right, stats=oracle_stats)
+        assert oracle.cardinality < columnar._AUTO_CHUNK_MIN_EMIT
 
         # Force auto-chunking on: any emit count triggers a small budget.
-        monkeypatch.setenv(AUTO_CHUNK_MIN_EMIT_ENV, "1")
-        monkeypatch.setenv(AUTO_CHUNK_BUDGET_ENV, str(32 * 1024))
+        monkeypatch.setattr(columnar, "_AUTO_CHUNK_MIN_EMIT", 1)
+        monkeypatch.setattr(columnar, "_AUTO_CHUNK_BUDGET_BYTES", 32 * 1024)
         auto_stats = OperatorStats()
         auto = columnar_natural_join(left, right, stats=auto_stats)
         assert auto.rows == oracle.rows
@@ -717,25 +717,6 @@ class TestAdaptiveMorsels:
             auto_stats.peak_transient_elements
             < oracle_stats.peak_transient_elements
         )
-
-        # The kill switch (<= 0) disables auto-chunking entirely.
-        monkeypatch.setenv(AUTO_CHUNK_MIN_EMIT_ENV, "0")
-        off_stats = OperatorStats()
-        off = columnar_natural_join(left, right, stats=off_stats)
-        assert off.rows == oracle.rows
-        assert (
-            off_stats.peak_transient_elements
-            == oracle_stats.peak_transient_elements
-        )
-
-    def test_explicit_chunk_rows_path_unchanged(self):
-        # The legacy fixed-size morsel path (explicit chunk_rows) must keep
-        # producing the oracle output -- it is pinned independently of the
-        # adaptive path.
-        left, right = _skewed_pair(pack=False)
-        oracle = columnar_natural_join(left, right)
-        chunked = columnar_natural_join(left, right, chunk_rows=37)
-        assert chunked.rows == oracle.rows
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,27 @@
 """Equivalence tests for the parallel, memory-bounded execution plane.
 
-Two invariants, each pinned against its oracle:
+Two invariants, each pinned against its reference:
 
 * **chunked vs unchunked kernels** -- ``columnar_natural_join``,
-  ``columnar_semijoin`` and project-distinct with any ``chunk_rows`` must
-  produce byte-identical output (values *and* row order), byte-identical
-  ``OperatorStats`` and the identical evaluation-budget stop behaviour as
-  the single-batch kernels;
-* **parallel vs serial ``execute_plan``** -- any ``threads``/
+  ``columnar_semijoin`` and project-distinct under any
+  ``memory_budget_bytes`` must produce byte-identical output (values *and*
+  row order), byte-identical ``OperatorStats`` and the identical
+  evaluation-budget stop behaviour as the single-batch kernels;
+* **``execute_plan`` across configurations** -- any ``threads``/
   ``memory_budget_bytes`` combination must return byte-identical answers
-  and counters as the serial unbounded run, and must raise
-  :class:`EvaluationBudgetExceeded` exactly when the serial run does
-  (``work_so_far`` at raise time is the only scheduling-dependent value).
+  and counters as the ``threads=1`` unbounded run and as the row engine
+  (``columnar=False``, the independent oracle), and must raise
+  :class:`EvaluationBudgetExceeded` exactly when that run does
+  (``work_so_far`` at raise time is the only scheduling-dependent value,
+  and is deterministic at ``threads=1``).
 
-Hypothesis drives randomised relations and trees through both paths side
-by side; deterministic cases cover the budget-stop edges (budget hit
-exactly at a morsel boundary, mid-morsel, on the first morsel, and with an
-all-matching key column) and the degenerate fast paths.
+Hypothesis drives randomised relations and trees through the
+configurations side by side; deterministic cases cover the budget-stop
+edges (budget hit exactly at a morsel boundary, mid-morsel, on the first
+morsel, and with an all-matching key column) and the degenerate fast paths.
 """
+
+import random
 
 import pytest
 
@@ -29,7 +33,6 @@ from hypothesis import strategies as st
 from repro.db.algebra import (
     EvaluationBudgetExceeded,
     OperatorStats,
-    chunk_rows_for_budget,
     natural_join,
     project,
     semijoin,
@@ -37,20 +40,31 @@ from repro.db.algebra import (
 from repro.db.columnar import ColumnarRelation
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
+from repro.db.executor import build_tree_query, execute_plan
+from repro.db.plan_ir import hypertree_plan_ir
 from repro.db.relation import Relation
 from repro.db.scheduler import TaskScheduler
+from repro.db.yannakakis import evaluate
+from repro.exceptions import DatabaseError
 from repro.query.conjunctive import build_query
 from repro.workloads.synthetic import workload_database
 
-VALUES = st.sampled_from([0, 1, 2, 3, "a", "b"])
-CHUNKS = st.sampled_from([1, 2, 3, 7, 64])
+VALUES = [0, 1, 2, 3, "a", "b"]
+# 1 byte hits both floors (32-row morsels, 512-word emit chunks); the last
+# budget is large enough to stay single-batch.
+BUDGETS = st.sampled_from([1, 8_192, 16_384, 1 << 20])
 
 
-def relation_strategy(attributes, max_size=25):
-    arity = len(attributes)
-    return st.lists(
-        st.tuples(*([VALUES] * arity)), min_size=0, max_size=max_size
-    ).map(lambda rows: ("R", tuple(attributes), rows))
+def relation_strategy(attributes, max_size=120):
+    """Seeded random relations, sized to span several 32-row morsels (a
+    ``st.lists`` strategy would rarely grow past one)."""
+
+    def build(seed, size):
+        rng = random.Random(seed)
+        rows = [tuple(rng.choice(VALUES) for _ in attributes) for _ in range(size)]
+        return ("R", tuple(attributes), rows)
+
+    return st.builds(build, st.integers(0, 10_000), st.integers(0, max_size))
 
 
 def columnar(spec, dictionary):
@@ -71,14 +85,16 @@ class TestChunkedKernelEquivalence:
     @given(
         left=relation_strategy(["x", "y"]),
         right=relation_strategy(["y", "z"]),
-        chunk=CHUNKS,
+        budget=BUDGETS,
     )
-    def test_chunked_join_is_byte_identical(self, left, right, chunk):
+    def test_chunked_join_is_byte_identical(self, left, right, budget):
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base_stats, chunk_stats = OperatorStats(), OperatorStats()
         base = natural_join(lc, rc, stats=base_stats)
-        chunked = natural_join(lc, rc, stats=chunk_stats, chunk_rows=chunk)
+        chunked = natural_join(
+            lc, rc, stats=chunk_stats, memory_budget_bytes=budget
+        )
         assert_identical(base, chunked)
         assert base_stats.snapshot() == chunk_stats.snapshot()
         assert base_stats.operations == chunk_stats.operations
@@ -87,14 +103,14 @@ class TestChunkedKernelEquivalence:
     @given(
         left=relation_strategy(["x", "y", "z"]),
         right=relation_strategy(["y", "z", "w"]),
-        chunk=CHUNKS,
+        budget=BUDGETS,
     )
-    def test_chunked_multi_key_join_is_byte_identical(self, left, right, chunk):
+    def test_chunked_multi_key_join_is_byte_identical(self, left, right, budget):
         # Multi-attribute keys exercise the chunked shift-pack builder.
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base = natural_join(lc, rc)
-        chunked = natural_join(lc, rc, chunk_rows=chunk)
+        chunked = natural_join(lc, rc, memory_budget_bytes=budget)
         assert_identical(base, chunked)
 
     @settings(max_examples=40, deadline=None)
@@ -102,43 +118,45 @@ class TestChunkedKernelEquivalence:
         left=relation_strategy(["x", "y"]),
         right=relation_strategy(["y", "z"]),
         keep=st.sets(st.sampled_from(["x", "y", "z"])),
-        chunk=CHUNKS,
+        budget=BUDGETS,
     )
     def test_chunked_join_with_pushdown_is_byte_identical(
-        self, left, right, keep, chunk
+        self, left, right, keep, budget
     ):
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base = natural_join(lc, rc, keep=keep)
-        chunked = natural_join(lc, rc, keep=keep, chunk_rows=chunk)
+        chunked = natural_join(lc, rc, keep=keep, memory_budget_bytes=budget)
         assert_identical(base, chunked)
 
     @settings(max_examples=60, deadline=None)
     @given(
         left=relation_strategy(["x", "y"]),
         right=relation_strategy(["y", "z"]),
-        chunk=CHUNKS,
+        budget=BUDGETS,
     )
-    def test_chunked_semijoin_is_byte_identical(self, left, right, chunk):
+    def test_chunked_semijoin_is_byte_identical(self, left, right, budget):
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base_stats, chunk_stats = OperatorStats(), OperatorStats()
         base = semijoin(lc, rc, stats=base_stats)
-        chunked = semijoin(lc, rc, stats=chunk_stats, chunk_rows=chunk)
+        chunked = semijoin(lc, rc, stats=chunk_stats, memory_budget_bytes=budget)
         assert_identical(base, chunked)
         assert base_stats.snapshot() == chunk_stats.snapshot()
 
     @settings(max_examples=40, deadline=None)
     @given(
         relation=relation_strategy(["x", "y", "z"]),
-        chunk=CHUNKS,
+        budget=BUDGETS,
         distinct=st.booleans(),
     )
-    def test_chunked_project_is_byte_identical(self, relation, chunk, distinct):
+    def test_chunked_project_is_byte_identical(self, relation, budget, distinct):
         dictionary = Dictionary()
         rc = columnar(relation, dictionary)
         base = project(rc, ["x", "z"], distinct=distinct)
-        chunked = project(rc, ["x", "z"], distinct=distinct, chunk_rows=chunk)
+        chunked = project(
+            rc, ["x", "z"], distinct=distinct, memory_budget_bytes=budget
+        )
         assert_identical(base, chunked)
 
     def test_semijoin_against_distinct_build_side(self):
@@ -176,7 +194,9 @@ class TestChunkedKernelEquivalence:
         right = columnar(("r", ("k", "b"), rows), dictionary)
         unbounded, bounded = OperatorStats(), OperatorStats()
         base = natural_join(left, right, stats=unbounded)
-        chunked = natural_join(left, right, stats=bounded, chunk_rows=128)
+        chunked = natural_join(
+            left, right, stats=bounded, memory_budget_bytes=16_384
+        )
         assert_identical(base, chunked)
         assert bounded.peak_transient_elements * 4 < unbounded.peak_transient_elements
 
@@ -188,7 +208,7 @@ class TestChunkedBudgetStops:
     recorded on abort."""
 
     @staticmethod
-    def _blowup(probe_rows=12, matches_each=5):
+    def _blowup(probe_rows=120, matches_each=5):
         # Every probe row matches `matches_each` build rows; build side is
         # smaller so the larger side is chunked.  reads = probe + build,
         # emitted = probe * matches_each.
@@ -203,14 +223,20 @@ class TestChunkedBudgetStops:
         emitted = probe_rows * matches_each
         return build, probe, reads, emitted
 
-    def _assert_same_stop(self, budget, chunk_rows, probe_rows=12, matches_each=5):
+    def _assert_same_stop(self, budget, probe_rows=120, matches_each=5):
+        # A 1-byte memory budget hits both floors: 32-row probe morsels and
+        # 512-word emit chunks (5*chunk_emit + 3*chunk_probe <= 512).
         build, probe, reads, emitted = self._blowup(probe_rows, matches_each)
         outcomes = []
-        for chunk in (None, chunk_rows):
+        for memory_budget in (None, 1):
             stats = OperatorStats(budget=budget)
             try:
-                result = natural_join(build, probe, stats=stats, chunk_rows=chunk)
+                result = natural_join(
+                    build, probe, stats=stats, memory_budget_bytes=memory_budget
+                )
                 outcomes.append(("ok", result.rows, stats.snapshot()))
+                if memory_budget:  # the join really ran in several chunks
+                    assert stats.peak_transient_elements <= 512
             except EvaluationBudgetExceeded as exc:
                 outcomes.append(("raise", exc.work_so_far, stats.snapshot()))
                 # Aborted before materialising: nothing recorded.
@@ -220,37 +246,36 @@ class TestChunkedBudgetStops:
 
     def test_budget_hit_exactly_at_morsel_boundary(self):
         build, probe, reads, emitted = self._blowup()
-        # chunk_rows=4 over 12 probe rows: morsel boundaries at emit 20/40/60.
-        # A budget of exactly reads + 20 is crossed (total is reads+60).
-        assert self._assert_same_stop(reads + 20, chunk_rows=4) == "raise"
+        # Each probe row costs 5*5 + 3 = 28 words, so an emit chunk covers
+        # 18 probe rows: morsel boundaries at emit 90/180/...  A budget of
+        # exactly reads + 90 is crossed (total is reads + 600).
+        assert self._assert_same_stop(reads + 90) == "raise"
 
     def test_budget_hit_mid_morsel(self):
         build, probe, reads, emitted = self._blowup()
-        assert self._assert_same_stop(reads + 33, chunk_rows=4) == "raise"
+        assert self._assert_same_stop(reads + 133) == "raise"
 
     def test_budget_hit_on_first_morsel(self):
         build, probe, reads, emitted = self._blowup()
-        assert self._assert_same_stop(reads + 1, chunk_rows=4) == "raise"
+        assert self._assert_same_stop(reads + 1) == "raise"
 
     def test_budget_exactly_sufficient_is_not_hit(self):
         build, probe, reads, emitted = self._blowup()
         # record() raises only when total_work *exceeds* the budget.
-        assert self._assert_same_stop(reads + emitted, chunk_rows=4) == "ok"
+        assert self._assert_same_stop(reads + emitted) == "ok"
 
     def test_all_matching_key_column(self):
         # Every key matches every build row: the densest possible counts
         # array; chunked and unchunked must agree on the abort.
-        build, probe, reads, emitted = self._blowup(probe_rows=30, matches_each=30)
+        build, probe, reads, emitted = self._blowup(probe_rows=40, matches_each=40)
         assert (
             self._assert_same_stop(
-                reads + emitted - 1, chunk_rows=1, probe_rows=30, matches_each=30
+                reads + emitted - 1, probe_rows=40, matches_each=40
             )
             == "raise"
         )
         assert (
-            self._assert_same_stop(
-                reads + emitted, chunk_rows=1, probe_rows=30, matches_each=30
-            )
+            self._assert_same_stop(reads + emitted, probe_rows=40, matches_each=40)
             == "ok"
         )
 
@@ -352,6 +377,122 @@ class TestParallelExecutionEquivalence:
             assert parallel.stats.snapshot() == serial.stats.snapshot()
 
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        structural=st.booleans(),
+        threads=st.sampled_from([1, 2, 4]),
+        memory_budget=st.sampled_from([None, 2_048]),
+    )
+    def test_every_configuration_matches_the_row_engine(
+        self, seed, structural, threads, memory_budget
+    ):
+        from repro.planner.baseline import baseline_plan
+        from repro.planner.cost_k_decomp import cost_k_decomp
+
+        query = _output_query()
+        twins = [
+            workload_database(
+                query, tuples_per_relation=40, domain_size=6, seed=seed,
+                columnar=columnar,
+            )
+            for columnar in (False, True)
+        ]
+        row_db, column_db = twins
+        if structural:
+            plan = cost_k_decomp(query, row_db.statistics, 2, completion="fresh")
+        else:
+            plan = baseline_plan(query, row_db.statistics)
+        knobs = dict(budget=20_000_000, memory_budget_bytes=memory_budget)
+        oracle = plan.to_ir().execute(row_db, threads=1, **knobs)
+        reference = plan.to_ir().execute(column_db, threads=1, **knobs)
+        result = plan.to_ir().execute(column_db, threads=threads, **knobs)
+        assert result.relation.attributes == oracle.relation.attributes
+        assert result.relation.rows == oracle.relation.rows  # incl. row order
+        # Scheduling-independent down to the peak-memory diagnostic ...
+        assert result.stats_payload() == reference.stats_payload()
+        # ... which is the one counter the row engine does not keep.
+        work, oracle_work = result.stats_payload(), oracle.stats_payload()
+        assert work.pop("peak_transient_elements") > 0
+        assert oracle_work.pop("peak_transient_elements") == 0
+        assert work == oracle_work
+
+    def test_any_dependency_respecting_order_gives_the_same_answer(
+        self, monkeypatch
+    ):
+        # The DAG's edges alone must fix the result: run the tasks in random
+        # topological orders (a missing edge shows up deterministically here,
+        # where a thread race would only show it sometimes).
+        from repro.planner.cost_k_decomp import cost_k_decomp
+
+        # A two-level star: its join tree branches, so sibling folds (which
+        # must join into their parent in child order) are exercised.
+        query = build_query(
+            [
+                ("c", ["A", "B", "C"]), ("a1", ["A", "X"]), ("a2", ["B", "Y"]),
+                ("a3", ["C", "Z"]), ("b1", ["X", "U"]), ("b2", ["Y", "V"]),
+            ],
+            output_variables=["U", "V", "Z"],
+            name="star",
+        )
+        database = workload_database(
+            query, tuples_per_relation=60, domain_size=8, seed=5
+        )
+        plan = cost_k_decomp(query, database.statistics, 2, completion="fresh")
+        decomposition = plan.decomposition
+        assert any(
+            len(decomposition.children(n)) > 1 for n in decomposition.node_ids()
+        )
+        reference = plan.to_ir().execute(database, threads=1)
+
+        rng = random.Random(13)
+
+        def run_shuffled(self, tasks, wrap=None):
+            keys = {key for key, _, _ in tasks}
+            done, waiting = set(), list(tasks)
+            while waiting:
+                ready = [
+                    task for task in waiting
+                    if all(dep in done or dep not in keys for dep in task[1])
+                ]
+                task = rng.choice(ready)
+                waiting.remove(task)
+                task[2]()
+                done.add(task[0])
+
+        monkeypatch.setattr(TaskScheduler, "run", run_shuffled)
+        for _ in range(25):
+            shuffled = plan.to_ir().execute(database, threads=1)
+            assert shuffled.relation.rows == reference.relation.rows
+            assert shuffled.stats_payload() == reference.stats_payload()
+
+    @pytest.mark.parametrize("share", [0.1, 0.4, 0.7, 0.95])
+    def test_budget_abort_at_one_thread_matches_direct_evaluation(self, share):
+        # execute_plan at threads=1 and a hand-driven build_tree_query +
+        # yannakakis.evaluate run the same steps in the same order, so they
+        # abort at the same operator with the same work_so_far.
+        from repro.planner.cost_k_decomp import cost_k_decomp
+
+        query = _output_query()
+        database = workload_database(
+            query, tuples_per_relation=80, domain_size=12, seed=7
+        )
+        plan = cost_k_decomp(query, database.statistics, 2, completion="fresh")
+        executed = plan.planned_query or plan.query
+        ir = hypertree_plan_ir(executed, plan.decomposition)
+        total = execute_plan(ir, database, threads=1).stats.total_work
+        budget = int(total * share)
+
+        with pytest.raises(EvaluationBudgetExceeded) as planned:
+            execute_plan(ir, database, budget=budget, threads=1)
+        stats = OperatorStats(budget=budget)
+        with pytest.raises(EvaluationBudgetExceeded) as direct:
+            tree = build_tree_query(executed, database, plan.decomposition, stats)
+            evaluate(tree, list(executed.output_variables), stats=stats)
+        assert planned.value.work_so_far == direct.value.work_so_far
+        assert planned.value.budget == direct.value.budget == budget
+
+
 class TestKnobsAndScheduler:
     def test_database_reads_env_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_DB_THREADS", "3")
@@ -368,11 +509,15 @@ class TestKnobsAndScheduler:
         assert database.threads == 2
         assert database.memory_budget_bytes == 1_000
 
-    def test_chunk_rows_for_budget(self):
-        assert chunk_rows_for_budget(None) is None
-        assert chunk_rows_for_budget(0) is None  # 0 disables, as on Database
-        assert chunk_rows_for_budget(1 << 20) == (1 << 20) // 128
-        assert chunk_rows_for_budget(1) == 32  # floor
+    @pytest.mark.parametrize(
+        "knob", ["REPRO_DB_THREADS", "REPRO_DB_MEMORY_BUDGET_BYTES"]
+    )
+    @pytest.mark.parametrize("raw", ["four", "2.5", "-1"])
+    def test_malformed_env_knobs_raise(self, monkeypatch, knob, raw):
+        # A mistyped knob must not silently run serial / unbounded.
+        monkeypatch.setenv(knob, raw)
+        with pytest.raises(DatabaseError, match=knob):
+            Database()
 
     def test_scheduler_respects_dependencies(self):
         order = []
@@ -471,7 +616,7 @@ class TestKnobsAndScheduler:
         specs = yannakakis_task_dag(plan.root)
         keys = {spec.key for spec in specs}
         kinds = {kind for kind, _ in keys}
-        assert kinds == {"expr", "up", "down", "fold"}
+        assert kinds == {"expr", "up", "down", "fold", "project"}
         # Every dependency points at a task of the DAG, no cycles by kind.
         for spec in specs:
             for dep in spec.deps:

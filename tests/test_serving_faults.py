@@ -430,7 +430,10 @@ class TestCollectTimeoutPoisoning:
             follow_up = _payload()
             verdict = pool.collect(pool.submit(follow_up), timeout=60.0)
             assert pool.restarts == 0
-        assert strip_provenance(verdict) == execute_payload(follow_up, serial_db)
+        # The oracle runs what the pool shipped: the admitted slice is
+        # written into the payload and bounds the kernels.
+        shipped = dict(follow_up, memory_budget_bytes=slice_bytes)
+        assert strip_provenance(verdict) == execute_payload(shipped, serial_db)
 
     def test_expired_request_cannot_be_collected_again(self, store):
         with ServingPool(
@@ -510,24 +513,24 @@ class TestRetryBacklogScheduling:
 
 
 class TestSecondsFromEnv:
-    """Satellite: ``seconds_from_env`` must reject malformed or negative
-    values loudly -- a mistyped deadline silently becoming "no deadline"
+    """The shared env-knob parser (here as the deadline knob reads it:
+    float seconds) must reject malformed or negative values loudly -- a mistyped deadline silently becoming "no deadline"
     is exactly the kind of operator error that hides for months."""
 
     ENV = "REPRO_TEST_SECONDS"
 
     def _get(self, monkeypatch, raw, default=None):
-        from repro.db.scheduler import seconds_from_env
+        from repro.db.scheduler import number_from_env
 
         monkeypatch.setenv(self.ENV, raw)
-        return seconds_from_env(self.ENV, default)
+        return number_from_env(self.ENV, float, default)
 
     def test_unset_and_empty_fall_back_to_default(self, monkeypatch):
-        from repro.db.scheduler import seconds_from_env
+        from repro.db.scheduler import number_from_env
 
         monkeypatch.delenv(self.ENV, raising=False)
-        assert seconds_from_env(self.ENV) is None
-        assert seconds_from_env(self.ENV, 7.5) == 7.5
+        assert number_from_env(self.ENV, float) is None
+        assert number_from_env(self.ENV, float, 7.5) == 7.5
         assert self._get(monkeypatch, "", default=7.5) == 7.5
         assert self._get(monkeypatch, "   ", default=7.5) == 7.5
 
@@ -541,7 +544,7 @@ class TestSecondsFromEnv:
 
     @pytest.mark.parametrize("raw", ["soon", "1.5s", "1,5", "NaN-ish"])
     def test_malformed_values_raise(self, monkeypatch, raw):
-        with pytest.raises(DatabaseError, match="number of seconds"):
+        with pytest.raises(DatabaseError, match="must be a number"):
             self._get(monkeypatch, raw)
 
     @pytest.mark.parametrize("raw", ["-3", "-0.1"])
