@@ -4,10 +4,8 @@ PR 2 gave the execution side engine-interleaved benchmarks; these do the
 same for the paper's search side.  Each test runs its workload on both
 engines *alternately within one test* -- scalar big-int loops vs the
 vectorised mask-matrix kernels (or fresh-per-k constructions vs the
-k-incremental family) -- over the identical, equally-warm graphs, asserts
-the outputs are byte-identical, and attaches the per-engine best-of-N
-seconds and the speedup to the ``BENCH_core.json`` row via
-``_bench_extra``:
+k-incremental family) -- over the identical, equally-warm graphs, and asserts
+the outputs are byte-identical:
 
 * ``test_candidates_graph_construction_plane`` -- one big grid-query
   candidates graph (the Theorem 4.5 build phase), scalar vs vectorised;
@@ -54,7 +52,7 @@ def _graph_fingerprint(graph: CandidatesGraph):
     )
 
 
-def test_candidates_graph_construction_plane(benchmark, request):
+def test_candidates_graph_construction_plane(benchmark):
     """Build phase on a 4x4 grid query at k=3 (Ψ=2324, ~3M candidates):
     per-component Ψ-length loops vs whole-array mask-matrix kernels."""
     hypergraph = grid_hypergraph(4, 4)
@@ -73,16 +71,9 @@ def test_candidates_graph_construction_plane(benchmark, request):
     scalar_graph, dense_graph = results["scalar"], results["vectorized"]
     assert scalar_graph.size_report()["candidates"] > 1_000_000
     assert _graph_fingerprint(scalar_graph) == _graph_fingerprint(dense_graph)
-    speedup = seconds["scalar"] / seconds["vectorized"]
-    request.node._bench_extra = {
-        "scalar_s": round(seconds["scalar"], 6),
-        "vectorized_s": round(seconds["vectorized"], 6),
-        "speedup": round(speedup, 3),
-        **scalar_graph.size_report(),
-    }
 
 
-def test_candidates_graph_evaluation_plane(benchmark, request):
+def test_candidates_graph_evaluation_plane(benchmark):
     """Evaluation fold (mask-space lexicographic TAF) on a snowflake-query
     graph at k=3 (~185k candidates over ~4.6k subproblems): scalar per-arc
     loop vs per-subproblem numpy reductions."""
@@ -108,16 +99,9 @@ def test_candidates_graph_evaluation_plane(benchmark, request):
     )
     assert bytes(scalar_result.removed) == bytes(dense_result.removed)
     assert scalar_result.survivors_by_sub == dense_result.survivors_by_sub
-    request.node._bench_extra = {
-        "scalar_s": round(seconds["scalar"], 6),
-        "vectorized_s": round(seconds["vectorized"], 6),
-        "speedup": round(seconds["scalar"] / seconds["vectorized"], 3),
-        "candidates": graph.num_candidates,
-        "minimum_weight": float(scalar_result.minimum_weight()),
-    }
 
 
-def test_k_sweep_incremental(benchmark, request):
+def test_k_sweep_incremental(benchmark):
     """The fig8a-style k = 2..5 candidates-graph sweep over Q1's planning
     hypergraph: four fresh scalar builds vs the k-incremental family."""
     hypergraph = q1().with_fresh_head_variables().hypergraph()
@@ -141,9 +125,3 @@ def test_k_sweep_incremental(benchmark, request):
     fresh_graphs, family_graphs = results["fresh"], results["family"]
     for fresh_graph, family_graph in zip(fresh_graphs, family_graphs):
         assert _graph_fingerprint(fresh_graph) == _graph_fingerprint(family_graph)
-    request.node._bench_extra = {
-        "fresh_s": round(seconds["fresh"], 6),
-        "family_s": round(seconds["family"], 6),
-        "speedup": round(seconds["fresh"] / seconds["family"], 3),
-        "total_candidates": sum(graph.num_candidates for graph in fresh_graphs),
-    }

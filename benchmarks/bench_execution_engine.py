@@ -1,7 +1,6 @@
-"""Execution-engine benchmarks: the data-plane perf trajectory.
+"""Execution-engine benchmarks: row engine vs columnar engine.
 
-The decomposition side has tracked its perf trajectory in ``BENCH_core.json``
-since PR 1; these benchmarks do the same for the execution side.  Each test
+Each test
 runs twice -- once on the row-based reference engine, once on the columnar
 engine -- over *identical* data (same random stream), so every benchmark
 session records an interleaved before/after pair:
@@ -15,8 +14,7 @@ session records an interleaved before/after pair:
 
 Both also assert that the ``OperatorStats`` work counters are identical
 across engines -- "evaluation work" is representation-blind, only the
-seconds move.  The per-engine work counts and evaluation seconds are
-attached to the ``BENCH_core.json`` rows via ``_bench_extra``.
+seconds move.
 """
 
 import pytest
@@ -54,7 +52,7 @@ def _assert_cross_engine(bucket: str, engine: str, snapshot):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_yannakakis_fig5_q1(benchmark, engine, request):
+def test_yannakakis_fig5_q1(benchmark, engine):
     """Yannakakis execution of a fixed Q1 hypertree plan, Fig. 5 profile."""
     scale = 0.2
     columnar = engine == "columnar"
@@ -71,14 +69,10 @@ def test_yannakakis_fig5_q1(benchmark, engine, request):
     assert result.boolean is True
     snapshot = result.stats.snapshot()
     _assert_cross_engine("yannakakis_fig5_q1", engine, snapshot)
-    request.node._bench_extra = {
-        "engine": engine,
-        "evaluation_work": snapshot["total_work"],
-    }
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_fig8a_compare_sweep(benchmark, engine, request):
+def test_fig8a_compare_sweep(benchmark, engine):
     """Baseline vs cost-k-decomp (k = 2..4) for Q1: plan and execute both
     plan shapes on one engine."""
     columnar = engine == "columnar"
@@ -97,15 +91,8 @@ def test_fig8a_compare_sweep(benchmark, engine, request):
     assert not report.baseline.budget_exceeded
     assert len(report.structural) == 3
     works = {"baseline": report.baseline.evaluation_work}
-    evaluation_seconds = report.baseline.evaluation_seconds
     for k, measurement in report.structural.items():
         assert not measurement.budget_exceeded
         assert measurement.answer_cardinality == report.baseline.answer_cardinality
         works[f"k={k}"] = measurement.evaluation_work
-        evaluation_seconds += measurement.evaluation_seconds
     _assert_cross_engine("fig8a_compare_sweep", engine, works)
-    request.node._bench_extra = {
-        "engine": engine,
-        "evaluation_seconds": round(evaluation_seconds, 6),
-        **{f"work_{label}": work for label, work in works.items()},
-    }

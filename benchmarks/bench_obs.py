@@ -17,8 +17,6 @@ Two scenarios, both asserting the write-only-sidecar contract twice over:
 Overhead envelopes: metrics-only < 5%, full span recording < 15% -- each
 with an absolute slack term, because this container pins everything to one
 CPU and sub-second measurements jitter by more than the relative budget.
-Both tests contribute rows (off/metrics/traced seconds) to
-``BENCH_core.json`` via ``request.node._bench_extra``.
 """
 
 from __future__ import annotations
@@ -83,7 +81,7 @@ def _pool_setup():
     return _STATE["pool"]
 
 
-def test_q1_execution_trace_overhead(benchmark, request):
+def test_q1_execution_trace_overhead(benchmark):
     """Full span recording on the Q1 hypertree plan: identical results,
     bounded slowdown."""
     database, plan = _q1_setup()
@@ -116,18 +114,9 @@ def test_q1_execution_trace_overhead(benchmark, request):
         f"span recording cost {traced_seconds:.4f}s vs {off_seconds:.4f}s "
         f"untraced -- over the {_TRACE_FACTOR:.0%}+{_TRACE_SLACK}s envelope"
     )
-    request.node._bench_extra = {
-        "scenario": "q1_execute",
-        "repeats": _EXEC_REPEATS,
-        "off_seconds": round(off_seconds, 6),
-        "traced_seconds": round(traced_seconds, 6),
-        "overhead_ratio": round(traced_seconds / off_seconds, 4)
-        if off_seconds > 0 else None,
-        "spans_per_run": spans_per_run,
-    }
 
 
-def test_pool_batch_observability_overhead(benchmark, request):
+def test_pool_batch_observability_overhead(benchmark):
     """16 requests through a 2-worker pool at three observability levels;
     every level byte-identical to the serial oracle."""
     store, batch, oracle = _pool_setup()
@@ -159,16 +148,3 @@ def test_pool_batch_observability_overhead(benchmark, request):
         f"full tracing cost {traced_seconds:.4f}s vs {off_seconds:.4f}s off "
         f"-- over the {_TRACE_FACTOR:.0%}+{_TRACE_SLACK}s envelope"
     )
-    request.node._bench_extra = {
-        "scenario": "pool_batch",
-        "requests": len(batch),
-        "workers": 2,
-        "off_seconds": round(off_seconds, 6),
-        "metrics_seconds": round(metrics_seconds, 6),
-        "traced_seconds": round(traced_seconds, 6),
-        "metrics_ratio": round(metrics_seconds / off_seconds, 4)
-        if off_seconds > 0 else None,
-        "traced_ratio": round(traced_seconds / off_seconds, 4)
-        if off_seconds > 0 else None,
-        "spans": len(recorder),
-    }

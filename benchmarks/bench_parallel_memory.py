@@ -13,13 +13,8 @@ Two interleaved measurement pairs, extending the engine trajectory of
   asserted, while seconds are recorded for eyeballs only.
 * ``test_parallel_snowflake_threads`` -- a multi-subtree data-warehouse
   snowflake query executed with 1 vs 4 threads.  Answers and counters must
-  be identical; the seconds land in ``BENCH_core.json`` so multi-core CI
-  runs show the wall-clock effect of per-subtree parallelism (on a
-  single-core host the two rows simply coincide).
+  be identical.
 """
-
-import resource
-import time
 
 import pytest
 
@@ -36,10 +31,6 @@ _BUCKETS = {}
 MEMORY_MODES = ("unbounded", "budget256k")
 MEMORY_BUDGETS = {"unbounded": None, "budget256k": 256 * 1024}
 THREAD_MODES = (1, 4)
-
-
-def _peak_rss_kb() -> int:
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _q1_fig5_plan(k: int, scale: float):
@@ -72,7 +63,7 @@ def _record_cross_mode(bucket: str, mode, snapshot) -> None:
 
 
 @pytest.mark.parametrize("mode", MEMORY_MODES)
-def test_yannakakis_memory_budget(benchmark, mode, request):
+def test_yannakakis_memory_budget(benchmark, mode):
     """Fig5-scale Q1 Yannakakis: unbounded vs 256 KiB kernel budget."""
     scale = 0.2
     plan = _q1_fig5_plan(k=3, scale=scale)
@@ -80,7 +71,6 @@ def test_yannakakis_memory_budget(benchmark, mode, request):
     plan_ir = plan.to_ir()
     memory_budget = MEMORY_BUDGETS[mode]
 
-    started = time.perf_counter()
     result = benchmark.pedantic(
         lambda: plan_ir.execute(
             database, budget=50_000_000, memory_budget_bytes=memory_budget
@@ -88,7 +78,6 @@ def test_yannakakis_memory_budget(benchmark, mode, request):
         rounds=1,
         iterations=1,
     )
-    evaluation_seconds = time.perf_counter() - started
 
     assert result.boolean is True
     peak_transient = result.stats.peak_transient_elements
@@ -106,28 +95,19 @@ def test_yannakakis_memory_budget(benchmark, mode, request):
             f"memory budget should cap peak transient allocation >=4x below "
             f"unbounded (got {unbounded['peak']:,} -> {bounded['peak']:,})"
         )
-    request.node._bench_extra = {
-        "mode": mode,
-        "evaluation_seconds": round(evaluation_seconds, 6),
-        "evaluation_work": result.stats.total_work,
-        "peak_transient_elements": peak_transient,
-        "peak_rss_kb": _peak_rss_kb(),
-    }
 
 
 @pytest.mark.parametrize("threads", THREAD_MODES)
-def test_parallel_snowflake_threads(benchmark, threads, request):
+def test_parallel_snowflake_threads(benchmark, threads):
     """Multi-subtree snowflake execution, serial vs 4 worker threads."""
     query, database, plan = _snowflake_case()
     plan_ir = plan.to_ir()
 
-    started = time.perf_counter()
     result = benchmark.pedantic(
         lambda: plan_ir.execute(database, budget=50_000_000, threads=threads),
         rounds=1,
         iterations=1,
     )
-    evaluation_seconds = time.perf_counter() - started
 
     assert result.boolean is True
     seen = _record_cross_mode(
@@ -135,9 +115,3 @@ def test_parallel_snowflake_threads(benchmark, threads, request):
     )
     if len(seen) == len(THREAD_MODES):
         assert seen[1] == seen[4], "thread count must not change the counters"
-    request.node._bench_extra = {
-        "threads": threads,
-        "evaluation_seconds": round(evaluation_seconds, 6),
-        "evaluation_work": result.stats.total_work,
-        "peak_rss_kb": _peak_rss_kb(),
-    }

@@ -1,9 +1,8 @@
 """Serving-plane benchmarks: sustained QPS, serial in-process vs the
 multi-process worker pool.
 
-Interleaved measurement groups recorded as rows in ``BENCH_core.json``
-(print them alone with
-``python benchmarks/bench_delta.py --bench benchmarks/bench_serving.py``):
+Shape checks only -- serving performance is measured by ``bench/``
+(``serve_rows``, ``serve_open``):
 
 * ``test_sustained_qps`` -- the same warm plan-replay request batch served
   three ways: ``serial_1proc`` (the in-process oracle loop, no pool, no
@@ -20,19 +19,16 @@ Interleaved measurement groups recorded as rows in ``BENCH_core.json``
 * ``test_admission_under_pressure`` -- the same batch forced through a
   1-slice global memory budget: every request still completes (admission
   degrades to queuing, never to failure), responses stay byte-identical
-  to the serial oracle under the same per-query budget, and the row
-  reports the elapsed/QPS cost of serialising.
+  to the serial oracle under the same per-query budget.
 * ``test_qps_under_worker_crashes`` -- the same batch served while a
   scripted :class:`~repro.db.faults.FaultPlan` kills a worker mid-request
-  twice: responses stay byte-identical, the supervisor restarts both
-  victims, and the row reports the QPS cost of crash recovery next to the
-  fault-free ``pool_2proc`` row.
+  twice: responses stay byte-identical and the supervisor restarts both
+  victims.
 * ``test_daemon_qps`` -- the same batch driven through a
   :class:`~repro.db.daemon.ServingDaemon` over its Unix socket
   (``daemon_1client`` serially on one connection, ``daemon_4client``
   split across four concurrent connections): responses stay
-  byte-identical over the wire, and the rows price the socket +
-  JSON-framing hop against the in-process ``pool_2proc`` row.
+  byte-identical over the wire.
 
 Pooled responses carry a scheduling-dependent ``"serving"`` provenance
 block (attempts/restarts); oracle comparisons strip it first.
@@ -119,7 +115,7 @@ def _assert_mmap_shared(pool: ServingPool) -> int:
 
 
 @pytest.mark.parametrize("mode", SERVE_MODES)
-def test_sustained_qps(benchmark, mode, request):
+def test_sustained_qps(benchmark, mode):
     """Warm plan-replay batch: in-process loop vs 2- and 4-worker pools."""
     store, serving_db, batch, oracle = _setup()
     workers = _WORKERS[mode]
@@ -131,10 +127,9 @@ def test_sustained_qps(benchmark, mode, request):
         started = time.perf_counter()
         responses = benchmark.pedantic(serve, rounds=1, iterations=1)
         elapsed = time.perf_counter() - started
-        mmap_columns = None
     else:
         with ServingPool(store, workers=workers) as pool:
-            mmap_columns = _assert_mmap_shared(pool)
+            _assert_mmap_shared(pool)
             started = time.perf_counter()
             responses = benchmark.pedantic(
                 lambda: pool.run(batch), rounds=1, iterations=1
@@ -149,18 +144,9 @@ def test_sustained_qps(benchmark, mode, request):
     qps = len(batch) / elapsed if elapsed > 0 else 0.0
     seen = _BUCKETS.setdefault("qps", {})
     seen[mode] = {"seconds": elapsed, "qps": qps}
-    request.node._bench_extra = {
-        "mode": mode,
-        "workers": workers,
-        "requests": len(batch),
-        "seconds": round(elapsed, 6),
-        "qps": round(qps, 2),
-        "mmap_columns": mmap_columns,
-        "planning_seconds": 0.0,
-    }
 
 
-def test_admission_under_pressure(benchmark, request):
+def test_admission_under_pressure(benchmark):
     """A global budget of exactly one slice: requests serialise through
     admission (queuing, not failure) and answers stay byte-identical."""
     store, serving_db, batch, _ = _setup()
@@ -175,34 +161,21 @@ def test_admission_under_pressure(benchmark, request):
         default_memory_budget_bytes=slice_bytes,
     ) as pool:
         _assert_mmap_shared(pool)
-        started = time.perf_counter()
         responses = benchmark.pedantic(
             lambda: pool.run(bounded), rounds=1, iterations=1
         )
-        elapsed = time.perf_counter() - started
 
     assert [strip_provenance(r) for r in responses] == oracle, (
         "budget-admitted responses must match the serial oracle under the "
         "same per-query budget"
     )
-    qps = len(bounded) / elapsed if elapsed > 0 else 0.0
-    request.node._bench_extra = {
-        "mode": "pool_2proc_budget",
-        "workers": 2,
-        "requests": len(bounded),
-        "seconds": round(elapsed, 6),
-        "qps": round(qps, 2),
-        "global_memory_budget_bytes": slice_bytes,
-        "memory_budget_bytes": slice_bytes,
-    }
 
 
-def test_qps_under_worker_crashes(benchmark, request):
+def test_qps_under_worker_crashes(benchmark):
     """The warm batch served while a scripted fault plan kills a worker
     mid-request twice: the supervisor requeues both crash-lost requests
-    and respawns both victims, responses stay byte-identical to the serial
-    oracle, and the row prices crash recovery against the fault-free
-    ``pool_2proc`` row."""
+    and respawns both victims, and responses stay byte-identical to the
+    serial oracle."""
     store, serving_db, batch, oracle = _setup()
     kill_at = [len(batch) // 3, (2 * len(batch)) // 3]
     plan = [{"kind": "worker_exit", "request_index": rid} for rid in kill_at]
@@ -211,11 +184,9 @@ def test_qps_under_worker_crashes(benchmark, request):
         store, workers=2, max_worker_restarts=4, fault_plan=plan
     ) as pool:
         _assert_mmap_shared(pool)
-        started = time.perf_counter()
         responses = benchmark.pedantic(
             lambda: pool.run(batch), rounds=1, iterations=1
         )
-        elapsed = time.perf_counter() - started
         restarts = pool.restarts
         degraded = pool.degraded
 
@@ -228,24 +199,10 @@ def test_qps_under_worker_crashes(benchmark, request):
         f"(restarts={restarts})"
     )
     assert degraded is None, "two restarts must fit a budget of four"
-    retried = sum(
-        1 for r in responses if r["serving"]["attempts"] > 1
-    )
-    qps = len(batch) / elapsed if elapsed > 0 else 0.0
-    request.node._bench_extra = {
-        "mode": "pool_2proc_faults",
-        "workers": 2,
-        "requests": len(batch),
-        "seconds": round(elapsed, 6),
-        "qps": round(qps, 2),
-        "worker_kills": len(kill_at),
-        "restarts": restarts,
-        "retried_requests": retried,
-    }
 
 
 @pytest.mark.parametrize("clients", [1, 4])
-def test_daemon_qps(benchmark, clients, request):
+def test_daemon_qps(benchmark, clients):
     """The warm batch through the socket daemon: the price of the
     length-prefixed JSON hop, serially and across concurrent clients."""
     from repro.db.daemon import DaemonClient, ServingDaemon
@@ -256,12 +213,10 @@ def test_daemon_qps(benchmark, clients, request):
     with ServingDaemon(store, f"unix:{sock}", workers=2) as daemon:
         if clients == 1:
             with DaemonClient(daemon.address) as client:
-                started = time.perf_counter()
                 responses = benchmark.pedantic(
                     lambda: [client.execute(p) for p in batch],
                     rounds=1, iterations=1,
                 )
-                elapsed = time.perf_counter() - started
         else:
             shards = [batch[slot::clients] for slot in range(clients)]
             results = [None] * clients
@@ -286,11 +241,9 @@ def test_daemon_qps(benchmark, clients, request):
                     merged[slot::clients] = shard
                 return merged
 
-            started = time.perf_counter()
             responses = benchmark.pedantic(
                 serve_concurrently, rounds=1, iterations=1
             )
-            elapsed = time.perf_counter() - started
         # The dispatcher bumps requests_served *after* writing the reply,
         # so a client can observe its response a beat before the counter
         # lands: poll briefly instead of racing it.
@@ -307,13 +260,3 @@ def test_daemon_qps(benchmark, clients, request):
         "daemon responses must be byte-identical to the serial oracle"
     )
     assert health["restarts"] == 0
-    qps = len(batch) / elapsed if elapsed > 0 else 0.0
-    request.node._bench_extra = {
-        "mode": f"daemon_{clients}client",
-        "workers": 2,
-        "clients": clients,
-        "requests": len(batch),
-        "seconds": round(elapsed, 6),
-        "qps": round(qps, 2),
-        "transport": "unix-socket json frames",
-    }

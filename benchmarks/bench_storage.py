@@ -1,8 +1,7 @@
 """Storage-plane benchmarks: cold generation vs warm mmap open vs plan cache.
 
-Two interleaved measurement groups, recorded as separate rows in
-``BENCH_core.json`` (print them alone with
-``python benchmarks/bench_delta.py --bench benchmarks/bench_storage.py``):
+Two interleaved measurement groups -- shape checks only; storage
+performance is measured by ``bench/``:
 
 * ``test_cold_generate_vs_warm_open`` -- the full Fig. 5 profile
   (``scale=1.0``, the paper's published cardinalities, ~31k tuples over 9
@@ -105,7 +104,7 @@ def _execution_fingerprint(plan, database):
 
 
 @pytest.mark.parametrize("mode", OPEN_MODES)
-def test_cold_generate_vs_warm_open(benchmark, mode, request):
+def test_cold_generate_vs_warm_open(benchmark, mode):
     """Fig. 5 profile at scale 1.0: generation+interning vs mmap reopen."""
     _, plan = _fig5_stored()
 
@@ -141,15 +140,10 @@ def test_cold_generate_vs_warm_open(benchmark, mode, request):
             f"warm open should be at least 5x faster than cold generation "
             f"({cold['seconds']:.4f}s vs {warm['seconds']:.4f}s)"
         )
-    request.node._bench_extra = {
-        "mode": mode,
-        "open_seconds": round(open_seconds, 6),
-        "total_tuples": database.total_tuples(),
-    }
 
 
 @pytest.mark.parametrize("mode", PLAN_MODES)
-def test_plan_cache_cold_vs_warm(benchmark, mode, request):
+def test_plan_cache_cold_vs_warm(benchmark, mode):
     """Scaled Fig. 5 Q1 k-sweep with a persistent plan cache: plan+store,
     then replay with zero planning time."""
     if "plan_db" not in _STATE:
@@ -158,7 +152,6 @@ def test_plan_cache_cold_vs_warm(benchmark, mode, request):
     cache = _STATE.setdefault("plan_cache", PlanCache(_SCRATCH / "plans"))
     query = q1()
 
-    started = time.perf_counter()
     report = benchmark.pedantic(
         lambda: compare_planners(
             query,
@@ -170,7 +163,6 @@ def test_plan_cache_cold_vs_warm(benchmark, mode, request):
         rounds=1,
         iterations=1,
     )
-    sweep_seconds = time.perf_counter() - started
 
     planning_seconds = report.baseline.planning_seconds + sum(
         m.planning_seconds for m in report.structural.values()
@@ -194,31 +186,20 @@ def test_plan_cache_cold_vs_warm(benchmark, mode, request):
             seen["plan_warm"]["planning_seconds"]
             < seen["plan_cold"]["planning_seconds"]
         )
-    request.node._bench_extra = {
-        "mode": mode,
-        "sweep_seconds": round(sweep_seconds, 6),
-        "planning_seconds": round(planning_seconds, 6),
-        "cache": cache.stats(),
-    }
 
 
 @pytest.mark.parametrize("mode", ENCODING_MODES)
-def test_packed_vs_raw_store(benchmark, mode, request):
+def test_packed_vs_raw_store(benchmark, mode):
     """Full-scale Fig. 5 under both encodings: store bytes, warm open,
     and the Q1 budget-abort join time -- interleaved packed-vs-raw rows."""
     _, plan = _fig5_stored()
     target = _fig5_store_for(mode)
     info = storage_info(target)
 
-    started = time.perf_counter()
     database = benchmark.pedantic(
         lambda: open_database(target), rounds=1, iterations=1
     )
-    open_seconds = time.perf_counter() - started
-
-    join_started = time.perf_counter()
     abort_work = _execution_fingerprint(plan, database)
-    join_seconds = time.perf_counter() - join_started
 
     seen = _BUCKETS.setdefault("encoding", {})
     seen[mode] = {
@@ -236,17 +217,9 @@ def test_packed_vs_raw_store(benchmark, mode, request):
             f"({packed['bytes']:,}B packed vs {raw['bytes']:,}B raw)"
         )
         assert packed["ratio"] >= 4.0
-    request.node._bench_extra = {
-        "mode": mode,
-        "store_bytes": info["total_column_bytes"],
-        "compression_ratio": round(info["compression_ratio"], 3),
-        "open_seconds": round(open_seconds, 6),
-        "q1_join_seconds": round(join_seconds, 6),
-        "abort_work": abort_work,
-    }
 
 
-def test_budgeted_execution_below_raw_footprint(benchmark, request):
+def test_budgeted_execution_below_raw_footprint(benchmark):
     """Scaled Fig. 5 Q1 runs to completion under a memory budget an order
     of magnitude smaller than the raw int64 column footprint, with the
     answer and every work counter byte-identical to the unbudgeted run."""
@@ -259,13 +232,11 @@ def test_budgeted_execution_below_raw_footprint(benchmark, request):
     plan = cost_k_decomp(q1(), database.statistics, 3, completion="fresh")
     oracle = plan.execute(database)
 
-    started = time.perf_counter()
     bounded = benchmark.pedantic(
         lambda: plan.execute(database, memory_budget_bytes=budget_bytes),
         rounds=1,
         iterations=1,
     )
-    bounded_seconds = time.perf_counter() - started
 
     assert bounded.cardinality == oracle.cardinality
     assert bounded.boolean == oracle.boolean
@@ -283,13 +254,3 @@ def test_budgeted_execution_below_raw_footprint(benchmark, request):
             bounded.stats.peak_transient_elements
             < oracle.stats.peak_transient_elements
         )
-    request.node._bench_extra = {
-        "raw_footprint_bytes": raw_footprint,
-        "memory_budget_bytes": budget_bytes,
-        "peak_transient_elements": bounded.stats.peak_transient_elements,
-        "unbudgeted_peak_transient_elements": (
-            oracle.stats.peak_transient_elements
-        ),
-        "bounded_seconds": round(bounded_seconds, 6),
-        "evaluation_work": bounded.stats.total_work,
-    }

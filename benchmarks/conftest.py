@@ -1,130 +1,18 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-figure benches.
 
-Every benchmark regenerates one of the paper's tables or figures (see the
-per-experiment index in DESIGN.md), asserts the *shape* the paper reports,
-and prints the regenerated rows so that running::
+Every bench regenerates one of the paper's tables or figures (or checks
+one plane's shape contract), asserts the *shape* the paper reports, and
+prints the regenerated rows so that running::
 
     pytest benchmarks/bench_*.py --benchmark-only -s
 
-shows the tables next to pytest-benchmark's timing output.
-
-Every *passing* benchmark test additionally contributes a
-``{bench, params, seconds}`` row to ``BENCH_core.json`` at the repository
-root (see :func:`bench_core_log`), so successive PRs accumulate a perf
-trajectory that can be diffed.  Rows are buffered in memory and written once
-per pytest session, tagged with the session's timestamp and commit, so
-repeated local runs stay distinguishable and failed/aborted tests leave no
-rows.
+shows the tables next to pytest-benchmark's timing output.  These are
+shape checks, not a measuring instrument: every performance claim goes
+through ``bench/`` (``python3 bench/run.py``, see ``bench/README.md``).
 """
-
-from __future__ import annotations
-
-import json
-import subprocess
-import time
-from pathlib import Path
-
-import pytest
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_LOG_PATH = REPO_ROOT / "BENCH_core.json"
-
-#: Rows collected during this pytest session, flushed at sessionfinish.
-_SESSION_ROWS: list = []
 
 
 def emit(result) -> None:
     """Print an ExperimentResult table (visible with ``-s`` or on failure)."""
     print()
     print(result.to_table())
-
-
-def _json_safe(value):
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return repr(value)
-
-
-def _current_commit() -> str:
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=5,
-            ).stdout.strip()
-            or "unknown"
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    # Expose the call-phase outcome to fixtures (standard pytest pattern),
-    # so only passing tests are recorded.
-    outcome = yield
-    report = outcome.get_result()
-    if report.when == "call":
-        item._bench_call_passed = report.passed
-
-
-@pytest.fixture(autouse=True)
-def bench_core_log(request):
-    """Time every benchmark test and buffer a row for ``BENCH_core.json``.
-
-    This measures the whole test body (setup work included), which is the
-    number a future PR can compare against without re-deriving
-    pytest-benchmark's calibration; the pytest-benchmark output remains the
-    precision instrument.
-    """
-    started = time.perf_counter()
-    yield
-    seconds = time.perf_counter() - started
-    if not getattr(request.node, "_bench_call_passed", False):
-        return
-    callspec = getattr(request.node, "callspec", None)
-    params = (
-        {key: _json_safe(value) for key, value in callspec.params.items()}
-        if callspec is not None
-        else {}
-    )
-    row = {
-        "bench": request.node.nodeid,
-        "params": params,
-        "seconds": round(seconds, 6),
-    }
-    # Benchmarks may attach structured measurements (e.g. the execution
-    # benches record evaluation work and seconds per engine) by setting
-    # ``request.node._bench_extra`` to a JSON-safe mapping.
-    extra = getattr(request.node, "_bench_extra", None)
-    if extra:
-        row["extra"] = {key: _json_safe(value) for key, value in extra.items()}
-    _SESSION_ROWS.append(row)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append this session's rows to the repo-root ``BENCH_core.json``.
-
-    The file holds a flat JSON list of rows in append order, each tagged
-    with the session's run id (UTC timestamp + commit); corrupt or missing
-    files start a fresh list rather than failing the benchmark run.
-    """
-    if not _SESSION_ROWS:
-        return
-    try:
-        rows = json.loads(BENCH_LOG_PATH.read_text())
-        if not isinstance(rows, list):
-            rows = []
-    except (OSError, ValueError):
-        rows = []
-    run_id = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "commit": _current_commit(),
-    }
-    for row in _SESSION_ROWS:
-        rows.append({**row, "run": run_id})
-    BENCH_LOG_PATH.write_text(json.dumps(rows, indent=1) + "\n")
-    _SESSION_ROWS.clear()

@@ -200,8 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     db_daemon.add_argument(
         "--deadline", type=float, default=None,
-        help="per-attempt request deadline in seconds (default: "
-        "REPRO_SERVE_DEADLINE_SECONDS or none)",
+        help="per-attempt request deadline in seconds (default: none)",
     )
     db_daemon.add_argument(
         "--max-attempts", type=int, default=3,
@@ -264,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     db_serve.add_argument(
         "--deadline", type=float, default=None,
-        help="per-attempt request deadline in seconds (default: "
-        "REPRO_SERVE_DEADLINE_SECONDS or none)",
+        help="per-attempt request deadline in seconds (default: none)",
     )
     db_serve.add_argument(
         "--max-attempts", type=int, default=3,

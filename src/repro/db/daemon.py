@@ -26,6 +26,9 @@ client-chosen ``id`` echoed verbatim in the response, and a ``kind``:
 * ``"health"`` -- liveness probe: ``status`` (``ready`` / ``degraded`` /
   ``draining``), worker/restart/degradation counters, refresh
   generation, connection and request counters.  Orchestrators poll this.
+* ``"metrics"`` -- the same status snapshot plus request-latency
+  quantiles and the raw metrics-registry payload (what ``repro db
+  metrics`` renders).
 * ``"plans"`` -- the daemon's current prewarmed payload set and its
   refresh ``generation`` (clients fetch ready-to-execute payloads
   instead of planning themselves).
@@ -78,14 +81,14 @@ deterministically in tests and CI chaos smokes.
 Threading model
 ---------------
 The pool is single-owner: only the *dispatcher* thread touches it
-(``submit`` / ``try_collect`` / ``abandon`` / ``service``).  Each
-connection gets a reader thread that decodes frames and forwards
-``execute`` commands to the dispatcher over a queue; ``health`` and
-``plans`` are answered inline from counters safe to read concurrently;
-``refresh`` runs on the dedicated refresh thread (planning may take a
-while and must not stall serving).  Responses go out under a
-per-connection send lock, so dispatcher and reader never interleave
-bytes on one socket.
+(``submit`` / ``abandon``, and one ``pump`` per loop whose resolved ids it
+collects and answers).  Each connection gets a reader thread that
+decodes frames and forwards ``execute`` commands to the dispatcher over a
+queue; ``health``, ``metrics`` and ``plans`` are answered inline from
+state safe to read concurrently; ``refresh`` runs on the dedicated
+refresh thread (planning may take a while and must not stall serving).
+Responses go out under a per-connection send lock, so dispatcher and
+reader never interleave bytes on one socket.
 """
 
 from __future__ import annotations
@@ -111,6 +114,7 @@ from repro.db.serving import (
 )
 from repro.exceptions import DatabaseError
 from repro.obs.export import write_chrome_trace
+from repro.obs.metrics import resolve_registry
 from repro.obs.trace import TraceRecorder
 
 _DAEMON_LOG = logging.getLogger("repro.daemon")
@@ -139,6 +143,20 @@ ERROR_CODES = (
     "refresh_unavailable",
     "refresh_failed",
     "internal",
+)
+
+#: The ``counters`` block of ``health`` / ``metrics`` frames: names in the
+#: metrics registry the daemon shares with its pool (``admission_rejected``
+#: is counted by the pool's admission, the rest by this module).
+_COUNTERS = (
+    "connections_accepted",
+    "connections_dropped",
+    "requests_served",
+    "error_frames",
+    "admission_rejected",
+    "abandoned_requests",
+    "refreshes",
+    "refresh_errors",
 )
 
 #: Socket-level timeouts: the accept/read tick (how fast threads notice
@@ -459,7 +477,7 @@ class _Connection:
             dropped = True
         finally:
             if dropped:
-                daemon.stats.bump("connections_dropped")
+                daemon.metrics.counter("connections_dropped").inc()
             if not draining:
                 daemon._hangup(self)
 
@@ -482,9 +500,6 @@ class _Connection:
         elif kind == "health":
             self.send(daemon._health_frame(frame_id))
         elif kind == "metrics":
-            # Answered inline from the reader thread, like health: every
-            # instrument is lock-protected and the pool's depth properties
-            # read plain container lengths.
             self.send(daemon._metrics_frame(frame_id))
         elif kind == "plans":
             self.send(daemon._plans_frame(frame_id))
@@ -493,31 +508,6 @@ class _Connection:
         elif kind == "shutdown":
             self.send(dict(_base_frame("response", frame_id), draining=True))
             daemon.request_shutdown()
-
-
-class _Stats:
-    """Monotonic daemon counters (reader threads bump, health reads)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {
-            "connections_accepted": 0,
-            "connections_dropped": 0,
-            "requests_served": 0,
-            "error_frames": 0,
-            "admission_rejected": 0,
-            "abandoned_requests": 0,
-            "refreshes": 0,
-            "refresh_errors": 0,
-        }
-
-    def bump(self, name: str, by: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += by
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
 
 
 class ServingDaemon:
@@ -573,7 +563,9 @@ class ServingDaemon:
         # it as Chrome trace-event JSON once the drain completes.
         self._trace_recorder = TraceRecorder() if trace_out else None
         self.pool_options = dict(pool_options)
-        self.stats = _Stats()
+        # One registry under transport and pool: health and metrics frames
+        # read every counter from it.
+        self.metrics = resolve_registry(self.pool_options.pop("metrics", None))
         self.started_at: Optional[float] = None
         self.exit_code: Optional[int] = None
 
@@ -603,6 +595,7 @@ class ServingDaemon:
         # forking a single-threaded process is the safe order.
         self._pool = ServingPool(self.store_path, workers=self.workers,
                                  trace=self._trace_recorder,
+                                 metrics=self.metrics,
                                  **self.pool_options)
         try:
             if self.queries:
@@ -739,7 +732,7 @@ class ServingDaemon:
                 self._next_conn_id += 1
                 connection = _Connection(self, sock, self._next_conn_id)
                 self._connections[connection.conn_id] = connection
-            self.stats.bump("connections_accepted")
+            self.metrics.counter("connections_accepted").inc()
             connection.start()
 
     def _hangup(self, connection: _Connection) -> None:
@@ -751,12 +744,19 @@ class ServingDaemon:
         connection.close()
 
     # -- dispatcher (the only thread that touches the pool) ------------
+    def _next_command(self, timeout: float = 0.0):
+        """The next reader-thread command, waiting up to ``timeout``
+        seconds for one; ``None`` when the queue stays empty."""
+        try:
+            return self._commands.get(timeout > 0, timeout)
+        except queue.Empty:
+            return None
+
     def _dispatch_loop(self) -> None:
         pool = self._pool
         # request_id -> (connection, frame_id, submit time); the third
-        # slot feeds the request_latency_seconds histogram on collect.
+        # slot feeds the request_latency_seconds histogram on delivery.
         outstanding: Dict[int, Tuple[_Connection, Any, float]] = {}
-        by_conn: Dict[int, set] = {}
         drain_deadline = None
         while True:
             stopping = self._stop_event.is_set()
@@ -766,37 +766,39 @@ class ServingDaemon:
                 not outstanding or time.monotonic() > drain_deadline
             ):
                 break
-            command = None
-            if outstanding:
+            # Idle: block on the command queue.  Work outstanding: block
+            # (briefly) on the pool instead, so crash recovery and
+            # deadlines advance between commands.
+            command = self._next_command(0.0 if outstanding else _TICK_SECONDS)
+            wait = 0.05 if outstanding and command is None else 0.0
+            while command is not None:
                 try:
-                    command = self._commands.get_nowait()
-                except queue.Empty:
-                    # Let the pool's supervisor advance (crash recovery,
-                    # deadline firing) while we idle between commands.
-                    pool.service(0.05)
-            else:
-                try:
-                    command = self._commands.get(timeout=_TICK_SECONDS)
-                except queue.Empty:
-                    pool.service(0.0)
-            if command is not None:
-                self._handle_command(command, outstanding, by_conn)
-                # Drain whatever else queued up before sweeping results.
-                while True:
-                    try:
-                        command = self._commands.get_nowait()
-                    except queue.Empty:
-                        break
-                    self._handle_command(command, outstanding, by_conn)
-            self._sweep(outstanding, by_conn)
+                    self._handle_command(command, outstanding)
+                except Exception as exc:  # one bad command must not kill serving
+                    _DAEMON_LOG.exception("command failed")
+                    _, connection, frame = command
+                    if frame is not None:
+                        self._send_error(
+                            connection, frame.get("id"), "internal", repr(exc)
+                        )
+                command = self._next_command()
+            for request_id in pool.pump(wait):
+                connection, frame_id, started = outstanding.pop(request_id)
+                self.metrics.histogram("request_latency_seconds").observe(
+                    time.monotonic() - started
+                )
+                reply = dict(
+                    _base_frame("response", frame_id),
+                    response=pool.collect(request_id),
+                )
+                if connection.send(reply):
+                    self.metrics.counter("requests_served").inc()
+                # A failed send surfaces as the connection's own hangup.
         # Drain over (or timed out): everything still in flight is
         # abandoned and answered with a structured error.
         for request_id, (connection, frame_id, _started) in outstanding.items():
-            try:
-                pool.abandon(request_id)
-            except ServingError:  # pragma: no cover - broken pool
-                pass
-            self.stats.bump("abandoned_requests")
+            pool.abandon(request_id)
+            self.metrics.counter("abandoned_requests").inc()
             connection.send(
                 _error_frame(
                     frame_id,
@@ -805,28 +807,24 @@ class ServingDaemon:
                 )
             )
         # ...and commands that raced the drain get an answer, not silence.
-        while True:
-            try:
-                action, connection, frame = self._commands.get_nowait()
-            except queue.Empty:
-                break
+        while (command := self._next_command()) is not None:
+            action, connection, frame = command
             if action == "execute":
                 self._send_error(
                     connection, frame.get("id"), "shutting_down",
                     "daemon is draining; no new requests",
                 )
 
-    def _handle_command(self, command, outstanding, by_conn) -> None:
+    def _handle_command(self, command, outstanding) -> None:
         pool = self._pool
         action, connection, frame = command
         if action == "hangup":
-            for request_id in sorted(by_conn.pop(connection.conn_id, ())):
-                outstanding.pop(request_id, None)
-                try:
-                    pool.abandon(request_id)
-                except ServingError:  # pragma: no cover - broken pool
-                    pass
-                self.stats.bump("abandoned_requests")
+            for request_id in [
+                rid for rid, entry in outstanding.items() if entry[0] is connection
+            ]:
+                del outstanding[request_id]
+                pool.abandon(request_id)
+                self.metrics.counter("abandoned_requests").inc()
             return
         frame_id = frame.get("id")
         if self._stop_event.is_set():
@@ -835,91 +833,29 @@ class ServingDaemon:
                 "daemon is draining; no new requests",
             )
             return
-        payload = frame.get("payload")
         try:
-            request_id = pool.submit(payload)
+            request_id = pool.submit(frame.get("payload"))
         except AdmissionRejected as exc:
-            self.stats.bump("admission_rejected")
             self._send_error(connection, frame_id, "admission_rejected", str(exc))
-            return
         except ServingError as exc:
             code = "degraded" if pool.degraded else "internal"
             self._send_error(connection, frame_id, code, str(exc))
-            return
         except DatabaseError as exc:
             self._send_error(connection, frame_id, "bad_request", str(exc))
-            return
-        outstanding[request_id] = (connection, frame_id, time.monotonic())
-        by_conn.setdefault(connection.conn_id, set()).add(request_id)
-
-    def _sweep(self, outstanding, by_conn) -> None:
-        pool = self._pool
-        for request_id in sorted(outstanding):
-            try:
-                response = pool.try_collect(request_id)
-            except ServingError as exc:
-                connection, frame_id, _started = outstanding.pop(request_id)
-                by_conn.get(connection.conn_id, set()).discard(request_id)
-                self._send_error(connection, frame_id, "internal", str(exc))
-                continue
-            if response is None:
-                continue
-            connection, frame_id, started = outstanding.pop(request_id)
-            by_conn.get(connection.conn_id, set()).discard(request_id)
-            pool.metrics.histogram("request_latency_seconds").observe(
-                time.monotonic() - started
-            )
-            reply = dict(_base_frame("response", frame_id), response=response)
-            if connection.send(reply):
-                self.stats.bump("requests_served")
-            # A failed send surfaces as the connection's own hangup.
+        else:
+            outstanding[request_id] = (connection, frame_id, time.monotonic())
 
     def _send_error(self, connection, frame_id, code: str, message: str) -> None:
-        self.stats.bump("error_frames")
+        self.metrics.counter("error_frames").inc()
         connection.send(_error_frame(frame_id, code, message))
 
     # -- inline request kinds ------------------------------------------
-    def _health_frame(self, frame_id) -> Dict[str, Any]:
+    def _status_frame(self, kind: str, frame_id) -> Dict[str, Any]:
+        """The status snapshot both ``health`` and ``metrics`` frames are
+        views over.  Read from reader threads: counters are lock-protected
+        and the pool's depth views take atomic snapshots."""
         pool = self._pool
-        degraded = pool.degraded
-        if self._stop_event.is_set():
-            status = "draining"
-        elif degraded:
-            status = "degraded"
-        else:
-            status = "ready"
-        frame = _base_frame("health", frame_id)
-        frame.update(
-            status=status,
-            store=str(self.store_path),
-            workers=self.workers,
-            worker_pids=sorted(
-                report["pid"] for report in dict(pool.worker_reports).values()
-            ),
-            restarts=pool.restarts,
-            degraded=degraded,
-            queue_depth=pool.queue_depth,
-            inflight=pool.inflight_count,
-            pending=pool.pending_count,
-            generation=self._generation,
-            refresh_seconds=self.refresh_seconds,
-            uptime_seconds=(
-                round(time.monotonic() - self.started_at, 3)
-                if self.started_at is not None
-                else 0.0
-            ),
-            counters=self.stats.snapshot(),
-            pid=os.getpid(),
-        )
-        return frame
-
-    def _metrics_frame(self, frame_id) -> Dict[str, Any]:
-        """The daemon's full metrics snapshot: transport counters, pool
-        depth gauges, request-latency quantiles (p50/p95/p99 over the
-        fixed exponential buckets) and the raw registry payload --
-        everything ``repro db metrics`` renders."""
-        pool = self._pool
-        frame = _base_frame("metrics", frame_id)
+        frame = _base_frame(kind, frame_id)
         frame.update(
             generation=self._generation,
             uptime_seconds=(
@@ -932,10 +868,40 @@ class ServingDaemon:
             pending=pool.pending_count,
             restarts=pool.restarts,
             degraded=pool.degraded,
-            counters=self.stats.snapshot(),
-            latency=pool.metrics.histogram("request_latency_seconds").quantiles(),
-            metrics=pool.metrics.to_payload(),
+            counters={
+                name: self.metrics.counter(name).value for name in _COUNTERS
+            },
             pid=os.getpid(),
+        )
+        return frame
+
+    def _health_frame(self, frame_id) -> Dict[str, Any]:
+        frame = self._status_frame("health", frame_id)
+        if self._stop_event.is_set():
+            status = "draining"
+        elif frame["degraded"]:
+            status = "degraded"
+        else:
+            status = "ready"
+        frame.update(
+            status=status,
+            store=str(self.store_path),
+            workers=self.workers,
+            worker_pids=sorted(
+                report["pid"] for report in dict(self._pool.worker_reports).values()
+            ),
+            refresh_seconds=self.refresh_seconds,
+        )
+        return frame
+
+    def _metrics_frame(self, frame_id) -> Dict[str, Any]:
+        """The status snapshot plus request-latency quantiles (p50/p95/p99
+        over the fixed exponential buckets) and the raw registry payload
+        -- everything ``repro db metrics`` renders."""
+        frame = self._status_frame("metrics", frame_id)
+        frame.update(
+            latency=self.metrics.histogram("request_latency_seconds").quantiles(),
+            metrics=self.metrics.to_payload(),
         )
         return frame
 
@@ -994,13 +960,13 @@ class ServingDaemon:
             try:
                 generation = self._refresh_payloads(analyze=True)
             except Exception as exc:  # keep serving on a failed refresh
-                self.stats.bump("refresh_errors")
+                self.metrics.counter("refresh_errors").inc()
                 if connection is not None:
                     self._send_error(
                         connection, frame_id, "refresh_failed", str(exc)
                     )
                 continue
-            self.stats.bump("refreshes")
+            self.metrics.counter("refreshes").inc()
             if connection is not None:
                 connection.send(
                     dict(

@@ -3,61 +3,40 @@
 Fault tolerance is only trustworthy if its paths are *testable on
 purpose*: "a worker process dies mid-request" must be a scriptable input,
 not something the OS does for you at the right moment if you are lucky.
-This module defines a JSON-safe :class:`FaultPlan` -- a list of rules like
-``{"kind": "worker_exit", "request_index": 3, "worker_id": 1}`` -- that
-:class:`~repro.db.serving.ServingPool` threads into every worker process.
-The worker loop consults the plan at the seam right before
-:func:`~repro.db.serving.execute_payload` runs, so a rule fires at an
-exact, reproducible point of the serving protocol:
+A :class:`FaultPlan` is a JSON-safe list of rules like ``{"kind":
+"worker_exit", "request_index": 3, "worker_id": 1}``, given to
+``ServingPool(fault_plan=...)`` or -- inline JSON or a file path -- through
+``REPRO_SERVE_FAULTS``.  It has two disjoint seams.
 
-* ``"worker_exit"`` -- the worker process calls ``os._exit(exit_code)``
-  mid-request (no cleanup, no response: the moral equivalent of a
-  SIGKILL), exercising the pool's supervisor (requeue + respawn).
-* ``"raise"`` -- the worker raises :class:`FaultInjected`, exercising the
-  per-request ``"error"`` response path (the pool must keep serving).
-* ``"delay"`` -- the worker sleeps ``seconds`` before executing,
-  exercising request deadlines, retry/backoff and stale-response
-  draining.
+**Worker seam** (:meth:`FaultPlan.apply`, consulted by the worker loop
+right before :func:`~repro.db.serving.execute_payload`):
 
-**Determinism.**  Rules match on the pool-assigned request id (the global
-submission index -- stable whatever the worker scheduling), optionally a
-specific ``worker_id`` slot, and the request's attempt number.  A rule
-matches attempt 1 *only* by default: a crash-lost request that the pool
-retries must not crash its replacement worker again (each worker process
-builds its own plan instance, so rule fire-counts reset on respawn --
-``"attempt": null`` opts into every-attempt matching deliberately).  Each
-rule fires at most ``times`` times (default once) per worker process.
+* ``"worker_exit"`` -- ``os._exit(exit_code)`` mid-request (no cleanup, no
+  response: the moral equivalent of a SIGKILL);
+* ``"raise"`` -- raise :class:`FaultInjected` (a per-request ``"error"``
+  response; the pool must keep serving);
+* ``"delay"`` -- sleep ``seconds`` before executing (deadlines, retries,
+  late responses).
 
-**Wiring.**  ``ServingPool(fault_plan=...)`` accepts a plan, a payload, or
-nothing -- in which case the ``REPRO_SERVE_FAULTS`` environment variable
-is consulted: either inline JSON or a path to a JSON file.  The plan
-ships to workers inside their options mapping (plain JSON data, so the
-``spawn`` start method works identically), and tests/CI can script
-"worker 1 dies mid-request 3" and assert the pooled answers stay
-byte-identical to the serial oracle.
+**Client seam** (:meth:`FaultPlan.connection_action`, consulted by
+:class:`~repro.db.daemon.DaemonClient` before each execute; the client
+acts the rule out on the wire):
 
-**Connection faults.**  The daemon front-end (:mod:`repro.db.daemon`)
-extends the same plan language to the *client* side of its socket
-transport, so daemon chaos scenarios replay deterministically too:
+* ``"client_disconnect"`` -- write the whole request, then hard-close
+  without reading the response;
+* ``"partial_frame"`` -- write half a frame and go silent;
+* ``"stalled_reader"`` -- stall ``seconds`` mid-frame, then finish.
 
-* ``"client_disconnect"`` -- the client closes the socket mid-frame
-  (half a request written, then a hard close), exercising the daemon's
-  per-connection isolation and admission-slice release.
-* ``"partial_frame"`` -- the client writes half a frame and then goes
-  silent, exercising the daemon's mid-frame read deadline.
-* ``"stalled_reader"`` -- the client stalls ``seconds`` mid-frame before
-  finishing the write: shorter than the daemon's I/O timeout the request
-  completes normally, longer and the daemon drops the connection.
-
-Connection rules are keyed like worker rules: ``request_id`` /
-``request_index`` is the 0-based index of the execute request *on that
-connection*, ``connection_id`` pins the rule to one scripted client (the
-client states its id, like a worker slot), ``attempt``/``times`` behave
-identically.  The two seams are disjoint: :meth:`FaultPlan.apply` (the
-worker seam) skips connection kinds, and
-:meth:`FaultPlan.connection_action` (the client seam) fires only them --
-one ``REPRO_SERVE_FAULTS`` value can script a worker kill *and* a client
-disconnect for the same chaos run.
+**Determinism.**  Worker rules match on the pool-assigned request id (the
+global submission index -- stable whatever the worker scheduling),
+optionally a ``worker_id`` slot, and the attempt number; connection rules
+on the 0-based index of the execute *on that connection* and optionally a
+``connection_id`` the scripted client states.  A rule matches attempt 1
+*only* by default: a crash-lost request that the pool retries must not
+crash its replacement worker again (``"attempt": null`` opts into
+every-attempt matching deliberately).  Each rule fires at most ``times``
+times (default once) per process applying the plan -- every worker builds
+its own instance, so fire counts reset on respawn.
 """
 
 from __future__ import annotations

@@ -50,11 +50,10 @@ def number_from_env(name: str, parse=int, default=None):
     ``float``).  Empty, unset or ``0`` mean ``default`` (the knob is off);
     malformed or negative values raise
     :class:`~repro.exceptions.DatabaseError` rather than being silently
-    swallowed -- a mistyped thread count that quietly runs serial, or a
-    mistyped deadline that quietly disables deadlines, is exactly the
-    failure mode a knob must not have.  Every numeric ``REPRO_*`` knob
-    (``REPRO_DB_THREADS``, ``REPRO_DB_MEMORY_BUDGET_BYTES``,
-    ``REPRO_SERVE_DEADLINE_SECONDS``) is read through here."""
+    swallowed -- a mistyped thread count that quietly runs serial is
+    exactly the failure mode a knob must not have.  Every numeric
+    ``REPRO_*`` knob (``REPRO_DB_THREADS``,
+    ``REPRO_DB_MEMORY_BUDGET_BYTES``) is read through here."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default

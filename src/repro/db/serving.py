@@ -33,35 +33,21 @@ budget abort is equally deterministic at ``threads == 1``: the response
 reports ``work_so_far`` and abort-time counters equal to the serial
 abort's.
 
-**Admission.**  :meth:`ServingPool.submit` admits a request under a slice
-of the pool's global memory budget: the payload's own
-``memory_budget_bytes`` if set, else the pool's per-query default.  The
-sum of admitted slices never exceeds ``global_memory_budget_bytes`` and
-at most ``max_pending`` requests may be in flight, so a burst of heavy
-joins degrades to :class:`AdmissionRejected` backpressure (callers
-re-submit after collecting) instead of memory exhaustion.  The admitted
-slice is written into the payload, so the same number that gated
-admission also bounds the kernels' transient allocations during
-execution.
-
-**Failure.**  Failure is a first-class, deterministically testable input
-(:mod:`repro.db.faults` scripts it).  A worker that *raises* ships an
-``"error"`` response for that request only.  A worker *process* that dies
-mid-request is handled by the pool's supervisor: the in-flight request is
-requeued (with exponential backoff, up to its ``max_attempts`` budget),
-a replacement worker is spawned in the dead worker's slot -- its startup
-hello re-validated against the pool's store digest -- and serving
-continues transparently; :attr:`ServingPool.restarts` counts the
-respawns.  Only after ``max_worker_restarts`` respawns is the pool
-*degraded*: new submissions are refused (:class:`ServingError`), but the
-surviving workers and every completed response are drained --
-:meth:`run` returns partial results with per-request ``"error"`` records
-instead of raising away finished work.  Requests may carry
-``deadline_seconds`` (wall-clock from dispatch; an expired attempt is
-retried or reported as a ``"timeout": true`` error record, and the late
-response is drained, never misdelivered) and ``max_attempts``.  Every
-pooled response carries a ``"serving"`` provenance block (``attempts``,
-``restarts``) -- excluded from :func:`answer_digest`, like
+**Lifecycle.**  What happens to a request between :meth:`ServingPool.submit`
+and :meth:`ServingPool.collect` -- admission under a slice of the pool's
+global memory budget (:class:`AdmissionRejected` backpressure instead of
+memory exhaustion; the admitted slice is written into the payload, so the
+number that gated admission also bounds the kernels), dispatch, per-attempt
+``deadline_seconds``, retry with backoff up to ``max_attempts``, worker
+death and respawn within ``max_worker_restarts``, degradation to partial
+results -- is decided by one sans-IO state machine,
+:class:`repro.db.lifecycle.RequestLifecycle`; :class:`ServingPool` is that
+core plus the process transport, and :mod:`repro.db.faults` scripts every
+failure it handles.  A worker that *raises* ships an ``"error"`` response
+for that request only; a lost or timed-out request resolves to an
+``"error"`` record (``"timeout": true`` for deadlines), never a raise.
+Every pooled response carries a ``"serving"`` provenance block
+(``attempts``, ``restarts``) -- excluded from :func:`answer_digest`, like
 ``peak_transient_bytes``, because it is scheduling-dependent;
 :func:`strip_provenance` recovers the oracle-comparable payload.
 
@@ -79,13 +65,13 @@ import os
 import queue
 import time
 from multiprocessing.connection import wait as _connection_wait
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.db.database import Database
 from repro.db.executor import execute_plan
 from repro.db.faults import FaultPlan, resolve_fault_plan
+from repro.db.lifecycle import AdmissionRejected, RequestLifecycle, ServingError
 from repro.db.plan_ir import plan_ir_from_payload
-from repro.db.scheduler import number_from_env
 from repro.db.storage import (
     PlanCache,
     canonical_digest,
@@ -107,15 +93,9 @@ _LOG = logging.getLogger("repro.serving")
 SERVING_FORMAT = "repro-serving"
 SERVING_VERSION = 1
 
-#: Environment override for the multiprocessing start method ("fork" by
-#: default where available: workers then inherit the imported modules and
-#: start in milliseconds; "spawn"/"forkserver" work identically, just
-#: slower to boot, because workers share nothing but the store path).
+#: Environment variable naming the multiprocessing start method (a
+#: deployment setting; see :class:`ServingPool`).
 MP_CONTEXT_ENV = "REPRO_SERVE_MP_CONTEXT"
-
-#: Environment default for per-request deadlines (seconds; unset = no
-#: deadline).  Parsed by :func:`repro.db.scheduler.number_from_env`.
-DEADLINE_ENV = "REPRO_SERVE_DEADLINE_SECONDS"
 
 #: Response key of the pool-side provenance block (``attempts`` /
 #: ``restarts``).  Scheduling-dependent, hence excluded from
@@ -131,26 +111,11 @@ TRACE_KEY = "trace"
 
 _ANSWER_MODES = ("rows", "digest")
 
-#: Fallback wait (seconds) for the rare states with nothing to select on
-#: (no live worker handles).  The supervisor normally blocks directly on
-#: worker response channels / process sentinels plus its own computed
-#: timers (retry backoffs, request deadlines, hello deadlines), so traffic
-#: and crashes wake it immediately; correctness never depends on this.
+#: Sleep (seconds) for the rare state with nothing to select on (no live
+#: worker handles).  The pool normally blocks directly on worker response
+#: channels / process sentinels plus the core's timers, so traffic and
+#: crashes wake it immediately.
 _POLL_SECONDS = 0.1
-
-#: Ceiling on the exponential retry backoff (seconds).
-_MAX_BACKOFF_SECONDS = 2.0
-
-
-class ServingError(DatabaseError):
-    """The serving pool is broken: a worker process died, disagreed about
-    the store content, or spoke the wrong protocol."""
-
-
-class AdmissionRejected(DatabaseError):
-    """Backpressure: the request was *not* admitted (queue full, or its
-    memory slice does not fit the remaining global budget).  Re-submit
-    after collecting responses; nothing was partially executed."""
 
 
 # ----------------------------------------------------------------------
@@ -261,12 +226,13 @@ def _check_payload(payload: Mapping) -> None:
             raise DatabaseError("payload 'deadline_seconds' must be a number")
         if float(deadline) <= 0:
             raise DatabaseError("payload 'deadline_seconds' must be positive")
-    attempts = payload.get("max_attempts")
-    if attempts is not None:
-        if isinstance(attempts, bool) or not isinstance(attempts, int):
-            raise DatabaseError("payload 'max_attempts' must be an integer")
-        if attempts < 1:
-            raise DatabaseError("payload 'max_attempts' must be >= 1")
+    for knob, minimum in (("max_attempts", 1), ("memory_budget_bytes", 0)):
+        value = payload.get(knob)
+        if value is not None:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DatabaseError(f"payload {knob!r} must be an integer")
+            if value < minimum:
+                raise DatabaseError(f"payload {knob!r} must be >= {minimum}")
     trace_req = payload.get("trace")
     if trace_req is not None and not isinstance(trace_req, bool):
         if not isinstance(trace_req, Mapping):
@@ -450,16 +416,16 @@ def _store_report(database: Database) -> Dict[str, object]:
     }
 
 
-def _worker_main(worker_id, store_path, request_queue, response_queue, options):
+def _worker_main(worker_id, store_path, request_queue, response_queue, fault_payload):
     """Worker loop: open the store once, then serve payloads until told to
     stop.  Runs in a child process; communicates only via the two queues.
     Top-level (not nested) so ``spawn``-style contexts can import it.
 
-    The options mapping may carry a ``"faults"`` payload -- the scripted
-    :class:`~repro.db.faults.FaultPlan`, applied right before
-    :func:`execute_payload` so injected crashes/raises/delays fire at an
-    exact, reproducible point of the protocol.  Each worker process builds
-    its own plan instance (fire counts reset on respawn).
+    ``fault_payload`` is the scripted :class:`~repro.db.faults.FaultPlan`
+    (or ``None``), applied right before :func:`execute_payload` so injected
+    crashes/raises/delays fire at an exact, reproducible point of the
+    protocol.  Each worker process builds its own plan instance (fire
+    counts reset on respawn).
 
     The hello report carries ``startup_seconds`` (process entry to ready)
     so slow spawn-method cold starts are visible at the pool; each result
@@ -467,15 +433,8 @@ def _worker_main(worker_id, store_path, request_queue, response_queue, options):
     ``worker_execute_seconds`` histogram."""
     started = time.monotonic()
     try:
-        database = Database.open(
-            store_path,
-            columnar=options.get("columnar", True),
-            threads=options.get("threads"),
-            memory_budget_bytes=options.get("memory_budget_bytes"),
-        )
-        faults = None
-        if options.get("faults"):
-            faults = FaultPlan.from_payload(options["faults"])
+        database = Database.open(store_path)
+        faults = FaultPlan.from_payload(fault_payload) if fault_payload else None
         report = _store_report(database)
         report["startup_seconds"] = round(time.monotonic() - started, 6)
         response_queue.put(("hello", worker_id, report))
@@ -504,30 +463,27 @@ def _worker_main(worker_id, store_path, request_queue, response_queue, options):
 
 
 # ----------------------------------------------------------------------
-# The pool.
+# The pool: the lifecycle core + the process transport.
 # ----------------------------------------------------------------------
 
 
-class _RequestState:
-    """Pool-side bookkeeping for one admitted request."""
+class _Worker(NamedTuple):
+    """The transport's handles on one live worker process."""
 
-    __slots__ = (
-        "payload", "attempts", "max_attempts", "deadline_seconds",
-        "trace_id", "submitted_at", "enqueued_at",
-    )
-
-    def __init__(self, payload, max_attempts, deadline_seconds) -> None:
-        self.payload = payload
-        self.attempts = 0  # dispatches so far; bumped at dispatch time
-        self.max_attempts = max_attempts
-        self.deadline_seconds = deadline_seconds
-        self.trace_id = None  # set when the pool traces requests
-        self.submitted_at = 0.0  # monotonic admission instant
-        self.enqueued_at = 0.0  # monotonic start of the current queue wait
+    process: object
+    requests: object  # pool -> worker
+    responses: object  # worker -> pool
 
 
 class ServingPool:
     """A supervised pool of worker processes serving one stored database.
+
+    Every decision -- admission, dispatch, deadlines, retries, restarts,
+    degradation -- is :class:`~repro.db.lifecycle.RequestLifecycle`'s; this
+    class is its process transport: it spawns and reaps worker processes,
+    blocks on their channels and sentinels, turns what it reads into core
+    events and carries out the core's effects.  Start-up, steady state and
+    respawn all run the one :meth:`pump`.
 
     Parameters
     ----------
@@ -550,17 +506,6 @@ class ServingPool:
     max_pending:
         Most requests admitted but not yet collected.  Defaults to
         ``4 * workers``.
-    mp_context:
-        ``multiprocessing`` start-method name; defaults to
-        ``REPRO_SERVE_MP_CONTEXT`` or ``"fork"`` where available.
-    worker_threads / worker_memory_budget_bytes / columnar:
-        Execution knobs each worker opens its database with (a payload's
-        own knobs still override per request, exactly as in-process).
-    startup_timeout:
-        Seconds to wait for a worker's hello -- at pool startup (all
-        workers; a miss is a hard :class:`ServingError`) and again for
-        every supervisor respawn (a replacement that never reports is
-        retired and counts as another death).
     max_worker_restarts:
         Total respawns the supervisor may perform over the pool's
         lifetime.  Once exhausted the pool *degrades*: new submissions
@@ -569,9 +514,7 @@ class ServingPool:
         Attempt budget for payloads that do not set ``max_attempts``.
     default_deadline_seconds:
         Per-attempt wall-clock deadline for payloads that do not set
-        ``deadline_seconds``; ``None`` defers to the
-        ``REPRO_SERVE_DEADLINE_SECONDS`` environment default (unset =
-        no deadline).
+        ``deadline_seconds``; ``None`` means no deadline.
     retry_backoff_seconds:
         Base of the exponential backoff between attempts of one request
         (``base * 2**(attempt-1)``, capped at 2s).
@@ -593,6 +536,12 @@ class ServingPool:
         timeouts, restarts, worker startup/execute seconds).  ``None``
         creates a private live registry; ``False`` installs the null
         registry (observability fully off, the benchmark baseline).
+
+    Workers start with the ``multiprocessing`` method named by
+    ``REPRO_SERVE_MP_CONTEXT`` (``fork`` where available: workers inherit
+    the imported modules and start in milliseconds; ``spawn`` and
+    ``forkserver`` work identically, just slower to boot, because workers
+    share nothing but the store path) and get 60 s to say hello.
     """
 
     def __init__(
@@ -603,11 +552,6 @@ class ServingPool:
         global_memory_budget_bytes: Optional[int] = None,
         default_memory_budget_bytes: Optional[int] = None,
         max_pending: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        worker_threads: Optional[int] = None,
-        worker_memory_budget_bytes: Optional[int] = None,
-        columnar: bool = True,
-        startup_timeout: float = 60.0,
         max_worker_restarts: int = 2,
         default_max_attempts: int = 3,
         default_deadline_seconds: Optional[float] = None,
@@ -619,178 +563,208 @@ class ServingPool:
         import multiprocessing as mp
 
         self.store_path = str(store_path)
-        self.workers = max(1, int(workers))
-        self.global_memory_budget_bytes = global_memory_budget_bytes
-        self.default_memory_budget_bytes = default_memory_budget_bytes
-        self.max_pending = (
-            4 * self.workers if max_pending is None else max(1, int(max_pending))
-        )
-        self.startup_timeout = float(startup_timeout)
-        self.max_worker_restarts = max(0, int(max_worker_restarts))
-        self.default_max_attempts = max(1, int(default_max_attempts))
-        if default_deadline_seconds is None:
-            default_deadline_seconds = number_from_env(DEADLINE_ENV, float)
-        self.default_deadline_seconds = default_deadline_seconds
-        self.retry_backoff_seconds = max(0.0, float(retry_backoff_seconds))
         self.trace = trace
         self.metrics = resolve_registry(metrics)
+        self._core = RequestLifecycle(
+            workers,
+            global_memory_budget_bytes=global_memory_budget_bytes,
+            default_memory_budget_bytes=default_memory_budget_bytes,
+            max_pending=max_pending,
+            max_worker_restarts=max_worker_restarts,
+            default_max_attempts=default_max_attempts,
+            default_deadline_seconds=default_deadline_seconds,
+            retry_backoff_seconds=retry_backoff_seconds,
+            metrics=self.metrics,
+            span=self._span if trace is not None else None,
+        )
         plan = resolve_fault_plan(fault_plan)
         self._fault_payload = plan.to_payload() if plan is not None else None
-        if mp_context is None:
-            mp_context = os.environ.get(MP_CONTEXT_ENV, "").strip() or None
-        if mp_context is None:
-            mp_context = "fork" if "fork" in mp.get_all_start_methods() else None
-        self._context = mp.get_context(mp_context)
-        self._options = {
-            "columnar": columnar,
-            "threads": worker_threads,
-            "memory_budget_bytes": worker_memory_budget_bytes,
-            "faults": self._fault_payload,
-        }
-        self._next_request_id = 0
-        self._pending: Dict[int, int] = {}  # request id -> admitted slice
-        self._admitted_bytes = 0
-        self._requests: Dict[int, _RequestState] = {}
-        self._results: Dict[int, Dict[str, object]] = {}
-        self._backlog: List[object] = []  # [not_before, request id], in order
-        self._inflight: Dict[int, List] = {}  # worker -> [rid, attempt, t0, off]
-        self._expired = set()  # collect()-abandoned ids: drain, never deliver
-        self._workers: Dict[int, Dict[str, object]] = {}
+        method = os.environ.get(MP_CONTEXT_ENV, "").strip() or None
+        if method is None and "fork" in mp.get_all_start_methods():
+            method = "fork"
+        self._context = mp.get_context(method)
+        self._workers: Dict[int, _Worker] = {}  # live processes by slot
         self._retired: List[object] = []  # dead processes, joined at close()
-        self._broken: Optional[str] = None  # startup hard failure
-        self._degraded: Optional[str] = None  # restart budget exhausted
         self._closed = False
-        self.restarts = 0
-        self._store_digest: Optional[str] = None
-        self.worker_reports: Dict[int, Dict[str, object]] = {}
-        for worker_id in range(self.workers):
-            self._spawn_worker(worker_id)
-        self._await_hellos(self.startup_timeout)
+        self._core.start(time.monotonic())
+        self._perform()
+        while not self._core.started and self._core.broken is None:
+            self.pump(None)
+        if self._core.broken is not None:
+            self.close()
+            raise ServingError(
+                f"serving pool over {self.store_path!r} broken: {self._core.broken}"
+            )
 
-    # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "ServingPool":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    # -- views over the core -------------------------------------------
+    @property
+    def restarts(self) -> int:
+        """Respawns performed so far."""
+        return self._core.restarts
+
     @property
     def degraded(self) -> Optional[str]:
         """Why the pool stopped accepting submissions (``None`` while the
         restart budget lasts)."""
-        return self._degraded
+        return self._core.degraded
+
+    @property
+    def worker_reports(self) -> Dict[int, Mapping]:
+        """The latest hello report of every worker slot."""
+        return self._core.reports
 
     @property
     def queue_depth(self) -> int:
-        """Admitted requests waiting in the backlog (not yet dispatched)."""
-        return len(self._backlog)
+        """Admitted requests waiting for a worker (not yet dispatched)."""
+        return self._core.queue_depth
 
     @property
     def inflight_count(self) -> int:
         """Requests currently executing on a worker."""
-        return len(self._inflight)
+        return self._core.inflight_count
 
     @property
     def pending_count(self) -> int:
-        """Requests admitted but not yet collected (backlog + in flight +
+        """Requests admitted but not yet collected (queued + in flight +
         resolved-but-uncollected)."""
-        return len(self._pending)
+        return len(self._core.requests)
 
-    def _note_worker_ready(self, worker_id: int, report: Mapping) -> None:
-        """Record a worker's startup-to-ready timing: histogram + log, so
-        slow spawn-method cold starts are visible instead of silent."""
-        startup_seconds = report.get("startup_seconds")
-        if startup_seconds is None:
-            return
-        self.metrics.histogram("worker_startup_seconds").observe(
-            float(startup_seconds)
+    @property
+    def admitted_bytes(self) -> int:
+        """Sum of the admission slices currently charged."""
+        return self._core.admitted_bytes
+
+    # -- the process transport -----------------------------------------
+    def _span(self, name: str, start: float, end: float, request, **attrs) -> None:
+        self.trace.add_span(
+            name, "serving", start, end,
+            trace_id=request.trace_id, attrs={"request": request.id, **attrs},
         )
-        _LOG.info(
-            "worker %d (pid %s) ready in %.3fs",
-            worker_id,
-            report.get("pid"),
-            float(startup_seconds),
-        )
+
+    def _perform(self) -> None:
+        """Carry out the effects the core has queued."""
+        effects, self._core.effects = self._core.effects, []
+        for kind, worker_id, *args in effects:
+            if kind == "dispatch":
+                self._workers[worker_id].requests.put(("run", *args))
+            elif kind == "retire":
+                process = self._workers.pop(worker_id).process
+                if process.is_alive():  # retired, not crashed: make it so
+                    process.terminate()
+                self._retired.append(process)
+            else:
+                self._spawn_worker(worker_id)
 
     def _spawn_worker(self, worker_id: int) -> None:
         """Start a (fresh) process in slot ``worker_id`` with its own
         request *and* response queues.  A respawn never reuses the dead
         worker's queues: a request sitting in the old one has already
-        been requeued by the supervisor, and the replacement must not
-        execute it twice.  Responses are per-worker on purpose -- fault
+        been requeued by the core, and the replacement must not execute
+        it twice.  Responses are per-worker on purpose -- fault
         isolation: a shared response queue has one cross-process write
         lock, and a worker dying right after a ``put`` (its feeder thread
         still holding that lock) would wedge *every* surviving worker's
         responses.  With a single writer per queue, a dying worker can
-        only wedge its own channel, which the supervisor abandons anyway."""
-        request_queue = self._context.Queue()
-        response_queue = self._context.Queue()
+        only wedge its own channel, which the pool abandons anyway."""
+        requests = self._context.Queue()
+        responses = self._context.Queue()
         process = self._context.Process(
             target=_worker_main,
-            args=(
-                worker_id,
-                self.store_path,
-                request_queue,
-                response_queue,
-                self._options,
-            ),
+            args=(worker_id, self.store_path, requests, responses, self._fault_payload),
             daemon=True,
         )
         process.start()
-        self._workers[worker_id] = {
-            "process": process,
-            "queue": request_queue,
-            "response": response_queue,
-            "state": "starting",
-            "hello_deadline": time.monotonic() + self.startup_timeout,
-        }
+        self._workers[worker_id] = _Worker(process, requests, responses)
 
-    def _await_hellos(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while any(w["state"] == "starting" for w in self._workers.values()):
-            self._wait_for_traffic()
-            progressed = False
-            for worker_id, worker in self._workers.items():
-                if worker["state"] != "starting":
-                    continue
+    def _wait(self, limit: Optional[float]) -> None:
+        """Block until a worker's response channel becomes readable, a
+        worker process dies (the process sentinel fires on death, so a
+        crash wakes the pool immediately), the core's next timer comes due
+        or ``limit`` seconds pass -- whichever is first.  With no timer
+        and no limit the wait is unbounded: every state change the core
+        could act on is then announced through one of the handles."""
+        now = time.monotonic()
+        timer = self._core.next_timer(now)
+        timeout = None if timer is None else max(0.0, timer - now)
+        if limit is not None:
+            timeout = limit if timeout is None else min(timeout, limit)
+        handles = []
+        for worker in self._workers.values():
+            handles.append(worker.responses._reader)
+            handles.append(worker.process.sentinel)
+        if handles:
+            _connection_wait(handles, timeout=timeout)
+        elif timeout is None or timeout > _POLL_SECONDS:
+            time.sleep(_POLL_SECONDS)  # nothing to select on
+        else:
+            time.sleep(timeout)
+
+    def _handle_message(self, message) -> None:
+        core = self._core
+        kind, worker_id = message[:2]
+        now = time.monotonic()
+        if kind == "result":
+            _, _, request_id, attempt, result, elapsed = message
+            self.metrics.histogram("worker_execute_seconds").observe(elapsed)
+            if core.result(worker_id, request_id, attempt, result, now):
+                if self.trace is not None:
+                    self.trace.ingest(result.get(TRACE_KEY))
+        elif kind == "hello":
+            report = message[2]
+            if core.hello(worker_id, report, now):
+                # Slow spawn-method cold starts are visible, not silent.
+                seconds = float(report.get("startup_seconds", 0.0))
+                self.metrics.histogram("worker_startup_seconds").observe(seconds)
+                _LOG.info(
+                    "worker %d (pid %s) ready in %.3fs",
+                    worker_id, report.get("pid"), seconds,
+                )
+        elif kind == "fatal":
+            core.fatal(worker_id, message[2], now)
+        # "bye" (clean shutdown acknowledgement) needs no action.
+        self._perform()
+
+    def pump(self, timeout: Optional[float] = 0.0) -> List[int]:
+        """One turn of the pool: wait up to ``timeout`` seconds (``None``:
+        until something happens, ``0``: not at all) for worker traffic or
+        the core's next timer, then feed the core everything that
+        happened -- worker messages, process deaths, the clock -- and carry
+        out its effects.  Returns the ids whose responses are ready, each
+        for one :meth:`collect` -- the daemon's dispatcher serves every
+        connection from this one call."""
+        core = self._core
+        if timeout is None or timeout > 0:
+            self._wait(timeout)
+        for worker_id, worker in list(self._workers.items()):
+            # A message may retire the worker (hello digest mismatch,
+            # fatal): stop reading its channel then.
+            while self._workers.get(worker_id) is worker:
                 try:
-                    message = worker["response"].get_nowait()
+                    message = worker.responses.get_nowait()
                 except queue.Empty:
-                    process = worker["process"]
-                    if not process.is_alive():
-                        self._fail(
-                            f"worker {worker_id} (pid {process.pid}) died "
-                            f"during startup with exit code {process.exitcode}"
-                        )
-                    continue
-                if message[0] == "fatal":
-                    self._fail(
-                        f"worker {message[1]} failed to open the store: "
-                        f"{message[2]}"
-                    )
-                if message[0] != "hello":
-                    self._fail(f"protocol violation during startup: {message!r}")
-                self.worker_reports[message[1]] = message[2]
-                worker["state"] = "ready"
-                self._note_worker_ready(message[1], message[2])
-                progressed = True
-            if not progressed and time.monotonic() > deadline:
-                ready = sum(
-                    1 for w in self._workers.values() if w["state"] == "ready"
+                    break
+                except (EOFError, OSError):  # pragma: no cover - torn final write
+                    break  # the writer died mid-put; reaped below
+                self._handle_message(message)
+        now = time.monotonic()
+        for worker_id, worker in self._workers.items():
+            process = worker.process
+            if not process.is_alive():
+                core.death(
+                    worker_id,
+                    f"worker {worker_id} (pid {process.pid}) died with "
+                    f"exit code {process.exitcode}",
+                    now,
                 )
-                self._fail(
-                    f"workers did not report within {timeout:.0f}s "
-                    f"({ready}/{self.workers} hellos)"
-                )
-        digests = {report["store_digest"] for report in self.worker_reports.values()}
-        if len(digests) != 1:
-            self._fail(f"workers opened differing stores: digests {sorted(digests)}")
-        self._store_digest = digests.pop()
-
-    def _fail(self, reason: str):
-        self._broken = reason
-        self.close()
-        raise ServingError(f"serving pool over {self.store_path!r} broken: {reason}")
+        core.tick(now)
+        self._perform()
+        return core.resolved()
 
     def close(self) -> None:
         """Stop every worker and reap the processes.  Idempotent; called
@@ -799,13 +773,10 @@ class ServingPool:
             return
         self._closed = True
         for worker in self._workers.values():
-            if worker["state"] != "dead" and worker["process"].is_alive():
-                try:
-                    worker["queue"].put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover - queue gone
-                    pass
+            if worker.process.is_alive():
+                worker.requests.put(("stop",))
         for worker in self._workers.values():
-            process = worker["process"]
+            process = worker.process
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - hung worker
                 process.terminate()
@@ -813,541 +784,75 @@ class ServingPool:
         for process in self._retired:
             process.join(timeout=1.0)
 
-    # -- supervision ---------------------------------------------------
-    def _live_workers(self) -> bool:
-        return any(
-            w["state"] in ("ready", "starting") for w in self._workers.values()
-        )
-
-    def _next_timer(self) -> Optional[float]:
-        """The earliest monotonic instant at which the supervisor has
-        scheduled work of its own: a replacement worker's hello deadline,
-        a backlogged retry's ``not_before``, or an in-flight attempt's
-        request deadline.  ``None`` when every pending transition will be
-        announced by a worker response or a process sentinel instead.
-
-        Entries already due are *excluded*: every due transition is acted
-        on by the ``_service`` pump that follows each wait, so anything
-        still due-and-undone (e.g. a due retry with no idle worker) is
-        waiting on worker traffic, not on a timer -- including it would
-        turn the block into a busy spin.
-        """
-        now = time.monotonic()
-        candidates = []
-        for worker in self._workers.values():
-            if worker["state"] == "starting":
-                candidates.append(worker["hello_deadline"])
-        for not_before, _ in self._backlog:
-            if not_before > now:
-                candidates.append(not_before)
-        for entry in self._inflight.values():
-            request_id, _, dispatched_at, written_off = entry
-            if written_off:
-                continue
-            state = self._requests.get(request_id)
-            if state is not None and state.deadline_seconds is not None:
-                candidates.append(dispatched_at + state.deadline_seconds)
-        return min(candidates) if candidates else None
-
-    def _wait_for_traffic(self, limit: Optional[float] = None) -> None:
-        """Block until a live worker's response channel becomes readable,
-        any worker process dies (the process sentinel fires on death, so a
-        crash wakes the supervisor immediately), the next internal timer
-        (:meth:`_next_timer`) comes due, or ``limit`` seconds pass --
-        whichever is first.  With no timer and no limit the wait is
-        unbounded: every state change the supervisor could act on is then
-        announced through one of the handles."""
-        timeout = None
-        timer = self._next_timer()
-        if timer is not None:
-            timeout = max(0.0, timer - time.monotonic())
-        if limit is not None:
-            timeout = limit if timeout is None else min(timeout, limit)
-        handles = []
-        for worker in self._workers.values():
-            if worker["state"] == "dead":
-                continue
-            handles.append(worker["response"]._reader)
-            handles.append(worker["process"].sentinel)
-        if handles:
-            _connection_wait(handles, timeout=timeout)
-        elif timeout is not None:
-            time.sleep(min(timeout, _POLL_SECONDS))
-        else:
-            time.sleep(_POLL_SECONDS)
-
-    def _drain_worker(self, worker_id: int) -> None:
-        worker = self._workers[worker_id]
-        while True:
-            try:
-                message = worker["response"].get_nowait()
-            except queue.Empty:
-                break
-            except (EOFError, OSError):  # pragma: no cover - torn final write
-                break  # the writer died mid-put; the reaper handles it
-            self._handle_message(message)
-            if worker["state"] == "dead":  # retired while handling (hello
-                break  # digest mismatch): stop reading its channel
-
-    def _service(
-        self, block: bool = False, wait_limit: Optional[float] = None
-    ) -> None:
-        """One pump of the supervisor: drain responses, reap dead workers
-        (respawning while the budget lasts), fire request deadlines, and
-        dispatch the backlog onto idle workers.  ``block=True`` first
-        waits for worker traffic / the next internal timer (bounded by
-        ``wait_limit`` when given) -- callers loop."""
-        if block:
-            self._wait_for_traffic(wait_limit)
-        for worker_id in list(self._workers):
-            self._drain_worker(worker_id)
-        self._reap_dead_workers()
-        self._fire_deadlines()
-        self._dispatch()
-
-    def _handle_message(self, message) -> None:
-        kind = message[0]
-        if kind == "result":
-            _, worker_id, request_id, attempt, result, elapsed = message
-            self.metrics.histogram("worker_execute_seconds").observe(elapsed)
-            entry = self._inflight.get(worker_id)
-            if (
-                entry is not None
-                and entry[0] == request_id
-                and entry[1] == attempt
-            ):
-                self._inflight.pop(worker_id)
-                if self.trace is not None:
-                    state = self._requests.get(request_id)
-                    self.trace.add_span(
-                        "attempt",
-                        "serving",
-                        entry[2],
-                        time.monotonic(),
-                        trace_id=state.trace_id if state is not None else None,
-                        attrs={
-                            "request": request_id,
-                            "attempt": attempt,
-                            "worker": worker_id,
-                            "status": result.get("status", "?"),
-                        },
-                    )
-            if request_id in self._expired:
-                return  # collect() gave up on it: drain, never deliver
-            if request_id in self._results or request_id not in self._requests:
-                return  # stale duplicate (an earlier attempt already won)
-            if self.trace is not None:
-                self.trace.ingest(result.get(TRACE_KEY))
-            # First response wins; cancel any queued retry of the same id.
-            self._results[request_id] = result
-            self._backlog = [
-                item for item in self._backlog if item[1] != request_id
-            ]
-        elif kind == "hello":
-            _, worker_id, report = message
-            worker = self._workers.get(worker_id)
-            if worker is None or worker["state"] != "starting":
-                return
-            if (
-                self._store_digest is not None
-                and report.get("store_digest") != self._store_digest
-            ):
-                self._handle_death(
-                    worker_id,
-                    f"replacement worker {worker_id} disagreed about the "
-                    f"store (digest {report.get('store_digest')!r} != "
-                    f"{self._store_digest!r})",
-                )
-                return
-            self.worker_reports[worker_id] = report
-            worker["state"] = "ready"
-            self._note_worker_ready(worker_id, report)
-        elif kind == "fatal":
-            _, worker_id, error = message
-            worker = self._workers.get(worker_id)
-            if worker is not None and worker["state"] != "dead":
-                self._handle_death(
-                    worker_id,
-                    f"replacement worker {worker_id} failed to open the "
-                    f"store: {error}",
-                )
-        # "bye" (clean shutdown acknowledgement) needs no action.
-
-    def _reap_dead_workers(self) -> None:
-        now = time.monotonic()
-        for worker_id, worker in list(self._workers.items()):
-            if worker["state"] == "dead":
-                continue
-            process = worker["process"]
-            if not process.is_alive():
-                self._handle_death(
-                    worker_id,
-                    f"worker {worker_id} (pid {process.pid}) died with "
-                    f"exit code {process.exitcode}",
-                )
-            elif worker["state"] == "starting" and now > worker["hello_deadline"]:
-                process.terminate()
-                self._handle_death(
-                    worker_id,
-                    f"replacement worker {worker_id} did not report within "
-                    f"{self.startup_timeout:.0f}s",
-                )
-
-    def _handle_death(self, worker_id: int, reason: str) -> None:
-        """One worker is gone: respawn (budget permitting), requeue its
-        in-flight request, degrade the pool when the budget is spent."""
-        worker = self._workers[worker_id]
-        if worker["state"] == "dead":
-            return
-        worker["state"] = "dead"
-        process = worker["process"]
-        if process.is_alive():  # retired, not crashed: make it so
-            process.terminate()
-        self._retired.append(process)
-        entry = self._inflight.pop(worker_id, None)
-        if self.restarts < self.max_worker_restarts:
-            self.restarts += 1
-            self.metrics.counter("worker_restarts").inc()
-            self._spawn_worker(worker_id)
-        elif self._degraded is None:
-            self._degraded = (
-                f"restart budget ({self.max_worker_restarts}) exhausted; "
-                f"last death: {reason}"
-            )
-        if entry is not None:
-            # The crashed attempt never sends a result message, so record
-            # its span here -- the trace shows the failed attempt next to
-            # the retry that replaces it.
-            if self.trace is not None:
-                state = self._requests.get(entry[0])
-                self.trace.add_span(
-                    "attempt",
-                    "serving",
-                    entry[2],
-                    time.monotonic(),
-                    trace_id=state.trace_id if state is not None else None,
-                    attrs={
-                        "request": entry[0],
-                        "attempt": entry[1],
-                        "worker": worker_id,
-                        "status": "crashed",
-                    },
-                )
-            if not entry[3]:
-                self._requeue_or_fail(
-                    entry[0], f"worker crashed mid-request: {reason}"
-                )
-        self._fail_unservable()
-
-    def _requeue_or_fail(
-        self, request_id: int, reason: str, *, timeout: bool = False
-    ) -> None:
-        """A dispatched attempt was lost (crash) or written off (deadline):
-        schedule a retry with exponential backoff, or -- attempt budget or
-        workers exhausted -- resolve the request to an error record."""
-        state = self._requests.get(request_id)
-        if state is None or request_id in self._results:
-            return
-        if state.attempts < state.max_attempts and self._live_workers():
-            delay = min(
-                self.retry_backoff_seconds * (2 ** (state.attempts - 1)),
-                _MAX_BACKOFF_SECONDS,
-            )
-            self.metrics.counter("retries").inc()
-            state.enqueued_at = time.monotonic()
-            self._backlog.append([time.monotonic() + delay, request_id])
-            return
-        self.metrics.counter("request_errors").inc()
-        record: Dict[str, object] = {
-            "status": "error",
-            "error": f"{reason} (after {state.attempts} attempt(s))",
-            "attempts": state.attempts,
-        }
-        if timeout:
-            record["timeout"] = True
-        self._results[request_id] = record
-
-    def _fire_deadlines(self) -> None:
-        now = time.monotonic()
-        for entry in self._inflight.values():
-            request_id, attempt, dispatched_at, written_off = entry
-            if written_off:
-                continue
-            state = self._requests.get(request_id)
-            if state is None or state.deadline_seconds is None:
-                continue
-            if now - dispatched_at > state.deadline_seconds:
-                # The attempt is written off (its late response is still
-                # accepted if it beats the retry -- first response wins),
-                # but the worker stays busy until it actually answers.
-                entry[3] = True
-                self.metrics.counter("deadline_timeouts").inc()
-                self._requeue_or_fail(
-                    request_id,
-                    f"request {request_id} attempt {attempt} exceeded its "
-                    f"{state.deadline_seconds}s deadline",
-                    timeout=True,
-                )
-
-    def _fail_unservable(self) -> None:
-        """No live workers remain: resolve everything still queued to
-        error records (completed responses stay collectable)."""
-        if self._live_workers():
-            return
-        reason = self._degraded or "no live workers remain"
-        for item in self._backlog:
-            request_id = item[1]
-            state = self._requests.get(request_id)
-            if state is None or request_id in self._results:
-                continue
-            self._results[request_id] = {
-                "status": "error",
-                "error": f"request {request_id} is unservable: {reason}",
-                "attempts": state.attempts,
-            }
-        self._backlog = []
-
-    def _dispatch(self) -> None:
-        """Send due backlog entries (submission order) to idle workers,
-        one in-flight request per worker."""
-        if not self._backlog:
-            return
-        idle = [
-            worker_id
-            for worker_id, worker in self._workers.items()
-            if worker["state"] == "ready" and worker_id not in self._inflight
-        ]
-        now = time.monotonic()
-        remaining: List[object] = []
-        for item in self._backlog:
-            not_before, request_id = item
-            if (
-                request_id in self._results
-                or request_id in self._expired
-                or request_id not in self._requests
-            ):
-                continue
-            if not idle or not_before > now:
-                remaining.append(item)
-                continue
-            worker_id = idle.pop(0)
-            state = self._requests[request_id]
-            state.attempts += 1
-            try:
-                self._workers[worker_id]["queue"].put(
-                    ("run", request_id, state.attempts, state.payload)
-                )
-            except (OSError, ValueError):  # pragma: no cover - queue gone
-                state.attempts -= 1
-                remaining.append(item)
-                continue
-            self.metrics.counter("dispatches").inc()
-            if self.trace is not None:
-                self.trace.add_span(
-                    "queue",
-                    "serving",
-                    state.enqueued_at,
-                    now,
-                    trace_id=state.trace_id,
-                    attrs={
-                        "request": request_id,
-                        "attempt": state.attempts,
-                        "worker": worker_id,
-                    },
-                )
-            self._inflight[worker_id] = [request_id, state.attempts, now, False]
-        self._backlog = remaining
-
-    def _expire(self, request_id: int) -> None:
-        """collect() gave up on a request: release its admission slice and
-        remember the id so any late response is drained, not misdelivered."""
-        self._expired.add(request_id)
-        self._requests.pop(request_id, None)
-        self._results.pop(request_id, None)
-        self._admitted_bytes -= self._pending.pop(request_id, 0)
-        self._backlog = [item for item in self._backlog if item[1] != request_id]
-        for entry in self._inflight.values():
-            if entry[0] == request_id:
-                entry[3] = True
-
-    # -- admission and dispatch ----------------------------------------
-    def _admission_slice(self, payload: Mapping) -> Optional[int]:
-        slice_bytes = payload.get("memory_budget_bytes")
-        if slice_bytes is None:
-            slice_bytes = self.default_memory_budget_bytes
-        if slice_bytes is None:
-            # Unbudgeted request under a global budget: claim it all, so
-            # it runs alone rather than overcommitting the budget.
-            return self.global_memory_budget_bytes
-        return int(slice_bytes)
-
+    # -- the caller's surface ------------------------------------------
     def submit(self, payload: Mapping) -> int:
         """Admit one payload and queue it for dispatch.
 
         Returns the request id (collect order is the submission order).
         Raises :class:`AdmissionRejected` -- without side effects -- when
         the pending queue is full or the payload's memory slice does not
-        fit the remaining global budget; and :class:`ServingError` when
-        the pool is broken, degraded (restart budget exhausted) or
-        closed.
+        fit the remaining global budget; :class:`ServingError` when the
+        pool is degraded (restart budget exhausted) or closed; and
+        :class:`~repro.exceptions.DatabaseError` for a malformed payload.
+        The admitted slice is written into the shipped payload, so the
+        number that gated admission also bounds execution.
         """
-        if self._broken:
-            raise ServingError(f"serving pool is broken: {self._broken}")
         if self._closed:
             raise ServingError("serving pool is closed")
-        self._service(block=False)
-        if self._degraded:
-            raise ServingError(f"serving pool is broken (degraded): {self._degraded}")
-        admission_started = time.monotonic()
+        self.pump()
+        started = time.monotonic()
         _check_payload(payload)
-        if len(self._pending) >= self.max_pending:
-            self.metrics.counter("admission_rejected").inc()
-            raise AdmissionRejected(
-                f"{len(self._pending)} requests pending (max {self.max_pending}); "
-                "collect responses before submitting more"
-            )
-        slice_bytes = self._admission_slice(payload)
-        budget = self.global_memory_budget_bytes
-        if budget is not None:
-            needed = budget if slice_bytes is None else slice_bytes
-            if needed > budget:
-                self.metrics.counter("admission_rejected").inc()
-                raise AdmissionRejected(
-                    f"request needs a {needed:,}-byte memory slice; the "
-                    f"global budget is {budget:,} bytes"
-                )
-            if self._admitted_bytes + needed > budget:
-                self.metrics.counter("admission_rejected").inc()
-                raise AdmissionRejected(
-                    f"admitting a {needed:,}-byte slice would exceed the "
-                    f"global budget ({self._admitted_bytes:,} of {budget:,} "
-                    "bytes already admitted); collect responses first"
-                )
-        shipped = dict(payload)
-        if slice_bytes is not None:
-            # The number that gated admission also bounds execution.
-            shipped["memory_budget_bytes"] = int(slice_bytes)
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        charged = 0
-        if budget is not None:
-            charged = budget if slice_bytes is None else slice_bytes
-        self._pending[request_id] = charged
-        self._admitted_bytes += charged
-        deadline_seconds = shipped.get("deadline_seconds")
-        if deadline_seconds is None:
-            deadline_seconds = self.default_deadline_seconds
-        max_attempts = shipped.get("max_attempts")
-        if max_attempts is None:
-            max_attempts = self.default_max_attempts
-        state = _RequestState(shipped, int(max_attempts), deadline_seconds)
-        self.metrics.counter("requests_admitted").inc()
+        request = self._core.submit(payload, time.monotonic())
         if self.trace is not None:
-            trace_req = shipped.get("trace")
-            if isinstance(trace_req, Mapping) and trace_req.get("id") is not None:
-                state.trace_id = trace_req["id"]
-            else:
-                state.trace_id = f"req-{request_id}"
-                # Ship a trace request so the worker records and returns
-                # per-plan-node kernel spans for this id.
-                shipped["trace"] = {"id": state.trace_id}
-        now = time.monotonic()
-        state.submitted_at = admission_started
-        state.enqueued_at = now
-        if self.trace is not None:
-            self.trace.add_span(
-                "admission",
-                "serving",
-                admission_started,
-                now,
-                trace_id=state.trace_id,
-                attrs={"request": request_id, "slice_bytes": charged},
+            self._span(
+                "admission", started, request.enqueued_at, request,
+                slice_bytes=request.slice_bytes,
             )
-        self._requests[request_id] = state
-        self._backlog.append([0.0, request_id])
-        self._service(block=False)
-        return request_id
+        self._perform()
+        return request.id
 
-    def collect(self, request_id: int, timeout: Optional[float] = None) -> Dict[str, object]:
+    def collect(
+        self, request_id: int, timeout: Optional[float] = None
+    ) -> Dict[str, object]:
         """The response for one admitted request (blocks until resolved).
 
         Releases the request's admitted memory slice.  Worker deaths,
         injected faults and per-attempt deadlines resolve the request to
         an ``"error"`` record rather than raising -- :class:`ServingError`
-        here means the pool never started properly, the id is unknown, or
-        the *caller's* ``timeout`` expired.  A caller timeout releases the
-        admission slice and marks the request expired, so a late response
-        is drained, never misdelivered to a later request.
+        here means the id is unknown or the *caller's* ``timeout``
+        expired.  A caller timeout abandons the request: its admission
+        slice is released and a late response is dropped, never
+        misdelivered to a later request.
         """
-        if request_id not in self._requests and request_id not in self._results:
-            raise ServingError(f"unknown or already-collected request {request_id}")
-        if self._broken:
-            raise ServingError(f"serving pool is broken: {self._broken}")
         deadline = None if timeout is None else time.monotonic() + timeout
-        while request_id not in self._results:
+        while True:
+            request = self._core.take(request_id)
+            if request is not None:
+                response = dict(request.result)
+                response[PROVENANCE_KEY] = {
+                    "attempts": request.attempts,
+                    "restarts": self.restarts,
+                }
+                return response
             remaining = None
             if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            self._service(block=True, wait_limit=remaining)
-            if request_id in self._results:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                self._expire(request_id)
-                raise ServingError(
-                    f"request {request_id} not answered within {timeout}s; "
-                    "its admission slice was released and any late response "
-                    "will be discarded"
-                )
-        return self._finish_collect(request_id)
-
-    def _finish_collect(self, request_id: int) -> Dict[str, object]:
-        """Hand a resolved result to the caller: release the admission
-        slice and attach the scheduling provenance block."""
-        state = self._requests.pop(request_id, None)
-        self._admitted_bytes -= self._pending.pop(request_id, 0)
-        response = dict(self._results.pop(request_id))
-        response[PROVENANCE_KEY] = {
-            "attempts": state.attempts if state is not None else 0,
-            "restarts": self.restarts,
-        }
-        return response
-
-    def try_collect(self, request_id: int) -> Optional[Dict[str, object]]:
-        """Non-blocking :meth:`collect`: pump the supervisor once and
-        return the response if the request has resolved, else ``None``
-        (the request stays admitted).  Raises :class:`ServingError` for an
-        unknown/already-collected id or a broken pool, exactly like
-        :meth:`collect`.  This is the poll the daemon's dispatcher thread
-        uses to multiplex many connections over one pool without blocking
-        any of them on another's request."""
-        if request_id not in self._requests and request_id not in self._results:
-            raise ServingError(f"unknown or already-collected request {request_id}")
-        if self._broken:
-            raise ServingError(f"serving pool is broken: {self._broken}")
-        self._service(block=False)
-        if request_id not in self._results:
-            return None
-        return self._finish_collect(request_id)
-
-    def service(self, timeout: float = 0.0) -> None:
-        """Pump the supervisor once without collecting anything: drain
-        worker responses, reap/respawn the dead, fire deadlines, dispatch
-        the backlog.  ``timeout > 0`` blocks up to that long for worker
-        traffic or the next internal timer first -- the daemon's
-        dispatcher calls this between connection commands so supervision
-        (crash recovery, deadline firing) advances even while no caller
-        is blocked in :meth:`collect`."""
-        self._service(block=timeout > 0, wait_limit=timeout if timeout > 0 else None)
+                remaining = deadline - time.monotonic()
+                if remaining < 0:
+                    self.abandon(request_id)
+                    raise ServingError(
+                        f"request {request_id} not answered within {timeout}s; "
+                        "its admission slice was released and any late response "
+                        "will be discarded"
+                    )
+            self.pump(remaining)
 
     def abandon(self, request_id: int) -> None:
         """Give up on an admitted request whose caller is gone (e.g. the
         daemon connection that submitted it disconnected): release its
-        admission slice immediately and mark the id expired so a late
-        response is drained, never misdelivered.  Idempotent; unknown or
-        already-collected ids are a no-op -- the caller vanishing twice
-        must not break the pool."""
-        if request_id in self._requests or request_id in self._results:
-            self._expire(request_id)
+        admission slice immediately; a late response is dropped.
+        Idempotent; unknown or already-collected ids are a no-op -- the
+        caller vanishing twice must not break the pool."""
+        self._core.abandon(request_id)
 
     def run(self, payloads: Sequence[Mapping]) -> List[Dict[str, object]]:
         """Serve a batch: submit everything (waiting out backpressure by

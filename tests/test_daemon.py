@@ -356,6 +356,38 @@ class TestDaemonServes:
         assert excinfo.value.code == "bad_request"
         assert client.health()["status"] == "ready"
 
+    def test_bad_execute_frames_never_kill_the_dispatcher(
+        self, store, tmp_path, serial_db, monkeypatch
+    ):
+        """A payload knob of the wrong type used to raise ``ValueError``
+        out of admission and kill the dispatcher thread -- no execute on
+        any connection was ever answered again and the drain hung.  It is
+        a ``bad_request`` now, and an exception nobody foresaw is one
+        ``internal`` error frame, not the end of serving."""
+        daemon = _spawn_daemon(store, tmp_path, workers=1)
+        try:
+            with DaemonClient(daemon.address) as vandal:
+                with pytest.raises(DaemonRequestError) as excinfo:
+                    vandal.execute(_payload(memory_budget_bytes="lots"))
+                assert excinfo.value.code == "bad_request"
+                assert "memory_budget_bytes" in str(excinfo.value)
+                real_submit = daemon._pool.submit
+                monkeypatch.setattr(
+                    daemon._pool, "submit", lambda payload: 1 // 0
+                )
+                with pytest.raises(DaemonRequestError) as excinfo:
+                    vandal.execute(_payload())
+                assert excinfo.value.code == "internal"
+                monkeypatch.setattr(daemon._pool, "submit", real_submit)
+            payload = _payload()
+            with DaemonClient(daemon.address) as healthy:
+                assert strip_provenance(healthy.execute(payload)) == (
+                    execute_payload(payload, serial_db)
+                )
+                assert healthy.health()["counters"]["error_frames"] == 2
+        finally:
+            assert daemon.shutdown() == 0
+
     def test_tcp_executor_without_queries(self, store, serial_db):
         with ServingDaemon(store, "tcp:127.0.0.1:0", workers=1) as daemon:
             family, (host, port) = daemon.address
@@ -404,11 +436,12 @@ class TestConnectionFaultMatrix:
         self, store, tmp_path, serial_db
     ):
         """The fault-matrix centrepiece: the victim writes a full execute
-        frame and hard-closes; a scripted worker kill keeps the request in
-        flight long enough for the hangup to land first, so the daemon
-        must *abandon* it and release its admission slice.  Under a
-        one-slice global budget a leak would reject every later request
-        forever."""
+        frame and hard-closes; a scripted delay keeps the request in
+        flight while the hangup lands, so the daemon must *abandon* it and
+        release its admission slice.  Under a one-slice global budget a
+        leak would reject every later request forever.  (How the release
+        interleaves with a worker death is the core's business:
+        ``test_lifecycle.py`` pins both orders without a clock.)"""
         slice_bytes = 1 << 20
         with _spawn_daemon(
             store,
@@ -416,45 +449,41 @@ class TestConnectionFaultMatrix:
             workers=1,
             global_memory_budget_bytes=slice_bytes,
             default_memory_budget_bytes=slice_bytes,
-            max_worker_restarts=2,
-            fault_plan=FaultPlan(
-                [FaultRule("worker_exit", worker_id=0, attempt=1, times=1)]
-            ),
+            fault_plan=FaultPlan([FaultRule("delay", request_id=0, seconds=1.0)]),
         ) as daemon:
-            victim = DaemonClient(
-                daemon.address,
-                connection_id=7,
-                fault_plan=FaultPlan(
-                    [FaultRule("client_disconnect", connection_id=7, request_id=0)]
-                ),
-            )
-            with pytest.raises(DaemonDisconnected, match="deliberately lost"):
-                victim.execute(_payload())
-            victim.close()
-            # The slice must come back: retry until admission succeeds.
             payload = _payload()
             with DaemonClient(daemon.address) as healthy:
+                # Connected (and served) first, so the victim's execute is
+                # certainly request 0 -- the one the delay holds in flight.
+                assert healthy.health()["pending"] == 0
+                victim = DaemonClient(
+                    daemon.address,
+                    connection_id=7,
+                    fault_plan=FaultPlan(
+                        [FaultRule("client_disconnect", connection_id=7, request_id=0)]
+                    ),
+                )
+                with pytest.raises(DaemonDisconnected, match="deliberately lost"):
+                    victim.execute(_payload())
+                victim.close()
                 deadline = time.monotonic() + 30.0
-                while True:
-                    try:
-                        response = healthy.execute(payload)
-                        break
-                    except DaemonRequestError as exc:
-                        assert exc.code == "admission_rejected"
-                        assert time.monotonic() < deadline, (
-                            "admission slice leaked: the abandoned request "
-                            "never released its budget"
-                        )
-                        time.sleep(0.1)
+                while healthy.health()["counters"]["abandoned_requests"] < 1:
+                    assert time.monotonic() < deadline, "hangup never noticed"
+                    time.sleep(0.02)
+                # Abandoned means released: the one-slice budget admits
+                # the next request at once (it then waits for the worker).
+                health = healthy.health()
+                assert health["pending"] == 0 and health["inflight"] == 1
+                response = healthy.execute(payload)
                 # The oracle runs what the pool shipped: the admitted
                 # slice is written into the payload and bounds the kernels.
                 shipped = dict(payload, memory_budget_bytes=slice_bytes)
                 assert strip_provenance(response) == execute_payload(
                     shipped, serial_db
                 )
-                health = healthy.health()
-            assert health["counters"]["abandoned_requests"] >= 1
-            assert health["restarts"] >= 1
+                counters = healthy.health()["counters"]
+            assert counters["abandoned_requests"] == 1
+            assert counters["admission_rejected"] == 0
 
     def test_partial_frame_dropped_after_io_timeout(self, store, tmp_path):
         with _spawn_daemon(

@@ -269,7 +269,7 @@ class TestAdmission:
         ) as pool:
             with pytest.raises(AdmissionRejected):
                 pool.submit(_payload(memory_budget_bytes=1 << 20))
-            assert pool._pending == {}
+            assert pool.pending_count == 0 and pool.admitted_bytes == 0
             request = pool.submit(_payload(memory_budget_bytes=1 << 10))
             pool.collect(request, timeout=60.0)
 

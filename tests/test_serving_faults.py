@@ -45,6 +45,7 @@ from repro.db.faults import (
     FaultRule,
     resolve_fault_plan,
 )
+from repro.db.lifecycle import MAX_BACKOFF_SECONDS, RequestLifecycle
 from repro.db.serving import (
     ServingError,
     ServingPool,
@@ -53,6 +54,7 @@ from repro.db.serving import (
     strip_provenance,
 )
 from repro.exceptions import DatabaseError
+from repro.obs.metrics import MetricsRegistry
 from repro.query.conjunctive import build_query
 from repro.workloads.synthetic import workload_database
 
@@ -379,15 +381,14 @@ class TestDeadlinesAndRetry:
             assert pool.restarts == 0
         assert strip_provenance(verdict) == execute_payload(follow_up, serial_db)
 
-    def test_default_deadline_comes_from_env(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_DEADLINE_SECONDS", "0.2")
+    def test_default_deadline_is_the_pool_parameter(self, store):
         with ServingPool(
             store,
             workers=1,
             fault_plan=[{"kind": "delay", "seconds": 1.0, "request_id": 0}],
             default_max_attempts=1,
+            default_deadline_seconds=0.2,
         ) as pool:
-            assert pool.default_deadline_seconds == 0.2
             response = pool.collect(pool.submit(_payload()), timeout=60.0)
         assert response["status"] == "error"
         assert response.get("timeout") is True
@@ -403,6 +404,10 @@ class TestDeadlinesAndRetry:
             _check_payload(_payload(max_attempts=0))
         with pytest.raises(DatabaseError, match="max_attempts"):
             _check_payload(_payload(max_attempts=True))
+        for bad in ("lots", -1, True, 1.5):
+            with pytest.raises(DatabaseError, match="memory_budget_bytes"):
+                _check_payload(_payload(memory_budget_bytes=bad))
+        _check_payload(_payload(memory_budget_bytes=0))
 
 
 class TestCollectTimeoutPoisoning:
@@ -425,8 +430,8 @@ class TestCollectTimeoutPoisoning:
                 pool.collect(request, timeout=0.3)
             # The slice is free again: under a one-slice global budget a
             # second request is only admissible if the first was released.
-            assert pool._admitted_bytes == 0
-            assert pool._pending == {}
+            assert pool.admitted_bytes == 0
+            assert pool.pending_count == 0
             follow_up = _payload()
             verdict = pool.collect(pool.submit(follow_up), timeout=60.0)
             assert pool.restarts == 0
@@ -449,67 +454,63 @@ class TestCollectTimeoutPoisoning:
 
 
 class TestRetryBacklogScheduling:
-    """Satellite: the supervisor's retry backlog -- exponential backoff
-    per attempt, capped at ``_MAX_BACKOFF_SECONDS``, and resolution to an
-    error record once the attempt budget is spent."""
+    """The core's retry schedule -- exponential backoff per attempt,
+    capped at ``MAX_BACKOFF_SECONDS``, and resolution to an error record
+    once the attempt budget is spent -- driven by events and a fake
+    clock: no process, no sleep."""
 
-    def _pool_with_fake_request(self, store, **options):
-        from repro.db.serving import _RequestState
+    def _core_with_dispatched_request(self, **options):
+        core = RequestLifecycle(workers=1, metrics=MetricsRegistry(), **options)
+        core.start(now=0.0)
+        assert core.hello(0, {"store_digest": "d"}, now=0.0)
+        request = core.submit(_payload(), now=0.0)
+        assert request.status == "dispatched" and request.attempts == 1
+        return core, request
 
-        pool = ServingPool(store, workers=1, **options)
-        state = _RequestState(
-            _payload(), max_attempts=10, deadline_seconds=None
-        )
-        pool._requests[99] = state
-        return pool, state
-
-    def test_backoff_doubles_per_attempt_and_caps(self, store):
-        from repro.db.serving import _MAX_BACKOFF_SECONDS
-
+    def test_backoff_doubles_per_attempt_and_caps(self):
         base = 0.8
-        pool, state = self._pool_with_fake_request(
-            store, retry_backoff_seconds=base
+        core, request = self._core_with_dispatched_request(
+            retry_backoff_seconds=base,
+            default_deadline_seconds=1.0,
+            default_max_attempts=10,
+            max_worker_restarts=10,
         )
-        try:
-            observed = []
-            # base * 2**(attempt-1): 0.8, 1.6, then the 2.0s ceiling.
-            for attempt in (1, 2, 3, 4):
-                state.attempts = attempt
-                before = time.monotonic()
-                pool._requeue_or_fail(99, "injected loss")
-                not_before, request_id = pool._backlog[-1]
-                assert request_id == 99
-                observed.append(not_before - before)
-            assert observed[0] == pytest.approx(base, abs=0.05)
-            assert observed[1] == pytest.approx(2 * base, abs=0.05)
-            assert observed[2] == pytest.approx(_MAX_BACKOFF_SECONDS, abs=0.05)
-            assert observed[3] == pytest.approx(_MAX_BACKOFF_SECONDS, abs=0.05)
-            # The scheduled wake-up is visible to the supervisor's timer,
-            # so the blocking wait comes back in time to retry.
-            timer = pool._next_timer()
-            assert timer is not None and timer <= max(
-                entry[0] for entry in pool._backlog
-            )
-        finally:
-            pool._requests.pop(99, None)
-            pool._backlog.clear()
-            pool.close()
+        now = 0.0
+        observed = []
+        for attempt in (1, 2, 3, 4):
+            now += 1.5  # past the 1s deadline: the attempt is written off
+            core.tick(now)
+            assert request.status == "queued" and request.attempts == attempt
+            observed.append(request.not_before - now)
+            # The scheduled wake-up is the core's next timer, so a
+            # blocking transport comes back in time to retry.
+            assert core.next_timer(now) == request.not_before
+            # The worker dies holding the written-off attempt; the
+            # replacement takes the retry once the backoff has passed.
+            core.death(0, "killed", now)
+            assert core.hello(0, {"store_digest": "d"}, now)
+            assert request.status == "queued"  # backoff not over
+            now = request.not_before
+            core.tick(now)
+            assert request.status == "dispatched"
+        # base * 2**(attempt-1): 0.8, 1.6, then the 2.0s ceiling.
+        assert observed == pytest.approx(
+            [base, 2 * base, MAX_BACKOFF_SECONDS, MAX_BACKOFF_SECONDS]
+        )
 
-    def test_spent_attempt_budget_resolves_to_error_record(self, store):
-        pool, state = self._pool_with_fake_request(store)
-        try:
-            state.max_attempts = 3
-            state.attempts = 3  # the budget is spent: no retry scheduled
-            pool._requeue_or_fail(99, "injected loss", timeout=True)
-            assert pool._backlog == []
-            record = pool._results.pop(99)
-            assert record["status"] == "error"
-            assert record["timeout"] is True
-            assert record["attempts"] == 3
-            assert "injected loss" in record["error"]
-        finally:
-            pool._requests.pop(99, None)
-            pool.close()
+    def test_spent_attempt_budget_resolves_to_error_record(self):
+        core, request = self._core_with_dispatched_request(
+            default_deadline_seconds=1.0, default_max_attempts=1
+        )
+        core.tick(now=1.5)  # the budget is spent: no retry scheduled
+        assert core.resolved() == [request.id]
+        assert core.queue_depth == 0 and core.next_timer(1.5) is None
+        record = core.take(request.id).result
+        assert record["status"] == "error"
+        assert record["timeout"] is True
+        assert record["attempts"] == 1
+        assert "deadline" in record["error"]
+        assert core.requests == {} and core.admitted_bytes == 0
 
 
 class TestSecondsFromEnv:
