@@ -9,8 +9,6 @@ the outputs are byte-identical:
 
 * ``test_candidates_graph_construction_plane`` -- one big grid-query
   candidates graph (the Theorem 4.5 build phase), scalar vs vectorised;
-* ``test_candidates_graph_evaluation_plane`` -- the evaluation fold over a
-  snowflake-query graph with a mask-space TAF, scalar vs array fold;
 * ``test_k_sweep_incremental`` -- the Fig. 8(A)-style k = 2..5 graph sweep
   over Q1's planning hypergraph, fresh scalar constructions vs the
   vectorised :class:`CandidatesGraphFamily` (``extend_to`` reuse).
@@ -19,11 +17,8 @@ the outputs are byte-identical:
 import time
 
 from repro.decomposition.candidates import CandidatesGraph, CandidatesGraphFamily
-from repro.decomposition.minimal import evaluate_candidates_graph
 from repro.hypergraph.generators import grid_hypergraph
 from repro.query.examples import q1
-from repro.weights.library import lexicographic_taf
-from repro.workloads.synthetic import snowflake_query
 
 
 def _interleaved(label_a, run_a, label_b, run_b, rounds=2):
@@ -71,34 +66,6 @@ def test_candidates_graph_construction_plane(benchmark):
     scalar_graph, dense_graph = results["scalar"], results["vectorized"]
     assert scalar_graph.size_report()["candidates"] > 1_000_000
     assert _graph_fingerprint(scalar_graph) == _graph_fingerprint(dense_graph)
-
-
-def test_candidates_graph_evaluation_plane(benchmark):
-    """Evaluation fold (mask-space lexicographic TAF) on a snowflake-query
-    graph at k=3 (~185k candidates over ~4.6k subproblems): scalar per-arc
-    loop vs per-subproblem numpy reductions."""
-    hypergraph = snowflake_query(6, 3).hypergraph()
-    graph = CandidatesGraph(hypergraph, 3)
-    taf = lexicographic_taf(hypergraph)
-
-    def run():
-        return _interleaved(
-            "scalar",
-            lambda: evaluate_candidates_graph(graph, taf, vectorized=False),
-            "vectorized",
-            lambda: evaluate_candidates_graph(graph, taf, vectorized=True),
-        )
-
-    results, seconds = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    scalar_result = results["scalar"]
-    dense_result = results["vectorized"]
-    assert scalar_result.root_survivor_ids
-    assert tuple(map(float, scalar_result.weight_by_id)) == tuple(
-        dense_result.weight_by_id
-    )
-    assert bytes(scalar_result.removed) == bytes(dense_result.removed)
-    assert scalar_result.survivors_by_sub == dense_result.survivors_by_sub
 
 
 def test_k_sweep_incremental(benchmark):

@@ -51,6 +51,7 @@ from typing import Optional, Sequence
 
 from repro.decomposition.kdecomp import hypertree_width
 from repro.decomposition.minimal import minimal_k_decomp
+from repro.exceptions import ReproError
 from repro.hypergraph.io import load_hypergraph
 from repro.planner.compare import compare_planners
 from repro.planner.cost_k_decomp import cost_k_decomp
@@ -736,15 +737,23 @@ def _serve_through_daemon(args, batch, payloads, oracle, queries) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a typed :class:`~repro.exceptions.ReproError` (no
+    width-``k`` decomposition, an unparsable query, a missing store, ...) is
+    the command's answer, not a crash: one ``repro: error:`` line on stderr
+    and exit code 2, like argparse's own usage errors."""
     args = _build_parser().parse_args(argv)
-    if args.command == "decompose":
-        return _command_decompose(args)
-    if args.command == "plan":
-        return _command_plan(args)
-    if args.command == "experiments":
-        return _command_experiments(args)
-    if args.command == "db":
-        return _command_db(args)
+    try:
+        if args.command == "decompose":
+            return _command_decompose(args)
+        if args.command == "plan":
+            return _command_plan(args)
+        if args.command == "experiments":
+            return _command_experiments(args)
+        if args.command == "db":
+            return _command_db(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return 1
 
 

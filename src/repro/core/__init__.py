@@ -23,7 +23,6 @@ from repro.core.bitset_hypergraph import BitsetHypergraph
 from repro.core.maskmatrix import (
     MaskMatrix,
     ScalarMaskMatrix,
-    mask_matrix,
     nonzero_indices,
 )
 from repro.core.vocabulary import Vocabulary
@@ -36,7 +35,6 @@ __all__ = [
     "bit_count",
     "bit_indices",
     "iter_bits",
-    "mask_matrix",
     "mask_of_bits",
     "nonzero_indices",
 ]

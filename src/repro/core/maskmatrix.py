@@ -1,8 +1,8 @@
 """Batched bitmask algebra: N arbitrary-width masks as an N×W uint64 matrix.
 
-The decomposition search plane (candidates-graph construction, the
-evaluation fold) runs three set tests per inner loop -- *does the row
-intersect S*, *is the row a subset of S*, *does the row cover S* -- over the
+The decomposition search plane (candidates-graph construction) runs three
+set tests per inner loop -- *does the row intersect S*, *is the row a subset
+of S*, *does the row cover S* -- over the
 ``Ψ = Σ_{i≤k} C(n,i)`` k-vertices and their components.  The scalar core
 (:mod:`repro.core.bitset_hypergraph`) performs them one ``&`` at a time on
 Python big-ints; a :class:`MaskMatrix` stores the same masks as an ``N×W``
@@ -17,17 +17,14 @@ gather), which is how per-component candidate slices are tested without
 rebuilding matrices.
 
 :class:`ScalarMaskMatrix` implements the identical interface on plain
-Python ints (boolean *lists* instead of arrays) and is what
-:func:`mask_matrix` returns when numpy is unavailable -- the same
-dependency-degradation contract as ``columnar=False`` in :mod:`repro.db`.
-The scalar decomposition algorithms do not route through it (their
-historical loops *are* the oracle); it exists so MaskMatrix consumers stay
-runnable, and testable, without numpy.
+Python ints (boolean *lists* instead of arrays): the reference the tests
+compare :class:`MaskMatrix` against.  The scalar decomposition engine does
+not route through it (its big-int loops *are* the oracle).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Tuple
 
 try:  # pragma: no cover - numpy is present in the supported environments
     import numpy as np
@@ -59,7 +56,7 @@ class MaskMatrix:
     __slots__ = ("num_bits", "width", "_words")
 
     def __init__(self, masks: Iterable[int], num_bits: int) -> None:
-        if np is None:  # pragma: no cover - guarded by mask_matrix()
+        if np is None:
             raise RuntimeError("MaskMatrix requires numpy; use ScalarMaskMatrix")
         self.num_bits = num_bits
         self.width = _word_count(num_bits)
@@ -198,24 +195,6 @@ class ScalarMaskMatrix:
 
     def __repr__(self) -> str:
         return f"ScalarMaskMatrix({len(self)} rows × {self.width} words)"
-
-
-AnyMaskMatrix = Union[MaskMatrix, ScalarMaskMatrix]
-
-
-def mask_matrix(
-    masks: Iterable[int], num_bits: int, vectorized: Optional[bool] = None
-) -> AnyMaskMatrix:
-    """Build the numpy matrix when available (or demanded), else the scalar
-    twin.  ``vectorized=True`` without numpy raises ImportError -- callers
-    that want silent degradation pass ``None``."""
-    if vectorized is None:
-        vectorized = np is not None
-    if not vectorized:
-        return ScalarMaskMatrix(masks, num_bits)
-    if np is None:
-        raise ImportError("numpy is required for a vectorized MaskMatrix")
-    return MaskMatrix(masks, num_bits)
 
 
 def nonzero_indices(flags) -> List[int]:

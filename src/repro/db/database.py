@@ -113,9 +113,8 @@ class Database:
         """Persist this database to ``path`` in the mmap-able columnar
         storage format (see :mod:`repro.db.storage`): a JSON catalog plus
         one binary file per column.  ``encoding`` picks the column codec
-        (``"packed"`` frame-of-reference, ``"raw"`` int64 oracle; ``None``
-        defers to ``REPRO_STORAGE_ENCODING``).  Returns ``self`` for
-        chaining."""
+        (``"packed"`` frame-of-reference, the default; ``"raw"`` int64
+        oracle).  Returns ``self`` for chaining."""
         from repro.db.storage import save_database
 
         save_database(self, path, encoding=encoding)

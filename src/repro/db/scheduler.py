@@ -45,10 +45,9 @@ from repro.exceptions import DatabaseError
 Task = Tuple[Hashable, Tuple[Hashable, ...], Callable[[], object]]
 
 
-def number_from_env(name: str, parse=int, default=None):
-    """A non-negative numeric environment knob (``parse`` is ``int`` or
-    ``float``).  Empty, unset or ``0`` mean ``default`` (the knob is off);
-    malformed or negative values raise
+def number_from_env(name: str, default=None):
+    """A non-negative integer environment knob.  Empty, unset or ``0`` mean
+    ``default`` (the knob is off); malformed or negative values raise
     :class:`~repro.exceptions.DatabaseError` rather than being silently
     swallowed -- a mistyped thread count that quietly runs serial is
     exactly the failure mode a knob must not have.  Every numeric
@@ -58,10 +57,9 @@ def number_from_env(name: str, parse=int, default=None):
     if not raw:
         return default
     try:
-        value = parse(raw)
+        value = int(raw)
     except ValueError:
-        kind = "an integer" if parse is int else "a number"
-        raise DatabaseError(f"{name} must be {kind}, got {raw!r}") from None
+        raise DatabaseError(f"{name} must be an integer, got {raw!r}") from None
     if value < 0:
         raise DatabaseError(f"{name} must be non-negative, got {raw!r}")
     return value if value > 0 else default

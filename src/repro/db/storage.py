@@ -24,8 +24,7 @@ span; the reference is recorded in the catalog) and ``i64`` for raw int64
 columns (codec ``"raw"``, reference 0 -- byte-identical to a version-1
 store).  :func:`pack_ids` / :func:`unpack_ids` are the codec;
 :func:`resolve_encoding` picks the store-wide mode (``"packed"`` by
-default, ``"raw"`` as the oracle, overridable per save or via the
-``REPRO_STORAGE_ENCODING`` environment variable).
+default, ``"raw"`` as the oracle, overridable per save).
 
 **Version compatibility (v1 -> v2).**  Version 2 added the encoding layer.
 A column meta without an ``"encoding"`` key denotes a raw int64 file with
@@ -107,9 +106,7 @@ _CATALOG_FILE = "catalog.json"
 _DICTIONARY_FILE = "dictionary.json"
 _COLUMN_DIR = "cols"
 
-#: Store-wide encoding modes and the environment override consulted when a
-#: save does not pick one explicitly.
-ENCODING_ENV = "REPRO_STORAGE_ENCODING"
+#: Store-wide encoding modes.
 _ENCODINGS = ("packed", "raw")
 _DEFAULT_ENCODING = "packed"
 
@@ -135,12 +132,9 @@ _DTYPE_TAGS = {
 
 
 def resolve_encoding(encoding: Optional[str] = None) -> str:
-    """The effective store-wide encoding mode: an explicit argument wins,
-    else the ``REPRO_STORAGE_ENCODING`` environment variable, else
+    """The effective store-wide encoding mode: an explicit argument, else
     ``"packed"``.  Unknown names raise :class:`StorageFormatError`."""
-    if encoding is None:
-        encoding = os.environ.get(ENCODING_ENV, "").strip() or _DEFAULT_ENCODING
-    encoding = str(encoding).lower()
+    encoding = _DEFAULT_ENCODING if encoding is None else str(encoding).lower()
     if encoding not in _ENCODINGS:
         raise StorageFormatError(
             f"unknown storage encoding {encoding!r}; expected one of "

@@ -37,30 +37,30 @@ parallel arrays indexed by those ids -- ``cand_lambda[i]`` / ``cand_chi[i]``
 / ``cand_subs[i]`` for candidate ``i``, ``sub_solvers[q]`` /
 ``sub_dependents[q]`` for subproblem ``q``.
 
-**Two construction engines.**  The three hot filters of the build phase --
-candidate admission (``var(S) ∩ C ≠ 0`` ∧ ``S ⊆ edges(var(edges(C)))``),
-subproblem containment (``C'' ⊆ C``) and the solver-arc covering test
-(``boundary ⊆ var(S)``) -- run either as the historical scalar big-int
-loops, or as whole-array :class:`~repro.core.maskmatrix.MaskMatrix` kernels
-(one broadcasted test per component / subproblem instead of a Python-level
-Ψ-length loop).  ``vectorized=None`` picks the matrix engine when numpy is
-available and the graph is big enough to amortise the array overhead; both
-engines produce **byte-identical** graphs (same node and arc ids, in the
-same canonical order), which the property tests pin, so the scalar engine
-doubles as the equivalence oracle and the numpy-free fallback -- the same
-contract as ``columnar=False`` in :mod:`repro.db`.
+**One build driver, two filter-kernel engines.**  ``_build`` is the only
+construction path; the three hot filters of the build phase -- candidate
+admission (``var(S) ∩ C ≠ 0`` ∧ ``S ⊆ edges(var(edges(C)))``), subproblem
+containment (``C'' ⊆ C``) and the solver-arc covering test (``boundary ⊆
+var(S)``) -- run under it either as scalar big-int loops or as whole-array
+:class:`~repro.core.maskmatrix.MaskMatrix` kernels (one broadcasted test per
+component / per distinct ``(component, boundary)`` pair).  ``vectorized=None``
+picks the matrix engine when numpy is available and ``Ψ`` is big enough to
+amortise the array overhead.  Both engines fill the same containers and
+produce **byte-identical** graphs (same node and arc ids, in the same
+canonical order), which the property tests pin, so the scalar engine is the
+equivalence oracle and the numpy-free fallback.
 
 **k-incremental construction.**  The canonical k-vertex enumeration is by
 size then lexicographic rank, so the k-vertices of bound ``k`` are a prefix
 of those of ``k' > k`` -- and with them the per-k-vertex subproblem blocks,
-the interned components and their frontiers.  :meth:`CandidatesGraph.extend_to`
-exploits this: it builds the bound-``k'`` graph from a bound-``k`` one by
-re-using every admission/containment/covering decision that involves only
+the interned components and their frontiers.  The driver therefore takes an
+optional smaller-bound *base* graph (:meth:`CandidatesGraph.extend_to`) and
+re-uses every admission/containment/covering decision that involves only
 prefix k-vertices and old components, testing just the new k-vertices (and
-the components they expose).  The result is again byte-identical to a fresh
-construction at ``k'``.  :class:`CandidatesGraphFamily` wraps this into a
-per-``k`` cache for sweeps (the Fig. 8(A) ``k = 2..5`` sweep,
-``hypertree_width``'s increasing search, repeated planner calls).
+the components they expose); a fresh construction is the extension of the
+empty graph.  The result is byte-identical whatever the base.
+:class:`CandidatesGraphFamily` wraps this into a per-``k`` cache for sweeps
+(the Fig. 8(A) ``k = 2..5`` sweep, repeated planner calls).
 
 The historical frozenset-of-names surface (``subproblems``, ``candidates``,
 ``solvers``, ``candidates_for`` …) is preserved as a lazily built mirror
@@ -70,6 +70,7 @@ algorithm-only users never pay for it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -228,10 +229,7 @@ class CandidatesGraph:
         self._arc_pieces: Optional[List[Tuple[object, object]]] = None
         self._arc_subs = None
         self._arc_cands = None
-        if _base is None:
-            self._build_fresh()
-        else:
-            self._build_extended(_base)
+        self._build(_base)
 
         # --- arcs: subproblem -> candidates that depend on it -------------
         # (the reverse of ``cand_subs``; the evaluation phase walks this
@@ -263,21 +261,114 @@ class CandidatesGraph:
 
         # Lazily built frozenset-of-names mirror (see class docstring).
         self._public: Optional[_PublicMirror] = None
-        # Lazily built per-subproblem numpy id arrays (the vectorised
-        # evaluation fold of repro.decomposition.minimal).
-        self._solver_arrays = None
-        self._dependent_arrays = None
         # Lazily built candidate views derived from the k-vertex index (no
         # algorithm consumes these; they serve the mirror and tests).
         self._cand_keys: Optional[List[MaskCandidate]] = None
         self._cand_var: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
-    # Construction: N_sub enumeration shared by both entry paths
+    # Construction (the Build phase of Fig. 2)
     # ------------------------------------------------------------------
+    def _build(self, base: Optional["CandidatesGraph"]) -> None:
+        """Build this bound-``k`` graph, from ``base`` (bound ``< k``) when
+        given; a fresh construction is the extension of the empty graph.
+
+        Everything decided by prefix k-vertices against old components is
+        copied (with candidate ids renumbered into the new per-component
+        order); only the new k-vertices -- and, for the components they
+        expose, the full k-vertex range -- are tested.  The result is
+        byte-identical whatever the base (and whichever engine built it).
+        """
+        self._kv_masks: Tuple[int, ...] = k_vertex_masks(self.hypergraph, self.k)
+        all_vertices = self.bitset.all_vertices
+        if base is None:
+            # --- N_sub: the root subproblem gets id 0 ---------------------
+            self._kv_vars: List[int] = []
+            self._mvar_of: Dict[int, int] = {}
+            self.sub_keys: List[MaskSubproblem] = [(0, all_vertices)]
+            self._kv_sub_bounds: List[int] = [1]
+            # dict-as-ordered-set: deterministic iteration over components
+            self._seen_components: Dict[int, None] = {all_vertices: None}
+            self._mfrontier_of: Dict[int, int] = {}
+            self._mcomponent_edges: Dict[int, int] = {}
+            self._component_rows: List[Tuple[int, int, int]] = []
+            old_num_kvs = 0
+            old_by_component: Dict[int, range] = {}
+            new_id_of_old: List[int] = []
+        else:
+            if base.hypergraph != self.hypergraph:
+                raise DecompositionError(
+                    "cannot extend a candidates graph built for a different hypergraph"
+                )
+            if base.k >= self.k:
+                raise DecompositionError(
+                    f"extend_to requires a larger width bound (have k={base.k}, "
+                    f"requested k={self.k})"
+                )
+            # --- N_sub: prefix blocks are shared verbatim -----------------
+            self._kv_vars = list(base._kv_vars)
+            self._mvar_of = dict(base._mvar_of)
+            self.sub_keys = list(base.sub_keys)
+            self._kv_sub_bounds = list(base._kv_sub_bounds)
+            self._seen_components = dict(base._seen_components)
+            self._mfrontier_of = dict(base._mfrontier_of)
+            self._mcomponent_edges = dict(base._mcomponent_edges)
+            self._component_rows = list(base._component_rows)
+            old_num_kvs = len(base._kv_masks)
+            old_by_component = base._by_component
+            #: old candidate id -> new candidate id (monotone per component).
+            new_id_of_old = [0] * base.num_candidates
+        self._enumerate_subproblems(range(old_num_kvs, len(self._kv_masks)))
+        self._complete_component_rows()
+
+        # --- N_sol: copy old per-component blocks, admit new k-vertices ---
+        # Candidates are appended component-block by component-block (in
+        # interning order, k-vertices in canonical order within each), so a
+        # component's ids are one contiguous ``range`` in the old and the
+        # new graph -- the copy and the old→new renumbering are slice
+        # arithmetic, no per-candidate loop.
+        self.cand_lambda: List[int] = []
+        self.cand_chi: List[int] = []
+        self.cand_comp: List[int] = []
+        self.cand_subs: List[Tuple[int, ...]] = []
+        #: candidate id -> index of its λ in the k-vertex enumeration (a
+        #: flat int64 buffer: appendable without numpy, viewable by it)
+        self._cand_kv_index = array("q")
+        self._by_component: Dict[int, range] = {}
+        cand_lambda = self.cand_lambda
+        admit = (
+            self._vectorized_admitter() if self.vectorized else self._scalar_admitter()
+        )
+        for row in self._component_rows:
+            component = row[0]
+            start = len(cand_lambda)
+            old_ids = old_by_component.get(component)
+            if old_ids is None:
+                # A component first exposed by a new k-vertex: full range.
+                admit(row, 0)
+            else:
+                lo, hi = old_ids.start, old_ids.stop
+                new_id_of_old[lo:hi] = range(start, start + hi - lo)
+                cand_lambda.extend(base.cand_lambda[lo:hi])
+                self.cand_chi.extend(base.cand_chi[lo:hi])
+                self.cand_comp.extend(repeat(component, hi - lo))
+                self._cand_kv_index.extend(base._cand_kv_index[lo:hi])
+                # Prefix k-vertex subproblem ids are unchanged, so the
+                # containment decisions carry over verbatim.
+                self.cand_subs.extend(base.cand_subs[lo:hi])
+                # Only the new k-vertices remain to be tested here.
+                admit(row, old_num_kvs)
+            self._by_component[component] = range(start, len(cand_lambda))
+
+        if self.vectorized and base is not None:
+            self._inherit_arc_pieces(base, new_id_of_old)
+        self._build_solver_arcs(base, new_id_of_old)
+
     def _enumerate_subproblems(self, kv_indices: Iterable[int]) -> None:
         """Append the subproblem block of every k-vertex in ``kv_indices``
-        to the (already initialised) ``sub_keys`` / bookkeeping arrays."""
+        to ``sub_keys``: one subproblem per ``[var(S)]``-component, ids
+        assigned in k-vertex order, so k-vertex ``i`` owns the contiguous id
+        block ``range(bounds[i], bounds[i+1])``."""
         bitset = self.bitset
         components_of = bitset.components
         var_of_edges = bitset.var_of_edges
@@ -316,84 +407,12 @@ class CandidatesGraph:
             component_rows.append((component, frontier, edges_touching(frontier)))
 
     # ------------------------------------------------------------------
-    # Construction from scratch
+    # Candidate admission: ``admit(row, kv_start)`` appends, for one
+    # component row, every candidate whose k-vertex index is ``≥ kv_start``
+    # to the parallel arrays, in canonical k-vertex order.  The factory
+    # shape lets the matrix engine build its mask matrices once per
+    # construction.
     # ------------------------------------------------------------------
-    def _build_fresh(self) -> None:
-        self._kv_masks: Tuple[int, ...] = k_vertex_masks(self.hypergraph, self.k)
-
-        # --- N_sub -----------------------------------------------------
-        # The root subproblem gets id 0; per k-vertex, one subproblem per
-        # [var(S)]-component.  Subproblem ids are assigned in k-vertex order,
-        # so k-vertex ``i`` owns the contiguous id block
-        # ``range(bounds[i], bounds[i+1])``.
-        all_vertices = self.bitset.all_vertices
-        self._kv_vars: List[int] = []
-        self._mvar_of: Dict[int, int] = {}
-        self.sub_keys: List[MaskSubproblem] = [(0, all_vertices)]
-        self._kv_sub_bounds: List[int] = [1]
-        # dict-as-ordered-set: deterministic iteration over distinct components
-        self._seen_components: Dict[int, None] = {all_vertices: None}
-        self._enumerate_subproblems(range(len(self._kv_masks)))
-
-        self._mfrontier_of: Dict[int, int] = {}
-        self._mcomponent_edges: Dict[int, int] = {}
-        self._component_rows: List[Tuple[int, int, int]] = []
-        self._complete_component_rows()
-
-        # --- N_sol + arcs ----------------------------------------------
-        self.cand_lambda: List[int] = []
-        self.cand_chi: List[int] = []
-        self.cand_comp: List[int] = []
-        self.cand_subs: List[Tuple[int, ...]] = []
-        self._cand_kv_index: List[int] = []
-        self._by_component: Dict[int, List[int]] = {
-            c: [] for c in self._seen_components
-        }
-        admit = self._candidate_admitter()
-        for row in self._component_rows:
-            admit(row, 0)
-        self._seal_kv_index()
-        if self.vectorized:
-            self._build_solver_arcs_vectorized()
-        else:
-            self._build_solver_arcs_scalar()
-
-    # ------------------------------------------------------------------
-    # Candidate admission (both engines append to the parallel arrays in
-    # identical order: components in interning order, k-vertices in
-    # canonical order within each component)
-    # ------------------------------------------------------------------
-    def _append_component_block(self, component: int, start: int, count: int) -> None:
-        """Record ``count`` new candidate ids for ``component``.
-
-        Candidates are appended component-block by component-block, so a
-        component's ids always form one contiguous run; the vectorised
-        engine therefore keeps ``_by_component`` values as ``range`` objects
-        (O(1) instead of materialising millions of list entries).  The
-        scalar engine appends ids one by one and keeps plain lists.
-        """
-        ids = self._by_component[component]
-        if isinstance(ids, range):
-            # Continuation of this component's run (extension: the copied
-            # block immediately followed by the newly admitted block).
-            self._by_component[component] = range(ids.start, start + count)
-        elif ids:
-            ids.extend(range(start, start + count))
-        else:
-            self._by_component[component] = range(start, start + count)
-
-    def _candidate_admitter(self):
-        """A per-construction admission function ``admit(row, kv_start)``.
-
-        Appends, for one component row, every candidate whose k-vertex index
-        is ``≥ kv_start``, in canonical k-vertex order.  The factory shape
-        lets the vectorised engine build its mask matrices exactly once per
-        construction (fresh builds call ``admit`` for every component,
-        incremental extension interleaves it with block copies)."""
-        if self.vectorized:
-            return self._vectorized_admitter()
-        return self._scalar_admitter()
-
     def _scalar_admitter(self):
         """Pure mask algebra: membership, covering and subset tests are all
         single ``&``/``~`` operations on ints; candidates are appended to the
@@ -408,14 +427,12 @@ class CandidatesGraph:
 
         def admit(row: Tuple[int, int, int], kv_start: int) -> None:
             component, frontier, allowed_edges = row
-            component_cands = self._by_component[component]
             for index in range(kv_start, num_kvs):
                 variables = kv_vars[index]
                 if not variables & component:
                     continue
                 if kv_masks[index] & ~allowed_edges:
                     continue
-                component_cands.append(len(cand_lambda))
                 cand_lambda.append(kv_masks[index])
                 kv_index.append(index)
                 self.cand_chi.append(frontier & variables)
@@ -449,10 +466,8 @@ class CandidatesGraph:
         bounds = np.asarray(self._kv_sub_bounds, dtype=np.int64)
         cand_lambda = self.cand_lambda
         cand_subs = self.cand_subs
-        kv_index_pieces = self._cand_kv_index
-        arc_pieces = self._arc_pieces = (
-            [] if self._arc_pieces is None else self._arc_pieces
-        )
+        kv_index = self._cand_kv_index
+        arc_pieces = self._arc_pieces = []
 
         def admit(row: Tuple[int, int, int], kv_start: int) -> None:
             component, frontier, allowed_edges = row
@@ -466,8 +481,7 @@ class CandidatesGraph:
             if not admitted.size:
                 return
             base_id = len(cand_lambda)
-            self._append_component_block(component, base_id, admitted.size)
-            kv_index_pieces.append(admitted)
+            kv_index.frombytes(admitted.astype(np.int64, copy=False).tobytes())
             cand_lambda.extend(kv_edge_matrix.tolist(admitted))
             self.cand_chi.extend(kv_var_matrix.intersections(frontier, admitted))
             self.cand_comp.extend(repeat(component, admitted.size))
@@ -511,6 +525,27 @@ class CandidatesGraph:
 
         return admit
 
+    def _inherit_arc_pieces(
+        self, base: "CandidatesGraph", new_id_of_old: List[int]
+    ) -> None:
+        """The copied candidates' arcs, renumbered into the new id space
+        (prefix subproblem ids are unchanged), join the arc pieces the
+        matrix admitter collected for the new candidates."""
+        if base._arc_subs is not None:
+            base_arc_subs, base_arc_cands = base._arc_subs, base._arc_cands
+        else:  # scalar-built base: flatten its cand_subs once
+            flat_subs: List[int] = []
+            flat_cands: List[int] = []
+            for cand_id, subs in enumerate(base.cand_subs):
+                if subs:
+                    flat_subs.extend(subs)
+                    flat_cands.extend(repeat(cand_id, len(subs)))
+            base_arc_subs = np.asarray(flat_subs, dtype=np.int64)
+            base_arc_cands = np.asarray(flat_cands, dtype=np.int64)
+        if base_arc_subs.size:
+            remap = np.asarray(new_id_of_old, dtype=np.int64)
+            self._arc_pieces.append((base_arc_subs, remap[base_arc_cands]))
+
     def _dependents_from_arcs(self) -> List[Tuple[int, ...]]:
         """Group the flattened arc arrays into per-subproblem dependent
         tuples (ascending candidate id, matching the scalar walk)."""
@@ -541,206 +576,37 @@ class CandidatesGraph:
     # ------------------------------------------------------------------
     # Solver arcs: candidate -> subproblems it can solve
     # ------------------------------------------------------------------
-    # Both engines memoise per distinct (component, boundary) pair: many
-    # subproblems of one component share their boundary, and equal pairs
-    # have equal solver tuples (which the dedup shares as one object).
-
-    def _seal_kv_index(self) -> None:
-        """Concatenate the vectorised engine's per-component k-vertex index
-        pieces into one candidate-ordered array (scalar engine: no-op, the
-        index is already a flat list)."""
-        if self.vectorized:
-            pieces = self._cand_kv_index
-            self._cand_kv_index = (
-                np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-            )
-
-    def _build_solver_arcs_scalar(self) -> None:
-        """Index candidates by their component so the scan is linear in the
-        number of (subproblem, same-component candidate) pairs."""
-        frontier_of = self._mfrontier_of
-        var_of = self._mvar_of
-        by_component = self._by_component
-        kv_vars = self._kv_vars
-        kv_index = self._cand_kv_index
-        cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        sub_solvers: List[Tuple[int, ...]] = []
-        for r_mask, component in self.sub_keys:
-            boundary = frontier_of[component] & (var_of[r_mask] if r_mask else 0)
-            key = (component, boundary)
-            solvers = cache.get(key)
-            if solvers is None:
-                if boundary:
-                    solvers = tuple(
-                        cand_id
-                        for cand_id in by_component[component]
-                        if not boundary & ~kv_vars[kv_index[cand_id]]
-                    )
-                else:
-                    solvers = tuple(by_component[component])
-                cache[key] = solvers
-            sub_solvers.append(solvers)
-        self.sub_solvers = sub_solvers
-
-    def _build_solver_arcs_vectorized(self) -> None:
-        """One broadcasted covering test per distinct (component, boundary)
-        pair, run on the k-vertex variable matrix through the candidates'
-        k-vertex index (no per-candidate data is materialised at all)."""
-        kv_var_matrix = self._kv_var_matrix
-        kv_index = self._cand_kv_index
-        frontier_of = self._mfrontier_of
-        var_of = self._mvar_of
-        id_arrays: Dict[int, object] = {}
-        cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        sub_solvers: List[Tuple[int, ...]] = []
-        for r_mask, component in self.sub_keys:
-            boundary = frontier_of[component] & (var_of[r_mask] if r_mask else 0)
-            key = (component, boundary)
-            solvers = cache.get(key)
-            if solvers is None:
-                ids = id_arrays.get(component)
-                if ids is None:
-                    ids = _ids_array(self._by_component[component])
-                    id_arrays[component] = ids
-                if not boundary or not ids.size:
-                    solvers = tuple(self._by_component[component])
-                else:
-                    covered = kv_var_matrix.covers(boundary, kv_index[ids])
-                    solvers = tuple(ids[covered].tolist())
-                cache[key] = solvers
-            sub_solvers.append(solvers)
-        self.sub_solvers = sub_solvers
-
-    # ------------------------------------------------------------------
-    # k-incremental construction
-    # ------------------------------------------------------------------
-    def _build_extended(self, base: "CandidatesGraph") -> None:
-        """Build this bound-``k`` graph from ``base`` (bound ``< k``).
-
-        Everything decided by prefix k-vertices against old components is
-        copied (with candidate ids renumbered into the new per-component
-        order); only the new k-vertices -- and, for the components they
-        expose, the full k-vertex range -- are tested.  The result is
-        byte-identical to a fresh construction at ``k``.
-        """
-        if base.hypergraph != self.hypergraph:
-            raise DecompositionError(
-                "cannot extend a candidates graph built for a different hypergraph"
-            )
-        if base.k >= self.k:
-            raise DecompositionError(
-                f"extend_to requires a larger width bound (have k={base.k}, "
-                f"requested k={self.k})"
-            )
-        self._kv_masks = k_vertex_masks(self.hypergraph, self.k)
-        old_num_kvs = len(base._kv_masks)
-
-        # --- N_sub: prefix blocks are shared verbatim --------------------
-        self._kv_vars = list(base._kv_vars)
-        self._mvar_of = dict(base._mvar_of)
-        self.sub_keys = list(base.sub_keys)
-        self._kv_sub_bounds = list(base._kv_sub_bounds)
-        self._seen_components = dict(base._seen_components)
-        self._enumerate_subproblems(range(old_num_kvs, len(self._kv_masks)))
-
-        self._mfrontier_of = dict(base._mfrontier_of)
-        self._mcomponent_edges = dict(base._mcomponent_edges)
-        self._component_rows = list(base._component_rows)
-        self._complete_component_rows()
-
-        # --- N_sol: copy old per-component blocks, admit new k-vertices --
-        self.cand_lambda = []
-        self.cand_chi = []
-        self.cand_comp = []
-        self.cand_subs = []
-        self._cand_kv_index = []
-        self._by_component = {c: [] for c in self._seen_components}
-        old_by_component = base._by_component
-        # The base's candidate -> k-vertex index, in the representation this
-        # engine splices from (array pieces vs flat list).
-        if self.vectorized:
-            base_kv_index = (
-                base._cand_kv_index
-                if isinstance(base._cand_kv_index, np.ndarray)
-                else np.asarray(base._cand_kv_index, dtype=np.int64)
-            )
-        elif isinstance(base._cand_kv_index, list):
-            base_kv_index = base._cand_kv_index
-        else:
-            base_kv_index = base._cand_kv_index.tolist()
-        #: old candidate id -> new candidate id (monotone per component).
-        new_id_of_old: List[int] = [0] * base.num_candidates
-        admit = self._candidate_admitter()
-        for row in self._component_rows:
-            component = row[0]
-            old_ids = old_by_component.get(component)
-            if old_ids is not None:
-                # Candidates are appended component-block by component-block,
-                # so a component's ids are one contiguous range in both the
-                # old and the new graph -- the whole copy (and the old→new
-                # renumbering) is slice arithmetic, no per-candidate loop.
-                count = len(old_ids)
-                if count:
-                    lo = old_ids[0]
-                    hi = lo + count
-                    new_base = len(self.cand_lambda)
-                    new_range = range(new_base, new_base + count)
-                    if self.vectorized:
-                        self._append_component_block(component, new_base, count)
-                    else:
-                        self._by_component[component].extend(new_range)
-                    new_id_of_old[lo:hi] = new_range
-                    self.cand_lambda.extend(base.cand_lambda[lo:hi])
-                    self.cand_chi.extend(base.cand_chi[lo:hi])
-                    self.cand_comp.extend(repeat(component, count))
-                    if self.vectorized:
-                        self._cand_kv_index.append(base_kv_index[lo:hi])
-                    else:
-                        self._cand_kv_index.extend(base_kv_index[lo:hi])
-                    # Prefix k-vertex subproblem ids are unchanged, so the
-                    # containment decisions carry over verbatim.
-                    self.cand_subs.extend(base.cand_subs[lo:hi])
-                # Only the new k-vertices remain to be tested here.
-                admit(row, old_num_kvs)
-            else:
-                # A component first exposed by a new k-vertex: full range.
-                admit(row, 0)
-        self._seal_kv_index()
-
-        if self.vectorized:
-            # The copied candidates' arcs, renumbered into the new id space
-            # (prefix subproblem ids are unchanged), join the arc pieces the
-            # admitter collected for the new candidates.
-            if base._arc_subs is not None:
-                base_arc_subs, base_arc_cands = base._arc_subs, base._arc_cands
-            else:  # scalar-built base: flatten its cand_subs once
-                flat_subs: List[int] = []
-                flat_cands: List[int] = []
-                for cand_id, subs in enumerate(base.cand_subs):
-                    if subs:
-                        flat_subs.extend(subs)
-                        flat_cands.extend(repeat(cand_id, len(subs)))
-                base_arc_subs = np.asarray(flat_subs, dtype=np.int64)
-                base_arc_cands = np.asarray(flat_cands, dtype=np.int64)
-            if base_arc_subs.size:
-                remap = np.asarray(new_id_of_old, dtype=np.int64)
-                self._arc_pieces.append((base_arc_subs, remap[base_arc_cands]))
-
-        # --- solver arcs: remap old ones, test only what is new ----------
-        if self.vectorized:
-            self._extend_solver_arcs_vectorized(base, new_id_of_old, old_by_component)
-        else:
-            self._extend_solver_arcs_scalar(base, new_id_of_old, old_by_component)
-
-    def _extend_solver_arcs_scalar(
-        self, base, new_id_of_old: List[int], old_by_component
+    def _build_solver_arcs(
+        self, base: Optional["CandidatesGraph"], new_id_of_old: List[int]
     ) -> None:
+        """``sub_solvers[q]``: the candidates of ``q``'s component whose
+        ``var(λ)`` covers ``q``'s boundary, memoised per distinct
+        ``(component, boundary)`` pair (many subproblems of one component
+        share their boundary; equal pairs share one tuple object).
+
+        The engines differ only in the covering filter ``covered(boundary,
+        ids)`` over a contiguous id range: a big-int loop, or one
+        broadcasted test on the k-vertex variable matrix through the
+        candidates' k-vertex index."""
+        kv_index = self._cand_kv_index
+        if self.vectorized:
+            kv_var_matrix = self._kv_var_matrix
+            kv_rows = np.frombuffer(kv_index, dtype=np.int64)
+
+            def covered(boundary: int, ids: range) -> List[int]:
+                flags = kv_var_matrix.covers(boundary, kv_rows[ids.start:ids.stop])
+                return (np.flatnonzero(flags) + ids.start).tolist()
+
+        else:
+            kv_vars = self._kv_vars
+
+            def covered(boundary: int, ids: range) -> List[int]:
+                return [c for c in ids if not boundary & ~kv_vars[kv_index[c]]]
+
         frontier_of = self._mfrontier_of
         var_of = self._mvar_of
         by_component = self._by_component
-        kv_vars = self._kv_vars
-        kv_index = self._cand_kv_index
-        old_num_subs = len(base.sub_keys)
+        old_num_subs = 0 if base is None else len(base.sub_keys)
         cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         sub_solvers: List[Tuple[int, ...]] = []
         for sub_id, (r_mask, component) in enumerate(self.sub_keys):
@@ -748,68 +614,19 @@ class CandidatesGraph:
             key = (component, boundary)
             solvers = cache.get(key)
             if solvers is None:
-                cands = by_component[component]
+                ids = by_component[component]
+                kept: List[int] = []
                 if sub_id < old_num_subs:
                     # Old subproblem (its component is old too): keep the old
                     # decisions, test only the candidates this extension
                     # added (old candidates precede new ones per component).
-                    prefix = [new_id_of_old[c] for c in base.sub_solvers[sub_id]]
-                    fresh = cands[len(old_by_component[component]):]
-                    if boundary:
-                        fresh = [
-                            c for c in fresh if not boundary & ~kv_vars[kv_index[c]]
-                        ]
-                    solvers = tuple(prefix + list(fresh))
-                elif boundary:
-                    solvers = tuple(
-                        c for c in cands if not boundary & ~kv_vars[kv_index[c]]
-                    )
+                    kept = [new_id_of_old[c] for c in base.sub_solvers[sub_id]]
+                    ids = ids[len(base._by_component[component]):]
+                if boundary and ids:
+                    kept += covered(boundary, ids)
                 else:
-                    solvers = tuple(cands)
-                cache[key] = solvers
-            sub_solvers.append(solvers)
-        self.sub_solvers = sub_solvers
-
-    def _extend_solver_arcs_vectorized(
-        self, base, new_id_of_old: List[int], old_by_component
-    ) -> None:
-        kv_var_matrix = self._kv_var_matrix
-        kv_index = self._cand_kv_index
-        frontier_of = self._mfrontier_of
-        var_of = self._mvar_of
-        old_num_subs = len(base.sub_keys)
-        id_arrays: Dict[Tuple[int, int], object] = {}
-        cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-
-        def ids_for(component: int, skip: int):
-            key = (component, skip)
-            arr = id_arrays.get(key)
-            if arr is None:
-                ids = self._by_component[component]
-                arr = _ids_array(ids[skip:] if skip else ids)
-                id_arrays[key] = arr
-            return arr
-
-        sub_solvers: List[Tuple[int, ...]] = []
-        for sub_id, (r_mask, component) in enumerate(self.sub_keys):
-            boundary = frontier_of[component] & (var_of[r_mask] if r_mask else 0)
-            key = (component, boundary)
-            solvers = cache.get(key)
-            if solvers is None:
-                if sub_id < old_num_subs:
-                    prefix = [new_id_of_old[c] for c in base.sub_solvers[sub_id]]
-                    fresh = ids_for(component, len(old_by_component[component]))
-                    if boundary and fresh.size:
-                        covered = kv_var_matrix.covers(boundary, kv_index[fresh])
-                        fresh = fresh[covered]
-                    solvers = tuple(prefix + fresh.tolist())
-                else:
-                    ids = ids_for(component, 0)
-                    if boundary and ids.size:
-                        covered = kv_var_matrix.covers(boundary, kv_index[ids])
-                        ids = ids[covered]
-                    solvers = tuple(ids.tolist())
-                cache[key] = solvers
+                    kept += ids
+                solvers = cache[key] = tuple(kept)
             sub_solvers.append(solvers)
         self.sub_solvers = sub_solvers
 
@@ -853,10 +670,7 @@ class CandidatesGraph:
         from the k-vertex table through the candidates' k-vertex index."""
         if self._cand_var is None:
             kv_vars = self._kv_vars
-            index = self._cand_kv_index
-            if np is not None and isinstance(index, np.ndarray):
-                index = index.tolist()
-            self._cand_var = [kv_vars[i] for i in index]
+            self._cand_var = [kv_vars[i] for i in self._cand_kv_index]
         return self._cand_var
 
     @property
@@ -865,28 +679,6 @@ class CandidatesGraph:
 
     #: The root subproblem ``(∅, var(H))`` always receives id 0.
     ROOT_SUBPROBLEM_ID = 0
-
-    def solver_id_arrays(self):
-        """Per-subproblem ``incoming(q)`` as numpy index arrays (``None``
-        without numpy); cached for reuse across evaluations of this graph."""
-        if np is None:
-            return None
-        if self._solver_arrays is None:
-            self._solver_arrays = [
-                np.asarray(solvers, dtype=np.int64) for solvers in self.sub_solvers
-            ]
-        return self._solver_arrays
-
-    def dependent_id_arrays(self):
-        """Per-subproblem ``outcoming(q)`` as numpy index arrays (``None``
-        without numpy); cached like :meth:`solver_id_arrays`."""
-        if np is None:
-            return None
-        if self._dependent_arrays is None:
-            self._dependent_arrays = [
-                np.asarray(deps, dtype=np.int64) for deps in self.sub_dependents
-            ]
-        return self._dependent_arrays
 
     def node_view(self, cand_id: int, node_id: int) -> DecompositionNode:
         """The string-labelled :class:`DecompositionNode` of a candidate id
@@ -1010,13 +802,6 @@ class CandidatesGraph:
             f"CandidatesGraph(k={self.k}, |N_sub|={report['subproblems']}, "
             f"|N_sol|={report['candidates']})"
         )
-
-
-def _ids_array(ids):
-    """A candidate-id collection (list or contiguous range) as int64."""
-    if isinstance(ids, range):
-        return np.arange(ids.start, ids.stop, dtype=np.int64)
-    return np.asarray(ids, dtype=np.int64)
 
 
 def _resolve_vectorized(

@@ -27,6 +27,7 @@ from repro.decomposition.hypertree import (
     HypertreeDecomposition,
     NodeId,
 )
+from repro.decomposition.minimal import _checked_graph
 from repro.hypergraph.hypergraph import Hypergraph
 
 
@@ -130,8 +131,7 @@ def enumerate_nf_decompositions(
     hypergraphs); otherwise at most ``limit`` decompositions are yielded and
     at most ``limit`` alternatives are considered per subproblem.
     """
-    if graph is None:
-        graph = CandidatesGraph(hypergraph, k)
+    graph = _checked_graph(graph, hypergraph, k)
     survivors = _solvable_candidates(graph)
     produced = 0
     for shape in _enumerate_shapes(graph, survivors, graph.ROOT_SUBPROBLEM_ID, limit):

@@ -20,6 +20,7 @@ from repro.decomposition.candidates import CandidatesGraph
 from repro.decomposition.hypertree import HypertreeDecomposition
 from repro.decomposition.minimal import (
     TieBreaker,
+    _checked_graph,
     evaluate_candidates_graph,
     minimal_k_decomp,
 )
@@ -48,8 +49,7 @@ def has_width_at_most(
     hypergraph: Hypergraph, k: int, graph: Optional[CandidatesGraph] = None
 ) -> bool:
     """Decide ``hw(H) ≤ k`` (equivalently ``kNFD_H ≠ ∅``)."""
-    if graph is None:
-        graph = CandidatesGraph(hypergraph, k)
+    graph = _checked_graph(graph, hypergraph, k)
     result = evaluate_candidates_graph(graph, width_taf())
     return result.minimum_weight() < INFINITY
 

@@ -18,10 +18,10 @@ The implementation follows the paper closely:
    minimum-weight candidate for every subproblem.
 
 Both phases run on the graph's dense-id arrays -- weights live in a plain
-list indexed by candidate id, arcs are id tuples -- and only materialise
-string-labelled :class:`DecompositionNode` views at the TAF boundary (at
-most once per candidate, and not at all for TAFs that supply mask-space
-weight functions) and in the emitted decomposition.
+list indexed by candidate id, arcs are id tuples -- and see the TAF only
+through its mask forms (:meth:`TreeAggregationFunction.bind_mask_space`);
+string-labelled :class:`DecompositionNode` views are materialised for the
+emitted decomposition only.
 
 Ties during selection are broken by a pluggable :class:`TieBreaker`; with the
 ``"random"`` policy every minimal decomposition can be produced by some run,
@@ -32,11 +32,6 @@ from __future__ import annotations
 
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # The vectorised evaluation fold needs numpy; scalar is the fallback.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 from repro.decomposition.candidates import (
     Candidate,
@@ -164,15 +159,8 @@ class EvaluationResult:
         return min(weights[c] for c in candidates)
 
 
-#: Below this many candidates the per-subproblem numpy dispatch overhead of
-#: the array fold outweighs the scalar loop it replaces.
-_VECTORIZE_MIN_CANDIDATES = 256
-
-
 def evaluate_candidates_graph(
-    graph: CandidatesGraph,
-    taf: TreeAggregationFunction,
-    vectorized: Optional[bool] = None,
+    graph: CandidatesGraph, taf: TreeAggregationFunction
 ) -> EvaluationResult:
     """The *Evaluate the Candidates Graph* phase of Fig. 2.
 
@@ -181,107 +169,36 @@ def evaluate_candidates_graph(
     into every candidate ``p'`` that has ``q`` as a subproblem; an
     unsolvable subproblem removes those candidates instead.
 
-    The whole phase is array arithmetic over candidate ids; string-space
-    node views are materialised at most once per candidate, and only when
-    the TAF has no mask-space weight functions.
-
-    For separable TAFs over the built-in real-valued semirings (those with
-    a ``ufunc_name``) the per-subproblem min-fold additionally runs as
-    numpy array reductions over ``weight_by_id`` -- identical float64
-    operations in identical order, so the result is bit-equal to the
-    scalar fold, which remains both the generic path (arbitrary semirings
-    and edge weights) and the numpy-free fallback.  ``vectorized`` forces
-    the choice (``True`` requires numpy); ``None`` picks the array fold
-    when it applies and the graph is large enough to amortise it.
+    The whole phase runs on candidate ids and the TAF's mask forms (lowered
+    once, on entry, against the graph's bitset).
     """
-    semiring = taf.semiring
-    combine = semiring.combine
-    num_candidates = graph.num_candidates
+    taf.bind_mask_space(graph.bitset)
+    combine = taf.semiring.combine
     cand_lambda = graph.cand_lambda
     cand_chi = graph.cand_chi
-
-    # Node views are cached because the TAF may be expensive (cost estimation).
-    node_views: List[Optional[DecompositionNode]] = [None] * num_candidates
-
-    def view(cand_id: int) -> DecompositionNode:
-        node = node_views[cand_id]
-        if node is None:
-            node = graph.node_view(cand_id, node_id=cand_id)
-            node_views[cand_id] = node
-        return node
-
-    mask_vertex_weight = taf.mask_vertex_weight
-    if mask_vertex_weight is not None:
-        weights: List[Number] = [
-            mask_vertex_weight(cand_lambda[i], cand_chi[i])
-            for i in range(num_candidates)
-        ]
-    else:
-        vertex_weight = taf.vertex_weight
-        weights = [vertex_weight(view(i)) for i in range(num_candidates)]
+    weights: List[Number] = list(map(taf.mask_vertex_weight, cand_lambda, cand_chi))
 
     # The separable path is gated on the *string* parts (the authoritative
-    # definition of the TAF); within it, mask parts are used when available
-    # so no node views need to be materialised.
+    # definition of the TAF).
     separable = taf.has_separable_edge
     if separable:
-        if taf.has_mask_separable_edge:
-            mask_parent_part = taf.mask_edge_parent_part
-            mask_child_part = taf.mask_edge_child_part
-            parent_parts = [
-                mask_parent_part(cand_lambda[i], cand_chi[i])
-                for i in range(num_candidates)
-            ]
-            child_parts = (
-                parent_parts
-                if mask_child_part is mask_parent_part
-                else [
-                    mask_child_part(cand_lambda[i], cand_chi[i])
-                    for i in range(num_candidates)
-                ]
-            )
-        else:
-            edge_parent_part = taf.edge_parent_part
-            edge_child_part = taf.edge_child_part
-            parent_parts = [edge_parent_part(view(i)) for i in range(num_candidates)]
-            # A single shared part function (e.g. cost_H(Q)'s |E(p)|) is
-            # evaluated once per candidate, not twice.
-            child_parts = (
-                parent_parts
-                if edge_child_part is edge_parent_part
-                else [edge_child_part(view(i)) for i in range(num_candidates)]
-            )
+        parent_part = taf.mask_edge_parent_part
+        child_part = taf.mask_edge_child_part
+        parent_parts = list(map(parent_part, cand_lambda, cand_chi))
+        # A single shared part function (e.g. cost_H(Q)'s |E(p)|) is
+        # evaluated once per candidate, not twice.
+        child_parts = (
+            parent_parts
+            if child_part is parent_part
+            else list(map(child_part, cand_lambda, cand_chi))
+        )
+    else:
+        edge_weight = taf.mask_edge_weight
 
-    if vectorized and np is None:
-        raise DecompositionError(
-            "vectorized candidates-graph evaluation requires numpy"
-        )
-    use_array_fold = (
-        np is not None
-        and separable
-        and semiring.ufunc_name in ("add", "maximum")
-        and (
-            vectorized
-            if vectorized is not None
-            # Arrays win when subproblems have wide candidate sets to reduce
-            # over; graphs with many near-empty subproblems (stars) keep the
-            # scalar fold, whose per-element cost is lower than the
-            # per-subproblem numpy dispatch.
-            else num_candidates >= _VECTORIZE_MIN_CANDIDATES
-            and num_candidates >= 8 * graph.num_subproblems
-        )
-    )
-    if use_array_fold:
-        weights, removed, survivors_by_sub = _array_fold(
-            graph, semiring, weights, parent_parts, child_parts
-        )
-        return _result_with_late_prune(graph, weights, removed, survivors_by_sub)
-
-    removed = bytearray(num_candidates)
+    removed = bytearray(graph.num_candidates)
     survivors_by_sub: List[Tuple[int, ...]] = [()] * graph.num_subproblems
     sub_solvers = graph.sub_solvers
     sub_dependents = graph.sub_dependents
-    mask_edge_weight = taf.mask_edge_weight
 
     for sub_id in graph.sub_order:
         alive = tuple(c for c in sub_solvers[sub_id] if not removed[c])
@@ -311,95 +228,27 @@ def evaluate_candidates_graph(
                     weights[cand_id], combine(parent_parts[cand_id], best_child)
                 )
             continue
-        if mask_edge_weight is not None:
-            for cand_id in sub_dependents[sub_id]:
-                if removed[cand_id]:
-                    continue
-                parent_lambda = cand_lambda[cand_id]
-                parent_chi = cand_chi[cand_id]
-                best = INFINITY
-                for solver in alive:
-                    value = combine(
-                        weights[solver],
-                        mask_edge_weight(
-                            parent_lambda,
-                            parent_chi,
-                            cand_lambda[solver],
-                            cand_chi[solver],
-                        ),
-                    )
-                    if value < best:
-                        best = value
-                weights[cand_id] = combine(weights[cand_id], best)
-            continue
-        edge_weight = taf.edge_weight
         for cand_id in sub_dependents[sub_id]:
             if removed[cand_id]:
                 continue
-            parent_view = view(cand_id)
+            parent_lambda = cand_lambda[cand_id]
+            parent_chi = cand_chi[cand_id]
             best = INFINITY
             for solver in alive:
                 value = combine(
-                    weights[solver], edge_weight(parent_view, view(solver))
+                    weights[solver],
+                    edge_weight(
+                        parent_lambda, parent_chi, cand_lambda[solver], cand_chi[solver]
+                    ),
                 )
                 if value < best:
                     best = value
             weights[cand_id] = combine(weights[cand_id], best)
 
-    return _result_with_late_prune(graph, weights, removed, survivors_by_sub)
-
-
-def _array_fold(graph, semiring, weights, parent_parts, child_parts):
-    """The separable-TAF fold as per-subproblem numpy reductions.
-
-    Runs the same float64 ``⊕``/``min`` operations in the same order as the
-    scalar loop (weights, removals and survivor tuples come out bit-equal);
-    only the per-candidate Python iteration is replaced by gathers and
-    whole-array updates over the graph's cached id arrays.
-    """
-    combine = np.add if semiring.ufunc_name == "add" else np.maximum
-    weight_arr = np.asarray(weights, dtype=np.float64)
-    parent_arr = np.asarray(parent_parts, dtype=np.float64)
-    child_arr = (
-        parent_arr
-        if child_parts is parent_parts
-        else np.asarray(child_parts, dtype=np.float64)
-    )
-    removed = np.zeros(len(weight_arr), dtype=bool)
-    survivors_by_sub: List[Tuple[int, ...]] = [()] * graph.num_subproblems
-    solver_arrays = graph.solver_id_arrays()
-    dependent_arrays = graph.dependent_id_arrays()
-    for sub_id in graph.sub_order:
-        solvers = solver_arrays[sub_id]
-        alive = solvers[~removed[solvers]] if solvers.size else solvers
-        survivors_by_sub[sub_id] = tuple(alive.tolist())
-        dependents = dependent_arrays[sub_id]
-        if not alive.size:
-            # No way to solve this subproblem: every candidate that depends
-            # on it is removed from the graph.
-            if dependents.size:
-                removed[dependents] = True
-            continue
-        if not dependents.size:
-            continue
-        # e(p, p') = parent_part(p) ⊕ child_part(p'); min distributes over
-        # ⊕, so minimise over solvers once and fold per dependent.
-        best_child = combine(weight_arr[alive], child_arr[alive]).min()
-        live = dependents[~removed[dependents]]
-        if live.size:
-            weight_arr[live] = combine(
-                weight_arr[live], combine(parent_arr[live], best_child)
-            )
-    return weight_arr.tolist(), bytearray(removed.tobytes()), survivors_by_sub
-
-
-def _result_with_late_prune(
-    graph, weights, removed, survivors_by_sub
-) -> EvaluationResult:
-    """Drop candidates removed after their subproblem's survivor list was
-    already recorded (a candidate can be pruned late through one of its
-    *other* subproblems; filter defensively so downstream code never sees
-    pruned nodes)."""
+    # Drop candidates removed after their subproblem's survivor list was
+    # already recorded (a candidate can be pruned late through one of its
+    # *other* subproblems; filter defensively so downstream code never sees
+    # pruned nodes).
     survivors_by_sub = [
         alive
         if all(not removed[c] for c in alive)
@@ -421,6 +270,7 @@ def _select_hypertree(
 ) -> HypertreeDecomposition:
     """The *Select-hypertree* phase: extract one minimal decomposition."""
     graph = result.graph
+    taf.bind_mask_space(graph.bitset)
     semiring = taf.semiring
     weights = result.weight_by_id
 
@@ -449,35 +299,9 @@ def _select_hypertree(
     children: Dict[NodeId, List[NodeId]] = {}
     next_id = 0
 
-    mask_edge_weight = taf.mask_edge_weight
+    edge_weight = taf.mask_edge_weight
     cand_lambda = graph.cand_lambda
     cand_chi = graph.cand_chi
-    if mask_edge_weight is not None:
-
-        def edge_score(parent: int, solver: int) -> Number:
-            return mask_edge_weight(
-                cand_lambda[parent],
-                cand_chi[parent],
-                cand_lambda[solver],
-                cand_chi[solver],
-            )
-
-    elif taf.has_mask_separable_edge:
-        mask_parent_part = taf.mask_edge_parent_part
-        mask_child_part = taf.mask_edge_child_part
-
-        def edge_score(parent: int, solver: int) -> Number:
-            return semiring.combine(
-                mask_parent_part(cand_lambda[parent], cand_chi[parent]),
-                mask_child_part(cand_lambda[solver], cand_chi[solver]),
-            )
-
-    else:
-
-        def edge_score(parent: int, solver: int) -> Number:
-            return taf.edge_weight(
-                graph.node_view(parent, -1), graph.node_view(solver, -1)
-            )
 
     def materialise(candidate: int) -> NodeId:
         nonlocal next_id
@@ -493,7 +317,15 @@ def _select_hypertree(
                 )
             scored = [
                 (
-                    semiring.combine(weights[solver], edge_score(candidate, solver)),
+                    semiring.combine(
+                        weights[solver],
+                        edge_weight(
+                            cand_lambda[candidate],
+                            cand_chi[candidate],
+                            cand_lambda[solver],
+                            cand_chi[solver],
+                        ),
+                    ),
                     solver,
                 )
                 for solver in alive

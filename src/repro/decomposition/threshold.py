@@ -13,9 +13,8 @@ structurally the same recursion as Fig. 4 with the guesses replaced by
 minimisation.  Because it is an independent traversal order from the
 bottom-up evaluation in :mod:`repro.decomposition.minimal`, the two are used
 to cross-check each other in the test suite.  Like the bottom-up phase, the
-recursion runs on the candidates graph's dense integer ids, with the
-per-candidate memo an id-indexed list; string node views are only built for
-TAFs without mask-space weight functions.
+recursion runs on the candidates graph's dense integer ids and the TAF's
+mask forms, with the per-candidate memo an id-indexed list.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import sys
 from typing import List, Optional
 
 from repro.decomposition.candidates import CandidatesGraph
-from repro.decomposition.hypertree import DecompositionNode
+from repro.decomposition.minimal import _checked_graph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.weights.semiring import INFINITY, Number
 from repro.weights.taf import TreeAggregationFunction
@@ -34,28 +33,10 @@ class _ThresholdSolver:
     """Memoised top-down computation of per-candidate minimal subtree weights."""
 
     def __init__(self, graph: CandidatesGraph, taf: TreeAggregationFunction) -> None:
+        taf.bind_mask_space(graph.bitset)
         self.graph = graph
         self.taf = taf
         self._memo: List[Optional[Number]] = [None] * graph.num_candidates
-        self._views: List[Optional[DecompositionNode]] = [None] * graph.num_candidates
-
-        semiring = taf.semiring
-        mask_edge_weight = taf.mask_edge_weight
-        if mask_edge_weight is None and taf.has_mask_separable_edge:
-            parent_part = taf.mask_edge_parent_part
-            child_part = taf.mask_edge_child_part
-
-            def mask_edge_weight(pl, pc, cl, cc):
-                return semiring.combine(parent_part(pl, pc), child_part(cl, cc))
-
-        self._mask_edge_weight = mask_edge_weight
-
-    def view(self, cand_id: int) -> DecompositionNode:
-        node = self._views[cand_id]
-        if node is None:
-            node = self.graph.node_view(cand_id, node_id=cand_id)
-            self._views[cand_id] = node
-        return node
 
     def best_candidate_weight(self, cand_id: int) -> Number:
         """``v(p) ⊕ ⊕_q min_{p' solves q} (best(p') ⊕ e(p, p'))`` for the
@@ -68,37 +49,30 @@ class _ThresholdSolver:
         # against accidental cycles.
         self._memo[cand_id] = INFINITY
         graph = self.graph
-        semiring = self.taf.semiring
-        mask_vertex_weight = self.taf.mask_vertex_weight
-        if mask_vertex_weight is not None:
-            total = mask_vertex_weight(
-                graph.cand_lambda[cand_id], graph.cand_chi[cand_id]
-            )
-        else:
-            total = self.taf.vertex_weight(self.view(cand_id))
-        mask_edge_weight = self._mask_edge_weight
+        combine = self.taf.semiring.combine
+        edge_weight = self.taf.mask_edge_weight
+        cand_lambda = graph.cand_lambda
+        cand_chi = graph.cand_chi
+        total = self.taf.mask_vertex_weight(cand_lambda[cand_id], cand_chi[cand_id])
         for subproblem in graph.cand_subs[cand_id]:
             best = INFINITY
             for solver in graph.sub_solvers[subproblem]:
                 solver_weight = self.best_candidate_weight(solver)
                 if solver_weight == INFINITY:
                     continue
-                if mask_edge_weight is not None:
-                    edge = mask_edge_weight(
-                        graph.cand_lambda[cand_id],
-                        graph.cand_chi[cand_id],
-                        graph.cand_lambda[solver],
-                        graph.cand_chi[solver],
-                    )
-                else:
-                    edge = self.taf.edge_weight(self.view(cand_id), self.view(solver))
-                value = semiring.combine(solver_weight, edge)
+                edge = edge_weight(
+                    cand_lambda[cand_id],
+                    cand_chi[cand_id],
+                    cand_lambda[solver],
+                    cand_chi[solver],
+                )
+                value = combine(solver_weight, edge)
                 if value < best:
                     best = value
             if best == INFINITY:
                 self._memo[cand_id] = INFINITY
                 return INFINITY
-            total = semiring.combine(total, best)
+            total = combine(total, best)
         self._memo[cand_id] = total
         return total
 
@@ -120,8 +94,7 @@ def minimum_weight_recursive(
 ) -> Number:
     """The minimum TAF weight over ``kNFD_H``, computed by the top-down
     recursion of threshold-k-decomp (``∞`` if ``kNFD_H = ∅``)."""
-    if graph is None:
-        graph = CandidatesGraph(hypergraph, k)
+    graph = _checked_graph(graph, hypergraph, k)
     solver = _ThresholdSolver(graph, taf)
     old_limit = sys.getrecursionlimit()
     # Recursion depth is bounded by the number of vertices (the component

@@ -196,9 +196,6 @@ def cost_k_decomp(
         )
         hypergraph = planned_query.hypergraph()
         taf = QueryCostTAF(planned_query, statistics)
-    # Mask-space weight functions keep the whole evaluation fold on integer
-    # masks (translated once per distinct label through the graph's bitset).
-    taf.bind_mask_space((graph.bitset if graph is not None else hypergraph.bitset()))
 
     try:
         decomposition = minimal_k_decomp(

@@ -24,7 +24,7 @@ from repro.db.statistics import CatalogStatistics
 from repro.decomposition.hypertree import DecompositionNode
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.weights.semiring import SUM_MIN
-from repro.weights.taf import TreeAggregationFunction
+from repro.weights.taf import TreeAggregationFunction, _memoised
 
 
 class QueryCostTAF(TreeAggregationFunction):
@@ -49,8 +49,12 @@ class QueryCostTAF(TreeAggregationFunction):
         # candidate, and many candidates share their labels.  Keys are the
         # label frozensets themselves (interned by the bitset core, with
         # cached hashes), so a hit costs two dict lookups and no sorting.
-        self._cost_by_labels: dict = {}
-        self._estimate_by_labels: dict = {}
+        self._cost_for_labels = _memoised(
+            self.estimator.node_expression_cost, sorted, sorted
+        )
+        self._estimate_for_labels = _memoised(
+            self.estimator.projection_cardinality, sorted, sorted
+        )
         # Bind once so both parts are the *same* object and the evaluation
         # phase computes each candidate's |E(p)| estimate a single time.
         estimate_part = self.node_estimate
@@ -67,26 +71,6 @@ class QueryCostTAF(TreeAggregationFunction):
         )
 
     # ------------------------------------------------------------------
-    def _cost_for_labels(self, lambda_edges, chi) -> float:
-        key = (lambda_edges, chi)
-        cached = self._cost_by_labels.get(key)
-        if cached is None:
-            cached = self.estimator.node_expression_cost(
-                sorted(lambda_edges), sorted(chi)
-            )
-            self._cost_by_labels[key] = cached
-        return cached
-
-    def _estimate_for_labels(self, lambda_edges, chi) -> float:
-        key = (lambda_edges, chi)
-        cached = self._estimate_by_labels.get(key)
-        if cached is None:
-            cached = self.estimator.projection_cardinality(
-                sorted(lambda_edges), sorted(chi)
-            )
-            self._estimate_by_labels[key] = cached
-        return cached
-
     def _vertex_cost(self, node: DecompositionNode) -> float:
         """``v*(p)``: estimated cost of evaluating ``E(p)``."""
         return self._cost_for_labels(node.lambda_edges, node.chi)
@@ -106,56 +90,20 @@ class QueryCostTAF(TreeAggregationFunction):
         return self._estimate_for_labels(node.lambda_edges, node.chi)
 
     # ------------------------------------------------------------------
-    def bind_mask_space(self, bitset) -> None:
-        """Attach mask-space weight functions translating through
-        ``bitset`` (a :class:`~repro.core.bitset_hypergraph.BitsetHypergraph`
-        of the hypergraph being decomposed).
-
-        The cost model authoritatively speaks in atom *names*, so the mask
-        functions memoise per ``(λ mask, χ mask)`` int pair and fall through
-        to the name-keyed memos on a miss -- each distinct label pair is
-        estimated once, each distinct mask pair translated once, and the
-        evaluation phase never materialises a string-labelled node.  Safe to
-        call repeatedly with the same bitset (a planner family shares one
-        TAF across its whole k-sweep, so the memos carry over); rebinding to
-        a different bitset resets only the mask-keyed layer.
-        """
-        if getattr(self, "_mask_bitset", None) is bitset:
-            return
-        self._mask_bitset = bitset
-        edge_names = bitset.edge_names
-        vertex_names = bitset.vertex_names
-        cost_memo: dict = {}
-        estimate_memo: dict = {}
-        cost_for_labels = self._cost_for_labels
-        estimate_for_labels = self._estimate_for_labels
-
-        def mask_vertex_cost(lambda_mask: int, chi_mask: int) -> float:
-            key = (lambda_mask, chi_mask)
-            cached = cost_memo.get(key)
-            if cached is None:
-                cached = cost_for_labels(
-                    edge_names(lambda_mask), vertex_names(chi_mask)
-                )
-                cost_memo[key] = cached
-            return cached
-
-        def mask_estimate(lambda_mask: int, chi_mask: int) -> float:
-            key = (lambda_mask, chi_mask)
-            cached = estimate_memo.get(key)
-            if cached is None:
-                cached = estimate_for_labels(
-                    edge_names(lambda_mask), vertex_names(chi_mask)
-                )
-                estimate_memo[key] = cached
-            return cached
-
-        self.mask_vertex_weight = mask_vertex_cost
-        # e*(p, p') = |E(p)| + |E(p')| stays separable in mask space; one
-        # shared part function means the evaluation phase computes each
-        # candidate's estimate a single time.
-        self.mask_edge_parent_part = mask_estimate
-        self.mask_edge_child_part = mask_estimate
+    def _native_mask_forms(self, bitset):
+        """Native mask forms (the planner's evaluation fold is dominated by
+        these calls, so they skip the generic node lift): a mask-keyed memo
+        over the label-keyed one -- each distinct mask pair is translated
+        once, each distinct label pair estimated once, and the label memos
+        survive rebinding to another bitset.  ``e*(p, p') = |E(p)| +
+        |E(p')|`` stays separable through one shared part function."""
+        cost = _memoised(
+            self._cost_for_labels, bitset.edge_names, bitset.vertex_names
+        )
+        estimate = _memoised(
+            self._estimate_for_labels, bitset.edge_names, bitset.vertex_names
+        )
+        return cost, None, estimate, estimate
 
 
 def query_cost_taf(

@@ -40,20 +40,11 @@ class Semiring:
         The ``⊕`` operator.
     neutral:
         The neutral element ``⊥`` of ``⊕`` (also absorbing for ``min``).
-    ufunc_name:
-        Optional name of the numpy ufunc realising ``⊕`` elementwise over
-        float64 arrays (``"add"`` / ``"maximum"``).  When set, the
-        candidates-graph evaluation fold of
-        :mod:`repro.decomposition.minimal` may run as whole-array
-        reductions; user-defined semirings leave it ``None`` and keep the
-        scalar fold.  The array fold performs the identical float64
-        operations in the identical order, so results are bit-equal.
     """
 
     name: str
     combine: Callable[[Number, Number], Number]
     neutral: Number
-    ufunc_name: str | None = None
 
     # ------------------------------------------------------------------
     def combine_all(self, values: Iterable[Number]) -> Number:
@@ -126,11 +117,11 @@ def _max(a: Number, b: Number) -> Number:
 
 #: ``⟨R+, +, min, 0, ∞⟩`` -- total-cost aggregation (vertex aggregation
 #: functions, the query-cost TAF of Example 4.3).
-SUM_MIN = Semiring(name="sum-min", combine=_add, neutral=0.0, ufunc_name="add")
+SUM_MIN = Semiring(name="sum-min", combine=_add, neutral=0.0)
 
 #: ``⟨R+, max, min, 0, ∞⟩`` -- bottleneck aggregation (the width TAF of
 #: Example 4.2 and the separator-size TAF).
-MAX_MIN = Semiring(name="max-min", combine=_max, neutral=0.0, ufunc_name="maximum")
+MAX_MIN = Semiring(name="max-min", combine=_max, neutral=0.0)
 
 
 def named_semiring(name: str) -> Semiring:

@@ -43,6 +43,22 @@ def zero_edge_weight(parent: DecompositionNode, child: DecompositionNode) -> Num
     return 0.0
 
 
+def _memoised(function, first_of, second_of):
+    """``function(first_of(a), second_of(b))`` memoised per ``(a, b)``: the
+    one memo layer behind every lowered mask form (and the query-cost TAF's
+    label-keyed estimates)."""
+    memo: dict = {}
+
+    def lookup(a, b):
+        key = (a, b)
+        cached = memo.get(key)
+        if cached is None:
+            cached = memo[key] = function(first_of(a), second_of(b))
+        return cached
+
+    return lookup
+
+
 class TreeAggregationFunction:
     """A concrete TAF ``F^{⊕,v,e}``.
 
@@ -74,14 +90,13 @@ class TreeAggregationFunction:
         arbitrary user-supplied edge weights.
     mask_vertex_weight / mask_edge_weight / mask_edge_parent_part /
     mask_edge_child_part:
-        Optional mask-space counterparts of the weight functions, receiving
-        a node's ``λ`` edge mask and ``χ`` vertex mask as plain ints (the
-        edge form receives parent λ/χ then child λ/χ) instead of
-        string-labelled nodes.  When supplied, the decomposition algorithms
-        never materialise :class:`DecompositionNode` views during
-        evaluation, which keeps the whole bottom-up phase on integer masks.
-        They must agree with their string counterparts; the structural TAFs
-        in :mod:`repro.weights.library` supply both.
+        Optional native mask-space counterparts of the weight functions,
+        receiving a node's ``λ`` edge mask and ``χ`` vertex mask as plain
+        ints (the edge form receives parent λ/χ then child λ/χ) instead of
+        string-labelled nodes.  They must agree with their string
+        counterparts; the structural TAFs in :mod:`repro.weights.library`
+        supply both.  The decomposition algorithms only ever call mask
+        forms: :meth:`bind_mask_space` lowers whatever is missing.
     """
 
     def __init__(
@@ -116,25 +131,86 @@ class TreeAggregationFunction:
         ):
             # The constant-⊥ edge weight is trivially separable.
             neutral = semiring.neutral
-            self.edge_parent_part = lambda node: neutral
-            self.edge_child_part = lambda node: neutral
+            self.edge_parent_part = self.edge_child_part = lambda node: neutral
             if mask_edge_parent_part is None and mask_edge_child_part is None:
-                neutral_part = lambda lambda_mask, chi_mask: neutral  # noqa: E731
-                self.mask_edge_parent_part = neutral_part
-                self.mask_edge_child_part = neutral_part
+                self.mask_edge_parent_part = self.mask_edge_child_part = (
+                    lambda lambda_mask, chi_mask: neutral
+                )
+        self._supplied_mask_forms = (
+            self.mask_vertex_weight,
+            self.mask_edge_weight,
+            self.mask_edge_parent_part,
+            self.mask_edge_child_part,
+        )
+        self._mask_bitset = None
 
     @property
     def has_separable_edge(self) -> bool:
         """True when the separable form of the edge weight is available."""
         return self.edge_parent_part is not None and self.edge_child_part is not None
 
-    @property
-    def has_mask_separable_edge(self) -> bool:
-        """True when the separable edge weight has a mask-space form."""
-        return (
-            self.mask_edge_parent_part is not None
-            and self.mask_edge_child_part is not None
+    # ------------------------------------------------------------------
+    def bind_mask_space(self, bitset) -> None:
+        """Lower the TAF to the mask space of ``bitset`` (the
+        :class:`~repro.core.bitset_hypergraph.BitsetHypergraph` of the
+        hypergraph being decomposed): afterwards ``mask_vertex_weight``,
+        ``mask_edge_weight`` and -- for a separable TAF -- both mask edge
+        parts are callable.
+
+        A form supplied natively is kept (and an edge weight with native
+        parts is their ``⊕``); a missing one is the lift of its name form
+        over one ``DecompositionNode(-1, λ names, χ names)`` per distinct
+        ``(λ mask, χ mask)`` pair (``v_H`` / ``e_H`` of Definition 4.1 see a
+        node only through its labels).  The decomposition algorithms call
+        this on entry, so they never build node views themselves.  Binding
+        again to the same bitset is a no-op (memos stay warm across a
+        k-sweep); binding to another one rebuilds the non-native forms.
+        """
+        if self._mask_bitset is bitset:
+            return
+        self._mask_bitset = bitset
+        node_of = _memoised(
+            lambda lambda_edges, chi: DecompositionNode(-1, lambda_edges, chi),
+            bitset.edge_names,
+            bitset.vertex_names,
         )
+
+        def lift(name_form: VertexWeight) -> MaskVertexWeight:
+            return lambda lambda_mask, chi_mask: name_form(
+                node_of(lambda_mask, chi_mask)
+            )
+
+        vertex, edge, parent_part, child_part = self._native_mask_forms(bitset)
+        self.mask_vertex_weight = vertex or lift(self.vertex_weight)
+        if edge is not None:
+            self.mask_edge_weight = edge
+        elif parent_part is not None and child_part is not None:
+            combine = self.semiring.combine
+            self.mask_edge_weight = lambda pl, pc, cl, cc: combine(
+                parent_part(pl, pc), child_part(cl, cc)
+            )
+        else:
+            name_edge = self.edge_weight
+            self.mask_edge_weight = lambda pl, pc, cl, cc: name_edge(
+                node_of(pl, pc), node_of(cl, cc)
+            )
+        if self.has_separable_edge:
+            parent_part = parent_part or lift(self.edge_parent_part)
+            if child_part is None:
+                # One shared part function stays one object, so the
+                # evaluation computes it once per candidate, not twice.
+                child_part = (
+                    parent_part
+                    if self.edge_child_part is self.edge_parent_part
+                    else lift(self.edge_child_part)
+                )
+            self.mask_edge_parent_part = parent_part
+            self.mask_edge_child_part = child_part
+
+    def _native_mask_forms(self, bitset):
+        """The ``(vertex, edge, parent part, child part)`` mask forms this
+        TAF supplies itself for ``bitset``; ``None`` entries are lifted."""
+        return self._supplied_mask_forms
 
     # ------------------------------------------------------------------
     def node_contribution(

@@ -191,6 +191,28 @@ class TestCLI:
         assert exit_code == 0
         assert "baseline(left-deep)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the algorithm's documented *failure* output: hw(triangle) = 2 > k
+            (
+                ["decompose", "q(X) :- r(X,Y), s(Y,Z), t(Z,X).", "--k", "1"],
+                "no normal-form hypertree decomposition of width <= 1 exists",
+            ),
+            (
+                ["plan", "q(X) :- r(X,Y), s(Y,Z).", "--k", "0"],
+                "the width bound k must be at least 1",
+            ),
+            (["decompose", "q(X :- r("], "cannot parse query head"),
+            (["db", "info", "/nonexistent"], "cannot read /nonexistent"),
+        ],
+    )
+    def test_typed_errors_are_one_stderr_line_and_exit_2(self, argv, message, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_experiments_fast(self, capsys):
         exit_code = cli_main(["experiments", "--fast"])
         assert exit_code == 0
@@ -236,8 +258,6 @@ class TestCLIDb:
         assert "r(A, B): 25 tuples" in out
         assert "head:" in out
 
-    def test_info_rejects_non_database_directory(self, tmp_path):
-        from repro.exceptions import StorageFormatError
-
-        with pytest.raises(StorageFormatError):
-            cli_main(["db", "info", str(tmp_path)])
+    def test_info_rejects_non_database_directory(self, tmp_path, capsys):
+        assert cli_main(["db", "info", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("repro: error: cannot read")

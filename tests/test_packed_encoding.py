@@ -208,12 +208,11 @@ class TestCodecBoundaries:
             unpack_ids(payload, meta, 4)
 
     def test_resolve_encoding(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORAGE_ENCODING", raising=False)
         assert resolve_encoding() == "packed"
         assert resolve_encoding("raw") == "raw"
+        # The environment no longer steers the codec: the argument alone does.
         monkeypatch.setenv("REPRO_STORAGE_ENCODING", "raw")
-        assert resolve_encoding() == "raw"
-        assert resolve_encoding("packed") == "packed"  # argument wins
+        assert resolve_encoding() == "packed"
         with pytest.raises(StorageFormatError, match="unknown storage encoding"):
             resolve_encoding("zstd")
 
@@ -738,8 +737,7 @@ class TestDbInfoCli:
         capsys.readouterr()
         return target
 
-    def test_info_reports_packed_encoding(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_STORAGE_ENCODING", raising=False)
+    def test_info_reports_packed_encoding(self, tmp_path, capsys):
         target = self._save(tmp_path, capsys)  # default is packed
         assert cli_main(["db", "info", target]) == 0
         out = capsys.readouterr().out

@@ -1,11 +1,11 @@
 """Equivalence of the vectorised decomposition search plane with the scalar
 oracle.
 
-This PR's mask-matrix kernels re-run three things on whole numpy arrays --
-candidates-graph construction, k-incremental extension, and the evaluation
-fold -- while the historical scalar loops stay in place as the oracle (and
-the numpy-free fallback).  These tests pin the vectorised paths to the
-scalar ones on random hypergraphs:
+The mask-matrix kernels run candidates-graph construction and k-incremental
+extension on whole numpy arrays, under the same build driver as the scalar
+big-int kernels, which stay in place as the oracle (and the numpy-free
+fallback).  These tests pin the matrix engine to the scalar one on random
+hypergraphs, and the one lowering of TAFs to mask space to the name forms:
 
 * :class:`~repro.core.maskmatrix.MaskMatrix` against
   :class:`~repro.core.maskmatrix.ScalarMaskMatrix` (including masks wider
@@ -14,8 +14,9 @@ scalar ones on random hypergraphs:
   byte-identical nodes, arcs, orders and ``size_report()``;
 * ``extend_to(k + 1)`` against a fresh construction at ``k + 1`` (both
   engines, including switching engine at the extension step);
-* the vectorised evaluation fold against the scalar fold: same weights,
-  survivors and selected decomposition;
+* ``TreeAggregationFunction.bind_mask_space``: a name-only twin of every
+  library TAF and of ``QueryCostTAF`` (lifted mask forms) evaluates, selects
+  and recurses exactly like the native-mask original;
 * ``TieBreaker.choose`` with ``policy="first"`` picks the same candidate
   the full sort used to (satellite: ``min`` instead of an O(n log n) sort);
 * the kernel-level projection pushdown leaves answers and
@@ -35,11 +36,13 @@ from repro.decomposition.candidates import (
     CandidatesGraph,
     CandidatesGraphFamily,
 )
+from repro.db.storage import decomposition_to_payload
 from repro.decomposition.minimal import (
     TieBreaker,
     evaluate_candidates_graph,
     minimal_k_decomp,
 )
+from repro.decomposition.threshold import minimum_weight_recursive
 from repro.exceptions import NoDecompositionExistsError
 from repro.hypergraph.generators import (
     cycle_hypergraph,
@@ -47,12 +50,15 @@ from repro.hypergraph.generators import (
     star_hypergraph,
 )
 from repro.weights.library import (
+    largest_chi_taf,
+    lexicographic_separator_taf,
     lexicographic_taf,
     node_count_taf,
     separator_taf,
     width_taf,
 )
 from repro.weights.querycost import QueryCostTAF
+from repro.weights.taf import TreeAggregationFunction, zero_edge_weight
 from repro.workloads.paper_queries import fig5_statistics
 from repro.query.examples import q1
 
@@ -197,27 +203,69 @@ class TestVectorizedCandidatesGraph:
 
 
 # ----------------------------------------------------------------------
-# Evaluation: vectorised fold == scalar fold
+# Lowering: lifted mask forms == native mask forms
 # ----------------------------------------------------------------------
-class TestVectorizedEvaluation:
-    @settings(max_examples=30, deadline=None,
+LIBRARY_TAFS = (
+    lambda h: width_taf(),
+    lexicographic_taf,
+    lambda h: separator_taf(),
+    lexicographic_separator_taf,
+    lambda h: node_count_taf(),
+    lambda h: largest_chi_taf(),
+)
+
+
+def name_only_twin(taf: TreeAggregationFunction) -> TreeAggregationFunction:
+    """The same TAF through its name functions alone: every mask form the
+    algorithms call is then the generic lift of ``bind_mask_space``."""
+    separable = taf.edge_weight is not zero_edge_weight and taf.has_separable_edge
+    return TreeAggregationFunction(
+        semiring=taf.semiring,
+        vertex_weight=taf.vertex_weight,
+        edge_weight=taf.edge_weight,
+        name=f"{taf.name}/names",
+        edge_parent_part=taf.edge_parent_part if separable else None,
+        edge_child_part=taf.edge_child_part if separable else None,
+    )
+
+
+def assert_lowering_agrees(hypergraph, k, graph, native, twin):
+    expected = evaluate_candidates_graph(graph, native)
+    lifted = evaluate_candidates_graph(graph, twin)
+    assert list(lifted.weight_by_id) == list(expected.weight_by_id)
+    assert bytes(lifted.removed) == bytes(expected.removed)
+    assert lifted.survivors_by_sub == expected.survivors_by_sub
+    minimum = expected.minimum_weight()
+    assert minimum_weight_recursive(hypergraph, k, twin, graph=graph) == (
+        minimum_weight_recursive(hypergraph, k, native, graph=graph)
+    )
+    try:
+        selected = minimal_k_decomp(hypergraph, k, native, graph=graph)
+    except NoDecompositionExistsError:
+        with pytest.raises(NoDecompositionExistsError):
+            minimal_k_decomp(hypergraph, k, twin, graph=graph)
+        return
+    assert decomposition_to_payload(
+        minimal_k_decomp(hypergraph, k, twin, graph=graph)
+    ) == decomposition_to_payload(selected)
+    # ``weigh`` sums node contributions in tree order, the fold in subproblem
+    # order: equal up to float rounding for the real-valued cost TAF.
+    assert native.weigh(selected) == twin.weigh(selected)
+    assert native.weigh(selected) == pytest.approx(minimum, rel=1e-12)
+
+
+class TestLowering:
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         hypergraph=small_hypergraph_strategy,
         k=st.integers(min_value=1, max_value=3),
-        taf_index=st.integers(min_value=0, max_value=2),
+        taf_index=st.integers(min_value=0, max_value=len(LIBRARY_TAFS) - 1),
     )
-    def test_fold_matches_scalar(self, hypergraph, k, taf_index):
+    def test_library_twins_match_native(self, hypergraph, k, taf_index):
+        native = LIBRARY_TAFS[taf_index](hypergraph)
         graph = CandidatesGraph(hypergraph, k)
-        taf = [width_taf(), lexicographic_taf(hypergraph), node_count_taf()][
-            taf_index
-        ]
-        scalar = evaluate_candidates_graph(graph, taf, vectorized=False)
-        dense = evaluate_candidates_graph(graph, taf, vectorized=True)
-        assert list(map(float, scalar.weight_by_id)) == list(dense.weight_by_id)
-        assert bytes(scalar.removed) == bytes(dense.removed)
-        assert scalar.survivors_by_sub == dense.survivors_by_sub
-        assert scalar.minimum_weight() == dense.minimum_weight()
+        assert_lowering_agrees(hypergraph, k, graph, native, name_only_twin(native))
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -229,41 +277,42 @@ class TestVectorizedEvaluation:
         graph = CandidatesGraph(hypergraph, k)
         taf = lexicographic_taf(hypergraph)
         try:
-            scalar_hd = minimal_k_decomp(hypergraph, k, taf, graph=graph)
+            selected = minimal_k_decomp(hypergraph, k, taf, graph=graph)
         except NoDecompositionExistsError:
             return
-        dense_result = evaluate_candidates_graph(graph, taf, vectorized=True)
-        scalar_result = evaluate_candidates_graph(graph, taf, vectorized=False)
-        assert dense_result.minimum_weight() == scalar_result.minimum_weight()
-        assert taf.weigh(scalar_hd) == scalar_result.minimum_weight()
+        assert taf.weigh(selected) == evaluate_candidates_graph(
+            graph, taf
+        ).minimum_weight()
 
-    def test_non_separable_taf_keeps_scalar_path(self):
-        # separator_taf supplies a full (non-separable) mask edge weight;
-        # vectorized=True must still produce the same evaluation.
-        hypergraph = cycle_hypergraph(6)
-        graph = CandidatesGraph(hypergraph, 2)
-        taf = separator_taf()
-        scalar = evaluate_candidates_graph(graph, taf, vectorized=False)
-        dense = evaluate_candidates_graph(graph, taf, vectorized=True)
-        assert list(scalar.weight_by_id) == list(dense.weight_by_id)
-        assert scalar.survivors_by_sub == dense.survivors_by_sub
-
-    def test_querycost_mask_space_matches_node_views(self):
+    def test_querycost_twin_matches_native(self):
         query = q1().with_fresh_head_variables()
         hypergraph = query.hypergraph()
-        statistics = fig5_statistics()
-        graph = CandidatesGraph(hypergraph, 3)
-        plain = QueryCostTAF(query, statistics)
-        masked = QueryCostTAF(query, statistics)
-        masked.bind_mask_space(graph.bitset)
-        reference = evaluate_candidates_graph(graph, plain, vectorized=False)
-        vectorised = evaluate_candidates_graph(graph, masked, vectorized=True)
-        assert list(reference.weight_by_id) == list(vectorised.weight_by_id)
-        assert reference.survivors_by_sub == vectorised.survivors_by_sub
-        # Binding twice with the same bitset is a no-op.
-        before = masked.mask_vertex_weight
-        masked.bind_mask_space(graph.bitset)
-        assert masked.mask_vertex_weight is before
+        for k in (2, 3):
+            graph = CandidatesGraph(hypergraph, k)
+            native = QueryCostTAF(query, fig5_statistics())
+            assert_lowering_agrees(
+                hypergraph, k, graph, native, name_only_twin(native)
+            )
+
+    def test_binding_is_idempotent_and_rebindable(self):
+        query = q1().with_fresh_head_variables()
+        graph = CandidatesGraph(query.hypergraph(), 2)
+        other = CandidatesGraph(cycle_hypergraph(5), 2)
+        for taf in (
+            QueryCostTAF(query, fig5_statistics()),
+            name_only_twin(width_taf()),
+        ):
+            taf.bind_mask_space(graph.bitset)
+            before = taf.mask_vertex_weight
+            taf.bind_mask_space(graph.bitset)  # same bitset: memos stay warm
+            assert taf.mask_vertex_weight is before
+        # A lifted form translates through the bitset it was bound to, so one
+        # TAF object serves graphs of different hypergraphs in turn.
+        twin = name_only_twin(largest_chi_taf())
+        for target in (graph, other, graph):
+            assert list(evaluate_candidates_graph(target, twin).weight_by_id) == list(
+                evaluate_candidates_graph(target, largest_chi_taf()).weight_by_id
+            )
 
 
 # ----------------------------------------------------------------------

@@ -514,41 +514,43 @@ class TestRetryBacklogScheduling:
 
 
 class TestSecondsFromEnv:
-    """The shared env-knob parser (here as the deadline knob reads it:
-    float seconds) must reject malformed or negative values loudly -- a mistyped deadline silently becoming "no deadline"
-    is exactly the kind of operator error that hides for months."""
+    """The shared env-knob parser (here as ``REPRO_DB_THREADS`` reads it) must
+    reject malformed or negative values loudly -- a mistyped thread count
+    silently becoming "serial" is exactly the kind of operator error that
+    hides for months."""
 
-    ENV = "REPRO_TEST_SECONDS"
+    ENV = "REPRO_DB_THREADS"
 
     def _get(self, monkeypatch, raw, default=None):
         from repro.db.scheduler import number_from_env
 
         monkeypatch.setenv(self.ENV, raw)
-        return number_from_env(self.ENV, float, default)
+        return number_from_env(self.ENV, default)
 
     def test_unset_and_empty_fall_back_to_default(self, monkeypatch):
         from repro.db.scheduler import number_from_env
 
         monkeypatch.delenv(self.ENV, raising=False)
-        assert number_from_env(self.ENV, float) is None
-        assert number_from_env(self.ENV, float, 7.5) == 7.5
-        assert self._get(monkeypatch, "", default=7.5) == 7.5
-        assert self._get(monkeypatch, "   ", default=7.5) == 7.5
+        assert number_from_env(self.ENV) is None
+        assert number_from_env(self.ENV, 7) == 7
+        assert self._get(monkeypatch, "", default=7) == 7
+        assert self._get(monkeypatch, "   ", default=7) == 7
 
     def test_zero_means_disabled(self, monkeypatch):
-        assert self._get(monkeypatch, "0", default=7.5) == 7.5
-        assert self._get(monkeypatch, "0.0") is None
+        assert self._get(monkeypatch, "0", default=7) == 7
+        assert self._get(monkeypatch, "0") is None
 
     def test_valid_values_parse(self, monkeypatch):
-        assert self._get(monkeypatch, "1.5") == 1.5
-        assert self._get(monkeypatch, "30") == 30.0
+        assert self._get(monkeypatch, "4") == 4
+        assert self._get(monkeypatch, " 30 ") == 30
 
     @pytest.mark.parametrize("raw", ["soon", "1.5s", "1,5", "NaN-ish"])
     def test_malformed_values_raise(self, monkeypatch, raw):
-        with pytest.raises(DatabaseError, match="must be a number"):
+        with pytest.raises(DatabaseError, match="must be an integer"):
             self._get(monkeypatch, raw)
 
     @pytest.mark.parametrize("raw", ["-3", "-0.1"])
     def test_negative_values_raise(self, monkeypatch, raw):
-        with pytest.raises(DatabaseError, match="non-negative"):
+        # ``-0.1`` is not an integer at all; either way the knob refuses it.
+        with pytest.raises(DatabaseError, match="non-negative|must be an integer"):
             self._get(monkeypatch, raw)

@@ -6,10 +6,12 @@ from repro.decomposition.enumerate import (
     count_nf_decompositions,
     enumerate_nf_decompositions,
 )
-from repro.decomposition.kdecomp import hypertree_width
+from repro.decomposition.candidates import CandidatesGraph
+from repro.decomposition.kdecomp import has_width_at_most, hypertree_width
 from repro.decomposition.minimal import minimum_weight
 from repro.decomposition.normal_form import is_normal_form
 from repro.decomposition.threshold import minimum_weight_recursive, threshold_k_decomp
+from repro.exceptions import DecompositionError
 from repro.hypergraph.generators import (
     clique_hypergraph,
     cycle_hypergraph,
@@ -55,6 +57,47 @@ class TestThreshold:
         width = hypertree_width(q0_hypergraph)
         assert threshold_k_decomp(q0_hypergraph, 3, width_taf(), width)
         assert not threshold_k_decomp(q0_hypergraph, 3, width_taf(), width - 1)
+
+
+class TestSuppliedGraphIsChecked:
+    """A ``graph=`` built for another hypergraph or bound used to be answered
+    for *that* graph (hw(cycle6) = 2, yet the k = 1 graph said "no")."""
+
+    WRONG_GRAPHS = {
+        "wrong_bound": lambda: CandidatesGraph(cycle_hypergraph(6), 1),
+        "wrong_hypergraph": lambda: CandidatesGraph(path_hypergraph(3), 2),
+    }
+
+    @pytest.fixture(params=sorted(WRONG_GRAPHS))
+    def wrong_graph(self, request):
+        return self.WRONG_GRAPHS[request.param]()
+
+    def test_threshold_k_decomp(self, wrong_graph):
+        hypergraph = cycle_hypergraph(6)
+        assert threshold_k_decomp(hypergraph, 2, width_taf(), 2.0)
+        with pytest.raises(DecompositionError, match="built for a different"):
+            threshold_k_decomp(hypergraph, 2, width_taf(), 2.0, graph=wrong_graph)
+
+    def test_minimum_weight_recursive(self, wrong_graph):
+        with pytest.raises(DecompositionError, match="built for a different"):
+            minimum_weight_recursive(
+                cycle_hypergraph(6), 2, width_taf(), graph=wrong_graph
+            )
+
+    def test_has_width_at_most(self, wrong_graph):
+        with pytest.raises(DecompositionError, match="built for a different"):
+            has_width_at_most(cycle_hypergraph(6), 2, graph=wrong_graph)
+
+    def test_enumerate_nf_decompositions(self, wrong_graph):
+        with pytest.raises(DecompositionError, match="built for a different"):
+            next(enumerate_nf_decompositions(cycle_hypergraph(6), 2, graph=wrong_graph))
+
+    def test_matching_graph_is_reused(self):
+        hypergraph = cycle_hypergraph(6)
+        graph = CandidatesGraph(hypergraph, 2)
+        assert threshold_k_decomp(hypergraph, 2, width_taf(), 2.0, graph=graph)
+        assert has_width_at_most(hypergraph, 2, graph=graph)
+        assert next(enumerate_nf_decompositions(hypergraph, 2, graph=graph)).is_valid()
 
 
 class TestEnumeration:
