@@ -151,25 +151,33 @@ class Dictionary:
     @classmethod
     def from_segments(cls, segments: Iterable[Sequence[Any]]) -> "Dictionary":
         """Rebuild a dictionary from :meth:`to_segments` output (ids are
-        reassigned in order, hence identical to the saved ones)."""
-        known = {tag for tag, _ in _SEGMENT_TYPES} | {"none"}
-        decoders = {"bool": bool, "int": int, "float": float, "str": str}
+        reassigned in order, hence identical to the saved ones).  A segment
+        that is not ``[tag, [values of exactly that type]]`` raises
+        :class:`StorageFormatError` -- nothing is coerced."""
+        kinds = dict(_SEGMENT_TYPES, none=type(None))
 
         def values():
             for segment in segments:
-                try:
-                    tag, payload = segment[0], segment[1]
-                except (IndexError, TypeError) as exc:
+                if (
+                    not isinstance(segment, (list, tuple))
+                    or len(segment) != 2
+                    or not isinstance(segment[1], list)
+                ):
                     raise StorageFormatError(
                         f"malformed dictionary segment: {segment!r}"
-                    ) from exc
-                if tag not in known:
+                    )
+                tag, payload = segment
+                if not isinstance(tag, str) or tag not in kinds:
                     raise StorageFormatError(
                         f"unknown dictionary segment type {tag!r}"
                     )
-                decode = decoders.get(tag)
+                kind = kinds[tag]
                 for value in payload:
-                    yield None if tag == "none" else decode(value)
+                    if type(value) is not kind:
+                        raise StorageFormatError(
+                            f"dictionary segment {tag!r} holds {value!r}"
+                        )
+                    yield value
 
         return cls(values())
 

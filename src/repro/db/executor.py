@@ -342,7 +342,6 @@ def execute_hypertree_plan(
     query: ConjunctiveQuery,
     database: Database,
     decomposition: HypertreeDecomposition,
-    require_complete: bool = True,
     budget: Optional[int] = None,
     threads: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
@@ -352,15 +351,14 @@ def execute_hypertree_plan(
     """Run the query through the hypertree plan.
 
     The decomposition must be *complete* for the answer to be correct (every
-    atom strongly covered); set ``require_complete=False`` only when the
-    caller has already ensured semantic completeness by other means (e.g. the
-    fresh-variable construction of Section 6).  ``budget`` caps the total
-    evaluation work (tuples read + emitted); exceeding it raises
-    :class:`repro.db.algebra.EvaluationBudgetExceeded`.
+    atom strongly covered), so an incomplete one is refused.  ``budget``
+    caps the total evaluation work (tuples read + emitted); exceeding it
+    raises :class:`repro.db.algebra.EvaluationBudgetExceeded`.
     """
-    if require_complete and not decomposition.is_complete():
+    if not decomposition.is_complete():
         raise DatabaseError(
-            "the decomposition is not complete; complete it first "
+            "the decomposition is not complete (no node strongly covers "
+            f"{list(decomposition.not_strongly_covered())}); complete it first "
             "(repro.decomposition.complete_decomposition) or plan with the "
             "fresh-variable construction"
         )

@@ -19,10 +19,18 @@ Nodes
 * :class:`YannakakisNode` -- evaluate per-node expressions, assemble the
   acyclic tree query and run Yannakakis' algorithm over it.
 
-The builders :func:`join_order_plan_ir` and :func:`hypertree_plan_ir`
-reproduce, operator for operator, the exact sequences the historical
-``naive_join_evaluation`` / ``execute_hypertree_plan`` performed, so
-``OperatorStats`` work counts are unchanged.
+Plan payloads
+-------------
+This module owns "bytes -> validated plan".
+:func:`decomposition_from_payload` is the one decomposition decoder: it
+rebuilds the tree and then checks Definition 2.1's four conditions *and*
+completeness against the query's own hypergraph, so a decomposition that is
+not a query plan is refused with a :class:`~repro.exceptions.DatabaseError`
+naming what it violates -- never executed.  :func:`plan_ir_from_payload`
+decodes a whole plan block for execution.  Both ways a plan arrives as data
+end here: the wire (``execute_payload``) and a
+:class:`~repro.db.storage.PlanCache` entry (the plan classes'
+``from_payload``).
 
 Task extraction
 ---------------
@@ -39,9 +47,10 @@ serial execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import DatabaseError
+from repro.decomposition.hypertree import DecompositionNode, HypertreeDecomposition
+from repro.exceptions import DatabaseError, DecompositionError, HypergraphError
 from repro.query.conjunctive import ConjunctiveQuery, is_fresh_variable
 
 PlanNode = Union["ScanNode", "JoinNode", "ProjectNode", "YannakakisNode"]
@@ -261,46 +270,111 @@ def scan_order(node: PlanNode) -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# Builders.
+# Plan payloads: the one codec between plans and JSON.
 # ----------------------------------------------------------------------
 
 
-def plan_ir_from_payload(query: ConjunctiveQuery, plan_meta) -> QueryPlanIR:
-    """Rebuild an executable plan IR from a compact plan payload.
+def decomposition_to_payload(decomposition) -> Dict[str, object]:
+    """A JSON-safe rendering of a hypertree decomposition: the rooted tree
+    plus the λ/χ labels (components are planner-internal and dropped)."""
+    return {
+        "root": int(decomposition.root),
+        "children": {
+            str(node_id): [int(kid) for kid in decomposition.children(node_id)]
+            for node_id in decomposition.node_ids()
+        },
+        "nodes": {
+            str(node.node_id): {
+                "lambda": sorted(node.lambda_edges),
+                "chi": sorted(node.chi),
+            }
+            for node in decomposition.nodes()
+        },
+    }
 
-    ``plan_meta`` is the wire format the serving plane ships and the plan
-    cache stores: ``{"kind": "join_order", "order": [...]}`` or ``{"kind":
-    "hypertree", "decomposition": <decomposition_to_payload(...)>}`` (the
-    PlanCache's decomposition-payload format -- no pickles, key-echoed).
-    A malformed payload raises :class:`~repro.exceptions.StorageFormatError`
-    (via the decomposition codec) or :class:`DatabaseError`.
-    """
+
+def _exactly(value, kind: type):
+    """``value`` if it is exactly a ``kind`` (a ``bool`` is not an ``int``
+    here), else ``TypeError``."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _listed(values, kind: type) -> list:
+    """``values`` if it is a JSON list of ``kind`` items, else ``TypeError``."""
+    for value in _exactly(values, list):
+        _exactly(value, kind)
+    return values
+
+
+def decomposition_from_payload(hypergraph, payload) -> HypertreeDecomposition:
+    """Rebuild a decomposition of ``hypergraph`` from
+    :func:`decomposition_to_payload` output and check it is a query plan:
+    tree shape (the constructor), Definition 2.1's four conditions
+    (:meth:`~HypertreeDecomposition.validate`) and completeness.  Anything
+    else raises :class:`DatabaseError` naming the defect."""
     try:
-        kind = plan_meta["kind"]
-    except (TypeError, KeyError) as exc:
-        raise DatabaseError(f"plan payload has no kind: {plan_meta!r}") from exc
+        nodes = {
+            int(node_id): DecompositionNode(
+                node_id=int(node_id),
+                lambda_edges=frozenset(_listed(meta["lambda"], str)),
+                chi=frozenset(_listed(meta["chi"], str)),
+            )
+            for node_id, meta in payload["nodes"].items()
+        }
+        children = {
+            int(node_id): tuple(_listed(kids, int))
+            for node_id, kids in payload["children"].items()
+        }
+        decomposition = HypertreeDecomposition(
+            hypergraph=hypergraph,
+            root=_exactly(payload["root"], int),
+            children=children,
+            nodes=nodes,
+        )
+        decomposition.validate()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DatabaseError(f"malformed decomposition payload: {exc!r}") from exc
+    except (DecompositionError, HypergraphError) as exc:
+        raise DatabaseError(f"decomposition is not a query plan: {exc}") from exc
+    if not decomposition.is_complete():
+        raise DatabaseError(
+            "decomposition is not a query plan: it is not complete, no node "
+            f"strongly covers {list(decomposition.not_strongly_covered())}"
+        )
+    return decomposition
+
+
+def plan_ir_from_payload(query: ConjunctiveQuery, plan_meta) -> QueryPlanIR:
+    """Rebuild an executable plan IR from a plan payload -- the block the
+    serving plane ships and the plan cache stores.  Execution reads ``kind``
+    plus ``order`` (``"join_order"``: every atom exactly once) or
+    ``decomposition`` (``"hypertree"``: checked by
+    :func:`decomposition_from_payload`); any other key is the plan classes'
+    (estimates).  A malformed payload raises :class:`DatabaseError`."""
+    if not isinstance(plan_meta, Mapping):
+        raise DatabaseError(f"plan payload must be a mapping, got {plan_meta!r}")
+    kind = plan_meta.get("kind")
     if kind == "join_order":
         try:
-            order = [str(name) for name in plan_meta["order"]]
-        except (KeyError, TypeError) as exc:
-            raise DatabaseError(
-                f"malformed join-order plan payload: {plan_meta!r}"
-            ) from exc
+            order = _listed(plan_meta.get("order"), str)
+        except TypeError as exc:
+            raise DatabaseError(f"malformed join-order plan payload: {exc}") from exc
         return join_order_plan_ir(query, order)
     if kind == "hypertree":
-        # Local import: repro.db.storage sits above this module in the
-        # import graph (it pulls in the database layer).
-        from repro.db.storage import decomposition_from_payload
-
-        try:
-            payload = plan_meta["decomposition"]
-        except (KeyError, TypeError) as exc:
-            raise DatabaseError(
-                f"malformed hypertree plan payload: {plan_meta!r}"
-            ) from exc
-        decomposition = decomposition_from_payload(query.hypergraph(), payload)
-        return hypertree_plan_ir(query, decomposition)
+        return hypertree_plan_ir(
+            query,
+            decomposition_from_payload(
+                query.hypergraph(), plan_meta.get("decomposition")
+            ),
+        )
     raise DatabaseError(f"unknown plan payload kind {kind!r}")
+
+
+# ----------------------------------------------------------------------
+# Builders.
+# ----------------------------------------------------------------------
 
 
 def join_order_plan_ir(
@@ -313,7 +387,7 @@ def join_order_plan_ir(
     unknown = [n for n in names if n not in atom_names]
     if unknown:
         raise DatabaseError(f"unknown atoms in join order: {unknown}")
-    if set(names) != atom_names:
+    if sorted(names) != sorted(atom_names):
         raise DatabaseError("join order must mention every atom exactly once")
     joined = JoinNode(tuple(ScanNode(n) for n in names))
     if query.is_boolean:

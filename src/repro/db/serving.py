@@ -9,12 +9,13 @@ serving tier on top of that property:
 
 **Wire format.**  A request is a compact JSON-safe *payload* -- the query
 fingerprint (:func:`~repro.db.storage.query_fingerprint`: atom names,
-predicates, term tuples, output variables) plus a plan in the PlanCache's
-stored format (``{"kind": "join_order", "order": [...]}`` or ``{"kind":
-"hypertree", "decomposition": <decomposition_to_payload(...)>}``) plus the
-execution knobs (``budget``, ``threads``, ``memory_budget_bytes``) and the
-answer mode (``"rows"`` ships decoded rows, ``"digest"`` a SHA-256 over
-the canonical answer rendering).  No pickled plan object, column or
+predicates, term tuples, output variables) plus the plan's own
+``to_payload()`` block, the same one the PlanCache stores (``{"kind":
+"join_order", "order": [...]}`` or ``{"kind": "hypertree", "decomposition":
+{...}}``; estimates ride along as extra keys) plus the execution knobs
+(``budget``, ``threads``, ``memory_budget_bytes``) and the answer mode
+(``"rows"`` ships decoded rows, ``"digest"`` a SHA-256 over the canonical
+answer rendering).  No pickled plan object, column or
 relation ever crosses the process boundary; a payload round-trips through
 ``json.dumps`` unchanged.  Responses carry the answer (or digest), the
 cardinality and the :meth:`ExecutionResult.stats_payload` work counters.
@@ -22,9 +23,10 @@ cardinality and the :meth:`ExecutionResult.stats_payload` work counters.
 **Determinism.**  Worker processes run :func:`execute_payload` -- the very
 function the serial oracle runs in-process.  The payload rebuilds the
 query with :func:`query_from_payload`, the plan IR with
-:func:`~repro.db.plan_ir.plan_ir_from_payload` (hypertree payloads
-reconstruct against the *original* query hypergraph, exactly the
-plan-cache replay path), and executes on the shared kernels.  Because
+:func:`~repro.db.plan_ir.plan_ir_from_payload` (which refuses a
+decomposition that is not a complete hypertree decomposition of the
+query's own hypergraph -- once, in the worker; admission does not decode
+plans), and executes on the shared kernels.  Because
 answers, row order and every :meth:`stats_payload` field are functions of
 (store bytes, payload) alone -- pinned by the storage and serving
 Hypothesis suites -- a pooled response is byte-identical to the serial
@@ -75,11 +77,10 @@ from repro.db.plan_ir import plan_ir_from_payload
 from repro.db.storage import (
     PlanCache,
     canonical_digest,
-    decomposition_to_payload,
     query_fingerprint,
     store_digest,
 )
-from repro.exceptions import DatabaseError
+from repro.exceptions import DatabaseError, PlanningError
 from repro.obs.metrics import resolve_registry
 from repro.obs.trace import TraceRecorder, span_context
 from repro.query.atoms import Atom
@@ -158,10 +159,9 @@ def plan_to_payload(
     """One complete serving payload for a planned query.
 
     ``plan`` is a :class:`~repro.planner.plans.HypertreePlan` or
-    :class:`~repro.planner.plans.JoinOrderPlan`; its decomposition /
-    join order serialises through the PlanCache's payload format.
-    ``planning_seconds`` rides along for reporting only (``0.0`` when the
-    plan came out of a warm cache) -- workers never read it.
+    :class:`~repro.planner.plans.JoinOrderPlan`; the ``"plan"`` block is its
+    ``to_payload()``.  ``planning_seconds`` rides along for reporting only
+    (``0.0`` when the plan came out of a warm cache) -- workers never read it.
     ``deadline_seconds`` / ``max_attempts`` are pool-side scheduling knobs
     (wall-clock per attempt, and the retry budget for timed-out or
     crash-lost dispatches); workers never read them either.
@@ -170,22 +170,11 @@ def plan_to_payload(
         raise DatabaseError(
             f"unknown answer mode {answer!r}; expected one of {_ANSWER_MODES}"
         )
-    if hasattr(plan, "decomposition"):
-        plan_meta: Dict[str, object] = {
-            "kind": "hypertree",
-            "decomposition": decomposition_to_payload(plan.decomposition),
-        }
-    elif hasattr(plan, "order"):
-        plan_meta = {"kind": "join_order", "order": list(plan.order)}
-    else:
-        raise DatabaseError(
-            f"cannot serialise plan of type {type(plan).__name__}"
-        )
     payload: Dict[str, object] = {
         "format": SERVING_FORMAT,
         "version": SERVING_VERSION,
         "query": query_to_payload(plan.query),
-        "plan": plan_meta,
+        "plan": plan.to_payload(),
         "answer": answer,
         "planning_seconds": float(plan.planning_seconds),
     }
@@ -928,48 +917,30 @@ def prewarm(
     """
     # Planner imports stay lazy: db.serving must not pull the planner layer
     # in at import time (layering: planner -> db, not db -> planner).
-    from repro.exceptions import PlanningError
-    from repro.planner.compare import _cached_baseline_plan, _cached_structural_plan
-    from repro.planner.cost_k_decomp import planning_family
+    from repro.planner.baseline import baseline_plan
+    from repro.planner.cost_k_decomp import best_plan_over_k
 
     if analyze:
         database.analyze()
     statistics = database.statistics
     payloads: List[Dict[str, object]] = []
     for query in queries:
-        # One shared CostPlanningFamily per query (memoised: built only if
-        # some k actually misses the cache), matching compare_planners.
-        shared: list = []
-
-        def family_factory(query=query, shared=shared):
-            if not shared:
-                shared.append(
-                    planning_family(query, statistics, completion=completion)
-                )
-            return shared[0]
-
-        best = None
-        planning_seconds = 0.0
-        for k in k_values:
-            try:
-                plan = _cached_structural_plan(
-                    query, statistics, int(k), completion, family_factory, plan_cache
-                )
-            except PlanningError:
-                continue
-            planning_seconds += plan.planning_seconds
-            if best is None or plan.estimated_cost < best.estimated_cost:
-                best = plan
-        if best is None:
-            best = _cached_baseline_plan(query, statistics, plan_cache)
-            planning_seconds += best.planning_seconds
+        try:
+            plans = list(
+                best_plan_over_k(
+                    query, statistics, [int(k) for k in k_values],
+                    completion=completion, plan_cache=plan_cache,
+                ).values()
+            )
+        except PlanningError:  # no k admits a plan: fall back to the baseline
+            plans = [baseline_plan(query, statistics, plan_cache=plan_cache)]
         payload = plan_to_payload(
-            best,
+            min(plans, key=lambda plan: plan.estimated_cost),
             budget=budget,
             threads=threads,
             memory_budget_bytes=memory_budget_bytes,
             answer=answer,
         )
-        payload["planning_seconds"] = planning_seconds
+        payload["planning_seconds"] = sum(plan.planning_seconds for plan in plans)
         payloads.append(payload)
     return payloads

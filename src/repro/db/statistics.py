@@ -82,17 +82,6 @@ class TableStatistics:
             },
         }
 
-    @classmethod
-    def from_payload(cls, relation_name: str, payload: Mapping) -> "TableStatistics":
-        return cls(
-            relation_name=relation_name,
-            cardinality=int(payload["cardinality"]),
-            distinct_counts={
-                str(attribute): int(count)
-                for attribute, count in payload.get("distinct_counts", {}).items()
-            },
-        )
-
 
 def analyze_relation(relation: Relation) -> TableStatistics:
     """Measure statistics from an actual relation (the ``ANALYZE TABLE``
@@ -186,13 +175,6 @@ class CatalogStatistics:
                 for name in self.relation_names()
             }
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CatalogStatistics":
-        catalog = cls()
-        for name, table in payload.get("tables", {}).items():
-            catalog.add(TableStatistics.from_payload(str(name), table))
-        return catalog
 
     def describe(self) -> str:
         """A Fig. 5-style rendering of the catalog."""

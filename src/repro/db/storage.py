@@ -1,12 +1,5 @@
-"""Persistent columnar storage plane: an mmap-backed on-disk database
-format, a content-addressed workload cache, and a persistent plan cache.
-
-The paper's experiments (Figs. 5-8) are repeated sweeps over the same
-generated databases, yet every run historically paid full generation plus
-dictionary interning before a single join ran.  The columnar engine makes
-persistence almost free: a :class:`~repro.db.database.Database` is a shared
-value :class:`~repro.db.dictionary.Dictionary` plus flat ``int64`` id
-columns, both of which serialise trivially.  This module defines:
+"""The store format: an mmap-backed on-disk database, a content-addressed
+workload cache over it, and the plan cache's entry files.
 
 **The storage format** (:func:`save_database` / :func:`open_database`) -- a
 directory per database::
@@ -21,50 +14,43 @@ directory per database::
 frame-of-reference packed columns (codec ``"for"``: the file holds
 ``id - reference`` in the smallest unsigned dtype covering the column's id
 span; the reference is recorded in the catalog) and ``i64`` for raw int64
-columns (codec ``"raw"``, reference 0 -- byte-identical to a version-1
-store).  :func:`pack_ids` / :func:`unpack_ids` are the codec;
-:func:`resolve_encoding` picks the store-wide mode (``"packed"`` by
-default, ``"raw"`` as the oracle, overridable per save).
+columns (codec ``"raw"``, reference 0).  :func:`pack_ids` /
+:func:`unpack_ids` are the codec; :func:`resolve_encoding` picks the
+store-wide mode (``"packed"`` by default, ``"raw"`` as the oracle,
+overridable per save).
 
-**Version compatibility (v1 -> v2).**  Version 2 added the encoding layer.
-A column meta without an ``"encoding"`` key denotes a raw int64 file with
-reference 0 -- exactly what version 1 wrote -- so v2 readers open v1
-stores unchanged (:data:`_SUPPORTED_READ_VERSIONS`).  Writers always
-produce version 2; version 1 is never written again.  Any future
-incompatible change must bump :data:`FORMAT_VERSION` and either extend
-the read set or drop v1 support explicitly.
+**One decode per document.**  :func:`load_catalog` is the only reader of
+``catalog.json``: it returns a frozen :class:`Catalog` of
+:class:`StoredRelation` / :class:`StoredColumn` records whose every field
+has been type- and range-checked, cross-checked against the fields that
+restate it (column count vs attributes, ``bytes`` vs dtype x length,
+cardinality vs selection) and whose file names are confined to the store
+directory -- or raises :class:`StorageFormatError`.  ``dictionary.json``
+likewise has one reader.  :func:`open_database` (both engines),
+:func:`storage_info`, :func:`verify_store`, :func:`store_digest` and
+:func:`cached_database` are loops over those records.  Only the current
+:data:`FORMAT_VERSION` is read; an older store is refused with a message
+asking for a re-save.
 
-Opening maps every column file with ``np.memmap(mode="r")`` straight into
-:class:`~repro.db.columnar.ColumnarRelation` columns **at its stored
-width**: no interning, no row materialisation, no decode -- the kernels
-run on the packed ids (frame-of-reference preserves order and equality)
-and widen only at the Dictionary value boundary.  The maps are
-**read-only** (writes raise), which is safe because every kernel treats
-input columns as immutable.  Without numpy the same files are decoded
-through the row engine (:meth:`Relation.from_value_columns`), so a stored
-database opens on either engine.  Because join/semijoin/project output
-order is id-independent (matches surface in probe-row then base-row
-order), a round-tripped database yields byte-identical answers, row order
-and ``OperatorStats`` to the in-memory original -- whichever encoding it
-was saved under -- the invariant the Hypothesis suites in
-``tests/test_storage.py`` and ``tests/test_packed_encoding.py`` pin.
+Opening maps every column file with ``np.memmap(mode="r")`` **at its
+stored width** -- no interning, no row materialisation, no decode: the
+kernels run on the packed ids and never mutate input columns, so the maps
+are read-only.  Without numpy (or with ``columnar=False``) the same files
+decode through the row engine.  A round-tripped database yields
+byte-identical answers, row order and ``OperatorStats`` whichever encoding
+it was saved under (``tests/test_storage.py``,
+``tests/test_packed_encoding.py``).
 
 **The workload cache** (:func:`cached_database`) -- a content-addressed
-store of generated databases keyed by ``(generator kind, params)`` digests.
-:func:`repro.workloads.synthetic.workload_database` and the Fig. 5/Fig. 8
-drivers route generation through it, so repeated experiment sweeps reuse
-the stored columns instead of regenerating.  The cache activates when a
-directory is configured (``REPRO_WORKLOAD_CACHE_DIR`` or an explicit
-``cache_dir``); saves are atomic (build in a temp sibling, rename), and a
-corrupt or version-mismatched entry is regenerated in place.
+store of generated databases keyed by ``(generator kind, params)``, active
+when a directory is configured (``REPRO_WORKLOAD_CACHE_DIR`` or an explicit
+``cache_dir``).  Saves are atomic; an entry that does not open -- corrupt,
+or written at another format version -- is regenerated in place.
 
-**The plan cache** (:class:`PlanCache`) -- a persistent store of winning
-plans keyed by (query fingerprint, statistics digest, width bound, planner
-knobs).  :func:`repro.planner.compare.compare_planners` consults it so a
-repeated k-sweep over unchanged statistics skips planning entirely (a hit
-reports ``planning_seconds == 0.0``); any statistics change alters the
-digest and invalidates the entry.  The cache stores payloads, not pickles:
-decompositions serialise through :func:`decomposition_to_payload`.
+**The plan cache** (:class:`PlanCache`) -- key-echoed JSON entry files.
+What a key and an entry *mean* is the planner's business
+(:func:`repro.planner.plans.cached_plan`; the plan payload codec lives in
+:mod:`repro.db.plan_ir`).
 """
 
 from __future__ import annotations
@@ -74,8 +60,9 @@ import hashlib
 import os
 import shutil
 import sys
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from pathlib import Path, PurePosixPath
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 try:  # The mmap fast path needs numpy; the row fallback covers its absence.
     import numpy as np
@@ -84,9 +71,13 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
+from repro.db.plan_ir import (  # noqa: F401 - re-exported: they lived here
+    decomposition_from_payload,
+    decomposition_to_payload,
+)
 from repro.db.relation import Relation
-from repro.db.statistics import CatalogStatistics
-from repro.exceptions import StorageFormatError
+from repro.db.statistics import CatalogStatistics, TableStatistics
+from repro.exceptions import DatabaseError, StorageFormatError
 
 try:
     from repro.db.columnar import ColumnarRelation
@@ -95,12 +86,10 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 #: Format marker + version of the on-disk layout.  Bump the version on any
 #: incompatible change; readers raise :class:`StorageFormatError` on both an
-#: unknown marker and a version they do not understand.  Version 2 added
-#: per-column frame-of-reference encoding; version-1 stores (raw int64, no
-#: ``"encoding"`` metadata) remain readable -- see the module docstring.
+#: unknown marker and any other version (version 1 had no per-column
+#: encoding metadata; a store that old must be re-saved).
 FORMAT_NAME = "repro-columnar-db"
 FORMAT_VERSION = 2
-_SUPPORTED_READ_VERSIONS = (1, 2)
 
 _CATALOG_FILE = "catalog.json"
 _DICTIONARY_FILE = "dictionary.json"
@@ -122,7 +111,7 @@ CACHE_DISABLE_ENV = "REPRO_WORKLOAD_CACHE"
 
 #: Storage dtype tags: ``tag -> (array typecode, itemsize, numpy dtype)``.
 #: The tag doubles as the column file extension; ``i64`` is the raw codec's
-#: dtype and the only one a version-1 store contains.
+#: dtype.
 _DTYPE_TAGS = {
     "u1": ("B", 1, "<u1"),
     "u2": ("H", 2, "<u2"),
@@ -150,8 +139,7 @@ def _id_bounds(ids, reference: int = 0):
         if ids.size == 0:
             return 0, 0
         return int(ids.min()) + reference, int(ids.max()) + reference
-    ids = list(ids)
-    if not ids:
+    if not len(ids):
         return 0, 0
     return int(min(ids)) + reference, int(max(ids)) + reference
 
@@ -184,8 +172,7 @@ def pack_ids(
     ``frame_of_reference=False`` (selection vectors: the values are real
     row indices that fancy indexing consumes directly) the new reference is
     pinned to 0 and only the width narrows.  ``mode="raw"`` always yields
-    codec ``"raw"``: int64, reference 0 -- byte-identical to a version-1
-    file.  Negative ids (never produced by the dictionary, but legal int64
+    codec ``"raw"``: int64, reference 0.  Negative ids (never produced by the dictionary, but legal int64
     input) fall back to the raw codec unless a frame shift absorbs them.
     """
     lo, hi = _id_bounds(ids, reference)
@@ -246,38 +233,266 @@ def unpack_ids(payload: bytes, meta: Mapping, length: int) -> List[int]:
     return arr.tolist()
 
 
-def _column_encoding(meta: Mapping) -> "tuple[str, int]":
-    """``(dtype tag, reference)`` of a column meta; a missing ``"encoding"``
-    key is a version-1 raw int64 column (the compatibility rule)."""
-    encoding = meta.get("encoding")
-    if not encoding:
-        return "i64", 0
-    tag = str(encoding.get("dtype", "i64"))
-    if tag not in _DTYPE_TAGS:
-        raise StorageFormatError(f"unknown column dtype tag {tag!r}")
-    return tag, int(encoding.get("reference", 0))
+# ----------------------------------------------------------------------
+# The catalog: one typed decode of catalog.json / dictionary.json.
+# ----------------------------------------------------------------------
 
 
-def _check_column_file(path: Path, length: int, tag: str) -> int:
-    typecode, itemsize, _ = _DTYPE_TAGS[tag]
+@dataclass(frozen=True)
+class StoredColumn:
+    """One catalog-declared column file (``attribute is None``: a selection
+    vector).  ``file`` is relative to the store and confined to it."""
+
+    attribute: Optional[str]
+    file: str
+    length: int
+    dtype: str
+    reference: int
+    sha256: Optional[str]
+
+    @property
+    def codec(self) -> str:
+        return "raw" if self.dtype == "i64" else "for"
+
+    @property
+    def nbytes(self) -> int:
+        return _DTYPE_TAGS[self.dtype][1] * self.length
+
+
+@dataclass(frozen=True)
+class StoredRelation:
+    """One catalog-declared relation: its columns share ``base_length``
+    rows, narrowed by the optional selection vector."""
+
+    name: str
+    attributes: Tuple[str, ...]
+    base_length: int
+    columns: Tuple[StoredColumn, ...]
+    selection: Optional[StoredColumn]
+    known_distinct: bool
+
+    @property
+    def cardinality(self) -> int:
+        return self.base_length if self.selection is None else self.selection.length
+
+    @property
+    def files(self) -> Tuple[StoredColumn, ...]:
+        return self.columns + (() if self.selection is None else (self.selection,))
+
+
+@dataclass(frozen=True)
+class Catalog:
+    """A fully checked ``catalog.json`` (see :func:`load_catalog`);
+    ``digest`` is the canonical content digest of the document."""
+
+    root: Path
+    name: str
+    digest: str
+    dictionary_file: str
+    dictionary_entries: int
+    dictionary_sha256: Optional[str]
+    relations: Tuple[StoredRelation, ...]
+    statistics: CatalogStatistics
+
+
+def _load_json(path: Path) -> Mapping:
+    """A store document: a JSON object carrying this build's format marker
+    and version."""
+    try:
+        payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise StorageFormatError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise StorageFormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StorageFormatError(f"{path} does not hold a JSON object")
+    if payload.get("format") != FORMAT_NAME:
+        raise StorageFormatError(
+            f"{path} has format marker {payload.get('format')!r}, expected "
+            f"{FORMAT_NAME!r} (not a stored repro database?)"
+        )
+    if payload.get("version") != FORMAT_VERSION:
+        raise StorageFormatError(
+            f"{path} is format version {payload.get('version')!r}; this build "
+            f"reads only version {FORMAT_VERSION} -- re-save the database from "
+            "its source (Database.save writes the current version)"
+        )
+    return payload
+
+
+_REQUIRED = object()
+
+
+def _field(meta, key: str, kind: type, default=_REQUIRED, of: Optional[type] = None):
+    """``meta[key]``, which must be exactly a ``kind`` (a ``bool`` is not an
+    ``int``; ints are non-negative; a list holds only ``of`` items) -- or
+    ``default`` when the key is absent and a default is given."""
+    if not isinstance(meta, dict):
+        raise StorageFormatError(
+            f"malformed catalog payload: {meta!r} is not an object"
+        )
+    value = meta.get(key, default)
+    if value is default and default is not _REQUIRED:
+        return value
+    if (
+        type(value) is not kind
+        or (kind is int and value < 0)
+        or (of is not None and any(type(item) is not of for item in value))
+    ):
+        raise StorageFormatError(
+            f"malformed catalog payload: {key!r} must be "
+            f"{'a non-negative int' if kind is int else kind.__name__}"
+            f"{'' if of is None else ' of ' + of.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _confined(name: str) -> str:
+    """``name`` if joining it to the store path stays inside the store."""
+    if (
+        not name
+        or "\x00" in name
+        or os.path.isabs(name)
+        or ".." in PurePosixPath(name).parts
+    ):
+        raise StorageFormatError(
+            f"malformed catalog payload: file name {name!r} leaves the store directory"
+        )
+    return name
+
+
+def load_catalog(path) -> Catalog:
+    """The one decode of ``catalog.json`` (metadata only -- no column file
+    is touched).  Every consumer of a stored database reads the returned
+    records, never the JSON."""
+    root = Path(path)
+    payload = _load_json(root / _CATALOG_FILE)
+    dictionary = _field(payload, "dictionary", dict)
+    entries = _field(dictionary, "entries", int)
+
+    def column(meta, length: int, attribute: Optional[str]) -> StoredColumn:
+        encoding = _field(meta, "encoding", dict)
+        dtype = _field(encoding, "dtype", str)
+        if dtype not in _DTYPE_TAGS:
+            raise StorageFormatError(f"unknown column dtype tag {dtype!r}")
+        stored = StoredColumn(
+            attribute=attribute,
+            file=_confined(_field(meta, "file", str)),
+            length=length,
+            dtype=dtype,
+            reference=_field(encoding, "reference", int),
+            sha256=_field(meta, "sha256", str, None),
+        )
+        if (
+            _field(encoding, "codec", str) != stored.codec
+            or stored.reference > (entries if stored.codec == "for" else 0)
+            or _field(meta, "bytes", int) != stored.nbytes
+            or _field(meta, "attribute", str, attribute) != attribute
+        ):
+            raise StorageFormatError(
+                f"malformed catalog payload: column file {stored.file!r} "
+                f"contradicts its own metadata ({meta!r})"
+            )
+        return stored
+
+    relations = []
+    for meta in _field(payload, "relations", list):
+        name = _field(meta, "name", str)
+        attributes = tuple(_field(meta, "attributes", list, of=str))
+        base_length = _field(meta, "base_length", int)
+        column_metas = _field(meta, "columns", list)
+        if len(column_metas) != len(attributes):
+            raise StorageFormatError(
+                f"malformed catalog payload: relation {name!r} has "
+                f"{len(column_metas)} column files for {len(attributes)} attributes"
+            )
+        selection = _field(meta, "selection", dict, None)
+        if selection is not None:
+            # Selection values are row indices: width-packed, never re-framed.
+            selection = column(selection, _field(selection, "length", int), None)
+        stored = StoredRelation(
+            name=name,
+            attributes=attributes,
+            base_length=base_length,
+            columns=tuple(
+                column(column_meta, base_length, attribute)
+                for column_meta, attribute in zip(column_metas, attributes)
+            ),
+            selection=selection,
+            known_distinct=_field(meta, "known_distinct", bool),
+        )
+        if _field(meta, "cardinality", int) != stored.cardinality or (
+            selection is not None and selection.reference
+        ):
+            raise StorageFormatError(
+                f"malformed catalog payload: relation {name!r} contradicts its "
+                "own selection metadata"
+            )
+        relations.append(stored)
+    if len({stored.name for stored in relations}) != len(relations):
+        raise StorageFormatError(
+            "malformed catalog payload: two relations share one name"
+        )
+    statistics = CatalogStatistics()
+    tables = _field(_field(payload, "statistics", dict), "tables", dict)
+    for name, table in tables.items():
+        cardinality = _field(table, "cardinality", int)
+        counts = _field(table, "distinct_counts", dict)
+        counts = {key: _field(counts, key, int) for key in counts}
+        try:
+            statistics.add(TableStatistics(name, cardinality, counts))
+        except DatabaseError as exc:  # e.g. more distinct values than rows
+            raise StorageFormatError(f"malformed catalog payload: {exc}") from exc
+    return Catalog(
+        root=root,
+        name=_field(payload, "name", str),
+        digest=canonical_digest(payload),
+        dictionary_file=_confined(_field(dictionary, "file", str)),
+        dictionary_entries=entries,
+        dictionary_sha256=_field(dictionary, "sha256", str, None),
+        relations=tuple(relations),
+        statistics=statistics,
+    )
+
+
+def _load_dictionary(catalog: Catalog) -> Dictionary:
+    """The one decode of ``dictionary.json``, checked against the entry
+    count its catalog declares."""
+    source = catalog.root / catalog.dictionary_file
+    segments = _load_json(source).get("segments")
+    if not isinstance(segments, list):
+        raise StorageFormatError(f"{source} holds no segment list")
+    dictionary = Dictionary.from_segments(segments)
+    if len(dictionary) != catalog.dictionary_entries:
+        raise StorageFormatError(
+            f"dictionary holds {len(dictionary)} values, catalog declares "
+            f"{catalog.dictionary_entries}"
+        )
+    return dictionary
+
+
+def _check_column_file(root: Path, column: StoredColumn) -> Path:
+    """The column's path, once the file is there at exactly its declared
+    size -- checked before anything is mapped, read or allocated."""
+    path = root / column.file
     try:
         size = path.stat().st_size
     except OSError as exc:
         raise StorageFormatError(f"missing column file {path}") from exc
-    if size != itemsize * length:
+    if size != column.nbytes:
         raise StorageFormatError(
             f"column file {path} holds {size} bytes, expected "
-            f"{itemsize * length} ({length} {tag} values)"
+            f"{column.nbytes} ({column.length} {column.dtype} values)"
         )
-    return itemsize
+    return path
 
 
-def _memmap_column(path: Path, length: int, tag: str = "i64"):
+def _memmap_column(root: Path, column: StoredColumn):
     """Map one column file read-only at its stored width (zero rows need no
     file mapping)."""
-    _check_column_file(path, length, tag)
-    np_dtype = np.dtype(_DTYPE_TAGS[tag][2])
-    if length == 0:
+    path = _check_column_file(root, column)
+    np_dtype = np.dtype(_DTYPE_TAGS[column.dtype][2])
+    if column.length == 0:
         return np.empty(0, dtype=np_dtype.newbyteorder("="))
     try:
         return np.memmap(path, dtype=np_dtype, mode="r")
@@ -285,16 +500,16 @@ def _memmap_column(path: Path, length: int, tag: str = "i64"):
         raise StorageFormatError(f"cannot map column file {path}: {exc}") from exc
 
 
-def _read_column_fallback(
-    path: Path, length: int, meta: Mapping
-) -> List[int]:
+def _read_column(root: Path, column: StoredColumn) -> List[int]:
     """Decode one column file to true ids without numpy (the row-engine
-    open path).  ``meta`` is the column's catalog entry; a missing
-    ``"encoding"`` key reads as v1 raw int64."""
-    tag, reference = _column_encoding(meta)
-    _check_column_file(path, length, tag)
+    open path)."""
+    path = _check_column_file(root, column)
+    try:
+        payload = path.read_bytes()
+    except OSError as exc:
+        raise StorageFormatError(f"cannot read column file {path}: {exc}") from exc
     return unpack_ids(
-        path.read_bytes(), {"dtype": tag, "reference": reference}, length
+        payload, {"dtype": column.dtype, "reference": column.reference}, column.length
     )
 
 
@@ -315,15 +530,8 @@ def _checked_ids(
     than regeneration.)  ``reference`` is the column's frame offset: the
     check runs on true ids, the stored values stay packed.
     """
-    if np is not None and isinstance(column, np.ndarray):
-        if column.size == 0:
-            return column
-        lo, hi = int(column.min()) + reference, int(column.max()) + reference
-    else:
-        if not column:
-            return column
-        lo, hi = min(column) + reference, max(column) + reference
-    if lo < 0 or hi >= limit:
+    lo, hi = _id_bounds(column, reference)
+    if len(column) and (lo < 0 or hi >= limit):
         raise StorageFormatError(
             f"relation {relation!r}: stored {what} out of range "
             f"([{lo}, {hi}] not within [0, {limit}))"
@@ -521,41 +729,6 @@ def _write_store(database: Database, root: Path, encoding: Optional[str]) -> Non
 # ----------------------------------------------------------------------
 
 
-def _load_json(path: Path) -> Mapping:
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise StorageFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise StorageFormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise StorageFormatError(f"{path} does not hold a JSON object")
-    return payload
-
-
-def _checked_format(payload: Mapping, path: Path) -> Mapping:
-    marker = payload.get("format")
-    version = payload.get("version")
-    if marker != FORMAT_NAME:
-        raise StorageFormatError(
-            f"{path} has format marker {marker!r}, expected {FORMAT_NAME!r} "
-            "(not a stored repro database?)"
-        )
-    if version not in _SUPPORTED_READ_VERSIONS:
-        raise StorageFormatError(
-            f"{path} is format version {version!r}; this build reads only "
-            f"versions {', '.join(str(v) for v in _SUPPORTED_READ_VERSIONS)}"
-        )
-    return payload
-
-
-def load_catalog(path) -> Mapping:
-    """The validated catalog of a stored database (metadata only -- no
-    column file is touched; the ``db info`` command reads just this)."""
-    root = Path(path)
-    return _checked_format(_load_json(root / _CATALOG_FILE), root / _CATALOG_FILE)
-
-
 def store_digest(path) -> str:
     """Content digest of a stored database's catalog (canonical JSON of
     the validated payload, so whitespace never matters).  The catalog names
@@ -563,7 +736,7 @@ def store_digest(path) -> str:
     equal digests hold the same relations over the same physical layout --
     the check the serving pool uses to assert every worker process opened
     the *identical* store."""
-    return canonical_digest(dict(load_catalog(path)))
+    return load_catalog(path).digest
 
 
 def open_database(
@@ -582,136 +755,71 @@ def open_database(
     ``threads`` / ``memory_budget_bytes`` are the usual execution-plane
     knobs of :class:`Database`.
     """
-    root = Path(path)
-    catalog = load_catalog(root)
-    dict_meta = catalog.get("dictionary", {})
-    dictionary_payload = _checked_format(
-        _load_json(root / dict_meta.get("file", _DICTIONARY_FILE)),
-        root / dict_meta.get("file", _DICTIONARY_FILE),
-    )
-    dictionary = Dictionary.from_segments(dictionary_payload.get("segments", ()))
-    if len(dictionary) != int(dict_meta.get("entries", len(dictionary))):
-        raise StorageFormatError(
-            f"dictionary holds {len(dictionary)} values, catalog declares "
-            f"{dict_meta.get('entries')}"
-        )
-
+    catalog = load_catalog(path)
+    root = catalog.root
+    dictionary = _load_dictionary(catalog)
+    entries = len(dictionary)
     use_columnar = columnar and np is not None and ColumnarRelation is not None
     database = Database(
-        name=str(catalog.get("name", "db")),
+        name=catalog.name,
         columnar=use_columnar,
         dictionary=dictionary if use_columnar else None,
         threads=threads,
         memory_budget_bytes=memory_budget_bytes,
     )
-    # Any shape defect in the catalog payload -- missing keys, non-numeric
-    # fields -- is a corrupt store, not a programming error: surface it as
-    # StorageFormatError so cache layers regenerate instead of crashing.
-    try:
-        relation_metas = [
-            (
-                str(meta["name"]),
-                [str(a) for a in meta["attributes"]],
-                int(meta["base_length"]),
-                list(meta["columns"]),
-                dict(meta["selection"]) if meta.get("selection") else None,
-                bool(meta.get("known_distinct", False)),
-            )
-            for meta in catalog.get("relations", ())
-        ]
-        statistics = CatalogStatistics.from_payload(catalog.get("statistics", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageFormatError(f"malformed catalog payload: {exc!r}") from exc
-
-    for name, attributes, base_length, column_metas, selection_meta, known_distinct in (
-        relation_metas
-    ):
-        if len(column_metas) != len(attributes):
-            raise StorageFormatError(
-                f"relation {name!r}: {len(column_metas)} column "
-                f"files for {len(attributes)} attributes"
-            )
-        try:
-            column_files = [root / column["file"] for column in column_metas]
-            column_encodings = [
-                _column_encoding(column) for column in column_metas
-            ]
-            selection_file = (
-                (root / selection_meta["file"], int(selection_meta["length"]))
-                if selection_meta
-                else None
-            )
-            selection_encoding = (
-                _column_encoding(selection_meta) if selection_meta else ("i64", 0)
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageFormatError(
-                f"relation {name!r}: malformed column metadata: {exc!r}"
-            ) from exc
+    for stored in catalog.relations:
+        name, base_length = stored.name, stored.base_length
         if use_columnar:
-            columns = [
-                _checked_ids(
-                    _memmap_column(path, base_length, tag),
-                    len(dictionary),
-                    name,
-                    reference=reference,
-                )
-                for path, (tag, reference) in zip(column_files, column_encodings)
-            ]
-            references = [reference for _, reference in column_encodings]
             selection = None
-            if selection_file is not None:
-                sel_tag, sel_reference = selection_encoding
+            if stored.selection is not None:
                 selection = _checked_ids(
-                    _memmap_column(selection_file[0], selection_file[1], sel_tag),
+                    _memmap_column(root, stored.selection),
                     base_length,
                     name,
                     what="selection index",
-                    reference=sel_reference,
                 )
-                if sel_reference:  # defensive: writers always pin this to 0
-                    selection = selection.astype(np.int64) + sel_reference
             relation = ColumnarRelation(
                 name,
-                attributes,
+                list(stored.attributes),
                 dictionary,
-                columns,
+                [
+                    _checked_ids(
+                        _memmap_column(root, column),
+                        entries,
+                        name,
+                        reference=column.reference,
+                    )
+                    for column in stored.columns
+                ],
                 selection,
                 base_length,
-                references=references,
+                references=[column.reference for column in stored.columns],
             )
-            relation._known_distinct = known_distinct
+            relation._known_distinct = stored.known_distinct
             database.add_relation(relation)
         else:
             values = dictionary.values
             id_columns = [
-                _checked_ids(
-                    _read_column_fallback(path, base_length, column_meta),
-                    len(dictionary),
-                    name,
-                )
-                for path, column_meta in zip(column_files, column_metas)
+                _checked_ids(_read_column(root, column), entries, name)
+                for column in stored.columns
             ]
-            if selection_file is not None:
+            if stored.selection is not None:
                 selection = _checked_ids(
-                    _read_column_fallback(
-                        selection_file[0], selection_file[1], selection_meta
-                    ),
+                    _read_column(root, stored.selection),
                     base_length,
                     name,
                     what="selection index",
                 )
                 id_columns = [[col[i] for i in selection] for col in id_columns]
-                cardinality = len(selection)
-            else:
-                cardinality = base_length
-            value_columns = [[values[i] for i in col] for col in id_columns]
             database.add_relation(
                 Relation.from_value_columns(
-                    name, attributes, value_columns, cardinality
+                    name,
+                    list(stored.attributes),
+                    [[values[i] for i in col] for col in id_columns],
+                    stored.cardinality,
                 )
             )
-    database.statistics = statistics
+    database.statistics = catalog.statistics
     # Remember where the columns live: the serving plane re-opens (and
     # digests) the store per worker process through this path.
     database.source_path = str(root)
@@ -724,62 +832,42 @@ def storage_info(path) -> Dict[str, Any]:
     compression ratio against raw int64 (the ``db info`` subcommand prints
     this)."""
     catalog = load_catalog(path)
-    digest = canonical_digest(dict(catalog))
-    relations = []
-    total_rows = 0
-    total_bytes = 0
-    total_raw_bytes = 0
-    for meta in catalog.get("relations", ()):
-        base_length = int(meta.get("base_length", 0))
-        columns = []
-        nbytes = 0
-        raw_bytes = 0
-        for column_meta in meta.get("columns", ()):
-            tag, reference = _column_encoding(column_meta)
-            column_bytes = int(column_meta.get("bytes", 0))
-            nbytes += column_bytes
-            raw_bytes += 8 * base_length
-            columns.append(
+    relations = [
+        {
+            "name": stored.name,
+            "attributes": list(stored.attributes),
+            "rows": stored.cardinality,
+            "bytes": sum(column.nbytes for column in stored.files),
+            "raw_bytes": sum(8 * column.length for column in stored.files),
+            "columns": [
                 {
-                    "attribute": column_meta.get("attribute"),
-                    "codec": "raw" if tag == "i64" else "for",
-                    "dtype": tag,
-                    "reference": reference,
-                    "bytes": column_bytes,
-                    "raw_bytes": 8 * base_length,
+                    "attribute": column.attribute,
+                    "codec": column.codec,
+                    "dtype": column.dtype,
+                    "reference": column.reference,
+                    "bytes": column.nbytes,
+                    "raw_bytes": 8 * column.length,
                 }
-            )
-        if meta.get("selection"):
-            selection_bytes = int(meta["selection"].get("bytes", 0))
-            nbytes += selection_bytes
-            raw_bytes += 8 * int(meta["selection"].get("length", 0))
-        cardinality = int(meta.get("cardinality", 0))
-        total_rows += cardinality
-        total_bytes += nbytes
-        total_raw_bytes += raw_bytes
-        relations.append(
-            {
-                "name": meta.get("name"),
-                "attributes": list(meta.get("attributes", ())),
-                "rows": cardinality,
-                "bytes": nbytes,
-                "raw_bytes": raw_bytes,
-                "columns": columns,
-            }
-        )
+                for column in stored.columns
+            ],
+        }
+        for stored in catalog.relations
+    ]
+    total_bytes = sum(relation["bytes"] for relation in relations)
+    total_raw_bytes = sum(relation["raw_bytes"] for relation in relations)
     return {
-        "name": catalog.get("name"),
-        "format": catalog.get("format"),
-        "version": catalog.get("version"),
-        "digest": digest,
+        "name": catalog.name,
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "digest": catalog.digest,
         "relations": relations,
-        "total_rows": total_rows,
+        "total_rows": sum(relation["rows"] for relation in relations),
         "total_column_bytes": total_bytes,
         "total_raw_column_bytes": total_raw_bytes,
         "compression_ratio": (
             total_raw_bytes / total_bytes if total_bytes else 1.0
         ),
-        "dictionary_entries": int(catalog.get("dictionary", {}).get("entries", 0)),
+        "dictionary_entries": catalog.dictionary_entries,
     }
 
 
@@ -787,117 +875,66 @@ def verify_store(path, deep: bool = False) -> Dict[str, Any]:
     """Integrity report for a stored database -- the operator-facing twin
     of the serving workers' startup hello.
 
-    Re-validates and digests the catalog, checks the dictionary file
-    parses and holds the declared entry count, and checks every column
-    and selection file's byte length against its declared dtype tag and
-    row count (:func:`_check_column_file` -- the same check every open
-    performs, here run file-by-file so *all* problems are reported, not
-    just the first).  ``deep=True`` additionally reads every file and
-    compares its SHA-256 against the digest the catalog recorded at save
-    time, catching bit rot that leaves sizes intact (files saved before
-    digests existed are counted in ``"unhashed_files"`` instead of
-    failing).  Returns ``{"path", "name", "digest", "checked_files",
-    "deep", "hashed_files", "unhashed_files", "problems": [{"file",
-    "error"}, ...], "ok"}``; the ``repro db verify`` CLI exits non-zero
-    when ``ok`` is false.
+    Decodes the catalog (a catalog :func:`load_catalog` refuses is the one
+    problem reported), then runs, file by file so *all* problems are
+    reported and not just the first, the checks every open performs: the
+    dictionary decodes to the declared entry count, every column and
+    selection file has exactly its declared size.  ``deep=True``
+    additionally reads every file and compares its SHA-256 against the
+    digest the catalog recorded at save time, catching bit rot that leaves
+    sizes intact (files saved before digests existed are counted in
+    ``"unhashed_files"`` instead of failing).  Returns ``{"path", "name",
+    "digest", "checked_files", "deep", "hashed_files", "unhashed_files",
+    "problems": [{"file", "error"}, ...], "ok"}``; the ``repro db verify``
+    CLI exits non-zero when ``ok`` is false.
     """
     root = Path(path)
-    hashed = 0
-    unhashed = 0
     problems: List[Dict[str, str]] = []
-    checked = 0
+    report: Dict[str, Any] = {
+        "path": str(root),
+        "name": None,
+        "digest": None,
+        "checked_files": 0,
+        "deep": bool(deep),
+        "hashed_files": 0,
+        "unhashed_files": 0,
+        "problems": problems,
+        "ok": False,
+    }
     try:
         catalog = load_catalog(root)
     except StorageFormatError as exc:
-        return {
-            "path": str(root),
-            "name": None,
-            "digest": None,
-            "checked_files": 0,
-            "deep": bool(deep),
-            "hashed_files": 0,
-            "unhashed_files": 0,
-            "problems": [{"file": _CATALOG_FILE, "error": str(exc)}],
-            "ok": False,
-        }
-    digest = canonical_digest(dict(catalog))
+        problems.append({"file": _CATALOG_FILE, "error": str(exc)})
+        return report
+    report.update(name=catalog.name, digest=catalog.digest)
 
-    def _deep_check(meta: Mapping, file_name: str) -> None:
-        nonlocal hashed, unhashed
-        if not deep:
-            return
-        expected = meta.get("sha256")
-        if not expected:
-            unhashed += 1  # saved before content digests existed
-            return
+    def check(file_name: str, sha256: Optional[str], shallow: Callable, *args) -> None:
+        report["checked_files"] += 1
         try:
+            shallow(*args)
+            if not deep:
+                return
+            if sha256 is None:
+                report["unhashed_files"] += 1  # saved before content digests existed
+                return
             actual = hashlib.sha256((root / file_name).read_bytes()).hexdigest()
-        except OSError as exc:
+            report["hashed_files"] += 1
+            if actual != sha256:
+                raise StorageFormatError(
+                    f"content digest mismatch: file hashes to {actual[:12]}..., "
+                    f"catalog recorded {sha256[:12]}... (bit rot or tampering)"
+                )
+        except (StorageFormatError, OSError) as exc:
             problems.append({"file": file_name, "error": str(exc)})
-            return
-        hashed += 1
-        if actual != str(expected):
-            problems.append(
-                {
-                    "file": file_name,
-                    "error": (
-                        f"content digest mismatch: file hashes to "
-                        f"{actual[:12]}..., catalog recorded "
-                        f"{str(expected)[:12]}... (bit rot or tampering)"
-                    ),
-                }
-            )
 
-    dict_meta = catalog.get("dictionary", {})
-    dict_file = str(dict_meta.get("file", _DICTIONARY_FILE))
-    checked += 1
-    try:
-        payload = _checked_format(_load_json(root / dict_file), root / dict_file)
-        entries = sum(
-            len(values) for _, values in payload.get("segments", ())
-        )
-        declared = int(dict_meta.get("entries", 0))
-        if entries != declared:
-            problems.append(
-                {
-                    "file": dict_file,
-                    "error": (
-                        f"dictionary holds {entries} entries, catalog "
-                        f"declares {declared}"
-                    ),
-                }
-            )
-        else:
-            _deep_check(dict_meta, dict_file)
-    except (StorageFormatError, TypeError, ValueError) as exc:
-        problems.append({"file": dict_file, "error": str(exc)})
-    for meta in catalog.get("relations", ()):
-        base_length = int(meta.get("base_length", 0))
-        column_metas = [(column, base_length) for column in meta.get("columns", ())]
-        if meta.get("selection"):
-            column_metas.append(
-                (meta["selection"], int(meta["selection"].get("length", 0)))
-            )
-        for column_meta, length in column_metas:
-            file_name = str(column_meta.get("file", ""))
-            checked += 1
-            try:
-                tag, _ = _column_encoding(column_meta)
-                _check_column_file(root / file_name, length, tag)
-                _deep_check(column_meta, file_name)
-            except StorageFormatError as exc:
-                problems.append({"file": file_name, "error": str(exc)})
-    return {
-        "path": str(root),
-        "name": catalog.get("name"),
-        "digest": digest,
-        "checked_files": checked,
-        "deep": bool(deep),
-        "hashed_files": hashed,
-        "unhashed_files": unhashed,
-        "problems": problems,
-        "ok": not problems,
-    }
+    check(
+        catalog.dictionary_file, catalog.dictionary_sha256, _load_dictionary, catalog
+    )
+    for stored in catalog.relations:
+        for column in stored.files:
+            check(column.file, column.sha256, _check_column_file, root, column)
+    report["ok"] = not problems
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -975,18 +1012,15 @@ def cached_database(
     ``kind`` names the generator and ``params`` its JSON-safe parameters
     (include the seed and a :func:`query_fingerprint`); they form the
     content address.  The storage format version is deliberately *not*
-    part of the key: an entry written by an older format version would
-    otherwise be orphaned forever under its old digest instead of being
-    regenerated in place.  Instead the catalog's version is checked on
-    lookup -- an entry whose version differs from the current
-    :data:`FORMAT_VERSION` (even one this build could still *read*) is
-    treated as a miss, removed, and rebuilt at the current version, so the
-    cache converges to freshly-encoded stores.  On a hit the stored
-    database is opened (mmap'd under the columnar engine); on a miss --
-    including a corrupt or stale-version entry -- ``builder()`` runs and
-    its result is saved atomically (temp sibling + rename, so concurrent
-    processes never observe a half-written entry).  With no cache
-    directory configured this is exactly ``builder()``.
+    part of the key: an entry written at another format version would
+    otherwise be orphaned forever under its old digest.  Instead, an entry
+    that does not open -- corrupt, or any version but the current
+    :data:`FORMAT_VERSION` -- is a miss: removed and rebuilt, so the cache
+    converges to freshly-encoded stores.  On a hit the stored database is
+    opened (mmap'd under the columnar engine); on a miss ``builder()`` runs
+    and its result is saved atomically (temp sibling + rename, so
+    concurrent processes never observe a half-written entry).  With no
+    cache directory configured this is exactly ``builder()``.
 
     The ``columnar`` flag selects the *representation* of the returned
     database only; it is deliberately not part of the key, because both
@@ -999,13 +1033,6 @@ def cached_database(
     entry = root / f"{kind}-{digest[:20]}"
     if not refresh and (entry / _CATALOG_FILE).exists():
         try:
-            catalog = load_catalog(entry)
-            if catalog.get("version") != FORMAT_VERSION:
-                raise StorageFormatError(
-                    f"cache entry {entry} is format version "
-                    f"{catalog.get('version')!r}, regenerating at "
-                    f"{FORMAT_VERSION}"
-                )
             database = open_database(entry, columnar=columnar)
             _workload_cache_counters["hits"] += 1
             return database
@@ -1043,65 +1070,6 @@ def cached_database(
 
 
 # ----------------------------------------------------------------------
-# Decomposition (de)serialisation for the plan cache.
-# ----------------------------------------------------------------------
-
-
-def decomposition_to_payload(decomposition) -> Dict[str, Any]:
-    """A JSON-safe rendering of a hypertree decomposition: the rooted tree
-    plus the λ/χ labels (components are planner-internal and dropped)."""
-    return {
-        "root": int(decomposition.root),
-        "children": {
-            str(node_id): [int(kid) for kid in decomposition.children(node_id)]
-            for node_id in decomposition.node_ids()
-        },
-        "nodes": {
-            str(node.node_id): {
-                "lambda": sorted(node.lambda_edges),
-                "chi": sorted(node.chi),
-            }
-            for node in decomposition.nodes()
-        },
-    }
-
-
-def decomposition_from_payload(hypergraph, payload: Mapping):
-    """Rebuild a :class:`HypertreeDecomposition` over ``hypergraph`` from
-    :func:`decomposition_to_payload` output."""
-    from repro.decomposition.hypertree import (
-        DecompositionNode,
-        HypertreeDecomposition,
-    )
-    from repro.exceptions import DecompositionError
-
-    try:
-        nodes = {
-            int(node_id): DecompositionNode(
-                node_id=int(node_id),
-                lambda_edges=frozenset(meta["lambda"]),
-                chi=frozenset(meta["chi"]),
-                component=None,
-            )
-            for node_id, meta in payload["nodes"].items()
-        }
-        children = {
-            int(node_id): tuple(int(kid) for kid in kids)
-            for node_id, kids in payload["children"].items()
-        }
-        root = int(payload["root"])
-        # The constructor validates tree shape (unknown/unreachable nodes,
-        # double reachability); a payload that fails it is corrupt too.
-        return HypertreeDecomposition(
-            hypergraph=hypergraph, root=root, children=children, nodes=nodes
-        )
-    except (KeyError, TypeError, ValueError, DecompositionError) as exc:
-        raise StorageFormatError(
-            f"malformed decomposition payload: {exc}"
-        ) from exc
-
-
-# ----------------------------------------------------------------------
 # Persistent plan cache.
 # ----------------------------------------------------------------------
 
@@ -1113,7 +1081,9 @@ class PlanCache:
     fingerprint, a statistics digest, the width bound and the planner
     knobs); the stored entry echoes its key, so a digest collision can
     never hand back the wrong plan.  Version-mismatched or corrupt entries
-    read as misses and are overwritten on the next store.  ``hits`` /
+    read as misses and are overwritten on the next store; the plan block
+    itself is handed back as stored -- decoding and validating it is the
+    plan codec's job (:mod:`repro.db.plan_ir`).  ``hits`` /
     ``misses`` / ``stores`` count this process's lookups -- the CI
     cold-vs-warm step asserts the second run reports hits.
     """
@@ -1141,7 +1111,7 @@ class PlanCache:
         except OSError:
             self.misses += 1
             return None
-        except ValueError:
+        except (ValueError, RecursionError):
             try:
                 entry.unlink()
             except OSError:  # pragma: no cover - raced or read-only dir

@@ -218,18 +218,30 @@ class HypertreeDecomposition:
 
     def satisfies_chi_covered_by_lambda(self) -> bool:
         """Condition 3: ``χ(p) ⊆ var(λ(p))`` for every node."""
-        for node in self._nodes.values():
-            if not node.chi <= self.hypergraph.var(node.lambda_edges):
-                return False
-        return True
+        return not self.chi_violations()
+
+    def chi_violations(self) -> Tuple[Tuple[NodeId, FrozenSet[Vertex]], ...]:
+        """Per offending node ``p``: ``(p, χ(p) − var(λ(p)))``."""
+        violations = []
+        for node_id, node in self._nodes.items():
+            extra = node.chi - self.hypergraph.var(node.lambda_edges)
+            if extra:
+                violations.append((node_id, extra))
+        return tuple(violations)
 
     def satisfies_descendant_condition(self) -> bool:
         """Condition 4: ``var(λ(p)) ∩ χ(T_p) ⊆ χ(p)`` for every node."""
+        return not self.descendant_violations()
+
+    def descendant_violations(self) -> Tuple[Tuple[NodeId, FrozenSet[Vertex]], ...]:
+        """Per offending node ``p``: ``(p, var(λ(p)) ∩ χ(T_p))``."""
+        violations = []
         for node_id, node in self._nodes.items():
             lam_vars = self.hypergraph.var(node.lambda_edges)
-            if not (lam_vars & self.chi_of_subtree(node_id)) <= node.chi:
-                return False
-        return True
+            below = lam_vars & self.chi_of_subtree(node_id)
+            if not below <= node.chi:
+                violations.append((node_id, below))
+        return tuple(violations)
 
     def is_valid(self) -> bool:
         """True iff all four conditions of Definition 2.1 hold."""
@@ -253,11 +265,15 @@ class HypertreeDecomposition:
             raise DecompositionError(
                 f"condition 2 (connectedness) violated for variables: {list(violations)}"
             )
-        if not self.satisfies_chi_covered_by_lambda():
-            raise DecompositionError("condition 3 violated: some χ(p) ⊄ var(λ(p))")
-        if not self.satisfies_descendant_condition():
+        for node_id, extra in self.chi_violations():
             raise DecompositionError(
-                "condition 4 violated: some var(λ(p)) ∩ χ(T_p) ⊄ χ(p)"
+                f"condition 3 violated at node {node_id}: "
+                f"{sorted(extra)} in χ(p) but not in var(λ(p))"
+            )
+        for node_id, below in self.descendant_violations():
+            raise DecompositionError(
+                f"condition 4 violated at node {node_id}: var(λ(p)) ∩ χ(T_p) = "
+                f"{sorted(below)} ⊄ χ(p) = {sorted(self._nodes[node_id].chi)}"
             )
 
     # ------------------------------------------------------------------
@@ -271,12 +287,17 @@ class HypertreeDecomposition:
                 return node_id
         return None
 
+    def not_strongly_covered(self) -> Tuple[EdgeName, ...]:
+        """The hyperedges no node strongly covers."""
+        return tuple(
+            name
+            for name in self.hypergraph.edge_names
+            if self.strongly_covering_node(name) is None
+        )
+
     def is_complete(self) -> bool:
         """True iff every hyperedge is strongly covered."""
-        return all(
-            self.strongly_covering_node(name) is not None
-            for name in self.hypergraph.edge_names
-        )
+        return not self.not_strongly_covered()
 
     # ------------------------------------------------------------------
     # Presentation

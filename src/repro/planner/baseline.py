@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.db.costmodel import CardinalityEstimator
 from repro.db.statistics import CatalogStatistics
 from repro.exceptions import PlanningError
-from repro.planner.plans import JoinOrderPlan
+from repro.planner.plans import JoinOrderPlan, cached_plan
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -147,7 +147,12 @@ class SystemROptimizer:
 
 
 def baseline_plan(
-    query: ConjunctiveQuery, statistics: CatalogStatistics
+    query: ConjunctiveQuery, statistics: CatalogStatistics, plan_cache=None
 ) -> JoinOrderPlan:
-    """Convenience wrapper: the best left-deep plan for the query."""
-    return SystemROptimizer(query, statistics).optimize()
+    """The best left-deep plan for the query, through ``plan_cache`` (a
+    :class:`~repro.db.storage.PlanCache`) when one is given: a hit skips the
+    join-order search and reports ``planning_seconds == 0.0``."""
+    return cached_plan(
+        plan_cache, JoinOrderPlan, query, statistics,
+        lambda: SystemROptimizer(query, statistics).optimize(),
+    )

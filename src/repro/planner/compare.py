@@ -17,12 +17,11 @@ Correctness is also cross-checked: every structural plan must return exactly
 the same answer as the baseline plan.
 
 Every ``measure_*`` entry point (and :func:`compare_planners`) accepts a
-``plan_cache`` -- a :class:`repro.db.storage.PlanCache` -- keyed by (query
-fingerprint, statistics digest, k, planner knobs).  On a hit the winning
-plan is rebuilt from its stored payload and ``planning_seconds`` is
-reported as ``0.0`` (planning was genuinely skipped); on a miss the planner
-runs and the result is stored.  Any statistics change alters the digest,
-so stale plans can never be replayed against refreshed catalogs.
+``plan_cache`` -- a :class:`repro.db.storage.PlanCache` -- and hands it to
+the planners (:func:`~repro.planner.baseline.baseline_plan`,
+:func:`~repro.planner.cost_k_decomp.best_plan_over_k`): a hit replays the
+stored winner with ``planning_seconds == 0.0``, any statistics change is a
+miss (see :func:`repro.planner.plans.cached_plan`).
 """
 
 from __future__ import annotations
@@ -32,21 +31,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.db.database import Database
-from repro.db.storage import (
-    PlanCache,
-    decomposition_from_payload,
-    decomposition_to_payload,
-    query_fingerprint,
-    statistics_digest,
-)
-from repro.exceptions import PlanningError, StorageFormatError
+from repro.db.storage import PlanCache
+from repro.exceptions import PlanningError
 from repro.planner.baseline import baseline_plan
-from repro.planner.cost_k_decomp import (
-    CostPlanningFamily,
-    cost_k_decomp,
-    planning_family,
-)
-from repro.planner.plans import HypertreePlan, JoinOrderPlan
+from repro.planner.cost_k_decomp import best_plan_over_k
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -158,121 +146,21 @@ def _execute_and_measure(
     )
 
 
-def _baseline_cache_key(query: ConjunctiveQuery, statistics) -> Dict[str, object]:
-    return {
-        "kind": "join_order",
-        "query": query_fingerprint(query),
-        "statistics": statistics_digest(statistics),
-    }
-
-
-def _structural_cache_key(
-    query: ConjunctiveQuery, statistics, k: int, completion: str
-) -> Dict[str, object]:
-    return {
-        "kind": "hypertree",
-        "query": query_fingerprint(query),
-        "statistics": statistics_digest(statistics),
-        "k": int(k),
-        "completion": completion,
-    }
-
-
-def _cached_baseline_plan(
-    query: ConjunctiveQuery, statistics, plan_cache: Optional[PlanCache]
-) -> JoinOrderPlan:
-    """The baseline plan, through the plan cache when one is given (a hit
-    skips the optimiser's join-order search and reports zero planning
-    time)."""
-    if plan_cache is None:
-        return baseline_plan(query, statistics)
-    key = _baseline_cache_key(query, statistics)
-    payload = plan_cache.lookup(key)
-    if payload is not None:
-        try:
-            return JoinOrderPlan(
-                query=query,
-                order=tuple(str(name) for name in payload["order"]),
-                estimated_cost=float(payload["estimated_cost"]),
-                planning_seconds=0.0,
-            )
-        except (KeyError, TypeError, ValueError):
-            pass  # corrupt entry: replan and overwrite below
-    plan = baseline_plan(query, statistics)
-    plan_cache.store(
-        key, {"order": list(plan.order), "estimated_cost": plan.estimated_cost}
-    )
-    return plan
-
-
-def _cached_structural_plan(
-    query: ConjunctiveQuery,
-    statistics,
-    k: int,
-    completion: str,
-    family_factory,
-    plan_cache: Optional[PlanCache],
-) -> HypertreePlan:
-    """cost-k-decomp through the plan cache: a hit rebuilds the stored
-    winning decomposition (``planning_seconds == 0.0``); a miss plans and
-    stores.  Only successful plans are cached -- a ``PlanningError`` (k
-    below the hypertree width) is recomputed each time.  ``family_factory``
-    produces the (shared) :class:`CostPlanningFamily` and is only called on
-    the planning path, so a fully warm sweep builds no planner state at
-    all."""
-    if plan_cache is None:
-        return cost_k_decomp(
-            query, statistics, k, completion=completion, family=family_factory()
-        )
-    key = _structural_cache_key(query, statistics, k, completion)
-    payload = plan_cache.lookup(key)
-    if payload is not None:
-        try:
-            decomposition = decomposition_from_payload(
-                query.hypergraph(), payload["decomposition"]
-            )
-            return HypertreePlan(
-                query=query,
-                decomposition=decomposition,
-                estimated_cost=float(payload["estimated_cost"]),
-                k=int(payload["k"]),
-                node_estimates={
-                    int(node_id): float(value)
-                    for node_id, value in payload["node_estimates"].items()
-                },
-                planning_seconds=0.0,
-                planned_query=None,
-                weighting=str(payload["weighting"]),
-            )
-        except (KeyError, TypeError, ValueError, StorageFormatError):
-            pass  # corrupt entry: replan and overwrite below
-    plan = cost_k_decomp(
-        query, statistics, k, completion=completion, family=family_factory()
-    )
-    plan_cache.store(
-        key,
-        {
-            "decomposition": decomposition_to_payload(plan.decomposition),
-            "estimated_cost": plan.estimated_cost,
-            "k": plan.k,
-            "node_estimates": {
-                str(node_id): value
-                for node_id, value in plan.node_estimates.items()
-            },
-            "weighting": plan.weighting,
-        },
-    )
-    return plan
-
-
 def measure_baseline(
     query: ConjunctiveQuery, database: Database, budget: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> PlanMeasurement:
     """Plan with the left-deep optimiser (or replay the cached order) and
     execute."""
-    plan = _cached_baseline_plan(query, database.statistics, plan_cache)
+    plan = baseline_plan(query, database.statistics, plan_cache=plan_cache)
     return _execute_and_measure(plan, database, "baseline(left-deep)", budget)
+
+
+def _measure_structural_plan(k: int, plan, database, budget) -> PlanMeasurement:
+    return _execute_and_measure(
+        plan, database, f"cost-{k}-decomp", budget, width=plan.width,
+        weighting=plan.weighting,
+    )
 
 
 def measure_structural(
@@ -281,33 +169,16 @@ def measure_structural(
     k: int,
     completion: str = "fresh",
     budget: Optional[int] = None,
-    family: Optional[CostPlanningFamily] = None,
     plan_cache: Optional[PlanCache] = None,
-    _family_factory=None,
 ) -> PlanMeasurement:
-    """Plan with cost-k-decomp for one ``k`` and execute.
-
-    ``family`` (see :func:`repro.planner.cost_k_decomp.planning_family`)
-    lets a k-sweep share incremental candidates graphs and warm cost-model
-    memos; the per-``k`` planning time still includes that call's share of
-    the incremental construction.  ``plan_cache`` short-circuits both: a
-    hit replays the stored winning decomposition without touching the
-    candidates graph at all.  ``_family_factory`` (internal; used by
-    :func:`compare_planners`) lazily supplies the shared family so a fully
-    cached sweep never builds one.
-    """
-    plan = _cached_structural_plan(
-        query,
-        database.statistics,
-        k,
-        completion,
-        _family_factory if _family_factory is not None else (lambda: family),
-        plan_cache,
+    """Plan with cost-k-decomp for one ``k`` (or replay the cached winner)
+    and execute.  Raises ``PlanningError`` when ``k`` is below the query's
+    hypertree width."""
+    plans = best_plan_over_k(
+        query, database.statistics, (k,), completion=completion,
+        plan_cache=plan_cache,
     )
-    return _execute_and_measure(
-        plan, database, f"cost-{k}-decomp", budget, width=plan.width,
-        weighting=plan.weighting,
-    )
+    return _measure_structural_plan(k, plans[k], database, budget)
 
 
 def compare_planners(
@@ -335,25 +206,12 @@ def compare_planners(
         query, database, budget=budget, plan_cache=plan_cache,
     )
     report = ComparisonReport(query_name=query.name, baseline=baseline_measurement)
-    # The family is built lazily, on the first k the plan cache cannot
-    # serve: a fully warm sweep does zero planner setup.
-    shared: List[CostPlanningFamily] = []
-
-    def family_factory() -> CostPlanningFamily:
-        if not shared:
-            shared.append(
-                planning_family(query, database.statistics, completion=completion)
-            )
-        return shared[0]
-
-    for k in k_values:
-        try:
-            measurement = measure_structural(
-                query, database, k, completion=completion, budget=budget,
-                plan_cache=plan_cache, _family_factory=family_factory,
-            )
-        except PlanningError:
-            continue
+    plans = best_plan_over_k(
+        query, database.statistics, k_values, completion=completion,
+        plan_cache=plan_cache,
+    )
+    for k, plan in plans.items():
+        measurement = _measure_structural_plan(k, plan, database, budget)
         report.structural[k] = measurement
         answers_comparable = (
             not measurement.budget_exceeded and not baseline_measurement.budget_exceeded
@@ -368,8 +226,4 @@ def compare_planners(
                 f"{measurement.answer_cardinality} tuples, baseline "
                 f"{baseline_measurement.answer_cardinality}"
             )
-    if not report.structural:
-        raise PlanningError(
-            f"no structural plan could be built for {query.name} with k in {list(k_values)}"
-        )
     return report

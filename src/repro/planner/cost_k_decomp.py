@@ -32,7 +32,7 @@ from repro.decomposition.normal_form import complete_decomposition
 from repro.exceptions import NoDecompositionExistsError, PlanningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs.trace import active_recorder
-from repro.planner.plans import HypertreePlan
+from repro.planner.plans import HypertreePlan, cached_plan
 from repro.query.conjunctive import ConjunctiveQuery, is_fresh_variable
 from repro.weights.querycost import QueryCostTAF
 
@@ -244,7 +244,6 @@ def cost_k_decomp(
         k=k,
         node_estimates=node_estimates,
         planning_seconds=elapsed,
-        planned_query=None,
         weighting=taf.name,
     )
 
@@ -254,21 +253,35 @@ def best_plan_over_k(
     statistics: CatalogStatistics,
     k_values: Sequence[int],
     completion: str = "fresh",
+    plan_cache=None,
 ) -> Dict[int, HypertreePlan]:
     """Plans for several width bounds (the Fig. 8(A) sweep ``k = 2..5``).
 
     The sweep shares one :class:`CostPlanningFamily`, so every candidates
     graph after the first is built incrementally and the cost-model memos
-    stay warm across bounds.  Returns a dict ``k -> plan``; values of ``k``
-    below the query's hypertree width are silently skipped (planning fails
-    there by definition).
+    stay warm across bounds.  With a ``plan_cache`` (a
+    :class:`~repro.db.storage.PlanCache`, keyed additionally by ``k`` and
+    ``completion``) each bound is looked up first and a hit replays the
+    stored winner with ``planning_seconds == 0.0``; the family is built on
+    the first miss, so a fully warm sweep builds no planner state at all.
+    Returns a dict ``k -> plan``; values of ``k`` below the query's
+    hypertree width are silently skipped (planning fails there by
+    definition).
     """
-    family = planning_family(query, statistics, completion=completion)
+    family: Optional[CostPlanningFamily] = None
+
+    def plan(k: int) -> HypertreePlan:
+        nonlocal family
+        if family is None:
+            family = planning_family(query, statistics, completion=completion)
+        return cost_k_decomp(query, statistics, k, completion=completion, family=family)
+
     plans: Dict[int, HypertreePlan] = {}
     for k in k_values:
         try:
-            plans[k] = cost_k_decomp(
-                query, statistics, k, completion=completion, family=family
+            plans[k] = cached_plan(
+                plan_cache, HypertreePlan, query, statistics, lambda: plan(k),
+                k=int(k), completion=completion,
             )
         except PlanningError:
             continue

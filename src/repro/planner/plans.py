@@ -11,18 +11,33 @@ Two plan shapes appear in the paper's experiments:
 
 Both know how to execute themselves against a :class:`repro.db.database.Database`
 and return an :class:`repro.db.executor.ExecutionResult` carrying the work
-counters the experiments compare.
+counters the experiments compare.  Both own one ``to_payload()`` /
+``from_payload()`` pair whose JSON block is the
+:class:`~repro.db.storage.PlanCache` entry and the serving wire's ``"plan"``
+alike (execution reads only ``kind`` + ``decomposition`` | ``order``, the
+estimates ride along); ``from_payload`` goes through the validating decoders
+of :mod:`repro.db.plan_ir`, raises :class:`~repro.exceptions.DatabaseError`
+otherwise, and reports ``planning_seconds == 0.0`` (nothing was planned).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.db.database import Database
 from repro.db.executor import ExecutionResult
-from repro.db.plan_ir import QueryPlanIR, hypertree_plan_ir, join_order_plan_ir
+from repro.db.plan_ir import (
+    QueryPlanIR,
+    decomposition_from_payload,
+    decomposition_to_payload,
+    hypertree_plan_ir,
+    join_order_plan_ir,
+    plan_ir_from_payload,
+)
+from repro.db.storage import query_fingerprint, statistics_digest
 from repro.decomposition.hypertree import HypertreeDecomposition, NodeId
+from repro.exceptions import DatabaseError
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -31,15 +46,14 @@ class HypertreePlan:
     """A structural query plan: a complete hypertree decomposition plus the
     estimates the planner used to pick it."""
 
+    kind = "hypertree"
+
     query: ConjunctiveQuery
     decomposition: HypertreeDecomposition
     estimated_cost: float
     k: int
     node_estimates: Dict[NodeId, float] = field(default_factory=dict)
     planning_seconds: float = 0.0
-    #: The query actually decomposed (it differs from ``query`` when the
-    #: fresh-variable completeness construction of Section 6 was used).
-    planned_query: Optional[ConjunctiveQuery] = None
     #: Name of the weighting function the planner minimised (for reports).
     weighting: str = "cost_H(Q)"
 
@@ -50,15 +64,7 @@ class HypertreePlan:
     def to_ir(self) -> QueryPlanIR:
         """Lower the plan to the shared plan-node IR (the same node tree and
         kernels the baseline plan executes on)."""
-        query = self.planned_query or self.query
-        # Output variables must come from the original query (fresh variables
-        # are internal); rebuild the executed query with the original head.
-        executed = ConjunctiveQuery(
-            atoms=query.atoms,
-            output_variables=self.query.output_variables,
-            name=query.name,
-        )
-        return hypertree_plan_ir(executed, self.decomposition)
+        return hypertree_plan_ir(self.query, self.decomposition)
 
     def execute(
         self,
@@ -76,6 +82,40 @@ class HypertreePlan:
             threads=threads,
             memory_budget_bytes=memory_budget_bytes,
         )
+
+    def to_payload(self) -> Dict[str, object]:
+        return {
+            "kind": self.kind,
+            "decomposition": decomposition_to_payload(self.decomposition),
+            "estimated_cost": self.estimated_cost,
+            "k": self.k,
+            "node_estimates": {
+                str(node_id): value for node_id, value in self.node_estimates.items()
+            },
+            "weighting": self.weighting,
+        }
+
+    @classmethod
+    def from_payload(cls, query: ConjunctiveQuery, payload) -> "HypertreePlan":
+        if not isinstance(payload, Mapping) or payload.get("kind") != cls.kind:
+            raise DatabaseError(f"not a hypertree plan payload: {payload!r}")
+        decomposition = decomposition_from_payload(
+            query.hypergraph(), payload.get("decomposition")
+        )
+        try:
+            return cls(
+                query=query,
+                decomposition=decomposition,
+                estimated_cost=float(payload["estimated_cost"]),
+                k=int(payload["k"]),
+                node_estimates={
+                    int(node_id): float(value)
+                    for node_id, value in payload["node_estimates"].items()
+                },
+                weighting=str(payload["weighting"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DatabaseError(f"malformed hypertree plan payload: {exc!r}") from exc
 
     def describe(self) -> str:
         lines = [
@@ -100,6 +140,8 @@ class HypertreePlan:
 @dataclass
 class JoinOrderPlan:
     """A quantitative-only plan: a left-deep join order over the query atoms."""
+
+    kind = "join_order"
 
     query: ConjunctiveQuery
     order: Tuple[str, ...]
@@ -126,9 +168,55 @@ class JoinOrderPlan:
             memory_budget_bytes=memory_budget_bytes,
         )
 
+    def to_payload(self) -> Dict[str, object]:
+        return {
+            "kind": self.kind,
+            "order": list(self.order),
+            "estimated_cost": self.estimated_cost,
+        }
+
+    @classmethod
+    def from_payload(cls, query: ConjunctiveQuery, payload) -> "JoinOrderPlan":
+        if not isinstance(payload, Mapping) or payload.get("kind") != cls.kind:
+            raise DatabaseError(f"not a join-order plan payload: {payload!r}")
+        plan_ir_from_payload(query, payload)  # every atom exactly once
+        try:
+            cost = float(payload["estimated_cost"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatabaseError(f"malformed join-order plan payload: {exc!r}") from exc
+        return cls(query=query, order=tuple(payload["order"]), estimated_cost=cost)
+
     def describe(self) -> str:
         chain = " ⋈ ".join(self.order)
         return (
             f"Left-deep plan for {self.query.name}: {chain} "
             f"(estimated cost={self.estimated_cost:,.0f})"
         )
+
+
+def cached_plan(
+    plan_cache, plan_class, query, statistics, planner: Callable, **knobs
+):
+    """``planner()`` through ``plan_cache`` (``None``: uncached).  The key is
+    (plan kind, query fingerprint, statistics digest, ``knobs``), so any
+    statistics change is a miss.  A hit is ``plan_class.from_payload`` of
+    the stored block; an entry that decoder refuses -- corrupt, or not a
+    plan for ``query`` -- is replanned and overwritten, exactly like a
+    miss.  Only successful plans are stored."""
+    if plan_cache is None:
+        return planner()
+    key = {
+        "kind": plan_class.kind,
+        "query": query_fingerprint(query),
+        "statistics": statistics_digest(statistics),
+        **knobs,
+    }
+    payload = plan_cache.lookup(key)
+    if payload is not None:
+        try:
+            return plan_class.from_payload(query, payload)
+        except DatabaseError:
+            pass
+    plan = planner()
+    plan_cache.store(key, plan.to_payload())
+    return plan

@@ -11,10 +11,10 @@ Four invariants are pinned here:
   the same database saved raw -- serially, on the row engine, and under
   ``threads=4`` plus a tiny memory budget.  ``peak_transient_elements`` is
   pinned equal; only ``peak_transient_bytes`` may shrink.
-* **Version compatibility.**  A hand-built version-1 store (no
-  ``"encoding"`` metadata, raw ``.i64`` files) still opens on both engines,
-  and a ``cached_database`` entry at a stale format version is regenerated
-  in place, not reused.
+* **Version gate.**  A hand-built version-1 store (no ``"encoding"``
+  metadata, raw ``.i64`` files) is refused with a re-save hint -- only the
+  current format version is read -- and a ``cached_database`` entry at a
+  stale format version is regenerated in place, not reused.
 * **Adaptive morsel sizing.**  ``memory_budget_bytes`` (and the auto-chunk
   environment knobs) bound the join's transient footprint without changing
   a single output byte, and packed/raw runs chunk identically.
@@ -46,7 +46,6 @@ from repro.db.relation import Relation
 from repro.db.storage import (
     FORMAT_VERSION,
     cached_database,
-    load_catalog,
     open_database,
     pack_ids,
     reset_workload_cache_stats,
@@ -54,6 +53,7 @@ from repro.db.storage import (
     save_database,
     storage_info,
     unpack_ids,
+    verify_store,
     workload_cache_stats,
 )
 from repro.exceptions import StorageFormatError
@@ -471,7 +471,7 @@ class TestPackedAtomBinding:
 
 
 # ----------------------------------------------------------------------
-# Version compatibility: v1 stores and stale cache entries.
+# Version gate: v1 stores and stale cache entries.
 # ----------------------------------------------------------------------
 
 
@@ -479,8 +479,7 @@ def _downgrade_to_v1(target: Path) -> None:
     """Rewrite a store's version markers back to 1 and strip the
     ``"encoding"`` metadata.  Applied to a ``encoding="raw"`` store this
     produces an exact version-1 store (raw ``.i64`` files, no encoding
-    keys); applied to a packed one it merely *claims* version 1, which is
-    all the cache staleness test needs."""
+    keys)."""
     for file_name in ("catalog.json", "dictionary.json"):
         payload = json.loads((target / file_name).read_text())
         assert payload["version"] == FORMAT_VERSION
@@ -494,7 +493,15 @@ def _downgrade_to_v1(target: Path) -> None:
         (target / file_name).write_text(json.dumps(payload))
 
 
+def _stored_version(target: Path) -> int:
+    return json.loads((target / "catalog.json").read_text())["version"]
+
+
 class TestV1BackwardCompatibility:
+    """The compatibility policy for version 1 is refusal: its read support
+    was retired with the single catalog decoder (the only v1 stores in
+    existence were the ones this file builds by hand)."""
+
     def _v1_store(self, tmp_path):
         base = Database(
             relations={
@@ -515,22 +522,18 @@ class TestV1BackwardCompatibility:
         _downgrade_to_v1(target)
         return base, target
 
-    def test_v1_store_opens_on_both_engines(self, tmp_path):
-        original, target = self._v1_store(tmp_path)
-        assert load_catalog(target)["version"] == 1
-        for columnar in (True, False):
-            reopened = open_database(target, columnar=columnar)
-            assert_same_database(original, reopened)
-
-    def test_v1_columns_read_as_raw_int64(self, tmp_path):
+    def test_v1_store_is_refused_with_a_resave_hint(self, tmp_path):
+        # Version-1 read support is retired: every entry point that decodes
+        # the catalog refuses the store and says what to do about it.
         _, target = self._v1_store(tmp_path)
-        info = storage_info(target)
-        assert info["version"] == 1
-        assert info["compression_ratio"] == 1.0
-        for relation in info["relations"]:
-            for column in relation["columns"]:
-                assert (column["codec"], column["dtype"]) == ("raw", "i64")
-                assert column["reference"] == 0
+        for columnar in (True, False):
+            with pytest.raises(StorageFormatError, match="version 1.*re-save"):
+                open_database(target, columnar=columnar)
+        with pytest.raises(StorageFormatError, match="version 1.*re-save"):
+            storage_info(target)
+        report = verify_store(target)
+        assert not report["ok"]
+        assert [problem["file"] for problem in report["problems"]] == ["catalog.json"]
 
     def test_future_version_still_rejected(self, tmp_path):
         _, target = self._v1_store(tmp_path)
@@ -558,16 +561,16 @@ class TestCacheStaleVersionRegeneration:
         first = cached_database("stale", params, builder, cache_dir=tmp_path)
         assert len(builds) == 1
         (entry,) = [p for p in Path(tmp_path).iterdir() if p.is_dir()]
-        assert load_catalog(entry)["version"] == FORMAT_VERSION
+        assert _stored_version(entry) == FORMAT_VERSION
 
-        # Age the entry: a store claiming an older format version -- even
-        # one this build could still read -- must regenerate, not survive.
+        # Age the entry: a store at an older format version must
+        # regenerate, not survive (and not crash the lookup).
         _downgrade_to_v1(entry)
-        assert load_catalog(entry)["version"] == 1
+        assert _stored_version(entry) == 1
 
         second = cached_database("stale", params, builder, cache_dir=tmp_path)
         assert len(builds) == 2  # regenerated, not reused
-        assert load_catalog(entry)["version"] == FORMAT_VERSION
+        assert _stored_version(entry) == FORMAT_VERSION
         assert_same_database(first, second)
 
         third = cached_database("stale", params, builder, cache_dir=tmp_path)

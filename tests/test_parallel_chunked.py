@@ -478,7 +478,7 @@ class TestParallelExecutionEquivalence:
             query, tuples_per_relation=80, domain_size=12, seed=7
         )
         plan = cost_k_decomp(query, database.statistics, 2, completion="fresh")
-        executed = plan.planned_query or plan.query
+        executed = plan.query
         ir = hypertree_plan_ir(executed, plan.decomposition)
         total = execute_plan(ir, database, threads=1).stats.total_work
         budget = int(total * share)

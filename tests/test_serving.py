@@ -9,7 +9,7 @@ must report ``planning_seconds == 0.0``).  Hypothesis drives randomised
 plan payloads (join-order permutations, answer modes, knob combinations)
 through one long-lived pool; deterministic cases cover the admission
 controller, the protocol edges (empty relation, zero answers, Boolean
-queries, v1 stores) and pool degradation once the worker-restart budget
+queries) and pool degradation once the worker-restart budget
 is spent (the fault-injection suite, ``test_serving_faults.py``, covers
 supervision itself).  Pooled responses carry a scheduling-dependent
 ``"serving"`` provenance block, so every oracle comparison goes through
@@ -339,33 +339,6 @@ class TestEdgeCasesAndFailure:
         assert oracle["stats"]["total_work"] > 0  # work happened, no answers
         with ServingPool(target, workers=2) as pool:
             assert _served(pool.run([payload])) == [oracle]
-
-    def test_v1_store_served_through_pool(self, tmp_path):
-        # An exact version-1 store: raw int64 columns, no encoding keys.
-        database = workload_database(
-            _query(), tuples_per_relation=60, domain_size=8, seed=2
-        )
-        target = tmp_path / "v1-store"
-        database.save(target, encoding="raw")
-        for file_name in ("catalog.json", "dictionary.json"):
-            meta = json.loads((target / file_name).read_text())
-            meta["version"] = 1
-            if file_name == "catalog.json":
-                for relation in meta["relations"]:
-                    for column in relation["columns"]:
-                        column.pop("encoding", None)
-                    if relation.get("selection"):
-                        relation["selection"].pop("encoding", None)
-            (target / file_name).write_text(json.dumps(meta))
-        payload = _payload()
-        serial = Database.open(target)
-        oracle = execute_payload(payload, serial)
-        assert oracle["status"] == "ok"
-        with ServingPool(target, workers=2) as pool:
-            reports = pool.worker_reports.values()
-            assert {r["store_digest"] for r in reports} == {store_digest(target)}
-            assert all(r["mmap_columns"] == r["total_columns"] for r in reports)
-            assert _served(pool.run([payload] * 2)) == [oracle] * 2
 
     def test_dead_worker_degrades_pool_when_restarts_exhausted(self, store):
         # The sole worker dies mid-request and there is no restart budget:
