@@ -244,17 +244,11 @@ def test_daemon_qps(benchmark, clients):
             responses = benchmark.pedantic(
                 serve_concurrently, rounds=1, iterations=1
             )
-        # The dispatcher bumps requests_served *after* writing the reply,
-        # so a client can observe its response a beat before the counter
-        # lands: poll briefly instead of racing it.
+        # One thread counts a reply and then queues it, and answers health
+        # too: whoever has read its response sees the counter.
         with DaemonClient(daemon.address) as client:
-            deadline = time.monotonic() + 5.0
-            while True:
-                health = client.health()
-                if health["counters"]["requests_served"] >= len(batch):
-                    break
-                assert time.monotonic() < deadline, health["counters"]
-                time.sleep(0.05)
+            health = client.health()
+        assert health["counters"]["requests_served"] >= len(batch)
 
     assert [strip_provenance(r) for r in responses] == oracle, (
         "daemon responses must be byte-identical to the serial oracle"

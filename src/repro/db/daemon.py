@@ -55,10 +55,19 @@ disconnect mid-request      connection dropped; its in-flight admission
                             (the ``collect(timeout=)`` expiry machinery);
                             every other connection unaffected
 garbage / oversized frame   one ``bad_frame`` error frame (best effort),
-                            then the connection is dropped
+                            then the connection is dropped; so is one whose
+                            bytes raise what nobody foresaw (logged); every
+                            other connection unaffected
 stall mid-frame             dropped after ``io_timeout_seconds`` (a
                             *started* frame must finish in time; an idle
                             connection may stay silent forever)
+client stops reading        responses wait in that connection's out-buffer
+                            (written non-blockingly as the peer reads; the
+                            connection is not read from meanwhile, so the
+                            buffer is bounded by the requests it had in
+                            flight); 30 s without the peer taking a byte
+                            and the connection is dropped like a
+                            disconnect; every other connection unaffected
 ``AdmissionRejected``       ``admission_rejected`` error frame; the
                             connection stays open for a retry
 pool degraded               ``degraded`` error frame per execute; health
@@ -78,25 +87,39 @@ Client-side faults are scriptable through the same
 ``partial_frame`` / ``stalled_reader``), so the whole matrix replays
 deterministically in tests and CI chaos smokes.
 
-Threading model
----------------
-The pool is single-owner: only the *dispatcher* thread touches it
-(``submit`` / ``abandon``, and one ``pump`` per loop whose resolved ids it
-collects and answers).  Each connection gets a reader thread that
-decodes frames and forwards ``execute`` commands to the dispatcher over a
-queue; ``health``, ``metrics`` and ``plans`` are answered inline from
-state safe to read concurrently; ``refresh`` runs on the dedicated
-refresh thread (planning may take a while and must not stall serving).
-Responses go out under a per-connection send lock, so dispatcher and
-reader never interleave bytes on one socket.
+The loop
+--------
+One thread -- the *loop* -- owns the listener, every client socket, the
+pool and every timer.  It blocks in a single ``selectors`` call on one
+wait set: the listener; each client socket (for reading, or for writing
+*instead* while the connection has unsent output); the pool's
+:meth:`~repro.db.serving.ServingPool.wait_handles` (the workers' response
+channels and process sentinels); and a wake-up socketpair.  The timeout
+is the earliest of the pool's :meth:`~repro.db.serving.ServingPool.next_timer`,
+each connection's deadline and the drain deadline -- nothing polls.  After
+every wake-up the loop runs the pool's ``pump`` once and answers what
+resolved.  Only the loop touches the pool (``submit`` / ``pump`` /
+``collect`` / ``abandon``, and the depth views ``health`` and ``metrics``
+read) and only the loop writes to a client socket.  An exception out of
+one connection's share of a wake-up drops that connection; one out of the
+loop's own steps ends serving with exit code 1.
+
+The one other thread is the *refresh* thread: planning may take a while
+and must not stall serving, so ``refresh`` requests and the refresh period
+run there; it hands each reply to the loop and sends one byte on the
+wake-up socket.  :meth:`ServingDaemon.request_shutdown` -- what SIGTERM
+and SIGINT call -- sets a flag and sends the same byte, so it is safe in a
+signal handler.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import logging
 import os
 import queue
+import selectors
 import signal
 import socket
 import struct
@@ -148,6 +171,8 @@ ERROR_CODES = (
 #: The ``counters`` block of ``health`` / ``metrics`` frames: names in the
 #: metrics registry the daemon shares with its pool (``admission_rejected``
 #: is counted by the pool's admission, the rest by this module).
+#: ``requests_served`` counts executes *resolved and queued* for their
+#: connection -- not delivered: a peer that never reads them still counts.
 _COUNTERS = (
     "connections_accepted",
     "connections_dropped",
@@ -159,10 +184,8 @@ _COUNTERS = (
     "refresh_errors",
 )
 
-#: Socket-level timeouts: the accept/read tick (how fast threads notice
-#: shutdown) and the send timeout (a stalled response write drops the
-#: connection rather than wedging the sender).
-_TICK_SECONDS = 0.2
+#: How long a connection's unsent output may wait for the peer to read it
+#: before the connection is dropped.
 _SEND_TIMEOUT_SECONDS = 30.0
 
 
@@ -269,7 +292,7 @@ def decode_frame(body: bytes) -> Dict[str, Any]:
     """The JSON object inside one frame body (header already stripped)."""
     try:
         frame = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError
         raise DaemonProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(frame, dict):
         raise DaemonProtocolError(
@@ -300,88 +323,43 @@ def _error_frame(frame_id, code: str, message: str) -> Dict[str, Any]:
     return frame
 
 
-def _recv_some(sock: socket.socket) -> Optional[bytes]:
-    """One recv with the tick timeout: bytes, ``b""`` on EOF, ``None``
-    on a tick with no data."""
-    try:
-        return sock.recv(65536)
-    except socket.timeout:
-        return None
-    except OSError:
-        return b""  # reset/closed under us: same as EOF for the reader
+class FrameDecoder:
+    """Sans-IO incremental frame decoder: :meth:`feed` it bytes as they
+    arrive, take complete frames from :meth:`next_frame`.  A header is
+    checked as soon as its four bytes are in and nothing is ever sized by
+    the length it declares: the buffer holds exactly the bytes fed and not
+    yet returned as frames."""
 
-
-#: Sentinel :meth:`_FrameReader.read` returns when the daemon is
-#: draining and the peer is at a frame boundary -- distinct from ``None``
-#: (peer EOF), because a drain must NOT abandon the peer's in-flight
-#: requests the way a real hangup does.
-_STOPPED = object()
-
-
-class _FrameReader:
-    """Incremental frame decoder over a socket with the daemon's
-    idle-vs-stalled policy: a connection may sit idle between frames
-    forever, but once the first byte of a frame arrives the rest must
-    follow within ``io_timeout`` seconds."""
-
-    def __init__(
-        self,
-        sock: socket.socket,
-        *,
-        max_frame_bytes: int,
-        io_timeout: float,
-        stop_event: threading.Event,
-    ) -> None:
-        self._sock = sock
+    def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
         self._max = max_frame_bytes
-        self._io_timeout = io_timeout
-        self._stop = stop_event
-        self._buffer = b""
+        self._buffer = bytearray()
 
-    def read(self):
-        """The next frame; ``None`` on clean peer EOF, :data:`_STOPPED`
-        when the stop event fired at a frame boundary.  Raises
-        :class:`DaemonProtocolError` on garbage and
-        :class:`DaemonDisconnected` on mid-frame EOF or stall."""
-        started_at = None if not self._buffer else time.monotonic()
-        while True:
-            frame = self._try_decode()
-            if frame is not None:
-                return frame
-            if self._stop.is_set() and not self._buffer:
-                return _STOPPED
-            chunk = _recv_some(self._sock)
-            if chunk is None:  # tick: no data
-                if self._buffer:
-                    if started_at is None:
-                        started_at = time.monotonic()
-                    elif time.monotonic() - started_at > self._io_timeout:
-                        raise DaemonDisconnected(
-                            f"peer stalled mid-frame for more than "
-                            f"{self._io_timeout}s"
-                        )
-                continue
-            if chunk == b"":
-                if self._buffer:
-                    raise DaemonDisconnected("peer closed mid-frame")
-                return None
-            if not self._buffer:
-                started_at = time.monotonic()
-            self._buffer += chunk
+    @property
+    def buffered(self) -> int:
+        """Bytes fed and not yet returned as frames."""
+        return len(self._buffer)
 
-    def _try_decode(self) -> Optional[Dict[str, Any]]:
-        if len(self._buffer) < _HEADER.size:
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def next_frame(self) -> Optional[Dict[str, Any]]:
+        """The next complete frame, ``None`` when it needs more bytes;
+        :class:`DaemonProtocolError` for a header or body that is not a
+        daemon frame."""
+        buffer = self._buffer
+        if len(buffer) < _HEADER.size:
             return None
-        (length,) = _HEADER.unpack(self._buffer[: _HEADER.size])
+        (length,) = _HEADER.unpack_from(buffer)
         if length == 0 or length > self._max:
             raise DaemonProtocolError(
                 f"frame header declares {length:,} bytes "
                 f"(limit {self._max:,}): not a daemon frame"
             )
-        if len(self._buffer) < _HEADER.size + length:
+        end = _HEADER.size + length
+        if len(buffer) < end:
             return None
-        body = self._buffer[_HEADER.size : _HEADER.size + length]
-        self._buffer = self._buffer[_HEADER.size + length :]
+        body = buffer[_HEADER.size : end]
+        del buffer[:end]
         return decode_frame(body)
 
 
@@ -391,123 +369,23 @@ class _FrameReader:
 
 
 class _Connection:
-    """One accepted client socket: a reader thread plus a locked sender."""
+    """One accepted client socket as the loop sees it: the non-blocking
+    socket, the decoder its bytes are fed to, the encoded responses the
+    peer has not taken yet, and the one deadline in force -- while there
+    is unsent output, for ``out`` to drain (the connection is not read
+    from meanwhile, so what it can make the daemon buffer is bounded by
+    the requests it had in flight); otherwise for a started frame to
+    finish (an idle connection has none)."""
 
-    def __init__(self, daemon: "ServingDaemon", sock: socket.socket, conn_id: int):
-        self.daemon = daemon
+    def __init__(self, sock: socket.socket, max_frame_bytes: int) -> None:
         self.sock = sock
-        self.conn_id = conn_id
-        self.send_lock = threading.Lock()
-        self.closed = threading.Event()
-        self.thread = threading.Thread(
-            target=self._run, name=f"repro-daemon-conn-{conn_id}", daemon=True
-        )
+        self.decoder = FrameDecoder(max_frame_bytes)
+        self.out = bytearray()
+        self.deadline: Optional[float] = None
 
-    def start(self) -> None:
-        self.sock.settimeout(_TICK_SECONDS)
-        self.thread.start()
-
-    def send(self, frame: Mapping) -> bool:
-        """Serialise + write one frame; ``False`` (never raises) when the
-        peer is gone or stalls past the send timeout -- the caller then
-        treats the connection as hung up."""
-        try:
-            data = encode_frame(frame, self.daemon.max_frame_bytes)
-        except DaemonProtocolError:  # pragma: no cover - response too big
-            data = encode_frame(
-                _error_frame(frame.get("id"), "internal", "response too large")
-            )
-        with self.send_lock:
-            if self.closed.is_set():
-                return False
-            try:
-                self.sock.settimeout(_SEND_TIMEOUT_SECONDS)
-                self.sock.sendall(data)
-                return True
-            except OSError:
-                return False
-            finally:
-                try:
-                    self.sock.settimeout(_TICK_SECONDS)
-                except OSError:  # pragma: no cover - socket torn down
-                    pass
-
-    def close(self) -> None:
-        if self.closed.is_set():
-            return
-        self.closed.set()
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    # -- reader thread -------------------------------------------------
-    def _run(self) -> None:
-        daemon = self.daemon
-        reader = _FrameReader(
-            self.sock,
-            max_frame_bytes=daemon.max_frame_bytes,
-            io_timeout=daemon.io_timeout_seconds,
-            stop_event=daemon._stop_event,
-        )
-        dropped = False
-        draining = False
-        try:
-            while not self.closed.is_set():
-                try:
-                    frame = reader.read()
-                except DaemonProtocolError as exc:
-                    # Garbage: one best-effort error frame, then drop.
-                    self.send(_error_frame(None, "bad_frame", str(exc)))
-                    dropped = True
-                    break
-                except DaemonDisconnected:
-                    dropped = True
-                    break
-                if frame is _STOPPED:
-                    # Drain: stop reading, but the peer's in-flight
-                    # requests still complete -- no hangup, the
-                    # dispatcher keeps delivering on this socket.
-                    draining = True
-                    break
-                if frame is None:  # the peer closed cleanly
-                    break
-                self._handle(frame)
-        except Exception:  # pragma: no cover - reader must never kill the daemon
-            dropped = True
-        finally:
-            if dropped:
-                daemon.metrics.counter("connections_dropped").inc()
-            if not draining:
-                daemon._hangup(self)
-
-    def _handle(self, frame: Mapping) -> None:
-        daemon = self.daemon
-        frame_id = frame.get("id")
-        kind = frame.get("kind")
-        if kind not in REQUEST_KINDS:
-            self.send(
-                _error_frame(
-                    frame_id,
-                    "bad_request",
-                    f"unknown request kind {kind!r}; expected one of "
-                    f"{', '.join(REQUEST_KINDS)}",
-                )
-            )
-            return
-        if kind == "execute":
-            daemon._commands.put(("execute", self, dict(frame)))
-        elif kind == "health":
-            self.send(daemon._health_frame(frame_id))
-        elif kind == "metrics":
-            self.send(daemon._metrics_frame(frame_id))
-        elif kind == "plans":
-            self.send(daemon._plans_frame(frame_id))
-        elif kind == "refresh":
-            daemon._refresh_requests.put((self, frame_id))
-        elif kind == "shutdown":
-            self.send(dict(_base_frame("response", frame_id), draining=True))
-            daemon.request_shutdown()
+    @property
+    def closed(self) -> bool:
+        return self.sock.fileno() < 0
 
 
 class ServingDaemon:
@@ -571,24 +449,32 @@ class ServingDaemon:
 
         self._pool: Optional[ServingPool] = None
         self._planning_db = None
-        self._listener: Optional[socket.socket] = None
-        self._connections: Dict[int, _Connection] = {}
-        self._connections_lock = threading.Lock()
-        self._next_conn_id = 0
-        self._commands: "queue.Queue" = queue.Queue()
-        self._refresh_requests: "queue.Queue" = queue.Queue()
         self._payloads: List[Dict[str, Any]] = []
         self._payload_lock = threading.Lock()
         self._generation = 0
-        self._stop_event = threading.Event()
+        self._stopping = False
         self._finished = threading.Event()
         self._threads: List[threading.Thread] = []
+        # The loop thread's own state: nothing else reads or writes it.
+        self._listener: Optional[socket.socket] = None
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._connections: set = set()
+        # request_id -> (connection, frame id, submit time); the third
+        # slot feeds the request_latency_seconds histogram on delivery.
+        self._outstanding: Dict[int, Tuple[_Connection, Any, float]] = {}
+        self._pool_handles: List[object] = []  # as registered, and the
+        self._pool_fds: List[int] = []  # descriptors they had then
+        # How the refresh thread and signal handlers reach the loop.
+        self._refresh_requests: "queue.Queue" = queue.Queue()
+        self._replies: collections.deque = collections.deque()
+        self._wake_r: Optional[socket.socket] = None  # made by start(),
+        self._wake_w: Optional[socket.socket] = None  # after the pool forks
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ServingDaemon":
-        """Bind, prewarm, spawn the pool and all service threads.  After
-        this returns the daemon is serving; :attr:`address` carries the
-        actually-bound address (TCP port 0 resolves here)."""
+        """Bind, prewarm, spawn the pool and the two service threads.
+        After this returns the daemon is serving; :attr:`address` carries
+        the actually-bound address (TCP port 0 resolves here)."""
         if self._pool is not None:
             raise DaemonError("daemon already started")
         # Fork the workers *before* spawning our own service threads:
@@ -607,10 +493,16 @@ class ServingDaemon:
         except BaseException:
             self._pool.close()
             raise
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._watch_pool()
         self.started_at = time.monotonic()
         for name, target in (
-            ("repro-daemon-accept", self._accept_loop),
-            ("repro-daemon-dispatch", self._dispatch_loop),
+            ("repro-daemon-loop", self._loop),
             ("repro-daemon-refresh", self._refresh_loop),
         ):
             thread = threading.Thread(target=target, name=name, daemon=True)
@@ -634,7 +526,7 @@ class ServingDaemon:
             listener.bind((host, int(port)))
             self.address = ("tcp", listener.getsockname()[:2])
         listener.listen(64)
-        listener.settimeout(_TICK_SECONDS)
+        listener.setblocking(False)
         return listener
 
     def request_shutdown(self) -> None:
@@ -642,7 +534,18 @@ class ServingDaemon:
         accepting, let in-flight work finish or deadline out, then close
         everything.  Returns immediately; :meth:`wait` blocks until the
         drain completes."""
-        self._stop_event.set()
+        self._stopping = True
+        self._wake()
+
+    def _wake(self) -> None:
+        """Make the loop's wait return now: one non-blocking byte on the
+        wake-up socket.  A full socket means a wake-up is already pending,
+        a closed one that the loop is gone, none that it never started."""
+        try:
+            if self._wake_w is not None:
+                self._wake_w.send(b"\0")
+        except OSError:
+            pass
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._finished.wait(timeout)
@@ -653,7 +556,6 @@ class ServingDaemon:
         (0 = clean)."""
         if not drain:
             self.drain_timeout_seconds = 0.0
-        self.request_shutdown()
         return self._finish()
 
     def serve_forever(self, handle_signals: bool = True) -> int:
@@ -665,30 +567,23 @@ class ServingDaemon:
         if handle_signals:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 signal.signal(signum, lambda *_: self.request_shutdown())
-        while not self._stop_event.wait(_TICK_SECONDS):
-            pass  # polling wait: robust to signal delivery edge cases
+        self._threads[0].join()  # the loop returns once it has drained
         return self._finish()
 
     def _finish(self) -> int:
         """Tear-down, run by whichever thread called shutdown/serve_forever:
-        close the listener, join the service threads (the dispatcher drains
-        first), close connections and the pool, unlink the socket file."""
+        ask the loop to drain, join the service threads (the loop closes
+        listener and connections on its way out), then close the pool and
+        unlink the socket file."""
         if self._finished.is_set():
             return self.exit_code if self.exit_code is not None else 0
-        self._stop_event.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
+        self.request_shutdown()
         join_deadline = time.monotonic() + self.drain_timeout_seconds + 10.0
         for thread in self._threads:
             thread.join(timeout=max(0.1, join_deadline - time.monotonic()))
-        with self._connections_lock:
-            connections = list(self._connections.values())
-            self._connections.clear()
-        for connection in connections:
-            connection.close()
+        if self._wake_r is not None:  # else start() never got that far
+            self._wake_r.close()
+            self._wake_w.close()
         if self._pool is not None:
             self._pool.close()
         if self.address[0] == "unix":
@@ -705,7 +600,8 @@ class ServingDaemon:
             except OSError:  # export must never block the drain
                 _DAEMON_LOG.exception("trace export to %s failed", self.trace_out)
         stuck = [t for t in self._threads if t.is_alive()]
-        self.exit_code = 1 if stuck else 0
+        # The loop leaves a 1 behind when it ends on an exception.
+        self.exit_code = 1 if stuck or self.exit_code else 0
         self._finished.set()
         return self.exit_code
 
@@ -715,124 +611,240 @@ class ServingDaemon:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    # -- accept loop ---------------------------------------------------
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        while not self._stop_event.is_set():
-            try:
-                sock, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # listener closed: shutting down
-                break
-            if self._stop_event.is_set():
-                sock.close()
-                break
-            with self._connections_lock:
-                self._next_conn_id += 1
-                connection = _Connection(self, sock, self._next_conn_id)
-                self._connections[connection.conn_id] = connection
-            self.metrics.counter("connections_accepted").inc()
-            connection.start()
-
-    def _hangup(self, connection: _Connection) -> None:
-        """A connection's reader exited (EOF, garbage, stall): tell the
-        dispatcher to abandon its in-flight requests, then close."""
-        with self._connections_lock:
-            self._connections.pop(connection.conn_id, None)
-        self._commands.put(("hangup", connection, None))
-        connection.close()
-
-    # -- dispatcher (the only thread that touches the pool) ------------
-    def _next_command(self, timeout: float = 0.0):
-        """The next reader-thread command, waiting up to ``timeout``
-        seconds for one; ``None`` when the queue stays empty."""
+    # -- the loop (the only thread that touches pool and sockets) ------
+    def _loop(self) -> None:
         try:
-            return self._commands.get(timeout > 0, timeout)
-        except queue.Empty:
-            return None
+            self._serve()
+        except Exception:  # not a connection's fault: serving is over
+            _DAEMON_LOG.exception("the daemon loop failed")
+            self.exit_code = 1
+        finally:
+            # The refresh thread is told to stop; whatever the drain
+            # deadline left in flight is abandoned and answered with a
+            # structured error (best effort); then every socket goes.
+            self._refresh_requests.put(None)
+            outstanding, self._outstanding = self._outstanding, {}
+            for request_id, (connection, frame_id, _) in outstanding.items():
+                self._pool.abandon(request_id)
+                self.metrics.counter("abandoned_requests").inc()
+                self._guarded(
+                    connection, self._send_error, connection, frame_id,
+                    "shutting_down", "daemon drained before this request completed",
+                )
+            for connection in list(self._connections):
+                self._hangup(connection)
+            self._listener.close()
+            self._selector.close()
 
-    def _dispatch_loop(self) -> None:
+    def _serve(self) -> None:
+        """One wait, then whatever it woke us for, until drained."""
         pool = self._pool
-        # request_id -> (connection, frame_id, submit time); the third
-        # slot feeds the request_latency_seconds histogram on delivery.
-        outstanding: Dict[int, Tuple[_Connection, Any, float]] = {}
+        selector = self._selector
         drain_deadline = None
         while True:
-            stopping = self._stop_event.is_set()
-            if stopping and drain_deadline is None:
-                drain_deadline = time.monotonic() + self.drain_timeout_seconds
-            if stopping and (
-                not outstanding or time.monotonic() > drain_deadline
-            ):
-                break
-            # Idle: block on the command queue.  Work outstanding: block
-            # (briefly) on the pool instead, so crash recovery and
-            # deadlines advance between commands.
-            command = self._next_command(0.0 if outstanding else _TICK_SECONDS)
-            wait = 0.05 if outstanding and command is None else 0.0
-            while command is not None:
-                try:
-                    self._handle_command(command, outstanding)
-                except Exception as exc:  # one bad command must not kill serving
-                    _DAEMON_LOG.exception("command failed")
-                    _, connection, frame = command
-                    if frame is not None:
-                        self._send_error(
-                            connection, frame.get("id"), "internal", repr(exc)
-                        )
-                command = self._next_command()
-            for request_id in pool.pump(wait):
-                connection, frame_id, started = outstanding.pop(request_id)
+            now = time.monotonic()
+            if self._stopping:
+                if drain_deadline is None:  # the drain begins: stop accepting
+                    drain_deadline = now + self.drain_timeout_seconds
+                    selector.unregister(self._listener)
+                    self._listener.close()
+                if now >= drain_deadline or not (
+                    self._outstanding or any(c.out for c in self._connections)
+                ):
+                    return
+            deadlines = [
+                c.deadline for c in self._connections if c.deadline is not None
+            ]
+            deadlines += [
+                t for t in (pool.next_timer(now), drain_deadline) if t is not None
+            ]
+            timeout = max(0.0, min(deadlines) - now) if deadlines else None
+            for key, mask in selector.select(timeout):
+                self._guarded(key.data, self._ready, key, mask)
+            while self._replies:
+                connection, reply = self._replies.popleft()
+                self._guarded(connection, self._send, connection, reply)
+            for request_id in pool.pump():
+                connection, frame_id, started = self._outstanding.pop(request_id)
                 self.metrics.histogram("request_latency_seconds").observe(
                     time.monotonic() - started
                 )
+                self.metrics.counter("requests_served").inc()
                 reply = dict(
                     _base_frame("response", frame_id),
                     response=pool.collect(request_id),
                 )
-                if connection.send(reply):
-                    self.metrics.counter("requests_served").inc()
-                # A failed send surfaces as the connection's own hangup.
-        # Drain over (or timed out): everything still in flight is
-        # abandoned and answered with a structured error.
-        for request_id, (connection, frame_id, _started) in outstanding.items():
-            pool.abandon(request_id)
-            self.metrics.counter("abandoned_requests").inc()
-            connection.send(
-                _error_frame(
-                    frame_id,
-                    "shutting_down",
-                    "daemon drained before this request completed",
-                )
-            )
-        # ...and commands that raced the drain get an answer, not silence.
-        while (command := self._next_command()) is not None:
-            action, connection, frame = command
-            if action == "execute":
-                self._send_error(
-                    connection, frame.get("id"), "shutting_down",
-                    "daemon is draining; no new requests",
-                )
-
-    def _handle_command(self, command, outstanding) -> None:
-        pool = self._pool
-        action, connection, frame = command
-        if action == "hangup":
-            for request_id in [
-                rid for rid, entry in outstanding.items() if entry[0] is connection
+                self._guarded(connection, self._send, connection, reply)
+            self._watch_pool()
+            now = time.monotonic()
+            for connection in [
+                c for c in self._connections
+                if c.deadline is not None and now >= c.deadline
             ]:
-                del outstanding[request_id]
-                pool.abandon(request_id)
-                self.metrics.counter("abandoned_requests").inc()
+                # Stalled mid-frame, or not reading its responses.
+                self._hangup(connection, dropped=True)
+
+    def _guarded(self, connection: Optional[_Connection], step, *args) -> None:
+        """Run one connection's share of a wake-up.  An exception nobody
+        foresaw costs that connection (the listener: that one accept),
+        never the loop and so never anybody else's connection."""
+        try:
+            step(*args)
+        except Exception:
+            _DAEMON_LOG.exception("unexpected error; dropping the connection")
+            if connection is not None and not connection.closed:
+                self._hangup(connection, dropped=True)
+
+    def _ready(self, key: selectors.SelectorKey, mask: int) -> None:
+        """What one ready descriptor of the wait set asks for."""
+        connection = key.data
+        if connection is None:  # a pool handle needs only the pump
+            if key.fileobj is self._listener:
+                self._accept()
+            elif key.fileobj is self._wake_r:
+                self._wake_r.recv(4096)
             return
+        if mask & selectors.EVENT_WRITE:
+            self._flush(connection)
+            if not (connection.closed or connection.out):
+                # Drained: back to reading, starting with the frames that
+                # arrived behind the blocked one.
+                self._selector.modify(
+                    connection.sock, selectors.EVENT_READ, connection
+                )
+                connection.deadline = None
+                self._answer_frames(connection)
+        if mask & selectors.EVENT_READ and not connection.closed:
+            self._read(connection)
+
+    def _watch_pool(self) -> None:
+        """Keep the wait set on the pool's current handles.  They change
+        on every respawn and fd numbers are reused, so when the list
+        differs *all* are re-registered (a dead worker's descriptors are
+        closed already; unregistering tolerates that).  Runs before every
+        wait, and before a socket that may have been given a dead
+        worker's number is registered."""
+        handles = self._pool.wait_handles()
+        if handles == self._pool_handles:
+            return
+        for fd in self._pool_fds:
+            try:
+                self._selector.unregister(fd)
+            except (KeyError, OSError):
+                pass
+        self._pool_handles = handles
+        self._pool_fds = [h if isinstance(h, int) else h.fileno() for h in handles]
+        for fd in self._pool_fds:
+            self._selector.register(fd, selectors.EVENT_READ)
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the peer gave up between the wake-up and here
+            return
+        sock.setblocking(False)
+        connection = _Connection(sock, self.max_frame_bytes)
+        self._watch_pool()  # a submit since the last wait may have respawned
+        self._selector.register(sock, selectors.EVENT_READ, connection)
+        self._connections.add(connection)
+        self.metrics.counter("connections_accepted").inc()
+
+    def _hangup(self, connection: _Connection, dropped: bool = False) -> None:
+        """The connection is over -- the peer left, or (``dropped``) the
+        daemon gives up on it: abandon its in-flight requests, which
+        releases their admission slices, and close the socket."""
+        if dropped:
+            self.metrics.counter("connections_dropped").inc()
+        self._connections.discard(connection)
+        for request_id in [
+            rid for rid, entry in self._outstanding.items() if entry[0] is connection
+        ]:
+            del self._outstanding[request_id]
+            self._pool.abandon(request_id)
+            self.metrics.counter("abandoned_requests").inc()
+        self._selector.unregister(connection.sock)
+        connection.sock.close()
+
+    def _read(self, connection: _Connection) -> None:
+        try:
+            chunk = connection.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""  # reset under us: same as EOF
+        if not chunk:
+            # EOF between frames is a goodbye, inside one a fault.
+            self._hangup(connection, dropped=connection.decoder.buffered > 0)
+            return
+        connection.decoder.feed(chunk)
+        self._answer_frames(connection)
+
+    def _answer_frames(self, connection: _Connection) -> None:
+        """Handle the complete frames the decoder holds -- stopping as soon
+        as the connection has unsent output -- then (re)arm the mid-frame
+        deadline: a connection may sit idle between frames forever, but
+        once the first byte of a frame arrives the rest must follow within
+        ``io_timeout_seconds``."""
+        decoder = connection.decoder
+        handled = False
+        try:
+            while not (connection.closed or connection.out):
+                frame = decoder.next_frame()
+                if frame is None:
+                    break
+                handled = True
+                self._handle(connection, frame)
+        except DaemonProtocolError as exc:
+            # Garbage: one best-effort error frame, then drop.
+            self._send_error(connection, None, "bad_frame", str(exc))
+            if not connection.closed:
+                self._hangup(connection, dropped=True)
+            return
+        if connection.closed or connection.out:
+            return
+        if not decoder.buffered:
+            connection.deadline = None
+        elif handled or connection.deadline is None:  # a frame has just begun
+            connection.deadline = time.monotonic() + self.io_timeout_seconds
+
+    def _handle(self, connection: _Connection, frame: Mapping) -> None:
         frame_id = frame.get("id")
-        if self._stop_event.is_set():
+        kind = frame.get("kind")
+        try:
+            if kind == "execute":
+                self._execute(connection, frame)
+            elif kind == "health":
+                self._send(connection, self._health_frame(frame_id))
+            elif kind == "metrics":
+                self._send(connection, self._metrics_frame(frame_id))
+            elif kind == "plans":
+                self._send(connection, self._plans_frame(frame_id))
+            elif kind == "refresh":
+                self._refresh_requests.put((connection, frame_id))
+            elif kind == "shutdown":
+                self._send(
+                    connection, dict(_base_frame("response", frame_id), draining=True)
+                )
+                self.request_shutdown()
+            else:
+                self._send_error(
+                    connection, frame_id, "bad_request",
+                    f"unknown request kind {kind!r}; expected one of "
+                    f"{', '.join(REQUEST_KINDS)}",
+                )
+        except Exception as exc:  # one bad request must not end the loop
+            _DAEMON_LOG.exception("request failed")
+            self._send_error(connection, frame_id, "internal", repr(exc))
+
+    def _execute(self, connection: _Connection, frame: Mapping) -> None:
+        frame_id = frame.get("id")
+        if self._stopping:
             self._send_error(
                 connection, frame_id, "shutting_down",
                 "daemon is draining; no new requests",
             )
             return
+        pool = self._pool
         try:
             request_id = pool.submit(frame.get("payload"))
         except AdmissionRejected as exc:
@@ -843,17 +855,51 @@ class ServingDaemon:
         except DatabaseError as exc:
             self._send_error(connection, frame_id, "bad_request", str(exc))
         else:
-            outstanding[request_id] = (connection, frame_id, time.monotonic())
+            self._outstanding[request_id] = (connection, frame_id, time.monotonic())
 
     def _send_error(self, connection, frame_id, code: str, message: str) -> None:
-        self.metrics.counter("error_frames").inc()
-        connection.send(_error_frame(frame_id, code, message))
+        self._send(connection, _error_frame(frame_id, code, message))
+
+    def _send(self, connection: _Connection, frame: Mapping) -> None:
+        """The one writer: encode ``frame`` behind the connection's unsent
+        output and write what the peer takes now.  What it does not take
+        waits in ``out`` for the socket to become writable, under the send
+        deadline.  A connection that is already gone swallows the frame."""
+        if connection.closed:
+            return
+        try:
+            data = encode_frame(frame, self.max_frame_bytes)
+        except DaemonProtocolError:  # pragma: no cover - response too big
+            frame = _error_frame(frame.get("id"), "internal", "response too large")
+            data = encode_frame(frame)
+        if frame["kind"] == "error":
+            self.metrics.counter("error_frames").inc()
+        blocked = bool(connection.out)
+        connection.out += data
+        if blocked:
+            return
+        self._flush(connection)
+        if not connection.closed and connection.out:
+            self._selector.modify(connection.sock, selectors.EVENT_WRITE, connection)
+            connection.deadline = time.monotonic() + _SEND_TIMEOUT_SECONDS
+
+    def _flush(self, connection: _Connection) -> None:
+        """Write as much of the unsent output as the peer takes now."""
+        try:
+            sent = connection.sock.send(connection.out)
+        except BlockingIOError:
+            return
+        except OSError:  # the peer is gone: noticed on the write side
+            self._hangup(connection)
+            return
+        del connection.out[:sent]
+        if sent and connection.out:  # a slow reader is not a stuck one
+            connection.deadline = time.monotonic() + _SEND_TIMEOUT_SECONDS
 
     # -- inline request kinds ------------------------------------------
     def _status_frame(self, kind: str, frame_id) -> Dict[str, Any]:
         """The status snapshot both ``health`` and ``metrics`` frames are
-        views over.  Read from reader threads: counters are lock-protected
-        and the pool's depth views take atomic snapshots."""
+        views over, taken on the loop thread -- the pool's only owner."""
         pool = self._pool
         frame = _base_frame(kind, frame_id)
         frame.update(
@@ -877,7 +923,7 @@ class ServingDaemon:
 
     def _health_frame(self, frame_id) -> Dict[str, Any]:
         frame = self._status_frame("health", frame_id)
-        if self._stop_event.is_set():
+        if self._stopping:
             status = "draining"
         elif frame["degraded"]:
             status = "degraded"
@@ -933,49 +979,45 @@ class ServingDaemon:
             return self._generation
 
     def _refresh_loop(self) -> None:
-        while not self._stop_event.is_set():
-            timeout = self.refresh_seconds if self.refresh_seconds else _TICK_SECONDS
+        """The refresh thread: waits on its request queue with the refresh
+        period as the timeout (no period: until a request comes), so an
+        elapsed wait *is* the timer.  It never writes to a socket: each
+        reply is handed to the loop, then the loop is woken.  ``None`` --
+        from the loop on its way out -- ends it."""
+        while True:
             try:
-                request = self._refresh_requests.get(timeout=timeout)
+                request = self._refresh_requests.get(
+                    timeout=self.refresh_seconds or None
+                )
             except queue.Empty:
-                # Timer tick: refresh only when configured to.
-                if not self.refresh_seconds:
-                    continue
-                request = None
-            if self._stop_event.is_set():
-                break
-            connection: Optional[_Connection] = None
-            frame_id = None
-            if request is not None:
-                connection, frame_id = request
-            if self._planning_db is None:
-                if connection is not None:
-                    self._send_error(
-                        connection, frame_id, "refresh_unavailable",
-                        "daemon was started without --query; there is no "
-                        "query set to re-plan",
-                    )
-                continue
+                request = (None, None)  # the period elapsed: nobody to answer
+            if request is None or self._stopping:
+                return
+            connection, frame_id = request
             started = time.monotonic()
-            try:
-                generation = self._refresh_payloads(analyze=True)
-            except Exception as exc:  # keep serving on a failed refresh
-                self.metrics.counter("refresh_errors").inc()
-                if connection is not None:
-                    self._send_error(
-                        connection, frame_id, "refresh_failed", str(exc)
-                    )
-                continue
-            self.metrics.counter("refreshes").inc()
-            if connection is not None:
-                connection.send(
-                    dict(
+            if self._planning_db is None:
+                reply = _error_frame(
+                    frame_id, "refresh_unavailable",
+                    "daemon was started without --query; there is no "
+                    "query set to re-plan",
+                )
+            else:
+                try:
+                    generation = self._refresh_payloads(analyze=True)
+                except Exception as exc:  # keep serving on a failed refresh
+                    self.metrics.counter("refresh_errors").inc()
+                    reply = _error_frame(frame_id, "refresh_failed", str(exc))
+                else:
+                    self.metrics.counter("refreshes").inc()
+                    reply = dict(
                         _base_frame("response", frame_id),
                         refreshed=True,
                         generation=generation,
                         seconds=round(time.monotonic() - started, 4),
                     )
-                )
+            if connection is not None:
+                self._replies.append((connection, reply))
+                self._wake()
 
 
 # ----------------------------------------------------------------------
@@ -1022,15 +1064,10 @@ class DaemonClient:
         self._executes = 0
         self._ids = 0
         self._sock: Optional[socket.socket] = _connect(self.address, self.timeout)
-        # One reader for the connection's lifetime: bytes buffered past a
+        # One decoder for the connection's lifetime: bytes buffered past a
         # frame boundary (e.g. while skipping a stale response) must
         # survive into the next call.
-        self._reader = _FrameReader(
-            self._sock,
-            max_frame_bytes=self.max_frame_bytes,
-            io_timeout=self.timeout,
-            stop_event=threading.Event(),  # never set: deadline rules here
-        )
+        self._decoder = FrameDecoder(self.max_frame_bytes)
 
     # -- request kinds -------------------------------------------------
     def execute(self, payload: Mapping) -> Dict[str, Any]:
@@ -1095,6 +1132,7 @@ class DaemonClient:
         self, frame: Dict[str, Any], fault_rule: Optional[FaultRule] = None
     ) -> Dict[str, Any]:
         sock = self._require_sock()
+        sock.settimeout(self.timeout)  # the last read left what remained of its own
         data = encode_frame(frame, self.max_frame_bytes)
         if fault_rule is not None:
             self._act_out(sock, data, fault_rule)
@@ -1112,30 +1150,38 @@ class DaemonClient:
         return reply
 
     def _read_reply(self, frame: Mapping) -> Dict[str, Any]:
-        self._require_sock()
+        """The frame answering ``frame``, which must be complete within
+        ``timeout`` seconds from now -- however the peer spaces its bytes."""
+        sock = self._require_sock()
         deadline = time.monotonic() + self.timeout
-        reader = self._reader
-        while True:
-            if time.monotonic() > deadline:
-                self.close()
-                raise DaemonDisconnected(
-                    f"no response within {self.timeout}s"
-                )
-            try:
-                reply = reader.read()
-            except (DaemonProtocolError, DaemonDisconnected) as exc:
-                self.close()
-                raise DaemonDisconnected(
-                    f"connection lost awaiting response: {exc}"
-                ) from exc
-            if reply is None or reply is _STOPPED:
-                self.close()
-                raise DaemonDisconnected(
-                    "daemon closed the connection before responding"
-                )
-            if reply.get("id") == frame.get("id") or reply.get("id") is None:
-                return reply
-            # A response to an older (faulted) request: keep reading.
+        try:
+            while True:
+                reply = self._decoder.next_frame()
+                if reply is None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise socket.timeout
+                    sock.settimeout(remaining)
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        raise DaemonDisconnected(
+                            "daemon closed the connection before responding"
+                        )
+                    self._decoder.feed(chunk)
+                elif reply.get("id") == frame.get("id") or reply.get("id") is None:
+                    return reply
+                # else a response to an older (faulted) request: keep reading.
+        except socket.timeout:
+            self.close()
+            raise DaemonDisconnected(f"no response within {self.timeout}s") from None
+        except (DaemonProtocolError, OSError) as exc:
+            self.close()
+            raise DaemonDisconnected(
+                f"connection lost awaiting response: {exc}"
+            ) from exc
+        except DaemonDisconnected:
+            self.close()
+            raise
 
     # -- the scripted client seam --------------------------------------
     def _act_out(self, sock: socket.socket, data: bytes, rule: FaultRule) -> None:
@@ -1199,6 +1245,7 @@ __all__ = [
     "DaemonError",
     "DaemonProtocolError",
     "DaemonRequestError",
+    "FrameDecoder",
     "ServingDaemon",
     "decode_frame",
     "encode_frame",

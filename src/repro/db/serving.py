@@ -671,22 +671,34 @@ class ServingPool:
         process.start()
         self._workers[worker_id] = _Worker(process, requests, responses)
 
-    def _wait(self, limit: Optional[float]) -> None:
-        """Block until a worker's response channel becomes readable, a
-        worker process dies (the process sentinel fires on death, so a
-        crash wakes the pool immediately), the core's next timer comes due
-        or ``limit`` seconds pass -- whichever is first.  With no timer
-        and no limit the wait is unbounded: every state change the core
-        could act on is then announced through one of the handles."""
-        now = time.monotonic()
-        timer = self._core.next_timer(now)
-        timeout = None if timer is None else max(0.0, timer - now)
-        if limit is not None:
-            timeout = limit if timeout is None else min(timeout, limit)
-        handles = []
+    def wait_handles(self) -> List[object]:
+        """What a caller's own wait set must watch to know when :meth:`pump`
+        has work: every live worker's response channel and process
+        sentinel (the sentinel fires on death, so a crash wakes the waiter
+        immediately).  The handles change whenever a worker is respawned."""
+        handles: List[object] = []
         for worker in self._workers.values():
             handles.append(worker.responses._reader)
             handles.append(worker.process.sentinel)
+        return handles
+
+    def next_timer(self, now: float) -> Optional[float]:
+        """The instant by which :meth:`pump` must run again even if no
+        handle fires (a hello, retry or attempt deadline); ``None`` when
+        every pending transition is announced through a handle."""
+        return self._core.next_timer(now)
+
+    def _wait(self, limit: Optional[float]) -> None:
+        """Block until a wait handle fires, the next timer comes due or
+        ``limit`` seconds pass -- whichever is first.  With no timer and no
+        limit the wait is unbounded: every state change the core could act
+        on is then announced through one of the handles."""
+        now = time.monotonic()
+        timer = self.next_timer(now)
+        timeout = None if timer is None else max(0.0, timer - now)
+        if limit is not None:
+            timeout = limit if timeout is None else min(timeout, limit)
+        handles = self.wait_handles()
         if handles:
             _connection_wait(handles, timeout=timeout)
         elif timeout is None or timeout > _POLL_SECONDS:
@@ -725,7 +737,7 @@ class ServingPool:
         the core's next timer, then feed the core everything that
         happened -- worker messages, process deaths, the clock -- and carry
         out its effects.  Returns the ids whose responses are ready, each
-        for one :meth:`collect` -- the daemon's dispatcher serves every
+        for one :meth:`collect` -- the daemon's loop serves every
         connection from this one call."""
         core = self._core
         if timeout is None or timeout > 0:

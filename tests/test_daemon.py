@@ -15,6 +15,9 @@ connection seam:
   client);
 * a frame stalling mid-write -- dropped after ``io_timeout_seconds``; a
   stall that finishes inside the timeout survives;
+* a client that stops reading its responses -- they wait in that
+  connection's out-buffer, every other connection is served at once, and
+  the connection is dropped when the buffer outlives the send timeout;
 * ``AdmissionRejected`` / unknown kinds / malformed payloads --
   structured error frames on a connection that stays open;
 * drain -- a ``shutdown`` request (and SIGTERM against the real CLI
@@ -44,6 +47,7 @@ np = pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.db.daemon as daemon_module
 from repro.db.daemon import (
     DAEMON_FORMAT,
     DAEMON_VERSION,
@@ -188,6 +192,7 @@ class TestFraming:
             b"[1, 2, 3]",
             b'{"format": "something-else", "version": 1}',
             b'{"format": "repro-daemon", "version": 999}',
+            pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit"),
         ],
     )
     def test_decode_rejects_non_frames(self, body):
@@ -344,11 +349,15 @@ class TestDaemonServes:
         assert strip_provenance(response) == execute_payload(payload, serial_db)
 
     def test_unknown_kind_is_structured_error(self, client):
+        before = client.health()["counters"]["error_frames"]
         frame = client._frame("bogus_kind")
         with pytest.raises(DaemonRequestError) as excinfo:
             client._request(frame)
         assert excinfo.value.code == "bad_request"
-        assert client.health()["status"] == "ready"  # connection survived
+        health = client.health()
+        assert health["status"] == "ready"  # connection survived
+        # Every error frame is counted, whichever path produced it.
+        assert health["counters"]["error_frames"] == before + 1
 
     def test_malformed_payload_is_bad_request(self, client):
         with pytest.raises(DaemonRequestError) as excinfo:
@@ -403,6 +412,40 @@ class TestDaemonServes:
                     client.refresh()
                 assert excinfo.value.code == "refresh_unavailable"
 
+    def test_two_threads_whatever_the_number_of_connections(self, daemon):
+        """The architecture: one loop thread owns every socket and the
+        pool, one refresh thread plans -- connections add no threads."""
+        clients = [DaemonClient(daemon.address) for _ in range(8)]
+        try:
+            for c in clients:  # answered, hence accepted
+                assert c.health()["status"] == "ready"
+            names = sorted(
+                t.name for t in threading.enumerate()
+                if t.name.startswith("repro-daemon-")
+            )
+            assert names == ["repro-daemon-loop", "repro-daemon-refresh"]
+        finally:
+            for c in clients:
+                c.close()
+
+    def test_client_timeout_covers_a_silent_peer(self, tmp_path):
+        """``timeout`` bounds the whole wait for a reply: a peer that
+        accepts and then says nothing used to block the client forever
+        (the deadline was only looked at between frames)."""
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(str(tmp_path / "silent.sock"))
+        listener.listen(1)
+        try:
+            with DaemonClient(f"unix:{tmp_path / 'silent.sock'}", timeout=1.0) as c:
+                started = time.monotonic()
+                with pytest.raises(
+                    DaemonDisconnected, match=r"no response within 1\.0s"
+                ):
+                    c.health()
+                assert 0.9 < time.monotonic() - started < 5.0
+        finally:
+            listener.close()
+
 
 # ----------------------------------------------------------------------
 # The fault matrix.
@@ -429,8 +472,51 @@ class TestConnectionFaultMatrix:
             assert strip_provenance(response) == execute_payload(
                 payload, serial_db
             )
-            assert healthy.health()["counters"]["connections_dropped"] >= 1
+            counters = healthy.health()["counters"]
+            assert counters["connections_dropped"] >= 1
+            assert counters["error_frames"] == 1  # the bad_frame frame counts
             healthy.close()
+
+    def test_body_the_decoder_chokes_on_costs_one_connection(
+        self, store, tmp_path, serial_db, monkeypatch
+    ):
+        """A well-framed body far under the size limit can still make the
+        JSON decoder raise something that is not a ``ValueError`` (100 kB
+        of ``[``: ``RecursionError``).  That is garbage like any other --
+        and an exception nobody foresaw, wherever one connection's bytes
+        raise it, drops that connection, never the loop under all of them."""
+        payload = _payload()
+        real_decode = daemon_module.decode_frame
+
+        def decode(body):
+            if b"unforeseen" in body:
+                raise RuntimeError("no handler knows this one")
+            return real_decode(body)
+
+        monkeypatch.setattr(daemon_module, "decode_frame", decode)
+        daemon = _spawn_daemon(store, tmp_path, workers=1)
+        try:
+            healthy = DaemonClient(daemon.address)
+            for body, answered in ((b"[" * 100_000, True), (b"unforeseen", False)):
+                vandal = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                vandal.connect(str(daemon.address[1]))
+                vandal.settimeout(10.0)
+                vandal.sendall(struct.pack(">I", len(body)) + body)
+                if answered:
+                    reply = _recv_frame(vandal)
+                    assert reply["kind"] == "error" and reply["code"] == "bad_frame"
+                assert vandal.recv(4096) == b""  # dropped
+                vandal.close()
+                # The connection that was open all along never noticed.
+                assert strip_provenance(healthy.execute(payload)) == (
+                    execute_payload(payload, serial_db)
+                )
+            counters = healthy.health()["counters"]
+            assert counters["connections_dropped"] == 2
+            assert counters["error_frames"] == 1
+            healthy.close()
+        finally:
+            assert daemon.shutdown() == 0
 
     def test_client_disconnect_releases_admission_slice(
         self, store, tmp_path, serial_db
@@ -554,6 +640,110 @@ class TestConnectionFaultMatrix:
                 client.execute(_payload())
             client.close()
 
+    @pytest.fixture()
+    def stuck(self, request, tmp_path, monkeypatch):
+        """A daemon over a store whose ``rows`` answer is far larger than
+        a socket buffer, and a raw client that has sent two such executes
+        and reads nothing.  Yields ``(daemon, small, oracle, sock)``: a
+        digest payload for the healthy connections, its serial answer and
+        that raw socket.  An indirect parameter shortens the send timeout
+        first."""
+        if hasattr(request, "param"):
+            monkeypatch.setattr(
+                daemon_module, "_SEND_TIMEOUT_SECONDS", request.param
+            )
+        wide = build_query(
+            [("r", ["A", "B"]), ("s", ["B", "C"])],
+            output_variables=["A", "B", "C"], name="wide",
+        )
+        workload_database(
+            wide, tuples_per_relation=4000, domain_size=50, seed=3
+        ).save(tmp_path / "wide")
+        database = Database.open(tmp_path / "wide")
+
+        def payload(answer):
+            return dict(
+                _payload(order=["r", "s"], answer=answer),
+                query=query_to_payload(wide),
+            )
+
+        assert len(encode_frame(execute_payload(payload("rows"), database))) > 1 << 19
+        with _spawn_daemon(tmp_path / "wide", tmp_path, workers=2) as daemon:
+            # Opened after the workers forked, so closing it really closes it.
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(str(daemon.address[1]))
+            # One write: both are admitted before either answer exists.
+            sock.sendall(b"".join(
+                encode_frame({
+                    "format": DAEMON_FORMAT, "version": DAEMON_VERSION,
+                    "id": frame_id, "kind": "execute", "payload": payload("rows"),
+                })
+                for frame_id in (1, 2)
+            ))
+            small = payload("digest")
+            try:
+                yield daemon, small, execute_payload(small, database), sock
+            finally:
+                sock.close()  # or the drain would wait for it to read
+
+    def test_client_that_stops_reading_stalls_nobody(self, stuck):
+        """Its responses wait in its own out-buffer; another connection's
+        execute and health complete at once (a blocking send under the
+        dispatcher used to stall them for two 30 s send timeouts)."""
+        daemon, small, oracle, _ = stuck
+        with DaemonClient(daemon.address) as healthy:
+            deadline = time.monotonic() + 30.0
+            while healthy.health()["counters"]["requests_served"] < 2:
+                assert time.monotonic() < deadline, "wide answers never came"
+                time.sleep(0.01)
+            # Both wide answers are parked behind a peer that will not
+            # take them; this connection does not wait for that.
+            started = time.monotonic()
+            response = healthy.execute(small)
+            health = healthy.health()
+            assert time.monotonic() - started < 1.0
+            assert strip_provenance(response) == oracle
+            assert health["status"] == "ready"
+            assert health["counters"]["connections_dropped"] == 0
+
+    @pytest.mark.parametrize("stuck", [0.5], indirect=True)
+    def test_client_that_stops_reading_is_dropped(self, stuck):
+        """Output the peer does not take within the send timeout (0.5 s
+        here instead of 30) drops the connection: what it had in flight
+        is abandoned, its admission slices are released, everybody else
+        keeps being served."""
+        daemon, small, oracle, _ = stuck
+        with DaemonClient(daemon.address) as healthy:
+            deadline = time.monotonic() + 20.0
+            while healthy.health()["counters"]["connections_dropped"] < 1:
+                assert time.monotonic() < deadline, "never dropped"
+                time.sleep(0.02)
+            assert healthy.health()["pending"] == 0
+            assert strip_provenance(healthy.execute(small)) == oracle
+
+    @pytest.mark.parametrize("stuck", [1.0], indirect=True)
+    def test_slow_reader_that_keeps_reading_is_not_dropped(self, stuck):
+        """The send timeout is for a peer that takes *nothing*: one that
+        needs twice the timeout (1 s here) to take its two answers, 32 KiB
+        every 40 ms, gets both of them whole."""
+        daemon, _, _, sock = stuck
+        decoder = daemon_module.FrameDecoder()
+        replies = []
+        started = time.monotonic()
+        while len(replies) < 2:
+            time.sleep(0.04)
+            chunk = sock.recv(32768)
+            assert chunk, "dropped although it kept reading"
+            decoder.feed(chunk)
+            while (frame := decoder.next_frame()) is not None:
+                replies.append(frame)
+        assert time.monotonic() - started > 2 * 1.0
+        assert sorted(reply["id"] for reply in replies) == [1, 2]
+        first, second = (strip_provenance(r["response"]) for r in replies)
+        assert first == second and first["status"] == "ok"
+        with DaemonClient(daemon.address) as healthy:
+            assert healthy.health()["counters"]["connections_dropped"] == 0
+
     def test_admission_rejection_is_structured_not_a_hangup(
         self, store, tmp_path
     ):
@@ -603,6 +793,25 @@ class TestDrain:
             with pytest.raises(OSError):
                 os.kill(pid, 0)
         assert not (tmp_path / "fault.sock").exists()  # socket unlinked
+
+    def test_a_loop_that_failed_is_a_nonzero_exit(
+        self, store, tmp_path, monkeypatch
+    ):
+        """What is not one connection's fault (here: the pool's pump
+        raising) ends serving -- loudly: connections closed, workers
+        reaped, exit code 1 rather than a silent 0."""
+        daemon = _spawn_daemon(store, tmp_path, workers=1)
+        with DaemonClient(daemon.address) as client:
+            pids = client.health()["worker_pids"]
+            monkeypatch.setattr(daemon._pool, "pump", lambda *args: 1 // 0)
+            with pytest.raises(DaemonDisconnected):
+                client.health()  # wakes the loop; answered or not, it ends
+                client.health()
+        monkeypatch.undo()
+        assert daemon.shutdown() == 1
+        for pid in pids:
+            with pytest.raises(OSError):
+                os.kill(pid, 0)
 
     def test_inflight_request_completes_during_drain(
         self, store, tmp_path, serial_db

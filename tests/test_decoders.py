@@ -18,13 +18,20 @@ bytes ends in a correct decode or the plane's typed error.
   equal the join-order oracle's on the same query.  (Labels -- database and
   relation names, statistics -- are free-form: a mutation may legitimately
   change them, so they are not compared.)
+* **Frames.**  The daemon's sans-IO ``FrameDecoder`` over raw bytes and
+  over frame streams with mutated headers and bodies, cut at arbitrary
+  chunk boundaries: the frames a one-shot reference decode of the same
+  bytes yields, or ``DaemonProtocolError`` -- nothing else, nothing sized
+  by a declared length, and in time linear in the bytes fed.
 """
 
 import copy
 import json
 import shutil
+import struct
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +43,14 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.db.columnar import columnar_semijoin
+from repro.db.daemon import (
+    DAEMON_FORMAT,
+    DAEMON_VERSION,
+    DaemonProtocolError,
+    FrameDecoder,
+    decode_frame,
+    encode_frame,
+)
 from repro.db.database import Database
 from repro.db.plan_ir import (
     decomposition_from_payload,
@@ -626,3 +641,109 @@ class TestPlanDocumentMutations:
         except ReproError:
             return
         assert _answer(response) == _answer(_join_order_oracle(payload, database))
+
+
+# ----------------------------------------------------------------------
+# The daemon's frame decoder.
+# ----------------------------------------------------------------------
+
+_FRAME_LIMIT = 256
+
+
+def _frame(**fields) -> dict:
+    return {"format": DAEMON_FORMAT, "version": DAEMON_VERSION, **fields}
+
+
+def _one_shot(stream: bytes):
+    """Reference decode of a whole byte string, sharing only
+    ``decode_frame`` with the decoder under test: the complete frames
+    before the first defect, the offset each ends at, and whether there
+    was a defect."""
+    frames, ends, offset = [], [], 0
+    while len(stream) - offset >= 4:
+        (length,) = struct.unpack_from(">I", stream, offset)
+        if length == 0 or length > _FRAME_LIMIT:
+            return frames, ends, True
+        if len(stream) - offset - 4 < length:
+            break
+        try:
+            frames.append(decode_frame(stream[offset + 4 : offset + 4 + length]))
+        except DaemonProtocolError:
+            return frames, ends, True
+        offset += 4 + length
+        ends.append(offset)
+    return frames, ends, False
+
+
+@st.composite
+def frame_streams(draw):
+    """Up to four frames, each with an honest or mutated header over a
+    valid or mutated body, possibly cut short."""
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        body = draw(
+            st.builds(
+                lambda frame_id: encode_frame(_frame(id=frame_id, kind="health"))[4:],
+                st.integers() | st.text(max_size=20),
+            )
+            | st.binary(min_size=1, max_size=40)
+            | st.sampled_from(
+                [b"[1]", b'{"format": "other", "version": 1}', b'{"version": 1}']
+            )
+        )
+        declared = draw(
+            st.just(len(body))
+            | st.integers(0, len(body) + 2)
+            | st.integers(_FRAME_LIMIT + 1, 2**32 - 1)
+        )
+        parts.append(struct.pack(">I", declared) + body)
+    stream = b"".join(parts)
+    cut = draw(st.none() | st.integers(0, len(stream)))
+    return stream if cut is None else stream[:cut]
+
+
+class TestFrameDecoder:
+    @settings(max_examples=300, **FUZZ)
+    @given(stream=st.binary(max_size=120) | frame_streams(), data=st.data())
+    def test_any_chunking_decodes_like_one_shot(self, stream, data):
+        expected, ends, defect = _one_shot(stream)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+        decoder = FrameDecoder(_FRAME_LIMIT)
+        frames, refused = [], False
+        for start, end in zip([0] + cuts, cuts + [len(stream)]):
+            decoder.feed(stream[start:end])
+            try:
+                while (frame := decoder.next_frame()) is not None:
+                    frames.append(frame)
+            except DaemonProtocolError:  # anything else fails the test
+                refused = True
+                break
+            # The buffer is the bytes fed minus the frames handed out.
+            assert decoder.buffered == end - (ends[len(frames) - 1] if frames else 0)
+        assert (frames, refused) == (expected, defect)
+
+    @pytest.mark.parametrize("declared", [0, _FRAME_LIMIT + 1, 2**32 - 1])
+    def test_a_bad_header_is_refused_on_its_fourth_byte(self, declared):
+        decoder = FrameDecoder(_FRAME_LIMIT)
+        decoder.feed(encode_frame(_frame(id=1, kind="health")))
+        assert decoder.next_frame()["id"] == 1
+        header = struct.pack(">I", declared)
+        decoder.feed(header[:3])
+        assert decoder.next_frame() is None
+        decoder.feed(header[3:])
+        with pytest.raises(DaemonProtocolError, match="not a daemon frame"):
+            decoder.next_frame()
+        assert decoder.buffered == 4  # nothing was sized by the declared length
+
+    def test_a_large_frame_decodes_in_linear_time(self):
+        """48 MiB in 64 KiB chunks: appending each chunk to an immutable
+        ``bytes`` buffer made this quadratic (8 s)."""
+        wire = encode_frame(_frame(id=7, kind="execute", pad="a" * (48 << 20)))
+        decoder = FrameDecoder()
+        started = time.monotonic()
+        for offset in range(0, len(wire), 1 << 16):
+            decoder.feed(wire[offset : offset + (1 << 16)])
+            frame = decoder.next_frame()
+        assert time.monotonic() - started < 3.0
+        assert frame["id"] == 7 and len(frame["pad"]) == 48 << 20
+        assert decoder.buffered == 0
