@@ -63,15 +63,23 @@ class EvaluationBudgetExceeded(DatabaseError):
 
 @dataclass
 class OperatorStats:
-    """Counters of the work done by relational operators.
+    """Counters of the work done by relational operators -- the one record
+    of an execution that every kernel receives.
 
     ``tuples_read`` counts every input tuple scanned, ``tuples_emitted``
     every output tuple produced, and ``intermediate_tuples`` the sizes of all
     intermediate results (output of every join/semijoin/projection), which is
     the classical cost proxy for join processing.  ``operations`` counts
-    operator invocations by kind.  A non-``None`` ``budget`` turns the
-    accumulator into a watchdog: exceeding it raises
-    :class:`EvaluationBudgetExceeded`.
+    operator invocations by kind.
+
+    It carries the execution's two limits.  A non-``None`` ``budget`` (work,
+    in tuples read + emitted) turns the accumulator into a watchdog:
+    exceeding it raises :class:`EvaluationBudgetExceeded`.  A positive
+    ``memory_budget_bytes`` bounds each columnar kernel's transient index
+    arrays (see :mod:`repro.db.columnar`; the row engine ignores it) without
+    changing any result or counter but the peak-memory diagnostics; it is a
+    setting, not a count, so :meth:`snapshot`, :meth:`merge` and equality
+    ignore it.  ``stats=None`` at a kernel means neither limit applies.
 
     The accumulator is **thread-safe**: the parallel executor shares one
     instance across all subtree tasks and every counter update commutes
@@ -102,6 +110,7 @@ class OperatorStats:
     budget: Optional[int] = None
     peak_transient_elements: int = 0
     peak_transient_bytes: int = field(default=0, compare=False)
+    memory_budget_bytes: Optional[int] = field(default=None, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -178,7 +187,6 @@ def natural_join(
     stats: Optional[OperatorStats] = None,
     name: Optional[str] = None,
     keep=None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """Hash-based natural join on all shared attributes.
 
@@ -192,21 +200,9 @@ def natural_join(
     ignores it -- its materialisation is per-tuple anyway -- which is safe
     because ``keep`` never changes join semantics, cardinalities or stats,
     only which columns the columnar result carries.
-
-    ``memory_budget_bytes`` bounds the columnar kernel's transient index
-    arrays (the row engine materialises per tuple and needs no bounding);
-    like ``keep`` it never changes results or stats, apart from the
-    peak-memory diagnostics.
     """
     if _columnar_pair(left, right):
-        return columnar_natural_join(
-            left,
-            right,
-            stats=stats,
-            name=name,
-            keep=keep,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        return columnar_natural_join(left, right, stats=stats, name=name, keep=keep)
     shared = _shared_attributes(left, right)
     right_extra = [a for a in right.attributes if a not in shared]
     out_attributes = left.attributes + tuple(right_extra)
@@ -250,7 +246,6 @@ def join_all(
     stats: Optional[OperatorStats] = None,
     order: Optional[Sequence[int]] = None,
     needed: Optional[Iterable[str]] = None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """Join a list of relations left-to-right (optionally in a given order).
 
@@ -269,10 +264,7 @@ def join_all(
         stats.record("scan", result.cardinality, result.cardinality)
     if needed is None:
         for relation in sequence[1:]:
-            result = natural_join(
-                result, relation, stats=stats,
-                memory_budget_bytes=memory_budget_bytes,
-            )
+            result = natural_join(result, relation, stats=stats)
         return result
     # suffix_attrs[i]: attributes of sequence[i+1:], i.e. what later joins
     # may still match on after step i.
@@ -284,11 +276,7 @@ def join_all(
     needed_set = frozenset(needed)
     for index, relation in enumerate(sequence[1:], start=1):
         result = natural_join(
-            result,
-            relation,
-            stats=stats,
-            keep=needed_set | suffix_attrs[index],
-            memory_budget_bytes=memory_budget_bytes,
+            result, relation, stats=stats, keep=needed_set | suffix_attrs[index]
         )
     return result
 
@@ -297,15 +285,11 @@ def semijoin(
     left: Relation,
     right: Relation,
     stats: Optional[OperatorStats] = None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """``left ⋉ right``: the rows of ``left`` that join with some row of
-    ``right`` (on the shared attributes).  ``memory_budget_bytes`` bounds
-    the columnar membership test's transient arrays (row engine: ignored)."""
+    ``right`` (on the shared attributes)."""
     if _columnar_pair(left, right):
-        return columnar_semijoin(
-            left, right, stats=stats, memory_budget_bytes=memory_budget_bytes
-        )
+        return columnar_semijoin(left, right, stats=stats)
     if stats is not None:
         stats.check(left.cardinality + right.cardinality)
     shared = _shared_attributes(left, right)
@@ -334,7 +318,6 @@ def project(
     stats: Optional[OperatorStats] = None,
     name: Optional[str] = None,
     distinct: bool = True,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """``Π_attributes(relation)``.
 
@@ -345,12 +328,7 @@ def project(
     """
     if ColumnarRelation is not None and isinstance(relation, ColumnarRelation):
         return columnar_project(
-            relation,
-            attributes,
-            stats=stats,
-            name=name,
-            distinct=distinct,
-            memory_budget_bytes=memory_budget_bytes,
+            relation, attributes, stats=stats, name=name, distinct=distinct
         )
     wanted = [a for a in attributes if a in relation.attributes]
     positions = [relation.position(a) for a in wanted]
@@ -398,7 +376,6 @@ def evaluate_node_expression(
     relations: Sequence[Relation],
     projection: Sequence[str],
     stats: Optional[OperatorStats] = None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """The paper's per-node expression ``E(p) = Π_{χ(p)} ⋈_{h ∈ λ(p)} rel(h)``.
 
@@ -408,13 +385,5 @@ def evaluate_node_expression(
     projection drops are never gathered (work counters unchanged).
     """
     ordered = sorted(range(len(relations)), key=lambda i: relations[i].cardinality)
-    joined = join_all(
-        relations,
-        stats=stats,
-        order=ordered,
-        needed=projection,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    return project(
-        joined, projection, stats=stats, memory_budget_bytes=memory_budget_bytes
-    )
+    joined = join_all(relations, stats=stats, order=ordered, needed=projection)
+    return project(joined, projection, stats=stats)

@@ -53,9 +53,12 @@ dictionary (a list index per id -- each distinct value is decoded exactly
 once, at interning time) and caches the materialised tuples, so the
 row-based surface the rest of the library sees is unchanged.
 
-Every kernel accepts an optional ``memory_budget_bytes`` that bounds its
-transient index arrays; results, emit counts, budget-stop behaviour and
-``OperatorStats`` are **byte-identical** with and without it, only the
+Every kernel reads the execution's memory budget from the
+:class:`~repro.db.algebra.OperatorStats` it records into
+(``stats.memory_budget_bytes``; ``stats=None`` means unbounded), which
+bounds its transient index arrays; results, emit counts, budget-stop
+behaviour and ``OperatorStats`` counters are **byte-identical** with and
+without it, only the
 peak size of the intermediates changes.  The probe, membership and
 packed-key passes run in fixed-size morsels derived from the budget
 (:func:`_morsel_rows`).  The join's materialisation phase knows the exact
@@ -117,15 +120,14 @@ _MORSEL_WORDS_PER_ROW = 16
 _MIN_MORSEL_ROWS = 32
 
 
-def _morsel_rows(memory_budget_bytes: Optional[int]) -> Optional[int]:
+def _morsel_rows(stats) -> Optional[int]:
     """The fixed morsel size of the probe, membership and packed-key passes
-    under a memory budget; ``None`` and non-positive budgets both mean
-    unbounded (single-batch passes)."""
-    if memory_budget_bytes is None or memory_budget_bytes <= 0:
+    under the memory budget ``stats`` carries; no stats, no budget and a
+    non-positive budget all mean unbounded (single-batch passes)."""
+    budget = None if stats is None else stats.memory_budget_bytes
+    if budget is None or budget <= 0:
         return None
-    return max(
-        _MIN_MORSEL_ROWS, int(memory_budget_bytes) // (8 * _MORSEL_WORDS_PER_ROW)
-    )
+    return max(_MIN_MORSEL_ROWS, int(budget) // (8 * _MORSEL_WORDS_PER_ROW))
 
 
 def _key_dtype(bits: int) -> np.dtype:
@@ -637,7 +639,6 @@ def columnar_natural_join(
     stats=None,
     name: Optional[str] = None,
     keep=None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> ColumnarRelation:
     """Sort-and-probe hash-equivalent join on packed keys.
 
@@ -655,7 +656,7 @@ def columnar_natural_join(
     attribute that later operators (joins on shared variables, the final
     projection) still need.
 
-    ``memory_budget_bytes`` bounds peak memory: the probe side is
+    The memory budget ``stats`` carries bounds peak memory: the probe side is
     range-probed in fixed-size morsels and the match indices are
     materialised in emit-bounded chunks straight into the preallocated
     output columns, so the transient index arrays (``starts``/``within``/
@@ -703,7 +704,7 @@ def columnar_natural_join(
             stats.record("join", reads, 0)
         return result
 
-    morsel_rows = _morsel_rows(memory_budget_bytes)
+    morsel_rows = _morsel_rows(stats)
     left_keys, right_keys = _joint_keys(left, right, shared, morsel_rows)
     if left.cardinality <= right.cardinality:
         build, build_keys, probe, probe_keys = left, left_keys, right, right_keys
@@ -756,11 +757,12 @@ def columnar_natural_join(
 
     # Materialisation strategy.  All quantities are element counts (dtype
     # independent), so packed and raw runs make identical decisions.
-    budget_bytes = memory_budget_bytes
     if morsel_rows is None:  # no budget: only a runaway emit is chunked
         budget_bytes = (
             _AUTO_CHUNK_BUDGET_BYTES if emitted >= _AUTO_CHUNK_MIN_EMIT else None
         )
+    else:
+        budget_bytes = stats.memory_budget_bytes
     budget_words = None
     if budget_bytes is not None:
         budget_words = max(int(budget_bytes) // 8, _MIN_BUDGET_WORDS)
@@ -854,14 +856,13 @@ def columnar_semijoin(
     left: ColumnarRelation,
     right: ColumnarRelation,
     stats=None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> ColumnarRelation:
     """``left ⋉ right`` as pure selection-vector filtering: an ``np.isin``
     membership mask over the key column, no tuple ever materialised.
 
     An empty side short-circuits before any key is packed; a build side
     known to be duplicate-free (project-distinct output) picks ``np.isin``'s
-    sort-based algorithm directly.  With ``memory_budget_bytes`` the filter
+    sort-based algorithm directly.  Under a memory budget the filter
     side is probed in morsels against the once-sorted build keys, bounding
     the transient membership arrays at O(budget); the mask -- and hence the
     selection vector and all counters -- is byte-identical.
@@ -880,7 +881,7 @@ def columnar_semijoin(
             else np.empty(0, dtype=np.int64)
         )
     else:
-        morsel_rows = _morsel_rows(memory_budget_bytes)
+        morsel_rows = _morsel_rows(stats)
         left_keys, right_keys = _joint_keys(left, right, shared, morsel_rows)
         filter_card = left_keys.shape[0]
         if morsel_rows is not None and filter_card > morsel_rows:
@@ -938,11 +939,10 @@ def columnar_project(
     stats=None,
     name: Optional[str] = None,
     distinct: bool = True,
-    memory_budget_bytes: Optional[int] = None,
 ) -> ColumnarRelation:
     """``Π_attributes`` as column subsetting; ``distinct`` deduplicates
     packed keys into a first-occurrence selection vector (the packed-key
-    builder runs morsel-wise under ``memory_budget_bytes``)."""
+    builder runs morsel-wise under the memory budget ``stats`` carries)."""
     positions = relation._positions
     wanted = [a for a in attributes if a in positions]
     columns = tuple(relation._columns[positions[a]] for a in wanted)
@@ -950,9 +950,7 @@ def columnar_project(
     if stats is not None:
         stats.check(relation.cardinality)
     if distinct:
-        selection = _distinct_selection(
-            relation, wanted, _morsel_rows(memory_budget_bytes)
-        )
+        selection = _distinct_selection(relation, wanted, _morsel_rows(stats))
     else:
         selection = relation._selection
     result = ColumnarRelation(

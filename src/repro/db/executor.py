@@ -12,7 +12,9 @@ by :func:`execute_plan`, so they run on the identical operator kernels
 (columnar whenever the database is columnar) and their work counters are
 directly comparable.  :func:`execute_hypertree_plan` and
 :func:`naive_join_evaluation` remain as the public entry points and report
-the work performed, which is what the Fig. 8 experiments measure.
+the work performed, which is what the Fig. 8 experiments measure; they, like
+the plan classes' ``execute``, forward their execution options to
+:func:`execute_plan`, the one signature that names them.
 
 There is one execution path: every plan lowers to a task DAG
 (:func:`~repro.db.plan_ir.yannakakis_task_dag` /
@@ -32,6 +34,11 @@ defaults to an environment variable:
   unbounded) -- caps each columnar kernel's transient index arrays (see
   :mod:`repro.db.columnar`); results, emit counts and the
   evaluation-budget stop are unchanged.
+
+Both limits of one execution -- the work ``budget`` and
+``memory_budget_bytes`` -- ride on the execution's one
+:class:`~repro.db.algebra.OperatorStats`, the accumulator every kernel
+already receives; ``threads`` and the trace options are consumed here.
 """
 
 from __future__ import annotations
@@ -162,7 +169,8 @@ def execute_plan(
     1`` the raise happens in whichever task crosses the budget first, but
     *whether* it happens is scheduling-independent (counters only grow).
     ``threads``/``memory_budget_bytes`` default to the database's knobs;
-    see the module docstring.
+    see the module docstring.  Both limits are set once, on the
+    execution's :class:`OperatorStats`, which is how the kernels see them.
 
     ``trace`` (a :class:`repro.obs.trace.TraceRecorder`) records one span
     per plan node (``scan:``/``join``/``project:``, category ``plan``) and
@@ -183,7 +191,7 @@ def execute_plan(
     if trace is None and obs_enabled():
         trace = TraceRecorder()
 
-    stats = OperatorStats(budget=budget)
+    stats = OperatorStats(budget=budget, memory_budget_bytes=memory_budget_bytes)
     atoms = {atom.name: atom for atom in plan.query.atoms}
     # Scans run first and serially, whatever the thread count: binding may
     # intern fresh-variable surrogates into the shared dictionary, which
@@ -225,10 +233,7 @@ def execute_plan(
                     order = sorted(
                         range(len(inputs)), key=lambda i: inputs[i].cardinality
                     )
-                relation = join_all(
-                    inputs, stats=stats, order=order, needed=needed,
-                    memory_budget_bytes=memory_budget_bytes,
-                )
+                relation = join_all(inputs, stats=stats, order=order, needed=needed)
                 span.attrs["rows"] = relation.cardinality
             return relation
         if isinstance(node, ProjectNode):
@@ -245,7 +250,6 @@ def execute_plan(
                     stats=stats,
                     name=node.name,
                     distinct=node.distinct,
-                    memory_budget_bytes=memory_budget_bytes,
                 )
                 span.attrs["rows"] = relation.cardinality
             return relation
@@ -253,9 +257,7 @@ def execute_plan(
 
     root = plan.root
     if isinstance(root, YannakakisNode):
-        return _execute_yannakakis(
-            root, run, stats, scheduler, memory_budget_bytes, trace, trace_id
-        )
+        return _execute_yannakakis(root, run, stats, scheduler, trace, trace_id)
     # A Boolean plan only needs the root cardinality, so the top-level join
     # may drop every column that no longer feeds a join key.
     needed = frozenset() if plan.boolean else None
@@ -268,8 +270,7 @@ def execute_plan(
 
 
 def _execute_yannakakis(
-    root: YannakakisNode, run, stats, scheduler: TaskScheduler,
-    memory_budget_bytes, trace, trace_id,
+    root: YannakakisNode, run, stats, scheduler: TaskScheduler, trace, trace_id
 ) -> ExecutionResult:
     """Run one Yannakakis plan as its per-subtree task DAG.
 
@@ -318,12 +319,7 @@ def _execute_yannakakis(
         ("expr", node_id): expression_step(node_id, expression)
         for node_id, expression in root.expressions
     }
-    steps.update(
-        reduction_steps(
-            tree, relations, stats, full=not root.boolean,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-    )
+    steps.update(reduction_steps(tree, relations, stats, full=not root.boolean))
     run_steps(steps)
     if root.boolean:
         answer = relations[root.root].cardinality > 0
@@ -331,8 +327,7 @@ def _execute_yannakakis(
 
     run_steps(
         fold_steps(
-            tree, relations, fold_plan(tree, list(root.output_variables)),
-            stats, memory_budget_bytes,
+            tree, relations, fold_plan(tree, list(root.output_variables)), stats
         )
     )
     return ExecutionResult(relation=relations[root.root], boolean=None, stats=stats)
@@ -342,18 +337,13 @@ def execute_hypertree_plan(
     query: ConjunctiveQuery,
     database: Database,
     decomposition: HypertreeDecomposition,
-    budget: Optional[int] = None,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-    trace=None,
-    trace_id=None,
+    **options,
 ) -> ExecutionResult:
     """Run the query through the hypertree plan.
 
     The decomposition must be *complete* for the answer to be correct (every
-    atom strongly covered), so an incomplete one is refused.  ``budget``
-    caps the total evaluation work (tuples read + emitted); exceeding it
-    raises :class:`repro.db.algebra.EvaluationBudgetExceeded`.
+    atom strongly covered), so an incomplete one is refused.  ``options``
+    (``budget``, ``threads``, ...) are :func:`execute_plan`'s.
     """
     if not decomposition.is_complete():
         raise DatabaseError(
@@ -362,37 +352,18 @@ def execute_hypertree_plan(
             "(repro.decomposition.complete_decomposition) or plan with the "
             "fresh-variable construction"
         )
-    return execute_plan(
-        hypertree_plan_ir(query, decomposition),
-        database,
-        budget=budget,
-        threads=threads,
-        memory_budget_bytes=memory_budget_bytes,
-        trace=trace,
-        trace_id=trace_id,
-    )
+    return execute_plan(hypertree_plan_ir(query, decomposition), database, **options)
 
 
 def naive_join_evaluation(
     query: ConjunctiveQuery,
     database: Database,
     order: Optional[Tuple[str, ...]] = None,
-    budget: Optional[int] = None,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-    trace=None,
-    trace_id=None,
+    **options,
 ) -> ExecutionResult:
     """Evaluate the query by joining all bound atoms in a (given or textual)
     order, with no structural awareness -- the "flat" evaluation a
     quantitative-only engine performs once its optimiser has fixed a join
-    order.  Used as the execution backend of the baseline optimiser."""
-    return execute_plan(
-        join_order_plan_ir(query, order),
-        database,
-        budget=budget,
-        threads=threads,
-        memory_budget_bytes=memory_budget_bytes,
-        trace=trace,
-        trace_id=trace_id,
-    )
+    order.  Used as the execution backend of the baseline optimiser.
+    ``options`` are :func:`execute_plan`'s."""
+    return execute_plan(join_order_plan_ir(query, order), database, **options)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -136,8 +137,16 @@ class FaultRule:
         self.times = _optional_int(times, "times", 1)
         if not isinstance(seconds, (int, float)) or isinstance(seconds, bool):
             raise DatabaseError("fault rule field 'seconds' must be a number")
+        # NaN, infinities and ints past the float range all fail here:
+        # time.sleep would raise them inside the worker.
+        if not 0 <= seconds <= sys.float_info.max:
+            raise DatabaseError("fault rule field 'seconds' must be finite and >= 0")
         self.seconds = float(seconds)
         exit_code = _optional_int(exit_code, "exit_code", 1)
+        if exit_code is not None and exit_code > 255:
+            # os._exit takes an exit status: larger values wrap (256 exits 0)
+            # or raise OverflowError instead of ending the worker.
+            raise DatabaseError("fault rule field 'exit_code' must be <= 255")
         self.exit_code = DEFAULT_EXIT_CODE if exit_code is None else exit_code
         self.remaining = self.times
 

@@ -110,37 +110,19 @@ class QueryPlanIR:
     root: PlanNode
     boolean: bool = False
 
-    def execute(
-        self,
-        database,
-        budget: Optional[int] = None,
-        threads: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
-        trace=None,
-        trace_id=None,
-    ):
-        """Interpret the plan against ``database`` (see
-        :func:`repro.db.executor.execute_plan`).
+    def execute(self, database, **options):
+        """Interpret the plan against ``database``: ``options`` (``budget``,
+        ``threads``, ``memory_budget_bytes``, ``trace``, ``trace_id``) are
+        :func:`repro.db.executor.execute_plan`'s, which documents them.
 
-        ``memory_budget_bytes`` drives the adaptive morsel sizing of the
-        chunked join kernels.  The resulting ``OperatorStats`` stay
-        representation-blind: every work counter and
-        ``peak_transient_elements`` are byte-identical across column
-        encodings, thread counts and chunkings; only the dtype-aware
-        ``peak_transient_bytes`` reflects the actual packed widths.
-        ``trace``/``trace_id`` forward to the executor's span recorder
-        (a write-only sidecar; results unchanged)."""
+        The resulting ``OperatorStats`` stay representation-blind: every
+        work counter and ``peak_transient_elements`` are byte-identical
+        across column encodings, thread counts and chunkings; only the
+        dtype-aware ``peak_transient_bytes`` reflects the actual packed
+        widths."""
         from repro.db.executor import execute_plan
 
-        return execute_plan(
-            self,
-            database,
-            budget=budget,
-            threads=threads,
-            memory_budget_bytes=memory_budget_bytes,
-            trace=trace,
-            trace_id=trace_id,
-        )
+        return execute_plan(self, database, **options)
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,7 @@ from __future__ import annotations
 import logging
 import os
 import queue
+import sys
 import time
 from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
@@ -213,9 +214,17 @@ def _check_payload(payload: Mapping) -> None:
     if deadline is not None:
         if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
             raise DatabaseError("payload 'deadline_seconds' must be a number")
-        if float(deadline) <= 0:
-            raise DatabaseError("payload 'deadline_seconds' must be positive")
-    for knob, minimum in (("max_attempts", 1), ("memory_budget_bytes", 0)):
+        # NaN, infinities and ints past the float range all fail here.
+        if not 0 < deadline <= sys.float_info.max:
+            raise DatabaseError(
+                "payload 'deadline_seconds' must be positive and finite"
+            )
+    for knob, minimum in (
+        ("budget", 0),
+        ("threads", 1),
+        ("max_attempts", 1),
+        ("memory_budget_bytes", 0),
+    ):
         value = payload.get(knob)
         if value is not None:
             if isinstance(value, bool) or not isinstance(value, int):
@@ -909,12 +918,11 @@ def prewarm(
     plan_cache: Optional[PlanCache] = None,
     completion: str = "fresh",
     analyze: bool = False,
-    budget: Optional[int] = None,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-    answer: str = "rows",
+    **payload_knobs,
 ) -> List[Dict[str, object]]:
-    """Plan the known query set once and return ready-to-ship payloads.
+    """Plan the known query set once and return ready-to-ship payloads
+    (``payload_knobs`` -- ``answer``, ``budget``, ``threads``, ... -- are
+    :func:`plan_to_payload`'s).
 
     For each query the best structural plan over ``k_values`` wins (by
     estimated cost, smallest ``k`` breaking ties -- the planner's own
@@ -947,11 +955,7 @@ def prewarm(
         except PlanningError:  # no k admits a plan: fall back to the baseline
             plans = [baseline_plan(query, statistics, plan_cache=plan_cache)]
         payload = plan_to_payload(
-            min(plans, key=lambda plan: plan.estimated_cost),
-            budget=budget,
-            threads=threads,
-            memory_budget_bytes=memory_budget_bytes,
-            answer=answer,
+            min(plans, key=lambda plan: plan.estimated_cost), **payload_knobs
         )
         payload["planning_seconds"] = sum(plan.planning_seconds for plan in plans)
         payloads.append(payload)

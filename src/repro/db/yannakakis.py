@@ -91,7 +91,6 @@ def reduction_steps(
     relations: Dict[object, Relation],
     stats: Optional[OperatorStats] = None,
     full: bool = True,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Dict[Tuple[str, object], Step]:
     """The semijoin program as per-node steps over the shared ``relations``
     mapping: ``("up", v)`` semijoins an inner node ``v`` with each child in
@@ -104,8 +103,7 @@ def reduction_steps(
         def step() -> Relation:
             for partner in partners:
                 relations[node] = semijoin(
-                    relations[node], relations[partner], stats=stats,
-                    memory_budget_bytes=memory_budget_bytes,
+                    relations[node], relations[partner], stats=stats
                 )
             return relations[node]
         return step
@@ -126,35 +124,26 @@ def semijoin_reduce(
     tree: TreeQuery,
     stats: Optional[OperatorStats] = None,
     full: bool = True,
-    memory_budget_bytes: Optional[int] = None,
 ) -> TreeQuery:
     """The semijoin program of Yannakakis' algorithm.
 
     The bottom-up pass is always performed; the top-down pass only when
     ``full`` is true (it is not needed for Boolean queries).  Returns a new
-    :class:`TreeQuery` with reduced relations.  ``memory_budget_bytes``
-    bounds the columnar semijoin kernels' transient memory (results
-    unchanged).
+    :class:`TreeQuery` with reduced relations.
     """
     tree.validate()
     relations = dict(tree.relations)
-    for step in reduction_steps(
-        tree, relations, stats, full, memory_budget_bytes
-    ).values():
+    for step in reduction_steps(tree, relations, stats, full).values():
         step()
     return TreeQuery(root=tree.root, children=dict(tree.children), relations=relations)
 
 
 def evaluate_boolean(
-    tree: TreeQuery,
-    stats: Optional[OperatorStats] = None,
-    memory_budget_bytes: Optional[int] = None,
+    tree: TreeQuery, stats: Optional[OperatorStats] = None
 ) -> bool:
     """Answer the Boolean query represented by the tree: true iff the
     semijoin-reduced root is non-empty."""
-    reduced = semijoin_reduce(
-        tree, stats=stats, full=False, memory_budget_bytes=memory_budget_bytes
-    )
+    reduced = semijoin_reduce(tree, stats=stats, full=False)
     return reduced.relations[reduced.root].cardinality > 0
 
 
@@ -240,7 +229,6 @@ def fold_steps(
     folded: Dict[object, Relation],
     plan: FoldPlan,
     stats: Optional[OperatorStats] = None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Dict[Tuple[str, object], Step]:
     """The join pass as per-node steps over the shared ``folded`` mapping
     (initially the reduced relations): ``("fold", v)`` projects ``v``'s
@@ -251,21 +239,14 @@ def fold_steps(
 
     def fold_step(node, parent) -> Step:
         def step() -> Relation:
-            contribution = project(
-                folded[node], plan.keeps[node], stats=stats,
-                memory_budget_bytes=memory_budget_bytes,
-            )
-            folded[parent] = natural_join(
-                folded[parent], contribution, stats=stats,
-                memory_budget_bytes=memory_budget_bytes,
-            )
+            contribution = project(folded[node], plan.keeps[node], stats=stats)
+            folded[parent] = natural_join(folded[parent], contribution, stats=stats)
             return folded[parent]
         return step
 
     def answer_step() -> Relation:
         folded[tree.root] = project(
-            folded[tree.root], plan.wanted, stats=stats, name="answer",
-            memory_budget_bytes=memory_budget_bytes,
+            folded[tree.root], plan.wanted, stats=stats, name="answer"
         )
         return folded[tree.root]
 
@@ -282,7 +263,6 @@ def evaluate(
     tree: TreeQuery,
     output_variables: Sequence[str],
     stats: Optional[OperatorStats] = None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """Full evaluation: the projection of the join of all node relations onto
     ``output_variables`` (all variables of the tree if empty).
@@ -292,13 +272,10 @@ def evaluate(
     variables shared with the remaining (upper) part of the tree (the
     precomputed :func:`fold_plan`).
     """
-    reduced = semijoin_reduce(
-        tree, stats=stats, full=True, memory_budget_bytes=memory_budget_bytes
-    )
+    reduced = semijoin_reduce(tree, stats=stats, full=True)
     folded = dict(reduced.relations)
     for step in fold_steps(
-        reduced, folded, fold_plan(reduced, output_variables), stats,
-        memory_budget_bytes,
+        reduced, folded, fold_plan(reduced, output_variables), stats
     ).values():
         step()
     return folded[reduced.root]

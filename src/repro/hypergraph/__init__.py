@@ -21,9 +21,6 @@ from repro.hypergraph.acyclicity import (
     is_acyclic,
 )
 from repro.hypergraph.primal import (
-    biconnected_components,
-    degree_statistics,
-    dual_graph,
     primal_graph,
     treewidth_upper_bound,
 )
@@ -57,9 +54,6 @@ __all__ = [
     "build_join_tree",
     "gyo_reduction",
     "is_acyclic",
-    "biconnected_components",
-    "degree_statistics",
-    "dual_graph",
     "primal_graph",
     "treewidth_upper_bound",
     "acyclic_hypergraph",

@@ -1,4 +1,4 @@
-"""Primal (Gaifman) graph and graph-theoretic helpers.
+"""Primal (Gaifman) graph of a hypergraph.
 
 The primal graph of a hypergraph has the same vertices and an edge between two
 vertices whenever they co-occur in some hyperedge.  Graph-based structural
@@ -6,17 +6,14 @@ methods (biconnected components, tree decompositions) operate on this graph;
 the paper compares hypertree decompositions against them in Section 1.1.
 
 We keep this module thin: :mod:`networkx` provides the graph algorithms, and
-we only add the translation plus a couple of structural measures used by the
-workload generators and the ablation benchmarks.
+we only add the translation plus a treewidth upper bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
-
 import networkx as nx
 
-from repro.hypergraph.hypergraph import Hypergraph, Vertex
+from repro.hypergraph.hypergraph import Hypergraph
 
 
 def primal_graph(hypergraph: Hypergraph) -> nx.Graph:
@@ -31,27 +28,6 @@ def primal_graph(hypergraph: Hypergraph) -> nx.Graph:
     return graph
 
 
-def dual_graph(hypergraph: Hypergraph) -> nx.Graph:
-    """The dual graph: one node per hyperedge, edges between hyperedges that
-    share at least one vertex (labelled with the shared vertices)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(hypergraph.edge_names)
-    names = hypergraph.edge_names
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            shared = hypergraph.edge_vertices(a) & hypergraph.edge_vertices(b)
-            if shared:
-                graph.add_edge(a, b, shared=frozenset(shared))
-    return graph
-
-
-def biconnected_components(hypergraph: Hypergraph) -> List[FrozenSet[Vertex]]:
-    """Biconnected components of the primal graph (Freuder's method operates
-    on these; included for the structural-method comparisons)."""
-    graph = primal_graph(hypergraph)
-    return [frozenset(c) for c in nx.biconnected_components(graph)]
-
-
 def treewidth_upper_bound(hypergraph: Hypergraph) -> int:
     """A treewidth upper bound of the primal graph (min-fill heuristic).
 
@@ -63,22 +39,3 @@ def treewidth_upper_bound(hypergraph: Hypergraph) -> int:
         return 0
     width, _ = nx.algorithms.approximation.treewidth_min_fill_in(graph)
     return width
-
-
-def degree_statistics(hypergraph: Hypergraph) -> Dict[str, float]:
-    """Simple statistics of the hypergraph used when characterising workloads:
-    vertex count, edge count, rank (largest edge), degree (max number of edges
-    a vertex belongs to) and primal-graph density."""
-    if hypergraph.num_edges() == 0:
-        return {"vertices": 0, "edges": 0, "rank": 0, "degree": 0, "density": 0.0}
-    rank = max(len(hypergraph.edge_vertices(n)) for n in hypergraph.edge_names)
-    degree = max(len(hypergraph.edges_of_vertex(v)) for v in hypergraph.vertices)
-    graph = primal_graph(hypergraph)
-    density = nx.density(graph) if graph.number_of_nodes() > 1 else 0.0
-    return {
-        "vertices": float(hypergraph.num_vertices()),
-        "edges": float(hypergraph.num_edges()),
-        "rank": float(rank),
-        "degree": float(degree),
-        "density": float(density),
-    }

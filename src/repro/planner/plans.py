@@ -23,7 +23,7 @@ otherwise, and reports ``planning_seconds == 0.0`` (nothing was planned).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.db.database import Database
 from repro.db.executor import ExecutionResult
@@ -66,22 +66,10 @@ class HypertreePlan:
         kernels the baseline plan executes on)."""
         return hypertree_plan_ir(self.query, self.decomposition)
 
-    def execute(
-        self,
-        database: Database,
-        budget: Optional[int] = None,
-        threads: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
-    ) -> ExecutionResult:
+    def execute(self, database: Database, **options) -> ExecutionResult:
         """Run the plan: per-node joins, then Yannakakis over the tree
-        (``threads``/``memory_budget_bytes`` select the parallel,
-        memory-bounded plane; defaults come from the database)."""
-        return self.to_ir().execute(
-            database,
-            budget=budget,
-            threads=threads,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        (``options`` are :func:`repro.db.executor.execute_plan`'s)."""
+        return self.to_ir().execute(database, **options)
 
     def to_payload(self) -> Dict[str, object]:
         return {
@@ -152,21 +140,11 @@ class JoinOrderPlan:
         """Lower the plan to the shared plan-node IR."""
         return join_order_plan_ir(self.query, self.order)
 
-    def execute(
-        self,
-        database: Database,
-        budget: Optional[int] = None,
-        threads: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
-    ) -> ExecutionResult:
+    def execute(self, database: Database, **options) -> ExecutionResult:
         """Join the atoms left-to-right in the chosen order (no structural
-        awareness: no semijoin reduction, no early projection)."""
-        return self.to_ir().execute(
-            database,
-            budget=budget,
-            threads=threads,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        awareness: no semijoin reduction, no early projection; ``options``
+        are :func:`repro.db.executor.execute_plan`'s)."""
+        return self.to_ir().execute(database, **options)
 
     def to_payload(self) -> Dict[str, object]:
         return {

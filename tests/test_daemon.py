@@ -365,6 +365,19 @@ class TestDaemonServes:
         assert excinfo.value.code == "bad_request"
         assert client.health()["status"] == "ready"
 
+    def test_bad_threads_knob_is_bad_request(self, client, serial_db):
+        """``threads`` is checked at ``submit`` with the other knobs: it used
+        to be dispatched and come back as a worker's ``"error"`` response
+        carrying a ``ValueError``."""
+        with pytest.raises(DaemonRequestError) as excinfo:
+            client.execute(_payload(threads="x"))
+        assert excinfo.value.code == "bad_request"
+        assert "threads" in str(excinfo.value)
+        payload = _payload()
+        assert strip_provenance(client.execute(payload)) == (
+            execute_payload(payload, serial_db)
+        )
+
     def test_bad_execute_frames_never_kill_the_dispatcher(
         self, store, tmp_path, serial_db, monkeypatch
     ):

@@ -12,10 +12,13 @@ bytes ends in a correct decode or the plane's typed error.
 * **Mutation fuzzing.**  Hypothesis drops keys, swaps types, plants negative
   and 10**12 integers, repeats list items and plants path components in
   valid documents -- ``catalog.json``, ``dictionary.json``, a ``PlanCache``
-  entry, the wire ``"plan"`` block, the wire query block.  Every public
+  entry, the wire ``"plan"`` block, the wire query block, a ``FaultPlan`` --
+  and draws arbitrary JSON for the wire's knob fields.  Every public
   entry either raises a ``ReproError`` or returns, and what it returns is
   never silently wrong: opened data is the oracle's data, executed answers
-  equal the join-order oracle's on the same query.  (Labels -- database and
+  equal the join-order oracle's on the same query, a payload with accepted
+  knobs is answered as the oracle answers those knobs, and a fault plan
+  re-encodes to itself.  (Labels -- database and
   relation names, statistics -- are free-form: a mutation may legitimately
   change them, so they are not compared.)
 * **Frames.**  The daemon's sans-IO ``FrameDecoder`` over raw bytes and
@@ -52,6 +55,7 @@ from repro.db.daemon import (
     encode_frame,
 )
 from repro.db.database import Database
+from repro.db.faults import FAULTS_ENV, FaultPlan
 from repro.db.plan_ir import (
     decomposition_from_payload,
     decomposition_to_payload,
@@ -178,6 +182,23 @@ NOT_A_PLAN = [
 
 TRIANGLE_ROWS = [(1, 1), (2, 2), (1, 2)]
 
+#: Knob values the wire let through before it checked ``budget`` and
+#: ``threads`` (and the float range of ``deadline_seconds``): untyped
+#: ``ValueError`` / ``TypeError`` / ``OverflowError``, a serial run at a
+#: meaningless thread count, or a ``budget_exceeded`` echoing the value.
+BAD_KNOBS = [
+    ("threads", "x"),
+    ("threads", [1]),
+    ("threads", True),
+    ("threads", 0),
+    ("threads", -3),
+    ("budget", "x"),
+    ("budget", -5),
+    ("budget", 1.5),
+    ("budget", True),
+    ("deadline_seconds", 10**400),
+]
+
 
 # ----------------------------------------------------------------------
 # The trust boundary: a decomposition that is not a query plan is refused.
@@ -190,6 +211,16 @@ class TestPlanTrustBoundary:
         database = _rst_database(TRIANGLE_ROWS)
         with pytest.raises(DatabaseError, match=message):
             execute_payload(_wire(make_query(), plan), database)
+
+    @pytest.mark.parametrize(
+        "knob, value", BAD_KNOBS, ids=[f"{k}-{v!r:.8}" for k, v in BAD_KNOBS]
+    )
+    def test_execute_payload_refuses_a_bad_knob(self, knob, value):
+        payload = _wire(_triangle(), {"kind": "join_order", "order": ["r", "s", "t"]})
+        with pytest.raises(DatabaseError, match=knob):
+            execute_payload(
+                dict(payload, **{knob: value}), _rst_database(TRIANGLE_ROWS)
+            )
 
     def test_pooled_worker_answers_an_error_and_keeps_serving(self, tmp_path):
         _rst_database(TRIANGLE_ROWS).save(tmp_path / "store")
@@ -601,6 +632,35 @@ def _answer(response):
     return response["status"], sorted(map(repr, response.get("rows", ())))
 
 
+#: The wire payload's knob fields: execution (``budget``, ``threads``,
+#: ``memory_budget_bytes``), pool scheduling (``deadline_seconds``,
+#: ``max_attempts``) and the ``answer`` / ``trace`` modes.
+_KNOBS = (
+    "budget", "threads", "memory_budget_bytes", "deadline_seconds",
+    "max_attempts", "answer", "trace",
+)
+_KNOB_VALUES = st.sampled_from(
+    _JUNK + [0, 2, 64, 2_048, 10**400, float("nan"), float("inf"), "digest",
+             {"id": "t"}]
+) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _knob_oracle(payload, database):
+    """What a payload whose knobs were accepted must be answered: the same
+    plan at the same work budget, memory budget and answer mode, run at
+    ``threads=1``, untraced, with no scheduling knobs."""
+    clean = {key: value for key, value in payload.items() if key not in _KNOBS}
+    for knob in ("budget", "memory_budget_bytes", "answer"):
+        if knob in payload:
+            clean[knob] = payload[knob]
+    return execute_payload(dict(clean, threads=1), database)
+
+
 class TestPlanDocumentMutations:
     @settings(max_examples=100, **FUZZ)
     @given(data=st.data())
@@ -627,11 +687,15 @@ class TestPlanDocumentMutations:
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
 
-    @settings(max_examples=150, **FUZZ)
-    @given(data=st.data(), block=st.sampled_from(["plan", "query"]))
+    @settings(max_examples=225, **FUZZ)
+    @given(data=st.data(), block=st.sampled_from(["plan", "query", "knobs"]))
     def test_mutated_wire_block(self, planned, data, block):
         query, database, payload, _ = planned
-        payload = dict(payload, **{block: data.draw(mutated(payload[block]))})
+        if block == "knobs":
+            knobs = st.dictionaries(st.sampled_from(_KNOBS), _KNOB_VALUES)
+            payload = dict(payload, **data.draw(knobs))
+        else:
+            payload = dict(payload, **{block: data.draw(mutated(payload[block]))})
         try:
             plan_ir_from_payload(query, payload["plan"])
         except ReproError:
@@ -640,7 +704,66 @@ class TestPlanDocumentMutations:
             response = execute_payload(payload, database)
         except ReproError:
             return
-        assert _answer(response) == _answer(_join_order_oracle(payload, database))
+        if block != "knobs":
+            oracle = _join_order_oracle(payload, database)
+            assert _answer(response) == _answer(oracle)
+            return
+        response, oracle = strip_provenance(response), _knob_oracle(payload, database)
+        if (
+            response["status"] == "budget_exceeded"
+            and payload.get("threads", database.threads) > 1
+        ):
+            # Whether a run exceeds its budget is scheduling-independent;
+            # the work counted when it raised is not.
+            del response["work_so_far"], oracle["work_so_far"]
+        assert response == oracle
+
+
+# ----------------------------------------------------------------------
+# Fault plans (``ServingPool(fault_plan=)`` / ``REPRO_SERVE_FAULTS``).
+# ----------------------------------------------------------------------
+
+#: A valid plan: one worker rule and one connection rule.
+_FAULT_PLAN = [
+    {"kind": "worker_exit", "request_index": 1, "worker_id": 0, "exit_code": 7},
+    {
+        "kind": "stalled_reader", "request_id": 2, "connection_id": 1,
+        "seconds": 0.25, "attempt": None, "times": 2,
+    },
+]
+
+
+class TestFaultPlanDecoder:
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            {"kind": "delay", "seconds": -1},
+            {"kind": "delay", "seconds": float("nan")},
+            {"kind": "delay", "seconds": float("inf")},
+            {"kind": "delay", "seconds": 10**400},
+            {"kind": "worker_exit", "exit_code": 10**30},
+            {"kind": "worker_exit", "exit_code": 256},
+        ],
+    )
+    def test_refused_at_load(self, rule, monkeypatch):
+        """Each used to load: the delay then raised inside the worker (a
+        per-request ``"error"``), exit code 256 exited 0 and 10**30 raised
+        ``OverflowError`` instead of ending the worker."""
+        with pytest.raises(DatabaseError):
+            FaultPlan.from_payload([rule])
+        monkeypatch.setenv(FAULTS_ENV, json.dumps([rule]))
+        with pytest.raises(DatabaseError):
+            FaultPlan.from_env()
+
+    @settings(max_examples=200, **FUZZ)
+    @given(data=st.data())
+    def test_mutated_fault_plan(self, data):
+        try:
+            plan = FaultPlan.from_payload(data.draw(mutated(_FAULT_PLAN)))
+        except DatabaseError:
+            return
+        payload = plan.to_payload()
+        assert FaultPlan.from_payload(payload).to_payload() == payload
 
 
 # ----------------------------------------------------------------------

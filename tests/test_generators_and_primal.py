@@ -15,9 +15,6 @@ from repro.hypergraph.generators import (
     star_hypergraph,
 )
 from repro.hypergraph.primal import (
-    biconnected_components,
-    degree_statistics,
-    dual_graph,
     primal_graph,
     treewidth_upper_bound,
 )
@@ -94,24 +91,6 @@ class TestPrimal:
         assert graph.has_edge("E", "G")  # co-occur in s5
         assert not graph.has_edge("A", "J")
 
-    def test_dual_graph(self):
-        h = paper_q0_hypergraph()
-        graph = dual_graph(h)
-        assert graph.has_edge("s1", "s2")
-        assert graph.edges["s1", "s2"]["shared"] == {"B", "D"}
-
-    def test_biconnected_components(self):
-        h = cycle_hypergraph(5)
-        comps = biconnected_components(h)
-        assert any(len(c) == 5 for c in comps)
-
     def test_treewidth_upper_bound(self):
         assert treewidth_upper_bound(path_hypergraph(4)) <= 2
         assert treewidth_upper_bound(cycle_hypergraph(5)) >= 2
-
-    def test_degree_statistics(self):
-        stats = degree_statistics(paper_q0_hypergraph())
-        assert stats["edges"] == 8
-        assert stats["vertices"] == 10
-        assert stats["rank"] == 3
-        assert 0 < stats["density"] < 1

@@ -626,10 +626,8 @@ class TestAdaptiveMorsels:
         assert oracle.cardinality > 10_000  # the join really explodes
 
         budget_bytes = 64 * 1024
-        budget_stats = OperatorStats()
-        bounded = columnar_natural_join(
-            left, right, stats=budget_stats, memory_budget_bytes=budget_bytes
-        )
+        budget_stats = OperatorStats(memory_budget_bytes=budget_bytes)
+        bounded = columnar_natural_join(left, right, stats=budget_stats)
         assert bounded.rows == oracle.rows  # values AND order
         assert budget_stats.snapshot() == oracle_stats.snapshot()
         # The adaptive morsels honour the cost bound 5*emit + 3*probe <=
@@ -645,15 +643,11 @@ class TestAdaptiveMorsels:
         raw_left, raw_right = _skewed_pair(pack=False)
         packed_left, packed_right = _skewed_pair(pack=True)
         for budget in (None, 32 * 1024, 512):
-            raw_stats, packed_stats = OperatorStats(), OperatorStats()
-            raw_out = columnar_natural_join(
-                raw_left, raw_right, stats=raw_stats, memory_budget_bytes=budget
-            )
+            raw_stats = OperatorStats(memory_budget_bytes=budget)
+            packed_stats = OperatorStats(memory_budget_bytes=budget)
+            raw_out = columnar_natural_join(raw_left, raw_right, stats=raw_stats)
             packed_out = columnar_natural_join(
-                packed_left,
-                packed_right,
-                stats=packed_stats,
-                memory_budget_bytes=budget,
+                packed_left, packed_right, stats=packed_stats
             )
             assert packed_out.rows == raw_out.rows
             assert packed_stats.snapshot() == raw_stats.snapshot()

@@ -90,11 +90,10 @@ class TestChunkedKernelEquivalence:
     def test_chunked_join_is_byte_identical(self, left, right, budget):
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
-        base_stats, chunk_stats = OperatorStats(), OperatorStats()
+        base_stats = OperatorStats()
+        chunk_stats = OperatorStats(memory_budget_bytes=budget)
         base = natural_join(lc, rc, stats=base_stats)
-        chunked = natural_join(
-            lc, rc, stats=chunk_stats, memory_budget_bytes=budget
-        )
+        chunked = natural_join(lc, rc, stats=chunk_stats)
         assert_identical(base, chunked)
         assert base_stats.snapshot() == chunk_stats.snapshot()
         assert base_stats.operations == chunk_stats.operations
@@ -110,7 +109,9 @@ class TestChunkedKernelEquivalence:
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base = natural_join(lc, rc)
-        chunked = natural_join(lc, rc, memory_budget_bytes=budget)
+        chunked = natural_join(
+            lc, rc, stats=OperatorStats(memory_budget_bytes=budget)
+        )
         assert_identical(base, chunked)
 
     @settings(max_examples=40, deadline=None)
@@ -126,7 +127,9 @@ class TestChunkedKernelEquivalence:
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base = natural_join(lc, rc, keep=keep)
-        chunked = natural_join(lc, rc, keep=keep, memory_budget_bytes=budget)
+        chunked = natural_join(
+            lc, rc, keep=keep, stats=OperatorStats(memory_budget_bytes=budget)
+        )
         assert_identical(base, chunked)
 
     @settings(max_examples=60, deadline=None)
@@ -138,9 +141,10 @@ class TestChunkedKernelEquivalence:
     def test_chunked_semijoin_is_byte_identical(self, left, right, budget):
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
-        base_stats, chunk_stats = OperatorStats(), OperatorStats()
+        base_stats = OperatorStats()
+        chunk_stats = OperatorStats(memory_budget_bytes=budget)
         base = semijoin(lc, rc, stats=base_stats)
-        chunked = semijoin(lc, rc, stats=chunk_stats, memory_budget_bytes=budget)
+        chunked = semijoin(lc, rc, stats=chunk_stats)
         assert_identical(base, chunked)
         assert base_stats.snapshot() == chunk_stats.snapshot()
 
@@ -155,7 +159,8 @@ class TestChunkedKernelEquivalence:
         rc = columnar(relation, dictionary)
         base = project(rc, ["x", "z"], distinct=distinct)
         chunked = project(
-            rc, ["x", "z"], distinct=distinct, memory_budget_bytes=budget
+            rc, ["x", "z"], distinct=distinct,
+            stats=OperatorStats(memory_budget_bytes=budget),
         )
         assert_identical(base, chunked)
 
@@ -192,11 +197,10 @@ class TestChunkedKernelEquivalence:
         rows = [(i % 3, i) for i in range(600)]
         left = columnar(("l", ("k", "a"), rows), dictionary)
         right = columnar(("r", ("k", "b"), rows), dictionary)
-        unbounded, bounded = OperatorStats(), OperatorStats()
+        unbounded = OperatorStats()
+        bounded = OperatorStats(memory_budget_bytes=16_384)
         base = natural_join(left, right, stats=unbounded)
-        chunked = natural_join(
-            left, right, stats=bounded, memory_budget_bytes=16_384
-        )
+        chunked = natural_join(left, right, stats=bounded)
         assert_identical(base, chunked)
         assert bounded.peak_transient_elements * 4 < unbounded.peak_transient_elements
 
@@ -229,11 +233,9 @@ class TestChunkedBudgetStops:
         build, probe, reads, emitted = self._blowup(probe_rows, matches_each)
         outcomes = []
         for memory_budget in (None, 1):
-            stats = OperatorStats(budget=budget)
+            stats = OperatorStats(budget=budget, memory_budget_bytes=memory_budget)
             try:
-                result = natural_join(
-                    build, probe, stats=stats, memory_budget_bytes=memory_budget
-                )
+                result = natural_join(build, probe, stats=stats)
                 outcomes.append(("ok", result.rows, stats.snapshot()))
                 if memory_budget:  # the join really ran in several chunks
                     assert stats.peak_transient_elements <= 512
