@@ -21,7 +21,7 @@ from repro.weights.library import lexicographic_taf, width_taf
 def test_candidates_graph_construction(benchmark):
     hypergraph = paper_q0_hypergraph()
     graph = benchmark(lambda: CandidatesGraph(hypergraph, 2))
-    assert graph.candidates
+    assert graph.num_candidates
 
 
 def test_candidates_graph_evaluation(benchmark):

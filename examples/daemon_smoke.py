@@ -49,11 +49,12 @@ from repro.query.conjunctive import build_query
 from repro.workloads.synthetic import workload_database
 
 #: Both seams of the fault plan: the daemon's pool kills the worker
-#: serving the first admitted request (first attempt only -- the retry
-#: must survive), and the client seam hard-disconnects connection 7
-#: after writing its first request in full.
+#: serving request 1 -- the victim's execute; request 0 is the daemon's
+#: start-up plan of its query set -- (first attempt only: the retry must
+#: survive), and the client seam hard-disconnects connection 7 after
+#: writing its first request in full.
 DEFAULT_PLAN = [
-    {"kind": "worker_exit", "request_index": 0, "attempt": 1},
+    {"kind": "worker_exit", "request_index": 1, "attempt": 1},
     {"kind": "client_disconnect", "connection_id": 7, "request_index": 0},
 ]
 

@@ -453,13 +453,9 @@ def _command_db(args) -> int:
 
 def _command_db_daemon(args) -> int:
     from repro.db.daemon import ServingDaemon, format_address
-    from repro.db.storage import PlanCache
 
     queries = [parse_query(text) for text in (args.query or [])]
     address = args.address or os.path.join(args.path, "daemon.sock")
-    plan_cache = (
-        PlanCache(os.path.join(args.path, "plans")) if queries else None
-    )
     daemon = ServingDaemon(
         args.path,
         address,
@@ -470,7 +466,6 @@ def _command_db_daemon(args) -> int:
         refresh_seconds=args.refresh_seconds,
         io_timeout_seconds=args.io_timeout,
         drain_timeout_seconds=args.drain_timeout,
-        plan_cache=plan_cache,
         trace_out=args.trace_out,
         global_memory_budget_bytes=args.global_memory_budget_bytes,
         default_memory_budget_bytes=args.memory_budget_bytes,

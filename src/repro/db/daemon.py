@@ -4,11 +4,11 @@
 process-parallel and crash-tolerant, but every client still had to live
 in the pool's own process.  This module puts the pool behind a
 Unix-domain or TCP socket so the serving plane survives its *clients*
-too: a long-lived :class:`ServingDaemon` owns one supervised pool plus a
-background statistics-refresh loop, and any number of processes talk to
-it with :class:`DaemonClient` -- ``repro db daemon <store>`` runs it,
-``repro db serve --daemon <addr>`` drives the QPS/oracle harness through
-it.
+too: a long-lived :class:`ServingDaemon` owns one supervised pool, on
+which it also re-plans its query set when statistics are refreshed, and
+any number of processes talk to it with :class:`DaemonClient` --
+``repro db daemon <store>`` runs it, ``repro db serve --daemon <addr>``
+drives the QPS/oracle harness through it.
 
 Wire framing
 ------------
@@ -33,7 +33,7 @@ client-chosen ``id`` echoed verbatim in the response, and a ``kind``:
   refresh ``generation`` (clients fetch ready-to-execute payloads
   instead of planning themselves).
 * ``"refresh"`` -- force one statistics refresh now (re-analyze +
-  re-plan, the timer loop's body) and report the new generation.
+  re-plan, what the refresh timer does) and report the new generation.
 * ``"shutdown"`` -- ask the daemon to drain and exit (what SIGTERM does,
   reachable over the wire for orchestrators without signal access).
 
@@ -74,11 +74,17 @@ pool degraded               ``degraded`` error frame per execute; health
                             reports ``status: "degraded"`` + the reason
 SIGTERM / SIGINT /          drain-then-exit: stop accepting, finish or
 ``shutdown`` request        deadline-out in-flight work (bounded by
-                            ``drain_timeout_seconds``), close the pool
-                            (no orphan workers), exit 0
-statistics refresh          runs concurrently on its own thread; the
-                            refreshed payload set is hot-swapped
-                            atomically between requests -- no serving gap
+                            ``drain_timeout_seconds``; ``execute`` and
+                            ``refresh`` meanwhile get ``shutting_down``),
+                            close the pool (no orphan workers), exit 0
+statistics refresh          one pool request, served by a worker beside
+                            the executes; the refreshed payload set is
+                            swapped between requests with a generation
+                            bump -- no serving gap
+worker dies mid-refresh     the refresh is retried on the replacement
+                            worker and answered; ``restarts`` +1
+refresh raises in a worker  ``refresh_failed`` error frame,
+                            ``refresh_errors`` +1, generation unchanged
 ==========================  =============================================
 
 Client-side faults are scriptable through the same
@@ -96,29 +102,34 @@ wait set: the listener; each client socket (for reading, or for writing
 :meth:`~repro.db.serving.ServingPool.wait_handles` (the workers' response
 channels and process sentinels); and a wake-up socketpair.  The timeout
 is the earliest of the pool's :meth:`~repro.db.serving.ServingPool.next_timer`,
-each connection's deadline and the drain deadline -- nothing polls.  After
-every wake-up the loop runs the pool's ``pump`` once and answers what
-resolved.  Only the loop touches the pool (``submit`` / ``pump`` /
-``collect`` / ``abandon``, and the depth views ``health`` and ``metrics``
-read) and only the loop writes to a client socket.  An exception out of
-one connection's share of a wake-up drops that connection; one out of the
-loop's own steps ends serving with exit code 1.
+each connection's deadline, the refresh timer and the drain deadline --
+nothing polls.  After every wake-up the loop runs the pool's ``pump`` once
+and answers what resolved.  Only the loop touches the pool (``submit`` /
+``pump`` / ``collect`` / ``abandon``, and the depth views ``health`` and
+``metrics`` read) and only the loop writes to a client socket.  An
+exception out of one connection's share of a wake-up drops that
+connection; one out of the loop's own steps ends serving with exit code 1.
 
-The one other thread is the *refresh* thread: planning may take a while
-and must not stall serving, so ``refresh`` requests and the refresh period
-run there; it hands each reply to the loop and sends one byte on the
-wake-up socket.  :meth:`ServingDaemon.request_shutdown` -- what SIGTERM
-and SIGINT call -- sets a flag and sends the same byte, so it is safe in a
+There is no other thread.  A statistics refresh -- a ``refresh`` request,
+the ``refresh_seconds`` timer (at most one timer refresh in flight) and
+the initial plan :meth:`ServingDaemon.start` makes before it binds -- is
+one pool request: a ``SERVING_FORMAT`` payload with a ``prewarm`` block,
+which :func:`~repro.db.serving.execute_payload` answers in a worker with
+the re-planned payload set.  Planning, however long, stalls no connection,
+and the lifecycle's deadlines, retries and respawns cover it like any
+execute.  A client's ``execute`` may not carry a ``prewarm`` block
+(``bad_request``), so no client drives planning or plan-cache writes.
+:meth:`ServingDaemon.request_shutdown` -- what SIGTERM and SIGINT call --
+sets a flag and sends one byte on the wake-up socket, so it is safe in a
 signal handler.
 """
 
 from __future__ import annotations
 
-import collections
 import json
 import logging
+import math
 import os
-import queue
 import selectors
 import signal
 import socket
@@ -130,10 +141,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.db.faults import FaultPlan, FaultRule
 from repro.db.serving import (
+    SERVING_FORMAT,
+    SERVING_VERSION,
     AdmissionRejected,
     ServingError,
     ServingPool,
-    prewarm,
+    query_to_payload,
 )
 from repro.exceptions import DatabaseError
 from repro.obs.export import write_chrome_trace
@@ -395,10 +408,11 @@ class ServingDaemon:
     Parameters mirror :class:`~repro.db.serving.ServingPool` where they
     are forwarded verbatim (``workers``, budgets, restart/deadline
     knobs).  ``queries`` (with ``k_values``/``answer``) enables the
-    planning side: the ``plans`` request kind and the statistics-refresh
-    loop (every ``refresh_seconds``, plus on-demand ``refresh``
-    requests).  Without queries the daemon is a pure executor for
-    client-supplied payloads.
+    planning side: the ``plans`` request kind and statistics refreshes
+    (every ``refresh_seconds`` -- ``None`` or a positive finite number --
+    plus on-demand ``refresh`` requests), each one pool request planned
+    through the store's ``plans`` cache.  Without queries the daemon is a
+    pure executor for client-supplied payloads.
 
     ``trace_out`` names a file: the daemon then attaches a
     :class:`~repro.obs.trace.TraceRecorder` to its pool (per-request
@@ -420,10 +434,13 @@ class ServingDaemon:
         io_timeout_seconds: float = 10.0,
         drain_timeout_seconds: float = 30.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        plan_cache=None,
         trace_out=None,
         **pool_options,
     ) -> None:
+        if refresh_seconds is not None and not 0 < refresh_seconds < math.inf:
+            raise DaemonError(
+                f"refresh_seconds must be positive and finite: {refresh_seconds!r}"
+            )
         self.store_path = Path(store_path)
         self.address = parse_address(address) if isinstance(address, str) else address
         self.workers = int(workers)
@@ -434,7 +451,6 @@ class ServingDaemon:
         self.io_timeout_seconds = float(io_timeout_seconds)
         self.drain_timeout_seconds = float(drain_timeout_seconds)
         self.max_frame_bytes = int(max_frame_bytes)
-        self.plan_cache = plan_cache
         self.trace_out = Path(trace_out) if trace_out else None
         # The pool records admission/queue/attempt spans (plus the kernel
         # spans workers ship back) into this recorder; _finish() exports
@@ -448,47 +464,48 @@ class ServingDaemon:
         self.exit_code: Optional[int] = None
 
         self._pool: Optional[ServingPool] = None
-        self._planning_db = None
         self._payloads: List[Dict[str, Any]] = []
-        self._payload_lock = threading.Lock()
         self._generation = 0
         self._stopping = False
         self._finished = threading.Event()
-        self._threads: List[threading.Thread] = []
+        self._thread: Optional[threading.Thread] = None
         # The loop thread's own state: nothing else reads or writes it.
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._connections: set = set()
-        # request_id -> (connection, frame id, submit time); the third
-        # slot feeds the request_latency_seconds histogram on delivery.
+        # request_id -> (connection, frame id, submit time) of executes, and
+        # of refreshes (connection None: the timer's); the third slot feeds
+        # the latency histogram / the refresh reply's ``seconds``.
         self._outstanding: Dict[int, Tuple[_Connection, Any, float]] = {}
+        self._refreshing: Dict[int, Tuple[Optional[_Connection], Any, float]] = {}
+        self._refresh_due: Optional[float] = None
         self._pool_handles: List[object] = []  # as registered, and the
         self._pool_fds: List[int] = []  # descriptors they had then
-        # How the refresh thread and signal handlers reach the loop.
-        self._refresh_requests: "queue.Queue" = queue.Queue()
-        self._replies: collections.deque = collections.deque()
+        # How signal handlers reach the loop.
         self._wake_r: Optional[socket.socket] = None  # made by start(),
         self._wake_w: Optional[socket.socket] = None  # after the pool forks
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ServingDaemon":
-        """Bind, prewarm, spawn the pool and the two service threads.
-        After this returns the daemon is serving; :attr:`address` carries
-        the actually-bound address (TCP port 0 resolves here)."""
+        """Spawn the pool, plan the query set on it, bind, and start the
+        loop thread.  After this returns the daemon is serving;
+        :attr:`address` carries the actually-bound address (TCP port 0
+        resolves here)."""
         if self._pool is not None:
             raise DaemonError("daemon already started")
-        # Fork the workers *before* spawning our own service threads:
-        # forking a single-threaded process is the safe order.
+        # Fork the workers *before* starting the loop thread: forking a
+        # single-threaded process is the safe order.
         self._pool = ServingPool(self.store_path, workers=self.workers,
                                  trace=self._trace_recorder,
                                  metrics=self.metrics,
                                  **self.pool_options)
         try:
-            if self.queries:
-                from repro.db.database import Database
-
-                self._planning_db = Database.open(self.store_path)
-                self._refresh_payloads(analyze=False)  # stats are fresh at save
+            if self.queries:  # the statistics are fresh at save
+                pool = self._pool
+                response = pool.collect(pool.submit(self._refresh_payload(False)))
+                if response["status"] != "ok":
+                    raise DaemonError(f"planning failed: {response.get('error')}")
+                self._payloads, self._generation = response["payloads"], 1
             self._listener = self._bind()
         except BaseException:
             self._pool.close()
@@ -501,13 +518,12 @@ class ServingDaemon:
         self._selector.register(self._wake_r, selectors.EVENT_READ)
         self._watch_pool()
         self.started_at = time.monotonic()
-        for name, target in (
-            ("repro-daemon-loop", self._loop),
-            ("repro-daemon-refresh", self._refresh_loop),
-        ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        if self.queries and self.refresh_seconds is not None:
+            self._refresh_due = self.started_at + self.refresh_seconds
+        self._thread = threading.Thread(
+            target=self._loop, name="repro-daemon-loop", daemon=True
+        )
+        self._thread.start()
         return self
 
     def _bind(self) -> socket.socket:
@@ -567,20 +583,18 @@ class ServingDaemon:
         if handle_signals:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 signal.signal(signum, lambda *_: self.request_shutdown())
-        self._threads[0].join()  # the loop returns once it has drained
+        self._thread.join()  # the loop returns once it has drained
         return self._finish()
 
     def _finish(self) -> int:
         """Tear-down, run by whichever thread called shutdown/serve_forever:
-        ask the loop to drain, join the service threads (the loop closes
-        listener and connections on its way out), then close the pool and
-        unlink the socket file."""
+        ask the loop to drain, join it (it closes listener and connections
+        on its way out), then close the pool and unlink the socket file."""
         if self._finished.is_set():
             return self.exit_code if self.exit_code is not None else 0
         self.request_shutdown()
-        join_deadline = time.monotonic() + self.drain_timeout_seconds + 10.0
-        for thread in self._threads:
-            thread.join(timeout=max(0.1, join_deadline - time.monotonic()))
+        if self._thread is not None:
+            self._thread.join(timeout=self.drain_timeout_seconds + 10.0)
         if self._wake_r is not None:  # else start() never got that far
             self._wake_r.close()
             self._wake_w.close()
@@ -599,7 +613,7 @@ class ServingDaemon:
                 )
             except OSError:  # export must never block the drain
                 _DAEMON_LOG.exception("trace export to %s failed", self.trace_out)
-        stuck = [t for t in self._threads if t.is_alive()]
+        stuck = self._thread is not None and self._thread.is_alive()
         # The loop leaves a 1 behind when it ends on an exception.
         self.exit_code = 1 if stuck or self.exit_code else 0
         self._finished.set()
@@ -619,11 +633,11 @@ class ServingDaemon:
             _DAEMON_LOG.exception("the daemon loop failed")
             self.exit_code = 1
         finally:
-            # The refresh thread is told to stop; whatever the drain
-            # deadline left in flight is abandoned and answered with a
-            # structured error (best effort); then every socket goes.
-            self._refresh_requests.put(None)
-            outstanding, self._outstanding = self._outstanding, {}
+            # Whatever the drain deadline left in flight is abandoned and
+            # answered with a structured error (best effort); then every
+            # socket goes.
+            outstanding = {**self._outstanding, **self._refreshing}
+            self._outstanding, self._refreshing = {}, {}
             for request_id, (connection, frame_id, _) in outstanding.items():
                 self._pool.abandon(request_id)
                 self.metrics.counter("abandoned_requests").inc()
@@ -648,32 +662,38 @@ class ServingDaemon:
                     drain_deadline = now + self.drain_timeout_seconds
                     selector.unregister(self._listener)
                     self._listener.close()
+                    self._refresh_due = None
                 if now >= drain_deadline or not (
-                    self._outstanding or any(c.out for c in self._connections)
+                    self._outstanding or self._refreshing
+                    or any(c.out for c in self._connections)
                 ):
                     return
+            if self._refresh_due is not None and now >= self._refresh_due:
+                self._refresh_due = now + self.refresh_seconds
+                if all(entry[0] is not None for entry in self._refreshing.values()):
+                    self._refresh(None, None)  # no timer refresh in flight
             deadlines = [
                 c.deadline for c in self._connections if c.deadline is not None
             ]
             deadlines += [
-                t for t in (pool.next_timer(now), drain_deadline) if t is not None
+                t for t in (pool.next_timer(now), drain_deadline, self._refresh_due)
+                if t is not None
             ]
             timeout = max(0.0, min(deadlines) - now) if deadlines else None
             for key, mask in selector.select(timeout):
                 self._guarded(key.data, self._ready, key, mask)
-            while self._replies:
-                connection, reply = self._replies.popleft()
-                self._guarded(connection, self._send, connection, reply)
             for request_id in pool.pump():
-                connection, frame_id, started = self._outstanding.pop(request_id)
-                self.metrics.histogram("request_latency_seconds").observe(
-                    time.monotonic() - started
-                )
-                self.metrics.counter("requests_served").inc()
-                reply = dict(
-                    _base_frame("response", frame_id),
-                    response=pool.collect(request_id),
-                )
+                response = pool.collect(request_id)
+                if request_id in self._refreshing:
+                    connection, frame_id, started = self._refreshing.pop(request_id)
+                    reply = self._refreshed(frame_id, started, response)
+                else:
+                    connection, frame_id, started = self._outstanding.pop(request_id)
+                    self.metrics.histogram("request_latency_seconds").observe(
+                        time.monotonic() - started
+                    )
+                    self.metrics.counter("requests_served").inc()
+                    reply = dict(_base_frame("response", frame_id), response=response)
                 self._guarded(connection, self._send, connection, reply)
             self._watch_pool()
             now = time.monotonic()
@@ -811,7 +831,12 @@ class ServingDaemon:
         frame_id = frame.get("id")
         kind = frame.get("kind")
         try:
-            if kind == "execute":
+            if kind in ("execute", "refresh") and self._stopping:
+                self._send_error(
+                    connection, frame_id, "shutting_down",
+                    "daemon is draining; no new requests",
+                )
+            elif kind == "execute":
                 self._execute(connection, frame)
             elif kind == "health":
                 self._send(connection, self._health_frame(frame_id))
@@ -820,7 +845,7 @@ class ServingDaemon:
             elif kind == "plans":
                 self._send(connection, self._plans_frame(frame_id))
             elif kind == "refresh":
-                self._refresh_requests.put((connection, frame_id))
+                self._refresh(connection, frame_id)
             elif kind == "shutdown":
                 self._send(
                     connection, dict(_base_frame("response", frame_id), draining=True)
@@ -838,15 +863,14 @@ class ServingDaemon:
 
     def _execute(self, connection: _Connection, frame: Mapping) -> None:
         frame_id = frame.get("id")
-        if self._stopping:
-            self._send_error(
-                connection, frame_id, "shutting_down",
-                "daemon is draining; no new requests",
-            )
+        payload = frame.get("payload")
+        if isinstance(payload, Mapping) and "prewarm" in payload:
+            message = "a 'prewarm' block is for the daemon's own refreshes"
+            self._send_error(connection, frame_id, "bad_request", message)
             return
         pool = self._pool
         try:
-            request_id = pool.submit(frame.get("payload"))
+            request_id = pool.submit(payload)
         except AdmissionRejected as exc:
             self._send_error(connection, frame_id, "admission_rejected", str(exc))
         except ServingError as exc:
@@ -860,12 +884,13 @@ class ServingDaemon:
     def _send_error(self, connection, frame_id, code: str, message: str) -> None:
         self._send(connection, _error_frame(frame_id, code, message))
 
-    def _send(self, connection: _Connection, frame: Mapping) -> None:
+    def _send(self, connection: Optional[_Connection], frame: Mapping) -> None:
         """The one writer: encode ``frame`` behind the connection's unsent
         output and write what the peer takes now.  What it does not take
         waits in ``out`` for the socket to become writable, under the send
-        deadline.  A connection that is already gone swallows the frame."""
-        if connection.closed:
+        deadline.  A connection that is already gone -- or none, for a
+        timer refresh -- swallows the frame."""
+        if connection is None or connection.closed:
             return
         try:
             data = encode_frame(frame, self.max_frame_bytes)
@@ -952,72 +977,52 @@ class ServingDaemon:
         return frame
 
     def _plans_frame(self, frame_id) -> Dict[str, Any]:
-        with self._payload_lock:
-            payloads = list(self._payloads)
-            generation = self._generation
         frame = _base_frame("plans", frame_id)
-        frame.update(generation=generation, payloads=payloads)
-        return frame
+        return dict(frame, generation=self._generation, payloads=self._payloads)
 
     # -- statistics refresh --------------------------------------------
-    def _refresh_payloads(self, analyze: bool = True) -> int:
-        """One refresh: re-analyze + re-plan the query set, then
-        atomically hot-swap the published payload set.  In-flight and
-        concurrent requests keep executing whatever payload they already
-        hold -- there is no serving gap, only a generation bump."""
-        payloads = prewarm(
-            self._planning_db,
-            self.queries,
-            k_values=self.k_values,
-            plan_cache=self.plan_cache,
-            analyze=analyze,
-            answer=self.answer,
+    def _refresh_payload(self, analyze: bool) -> Dict[str, Any]:
+        """One refresh as a pool request: re-analyze (or not) and re-plan
+        the query set.  Planning takes no slice of the execution budget."""
+        queries = [query_to_payload(query) for query in self.queries]
+        return dict(
+            format=SERVING_FORMAT, version=SERVING_VERSION, answer=self.answer,
+            prewarm=dict(queries=queries, k_values=[*self.k_values], analyze=analyze),
+            memory_budget_bytes=0,
         )
-        with self._payload_lock:
-            self._payloads = payloads
-            self._generation += 1
-            return self._generation
 
-    def _refresh_loop(self) -> None:
-        """The refresh thread: waits on its request queue with the refresh
-        period as the timeout (no period: until a request comes), so an
-        elapsed wait *is* the timer.  It never writes to a socket: each
-        reply is handed to the loop, then the loop is woken.  ``None`` --
-        from the loop on its way out -- ends it."""
-        while True:
-            try:
-                request = self._refresh_requests.get(
-                    timeout=self.refresh_seconds or None
-                )
-            except queue.Empty:
-                request = (None, None)  # the period elapsed: nobody to answer
-            if request is None or self._stopping:
-                return
-            connection, frame_id = request
-            started = time.monotonic()
-            if self._planning_db is None:
-                reply = _error_frame(
-                    frame_id, "refresh_unavailable",
-                    "daemon was started without --query; there is no "
-                    "query set to re-plan",
-                )
-            else:
-                try:
-                    generation = self._refresh_payloads(analyze=True)
-                except Exception as exc:  # keep serving on a failed refresh
-                    self.metrics.counter("refresh_errors").inc()
-                    reply = _error_frame(frame_id, "refresh_failed", str(exc))
-                else:
-                    self.metrics.counter("refreshes").inc()
-                    reply = dict(
-                        _base_frame("response", frame_id),
-                        refreshed=True,
-                        generation=generation,
-                        seconds=round(time.monotonic() - started, 4),
-                    )
-            if connection is not None:
-                self._replies.append((connection, reply))
-                self._wake()
+    def _refresh(self, connection: Optional[_Connection], frame_id) -> None:
+        """Submit one refresh, asked for by ``connection`` or (``None``) by
+        the timer; the loop answers it when the pool resolves it."""
+        if not self.queries:
+            self._send_error(
+                connection, frame_id, "refresh_unavailable",
+                "daemon was started without --query: no query set to re-plan",
+            )
+            return
+        try:
+            request_id = self._pool.submit(self._refresh_payload(True))
+        except (AdmissionRejected, ServingError) as exc:
+            self.metrics.counter("refresh_errors").inc()
+            self._send_error(connection, frame_id, "refresh_failed", str(exc))
+        else:
+            self._refreshing[request_id] = (connection, frame_id, time.monotonic())
+
+    def _refreshed(self, frame_id, started: float, response: Mapping) -> Dict[str, Any]:
+        """Take one resolved refresh: swap its payload set in with a
+        generation bump -- in-flight requests keep the payloads they hold,
+        so there is no serving gap -- or count its failure.  Returns the
+        reply for whoever asked."""
+        if response["status"] != "ok":
+            self.metrics.counter("refresh_errors").inc()
+            return _error_frame(frame_id, "refresh_failed", str(response.get("error")))
+        self._payloads = response["payloads"]
+        self._generation += 1
+        self.metrics.counter("refreshes").inc()
+        return dict(
+            _base_frame("response", frame_id), refreshed=True,
+            generation=self._generation, seconds=round(time.monotonic() - started, 4),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -285,10 +285,28 @@ def execute_payload(payload: Mapping, database: Database) -> Dict[str, object]:
     as the :data:`TRACE_KEY` response block -- attached *after* the digest
     is computed and stripped by :func:`strip_provenance`, so traced and
     untraced responses are byte-identical everywhere else.
+
+    A payload with a ``"prewarm"`` block (``queries`` as
+    :func:`query_to_payload` renders them, ``k_values``, ``analyze``) is a
+    statistics refresh instead: it is answered with ``{"status": "ok",
+    "payloads": prewarm(...)}``, planned through the store's
+    ``plans`` :class:`PlanCache`.
     """
     from repro.db.algebra import EvaluationBudgetExceeded
 
     _check_payload(payload)
+    if "prewarm" in payload:
+        block = payload["prewarm"]
+        keys = {"queries", "k_values", "analyze"}
+        if not isinstance(block, Mapping) or set(block) != keys:
+            raise DatabaseError(f"a prewarm block holds exactly {sorted(keys)}")
+        queries = [query_from_payload(query) for query in block["queries"]]
+        plans = PlanCache(os.path.join(database.source_path, "plans"))
+        payloads = prewarm(
+            database, queries, k_values=block["k_values"], plan_cache=plans,
+            analyze=block["analyze"] is True, answer=payload.get("answer", "rows"),
+        )
+        return {"status": "ok", "payloads": payloads}
     query = query_from_payload(payload["query"])
     plan_ir = plan_ir_from_payload(query, payload["plan"])
     answer_mode = payload.get("answer", "rows")

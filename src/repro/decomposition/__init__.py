@@ -6,7 +6,6 @@ from repro.decomposition.hypertree import (
     NodeId,
 )
 from repro.decomposition.candidates import (
-    CandidateInfo,
     CandidatesGraph,
     count_k_vertices,
     k_vertices,
@@ -57,7 +56,6 @@ __all__ = [
     "DecompositionNode",
     "HypertreeDecomposition",
     "NodeId",
-    "CandidateInfo",
     "CandidatesGraph",
     "count_k_vertices",
     "k_vertices",

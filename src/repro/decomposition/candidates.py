@@ -62,16 +62,15 @@ empty graph.  The result is byte-identical whatever the base.
 :class:`CandidatesGraphFamily` wraps this into a per-``k`` cache for sweeps
 (the Fig. 8(A) ``k = 2..5`` sweep, repeated planner calls).
 
-The historical frozenset-of-names surface (``subproblems``, ``candidates``,
-``solvers``, ``candidates_for`` …) is preserved as a lazily built mirror
-translated once per distinct mask -- built on first access, so
-algorithm-only users never pay for it.
+Names appear only at the boundary: :meth:`CandidatesGraph.public_candidate`
+/ :meth:`~CandidatesGraph.public_subproblem` translate one node id to its
+``(edge names, vertex names)`` pair and :meth:`~CandidatesGraph.node_view`
+to a labelled :class:`DecompositionNode`.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -144,25 +143,6 @@ def count_k_vertices(num_edges: int, k: int) -> int:
     from math import comb
 
     return sum(comb(num_edges, i) for i in range(1, k + 1))
-
-
-@dataclass
-class CandidateInfo:
-    """Cached per-candidate data: its labels and its subproblems."""
-
-    key: Candidate
-    lambda_edges: KVertex
-    chi: FrozenSet[Vertex]
-    component: Component
-    subproblems: Tuple[Subproblem, ...]
-
-    def as_node(self, node_id: int) -> DecompositionNode:
-        return DecompositionNode(
-            node_id=node_id,
-            lambda_edges=self.lambda_edges,
-            chi=self.chi,
-            component=self.component,
-        )
 
 
 class CandidatesGraph:
@@ -259,10 +239,8 @@ class CandidatesGraph:
             ),
         )
 
-        # Lazily built frozenset-of-names mirror (see class docstring).
-        self._public: Optional[_PublicMirror] = None
         # Lazily built candidate views derived from the k-vertex index (no
-        # algorithm consumes these; they serve the mirror and tests).
+        # algorithm consumes these; they serve the name boundary and tests).
         self._cand_keys: Optional[List[MaskCandidate]] = None
         self._cand_var: Optional[List[int]] = None
 
@@ -658,8 +636,7 @@ class CandidatesGraph:
         """Per-candidate ``(λ edge mask, component mask)`` identities.
 
         Derived (lazily, once) from ``cand_lambda``/``cand_comp``: no
-        algorithm consumes the pairs, only the public mirror and the
-        translation accessors do."""
+        algorithm consumes the pairs, only the translation accessors do."""
         if self._cand_keys is None:
             self._cand_keys = list(zip(self.cand_lambda, self.cand_comp))
         return self._cand_keys
@@ -708,30 +685,6 @@ class CandidatesGraph:
         return self.to_subproblem(self.sub_keys[sub_id])
 
     # ------------------------------------------------------------------
-    # Frozenset-of-names mirror (public compatibility surface)
-    # ------------------------------------------------------------------
-    def _mirror(self) -> "_PublicMirror":
-        if self._public is None:
-            self._public = _PublicMirror(self)
-        return self._public
-
-    @property
-    def subproblems(self) -> List[Subproblem]:
-        return self._mirror().subproblems
-
-    @property
-    def candidates(self) -> Dict[Candidate, CandidateInfo]:
-        return self._mirror().candidates
-
-    @property
-    def solvers(self) -> Dict[Subproblem, Tuple[Candidate, ...]]:
-        return self._mirror().solvers
-
-    @property
-    def dependents(self) -> Dict[Subproblem, List[Candidate]]:
-        return self._mirror().dependents
-
-    # ------------------------------------------------------------------
     # Accessors used by tests and by presentation code
     # ------------------------------------------------------------------
     @property
@@ -760,27 +713,6 @@ class CandidatesGraph:
         return bitset.edge_names(
             self._mcomponent_edges[bitset.vertex_mask(component, strict=True)]
         )
-
-    def candidate_info(self, key: Candidate) -> CandidateInfo:
-        return self._mirror().candidates[key]
-
-    def candidates_for(self, subproblem: Subproblem) -> Tuple[Candidate, ...]:
-        """``incoming(q)`` for a subproblem ``q`` (before any pruning)."""
-        return self._mirror().solvers[subproblem]
-
-    def subproblems_of(self, candidate: Candidate) -> Tuple[Subproblem, ...]:
-        """``incoming(p)`` for a candidate ``p``: its child subproblems."""
-        return self._mirror().candidates[candidate].subproblems
-
-    def dependents_of(self, subproblem: Subproblem) -> Tuple[Candidate, ...]:
-        """``outcoming(q)`` for a subproblem ``q``: the candidates that have
-        ``q`` among their subproblems."""
-        return tuple(self._mirror().dependents.get(subproblem, ()))
-
-    def subproblems_sorted_for_processing(self) -> List[Subproblem]:
-        """The processing order of :attr:`sub_order`, translated to the
-        frozenset surface."""
-        return [self.public_subproblem(sub_id) for sub_id in self.sub_order]
 
     # ------------------------------------------------------------------
     def size_report(self) -> Dict[str, int]:
@@ -862,42 +794,3 @@ class CandidatesGraphFamily:
             f"hypergraph={self.hypergraph!r})"
         )
 
-
-class _PublicMirror:
-    """The frozenset-of-names view of a mask-space candidates graph.
-
-    Built once, on first access to any of the public collections; every
-    distinct mask is translated exactly once (the bitset view interns the
-    frozensets), so the mirror costs O(nodes + arcs) dict work and shares
-    all set objects with the node labels the algorithms emit.
-    """
-
-    __slots__ = ("subproblems", "candidates", "solvers", "dependents")
-
-    def __init__(self, graph: CandidatesGraph) -> None:
-        translate = graph.to_subproblem
-        public_subs: List[Subproblem] = [translate(key) for key in graph.sub_keys]
-        self.subproblems: List[Subproblem] = public_subs
-        edge_names = graph.bitset.edge_names
-        vertex_names = graph.bitset.vertex_names
-        public_cands: List[Candidate] = [translate(key) for key in graph.cand_keys]
-        self.candidates: Dict[Candidate, CandidateInfo] = {}
-        for cand_id, public_key in enumerate(public_cands):
-            self.candidates[public_key] = CandidateInfo(
-                key=public_key,
-                lambda_edges=edge_names(graph.cand_lambda[cand_id]),
-                chi=vertex_names(graph.cand_chi[cand_id]),
-                component=vertex_names(graph.cand_comp[cand_id]),
-                subproblems=tuple(
-                    public_subs[sub_id] for sub_id in graph.cand_subs[cand_id]
-                ),
-            )
-        self.solvers: Dict[Subproblem, Tuple[Candidate, ...]] = {
-            public_subs[sub_id]: tuple(public_cands[c] for c in solved_by)
-            for sub_id, solved_by in enumerate(graph.sub_solvers)
-        }
-        self.dependents: Dict[Subproblem, List[Candidate]] = {
-            public_subs[sub_id]: [public_cands[c] for c in dependents]
-            for sub_id, dependents in enumerate(graph.sub_dependents)
-            if dependents
-        }

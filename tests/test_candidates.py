@@ -12,6 +12,10 @@ from repro.hypergraph.generators import cycle_hypergraph, paper_q0_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 
 
+def _subproblems(graph):
+    return [graph.public_subproblem(q) for q in range(graph.num_subproblems)]
+
+
 class TestKVertices:
     def test_k1_vertices_are_single_edges(self):
         h = cycle_hypergraph(4)
@@ -45,15 +49,19 @@ class TestCandidatesGraph:
         h = cycle_hypergraph(4)
         graph = CandidatesGraph(h, 2)
         assert graph.root_subproblem == (frozenset(), frozenset(h.vertices))
-        assert graph.root_subproblem in graph.subproblems
+        assert graph.root_subproblem in _subproblems(graph)
+        root = graph.public_subproblem(graph.ROOT_SUBPROBLEM_ID)
+        assert root == graph.root_subproblem
 
     def test_candidate_labels_follow_paper(self):
         h = cycle_hypergraph(4)
         graph = CandidatesGraph(h, 2)
-        for (kvertex, component), info in graph.candidates.items():
-            assert info.lambda_edges == kvertex
+        for cand_id in range(graph.num_candidates):
+            kvertex, component = graph.public_candidate(cand_id)
+            node = graph.node_view(cand_id, 0)
+            assert node.lambda_edges == kvertex
             frontier = graph.component_frontier(component)
-            assert info.chi == frontier & graph.var_of(kvertex)
+            assert node.chi == frontier & graph.var_of(kvertex)
             # Definition of N_sol: λ must intersect the component and every
             # edge must meet the component's frontier.
             assert graph.var_of(kvertex) & component
@@ -63,37 +71,38 @@ class TestCandidatesGraph:
     def test_solver_arcs_respect_connectedness_condition(self):
         h = cycle_hypergraph(5)
         graph = CandidatesGraph(h, 2)
-        for subproblem, solvers in graph.solvers.items():
-            r_kvertex, component = subproblem
+        for sub_id, solvers in enumerate(graph.sub_solvers):
+            r_kvertex, component = graph.public_subproblem(sub_id)
             boundary = graph.component_frontier(component) & graph.var_of(r_kvertex)
-            for s_kvertex, s_component in solvers:
+            for s_kvertex, s_component in map(graph.public_candidate, solvers):
                 assert s_component == component
                 assert boundary <= graph.var_of(s_kvertex)
 
     def test_subproblems_of_candidates_are_contained_components(self):
         h = paper_q0_hypergraph()
         graph = CandidatesGraph(h, 2)
-        for (kvertex, component), info in graph.candidates.items():
-            for sub_kvertex, sub_component in info.subproblems:
+        for cand_id, subs in enumerate(graph.cand_subs):
+            kvertex, component = graph.public_candidate(cand_id)
+            for sub_kvertex, sub_component in map(graph.public_subproblem, subs):
                 assert sub_kvertex == kvertex
                 assert sub_component < component
 
     def test_dependents_reverse_index(self):
         h = cycle_hypergraph(4)
         graph = CandidatesGraph(h, 2)
-        for candidate, info in graph.candidates.items():
-            for subproblem in info.subproblems:
-                assert candidate in graph.dependents_of(subproblem)
+        for cand_id, subs in enumerate(graph.cand_subs):
+            for sub_id in subs:
+                assert cand_id in graph.sub_dependents[sub_id]
 
     def test_root_candidates_exist_for_decomposable_hypergraph(self):
         h = cycle_hypergraph(4)
         graph = CandidatesGraph(h, 2)
-        assert graph.candidates_for(graph.root_subproblem)
+        assert graph.sub_solvers[graph.ROOT_SUBPROBLEM_ID]
 
     def test_processing_order_is_by_component_size(self):
         h = paper_q0_hypergraph()
         graph = CandidatesGraph(h, 2)
-        sizes = [len(sub[1]) for sub in graph.subproblems_sorted_for_processing()]
+        sizes = [len(graph.public_subproblem(q)[1]) for q in graph.sub_order]
         assert sizes == sorted(sizes)
 
     def test_size_report(self):
@@ -101,8 +110,10 @@ class TestCandidatesGraph:
         graph = CandidatesGraph(h, 2)
         report = graph.size_report()
         assert report["k_vertices"] == 10
-        assert report["subproblems"] == len(graph.subproblems)
-        assert report["candidates"] == len(graph.candidates)
+        assert report["subproblems"] == len(set(_subproblems(graph)))
+        assert report["candidates"] == len(
+            {graph.public_candidate(i) for i in range(graph.num_candidates)}
+        )
         assert "CandidatesGraph" in repr(graph)
 
     def test_edgeless_hypergraph_rejected(self):

@@ -215,15 +215,18 @@ class TestCandidatesGraphEquivalence:
         graph = CandidatesGraph(hypergraph, k)
         subproblems, candidates, solvers = naive_candidates_graph(hypergraph, k)
 
-        assert sorted(map(sorted_pair, graph.subproblems)) == sorted(
-            map(sorted_pair, subproblems)
-        )
-        assert set(graph.candidates) == set(candidates)
-        for key, info in graph.candidates.items():
-            assert info.chi == candidates[key]["chi"]
-            assert frozenset(info.subproblems) == candidates[key]["subproblems"]
-        for subproblem, solved_by in graph.solvers.items():
-            assert frozenset(solved_by) == solvers[subproblem]
+        # Ids translated to names here, at the test's boundary.
+        subs = [graph.public_subproblem(q) for q in range(graph.num_subproblems)]
+        cands = [graph.public_candidate(i) for i in range(graph.num_candidates)]
+        assert sorted(map(sorted_pair, subs)) == sorted(map(sorted_pair, subproblems))
+        assert set(cands) == set(candidates)
+        for cand_id, key in enumerate(cands):
+            assert graph.node_view(cand_id, 0).chi == candidates[key]["chi"]
+            assert frozenset(subs[q] for q in graph.cand_subs[cand_id]) == (
+                candidates[key]["subproblems"]
+            )
+        for sub_id, solved_by in enumerate(graph.sub_solvers):
+            assert frozenset(cands[c] for c in solved_by) == solvers[subs[sub_id]]
 
 
 def sorted_pair(node):

@@ -23,8 +23,12 @@ connection seam:
 * drain -- a ``shutdown`` request (and SIGTERM against the real CLI
   daemon in a subprocess) stops accepting, completes in-flight work,
   exits 0 and leaves no orphan workers and no socket file;
-* statistics refresh -- hot-swaps the payload set atomically with a
-  generation bump; post-refresh responses still match the oracle.
+* statistics refresh -- one pool request: it swaps the payload set in
+  with a generation bump, the published set is the serial oracle's plan,
+  post-refresh responses still match the oracle, a worker dying
+  mid-refresh is retried and answered, one raising is a ``refresh_failed``
+  frame that leaves the generation alone, and a refresh during a drain is
+  ``shutting_down``.
 
 The CI matrix re-runs this module under ``REPRO_SERVE_MP_CONTEXT=spawn``.
 """
@@ -348,6 +352,79 @@ class TestDaemonServes:
         response = client.execute(payload)
         assert strip_provenance(response) == execute_payload(payload, serial_db)
 
+    def test_refreshed_plans_are_the_serial_oracle(self, client, store):
+        """A refresh is one pool request answered by ``execute_payload``,
+        so the published set is what the serial oracle plans from the same
+        payload (``planning_seconds`` aside: the cache may be warm)."""
+        refresh = {
+            "format": "repro-serving",
+            "version": 1,
+            "prewarm": {
+                "queries": [query_to_payload(_query())],
+                "k_values": [2, 3],
+                "analyze": True,
+            },
+            "answer": "digest",
+            "memory_budget_bytes": 0,
+        }
+        client.refresh()
+        oracle = execute_payload(refresh, Database.open(store))
+        assert oracle["status"] == "ok"
+
+        def unclocked(payloads):
+            return [dict(p, planning_seconds=None) for p in payloads]
+
+        assert unclocked(client.plans()["payloads"]) == unclocked(oracle["payloads"])
+
+    def test_execute_with_a_prewarm_block_is_bad_request(self, client):
+        """Planning and plan-cache writes are the daemon's own requests: a
+        client payload carrying a ``prewarm`` block is never admitted."""
+        payload = dict(
+            _payload(),
+            prewarm={
+                "queries": [query_to_payload(_query())],
+                "k_values": [2],
+                "analyze": True,
+            },
+        )
+        admitted = client.metrics()["metrics"]["counters"]["requests_admitted"]
+        with pytest.raises(DaemonRequestError) as excinfo:
+            client.execute(payload)
+        assert excinfo.value.code == "bad_request"
+        metrics = client.metrics()
+        assert metrics["metrics"]["counters"]["requests_admitted"] == admitted
+        assert client.health()["status"] == "ready"
+
+    def test_refresh_timer_bumps_generation(self, store, tmp_path):
+        with _spawn_daemon(
+            store, tmp_path, workers=1, queries=[_query()], refresh_seconds=0.1
+        ) as daemon:
+            with DaemonClient(daemon.address) as client:
+                deadline = time.monotonic() + 30.0
+                while client.health()["counters"]["refreshes"] < 2:
+                    assert time.monotonic() < deadline, "the timer never fired"
+                    time.sleep(0.02)
+                health = client.health()
+        # The start-up plan is generation 1; every refresh adds one.
+        assert health["generation"] == 1 + health["counters"]["refreshes"]
+        assert health["counters"]["refresh_errors"] == 0
+
+    @pytest.mark.parametrize("seconds", [-1, 0, float("nan"), float("inf")])
+    def test_refresh_period_must_be_positive_and_finite(self, store, tmp_path, seconds):
+        """Not a period is refused at construction, not found out later by
+        the timer; "no timer" is spelled ``None``."""
+        with pytest.raises(DaemonError, match="refresh_seconds"):
+            ServingDaemon(
+                store, f"unix:{tmp_path / 'never.sock'}", refresh_seconds=seconds
+            )
+
+    def test_cli_refuses_a_negative_refresh_period(self, store, capsys):
+        from repro.cli import main
+
+        assert main(["db", "daemon", str(store), "--refresh-seconds", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and err.count("\n") == 1
+
     def test_unknown_kind_is_structured_error(self, client):
         before = client.health()["counters"]["error_frames"]
         frame = client._frame("bogus_kind")
@@ -425,21 +502,27 @@ class TestDaemonServes:
                     client.refresh()
                 assert excinfo.value.code == "refresh_unavailable"
 
-    def test_two_threads_whatever_the_number_of_connections(self, daemon):
-        """The architecture: one loop thread owns every socket and the
-        pool, one refresh thread plans -- connections add no threads."""
-        clients = [DaemonClient(daemon.address) for _ in range(8)]
-        try:
-            for c in clients:  # answered, hence accepted
-                assert c.health()["status"] == "ready"
-            names = sorted(
-                t.name for t in threading.enumerate()
-                if t.name.startswith("repro-daemon-")
-            )
-            assert names == ["repro-daemon-loop", "repro-daemon-refresh"]
-        finally:
-            for c in clients:
-                c.close()
+    def test_one_thread_whatever_the_number_of_connections(self, store, tmp_path):
+        """The architecture: one loop thread owns every socket, the pool
+        and every timer, the refresh period's included; planning runs in
+        the workers -- connections and refreshes add no threads."""
+        others = set(threading.enumerate())  # e.g. the module's daemon
+        with _spawn_daemon(
+            store, tmp_path, workers=1, queries=[_query()], refresh_seconds=0.2
+        ) as daemon:
+            clients = [DaemonClient(daemon.address) for _ in range(8)]
+            try:
+                for c in clients:  # answered, hence accepted
+                    assert c.health()["status"] == "ready"
+                clients[0].refresh()
+                names = sorted(
+                    t.name for t in set(threading.enumerate()) - others
+                    if t.name.startswith("repro-daemon-")
+                )
+                assert names == ["repro-daemon-loop"]
+            finally:
+                for c in clients:
+                    c.close()
 
     def test_client_timeout_covers_a_silent_peer(self, tmp_path):
         """``timeout`` bounds the whole wait for a reply: a peer that
@@ -781,6 +864,63 @@ class TestConnectionFaultMatrix:
                 assert health["counters"]["connections_dropped"] == 0
 
 
+class TestRefreshFaultMatrix:
+    """A refresh is a pool request, so the lifecycle's crash handling
+    covers it.  Request 0 is the start-up plan; the client's refresh is
+    request 1."""
+
+    def test_worker_dies_mid_refresh(self, store, tmp_path, serial_db):
+        with _spawn_daemon(
+            store,
+            tmp_path,
+            workers=1,
+            queries=[_query()],
+            fault_plan=FaultPlan([FaultRule("worker_exit", request_id=1)]),
+        ) as daemon:
+            with DaemonClient(daemon.address) as client:
+                before = client.health()
+                refreshed = client.refresh()
+                after = client.health()
+                assert refreshed["generation"] == before["generation"] + 1
+                assert after["generation"] == before["generation"] + 1
+                assert after["restarts"] == before["restarts"] + 1
+                assert after["counters"]["refreshes"] == 1
+                assert after["status"] == "ready"
+                for payload in [_payload(), *client.plans()["payloads"]]:
+                    assert strip_provenance(client.execute(payload)) == (
+                        execute_payload(payload, serial_db)
+                    )
+
+    def test_refresh_that_raises_keeps_the_generation(
+        self, store, tmp_path, serial_db
+    ):
+        with _spawn_daemon(
+            store,
+            tmp_path,
+            workers=1,
+            queries=[_query()],
+            fault_plan=FaultPlan([FaultRule("raise", request_id=1)]),
+        ) as daemon:
+            with DaemonClient(daemon.address) as client:
+                before = client.health()
+                plans = client.plans()
+                with pytest.raises(DaemonRequestError) as excinfo:
+                    client.refresh()
+                assert excinfo.value.code == "refresh_failed"
+                after = client.health()
+                assert after["generation"] == before["generation"]
+                assert after["counters"]["refresh_errors"] == 1
+                assert after["counters"]["refreshes"] == 0
+                assert after["status"] == "ready" and after["restarts"] == 0
+                again = client.plans()
+                assert again["generation"] == plans["generation"]
+                assert again["payloads"] == plans["payloads"]
+                payload = _payload()
+                assert strip_provenance(client.execute(payload)) == (
+                    execute_payload(payload, serial_db)
+                )
+
+
 # ----------------------------------------------------------------------
 # Drain-then-exit.
 # ----------------------------------------------------------------------
@@ -880,6 +1020,49 @@ class TestDrain:
                 assert excinfo.value.code == "shutting_down"
             closer.join(timeout=30)
         assert code["exit"] == 0
+
+    def test_refresh_during_drain_is_shutting_down(
+        self, store, tmp_path, serial_db
+    ):
+        """A ``refresh`` that arrives while the daemon drains is answered
+        like an execute (it used to get no answer, then a bare disconnect
+        when the drain ended).  A delayed execute -- request 1, after the
+        start-up plan -- keeps the drain going meanwhile."""
+        daemon = _spawn_daemon(
+            store,
+            tmp_path,
+            workers=1,
+            queries=[_query()],
+            fault_plan=FaultPlan([FaultRule("delay", request_id=1, seconds=2.0)]),
+        )
+        payload = _payload()
+        outcome = {}
+        try:
+            held = DaemonClient(daemon.address)
+            asker = DaemonClient(daemon.address)
+            closer = DaemonClient(daemon.address)
+            asker.health()  # all three accepted before the listener closes
+            closer.health()
+            thread = threading.Thread(
+                target=lambda: outcome.setdefault("response", held.execute(payload))
+            )
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while asker.health()["inflight"] < 1:
+                assert time.monotonic() < deadline, "the execute never went out"
+                time.sleep(0.01)
+            assert closer.shutdown()["draining"] is True
+            with pytest.raises(DaemonRequestError) as excinfo:
+                asker.refresh()
+            assert excinfo.value.code == "shutting_down"
+            thread.join(timeout=30)
+            for c in (held, asker, closer):
+                c.close()
+        finally:
+            assert daemon.shutdown() == 0
+        assert strip_provenance(outcome["response"]) == execute_payload(
+            payload, serial_db
+        )
 
     def test_cli_daemon_sigterm_drains(self, store, tmp_path, serial_db):
         """The real thing: ``repro db daemon`` in a subprocess, killed

@@ -127,9 +127,10 @@ class TestEvaluation:
         result = evaluate_candidates_graph(graph, width_taf())
         assert result.root_candidates
         assert result.minimum_weight() == 2.0
+        candidates = {graph.public_candidate(i) for i in range(graph.num_candidates)}
         for subproblem, survivors in result.survivors.items():
             for candidate in survivors:
-                assert candidate in graph.candidates
+                assert candidate in candidates
 
     def test_graph_reuse_across_tafs(self, q0_hypergraph):
         graph = CandidatesGraph(q0_hypergraph, 2)
