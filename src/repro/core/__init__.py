@@ -20,21 +20,15 @@ exactly once per distinct mask (the translated frozensets are interned too).
 
 from repro.core.bitset import bit_count, bit_indices, iter_bits, mask_of_bits
 from repro.core.bitset_hypergraph import BitsetHypergraph
-from repro.core.maskmatrix import (
-    MaskMatrix,
-    ScalarMaskMatrix,
-    nonzero_indices,
-)
+from repro.core.maskmatrix import MaskMatrix
 from repro.core.vocabulary import Vocabulary
 
 __all__ = [
     "BitsetHypergraph",
     "MaskMatrix",
-    "ScalarMaskMatrix",
     "Vocabulary",
     "bit_count",
     "bit_indices",
     "iter_bits",
     "mask_of_bits",
-    "nonzero_indices",
 ]

@@ -16,10 +16,8 @@ turn them into index vectors with ``numpy.flatnonzero``.  An optional
 gather), which is how per-component candidate slices are tested without
 rebuilding matrices.
 
-:class:`ScalarMaskMatrix` implements the identical interface on plain
-Python ints (boolean *lists* instead of arrays): the reference the tests
-compare :class:`MaskMatrix` against.  The scalar decomposition engine does
-not route through it (its big-int loops *are* the oracle).
+The scalar decomposition engine (``vectorized=False``) performs the same
+tests with big-int loops and is this module's oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ class MaskMatrix:
 
     def __init__(self, masks: Iterable[int], num_bits: int) -> None:
         if np is None:
-            raise RuntimeError("MaskMatrix requires numpy; use ScalarMaskMatrix")
+            raise RuntimeError("MaskMatrix requires numpy")
         self.num_bits = num_bits
         self.width = _word_count(num_bits)
         mask_list = masks if isinstance(masks, list) else list(masks)
@@ -151,55 +149,3 @@ class MaskMatrix:
 
     def __repr__(self) -> str:
         return f"MaskMatrix({len(self)} rows × {self.width} words)"
-
-
-class ScalarMaskMatrix:
-    """The numpy-free twin of :class:`MaskMatrix`.
-
-    Same construction and query surface; boolean results are Python lists
-    (so ``flatnonzero``-style consumers must use
-    :func:`nonzero_indices`, which handles both).
-    """
-
-    __slots__ = ("num_bits", "width", "_masks")
-
-    def __init__(self, masks: Iterable[int], num_bits: int) -> None:
-        self.num_bits = num_bits
-        self.width = _word_count(num_bits)
-        self._masks: List[int] = list(masks)
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def _rows(self, rows) -> List[int]:
-        masks = self._masks
-        return masks if rows is None else [masks[r] for r in rows]
-
-    def intersects(self, mask: int, rows=None) -> List[bool]:
-        return [bool(m & mask) for m in self._rows(rows)]
-
-    def subset_of(self, mask: int, rows=None) -> List[bool]:
-        return [not (m & ~mask) for m in self._rows(rows)]
-
-    def covers(self, mask: int, rows=None) -> List[bool]:
-        return [not (mask & ~m) for m in self._rows(rows)]
-
-    def intersections(self, mask: int, rows=None) -> List[int]:
-        return [m & mask for m in self._rows(rows)]
-
-    def mask_at(self, row: int) -> int:
-        return self._masks[row]
-
-    def tolist(self, rows=None) -> List[int]:
-        return list(self._rows(rows))
-
-    def __repr__(self) -> str:
-        return f"ScalarMaskMatrix({len(self)} rows × {self.width} words)"
-
-
-def nonzero_indices(flags) -> List[int]:
-    """Indices of the true entries of a boolean vector from either matrix
-    flavour (numpy array or Python list)."""
-    if np is not None and isinstance(flags, np.ndarray):
-        return np.flatnonzero(flags).tolist()
-    return [i for i, flag in enumerate(flags) if flag]

@@ -84,7 +84,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.db.dictionary import Dictionary
+from repro.db.dictionary import Dictionary, unencodable
 from repro.db.relation import Relation, Row, Value
 from repro.exceptions import DatabaseError
 from repro.obs.trace import note as _obs_note
@@ -337,6 +337,23 @@ class ColumnarRelation(Relation):
                 ]
                 self._decoded = tuple(zip(*decoded_columns))
         return self._decoded
+
+    def rows_json(self) -> str:
+        """:meth:`Relation.rows_json` built column by column: one fancy
+        index of the dictionary's JSON tokens and one ``tolist()`` per
+        column, then one ``zip`` and ``join`` -- no per-row container
+        outlives its row, so the cyclic collector has nothing to walk."""
+        if not self._columns or not self.cardinality:
+            return super().rows_json()
+        tokens = self.dictionary.json_tokens()
+        cells = [
+            tokens[self._decoded_logical(position)].tolist()
+            for position in range(len(self._columns))
+        ]
+        try:
+            return "[[" + "],[".join(map(",".join, zip(*cells))) + "]]"
+        except TypeError:  # a None token: a value JSON cannot encode
+            raise unencodable(self.rows) from None
 
     @property
     def cardinality(self) -> int:

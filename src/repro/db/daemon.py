@@ -20,9 +20,12 @@ client-chosen ``id`` echoed verbatim in the response, and a ``kind``:
 
 * ``"execute"`` -- serve one pickle-free ``SERVING_FORMAT`` v1 payload
   (the exact objects :func:`~repro.db.serving.prewarm` returns) through
-  the pool; the response carries the worker's response dict, byte-
-  identical (provenance-stripped) to the serial
-  :func:`~repro.db.serving.execute_payload` oracle.
+  the pool; the response carries the worker's response dict, equal
+  (provenance-stripped) to the serial
+  :func:`~repro.db.serving.execute_payload` oracle once decoded.  The
+  daemon never decodes the rows: it takes the worker's JSON text of them
+  (:meth:`~repro.db.serving.ServingPool.collect_encoded`) and
+  :func:`encode_frame` splices it into the frame as written.
 * ``"health"`` -- liveness probe: ``status`` (``ready`` / ``degraded`` /
   ``draining``), worker/restart/degradation counters, refresh
   generation, connection and request counters.  Orchestrators poll this.
@@ -58,6 +61,9 @@ garbage / oversized frame   one ``bad_frame`` error frame (best effort),
                             then the connection is dropped; so is one whose
                             bytes raise what nobody foresaw (logged); every
                             other connection unaffected
+response over the limit     an ``internal`` error frame ("response too
+                            large") instead, ``error_frames`` +1; the
+                            connection serves on
 stall mid-frame             dropped after ``io_timeout_seconds`` (a
                             *started* frame must finish in time; an idle
                             connection may stay silent forever)
@@ -105,19 +111,20 @@ is the earliest of the pool's :meth:`~repro.db.serving.ServingPool.next_timer`,
 each connection's deadline, the refresh timer and the drain deadline --
 nothing polls.  After every wake-up the loop runs the pool's ``pump`` once
 and answers what resolved.  Only the loop touches the pool (``submit`` /
-``pump`` / ``collect`` / ``abandon``, and the depth views ``health`` and
-``metrics`` read) and only the loop writes to a client socket.  An
-exception out of one connection's share of a wake-up drops that
-connection; one out of the loop's own steps ends serving with exit code 1.
+``pump`` / ``collect_encoded`` / ``abandon``, and the depth views
+``health`` and ``metrics`` read) and only the loop writes to a client
+socket.  An exception out of one connection's share of a wake-up drops
+that connection; one out of the loop's own steps ends serving with exit
+code 1.
 
 There is no other thread.  A statistics refresh -- a ``refresh`` request,
 the ``refresh_seconds`` timer (at most one timer refresh in flight) and
 the initial plan :meth:`ServingDaemon.start` makes before it binds -- is
 one pool request: a ``SERVING_FORMAT`` payload with a ``prewarm`` block,
-which :func:`~repro.db.serving.execute_payload` answers in a worker with
-the re-planned payload set.  Planning, however long, stalls no connection,
-and the lifecycle's deadlines, retries and respawns cover it like any
-execute.  A client's ``execute`` may not carry a ``prewarm`` block
+which the worker body (:func:`~repro.db.serving.execute_payload_encoded`)
+answers with the re-planned payload set.  Planning, however long, stalls
+no connection, and the lifecycle's deadlines, retries and respawns cover
+it like any execute.  A client's ``execute`` may not carry a ``prewarm`` block
 (``bad_request``), so no client drives planning or plan-cache writes.
 :meth:`ServingDaemon.request_shutdown` -- what SIGTERM and SIGINT call --
 sets a flag and sends one byte on the wake-up socket, so it is safe in a
@@ -291,8 +298,23 @@ def _connect(address: Tuple[str, object], timeout: float) -> socket.socket:
 
 
 def encode_frame(frame: Mapping, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
-    """Length-prefixed UTF-8 JSON bytes for one frame."""
-    body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    """Length-prefixed UTF-8 JSON bytes for one frame -- the one encoder
+    of every frame, in both directions.  A response whose ``rows`` are
+    still the JSON text a worker rendered
+    (:func:`~repro.db.serving.execute_payload_encoded`) is spliced: the
+    rest of the frame is encoded and the text goes in as written, neither
+    decoded nor re-encoded.  The limit applies to the final body."""
+    response = frame.get("response")
+    rows = response.get("rows") if isinstance(response, Mapping) else None
+    if isinstance(rows, str):
+        head = {key: value for key, value in frame.items() if key != "response"}
+        head["response"] = {k: v for k, v in response.items() if k != "rows"}
+        text = json.dumps(head, separators=(",", ":"))[:-2]  # drop the "}}"
+        comma = "," if head["response"] else ""
+        text = f'{text}{comma}"rows":{rows}}}}}'
+    else:
+        text = json.dumps(frame, separators=(",", ":"))
+    body = text.encode("utf-8")
     if len(body) > max_frame_bytes:
         raise DaemonProtocolError(
             f"frame of {len(body):,} bytes exceeds the {max_frame_bytes:,}-"
@@ -683,7 +705,7 @@ class ServingDaemon:
             for key, mask in selector.select(timeout):
                 self._guarded(key.data, self._ready, key, mask)
             for request_id in pool.pump():
-                response = pool.collect(request_id)
+                response = pool.collect_encoded(request_id)
                 if request_id in self._refreshing:
                     connection, frame_id, started = self._refreshing.pop(request_id)
                     reply = self._refreshed(frame_id, started, response)
@@ -894,7 +916,7 @@ class ServingDaemon:
             return
         try:
             data = encode_frame(frame, self.max_frame_bytes)
-        except DaemonProtocolError:  # pragma: no cover - response too big
+        except DaemonProtocolError:  # the response is over max_frame_bytes
             frame = _error_frame(frame.get("id"), "internal", "response too large")
             data = encode_frame(frame)
         if frame["kind"] == "error":

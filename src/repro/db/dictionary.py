@@ -22,9 +22,10 @@ database never touches the values themselves.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import StorageFormatError
+from repro.exceptions import DatabaseError, StorageFormatError
 
 #: Type tags of the persistence segments (see :meth:`Dictionary.to_segments`).
 #: ``bool`` must be tested before ``int`` (it is an ``int`` subclass) so a
@@ -37,14 +38,32 @@ _SEGMENT_TYPES: Tuple[Tuple[str, type], ...] = (
 )
 
 
+def json_token(value: Any) -> Optional[str]:
+    """The compact JSON text of one value -- exactly what ``json.dumps``
+    writes for it inside a row -- or ``None`` when JSON cannot encode it."""
+    try:
+        return json.dumps(value, separators=(",", ":"))
+    except (TypeError, ValueError):
+        return None
+
+
+def unencodable(rows: Iterable[Sequence[Any]]) -> DatabaseError:
+    """The error naming the first value of ``rows`` JSON cannot encode
+    (the caller knows there is one)."""
+    value = next(v for row in rows for v in row if json_token(v) is None)
+    kind = type(value).__name__
+    return DatabaseError(f"value {value!r} of type {kind!r} cannot be encoded as JSON")
+
+
 class Dictionary:
     """An append-only interner mapping hashable domain values to dense ids."""
 
-    __slots__ = ("_values", "_ids")
+    __slots__ = ("_values", "_ids", "_tokens")
 
     def __init__(self, values: Iterable[Any] = ()) -> None:
         self._values: List[Any] = []
         self._ids: Dict[Any, int] = {}
+        self._tokens = None  # see json_tokens()
         for value in values:
             self.encode(value)
 
@@ -104,6 +123,22 @@ class Dictionary:
         """The id-indexed value list (read-only by convention); indexing it
         is the decode kernel the columnar accessors use."""
         return self._values
+
+    def json_tokens(self):
+        """The :func:`json_token` of every value as an id-indexed numpy
+        object array (``None`` for a value JSON cannot encode), so a column
+        of ids renders by one fancy index.  Built element-wise -- a tuple
+        value stays one cell -- and, when the dictionary has grown since,
+        extended by the new ids only."""
+        import numpy as np
+
+        tokens = self._tokens
+        fresh = self._values[0 if tokens is None else len(tokens):]
+        if tokens is None or fresh:
+            new = np.fromiter(map(json_token, fresh), dtype=object, count=len(fresh))
+            tokens = new if tokens is None else np.concatenate((tokens, new))
+            self._tokens = tokens
+        return tokens
 
     def __len__(self) -> int:
         return len(self._values)

@@ -102,6 +102,16 @@ class ExecutionResult:
             return None
         return [list(row) for row in self.relation.rows]
 
+    def answer_json(self) -> Optional[str]:
+        """:meth:`answer_rows` as compact JSON text, byte-identical to
+        ``json.dumps(self.answer_rows(), separators=(",", ":"))`` but, on
+        the columnar engine, rendered column-wise without building the
+        rows (``None`` for Boolean queries).  This is the form the serving
+        plane encodes an answer in, once, in the worker."""
+        if self.relation is None:
+            return None
+        return self.relation.rows_json()
+
     def stats_payload(self) -> Dict[str, object]:
         """A JSON-safe rendering of the work counters: the representation-
         blind :meth:`OperatorStats.snapshot` plus the per-operator counts

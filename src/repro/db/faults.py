@@ -9,7 +9,7 @@ A :class:`FaultPlan` is a JSON-safe list of rules like ``{"kind":
 ``REPRO_SERVE_FAULTS``.  It has two disjoint seams.
 
 **Worker seam** (:meth:`FaultPlan.apply`, consulted by the worker loop
-right before :func:`~repro.db.serving.execute_payload`):
+right before :func:`~repro.db.serving.execute_payload_encoded`):
 
 * ``"worker_exit"`` -- ``os._exit(exit_code)`` mid-request (no cleanup, no
   response: the moral equivalent of a SIGKILL);

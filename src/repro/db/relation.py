@@ -25,10 +25,12 @@ shared variable names).
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import Counter, OrderedDict
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.db.dictionary import unencodable
 from repro.exceptions import DatabaseError
 
 Value = object
@@ -108,6 +110,15 @@ class Relation:
     @property
     def rows(self) -> Tuple[Row, ...]:
         return self._rows
+
+    def rows_json(self) -> str:
+        """The rows as compact JSON text (``json.dumps(rows, separators=
+        (",", ":"))``); a value JSON cannot encode raises
+        :class:`DatabaseError` naming it."""
+        try:
+            return json.dumps(self.rows, separators=(",", ":"))
+        except TypeError:
+            raise unencodable(self.rows) from None
 
     @property
     def arity(self) -> int:

@@ -14,14 +14,27 @@ predicates, term tuples, output variables) plus the plan's own
 "join_order", "order": [...]}`` or ``{"kind": "hypertree", "decomposition":
 {...}}``; estimates ride along as extra keys) plus the execution knobs
 (``budget``, ``threads``, ``memory_budget_bytes``) and the answer mode
-(``"rows"`` ships decoded rows, ``"digest"`` a SHA-256 over the canonical
-answer rendering).  No pickled plan object, column or
+(``"rows"`` ships the decoded answer rows, ``"digest"`` a SHA-256 over
+the canonical answer rendering).  No pickled plan object, column or
 relation ever crosses the process boundary; a payload round-trips through
 ``json.dumps`` unchanged.  Responses carry the answer (or digest), the
 cardinality and the :meth:`ExecutionResult.stats_payload` work counters.
 
-**Determinism.**  Worker processes run :func:`execute_payload` -- the very
-function the serial oracle runs in-process.  The payload rebuilds the
+**One encode per answer.**  A worker renders a ``rows`` answer exactly
+once, as the compact JSON text of the row list
+(:meth:`ExecutionResult.answer_json`: one fancy index of the dictionary's
+per-id JSON tokens per column, one ``zip``, one ``join`` -- no per-row
+container survives, so the cyclic collector has nothing to walk), and
+ships that text: pickling a ``str`` through the worker queue is a copy.
+The daemon splices it into its response frame unread;
+:meth:`ServingPool.collect` and :func:`execute_payload` decode it with one
+``json.loads``, so every caller still sees rows as lists.  A ``digest``
+answer hashes the same text, which is byte-identical to
+:func:`answer_digest`'s canonical rendering.
+
+**Determinism.**  Worker processes run :func:`execute_payload_encoded`,
+of which :func:`execute_payload` -- the function the serial oracle runs
+in-process -- is the decoded form.  The payload rebuilds the
 query with :func:`query_from_payload`, the plan IR with
 :func:`~repro.db.plan_ir.plan_ir_from_payload` (which refuses a
 decomposition that is not a complete hypertree decomposition of the
@@ -62,6 +75,8 @@ steady-state serving does no planning at all.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import os
 import queue
@@ -274,11 +289,13 @@ def execute_payload(payload: Mapping, database: Database) -> Dict[str, object]:
     """Run one serving payload against an open database and render the
     response payload.
 
-    This single function is both the worker loop's body and the serial
-    in-process oracle the test suites compare against -- by construction
-    the pool cannot drift from the oracle.  A budget abort is a normal
-    response (``status == "budget_exceeded"``) carrying the deterministic
-    abort counters; only protocol violations raise.
+    This is the serial in-process oracle the test suites compare against,
+    and it is the worker loop's body, :func:`execute_payload_encoded`, plus
+    the one ``json.loads`` of the answer rows (:func:`decode_rows`) -- the
+    step :meth:`ServingPool.collect` and the daemon's clients take too --
+    so by construction the pool cannot drift from the oracle.  A budget
+    abort is a normal response (``status == "budget_exceeded"``) carrying
+    the deterministic abort counters; only protocol violations raise.
 
     A truthy ``payload["trace"]`` (``True``, or ``{"id": <trace id>}``)
     records per-plan-node kernel spans during execution and attaches them
@@ -292,6 +309,26 @@ def execute_payload(payload: Mapping, database: Database) -> Dict[str, object]:
     "payloads": prewarm(...)}``, planned through the store's
     ``plans`` :class:`PlanCache`.
     """
+    return decode_rows(execute_payload_encoded(payload, database))
+
+
+def decode_rows(response: Dict[str, object]) -> Dict[str, object]:
+    """Turn an encoded response (:func:`execute_payload_encoded`) into the
+    decoded one, in place: the one ``json.loads`` of its ``"rows"`` text."""
+    if isinstance(response.get("rows"), str):
+        response["rows"] = json.loads(response["rows"])
+    return response
+
+
+def execute_payload_encoded(
+    payload: Mapping, database: Database
+) -> Dict[str, object]:
+    """The worker body: :func:`execute_payload` with the answer rows left
+    as the compact JSON text :meth:`ExecutionResult.answer_json` renders
+    -- a ``str`` under ``"rows"``, which crosses the worker queue as one
+    string and which the daemon splices into its response frame unread.
+    ``digest`` answers hash the same text, so no answer is ever built as
+    per-row Python containers here."""
     from repro.db.algebra import EvaluationBudgetExceeded
 
     _check_payload(payload)
@@ -356,17 +393,20 @@ def execute_payload(payload: Mapping, database: Database) -> Dict[str, object]:
         "cardinality": result.cardinality,
         "stats": result.stats_payload(),
     }
-    rows = result.answer_rows()
-    if rows is not None:
-        response["attributes"] = list(result.relation.attributes)
-    if answer_mode == "rows":
-        if rows is not None:
-            response["rows"] = rows
+    text = result.answer_json()
+    if text is None:  # a Boolean query
+        if answer_mode != "rows":
+            response["digest"] = answer_digest(response)
     else:
-        probe = dict(response)
-        if rows is not None:
-            probe["rows"] = rows
-        response["digest"] = answer_digest(probe)
+        attributes = list(result.relation.attributes)
+        response["attributes"] = attributes
+        if answer_mode == "rows":
+            response["rows"] = text
+        else:  # answer_digest's canonical rendering, spliced, not rebuilt
+            canonical = '{"attributes":%s,"rows":%s}' % (
+                json.dumps(attributes, separators=(",", ":")), text
+            )
+            response["digest"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     if recorder is not None:
         response[TRACE_KEY] = _trace_block()
     return response
@@ -438,10 +478,10 @@ def _worker_main(worker_id, store_path, request_queue, response_queue, fault_pay
     Top-level (not nested) so ``spawn``-style contexts can import it.
 
     ``fault_payload`` is the scripted :class:`~repro.db.faults.FaultPlan`
-    (or ``None``), applied right before :func:`execute_payload` so injected
-    crashes/raises/delays fire at an exact, reproducible point of the
-    protocol.  Each worker process builds its own plan instance (fire
-    counts reset on respawn).
+    (or ``None``), applied right before :func:`execute_payload_encoded`
+    so injected crashes/raises/delays fire at an exact, reproducible point
+    of the protocol.  Each worker process builds its own plan instance
+    (fire counts reset on respawn).
 
     The hello report carries ``startup_seconds`` (process entry to ready)
     so slow spawn-method cold starts are visible at the pool; each result
@@ -469,7 +509,7 @@ def _worker_main(worker_id, store_path, request_queue, response_queue, fault_pay
                 faults.apply(
                     worker_id=worker_id, request_id=request_id, attempt=attempt
                 )
-            result = execute_payload(payload, database)
+            result = execute_payload_encoded(payload, database)
         except Exception as exc:  # noqa: BLE001 - ship the error, keep serving
             result = {"status": "error", "error": repr(exc)}
         elapsed = time.monotonic() - attempt_started
@@ -850,8 +890,19 @@ class ServingPool:
         here means the id is unknown or the *caller's* ``timeout``
         expired.  A caller timeout abandons the request: its admission
         slice is released and a late response is dropped, never
-        misdelivered to a later request.
+        misdelivered to a later request.  The response is
+        :meth:`collect_encoded`'s with its rows decoded (one
+        ``json.loads``), so it equals the serial :func:`execute_payload`
+        oracle once :func:`strip_provenance` has removed the provenance.
         """
+        return decode_rows(self.collect_encoded(request_id, timeout))
+
+    def collect_encoded(
+        self, request_id: int, timeout: Optional[float] = None
+    ) -> Dict[str, object]:
+        """:meth:`collect` as the worker sent it: a ``rows`` answer still
+        holds the JSON text :func:`execute_payload_encoded` rendered (the
+        form the daemon splices into its response frame unread)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             request = self._core.take(request_id)

@@ -299,7 +299,10 @@ def _load_json(path: Path) -> Mapping:
     """A store document: a JSON object carrying this build's format marker
     and version."""
     try:
-        payload = json.loads(path.read_text())
+        # parse_constant=float: one fresh NaN object per stored NaN.  The
+        # decoder's default shares one, and distinct NaNs -- distinct
+        # dictionary ids -- would then intern to a single id.
+        payload = json.loads(path.read_text(), parse_constant=float)
     except OSError as exc:
         raise StorageFormatError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

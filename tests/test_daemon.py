@@ -18,8 +18,9 @@ connection seam:
 * a client that stops reading its responses -- they wait in that
   connection's out-buffer, every other connection is served at once, and
   the connection is dropped when the buffer outlives the send timeout;
-* ``AdmissionRejected`` / unknown kinds / malformed payloads --
-  structured error frames on a connection that stays open;
+* ``AdmissionRejected`` / unknown kinds / malformed payloads / a
+  response over ``max_frame_bytes`` -- structured error frames on a
+  connection that stays open;
 * drain -- a ``shutdown`` request (and SIGTERM against the real CLI
   daemon in a subprocess) stops accepting, completes in-flight work,
   exits 0 and leaves no orphan workers and no socket file;
@@ -68,6 +69,7 @@ from repro.db.daemon import (
 )
 from repro.db.database import Database
 from repro.db.faults import FaultPlan, FaultRule
+from repro.db.relation import Relation
 from repro.db.serving import (
     execute_payload,
     query_to_payload,
@@ -862,6 +864,44 @@ class TestConnectionFaultMatrix:
                 assert health["status"] == "ready"
                 assert health["counters"]["admission_rejected"] == 3
                 assert health["counters"]["connections_dropped"] == 0
+
+    def test_response_over_the_frame_limit_is_an_internal_error(self, tmp_path):
+        # A 100 x 100 cross product: a ~150 kB rows frame, spliced in the
+        # daemon, against a 64 KiB limit every other frame fits under.
+        target = tmp_path / "big"
+        Database(
+            relations={
+                "r": Relation("r", ["a", "b"], [(i, 0) for i in range(100)]),
+                "s": Relation("s", ["b", "c"], [(0, 1000 + j) for j in range(100)]),
+            }
+        ).save(target)
+        query = build_query(
+            [("r", ["X", "Y"]), ("s", ["Y", "Z"])],
+            output_variables=["X", "Y", "Z"], name="cross",
+        )
+        rows, digest = (
+            dict(
+                _payload(answer=answer),
+                query=query_to_payload(query),
+                plan={"kind": "join_order", "order": ["r", "s"]},
+            )
+            for answer in ("rows", "digest")
+        )
+        with _spawn_daemon(
+            target, tmp_path, workers=1, max_frame_bytes=1 << 16
+        ) as daemon:
+            with DaemonClient(daemon.address) as client:
+                before = client.health()["counters"]["error_frames"]
+                with pytest.raises(DaemonRequestError, match="response too large") as excinfo:
+                    client.execute(rows)
+                assert excinfo.value.code == "internal"
+                assert client.health()["counters"]["error_frames"] == before + 1
+                # The same connection serves on, byte-identical to the oracle.
+                response = client.execute(digest)
+                assert strip_provenance(response) == execute_payload(
+                    digest, Database.open(target)
+                )
+                assert response["cardinality"] == 10_000
 
 
 class TestRefreshFaultMatrix:

@@ -7,9 +7,9 @@ big-int kernels, which stay in place as the oracle (and the numpy-free
 fallback).  These tests pin the matrix engine to the scalar one on random
 hypergraphs, and the one lowering of TAFs to mask space to the name forms:
 
-* :class:`~repro.core.maskmatrix.MaskMatrix` against
-  :class:`~repro.core.maskmatrix.ScalarMaskMatrix` (including masks wider
-  than one 64-bit word);
+* :class:`~repro.core.maskmatrix.MaskMatrix` against the big-int
+  definitions of its four tests (including masks wider than one 64-bit
+  word);
 * ``CandidatesGraph(vectorized=True)`` against ``vectorized=False``:
   byte-identical nodes, arcs, orders and ``size_report()``;
 * ``extend_to(k + 1)`` against a fresh construction at ``k + 1`` (both
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.maskmatrix import MaskMatrix, ScalarMaskMatrix, nonzero_indices
+from repro.core.maskmatrix import MaskMatrix
 from repro.decomposition.candidates import (
     CandidatesGraph,
     CandidatesGraphFamily,
@@ -92,8 +92,17 @@ def graph_snapshot(graph: CandidatesGraph):
 
 
 # ----------------------------------------------------------------------
-# MaskMatrix vs ScalarMaskMatrix
+# MaskMatrix vs the big-int definitions
 # ----------------------------------------------------------------------
+#: Each matrix test, written as its one-line big-int definition.
+_SCALAR = {
+    "intersects": lambda m, p: bool(m & p),
+    "subset_of": lambda m, p: not m & ~p,
+    "covers": lambda m, p: not p & ~m,
+    "intersections": lambda m, p: m & p,
+}
+
+
 class TestMaskMatrix:
     @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -105,21 +114,20 @@ class TestMaskMatrix:
         masks = [rng.getrandbits(num_bits) for _ in range(rng.randint(0, 20))]
         probe = rng.getrandbits(num_bits)
         dense = MaskMatrix(masks, num_bits)
-        scalar = ScalarMaskMatrix(masks, num_bits)
-        assert len(dense) == len(scalar) == len(masks)
-        assert dense.tolist() == scalar.tolist() == masks
-        for method in ("intersects", "subset_of", "covers", "intersections"):
-            assert list(getattr(dense, method)(probe)) == list(
-                getattr(scalar, method)(probe)
-            ), method
+        assert len(dense) == len(masks)
+        assert dense.tolist() == masks
+        assert [dense.mask_at(i) for i in range(len(masks))] == masks
         rows = [i for i in range(len(masks)) if rng.random() < 0.5]
-        for method in ("intersects", "subset_of", "covers"):
-            assert list(getattr(dense, method)(probe, rows)) == list(
-                getattr(scalar, method)(probe, rows)
-            ), method
-        assert nonzero_indices(dense.covers(probe)) == nonzero_indices(
-            scalar.covers(probe)
-        )
+        assert dense.tolist(rows) == [masks[i] for i in rows]
+        for method, definition in _SCALAR.items():
+            expected = [definition(m, probe) for m in masks]
+            assert list(getattr(dense, method)(probe)) == expected, method
+            assert list(getattr(dense, method)(probe, rows)) == [
+                expected[i] for i in rows
+            ], method
+        assert np.flatnonzero(dense.covers(probe)).tolist() == [
+            i for i, m in enumerate(masks) if not probe & ~m
+        ]
 
     def test_semantics_against_definitions(self):
         masks = [0b1010, 0b0110, 0, 0b1111]

@@ -14,11 +14,22 @@ is spent (the fault-injection suite, ``test_serving_faults.py``, covers
 supervision itself).  Pooled responses carry a scheduling-dependent
 ``"serving"`` provenance block, so every oracle comparison goes through
 :func:`strip_provenance`.
+
+The worker renders each answer once, as JSON text built column by column
+(:func:`execute_payload_encoded`); :class:`TestEncodedAnswers` pins that
+text byte-for-byte to ``json.dumps`` of the decoded rows on both engines,
+the digest to :func:`answer_digest`, the daemon's spliced frame to the
+frame of the decoded response, and the collector's silence while a large
+answer is rendered.
 """
 
+import gc
 import itertools
 import json
+import math
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -27,13 +38,22 @@ np = pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.db.columnar import ColumnarRelation
+from repro.db.daemon import DAEMON_FORMAT, DAEMON_VERSION, decode_frame, encode_frame
 from repro.db.database import Database
+from repro.db.dictionary import Dictionary
+from repro.db.executor import execute_plan
+from repro.db.plan_ir import plan_ir_from_payload
+from repro.db.relation import Relation
 from repro.db.serving import (
     AdmissionRejected,
     ServingError,
     ServingPool,
     aggregate_stats,
+    answer_digest,
+    decode_rows,
     execute_payload,
+    execute_payload_encoded,
     plan_to_payload,
     prewarm,
     query_from_payload,
@@ -418,3 +438,210 @@ class TestWireFormat:
         for answer in ("rows", "digest"):
             [response] = pool.run([_payload(answer=answer)])
             assert json.loads(json.dumps(response)) == response
+
+
+# ----------------------------------------------------------------------
+# The encoded answer: rendered once, column-wise, in the worker.
+# ----------------------------------------------------------------------
+
+#: test_storage's mixed values, widened with what JSON renders specially:
+#: NaN and the infinities (as ``NaN`` / ``Infinity``), -0.0, non-BMP
+#: unicode (a surrogate pair under ``ensure_ascii``) and escapes.
+WIDE_VALUES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from(["", "a", "β", "naïve", "日本語", "-7", "0", "𝔘", "😀", '"\\\n']),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.none(),
+)
+#: Join values shared by both relations, so answers are not all empty.
+JOIN_VALUES = st.sampled_from([0, 1, True, "k", 2.5])
+
+COMPACT = (",", ":")
+
+
+def _fresh_dir(tmp_path) -> Path:
+    return Path(tempfile.mkdtemp(dir=tmp_path))
+
+
+def _chain_payload(answer="rows", **knobs):
+    query = build_query(
+        [("r", ["X", "Y"]), ("s", ["Y", "Z"])],
+        output_variables=["X", "Y", "Z"],
+        name="chain",
+    )
+    return _roundtrip(
+        _payload(query=query, plan={"kind": "join_order", "order": ["r", "s"]},
+                 answer=answer, **knobs)
+    )
+
+
+def _canonical(frame) -> str:
+    """A decoded frame as text: equality that also holds for NaN cells."""
+    return json.dumps(frame, sort_keys=True)
+
+
+def _response_frame(response):
+    return {
+        "format": DAEMON_FORMAT, "version": DAEMON_VERSION, "id": 7,
+        "kind": "response", "response": response,
+    }
+
+
+class TestEncodedAnswers:
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        rows_r=st.lists(st.tuples(WIDE_VALUES, JOIN_VALUES), max_size=12),
+        rows_s=st.lists(st.tuples(JOIN_VALUES, WIDE_VALUES), max_size=12),
+    )
+    def test_answer_json_is_json_dumps_of_answer_rows(self, tmp_path, rows_r, rows_s):
+        relations = {
+            "r": Relation("r", ["a", "b"], rows_r),
+            "s": Relation("s", ["b", "c"], rows_s),
+        }
+        # True interned before 1: the id they share decodes to True.
+        in_memory = Database(relations=relations, dictionary=Dictionary([True]))
+        in_memory.analyze()
+        target = _fresh_dir(tmp_path)
+        in_memory.save(target)
+        databases = [
+            in_memory,
+            Database(relations=relations, columnar=False),
+            Database.open(target),  # packed columns with references
+            Database.open(target, columnar=False),
+        ]
+        payload = _chain_payload()
+        query = query_from_payload(payload["query"])
+        for database in databases:
+            result = execute_plan(plan_ir_from_payload(query, payload["plan"]), database)
+            text = result.answer_json()
+            assert text == json.dumps(result.answer_rows(), separators=COMPACT)
+            encoded = execute_payload_encoded(payload, database)
+            assert encoded["rows"] == text
+            frame = _response_frame(encoded)
+            materialised = _response_frame(decode_rows(dict(encoded)))
+            assert _canonical(decode_frame(encode_frame(frame)[4:])) == _canonical(
+                decode_frame(encode_frame(materialised)[4:])
+            )
+            rows_response = execute_payload(payload, database)
+            digest = execute_payload_encoded(dict(payload, answer="digest"), database)
+            assert digest["digest"] == answer_digest(rows_response)
+            assert digest == execute_payload(dict(payload, answer="digest"), database)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            WIDE_VALUES | st.tuples(WIDE_VALUES, WIDE_VALUES), min_size=1, max_size=10
+        ),
+        data=st.data(),
+    )
+    def test_packed_columns_and_selection_vectors(self, values, data):
+        dictionary = Dictionary([True, *values])
+        top = len(dictionary) - 1
+        length = data.draw(st.integers(0, 12))
+        ids = [
+            data.draw(st.lists(st.integers(0, top), min_size=length, max_size=length))
+            for _ in range(3)
+        ]
+        references = [min(column, default=0) for column in ids]
+        columns = [
+            np.array([i - ref for i in column], dtype=np.uint8)
+            for column, ref in zip(ids, references)
+        ]
+        selection = None
+        if length:
+            selection = data.draw(
+                st.none() | st.lists(st.integers(0, length - 1), max_size=15)
+            )
+        relation = ColumnarRelation(
+            "t", ["a", "b", "c"], dictionary, columns, selection,
+            base_length=length, references=references,
+        )
+        rows = [list(row) for row in relation.rows]  # a tuple value: one cell
+        assert relation.rows_json() == json.dumps(rows, separators=COMPACT)
+
+    def test_zero_arity_and_zero_rows(self):
+        dictionary = Dictionary([1])
+        assert ColumnarRelation("n", [], dictionary, [], base_length=3).rows_json() == "[[],[],[]]"
+        empty = ColumnarRelation("e", ["a"], dictionary, [np.zeros(0, dtype=np.int64)])
+        assert empty.rows_json() == "[]"
+        assert Relation("e", ["a"], []).rows_json() == "[]"
+
+    def test_token_cache_extends_when_the_dictionary_grows(self):
+        database = Database(
+            relations={"r": Relation("r", ["a", "b"], [(1, "x"), (2, "y")])}
+        )
+        payload = _payload(
+            query=build_query([("r", ["X", "Y"])], output_variables=["X", "Y"], name="scan"),
+            plan={"kind": "join_order", "order": ["r"]},
+        )
+        assert execute_payload_encoded(payload, database)["rows"] == '[[1,"x"],[2,"y"]]'
+        tokens = database.dictionary.json_tokens()
+        database.add_relation(Relation("r", ["a", "b"], [(3, ("t", -0.0)), (2, "z")]))
+        assert execute_payload_encoded(payload, database)["rows"] == '[[3,["t",-0.0]],[2,"z"]]'
+        grown = database.dictionary.json_tokens()
+        assert len(grown) == len(database.dictionary) > len(tokens)
+        # Append-only: the tokens already built are kept, not rebuilt.
+        assert all(grown[i] is tokens[i] for i in range(len(tokens)))
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_a_value_json_cannot_encode_is_named(self, columnar):
+        database = Database(
+            relations={
+                "r": Relation("r", ["a"], [(1,), (frozenset({7}),)]),
+                "ok": Relation("ok", ["a"], [(1,)]),
+            },
+            columnar=columnar,
+        )
+        scan = lambda atom: _payload(  # noqa: E731
+            query=build_query([(atom, ["X"])], output_variables=["X"], name=atom),
+            plan={"kind": "join_order", "order": [atom]},
+        )
+        with pytest.raises(DatabaseError, match="frozenset"):
+            execute_payload(scan("r"), database)
+        # An unencodable value elsewhere in the dictionary costs no other answer.
+        assert execute_payload(scan("ok"), database)["rows"] == [[1]]
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_spliced_frame_decodes_like_the_materialised_one(self, serial_db, trace):
+        payload = _roundtrip(_payload(trace=trace or None))
+        encoded = execute_payload_encoded(payload, serial_db)
+        assert isinstance(encoded["rows"], str)
+        body = encode_frame(_response_frame(encoded))[4:]
+        materialised = _response_frame(decode_rows(dict(encoded)))
+        assert decode_frame(body) == decode_frame(encode_frame(materialised)[4:])
+        if not trace:  # without a trace block the bytes are the same too
+            assert body == encode_frame(materialised)[4:]
+
+    def test_a_large_rows_answer_triggers_no_collections(self, tmp_path):
+        # A 200 x 200 cross product through one shared Y: 40,000 rows.
+        database = Database(
+            relations={
+                "r": Relation("r", ["a", "b"], [(i, 0) for i in range(200)]),
+                "s": Relation("s", ["b", "c"], [(0, 1000 + j) for j in range(200)]),
+            }
+        )
+        database.analyze()
+        database.save(tmp_path / "big")
+        opened = Database.open(tmp_path / "big")
+        payload = _chain_payload()
+        execute_payload_encoded(payload, opened)  # builds the token array once
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            response = execute_payload_encoded(payload, opened)
+        finally:
+            gc.callbacks.remove(count)
+        assert response["cardinality"] == 40_000
+        assert len(collections) < 5, collections

@@ -136,6 +136,18 @@ class TestDictionarySegments:
             (type(v), v) for v in dictionary.values
         ]
 
+    def test_distinct_nans_keep_distinct_ids(self, tmp_path):
+        # NaN != NaN, so two NaN objects are two ids; the stored dictionary
+        # must reopen with both, not collapse them into one.
+        original = Database(
+            relations={"r": Relation("r", ["a"], [(float("nan"),), (float("nan"),)])}
+        )
+        save_database(original, tmp_path / "nans")
+        assert len(open_database(tmp_path / "nans").dictionary) == 2
+        for columnar in (True, False):
+            reopened = open_database(tmp_path / "nans", columnar=columnar)
+            assert reopened.relation("r").rows_json() == "[[NaN],[NaN]]"
+
     def test_unstorable_value_raises_storage_format_error(self):
         dictionary = Dictionary([("a", 1)])  # tuples are not representable
         with pytest.raises(StorageFormatError, match="tuple"):
