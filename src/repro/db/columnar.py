@@ -11,14 +11,17 @@ vectorised kernels over those columns:
   these row indices", an ``np.isin`` membership mask), so both Yannakakis
   passes are pure index filtering;
 * a **join** stable-sorts the smaller side's key column, range-probes it
-  with ``searchsorted``, expands the match ranges arithmetically and
-  gathers the output columns by fancy indexing -- the emitted cardinality
-  is known *before* anything is materialised, which is what lets the
-  evaluation budget stop a runaway join at the budget instead of far past
-  it;
-* **project(distinct)** deduplicates packed keys with ``np.unique`` into a
-  first-occurrence selection vector, and **select** decodes values only to
-  feed the user-supplied predicate.
+  (one lookup in a dense cumulative-count table when the build keys' value
+  span is no larger than the two inputs, ``searchsorted`` otherwise),
+  expands the match ranges with one ``repeat`` and gathers the output
+  columns by fancy indexing -- the emitted cardinality is known
+  *before* anything is materialised, which is what lets the evaluation
+  budget stop a runaway join at the budget instead of far past it;
+* **project(distinct)** packs every row's key and row number into one
+  uint64 word ``(key << row_bits) | row``, sorts the words with one
+  unstable sort and keeps the first row of every key group -- a
+  first-occurrence selection vector with no stable argsort -- and
+  **select** decodes values only to feed the user-supplied predicate.
 
 Multi-attribute keys are packed into a single integer key
 (``(id0 << w) | id1`` with ``w`` derived from the ids actually present)
@@ -38,13 +41,14 @@ narrow dtype untouched.  Across two relations a shared attribute's
 references may differ; :func:`_aligned_pair` then *rebases* the smaller
 reference side by the delta -- widening only as far as the shifted maximum
 requires, never all the way to decoded ids unless necessary.  FOR is
-order- and equality-preserving, which is exactly what sort/searchsorted,
-``np.isin`` membership and ``np.unique`` dedup need.  Ids are only
-widened back (``column + reference``) at the dictionary/value boundary.
-Join/semijoin/project output row order depends only on key *equality
-classes* (stable sorts keep original order among equal keys), so packed
-execution is byte-identical -- answers, row order and ``OperatorStats``
--- to the int64 oracle.
+order- and equality-preserving, which is exactly what the join's sort and
+range probe, ``np.isin`` membership and the (key, row)-word dedup need.
+Ids are only widened back (``column + reference``) at the
+dictionary/value boundary.  Join/semijoin/project output row order depends
+only on key *equality classes* (stable sorts keep original order among
+equal keys; the dedup keeps each key's smallest row; both probes return
+the same ranges), so packed execution is byte-identical -- answers, row
+order and ``OperatorStats`` -- to the int64 oracle.
 
 The string/value-at-the-boundary invariant of the decomposition core holds
 here too: ids never escape.  :attr:`ColumnarRelation.rows` and every other
@@ -70,7 +74,10 @@ once the emit count reaches ``_AUTO_CHUNK_MIN_EMIT`` (4M rows, against
 materialises output-sized transients.  All sizing decisions are computed
 from element counts only -- never dtypes -- so packed and raw runs of the
 same query make identical chunking decisions and report identical
-``peak_transient_elements``.
+``peak_transient_elements``.  The join's count table is the one choice
+that depends on key *values* (FOR shifts them, so packed and raw runs may
+choose differently); it is bounded by the input sizes, feeds no element
+count or chunking decision, and shows only in ``peak_transient_bytes``.
 
 The module requires numpy; :mod:`repro.db.database` degrades to the
 row-based engine when it is unavailable.
@@ -577,6 +584,39 @@ def _local_keys(
     return _combine_columns(cols)
 
 
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """The ascending positions of the first occurrence of every distinct
+    value in the non-negative ``keys`` -- ``np.unique(keys,
+    return_index=True)``'s index, sorted, without the stable argsort.
+
+    Each row packs into one uint64 word ``(key << row_bits) | row`` with
+    ``row_bits = bit_length(n - 1)``.  The words are all distinct, so one
+    plain unstable sort orders them totally, and the low bits of each key
+    group's first word are that key's smallest row.  Keys too wide to share
+    a word (``key_bits + row_bits > 64``) are first re-densified through
+    ``np.unique(return_inverse=True)``, after which every key is < n."""
+    n = keys.shape[0]
+    if not n:
+        return np.zeros(0, dtype=np.intp)
+    row_bits = (n - 1).bit_length()
+    if int(keys.max()).bit_length() + row_bits > 64:
+        _, keys = np.unique(keys, return_inverse=True)
+    shift = np.uint64(row_bits)
+    words = keys.astype(np.uint64)
+    words <<= shift
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    high = words >> shift
+    group_start = np.empty(n, dtype=bool)
+    group_start[0] = True
+    np.not_equal(high[1:], high[:-1], out=group_start[1:])
+    first = words[group_start]
+    first &= np.uint64((1 << row_bits) - 1)
+    first = first.astype(np.intp)
+    first.sort()
+    return first
+
+
 def _distinct_selection(
     relation: ColumnarRelation,
     attrs: Sequence[str],
@@ -584,11 +624,11 @@ def _distinct_selection(
 ) -> np.ndarray:
     """The base indices of the first occurrence of every distinct ``attrs``
     combination, in row order -- the shared dedup kernel behind
-    ``distinct()`` and project-distinct."""
+    ``distinct()`` and project-distinct.  :func:`_first_occurrences`
+    depends only on key equality classes, so packed and int64 columns
+    select the same rows."""
     keys = _local_keys(relation, attrs, morsel_rows=morsel_rows)
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return relation._row_indices()[first]
+    return relation._row_indices()[_first_occurrences(keys)]
 
 
 def _joint_keys(
@@ -643,6 +683,48 @@ def _joint_keys(
     return combined[:split], combined[split:]
 
 
+def _count_table(sorted_keys: np.ndarray, probe_card: int) -> Optional[np.ndarray]:
+    """The join probe's dense lookup table over the non-empty sorted build
+    keys, or ``None`` when their value span exceeds the build plus probe
+    row count (a memory bound: the table is never larger than the inputs).
+
+    ``table[j]`` counts the build keys below ``low + j - 1`` for the
+    ``span + 3`` slots: a zero slot under the minimum, the cumulative
+    counts over ``[low, high]`` and an ``n_build`` slot above the maximum,
+    so :func:`_match_ranges` answers every probe key, in range or not, with
+    one clipped lookup."""
+    build_card = sorted_keys.shape[0]
+    low = int(sorted_keys[0])
+    span = int(sorted_keys[-1]) - low + 1
+    if span > build_card + probe_card:
+        return None
+    table = np.empty(span + 3, dtype=np.int64)
+    table[:2] = 0
+    np.cumsum(np.bincount(sorted_keys - low, minlength=span), out=table[2:-1])
+    table[-1] = build_card
+    return table
+
+
+def _match_ranges(
+    sorted_keys: np.ndarray, table: Optional[np.ndarray], keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every probe key's ``[lo, lo + count)`` range of equal sorted build
+    keys -- exactly ``searchsorted``'s left index and right minus left,
+    keys outside the build range included -- read from the
+    :func:`_count_table` ``table``, or by binary search without one."""
+    if table is None:
+        lo = np.searchsorted(sorted_keys, keys, side="left")
+        return lo, np.searchsorted(sorted_keys, keys, side="right") - lo
+    # Both operands are non-negative, so the int64 difference never wraps.
+    slot = np.subtract(keys, int(sorted_keys[0]), dtype=np.int64)
+    np.clip(slot, -1, table.shape[0] - 3, out=slot)
+    slot += 1
+    lo = table[slot]
+    counts = table[1:][slot]
+    counts -= lo
+    return lo, counts
+
+
 # ----------------------------------------------------------------------
 # Kernels.  All record the same OperatorStats counts as the row-based
 # operators in repro.db.algebra (same operator label, same read and emitted
@@ -659,11 +741,14 @@ def columnar_natural_join(
 ) -> ColumnarRelation:
     """Sort-and-probe hash-equivalent join on packed keys.
 
-    The smaller side is stable-sorted by key; ``searchsorted`` turns every
-    probe row into a [lo, hi) range of matches whose sizes are known before
-    any output is built, so the budget check fires *between the probe and
-    materialisation phases* with the exact would-be emit count -- a runaway
-    join stops at the budget, not past it.
+    The smaller side is stable-sorted by key, and every probe row becomes a
+    [lo, lo + count) range of matches (:func:`_match_ranges`: one lookup in
+    a :func:`_count_table` when the build keys' span is at most the build
+    plus probe rows, ``searchsorted`` otherwise).  The range sizes are
+    known before any output is built, so the budget check fires *between
+    the probe and materialisation phases* with the exact would-be emit
+    count -- a runaway join stops at the budget, not past it.  The ranges
+    expand into sorted positions with one output-sized ``repeat``.
 
     ``keep`` (an attribute collection) is the kernel-level projection
     pushdown: only the listed output columns are gathered, skipping the
@@ -707,7 +792,7 @@ def columnar_natural_join(
 
     if left.cardinality == 0 or right.cardinality == 0:
         # Degenerate fast path: an empty side means an empty join -- skip
-        # key packing, the sort and both searchsorted probes entirely.  The
+        # key packing, the sort and the range probe entirely.  The
         # emit count (0) and hence every OperatorStats number match the
         # full kernel on the same inputs.
         result = ColumnarRelation(
@@ -733,25 +818,27 @@ def columnar_natural_join(
     order = np.argsort(build_keys, kind="stable")
     sorted_keys = build_keys[order]
     probe_card = probe.cardinality
+    # The table's size depends on key values, which FOR shifts, so it
+    # counts only into the dtype-aware bytes, never into an element count.
+    table = _count_table(sorted_keys, probe_card)
+    key_bytes = sorted_keys.nbytes + probe_keys.nbytes
+    if table is not None:
+        key_bytes += table.nbytes
 
     if morsel_rows is not None and probe_card > morsel_rows:
-        # Morsel-wise probe: each morsel runs the same searchsorted kernel;
-        # only the full lo/counts arrays (input-sized, as in the unchunked
-        # path) survive the pass.
+        # Morsel-wise probe: each morsel runs the same range lookup; only
+        # the full lo/counts arrays (input-sized, as in the unchunked path)
+        # survive the pass.
         lo = np.empty(probe_card, dtype=np.int64)
         counts = np.empty(probe_card, dtype=np.int64)
         for start in range(0, probe_card, morsel_rows):
             stop = min(start + morsel_rows, probe_card)
-            morsel = probe_keys[start:stop]
-            morsel_lo = np.searchsorted(sorted_keys, morsel, side="left")
-            lo[start:stop] = morsel_lo
-            counts[start:stop] = (
-                np.searchsorted(sorted_keys, morsel, side="right") - morsel_lo
+            lo[start:stop], counts[start:stop] = _match_ranges(
+                sorted_keys, table, probe_keys[start:stop]
             )
             _obs_note("probe_morsels")
     else:
-        lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-        counts = np.searchsorted(sorted_keys, probe_keys, side="right") - lo
+        lo, counts = _match_ranges(sorted_keys, table, probe_keys)
     emitted = int(counts.sum())
     if stats is not None:
         # Same stop point and same would-be total as the unchunked kernel:
@@ -787,13 +874,11 @@ def columnar_natural_join(
     if budget_words is None or 5 * emitted + 3 * probe_card <= budget_words:
         # Single-batch materialisation (the oracle path).
         probe_idx = np.repeat(probe_rows, counts)
-        # Expand every [lo, hi) range: start offset per output row plus its
-        # position within the range.
-        starts = np.repeat(lo, counts)
-        within = np.arange(emitted, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        matched = order[starts + within]
+        # Expand every [lo, lo + count) range: output row i of a range that
+        # starts at output offset c sits at sorted position lo + (i - c).
+        matched = np.arange(emitted, dtype=np.int64)
+        matched += np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        matched = order[matched]
         build_idx = matched if build_selection is None else build_selection[matched]
         left_idx, right_idx = (
             (build_idx, probe_idx) if build_is_left else (probe_idx, build_idx)
@@ -803,9 +888,7 @@ def columnar_natural_join(
         ]
         if stats is not None:
             elements = 5 * emitted + 3 * probe_card
-            stats.note_transient(
-                elements, 8 * elements + sorted_keys.nbytes + probe_keys.nbytes
-            )
+            stats.note_transient(elements, 8 * elements + key_bytes)
     else:
         # Emit-bounded chunks, written straight into the preallocated
         # output columns (which keep each source column's packed dtype).
@@ -828,11 +911,12 @@ def columnar_natural_join(
             chunk_counts = counts[start_row:stop_row]
             chunk_emit = int(cum[stop_row - 1] - offset)
             if chunk_emit:
-                starts = np.repeat(lo[start_row:stop_row], chunk_counts)
-                within = np.arange(chunk_emit, dtype=np.int64) - np.repeat(
-                    np.cumsum(chunk_counts) - chunk_counts, chunk_counts
+                matched = np.arange(offset, offset + chunk_emit, dtype=np.int64)
+                matched += np.repeat(
+                    lo[start_row:stop_row] - (cum[start_row:stop_row] - chunk_counts),
+                    chunk_counts,
                 )
-                matched = order[starts + within]
+                matched = order[matched]
                 build_idx = (
                     matched if build_selection is None else build_selection[matched]
                 )
@@ -852,9 +936,7 @@ def columnar_natural_join(
             offset += chunk_emit
             start_row = stop_row
         if stats is not None:
-            stats.note_transient(
-                peak, 8 * peak + sorted_keys.nbytes + probe_keys.nbytes
-            )
+            stats.note_transient(peak, 8 * peak + key_bytes)
 
     result = ColumnarRelation(
         name or f"({left.name}⋈{right.name})",
@@ -958,7 +1040,8 @@ def columnar_project(
     distinct: bool = True,
 ) -> ColumnarRelation:
     """``Π_attributes`` as column subsetting; ``distinct`` deduplicates
-    packed keys into a first-occurrence selection vector (the packed-key
+    packed keys into a first-occurrence selection vector by one unstable
+    sort of (key, row) words (:func:`_first_occurrences`; the packed-key
     builder runs morsel-wise under the memory budget ``stats`` carries)."""
     positions = relation._positions
     wanted = [a for a in attributes if a in positions]

@@ -4,7 +4,8 @@ Every columnar operator -- join, semijoin, project (distinct and not),
 select, both Yannakakis passes and full plan execution -- must produce the
 same bag of tuples *and* the same ``OperatorStats`` counters as the seed
 row-based reference on the same data, including duplicate-heavy bags and
-empty relations.  Hypothesis drives randomised relations through both
+empty relations; the single kernels must also emit the rows in the same
+order.  Hypothesis drives randomised relations through both
 engines side by side.
 """
 
@@ -23,7 +24,12 @@ from repro.db.algebra import (
     select,
     semijoin,
 )
-from repro.db.columnar import ColumnarRelation
+from repro.db.columnar import (
+    ColumnarRelation,
+    _count_table,
+    _first_occurrences,
+    _match_ranges,
+)
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
 from repro.db.executor import execute_hypertree_plan, naive_join_evaluation
@@ -59,6 +65,7 @@ def assert_same_bag(row_result, columnar_result):
     assert isinstance(columnar_result, ColumnarRelation)
     assert columnar_result.attributes == row_result.attributes
     assert row_result == columnar_result  # bag equality via Relation.__eq__
+    assert tuple(columnar_result.rows) == tuple(row_result.rows)  # row order
 
 
 def assert_same_stats(row_stats, columnar_stats):
@@ -176,7 +183,77 @@ class TestKernelEquivalence:
         for attribute in rr.attributes:
             assert rc.column(attribute) == rr.column(attribute)
             assert rc.distinct_count(attribute) == rr.distinct_count(attribute)
-        assert rc.distinct() == rr.distinct()
+        assert_same_bag(rr.distinct(), rc.distinct())
+
+
+class TestFirstOccurrences:
+    """The dedup helper behind project-distinct and ``distinct()``, pinned
+    to the first-occurrence positions ``dict.fromkeys`` keeps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(0, 7), st.integers(0, 2**63 - 1)), max_size=300
+        )
+    )
+    def test_matches_dict_fromkeys(self, values):
+        expected = [values.index(key) for key in dict.fromkeys(values)]
+        keys = np.array(values, dtype=np.int64)
+        assert _first_occurrences(keys).tolist() == expected
+
+    def test_wide_keys_take_the_densify_branch(self):
+        wide = [2**62 + 5, 7, 2**62 + 5, 2**62 - 1, 7, 3, 2**62 - 1, 2**62 + 5]
+        keys = np.array(wide, dtype=np.int64)
+        # 63 key bits + 3 row bits do not fit one uint64 word.
+        assert int(keys.max()).bit_length() + (len(wide) - 1).bit_length() > 64
+        assert _first_occurrences(keys).tolist() == [0, 1, 3, 5]
+
+
+KEY_DTYPES = [np.uint8, np.uint16, np.uint32, np.int64]
+
+
+def assert_ranges_match_searchsorted(sorted_keys, table, keys):
+    lo, counts = _match_ranges(sorted_keys, table, keys)
+    left = np.searchsorted(sorted_keys, keys, side="left")
+    right = np.searchsorted(sorted_keys, keys, side="right")
+    assert lo.tolist() == left.tolist()
+    assert counts.tolist() == (right - left).tolist()
+
+
+class TestMatchRanges:
+    """The join probe's ``(lo, counts)``, by count table and by binary
+    search, pinned to ``searchsorted``'s left index and right minus left."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from(KEY_DTYPES),
+        build=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+        probe=st.lists(st.integers(0, 60), max_size=60),
+    )
+    def test_both_branches_match_searchsorted(self, data, dtype, build, probe):
+        # An offset moves the keys through the dtype's whole range, so probe
+        # keys fall below the minimum, above the maximum and into gaps.
+        top = int(np.iinfo(dtype).max) - 60
+        offset = data.draw(st.sampled_from([0, top // 2, top]))
+        sorted_keys = np.sort(np.array(build, dtype=np.int64) + offset).astype(dtype)
+        keys = (np.array(probe, dtype=np.int64) + offset).astype(dtype)
+        table = _count_table(sorted_keys, keys.shape[0])
+        span = int(sorted_keys[-1]) - int(sorted_keys[0]) + 1
+        assert (table is None) == (span > sorted_keys.shape[0] + keys.shape[0])
+        for chosen in (table, None):
+            assert_ranges_match_searchsorted(sorted_keys, chosen, keys)
+
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    def test_table_up_to_the_span_bound(self, dtype):
+        # 3 build rows + 5 probe rows: a span of 8 takes the table, 9 does
+        # not.  The probe keys sit below, inside, between and above.
+        probe = np.array([0, 3, 5, 9, 12], dtype=dtype)
+        for high, takes_table in ((10, True), (11, False)):
+            sorted_keys = np.array([3, 3, high], dtype=dtype)
+            table = _count_table(sorted_keys, probe.shape[0])
+            assert (table is not None) == takes_table
+            assert_ranges_match_searchsorted(sorted_keys, table, probe)
 
 
 def _path_trees(r_rows, s_rows, t_rows):
