@@ -4,13 +4,14 @@ Two interleaved measurement pairs, extending the engine trajectory of
 ``bench_execution_engine.py`` to the PR-4 knobs:
 
 * ``test_yannakakis_memory_budget`` -- the fig5-scale Q1 Yannakakis
-  execution, unbounded vs a 256 KiB per-kernel memory budget.  The work
-  counters must be byte-identical (chunking only resizes transient index
-  arrays); recorded per mode are the wall seconds, the largest transient
-  kernel batch (``OperatorStats.peak_transient_elements``) and the process
-  peak RSS.  The bounded run must cap the peak transient batch at least
-  4x below the unbounded one -- that is deterministic accounting, so it is
-  asserted, while seconds are recorded for eyeballs only.
+  execution, unbounded (the 64 MiB default emit chunks) vs a 256 KiB
+  memory budget.  The work counters must be byte-identical (chunking only
+  resizes the join's transient index arrays); recorded per mode are the
+  wall seconds, the largest transient kernel batch
+  (``OperatorStats.peak_transient_elements``) and the process peak RSS.
+  The bounded run must cap the peak transient batch at least 4x below the
+  unbounded one -- that is deterministic accounting, so it is asserted,
+  while seconds are recorded for eyeballs only.
 * ``test_parallel_snowflake_threads`` -- a multi-subtree data-warehouse
   snowflake query executed with 1 vs 4 threads.  Answers and counters must
   be identical.

@@ -30,9 +30,10 @@ performance is measured by ``bench/``:
 * ``test_budgeted_execution_below_raw_footprint`` -- the scaled Fig. 5
   Q1 structural plan run to completion under a ``memory_budget_bytes``
   an order of magnitude *smaller than the raw int64 column footprint*
-  (``CatalogStatistics.estimated_raw_bytes``): adaptive morsels bound
-  the transients, and the answer, row order and work counters stay
-  byte-identical to the unbudgeted run.
+  (``CatalogStatistics.estimated_raw_bytes``): the budget sizes the
+  join's emit chunks, which bound the output-sized transients, and the
+  answer, row order and work counters stay byte-identical to the run
+  under the default budget.
 """
 
 import atexit
@@ -248,8 +249,8 @@ def test_budgeted_execution_below_raw_footprint(benchmark):
         <= oracle.stats.peak_transient_elements
     )
     if oracle.stats.peak_transient_elements > budget_bytes // 8:
-        # The unbudgeted transients would not have fit: the adaptive
-        # morsels must actually have shrunk them.
+        # The unbudgeted transients would not have fit: the emit chunks
+        # must actually have shrunk them.
         assert (
             bounded.stats.peak_transient_elements
             < oracle.stats.peak_transient_elements

@@ -75,11 +75,13 @@ class OperatorStats:
     It carries the execution's two limits.  A non-``None`` ``budget`` (work,
     in tuples read + emitted) turns the accumulator into a watchdog:
     exceeding it raises :class:`EvaluationBudgetExceeded`.  A positive
-    ``memory_budget_bytes`` bounds each columnar kernel's transient index
-    arrays (see :mod:`repro.db.columnar`; the row engine ignores it) without
+    ``memory_budget_bytes`` sizes the columnar join's emit chunks, its one
+    output-sized phase (see :mod:`repro.db.columnar`; the row engine
+    ignores it; without one the chunks default to 64 MiB), without
     changing any result or counter but the peak-memory diagnostics; it is a
     setting, not a count, so :meth:`snapshot`, :meth:`merge` and equality
-    ignore it.  ``stats=None`` at a kernel means neither limit applies.
+    ignore it.  ``stats=None`` at a kernel means no work budget and the
+    default emit chunks.
 
     The accumulator is **thread-safe**: the parallel executor shares one
     instance across all subtree tasks and every counter update commutes

@@ -13,8 +13,8 @@ vectorised kernels over those columns:
 * a **join** stable-sorts the smaller side's key column, range-probes it
   (one lookup in a dense cumulative-count table when the build keys' value
   span is no larger than the two inputs, ``searchsorted`` otherwise),
-  expands the match ranges with one ``repeat`` and gathers the output
-  columns by fancy indexing -- the emitted cardinality is known
+  expands the match ranges with one ``repeat`` per emit chunk and gathers
+  the output columns with ``np.take`` -- the emitted cardinality is known
   *before* anything is materialised, which is what lets the evaluation
   budget stop a runaway join at the budget instead of far past it;
 * **project(distinct)** packs every row's key and row number into one
@@ -57,23 +57,22 @@ dictionary (a list index per id -- each distinct value is decoded exactly
 once, at interning time) and caches the materialised tuples, so the
 row-based surface the rest of the library sees is unchanged.
 
-Every kernel reads the execution's memory budget from the
-:class:`~repro.db.algebra.OperatorStats` it records into
-(``stats.memory_budget_bytes``; ``stats=None`` means unbounded), which
-bounds its transient index arrays; results, emit counts, budget-stop
-behaviour and ``OperatorStats`` counters are **byte-identical** with and
-without it, only the
-peak size of the intermediates changes.  The probe, membership and
-packed-key passes run in fixed-size morsels derived from the budget
-(:func:`_morsel_rows`).  The join's materialisation phase knows the exact
-per-probe-row emit counts before materialising anything, so it grows
-each emit chunk to the largest probe-row prefix whose transient cost fits
-the budget; with *no* budget it still switches to emit-bounded chunks
-once the emit count reaches ``_AUTO_CHUNK_MIN_EMIT`` (4M rows, against
-``_AUTO_CHUNK_BUDGET_BYTES`` = 64 MiB), so a runaway join never
-materialises output-sized transients.  All sizing decisions are computed
-from element counts only -- never dtypes -- so packed and raw runs of the
-same query make identical chunking decisions and report identical
+The memory budget bounds exactly one thing: the join's materialisation,
+the only phase whose arrays can grow past the inputs.  The join reads it
+from the :class:`~repro.db.algebra.OperatorStats` it records into
+(``stats.memory_budget_bytes``; with none set -- ``stats=None``, ``None``
+or non-positive -- the default ``_DEFAULT_BUDGET_BYTES`` = 64 MiB
+applies).  It knows the exact per-probe-row emit counts before
+materialising anything, so it grows each emit chunk to the largest
+probe-row prefix whose transient cost fits the budget, and a runaway join
+never materialises output-sized transients.  Every other pass -- key
+packing, the probe, the semijoin's membership test, project-distinct --
+runs once over arrays that are input-sized whatever the budget.  Results,
+emit counts, budget-stop behaviour and ``OperatorStats`` counters are
+**byte-identical** under any budget; only the peak size of the
+intermediates changes.  All sizing decisions are computed from element
+counts only -- never dtypes -- so packed and raw runs of the same query
+make identical chunking decisions and report identical
 ``peak_transient_elements``.  The join's count table is the one choice
 that depends on key *values* (FOR shifts them, so packed and raw runs may
 choose differently); it is bounded by the input sizes, feeds no element
@@ -109,32 +108,12 @@ _ID_DTYPES = (
     np.dtype(np.int64),
 )
 
-#: Auto-chunking of the join kernel (see module docstring): the emit count
-#: that switches materialisation to emit-bounded chunks even with no memory
-#: budget, and the byte budget those auto chunks aim for.
-_AUTO_CHUNK_MIN_EMIT = 1 << 22
-_AUTO_CHUNK_BUDGET_BYTES = 64 << 20
-#: Floor of the adaptive chunk budget, in int64 words: below this the
+#: The join's emit-chunk budget when the execution sets none (see the
+#: module docstring) -- a module constant, not a knob.
+_DEFAULT_BUDGET_BYTES = 64 << 20
+#: Floor of the emit-chunk budget, in int64 words: below this the
 #: per-chunk Python overhead swamps any memory saving.
 _MIN_BUDGET_WORDS = 512
-
-#: Transient int64 words the join kernel allocates per morsel row (5
-#: emit-sized index arrays + 3 probe-sized range arrays, rounded up for
-#: slack) -- the constant that converts a byte budget into a morsel size.
-_MORSEL_WORDS_PER_ROW = 16
-#: Smallest useful morsel: below this the per-morsel Python overhead
-#: swamps any memory saving.
-_MIN_MORSEL_ROWS = 32
-
-
-def _morsel_rows(stats) -> Optional[int]:
-    """The fixed morsel size of the probe, membership and packed-key passes
-    under the memory budget ``stats`` carries; no stats, no budget and a
-    non-positive budget all mean unbounded (single-batch passes)."""
-    budget = None if stats is None else stats.memory_budget_bytes
-    if budget is None or budget <= 0:
-        return None
-    return max(_MIN_MORSEL_ROWS, int(budget) // (8 * _MORSEL_WORDS_PER_ROW))
 
 
 def _key_dtype(bits: int) -> np.dtype:
@@ -531,41 +510,20 @@ def _combine_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _shift_pack(
-    columns: Sequence[np.ndarray],
-    width: int,
-    morsel_rows: Optional[int] = None,
-    total_bits: Optional[int] = None,
+    columns: Sequence[np.ndarray], width: int, total_bits: int
 ) -> np.ndarray:
     """Fold id columns into one key per row by shift-and-or, in the
-    smallest dtype holding ``total_bits`` (int64 when not given).  With
-    ``morsel_rows`` the fold runs over morsels into a preallocated output,
-    so the per-step temporaries are morsel-sized instead of column-sized;
-    the resulting keys are byte-identical."""
-    dtype = np.dtype(np.int64) if total_bits is None else _key_dtype(total_bits)
+    smallest dtype holding ``total_bits``."""
+    dtype = _key_dtype(total_bits)
     shift = dtype.type(width)
-    length = columns[0].shape[0]
-    if morsel_rows is None or length <= morsel_rows:
-        keys = columns[0].astype(dtype)
-        for col in columns[1:]:
-            keys <<= shift
-            keys |= col.astype(dtype, copy=False)
-        return keys
-    out = np.empty(length, dtype=dtype)
-    for start in range(0, length, morsel_rows):
-        stop = min(start + morsel_rows, length)
-        keys = columns[0][start:stop].astype(dtype)
-        for col in columns[1:]:
-            keys <<= shift
-            keys |= col[start:stop].astype(dtype, copy=False)
-        out[start:stop] = keys
-    return out
+    keys = columns[0].astype(dtype)
+    for col in columns[1:]:
+        keys <<= shift
+        keys |= col.astype(dtype, copy=False)
+    return keys
 
 
-def _local_keys(
-    relation: ColumnarRelation,
-    attrs: Sequence[str],
-    morsel_rows: Optional[int] = None,
-) -> np.ndarray:
+def _local_keys(relation: ColumnarRelation, attrs: Sequence[str]) -> np.ndarray:
     """One packed key per logical row over ``attrs`` (keys comparable only
     within this relation).  References need no handling here: a column's
     offset is constant, so packed equality is id equality."""
@@ -580,7 +538,7 @@ def _local_keys(
     width = max(_column_bits([col]) for col in cols[1:])
     total = _column_bits([cols[0]]) + width * (len(cols) - 1)
     if total <= _PACK_BITS:
-        return _shift_pack(cols, width, morsel_rows, total_bits=total)
+        return _shift_pack(cols, width, total)
     return _combine_columns(cols)
 
 
@@ -618,24 +576,19 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
 
 
 def _distinct_selection(
-    relation: ColumnarRelation,
-    attrs: Sequence[str],
-    morsel_rows: Optional[int] = None,
+    relation: ColumnarRelation, attrs: Sequence[str]
 ) -> np.ndarray:
     """The base indices of the first occurrence of every distinct ``attrs``
     combination, in row order -- the shared dedup kernel behind
     ``distinct()`` and project-distinct.  :func:`_first_occurrences`
     depends only on key equality classes, so packed and int64 columns
     select the same rows."""
-    keys = _local_keys(relation, attrs, morsel_rows=morsel_rows)
+    keys = _local_keys(relation, attrs)
     return relation._row_indices()[_first_occurrences(keys)]
 
 
 def _joint_keys(
-    left: ColumnarRelation,
-    right: ColumnarRelation,
-    shared: Sequence[str],
-    morsel_rows: Optional[int] = None,
+    left: ColumnarRelation, right: ColumnarRelation, shared: Sequence[str]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Packed keys for the shared columns of two relations, built from one
     packing so equal rows get equal keys on both sides.  Each shared
@@ -671,8 +624,8 @@ def _joint_keys(
     total = lead + width * (len(shared) - 1)
     if total <= _PACK_BITS:
         return (
-            _shift_pack(left_cols, width, morsel_rows, total_bits=total),
-            _shift_pack(right_cols, width, morsel_rows, total_bits=total),
+            _shift_pack(left_cols, width, total),
+            _shift_pack(right_cols, width, total),
         )
     # Too wide for a shift pack: combine over the concatenation so the
     # data-dependent densify steps are shared by both sides.
@@ -748,7 +701,7 @@ def columnar_natural_join(
     known before any output is built, so the budget check fires *between
     the probe and materialisation phases* with the exact would-be emit
     count -- a runaway join stops at the budget, not past it.  The ranges
-    expand into sorted positions with one output-sized ``repeat``.
+    expand into sorted positions with one ``repeat`` per emit chunk.
 
     ``keep`` (an attribute collection) is the kernel-level projection
     pushdown: only the listed output columns are gathered, skipping the
@@ -758,22 +711,19 @@ def columnar_natural_join(
     attribute that later operators (joins on shared variables, the final
     projection) still need.
 
-    The memory budget ``stats`` carries bounds peak memory: the probe side is
-    range-probed in fixed-size morsels and the match indices are
-    materialised in emit-bounded chunks straight into the preallocated
-    output columns, so the transient index arrays (``starts``/``within``/
-    ``matched``/...) hold O(budget) elements instead of O(emitted).  Each
-    emit chunk is grown to the largest probe-row prefix whose transient
-    cost ``5*chunk_emit + 3*chunk_probe`` fits the budget (in 8-byte
-    words), computed exactly from the per-row emit counts.  The per-morsel
-    emit counts sum to exactly the unchunked total *before* anything is
-    materialised, so the budget stop, the output (values **and** row
-    order) and all ``OperatorStats`` counters are byte-identical to the
-    unchunked path.  Without a budget, chunking auto-enables when the
-    exact emit count reaches ``_AUTO_CHUNK_MIN_EMIT`` (against
-    ``_AUTO_CHUNK_BUDGET_BYTES``).  All sizing decisions are element
-    counts, never bytes-of-dtype, so packed and raw runs chunk identically
-    and ``peak_transient_elements`` stays pinned.
+    The memory budget ``stats`` carries (else ``_DEFAULT_BUDGET_BYTES``)
+    bounds the one output-sized phase, materialisation: the match indices
+    are built in emit chunks written straight into the preallocated output
+    columns, so the transient index arrays (``matched``/``build_idx``/
+    ``probe_idx``/...) hold O(budget) elements instead of O(emitted).  Each
+    chunk is the largest probe-row prefix whose transient cost
+    ``5*chunk_emit + 3*chunk_probe`` fits the budget (in 8-byte words),
+    computed exactly from the per-row emit counts; a join that fits is one
+    chunk.  The total emit count is known before any chunk is built, so the
+    budget stop, the output (values **and** row order) and all
+    ``OperatorStats`` counters do not depend on the budget.  All sizing
+    decisions are element counts, never bytes-of-dtype, so packed and raw
+    runs chunk identically and ``peak_transient_elements`` stays pinned.
     """
     positions = right._positions
     shared = tuple(a for a in left.attributes if a in positions)
@@ -806,8 +756,7 @@ def columnar_natural_join(
             stats.record("join", reads, 0)
         return result
 
-    morsel_rows = _morsel_rows(stats)
-    left_keys, right_keys = _joint_keys(left, right, shared, morsel_rows)
+    left_keys, right_keys = _joint_keys(left, right, shared)
     if left.cardinality <= right.cardinality:
         build, build_keys, probe, probe_keys = left, left_keys, right, right_keys
         build_is_left = True
@@ -825,24 +774,11 @@ def columnar_natural_join(
     if table is not None:
         key_bytes += table.nbytes
 
-    if morsel_rows is not None and probe_card > morsel_rows:
-        # Morsel-wise probe: each morsel runs the same range lookup; only
-        # the full lo/counts arrays (input-sized, as in the unchunked path)
-        # survive the pass.
-        lo = np.empty(probe_card, dtype=np.int64)
-        counts = np.empty(probe_card, dtype=np.int64)
-        for start in range(0, probe_card, morsel_rows):
-            stop = min(start + morsel_rows, probe_card)
-            lo[start:stop], counts[start:stop] = _match_ranges(
-                sorted_keys, table, probe_keys[start:stop]
-            )
-            _obs_note("probe_morsels")
-    else:
-        lo, counts = _match_ranges(sorted_keys, table, probe_keys)
+    lo, counts = _match_ranges(sorted_keys, table, probe_keys)
     emitted = int(counts.sum())
     if stats is not None:
-        # Same stop point and same would-be total as the unchunked kernel:
-        # nothing has been materialised yet.
+        # The exact would-be total, before anything is materialised: the
+        # stop point does not depend on how the emit is chunked.
         stats.check(reads + emitted)
 
     left_columns = left._columns
@@ -850,8 +786,8 @@ def columnar_natural_join(
     left_refs = left._references
     right_refs = right._references
     # (source column, comes-from-left) per output attribute; gathering
-    # happens per materialisation batch below.  Gathered columns keep
-    # their stored dtype and reference -- the join never decodes.
+    # happens per emit chunk below.  Gathered columns keep their stored
+    # dtype and reference -- the join never decodes.
     gather = [(left_columns[left_positions[a]], True) for a in out_left]
     gather += [(right_columns[positions[a]], False) for a in out_right]
     out_references = [left_refs[left_positions[a]] for a in out_left]
@@ -859,84 +795,64 @@ def columnar_natural_join(
     build_selection = build._selection
     probe_rows = probe._row_indices()
 
-    # Materialisation strategy.  All quantities are element counts (dtype
+    # Materialisation in emit chunks, written straight into the
+    # preallocated output columns (which keep each source column's packed
+    # dtype).  Each chunk is the largest prefix of the remaining probe rows
+    # whose transient cost 5*chunk_emit + 3*chunk_probe fits the budget,
+    # found on a strictly increasing cost curve (cum is non-decreasing, the
+    # 3-per-row term strictly increases) -- built only when the whole join
+    # does not fit one chunk.  All quantities are element counts (dtype
     # independent), so packed and raw runs make identical decisions.
-    if morsel_rows is None:  # no budget: only a runaway emit is chunked
-        budget_bytes = (
-            _AUTO_CHUNK_BUDGET_BYTES if emitted >= _AUTO_CHUNK_MIN_EMIT else None
-        )
-    else:
-        budget_bytes = stats.memory_budget_bytes
-    budget_words = None
-    if budget_bytes is not None:
-        budget_words = max(int(budget_bytes) // 8, _MIN_BUDGET_WORDS)
-
-    if budget_words is None or 5 * emitted + 3 * probe_card <= budget_words:
-        # Single-batch materialisation (the oracle path).
-        probe_idx = np.repeat(probe_rows, counts)
-        # Expand every [lo, lo + count) range: output row i of a range that
-        # starts at output offset c sits at sorted position lo + (i - c).
-        matched = np.arange(emitted, dtype=np.int64)
-        matched += np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        matched = order[matched]
-        build_idx = matched if build_selection is None else build_selection[matched]
-        left_idx, right_idx = (
-            (build_idx, probe_idx) if build_is_left else (probe_idx, build_idx)
-        )
-        out_columns = [
-            column[left_idx if from_left else right_idx] for column, from_left in gather
-        ]
-        if stats is not None:
-            elements = 5 * emitted + 3 * probe_card
-            stats.note_transient(elements, 8 * elements + key_bytes)
-    else:
-        # Emit-bounded chunks, written straight into the preallocated
-        # output columns (which keep each source column's packed dtype).
-        cum = np.cumsum(counts)
-        out_columns = [
-            np.empty(emitted, dtype=column.dtype) for column, _ in gather
-        ]
-        # Adaptive morsels: the largest prefix of remaining probe rows
-        # whose transient cost 5*chunk_emit + 3*chunk_probe fits the
-        # budget, found on a strictly increasing cost curve (cum is
-        # non-decreasing, the 3-per-row term strictly increases).
+    budget_bytes = None if stats is None else stats.memory_budget_bytes
+    if budget_bytes is None or budget_bytes <= 0:
+        budget_bytes = _DEFAULT_BUDGET_BYTES
+    budget_words = max(int(budget_bytes) // 8, _MIN_BUDGET_WORDS)
+    cum = np.cumsum(counts)
+    cost = None
+    if 5 * emitted + 3 * probe_card > budget_words:
         cost = 5 * cum + 3 * np.arange(1, probe_card + 1, dtype=np.int64)
-        peak = 0
-        start_row = 0
-        offset = 0
-        while start_row < probe_card:
+    out_columns = [np.empty(emitted, dtype=column.dtype) for column, _ in gather]
+    peak = 0
+    start_row = 0
+    offset = 0
+    while start_row < probe_card:
+        stop_row = probe_card
+        if cost is not None:
             limit = 5 * offset + 3 * start_row + budget_words
             stop_row = int(np.searchsorted(cost, limit, side="right"))
             stop_row = max(start_row + 1, min(stop_row, probe_card))
-            chunk_counts = counts[start_row:stop_row]
-            chunk_emit = int(cum[stop_row - 1] - offset)
-            if chunk_emit:
-                matched = np.arange(offset, offset + chunk_emit, dtype=np.int64)
-                matched += np.repeat(
-                    lo[start_row:stop_row] - (cum[start_row:stop_row] - chunk_counts),
-                    chunk_counts,
-                )
-                matched = order[matched]
-                build_idx = (
-                    matched if build_selection is None else build_selection[matched]
-                )
-                probe_idx = np.repeat(probe_rows[start_row:stop_row], chunk_counts)
-                left_idx, right_idx = (
-                    (build_idx, probe_idx)
-                    if build_is_left
-                    else (probe_idx, build_idx)
-                )
-                for out_column, (column, from_left) in zip(out_columns, gather):
-                    out_column[offset : offset + chunk_emit] = column[
-                        left_idx if from_left else right_idx
-                    ]
-                peak = max(peak, 5 * chunk_emit + 3 * (stop_row - start_row))
-            _obs_note("emit_morsels")
-            _obs_note("emitted", chunk_emit)
-            offset += chunk_emit
-            start_row = stop_row
-        if stats is not None:
-            stats.note_transient(peak, 8 * peak + key_bytes)
+        chunk_counts = counts[start_row:stop_row]
+        chunk_emit = int(cum[stop_row - 1]) - offset
+        # Expand every [lo, lo + count) range: output row i of a range that
+        # starts at output offset c sits at sorted position lo + (i - c).
+        matched = np.arange(offset, offset + chunk_emit, dtype=np.int64)
+        matched += np.repeat(
+            lo[start_row:stop_row] - (cum[start_row:stop_row] - chunk_counts),
+            chunk_counts,
+        )
+        matched = order[matched]
+        build_idx = matched if build_selection is None else build_selection[matched]
+        probe_idx = np.repeat(probe_rows[start_row:stop_row], chunk_counts)
+        left_idx, right_idx = (
+            (build_idx, probe_idx) if build_is_left else (probe_idx, build_idx)
+        )
+        for out_column, (column, from_left) in zip(out_columns, gather):
+            # The indices come from the sort order and the selection
+            # vectors, so they are in range; "clip" lets take() write into
+            # ``out`` unbuffered.
+            np.take(
+                column,
+                left_idx if from_left else right_idx,
+                out=out_column[offset : offset + chunk_emit],
+                mode="clip",
+            )
+        peak = max(peak, 5 * chunk_emit + 3 * (stop_row - start_row))
+        _obs_note("emit_morsels")
+        _obs_note("emitted", chunk_emit)
+        offset += chunk_emit
+        start_row = stop_row
+    if stats is not None:
+        stats.note_transient(peak, 8 * peak + key_bytes)
 
     result = ColumnarRelation(
         name or f"({left.name}⋈{right.name})",
@@ -961,10 +877,8 @@ def columnar_semijoin(
 
     An empty side short-circuits before any key is packed; a build side
     known to be duplicate-free (project-distinct output) picks ``np.isin``'s
-    sort-based algorithm directly.  Under a memory budget the filter
-    side is probed in morsels against the once-sorted build keys, bounding
-    the transient membership arrays at O(budget); the mask -- and hence the
-    selection vector and all counters -- is byte-identical.
+    sort-based algorithm directly.  Every array here is input-sized, so
+    the memory budget does not apply.
     """
     shared = tuple(a for a in left.attributes if a in right._positions)
     reads = left.cardinality + right.cardinality
@@ -980,43 +894,22 @@ def columnar_semijoin(
             else np.empty(0, dtype=np.int64)
         )
     else:
-        morsel_rows = _morsel_rows(stats)
-        left_keys, right_keys = _joint_keys(left, right, shared, morsel_rows)
-        filter_card = left_keys.shape[0]
-        if morsel_rows is not None and filter_card > morsel_rows:
-            sorted_right = np.sort(right_keys)
-            mask = np.empty(filter_card, dtype=bool)
-            for start in range(0, filter_card, morsel_rows):
-                stop = min(start + morsel_rows, filter_card)
-                morsel = left_keys[start:stop]
-                found = np.searchsorted(sorted_right, morsel, side="left")
-                hit = found < sorted_right.shape[0]
-                hit[hit] = sorted_right[found[hit]] == morsel[hit]
-                mask[start:stop] = hit
-                _obs_note("filter_morsels")
-            if stats is not None:
-                # filter_card > morsel_rows here: every morsel but the last
-                # is full-sized.
-                stats.note_transient(
-                    right_keys.shape[0] + 4 * morsel_rows,
-                    sorted_right.nbytes
-                    + morsel_rows * (left_keys.itemsize + 3 * 8),
-                )
-        else:
-            # np.isin picks table- vs sort-based internally; when the build
-            # side is project-distinct output its keys are duplicate-free,
-            # so the sort-based merge is chosen outright.
-            kind = (
-                "sort"
-                if right._known_distinct and len(shared) == len(right.attributes)
-                else None
+        left_keys, right_keys = _joint_keys(left, right, shared)
+        # np.isin picks table- vs sort-based internally; when the build
+        # side is project-distinct output its keys are duplicate-free, so
+        # the sort-based merge is chosen outright.
+        kind = (
+            "sort"
+            if right._known_distinct and len(shared) == len(right.attributes)
+            else None
+        )
+        mask = np.isin(left_keys, right_keys, kind=kind)
+        if stats is not None:
+            filter_card = left_keys.shape[0]
+            stats.note_transient(
+                2 * filter_card + right_keys.shape[0],
+                left_keys.nbytes + right_keys.nbytes + 2 * filter_card,
             )
-            mask = np.isin(left_keys, right_keys, kind=kind)
-            if stats is not None:
-                stats.note_transient(
-                    2 * filter_card + right_keys.shape[0],
-                    left_keys.nbytes + right_keys.nbytes + 2 * filter_card,
-                )
         selection = left._row_indices()[mask]
     result = ColumnarRelation(
         left.name,
@@ -1041,8 +934,8 @@ def columnar_project(
 ) -> ColumnarRelation:
     """``Π_attributes`` as column subsetting; ``distinct`` deduplicates
     packed keys into a first-occurrence selection vector by one unstable
-    sort of (key, row) words (:func:`_first_occurrences`; the packed-key
-    builder runs morsel-wise under the memory budget ``stats`` carries)."""
+    sort of (key, row) words (:func:`_first_occurrences`; every array is
+    input-sized, so the memory budget does not apply)."""
     positions = relation._positions
     wanted = [a for a in attributes if a in positions]
     columns = tuple(relation._columns[positions[a]] for a in wanted)
@@ -1050,7 +943,7 @@ def columnar_project(
     if stats is not None:
         stats.check(relation.cardinality)
     if distinct:
-        selection = _distinct_selection(relation, wanted, _morsel_rows(stats))
+        selection = _distinct_selection(relation, wanted)
     else:
         selection = relation._selection
     result = ColumnarRelation(

@@ -41,10 +41,10 @@ class Database:
     ``threads`` and ``memory_budget_bytes`` are the execution-plane knobs
     every plan run against this database inherits (overridable per
     ``execute_plan`` call): the number of worker threads for the per-subtree
-    Yannakakis task DAG, and the cap on each columnar kernel's transient
-    index arrays.  When not given they default to the ``REPRO_DB_THREADS``
-    and ``REPRO_DB_MEMORY_BUDGET_BYTES`` environment variables (1 /
-    unbounded; a malformed value raises :class:`DatabaseError`), so whole
+    Yannakakis task DAG, and the size of the columnar join's emit chunks.
+    When not given they default to the ``REPRO_DB_THREADS`` and
+    ``REPRO_DB_MEMORY_BUDGET_BYTES`` environment variables (1 / the 64 MiB
+    default; a malformed value raises :class:`DatabaseError`), so whole
     suites can be switched onto the parallel, memory-bounded plane without
     touching call sites.
     """

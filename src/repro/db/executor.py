@@ -31,9 +31,9 @@ defaults to an environment variable:
   compares against, and the row engine (``columnar=False``) is the
   independent oracle of the whole plane.
 * ``memory_budget_bytes`` (``REPRO_DB_MEMORY_BUDGET_BYTES``, default
-  unbounded) -- caps each columnar kernel's transient index arrays (see
-  :mod:`repro.db.columnar`); results, emit counts and the
-  evaluation-budget stop are unchanged.
+  64 MiB emit chunks) -- sizes the columnar join's emit chunks, which caps
+  its output-sized transient index arrays (see :mod:`repro.db.columnar`);
+  results, emit counts and the evaluation-budget stop are unchanged.
 
 Both limits of one execution -- the work ``budget`` and
 ``memory_budget_bytes`` -- ride on the execution's one

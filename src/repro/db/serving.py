@@ -234,11 +234,14 @@ def _check_payload(payload: Mapping) -> None:
             raise DatabaseError(
                 "payload 'deadline_seconds' must be positive and finite"
             )
+    # An execution's memory slice is at least one byte: a 0 would be
+    # charged nothing at admission and read as "no budget" by the kernels.
+    # Planning (a prewarm refresh) takes no execution slice.
     for knob, minimum in (
         ("budget", 0),
         ("threads", 1),
         ("max_attempts", 1),
-        ("memory_budget_bytes", 0),
+        ("memory_budget_bytes", 0 if "prewarm" in payload else 1),
     ):
         value = payload.get(knob)
         if value is not None:

@@ -457,6 +457,19 @@ class TestDaemonServes:
             execute_payload(payload, serial_db)
         )
 
+    def test_zero_byte_memory_slice_is_bad_request(self, client, serial_db):
+        """A 0-byte slice would be charged nothing at admission and run
+        unbudgeted; it is refused before admission, and the connection
+        keeps serving."""
+        with pytest.raises(DaemonRequestError) as excinfo:
+            client.execute(_payload(memory_budget_bytes=0))
+        assert excinfo.value.code == "bad_request"
+        assert "memory_budget_bytes" in str(excinfo.value)
+        payload = _payload()
+        assert strip_provenance(client.execute(payload)) == (
+            execute_payload(payload, serial_db)
+        )
+
     def test_bad_execute_frames_never_kill_the_dispatcher(
         self, store, tmp_path, serial_db, monkeypatch
     ):

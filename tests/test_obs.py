@@ -446,7 +446,7 @@ class TestExecutorByteIdentity:
             for key, value in span.attrs.items():
                 if isinstance(value, int):
                     merged[key] = merged.get(key, 0) + value
-        assert merged.get("probe_morsels", 0) > 0
+        assert merged.get("emit_morsels", 0) > 0
         assert merged.get("emitted", 0) > 0
 
     def test_repro_obs_env_does_not_perturb(

@@ -15,9 +15,10 @@ Four invariants are pinned here:
   metadata, raw ``.i64`` files) is refused with a re-save hint -- only the
   current format version is read -- and a ``cached_database`` entry at a
   stale format version is regenerated in place, not reused.
-* **Adaptive morsel sizing.**  ``memory_budget_bytes`` (and the auto-chunk
-  environment knobs) bound the join's transient footprint without changing
-  a single output byte, and packed/raw runs chunk identically.
+* **Adaptive emit chunks.**  ``memory_budget_bytes`` (and, when none is
+  set, the module constant ``columnar._DEFAULT_BUDGET_BYTES``) bounds the
+  join's transient footprint without changing a single output byte, and
+  packed/raw runs chunk identically.
 """
 
 import json
@@ -57,6 +58,7 @@ from repro.db.storage import (
     workload_cache_stats,
 )
 from repro.exceptions import StorageFormatError
+from repro.obs.trace import TraceRecorder
 from repro.planner.baseline import baseline_plan
 from repro.planner.cost_k_decomp import cost_k_decomp
 from repro.query.atoms import Atom
@@ -581,7 +583,7 @@ class TestCacheStaleVersionRegeneration:
 
 
 # ----------------------------------------------------------------------
-# Adaptive morsel sizing and auto-chunking.
+# Adaptive emit chunks and the default budget.
 # ----------------------------------------------------------------------
 
 
@@ -697,14 +699,15 @@ class TestAdaptiveMorsels:
         from repro.db import columnar
 
         left, right = _skewed_pair(pack=False)
-        # Far below the 4M-row auto-chunk threshold: single-batch oracle.
+        # Far below the 64 MiB default: one emit chunk, peak 5*emit + 3*probe.
         oracle_stats = OperatorStats()
         oracle = columnar_natural_join(left, right, stats=oracle_stats)
-        assert oracle.cardinality < columnar._AUTO_CHUNK_MIN_EMIT
+        assert oracle_stats.peak_transient_elements == (
+            5 * oracle.cardinality + 3 * right.cardinality
+        )
 
-        # Force auto-chunking on: any emit count triggers a small budget.
-        monkeypatch.setattr(columnar, "_AUTO_CHUNK_MIN_EMIT", 1)
-        monkeypatch.setattr(columnar, "_AUTO_CHUNK_BUDGET_BYTES", 32 * 1024)
+        # A smaller default chunks the same unbudgeted join.
+        monkeypatch.setattr(columnar, "_DEFAULT_BUDGET_BYTES", 32 * 1024)
         auto_stats = OperatorStats()
         auto = columnar_natural_join(left, right, stats=auto_stats)
         assert auto.rows == oracle.rows
@@ -713,6 +716,41 @@ class TestAdaptiveMorsels:
             auto_stats.peak_transient_elements
             < oracle_stats.peak_transient_elements
         )
+
+    def test_unbudgeted_join_over_the_default_runs_in_emit_chunks(
+        self, monkeypatch
+    ):
+        from repro.db import columnar
+
+        left, right = _skewed_pair(pack=False)
+        oracle = columnar_natural_join(left, right)
+        budget_bytes = 32 * 1024
+        assert 5 * oracle.cardinality + 3 * right.cardinality > budget_bytes // 8
+        monkeypatch.setattr(columnar, "_DEFAULT_BUDGET_BYTES", budget_bytes)
+        for stats in (None, OperatorStats()):
+            recorder = TraceRecorder()
+            with recorder.span("join"):
+                chunked = columnar_natural_join(left, right, stats=stats)
+            (span,) = recorder.spans()
+            assert chunked.rows == oracle.rows
+            assert span.attrs["emit_morsels"] > 1
+            assert span.attrs["emitted"] == oracle.cardinality
+
+    def test_zero_emit_join_peak_is_the_probe_term(self):
+        # Non-empty sides, no match: no emit chunk holds a row, but the
+        # unbudgeted accounting still charges the 3 probe-sized arrays.
+        dictionary = Dictionary(range(16))
+        left = ColumnarRelation(
+            "l", ["k", "x"], dictionary,
+            [np.arange(3, dtype=np.int64), np.zeros(3, dtype=np.int64)],
+        )
+        right = ColumnarRelation(
+            "r", ["k", "y"], dictionary,
+            [np.arange(8, 13, dtype=np.int64), np.zeros(5, dtype=np.int64)],
+        )
+        stats = OperatorStats()
+        assert columnar_natural_join(left, right, stats=stats).cardinality == 0
+        assert stats.peak_transient_elements == 3 * right.cardinality
 
 
 # ----------------------------------------------------------------------

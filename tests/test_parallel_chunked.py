@@ -6,7 +6,8 @@ Two invariants, each pinned against its reference:
   ``columnar_semijoin`` and project-distinct under any
   ``memory_budget_bytes`` must produce byte-identical output (values *and*
   row order), byte-identical ``OperatorStats`` and the identical
-  evaluation-budget stop behaviour as the single-batch kernels;
+  evaluation-budget stop behaviour as the unbudgeted run (one emit chunk
+  at these sizes under the 64 MiB default);
 * **``execute_plan`` across configurations** -- any ``threads``/
   ``memory_budget_bytes`` combination must return byte-identical answers
   and counters as the ``threads=1`` unbounded run and as the row engine
@@ -17,8 +18,9 @@ Two invariants, each pinned against its reference:
 
 Hypothesis drives randomised relations and trees through the
 configurations side by side; deterministic cases cover the budget-stop
-edges (budget hit exactly at a morsel boundary, mid-morsel, on the first
-morsel, and with an all-matching key column) and the degenerate fast paths.
+edges (budget hit exactly at an emit-chunk boundary, mid-chunk, on the
+first chunk, and with an all-matching key column) and the degenerate fast
+paths.
 """
 
 import random
@@ -50,14 +52,14 @@ from repro.query.conjunctive import build_query
 from repro.workloads.synthetic import workload_database
 
 VALUES = [0, 1, 2, 3, "a", "b"]
-# 1 byte hits both floors (32-row morsels, 512-word emit chunks); the last
-# budget is large enough to stay single-batch.
+# 1 byte hits the 512-word emit-chunk floor; the last budget is large
+# enough for one chunk.
 BUDGETS = st.sampled_from([1, 8_192, 16_384, 1 << 20])
 
 
 def relation_strategy(attributes, max_size=120):
-    """Seeded random relations, sized to span several 32-row morsels (a
-    ``st.lists`` strategy would rarely grow past one)."""
+    """Seeded random relations, sized to span several 512-word emit chunks
+    (a ``st.lists`` strategy would rarely grow past one)."""
 
     def build(seed, size):
         rng = random.Random(seed)
@@ -228,8 +230,8 @@ class TestChunkedBudgetStops:
         return build, probe, reads, emitted
 
     def _assert_same_stop(self, budget, probe_rows=120, matches_each=5):
-        # A 1-byte memory budget hits both floors: 32-row probe morsels and
-        # 512-word emit chunks (5*chunk_emit + 3*chunk_probe <= 512).
+        # A 1-byte memory budget hits the floor: 512-word emit chunks
+        # (5*chunk_emit + 3*chunk_probe <= 512).
         build, probe, reads, emitted = self._blowup(probe_rows, matches_each)
         outcomes = []
         for memory_budget in (None, 1):
@@ -249,7 +251,7 @@ class TestChunkedBudgetStops:
     def test_budget_hit_exactly_at_morsel_boundary(self):
         build, probe, reads, emitted = self._blowup()
         # Each probe row costs 5*5 + 3 = 28 words, so an emit chunk covers
-        # 18 probe rows: morsel boundaries at emit 90/180/...  A budget of
+        # 18 probe rows: chunk boundaries at emit 90/180/...  A budget of
         # exactly reads + 90 is crossed (total is reads + 600).
         assert self._assert_same_stop(reads + 90) == "raise"
 

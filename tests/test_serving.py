@@ -293,6 +293,20 @@ class TestAdmission:
             request = pool.submit(_payload(memory_budget_bytes=1 << 10))
             pool.collect(request, timeout=60.0)
 
+    def test_zero_byte_slice_cannot_bypass_admission(self, store):
+        # A 0-byte slice would be charged nothing -- admitted past a full
+        # global budget -- and then read as "no budget" by the kernels.
+        with ServingPool(
+            store, workers=1, global_memory_budget_bytes=1_000
+        ) as pool:
+            first = pool.submit(_payload(memory_budget_bytes=1_000))
+            with pytest.raises(AdmissionRejected):
+                pool.submit(_payload())
+            with pytest.raises(DatabaseError, match="memory_budget_bytes"):
+                pool.submit(_payload(memory_budget_bytes=0))
+            assert pool.pending_count == 1 and pool.admitted_bytes == 1_000
+            pool.collect(first, timeout=60.0)
+
     def test_max_pending_backpressure(self, store):
         with ServingPool(store, workers=1, max_pending=2) as pool:
             ids = [pool.submit(_payload()) for _ in range(2)]

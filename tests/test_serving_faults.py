@@ -407,7 +407,12 @@ class TestDeadlinesAndRetry:
         for bad in ("lots", -1, True, 1.5):
             with pytest.raises(DatabaseError, match="memory_budget_bytes"):
                 _check_payload(_payload(memory_budget_bytes=bad))
-        _check_payload(_payload(memory_budget_bytes=0))
+        # An execution's slice is at least one byte; only a prewarm
+        # refresh, which takes no execution slice, ships 0.
+        with pytest.raises(DatabaseError, match="memory_budget_bytes"):
+            _check_payload(_payload(memory_budget_bytes=0))
+        _check_payload(_payload(memory_budget_bytes=1))
+        _check_payload(_payload(memory_budget_bytes=0, prewarm={}))
 
 
 class TestCollectTimeoutPoisoning:
