@@ -37,7 +37,6 @@ from pathlib import Path
 from repro.db.storage import (
     PlanCache,
     reset_workload_cache_stats,
-    workload_cache_dir,
     workload_cache_stats,
 )
 from repro.decomposition.kdecomp import hypertree_width
@@ -71,13 +70,6 @@ def run_cold_vs_warm() -> None:
     the second open is a cache hit, and a plan-cache hit skips planning."""
     print("--- cold vs warm: the persistent storage plane")
     scratch = Path(tempfile.mkdtemp(prefix="repro-storage-demo-"))
-    if workload_cache_dir(scratch / "workloads") is None:
-        # REPRO_WORKLOAD_CACHE=0 force-disables caching even over an
-        # explicit directory; there is no cold-vs-warm story to tell then.
-        print("  workload cache force-disabled (REPRO_WORKLOAD_CACHE=0); skipping")
-        print()
-        shutil.rmtree(scratch, ignore_errors=True)
-        return
     ring = cycle_query(8, name="dw_ring")
 
     reset_workload_cache_stats()

@@ -5,7 +5,7 @@ Four subcommands mirror the library's main entry points::
     python -m repro.cli decompose QUERY_OR_FILE [--k K] [--taf lex|width|nodes]
     python -m repro.cli plan QUERY [--k K] [--tuples N] [--seed S]
     python -m repro.cli experiments [--fast]
-    python -m repro.cli db {save,open,info,verify,serve,daemon,metrics} PATH [...]
+    python -m repro.cli db {save,open,info,verify,daemon,metrics} PATH [...]
 
 * ``decompose`` parses a datalog query (or a hypergraph file in the
   benchmark format when the argument is a path ending in ``.hg``) and prints
@@ -28,18 +28,14 @@ Four subcommands mirror the library's main entry points::
   operator-facing twin of the serving workers' startup hello; exits
   non-zero with a per-file report on mismatch; ``--deep`` additionally
   re-hashes every file against the SHA-256 content digests recorded in
-  the catalog, catching bit rot that size checks miss), ``db serve PATH
-  --query Q`` spins up the process-parallel serving pool
-  (:mod:`repro.db.serving`): prewarm the plan cache, serve the query set
-  across N worker processes sharing the store via mmap, and report
-  sustained throughput plus the supervisor's restart counters
-  (``--max-worker-restarts`` / ``--deadline`` tune fault tolerance;
-  ``--daemon ADDR`` drives the same batch through a running daemon over
-  its socket instead), and ``db daemon PATH --query Q`` runs the
-  long-lived serving front end (:mod:`repro.db.daemon`): a supervised
-  pool behind a Unix-domain or TCP socket speaking length-prefixed JSON
-  frames, with health probes, background statistics refresh
-  (``--refresh-seconds``), and SIGTERM/SIGINT drain-then-exit.
+  the catalog, catching bit rot that size checks miss), ``db daemon PATH
+  --query Q`` runs the long-lived serving front end
+  (:mod:`repro.db.daemon`): a supervised pool of worker processes
+  (:mod:`repro.db.serving`) sharing the store via mmap, behind a
+  Unix-domain or TCP socket speaking length-prefixed JSON frames, with
+  health probes, background statistics refresh (``--refresh-seconds``),
+  and SIGTERM/SIGINT drain-then-exit, and ``db metrics ADDR`` renders a
+  running daemon's metrics snapshot.
 """
 
 from __future__ import annotations
@@ -223,72 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "when the drain completes (open at https://ui.perfetto.dev)",
     )
 
-    db_serve = db_commands.add_parser(
-        "serve",
-        help="serve a stored database through the multi-process worker pool",
-    )
-    db_serve.add_argument("path", help="directory of a stored database")
-    db_serve.add_argument(
-        "--query",
-        action="append",
-        required=True,
-        help="datalog query text (repeatable; the served query set)",
-    )
-    db_serve.add_argument(
-        "--workers", type=int, default=2, help="worker processes (default 2)"
-    )
-    db_serve.add_argument(
-        "--repeat", type=int, default=1, help="times to serve the query set"
-    )
-    db_serve.add_argument(
-        "--k", type=int, action="append", default=None,
-        help="width bounds to prewarm (repeatable; default 2 3)",
-    )
-    db_serve.add_argument(
-        "--memory-budget-bytes", type=int, default=None,
-        help="per-query transient-memory slice (also the admission charge)",
-    )
-    db_serve.add_argument(
-        "--global-memory-budget-bytes", type=int, default=None,
-        help="cap on the sum of admitted per-query slices",
-    )
-    db_serve.add_argument(
-        "--answer",
-        choices=("rows", "digest"),
-        default="digest",
-        help="ship decoded rows or a content digest (default digest)",
-    )
-    db_serve.add_argument(
-        "--max-worker-restarts", type=int, default=2,
-        help="respawns the supervisor may perform before degrading (default 2)",
-    )
-    db_serve.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-attempt request deadline in seconds (default: none)",
-    )
-    db_serve.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="attempt budget per request for crash/timeout retries (default 3)",
-    )
-    db_serve.add_argument(
-        "--json", action="store_true", help="emit the serving report as JSON"
-    )
-    db_serve.add_argument(
-        "--daemon",
-        default=None,
-        metavar="ADDR",
-        help="drive the batch through a running 'repro db daemon' at this "
-        "address instead of spawning a pool in-process (plans and the "
-        "serial oracle still run locally; responses are cross-checked "
-        "byte-identically)",
-    )
-    db_serve.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="export planning and per-request spans as Chrome trace-event "
-        "JSON to this file (ignored with --daemon: pass --trace-out to the "
-        "daemon process instead)",
-    )
-
     db_metrics = db_commands.add_parser(
         "metrics",
         help="fetch and render a running daemon's metrics snapshot "
@@ -442,8 +372,6 @@ def _command_db(args) -> int:
         return 0
     if args.db_command == "verify":
         return _command_db_verify(args)
-    if args.db_command == "serve":
-        return _command_db_serve(args)
     if args.db_command == "daemon":
         return _command_db_daemon(args)
     if args.db_command == "metrics":
@@ -557,178 +485,6 @@ def _command_db_verify(args) -> int:
         print(f"  FAIL {problem['file']}: {problem['error']}")
     print(f"{len(report['problems'])} problem(s) found")
     return 1
-
-
-def _command_db_serve(args) -> int:
-    import json
-    import time
-
-    from repro.db.database import Database
-    from repro.db.serving import (
-        ServingPool,
-        execute_payload,
-        prewarm,
-        strip_provenance,
-    )
-    from repro.db.storage import PlanCache
-
-    from contextlib import nullcontext
-
-    from repro.obs.trace import TraceRecorder, activated
-
-    queries = [parse_query(text) for text in args.query]
-    database = Database.open(args.path)
-    plan_cache = PlanCache(os.path.join(args.path, "plans"))
-    k_values = tuple(args.k) if args.k else (2, 3)
-    recorder = None
-    if args.trace_out and not args.daemon:
-        recorder = TraceRecorder()
-    # activated() scopes the ambient recorder so the planner's spans land
-    # in the exported trace alongside the pool's serving spans.
-    with activated(recorder) if recorder is not None else nullcontext():
-        payloads = prewarm(
-            database,
-            queries,
-            k_values=k_values,
-            plan_cache=plan_cache,
-            memory_budget_bytes=args.memory_budget_bytes,
-            answer=args.answer,
-        )
-    oracle = [execute_payload(payload, database) for payload in payloads]
-    batch = payloads * max(1, args.repeat)
-    if args.daemon:
-        if args.trace_out:
-            print(
-                "--trace-out is ignored with --daemon; pass --trace-out to "
-                "the daemon process instead",
-                flush=True,
-            )
-        return _serve_through_daemon(args, batch, payloads, oracle, queries)
-    started = time.perf_counter()
-    with ServingPool(
-        args.path,
-        workers=args.workers,
-        trace=recorder,
-        global_memory_budget_bytes=args.global_memory_budget_bytes,
-        default_memory_budget_bytes=args.memory_budget_bytes,
-        max_worker_restarts=args.max_worker_restarts,
-        default_deadline_seconds=args.deadline,
-        default_max_attempts=args.max_attempts,
-    ) as pool:
-        reports = dict(sorted(pool.worker_reports.items()))
-        responses = pool.run(batch)
-        restarts = pool.restarts
-        degraded = pool.degraded
-    elapsed = time.perf_counter() - started
-    trace_events = None
-    if recorder is not None:
-        from repro.obs.export import write_chrome_trace
-
-        trace_events = write_chrome_trace(args.trace_out, recorder)
-    matches = sum(
-        1 for i, response in enumerate(responses)
-        if strip_provenance(response) == oracle[i % len(payloads)]
-    )
-    summary = {
-        "store": args.path,
-        "workers": args.workers,
-        "queries": [query.name for query in queries],
-        "requests": len(batch),
-        "matches_serial_oracle": matches,
-        "seconds": round(elapsed, 4),
-        "qps": round(len(batch) / elapsed, 2) if elapsed > 0 else None,
-        "planning_seconds": [payload["planning_seconds"] for payload in payloads],
-        "worker_reports": reports,
-        "restarts": restarts,
-        "degraded": degraded,
-        "attempts": [
-            response.get("serving", {}).get("attempts") for response in responses
-        ],
-    }
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(
-            f"served {summary['requests']} requests over {args.workers} workers "
-            f"in {summary['seconds']}s ({summary['qps']} q/s); "
-            f"{matches}/{len(batch)} responses byte-identical to the serial oracle"
-        )
-        if restarts or degraded:
-            print(
-                f"  supervisor: {restarts} worker restart(s)"
-                + (f", degraded: {degraded}" if degraded else "")
-            )
-        for worker_id, report in reports.items():
-            startup = report.get("startup_seconds")
-            print(
-                f"  worker {worker_id}: pid {report['pid']}, "
-                f"{report['mmap_columns']}/{report['total_columns']} columns "
-                f"mmap-shared, store digest {report['store_digest'][:12]}..."
-                + (f", ready in {startup:.3f}s" if startup is not None else "")
-            )
-        if trace_events is not None:
-            print(
-                f"  trace: {trace_events} span(s) written to {args.trace_out} "
-                "(open at https://ui.perfetto.dev)"
-            )
-    return 0 if matches == len(batch) else 1
-
-
-def _serve_through_daemon(args, batch, payloads, oracle, queries) -> int:
-    """Drive the serve batch through a running ``repro db daemon`` instead
-    of spawning an in-process pool; planning and the serial oracle still
-    run locally so byte-identity is checked end to end over the socket."""
-    import json
-    import time
-
-    from repro.db.daemon import DaemonClient
-    from repro.db.serving import strip_provenance
-
-    with DaemonClient(args.daemon) as client:
-        before = client.health()
-        started = time.perf_counter()
-        responses = [client.execute(payload) for payload in batch]
-        elapsed = time.perf_counter() - started
-        after = client.health()
-    matches = sum(
-        1 for i, response in enumerate(responses)
-        if strip_provenance(response) == oracle[i % len(payloads)]
-    )
-    summary = {
-        "store": args.path,
-        "daemon": args.daemon,
-        "queries": [query.name for query in queries],
-        "requests": len(batch),
-        "matches_serial_oracle": matches,
-        "seconds": round(elapsed, 4),
-        "qps": round(len(batch) / elapsed, 2) if elapsed > 0 else None,
-        "daemon_health": after,
-        "attempts": [
-            response.get("serving", {}).get("attempts") for response in responses
-        ],
-    }
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(
-            f"served {summary['requests']} requests through daemon at "
-            f"{args.daemon} in {summary['seconds']}s ({summary['qps']} q/s); "
-            f"{matches}/{len(batch)} responses byte-identical to the serial oracle"
-        )
-        print(
-            f"  daemon: status {after['status']}, pid {after['pid']}, "
-            f"{len(after['worker_pids'])} worker(s), "
-            f"{after['restarts']} restart(s), "
-            f"{after['counters']['requests_served'] - before['counters']['requests_served']} "
-            f"request(s) served during this run"
-        )
-        print(
-            f"  daemon load: queue depth {after.get('queue_depth', 0)}, "
-            f"{after.get('inflight', 0)} in flight, "
-            f"{after.get('pending', 0)} pending, "
-            f"uptime {after.get('uptime_seconds', 0.0)}s"
-        )
-    return 0 if matches == len(batch) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

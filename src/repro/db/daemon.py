@@ -7,8 +7,8 @@ Unix-domain or TCP socket so the serving plane survives its *clients*
 too: a long-lived :class:`ServingDaemon` owns one supervised pool, on
 which it also re-plans its query set when statistics are refreshed, and
 any number of processes talk to it with :class:`DaemonClient` --
-``repro db daemon <store>`` runs it, ``repro db serve --daemon <addr>``
-drives the QPS/oracle harness through it.
+``repro db daemon <store>`` runs it, ``repro db metrics <addr>`` reads
+its metrics snapshot.
 
 Wire framing
 ------------
@@ -135,7 +135,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import selectors
 import signal
@@ -147,6 +146,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.db.faults import FaultPlan, FaultRule
+from repro.db.lifecycle import check_pool_options, check_seconds
 from repro.db.serving import (
     SERVING_FORMAT,
     SERVING_VERSION,
@@ -459,10 +459,15 @@ class ServingDaemon:
         trace_out=None,
         **pool_options,
     ) -> None:
-        if refresh_seconds is not None and not 0 < refresh_seconds < math.inf:
-            raise DaemonError(
-                f"refresh_seconds must be positive and finite: {refresh_seconds!r}"
-            )
+        # Refused here by the wire's rules, not found out later by a timer
+        # (``shutdown(drain=False)`` sets the drain timeout to 0 itself).
+        check_seconds("refresh_seconds", refresh_seconds, error=DaemonError)
+        check_seconds("io_timeout_seconds", io_timeout_seconds, error=DaemonError)
+        check_seconds(
+            "drain_timeout_seconds", drain_timeout_seconds, zero=True,
+            error=DaemonError,
+        )
+        check_pool_options(pool_options, error=DaemonError)
         self.store_path = Path(store_path)
         self.address = parse_address(address) if isinstance(address, str) else address
         self.workers = int(workers)

@@ -39,6 +39,7 @@ instead of charged to the restart budget.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Mapping, Optional
 
 from repro.exceptions import DatabaseError
@@ -60,6 +61,42 @@ class AdmissionRejected(DatabaseError):
     """Backpressure: the request was *not* admitted (queue full, or its
     memory slice does not fit the remaining global budget).  Re-submit
     after collecting responses; nothing was partially executed."""
+
+
+def check_seconds(what: str, value, *, zero=False, error=DatabaseError) -> None:
+    """The one rule for a time knob, on the wire and in a constructor: a
+    finite number of seconds, positive (``>= 0`` with ``zero``).  ``None``
+    means unset and passes."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what} must be a number")
+    # NaN, infinities and ints past the float range all fail here.
+    if not (0 <= value if zero else 0 < value) or not value <= sys.float_info.max:
+        raise error(f"{what} must be {'>= 0' if zero else 'positive'} and finite")
+
+
+def check_integer(what: str, value, minimum: int, *, error=DatabaseError) -> None:
+    """The one rule for a count or byte knob: an integer ``>= minimum``.
+    ``None`` means unset and passes."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer")
+    if value < minimum:
+        raise error(f"{what} must be >= {minimum}")
+
+
+def check_pool_options(options: Mapping, *, error=DatabaseError) -> None:
+    """Refuse the pool defaults that stand in for a payload's knobs by the
+    wire's rules: a deadline positive and finite, a memory budget at least
+    one byte (a 0 would be charged nothing at admission)."""
+    check_seconds(
+        "default_deadline_seconds", options.get("default_deadline_seconds"),
+        error=error,
+    )
+    for name in ("global_memory_budget_bytes", "default_memory_budget_bytes"):
+        check_integer(name, options.get(name), 1, error=error)
 
 
 class Request:
@@ -133,6 +170,11 @@ class RequestLifecycle:
         metrics,
         span=None,
     ) -> None:
+        check_pool_options({
+            "default_deadline_seconds": default_deadline_seconds,
+            "global_memory_budget_bytes": global_memory_budget_bytes,
+            "default_memory_budget_bytes": default_memory_budget_bytes,
+        })
         self.workers = max(1, int(workers))
         self.global_memory_budget_bytes = global_memory_budget_bytes
         self.default_memory_budget_bytes = default_memory_budget_bytes

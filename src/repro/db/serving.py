@@ -80,15 +80,20 @@ import json
 import logging
 import os
 import queue
-import sys
 import time
 from multiprocessing.connection import wait as _connection_wait
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.db.database import Database
 from repro.db.executor import execute_plan
 from repro.db.faults import FaultPlan, resolve_fault_plan
-from repro.db.lifecycle import AdmissionRejected, RequestLifecycle, ServingError
+from repro.db.lifecycle import (
+    AdmissionRejected,
+    RequestLifecycle,
+    ServingError,
+    check_integer,
+    check_seconds,
+)
 from repro.db.plan_ir import plan_ir_from_payload
 from repro.db.storage import (
     PlanCache,
@@ -225,15 +230,7 @@ def _check_payload(payload: Mapping) -> None:
             f"unknown answer mode {payload.get('answer')!r}; "
             f"expected one of {_ANSWER_MODES}"
         )
-    deadline = payload.get("deadline_seconds")
-    if deadline is not None:
-        if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
-            raise DatabaseError("payload 'deadline_seconds' must be a number")
-        # NaN, infinities and ints past the float range all fail here.
-        if not 0 < deadline <= sys.float_info.max:
-            raise DatabaseError(
-                "payload 'deadline_seconds' must be positive and finite"
-            )
+    check_seconds("payload 'deadline_seconds'", payload.get("deadline_seconds"))
     # An execution's memory slice is at least one byte: a 0 would be
     # charged nothing at admission and read as "no budget" by the kernels.
     # Planning (a prewarm refresh) takes no execution slice.
@@ -243,12 +240,7 @@ def _check_payload(payload: Mapping) -> None:
         ("max_attempts", 1),
         ("memory_budget_bytes", 0 if "prewarm" in payload else 1),
     ):
-        value = payload.get(knob)
-        if value is not None:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DatabaseError(f"payload {knob!r} must be an integer")
-            if value < minimum:
-                raise DatabaseError(f"payload {knob!r} must be >= {minimum}")
+        check_integer(f"payload {knob!r}", payload.get(knob), minimum)
     trace_req = payload.get("trace")
     if trace_req is not None and not isinstance(trace_req, bool):
         if not isinstance(trace_req, Mapping):
@@ -413,31 +405,6 @@ def execute_payload_encoded(
     if recorder is not None:
         response[TRACE_KEY] = _trace_block()
     return response
-
-
-def aggregate_stats(responses: Iterable[Mapping]) -> Dict[str, object]:
-    """Fold the ``stats`` payloads of many responses into one: counters
-    sum, peaks max -- the same commutative merge
-    :class:`~repro.db.algebra.OperatorStats` uses across threads, so the
-    aggregate over any partition of a workload is partition-independent."""
-    totals: Dict[str, int] = {}
-    operations: Dict[str, int] = {}
-    peak = 0
-    for response in responses:
-        stats = response.get("stats")
-        if not stats:
-            continue
-        for key, value in stats.items():
-            if key == "operations":
-                for op, count in value.items():
-                    operations[op] = operations.get(op, 0) + int(count)
-            elif key == "peak_transient_elements":
-                peak = max(peak, int(value))
-            else:
-                totals[key] = totals.get(key, 0) + int(value)
-    totals["operations"] = {key: operations[key] for key in sorted(operations)}
-    totals["peak_transient_elements"] = peak
-    return totals
 
 
 # ----------------------------------------------------------------------

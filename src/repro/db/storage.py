@@ -99,10 +99,8 @@ _COLUMN_DIR = "cols"
 _ENCODINGS = ("packed", "raw")
 _DEFAULT_ENCODING = "packed"
 
-#: Environment knobs of the workload cache: the directory that activates it
-#: and the kill switch that beats an explicitly passed directory.
+#: Environment knob of the workload cache: the directory that activates it.
 CACHE_DIR_ENV = "REPRO_WORKLOAD_CACHE_DIR"
-CACHE_DISABLE_ENV = "REPRO_WORKLOAD_CACHE"
 
 
 # ----------------------------------------------------------------------
@@ -990,25 +988,12 @@ def reset_workload_cache_stats() -> None:
     _workload_cache_counters["misses"] = 0
 
 
-def workload_cache_dir(cache_dir=None) -> Optional[Path]:
-    """Resolve the active cache directory: an explicit ``cache_dir`` wins,
-    else the ``REPRO_WORKLOAD_CACHE_DIR`` environment variable; ``None``
-    (cache disabled) when neither is set or ``REPRO_WORKLOAD_CACHE=0``."""
-    if os.environ.get(CACHE_DISABLE_ENV, "").strip() == "0":
-        return None
-    if cache_dir is not None:
-        return Path(cache_dir)
-    configured = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return Path(configured) if configured else None
-
-
 def cached_database(
     kind: str,
     params: Mapping[str, Any],
     builder: Callable[[], Database],
     columnar: bool = True,
     cache_dir=None,
-    refresh: bool = False,
 ) -> Database:
     """Generate-or-reuse a workload database.
 
@@ -1022,19 +1007,22 @@ def cached_database(
     converges to freshly-encoded stores.  On a hit the stored database is
     opened (mmap'd under the columnar engine); on a miss ``builder()`` runs
     and its result is saved atomically (temp sibling + rename, so
-    concurrent processes never observe a half-written entry).  With no
-    cache directory configured this is exactly ``builder()``.
+    concurrent processes never observe a half-written entry).  The cache
+    lives in ``cache_dir``, else in ``REPRO_WORKLOAD_CACHE_DIR``; with
+    neither set this is exactly ``builder()``.
 
     The ``columnar`` flag selects the *representation* of the returned
     database only; it is deliberately not part of the key, because both
     engines hold identical data.
     """
-    root = workload_cache_dir(cache_dir)
-    if root is None:
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_DIR_ENV, "").strip() or None
+    if cache_dir is None:
         return builder()
+    root = Path(cache_dir)
     digest = canonical_digest({"kind": kind, "params": dict(params)})
     entry = root / f"{kind}-{digest[:20]}"
-    if not refresh and (entry / _CATALOG_FILE).exists():
+    if (entry / _CATALOG_FILE).exists():
         try:
             database = open_database(entry, columnar=columnar)
             _workload_cache_counters["hits"] += 1
@@ -1048,8 +1036,6 @@ def cached_database(
     shutil.rmtree(staging, ignore_errors=True)
     try:
         save_database(database, staging)
-        if refresh:
-            shutil.rmtree(entry, ignore_errors=True)
         try:
             os.replace(staging, entry)
         except OSError:

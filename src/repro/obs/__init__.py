@@ -43,9 +43,8 @@ CI leg that runs the whole tier-1 suite under ``REPRO_OBS=1``.
 Viewing a trace in Perfetto
 ---------------------------
 
-Export a trace from any plane::
+Export a trace from the serving daemon (written when its drain completes)::
 
-    repro db serve store.db --query q --workers 2 --trace-out trace.json
     repro db daemon store.db --address /tmp/repro.sock --trace-out trace.json
 
 or programmatically::

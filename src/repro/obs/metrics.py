@@ -9,8 +9,7 @@ is a lock-protected accumulator the hot path bumps and the ``metrics`` /
 Histograms use *fixed* exponential bucket boundaries (seconds), so two
 histograms recorded in different processes merge exactly: bucket counts
 add, totals add, extrema max/min -- the same commutative-merge discipline
-as :class:`~repro.db.algebra.OperatorStats` and
-:func:`~repro.db.serving.aggregate_stats`.  Worker-side observations
+as :class:`~repro.db.algebra.OperatorStats`.  Worker-side observations
 travel over the existing response queues (the pool observes each result
 message's elapsed time), so no new IPC channel exists.
 

@@ -280,6 +280,25 @@ class TestConnectionFaultRules:
 # ----------------------------------------------------------------------
 
 
+#: Daemon settings the wire's rules refuse, by constructor keyword (the
+#: refresh period is the first case of the test that uses them).
+_BAD_DAEMON_KNOBS = {
+    "default_deadline_seconds": (-1, 0, float("nan"), float("inf")),
+    "io_timeout_seconds": (-1, 0, float("nan"), float("inf")),
+    "drain_timeout_seconds": (-1, float("nan"), float("inf")),
+    "default_memory_budget_bytes": (0, -400),
+    "global_memory_budget_bytes": (0, -1),
+}
+
+#: The same settings as ``repro db daemon`` flags.
+_BAD_CLI_KNOBS = [
+    ("--deadline", "inf"), ("--deadline", "nan"), ("--deadline", "0"),
+    ("--io-timeout", "inf"), ("--drain-timeout", "inf"),
+    ("--drain-timeout", "-1"), ("--memory-budget-bytes", "0"),
+    ("--global-memory-budget-bytes", "-1"),
+]
+
+
 class TestDaemonServes:
     def test_health_ready(self, daemon, client):
         health = client.health()
@@ -411,21 +430,37 @@ class TestDaemonServes:
         assert health["generation"] == 1 + health["counters"]["refreshes"]
         assert health["counters"]["refresh_errors"] == 0
 
-    @pytest.mark.parametrize("seconds", [-1, 0, float("nan"), float("inf")])
-    def test_refresh_period_must_be_positive_and_finite(self, store, tmp_path, seconds):
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            pytest.param("refresh_seconds", seconds, id=str(seconds))
+            for seconds in (-1, 0, float("nan"), float("inf"))
+        ]
+        + [
+            pytest.param(knob, value, id=f"{knob}={value}")
+            for knob, values in _BAD_DAEMON_KNOBS.items()
+            for value in values
+        ],
+    )
+    def test_refresh_period_must_be_positive_and_finite(
+        self, store, tmp_path, knob, value
+    ):
         """Not a period is refused at construction, not found out later by
-        the timer; "no timer" is spelled ``None``."""
-        with pytest.raises(DaemonError, match="refresh_seconds"):
-            ServingDaemon(
-                store, f"unix:{tmp_path / 'never.sock'}", refresh_seconds=seconds
-            )
+        the timer; "no timer" is spelled ``None``.  The daemon's other time
+        and budget settings follow the wire's rules the same way: an
+        infinite deadline or I/O timeout used to kill the loop at the
+        first request or stalled frame, an infinite drain timeout
+        ``shutdown()``, and a budget below one byte admitted everything."""
+        with pytest.raises(DaemonError, match=knob):
+            ServingDaemon(store, f"unix:{tmp_path / 'never.sock'}", **{knob: value})
 
     def test_cli_refuses_a_negative_refresh_period(self, store, capsys):
         from repro.cli import main
 
-        assert main(["db", "daemon", str(store), "--refresh-seconds", "-1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:") and err.count("\n") == 1
+        for flag, value in [("--refresh-seconds", "-1")] + _BAD_CLI_KNOBS:
+            assert main(["db", "daemon", str(store), flag, value]) == 2, flag
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error:") and err.count("\n") == 1, err
 
     def test_unknown_kind_is_structured_error(self, client):
         before = client.health()["counters"]["error_frames"]

@@ -29,6 +29,7 @@ from repro.db.lifecycle import (
     RequestLifecycle,
     ServingError,
 )
+from repro.exceptions import DatabaseError
 from repro.obs.metrics import MetricsRegistry
 
 HELLO = {"store_digest": "digest", "pid": 1}
@@ -111,6 +112,36 @@ class TestStartup:
         assert "restart budget (2) exhausted" in core.degraded
         with pytest.raises(ServingError, match="degraded"):
             core.submit({}, 100.0)
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("default_deadline_seconds", value)
+            for value in (-1, 0, float("nan"), float("inf"), 10**400, True, "5")
+        ]
+        + [
+            (option, value)
+            for option in ("default_memory_budget_bytes", "global_memory_budget_bytes")
+            for value in (0, -400, 1.5, True)
+        ],
+    )
+    def test_defaults_follow_the_wire_rules(self, option, value):
+        """A default stands in for a payload knob, so it is refused by the
+        rule the wire applies to that knob.  An infinite deadline used to
+        overflow the first ``collect``, a NaN one disabled deadlines, and a
+        zero or negative budget admitted everything it should queue."""
+        with pytest.raises(DatabaseError, match=option):
+            RequestLifecycle(1, metrics=MetricsRegistry(), **{option: value})
+
+    def test_the_smallest_legal_defaults_pass(self):
+        core = _core(
+            default_deadline_seconds=1e-9,
+            default_memory_budget_bytes=1,
+            global_memory_budget_bytes=1,
+        )
+        assert core.admitted_bytes == 0 and core.default_memory_budget_bytes == 1
 
 
 class TestDegradation:

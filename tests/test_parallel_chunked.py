@@ -82,6 +82,31 @@ def assert_identical(unchunked, chunked):
     assert chunked.rows == unchunked.rows
 
 
+def _one_join(memory_budget):
+    dictionary = Dictionary()
+    rows = [(i % 3, i) for i in range(600)]
+    left = columnar(("l", ("k", "a"), rows), dictionary)
+    right = columnar(("r", ("k", "b"), rows), dictionary)
+    stats = OperatorStats(memory_budget_bytes=memory_budget)
+    joined = natural_join(left, right, stats=stats)
+    return (joined.attributes, joined.rows), stats
+
+
+def _fig5_q1_plan(memory_budget):
+    """Q1's cost-3-decomp plan over the fig5-profile database (scale 0.2)."""
+    from repro.planner.cost_k_decomp import cost_k_decomp
+    from repro.query.examples import q1
+    from repro.workloads.paper_queries import fig5_database
+
+    database = fig5_database(seed=0, scale=0.2, columnar=True)
+    plan = cost_k_decomp(q1(), database.statistics, 3, completion="fresh")
+    result = plan.to_ir().execute(
+        database, budget=50_000_000, memory_budget_bytes=memory_budget
+    )
+    assert result.boolean is True
+    return result.boolean, result.stats
+
+
 class TestChunkedKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -195,16 +220,15 @@ class TestChunkedKernelEquivalence:
             assert semi_stats.operations == {"semijoin": 1}
 
     def test_transient_accounting_shrinks_with_chunking(self):
-        dictionary = Dictionary()
-        rows = [(i % 3, i) for i in range(600)]
-        left = columnar(("l", ("k", "a"), rows), dictionary)
-        right = columnar(("r", ("k", "b"), rows), dictionary)
-        unbounded = OperatorStats()
-        bounded = OperatorStats(memory_budget_bytes=16_384)
-        base = natural_join(left, right, stats=unbounded)
-        chunked = natural_join(left, right, stats=bounded)
-        assert_identical(base, chunked)
-        assert bounded.peak_transient_elements * 4 < unbounded.peak_transient_elements
+        # One join, and every join of a whole plan: against the kernels'
+        # 64 MiB default, a budget caps the largest transient batch at
+        # least 4x lower and leaves the answer and every counter alone.
+        for case, budget in ((_one_join, 16_384), (_fig5_q1_plan, 256 * 1024)):
+            base, unbounded = case(64 << 20)
+            chunked, bounded = case(budget)
+            assert chunked == base
+            assert bounded.snapshot() == unbounded.snapshot()
+            assert bounded.peak_transient_elements * 4 < unbounded.peak_transient_elements
 
 
 class TestChunkedBudgetStops:

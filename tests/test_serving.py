@@ -49,7 +49,6 @@ from repro.db.serving import (
     AdmissionRejected,
     ServingError,
     ServingPool,
-    aggregate_stats,
     answer_digest,
     decode_rows,
     execute_payload,
@@ -200,18 +199,6 @@ class TestPoolMatchesSerialOracle:
         oracles = [execute_payload(p, serial_db) for p in payloads]
         assert _served(pool.run(payloads)) == oracles
 
-    def test_aggregate_stats_is_partition_independent(self, pool, serial_db):
-        payloads = [
-            _roundtrip(_payload(plan={"kind": "join_order", "order": list(order)}))
-            for order in itertools.islice(itertools.permutations(ATOMS), 4)
-        ]
-        responses = pool.run(payloads)
-        forward = aggregate_stats(responses)
-        assert forward == aggregate_stats(reversed(responses))
-        assert forward["total_work"] == sum(
-            r["stats"]["total_work"] for r in responses
-        )
-
 
 class TestWarmup:
     def test_prewarm_replays_at_zero_planning_seconds(self, store, serial_db, tmp_path):
@@ -306,6 +293,24 @@ class TestAdmission:
                 pool.submit(_payload(memory_budget_bytes=0))
             assert pool.pending_count == 1 and pool.admitted_bytes == 1_000
             pool.collect(first, timeout=60.0)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("default_deadline_seconds", float("inf")),
+            ("default_deadline_seconds", float("nan")),
+            ("default_memory_budget_bytes", 0),
+            ("global_memory_budget_bytes", -1),
+        ],
+    )
+    def test_bad_defaults_are_refused_before_a_worker_starts(
+        self, store, option, value
+    ):
+        # The wire's rules apply to the pool's own defaults: an infinite
+        # deadline used to overflow collect(), and a budget below one byte
+        # was charged nothing at admission.
+        with pytest.raises(DatabaseError, match=option):
+            ServingPool(store, workers=1, **{option: value})
 
     def test_max_pending_backpressure(self, store):
         with ServingPool(store, workers=1, max_pending=2) as pool:

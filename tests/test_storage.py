@@ -429,18 +429,6 @@ class TestWorkloadCache:
         workload_database(query, tuples_per_relation=10, domain_size=3, seed=0)
         assert workload_cache_stats() == {"hits": 0, "misses": 0}
 
-    def test_kill_switch_beats_explicit_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "0")
-        reset_workload_cache_stats()
-        database = cached_database(
-            "unit", {"x": 1},
-            lambda: Database(relations={"r": Relation("r", ["a"], [(1,)])}),
-            cache_dir=tmp_path / "wl",
-        )
-        assert database.relation("r").cardinality == 1
-        assert not (tmp_path / "wl").exists()
-        assert workload_cache_stats() == {"hits": 0, "misses": 0}
-
     def test_corrupt_entry_regenerates(self, tmp_path):
         reset_workload_cache_stats()
         build = lambda: Database(
