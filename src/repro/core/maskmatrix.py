@@ -22,7 +22,7 @@ tests with big-int loops and is this module's oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 try:  # pragma: no cover - numpy is present in the supported environments
     import numpy as np
@@ -47,8 +47,9 @@ def _split_words(mask: int, width: int) -> Tuple[int, ...]:
 class MaskMatrix:
     """N bitmasks of up to ``num_bits`` bits, stored row-wise as uint64 words.
 
-    Rows keep their construction order; ``mask_at(i)`` and ``tolist()``
-    reconstruct the original Python ints exactly.
+    Rows keep their construction order, so a row index is an index into the
+    list of Python ints the matrix was built from (callers gather masks from
+    that list; the matrix only answers set tests).
     """
 
     __slots__ = ("num_bits", "width", "_words")
@@ -112,40 +113,6 @@ class MaskMatrix:
                 wanted = np.uint64(word)
                 out &= (words[:, w] & wanted) == wanted
         return out
-
-    def intersections(self, mask: int, rows=None):
-        """``row & mask`` per row, as Python ints (used for χ = frontier ∩
-        var(λ) in one gather instead of one ``&`` per candidate)."""
-        words = self._rows(rows)
-        if self.width == 1:
-            return (words & np.uint64(mask & _WORD_MASK)).tolist()
-        pieces = [
-            (words[:, w] & np.uint64(word)).tolist()
-            for w, word in enumerate(_split_words(mask, self.width))
-        ]
-        return [
-            sum(piece[row] << (WORD_BITS * w) for w, piece in enumerate(pieces))
-            for row in range(words.shape[0])
-        ]
-
-    # ------------------------------------------------------------------
-    def mask_at(self, row: int) -> int:
-        if self.width == 1:
-            return int(self._words[row])
-        return sum(
-            int(self._words[row, w]) << (WORD_BITS * w) for w in range(self.width)
-        )
-
-    def tolist(self, rows=None) -> List[int]:
-        """Rows as Python ints (gathered by ``rows`` when given)."""
-        words = self._rows(rows)
-        if self.width == 1:
-            return words.tolist()
-        columns = [words[:, w].tolist() for w in range(self.width)]
-        return [
-            sum(column[row] << (WORD_BITS * w) for w, column in enumerate(columns))
-            for row in range(words.shape[0])
-        ]
 
     def __repr__(self) -> str:
         return f"MaskMatrix({len(self)} rows × {self.width} words)"

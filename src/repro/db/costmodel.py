@@ -47,6 +47,20 @@ class AtomProfile:
         return float(self.variable_selectivity.get(variable, max(self.cardinality, 1.0)))
 
 
+#: ``(base, join size, domain size per variable)`` of one λ set
+#: (:meth:`CardinalityEstimator.lambda_terms`).
+LambdaTerms = Tuple[float, float, Dict[str, float]]
+
+
+def capped_size(join_size: float, domain_sizes: Iterable[float]) -> float:
+    """``|Π_χ(⋈ λ)|``: the join size capped by the product of χ's domain
+    sizes (multiplied in the given order), and at least one tuple."""
+    cap = 1.0
+    for size in domain_sizes:
+        cap *= size
+    return max(min(join_size, cap), 1.0)
+
+
 class CardinalityEstimator:
     """Estimates sizes and costs of joins, projections and semijoins over a
     set of query atoms, given catalog statistics."""
@@ -57,18 +71,16 @@ class CardinalityEstimator:
         self._profiles: Dict[str, AtomProfile] = {}
         for atom in query.atoms:
             self._profiles[atom.name] = self._profile(atom)
-        # Estimation is called very heavily by the planner (once per candidate
-        # node and tree edge of the candidates graph), so memoise every
+        # Estimation is called very heavily by the planner (once per distinct
+        # label of the candidates graph and per tree edge), so memoise every
         # purely statistics-driven quantity.
         self._join_cache: Dict[Tuple[str, ...], float] = {}
         self._projection_cache: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], float] = {}
-        self._domain_cache: Dict[Tuple[str, Optional[Tuple[str, ...]]], float] = {}
         self._node_cost_cache: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], float] = {}
-        #: The χ-independent part of ``v*`` (input scans + prefix joins) per
-        #: λ set: distinct λ sets are far fewer than distinct (λ, χ) pairs,
-        #: so the candidates-graph evaluation re-pays only the projection
-        #: term per pair.
-        self._lambda_cost_cache: Dict[Tuple[str, ...], float] = {}
+        #: The χ-independent terms of ``v*`` and ``|E(p)|`` per λ set
+        #: (:meth:`lambda_terms`): distinct λ sets are far fewer than
+        #: distinct (λ, χ) pairs, so a pair re-pays only its projection cap.
+        self._lambda_terms: Dict[Tuple[str, ...], LambdaTerms] = {}
 
     # ------------------------------------------------------------------
     def _profile(self, atom: Atom) -> AtomProfile:
@@ -146,40 +158,55 @@ class CardinalityEstimator:
     def domain_size(self, variable: str, atom_names: Optional[Sequence[str]] = None) -> float:
         """An upper bound on the number of distinct values ``variable`` can
         take in the join of the given atoms (the smallest distinct count over
-        the atoms that contain it)."""
-        key = (variable, tuple(atom_names) if atom_names is not None else None)
-        cached = self._domain_cache.get(key)
-        if cached is not None:
-            return cached
-        names = list(atom_names) if atom_names is not None else [
-            a.name for a in self.query.atoms
-        ]
-        counts = []
-        for name in names:
-            atom = self.query.atom_by_name(name)
-            if variable in atom.variables:
-                counts.append(self.profile(name).selectivity(variable))
-        result = min(counts) if counts else 1.0
-        self._domain_cache[key] = result
-        return result
+        the atoms that contain it; 1 when none does)."""
+        if atom_names is None:
+            atom_names = [atom.name for atom in self.query.atoms]
+        return self.lambda_terms(atom_names)[2].get(variable, 1.0)
+
+    def lambda_terms(self, atom_names: Sequence[str]) -> LambdaTerms:
+        """The χ-independent terms of a node with ``λ = atom_names``:
+        ``(base, join size, domain sizes)``.
+
+        ``base`` is the part of ``v*`` that does not depend on χ -- the input
+        cardinalities plus the estimated sizes of the intermediate results of
+        a smallest-first left-deep join (ties broken by atom name); ``join
+        size`` is ``|⋈ λ|``; ``domain sizes`` maps every variable of the
+        atoms to :meth:`domain_size`.  Memoised per atom set.  The prefix
+        joins are estimated before the full join, so every join the
+        estimator memoises on a node's behalf is computed in that
+        cardinality order whichever of ``v*`` and ``|E(p)|`` is asked first.
+        """
+        key = tuple(sorted(atom_names))
+        terms = self._lambda_terms.get(key)
+        if terms is not None:
+            return terms
+        names = sorted(key, key=lambda n: self.profile(n).cardinality)
+        base = sum(self.profile(n).cardinality for n in names)
+        for prefix_length in range(2, len(names) + 1):
+            base += self.join_cardinality(names[:prefix_length])
+        domains: Dict[str, float] = {}
+        for name in key:
+            profile = self.profile(name)
+            for variable in self.query.atom_by_name(name).variables:
+                count = profile.selectivity(variable)
+                known = domains.get(variable)
+                if known is None or count < known:
+                    domains[variable] = count
+        terms = self._lambda_terms[key] = (base, self.join_cardinality(key), domains)
+        return terms
 
     def projection_cardinality(
         self, atom_names: Sequence[str], variables: Iterable[str]
     ) -> float:
         """Estimated size of ``Π_variables`` of the join of the atoms: the
         join size capped by the product of the variables' domain sizes."""
+        variables = tuple(variables)
         key = (tuple(sorted(atom_names)), tuple(sorted(variables)))
         cached = self._projection_cache.get(key)
         if cached is not None:
             return cached
-        join_size = self.join_cardinality(atom_names)
-        # One tuple for every domain_size cache key (tuple() of a tuple is
-        # a no-op, so the per-variable key build is a dict get away).
-        atoms = tuple(atom_names)
-        cap = 1.0
-        for variable in variables:
-            cap *= self.domain_size(variable, atoms)
-        result = max(min(join_size, cap), 1.0)
+        _, join_size, domains = self.lambda_terms(atom_names)
+        result = capped_size(join_size, [domains.get(v, 1.0) for v in variables])
         self._projection_cache[key] = result
         return result
 
@@ -191,29 +218,23 @@ class CardinalityEstimator:
 
         Sum of (i) the input cardinalities, (ii) the estimated sizes of the
         intermediate results of a smallest-first left-deep join over the λ
-        atoms, and (iii) the size of the projected output.
+        atoms -- together :meth:`lambda_terms`' base -- and (iii) the size
+        of the projected output.
 
         Memoised on ``(λ atoms, projection)``: distinct candidates of the
         candidates graph frequently share both labels.
         """
         # Materialise both iterables once: ``projection`` may be a one-shot
         # iterator, and it is consumed again below.
-        atom_names = tuple(atom_names)
-        projection = tuple(sorted(projection))
         sorted_names = tuple(sorted(atom_names))
+        projection = tuple(sorted(projection))
         key = (sorted_names, projection)
         cached = self._node_cost_cache.get(key)
         if cached is not None:
             return cached
-        if not atom_names:
+        if not sorted_names:
             return 0.0
-        base = self._lambda_cost_cache.get(sorted_names)
-        if base is None:
-            names = sorted(atom_names, key=lambda n: self.profile(n).cardinality)
-            base = sum(self.profile(n).cardinality for n in names)
-            for prefix_length in range(2, len(names) + 1):
-                base += self.join_cardinality(names[:prefix_length])
-            self._lambda_cost_cache[sorted_names] = base
+        base = self.lambda_terms(sorted_names)[0]
         cost = base + self.projection_cardinality(sorted_names, projection)
         self._node_cost_cache[key] = cost
         return cost

@@ -35,7 +35,10 @@ component is a *vertex mask* ``int``, and a node's identity is its
 integer ids (``N_sub`` and ``N_sol`` separately), so the graph is stored as
 parallel arrays indexed by those ids -- ``cand_lambda[i]`` / ``cand_chi[i]``
 / ``cand_subs[i]`` for candidate ``i``, ``sub_solvers[q]`` /
-``sub_dependents[q]`` for subproblem ``q``.
+``sub_dependents[q]`` for subproblem ``q``.  Distinct ``(λ, χ)`` pairs are
+interned once more, lazily, to dense *label* ids (``cand_label[i]``,
+``label_lambda[l]``, ``label_chi[l]``): a TAF sees a node only through its
+labels, so the evaluation weighs each label once.
 
 **One build driver, two filter-kernel engines.**  ``_build`` is the only
 construction path; the three hot filters of the build phase -- candidate
@@ -178,6 +181,13 @@ class CandidatesGraph:
     ``cand_chi[i]`` / ``cand_comp[i]`` / ``cand_subs[i]``
         per-candidate identity, ``λ`` edge mask, ``var(λ)`` vertex mask,
         ``χ`` vertex mask, component vertex mask, and subproblem-id tuple.
+    ``cand_label[i]`` / ``label_lambda[l]`` / ``label_chi[l]``
+        per-candidate label id, and per label its ``λ`` edge mask and ``χ``
+        vertex mask: one label per distinct ``(λ, χ)`` pair, numbered by
+        first occurrence over candidate ids (the order of
+        ``dict.fromkeys(zip(cand_lambda, cand_chi))``).  Derived lazily, on
+        first use, from arrays that are byte-identical whichever engine and
+        base built the graph, so the labels are too.
     """
 
     def __init__(
@@ -243,6 +253,8 @@ class CandidatesGraph:
         # algorithm consumes these; they serve the name boundary and tests).
         self._cand_keys: Optional[List[MaskCandidate]] = None
         self._cand_var: Optional[List[int]] = None
+        # Lazily interned (λ, χ) labels (see ``cand_label``).
+        self._labels: Optional[Tuple[List[int], List[int], List[int]]] = None
 
     # ------------------------------------------------------------------
     # Construction (the Build phase of Fig. 2)
@@ -430,9 +442,11 @@ class CandidatesGraph:
         broadcasted intersection + subset test over every k-vertex at once
         and one containment test over every subproblem at once (folded into
         per-k-vertex id slices by ``searchsorted`` over the contiguous
-        subproblem blocks); admitted rows are materialised by C-level
-        gathers, so the only Python-level loop left runs over the admitted
-        candidates that actually have subproblems."""
+        subproblem blocks).  An admitted row's λ is gathered from the
+        k-vertex list and its χ is ``frontier & var(λ)`` on the k-vertex's
+        variable mask, both plain ints whatever the mask width; the only
+        other Python-level loop runs over the admitted candidates that
+        actually have subproblems."""
         vertex_bits = len(self.bitset.vertices)
         edge_bits = len(self.bitset.edges)
         kv_var_matrix = MaskMatrix(self._kv_vars, vertex_bits)
@@ -441,6 +455,8 @@ class CandidatesGraph:
             [component for _, component in self.sub_keys], vertex_bits
         )
         self._kv_var_matrix = kv_var_matrix
+        kv_masks = self._kv_masks
+        kv_vars = self._kv_vars
         bounds = np.asarray(self._kv_sub_bounds, dtype=np.int64)
         cand_lambda = self.cand_lambda
         cand_subs = self.cand_subs
@@ -460,8 +476,11 @@ class CandidatesGraph:
                 return
             base_id = len(cand_lambda)
             kv_index.frombytes(admitted.astype(np.int64, copy=False).tobytes())
-            cand_lambda.extend(kv_edge_matrix.tolist(admitted))
-            self.cand_chi.extend(kv_var_matrix.intersections(frontier, admitted))
+            # λ and χ are gathered from the k-vertex lists as Python ints
+            # (a matrix row would have to be rebuilt word by word).
+            admitted_list = admitted.tolist()
+            cand_lambda.extend(map(kv_masks.__getitem__, admitted_list))
+            self.cand_chi.extend([frontier & kv_vars[i] for i in admitted_list])
             self.cand_comp.extend(repeat(component, admitted.size))
             # Subproblem ids are contiguous per k-vertex, so the ids of the
             # contained subproblems of k-vertex ``i`` are one slice of the
@@ -650,6 +669,41 @@ class CandidatesGraph:
             self._cand_var = [kv_vars[i] for i in self._cand_kv_index]
         return self._cand_var
 
+    def _label_arrays(self) -> Tuple[List[int], List[int], List[int]]:
+        """``(cand_label, label_lambda, label_chi)``, derived once: each
+        distinct ``(λ, χ)`` pair gets the next id at its first occurrence
+        over candidate ids (the order of ``dict.fromkeys(zip(cand_lambda,
+        cand_chi))``), so the labels are as byte-identical across engines
+        and ``extend_to`` bases as the arrays they come from."""
+        if self._labels is None:
+            ids: Dict[Tuple[int, int], int] = {}
+            cand_label = [
+                ids.setdefault(pair, len(ids))
+                for pair in zip(self.cand_lambda, self.cand_chi)
+            ]
+            self._labels = (
+                cand_label,
+                [lambda_mask for lambda_mask, _ in ids],
+                [chi_mask for _, chi_mask in ids],
+            )
+        return self._labels
+
+    @property
+    def cand_label(self) -> List[int]:
+        """Per-candidate label id (an index into ``label_lambda`` /
+        ``label_chi``)."""
+        return self._label_arrays()[0]
+
+    @property
+    def label_lambda(self) -> List[int]:
+        """Per-label ``λ`` edge mask."""
+        return self._label_arrays()[1]
+
+    @property
+    def label_chi(self) -> List[int]:
+        """Per-label ``χ`` vertex mask."""
+        return self._label_arrays()[2]
+
     @property
     def num_subproblems(self) -> int:
         return len(self.sub_keys)
@@ -724,6 +778,7 @@ class CandidatesGraph:
             "k_vertices": len(self._kv_masks),
             "subproblems": len(self.sub_keys),
             "candidates": len(self.cand_lambda),
+            "labels": len(self.label_lambda),
             "solver_arcs": solver_arcs,
             "subproblem_arcs": subproblem_arcs,
         }

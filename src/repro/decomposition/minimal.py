@@ -23,6 +23,16 @@ through its mask forms (:meth:`TreeAggregationFunction.bind_mask_space`);
 string-labelled :class:`DecompositionNode` views are materialised for the
 emitted decomposition only.
 
+``v_H`` and ``e_H`` of Definition 4.1 see a node only through its labels,
+and candidates repeat a label many times over (3-24x on the benchmark's
+fifteen planning cases).  The evaluation therefore calls the vertex weight and the
+separable edge parts once per distinct ``(λ, χ)`` label of the graph
+(``label_lambda`` / ``label_chi``) and gathers the results into the
+per-candidate lists the fold loops over (through ``cand_label``); the fold
+itself runs over candidate ids.  The threshold recursion
+(:mod:`repro.decomposition.threshold`) keeps calling the TAF per candidate:
+it is the independent cross-check of this phase.
+
 Ties during selection are broken by a pluggable :class:`TieBreaker`; with the
 ``"random"`` policy every minimal decomposition can be produced by some run,
 which is the completeness half of Theorem 4.4 and is exercised by the tests.
@@ -176,7 +186,17 @@ def evaluate_candidates_graph(
     combine = taf.semiring.combine
     cand_lambda = graph.cand_lambda
     cand_chi = graph.cand_chi
-    weights: List[Number] = list(map(taf.mask_vertex_weight, cand_lambda, cand_chi))
+    # ``v_H`` and the separable parts see a node only through its labels:
+    # weigh each distinct (λ, χ) label once, then gather per candidate.
+    cand_label = graph.cand_label
+    label_lambda = graph.label_lambda
+    label_chi = graph.label_chi
+
+    def per_candidate(part) -> List[Number]:
+        by_label = list(map(part, label_lambda, label_chi))
+        return list(map(by_label.__getitem__, cand_label))
+
+    weights = per_candidate(taf.mask_vertex_weight)
 
     # The separable path is gated on the *string* parts (the authoritative
     # definition of the TAF).
@@ -184,13 +204,11 @@ def evaluate_candidates_graph(
     if separable:
         parent_part = taf.mask_edge_parent_part
         child_part = taf.mask_edge_child_part
-        parent_parts = list(map(parent_part, cand_lambda, cand_chi))
+        parent_parts = per_candidate(parent_part)
         # A single shared part function (e.g. cost_H(Q)'s |E(p)|) is
-        # evaluated once per candidate, not twice.
+        # evaluated once per label, not twice.
         child_parts = (
-            parent_parts
-            if child_part is parent_part
-            else list(map(child_part, cand_lambda, cand_chi))
+            parent_parts if child_part is parent_part else per_candidate(child_part)
         )
     else:
         edge_weight = taf.mask_edge_weight

@@ -14,7 +14,10 @@ minimisation.  Because it is an independent traversal order from the
 bottom-up evaluation in :mod:`repro.decomposition.minimal`, the two are used
 to cross-check each other in the test suite.  Like the bottom-up phase, the
 recursion runs on the candidates graph's dense integer ids and the TAF's
-mask forms, with the per-candidate memo an id-indexed list.
+mask forms, with the per-candidate memo an id-indexed list.  Unlike it, the
+recursion asks the TAF once per candidate it visits and never reads the
+graph's interned labels, so the bottom-up phase's weigh-once-per-label
+gather has a check that does not share it.
 """
 
 from __future__ import annotations

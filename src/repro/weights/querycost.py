@@ -13,13 +13,25 @@ i.e. only from relation cardinalities and attribute selectivities -- never
 from the data itself -- exactly like a DBMS optimiser.  ``cost_H(Q)`` is
 *not* smooth in the paper's sense (its arithmetic is not logspace), and the
 flag on the returned TAF records that.
+
+The TAF has two forms of ``v*`` and ``|E(p)|``.  The name forms
+(``vertex_weight``, ``node_estimate``; ``weigh`` uses them) are the
+authoritative definition: the cost model speaks in atom and variable names.
+The mask forms the decomposition algorithms call are native: they take a
+node's λ edge mask and χ vertex mask, get each λ's χ-independent terms once
+from the estimator (:meth:`CardinalityEstimator.lambda_terms`, which the
+name forms go through too) and compute a χ's projection cap from bits,
+without translating χ to names.  The two forms are equal float for float,
+which ``tests/test_search_plane_vectorized.py`` pins by Hypothesis against a
+name-only twin.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.db.costmodel import CardinalityEstimator
+from repro.core.bitset import iter_bits
+from repro.db.costmodel import CardinalityEstimator, capped_size
 from repro.db.statistics import CatalogStatistics
 from repro.decomposition.hypertree import DecompositionNode
 from repro.query.conjunctive import ConjunctiveQuery
@@ -45,10 +57,10 @@ class QueryCostTAF(TreeAggregationFunction):
         self.query = query
         self.statistics = statistics
         self.estimator = estimator or CardinalityEstimator(query, statistics)
-        # Per-(λ, χ) memos: the candidates graph evaluates the TAF once per
-        # candidate, and many candidates share their labels.  Keys are the
-        # label frozensets themselves (interned by the bitset core, with
-        # cached hashes), so a hit costs two dict lookups and no sorting.
+        # Per-(λ, χ) memos of the name forms (``weigh``, ``node_estimate``,
+        # the generic lift).  Keys are the label frozensets themselves
+        # (interned by the bitset core, with cached hashes), so a hit costs
+        # two dict lookups and no sorting.
         self._cost_for_labels = _memoised(
             self.estimator.node_expression_cost, sorted, sorted
         )
@@ -56,7 +68,7 @@ class QueryCostTAF(TreeAggregationFunction):
             self.estimator.projection_cardinality, sorted, sorted
         )
         # Bind once so both parts are the *same* object and the evaluation
-        # phase computes each candidate's |E(p)| estimate a single time.
+        # phase computes each label's |E(p)| estimate a single time.
         estimate_part = self.node_estimate
         super().__init__(
             semiring=SUM_MIN,
@@ -91,18 +103,47 @@ class QueryCostTAF(TreeAggregationFunction):
 
     # ------------------------------------------------------------------
     def _native_mask_forms(self, bitset):
-        """Native mask forms (the planner's evaluation fold is dominated by
-        these calls, so they skip the generic node lift): a mask-keyed memo
-        over the label-keyed one -- each distinct mask pair is translated
-        once, each distinct label pair estimated once, and the label memos
-        survive rebinding to another bitset.  ``e*(p, p') = |E(p)| +
-        |E(p')|`` stays separable through one shared part function."""
-        cost = _memoised(
-            self._cost_for_labels, bitset.edge_names, bitset.vertex_names
-        )
-        estimate = _memoised(
-            self._estimate_for_labels, bitset.edge_names, bitset.vertex_names
-        )
+        """``v*`` and ``|E(p)|`` computed from masks (the planner's
+        evaluation fold is dominated by these calls, so they skip the
+        generic node lift and never translate χ to names).
+
+        Per λ mask the estimator's :meth:`~CardinalityEstimator.lambda_terms`
+        gives the base cost, the join size and the domain sizes, re-keyed by
+        vertex bit; per (λ, χ) the cap is the product of the domain sizes
+        over χ's bits in ascending order, which is sorted-name order (the
+        bitset interns vertices sorted), so every float equals the name
+        form's.  ``e*(p, p') = |E(p)| + |E(p')|`` stays separable through
+        one shared part function."""
+        lambda_terms = self.estimator.lambda_terms
+        edge_names = bitset.edge_names
+        vertex_bit = bitset.vertices.bit
+        terms_by_lambda: dict = {}
+        estimates: dict = {}
+
+        def terms_of(lambda_mask: int):
+            terms = terms_by_lambda.get(lambda_mask)
+            if terms is None:
+                base, join_size, domains = lambda_terms(sorted(edge_names(lambda_mask)))
+                terms = terms_by_lambda[lambda_mask] = (
+                    base,
+                    join_size,
+                    {vertex_bit(v): size for v, size in domains.items()},
+                )
+            return terms
+
+        def estimate(lambda_mask: int, chi_mask: int) -> float:
+            key = (lambda_mask, chi_mask)
+            found = estimates.get(key)
+            if found is None:
+                _, join_size, domain_of = terms_of(lambda_mask)
+                found = estimates[key] = capped_size(
+                    join_size, [domain_of.get(bit, 1.0) for bit in iter_bits(chi_mask)]
+                )
+            return found
+
+        def cost(lambda_mask: int, chi_mask: int) -> float:
+            return terms_of(lambda_mask)[0] + estimate(lambda_mask, chi_mask)
+
         return cost, None, estimate, estimate
 
 

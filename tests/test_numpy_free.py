@@ -49,6 +49,7 @@ def probe() -> dict:
         "numpy": "numpy" in sys.modules and sys.modules["numpy"] is not None,
         "engine": graph.vectorized,
         "graph": hashlib.sha256(repr(snapshot).encode()).hexdigest(),
+        "labels": graph.size_report()["labels"],
         "width_minimum": evaluate_candidates_graph(graph, taf).minimum_weight(),
         "width_decomposition": decomposition_to_payload(narrowest),
         "plan_cost": plan.estimated_cost,
