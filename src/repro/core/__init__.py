@@ -18,7 +18,7 @@ names; masks never leak out of the algorithms, and translation happens
 exactly once per distinct mask (the translated frozensets are interned too).
 """
 
-from repro.core.bitset import bit_count, bit_indices, iter_bits, mask_of_bits
+from repro.core.bitset import bit_count, iter_bits
 from repro.core.bitset_hypergraph import BitsetHypergraph
 from repro.core.maskmatrix import MaskMatrix
 from repro.core.vocabulary import Vocabulary
@@ -28,7 +28,5 @@ __all__ = [
     "MaskMatrix",
     "Vocabulary",
     "bit_count",
-    "bit_indices",
     "iter_bits",
-    "mask_of_bits",
 ]

@@ -9,7 +9,7 @@ machine-word instruction.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def bit_count(mask: int) -> int:
@@ -23,19 +23,3 @@ def iter_bits(mask: int) -> Iterator[int]:
         bit = mask & -mask
         yield bit
         mask ^= bit
-
-
-def bit_indices(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask ^= bit
-
-
-def mask_of_bits(indices: Iterable[int]) -> int:
-    """The mask with exactly the given bit indices set."""
-    mask = 0
-    for index in indices:
-        mask |= 1 << index
-    return mask

@@ -467,10 +467,10 @@ class ServingDaemon:
             "drain_timeout_seconds", drain_timeout_seconds, zero=True,
             error=DaemonError,
         )
-        check_pool_options(pool_options, error=DaemonError)
+        check_pool_options(dict(pool_options, workers=workers), error=DaemonError)
         self.store_path = Path(store_path)
         self.address = parse_address(address) if isinstance(address, str) else address
-        self.workers = int(workers)
+        self.workers = workers
         self.queries = list(queries)
         self.k_values = tuple(int(k) for k in k_values)
         self.answer = answer

@@ -28,7 +28,6 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     ColumnarRelation = None  # type: ignore[assignment]
 from repro.db.dictionary import Dictionary
 from repro.db.relation import Relation
-from repro.db.scheduler import number_from_env
 from repro.db.statistics import CatalogStatistics, analyze_relation
 from repro.exceptions import DatabaseError
 from repro.query.atoms import Atom, is_variable
@@ -38,15 +37,9 @@ from repro.query.conjunctive import ConjunctiveQuery, is_fresh_variable
 class Database:
     """A named collection of relations plus a statistics catalog.
 
-    ``threads`` and ``memory_budget_bytes`` are the execution-plane knobs
-    every plan run against this database inherits (overridable per
-    ``execute_plan`` call): the number of worker threads for the per-subtree
-    Yannakakis task DAG, and the size of the columnar join's emit chunks.
-    When not given they default to the ``REPRO_DB_THREADS`` and
-    ``REPRO_DB_MEMORY_BUDGET_BYTES`` environment variables (1 / the 64 MiB
-    default; a malformed value raises :class:`DatabaseError`), so whole
-    suites can be switched onto the parallel, memory-bounded plane without
-    touching call sites.
+    A database holds data only: the execution options (``threads``,
+    ``memory_budget_bytes``, ``trace``) are arguments of each
+    :func:`~repro.db.executor.execute_plan` call.
     """
 
     def __init__(
@@ -56,21 +49,9 @@ class Database:
         name: str = "db",
         columnar: bool = True,
         dictionary: Optional[Dictionary] = None,
-        threads: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> None:
         self.name = name
         self.columnar = columnar
-        self.threads = (
-            number_from_env("REPRO_DB_THREADS", default=1)
-            if threads is None
-            else max(1, int(threads))
-        )
-        if memory_budget_bytes is None:
-            memory_budget_bytes = number_from_env("REPRO_DB_MEMORY_BUDGET_BYTES")
-        elif memory_budget_bytes <= 0:
-            memory_budget_bytes = None
-        self.memory_budget_bytes = memory_budget_bytes
         #: Directory this database was opened from (set by the storage
         #: plane).  The serving pool's worker processes re-open -- and
         #: content-digest -- the store through this path; ``None`` for
@@ -121,13 +102,7 @@ class Database:
         return self
 
     @classmethod
-    def open(
-        cls,
-        path,
-        columnar: bool = True,
-        threads: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
-    ) -> "Database":
+    def open(cls, path, columnar: bool = True) -> "Database":
         """Open a stored database.  Under the columnar engine every column
         is ``np.memmap``'d read-only straight into the relations -- no
         interning, no row materialisation; without numpy (or with
@@ -135,12 +110,7 @@ class Database:
         Statistics come back verbatim from the catalog."""
         from repro.db.storage import open_database
 
-        return open_database(
-            path,
-            columnar=columnar,
-            threads=threads,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        return open_database(path, columnar=columnar)
 
     # ------------------------------------------------------------------
     def analyze(self) -> CatalogStatistics:

@@ -216,12 +216,5 @@ class Dictionary:
 
         return cls(values())
 
-    @property
-    def key_width(self) -> int:
-        """Bits needed to represent any current id (an upper bound for key
-        packing; the kernels derive tighter widths from the ids actually
-        present in their columns)."""
-        return max(len(self._values), 1).bit_length()
-
     def __repr__(self) -> str:
         return f"Dictionary({len(self._values)} values)"

@@ -22,18 +22,19 @@ There is one execution path: every plan lowers to a task DAG
 :class:`~repro.db.scheduler.TaskScheduler` runs -- inline and in list order
 at ``threads=1`` (the textbook serial algorithm), on a thread pool above
 (independent sibling subtrees overlap and the big numpy kernels release the
-GIL).  Two knobs, each defaulting per call to the database's value, which
-defaults to an environment variable:
+GIL).  The execution options are arguments of :func:`execute_plan` only
+(and keys of the serving wire payload, which passes them on):
 
-* ``threads`` (``REPRO_DB_THREADS``, default 1) -- the scheduler's width.
-  Answers, row order and ``OperatorStats`` are scheduling-independent;
-  ``threads=1`` is the reference configuration the equivalence suite
-  compares against, and the row engine (``columnar=False``) is the
-  independent oracle of the whole plane.
-* ``memory_budget_bytes`` (``REPRO_DB_MEMORY_BUDGET_BYTES``, default
-  64 MiB emit chunks) -- sizes the columnar join's emit chunks, which caps
-  its output-sized transient index arrays (see :mod:`repro.db.columnar`);
-  results, emit counts and the evaluation-budget stop are unchanged.
+* ``threads`` (``None`` = 1) -- the scheduler's width.  Answers, row order
+  and ``OperatorStats`` are scheduling-independent; ``threads=1`` is the
+  reference configuration the equivalence suite compares against, and the
+  row engine (``columnar=False``) is the independent oracle of the whole
+  plane.
+* ``memory_budget_bytes`` (``None`` = 64 MiB emit chunks) -- sizes the
+  columnar join's emit chunks, which caps its output-sized transient index
+  arrays (see :mod:`repro.db.columnar`); results, emit counts and the
+  evaluation-budget stop are unchanged.
+* ``trace`` (``None`` = off) -- a span recorder, a write-only sidecar.
 
 Both limits of one execution -- the work ``budget`` and
 ``memory_budget_bytes`` -- ride on the execution's one
@@ -68,7 +69,7 @@ from repro.db.plan_ir import (
 from repro.db.relation import Relation
 from repro.db.scheduler import TaskScheduler
 from repro.db.yannakakis import TreeQuery, fold_plan, fold_steps, reduction_steps
-from repro.obs.trace import TraceRecorder, obs_enabled, span_context
+from repro.obs.trace import span_context
 from repro.decomposition.hypertree import HypertreeDecomposition
 from repro.exceptions import DatabaseError
 from repro.query.conjunctive import ConjunctiveQuery
@@ -178,9 +179,9 @@ def execute_plan(
     :class:`repro.db.algebra.EvaluationBudgetExceeded` -- with ``threads >
     1`` the raise happens in whichever task crosses the budget first, but
     *whether* it happens is scheduling-independent (counters only grow).
-    ``threads``/``memory_budget_bytes`` default to the database's knobs;
-    see the module docstring.  Both limits are set once, on the
-    execution's :class:`OperatorStats`, which is how the kernels see them.
+    ``threads``/``memory_budget_bytes``: see the module docstring.  Both
+    limits are set once, on the execution's :class:`OperatorStats`, which
+    is how the kernels see them.
 
     ``trace`` (a :class:`repro.obs.trace.TraceRecorder`) records one span
     per plan node (``scan:``/``join``/``project:``, category ``plan``) and
@@ -189,17 +190,10 @@ def execute_plan(
     thread count -- tagged ``trace_id``, with morsel counts and emit sizes
     in the span attrs.  Tracing is a write-only sidecar: answers, row
     order and every ``OperatorStats`` counter are byte-identical with it on
-    or off (``REPRO_OBS=1`` forces a throwaway recorder to pin this in
-    whole-suite runs).
+    or off.
     """
-    if threads is None:
-        threads = database.threads
-    if memory_budget_bytes is None:
-        memory_budget_bytes = database.memory_budget_bytes
-    scheduler = TaskScheduler(threads)
+    scheduler = TaskScheduler(threads or 1)
     inline = TaskScheduler(1)
-    if trace is None and obs_enabled():
-        trace = TraceRecorder()
 
     stats = OperatorStats(budget=budget, memory_budget_bytes=memory_budget_bytes)
     atoms = {atom.name: atom for atom in plan.query.atoms}

@@ -88,15 +88,28 @@ def check_integer(what: str, value, minimum: int, *, error=DatabaseError) -> Non
 
 
 def check_pool_options(options: Mapping, *, error=DatabaseError) -> None:
-    """Refuse the pool defaults that stand in for a payload's knobs by the
-    wire's rules: a deadline positive and finite, a memory budget at least
-    one byte (a 0 would be charged nothing at admission)."""
+    """Refuse the pool's options by the wire's rules: a deadline positive
+    and finite, a backoff finite and ``>= 0``, a memory budget at least one
+    byte (a 0 would be charged nothing at admission), at least one worker,
+    pending slot and attempt, and a restart budget ``>= 0``.  Nothing is
+    clamped: a value these rules refuse never starts a worker."""
     check_seconds(
         "default_deadline_seconds", options.get("default_deadline_seconds"),
         error=error,
     )
-    for name in ("global_memory_budget_bytes", "default_memory_budget_bytes"):
-        check_integer(name, options.get(name), 1, error=error)
+    check_seconds(
+        "retry_backoff_seconds", options.get("retry_backoff_seconds"),
+        zero=True, error=error,
+    )
+    for name, minimum in (
+        ("workers", 1),
+        ("max_pending", 1),
+        ("max_worker_restarts", 0),
+        ("default_max_attempts", 1),
+        ("global_memory_budget_bytes", 1),
+        ("default_memory_budget_bytes", 1),
+    ):
+        check_integer(name, options.get(name), minimum, error=error)
 
 
 class Request:
@@ -171,20 +184,23 @@ class RequestLifecycle:
         span=None,
     ) -> None:
         check_pool_options({
+            "workers": workers,
+            "max_pending": max_pending,
+            "max_worker_restarts": max_worker_restarts,
+            "default_max_attempts": default_max_attempts,
             "default_deadline_seconds": default_deadline_seconds,
+            "retry_backoff_seconds": retry_backoff_seconds,
             "global_memory_budget_bytes": global_memory_budget_bytes,
             "default_memory_budget_bytes": default_memory_budget_bytes,
         })
-        self.workers = max(1, int(workers))
+        self.workers = workers
         self.global_memory_budget_bytes = global_memory_budget_bytes
         self.default_memory_budget_bytes = default_memory_budget_bytes
-        self.max_pending = (
-            4 * self.workers if max_pending is None else max(1, int(max_pending))
-        )
-        self.max_worker_restarts = max(0, int(max_worker_restarts))
-        self.default_max_attempts = max(1, int(default_max_attempts))
+        self.max_pending = 4 * workers if max_pending is None else max_pending
+        self.max_worker_restarts = max_worker_restarts
+        self.default_max_attempts = default_max_attempts
         self.default_deadline_seconds = default_deadline_seconds
-        self.retry_backoff_seconds = max(0.0, float(retry_backoff_seconds))
+        self.retry_backoff_seconds = retry_backoff_seconds
         self.metrics = metrics
         self._span = span
         self.slots: Dict[int, _Slot] = {w: _Slot() for w in range(self.workers)}

@@ -35,34 +35,11 @@ dispatched, and the first detected failure is raised.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Callable, Hashable, Sequence, Tuple
 
-from repro.exceptions import DatabaseError
-
 #: ``(key, dependency keys, callable)``; the callable's result is ignored.
 Task = Tuple[Hashable, Tuple[Hashable, ...], Callable[[], object]]
-
-
-def number_from_env(name: str, default=None):
-    """A non-negative integer environment knob.  Empty, unset or ``0`` mean
-    ``default`` (the knob is off); malformed or negative values raise
-    :class:`~repro.exceptions.DatabaseError` rather than being silently
-    swallowed -- a mistyped thread count that quietly runs serial is
-    exactly the failure mode a knob must not have.  Every numeric
-    ``REPRO_*`` knob (``REPRO_DB_THREADS``,
-    ``REPRO_DB_MEMORY_BUDGET_BYTES``) is read through here."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DatabaseError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise DatabaseError(f"{name} must be non-negative, got {raw!r}")
-    return value if value > 0 else default
 
 
 class TaskScheduler:

@@ -80,6 +80,7 @@ import json
 import logging
 import os
 import queue
+import signal
 import time
 from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
@@ -456,7 +457,12 @@ def _worker_main(worker_id, store_path, request_queue, response_queue, fault_pay
     The hello report carries ``startup_seconds`` (process entry to ready)
     so slow spawn-method cold starts are visible at the pool; each result
     message carries the attempt's wall-clock seconds for the pool's
-    ``worker_execute_seconds`` histogram."""
+    ``worker_execute_seconds`` histogram.
+
+    SIGINT is ignored: a terminal Ctrl-C signals the whole process group,
+    and a worker's lifetime belongs to the pool's ``stop`` message -- the
+    supervisor drains and stops its workers itself."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     started = time.monotonic()
     try:
         database = Database.open(store_path)

@@ -740,12 +740,7 @@ def store_digest(path) -> str:
     return load_catalog(path).digest
 
 
-def open_database(
-    path,
-    columnar: bool = True,
-    threads: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-) -> Database:
+def open_database(path, columnar: bool = True) -> Database:
     """Open a stored database.
 
     With numpy present and ``columnar=True`` (the default) every column file
@@ -753,8 +748,6 @@ def open_database(
     interned and no row materialised, which is what makes warm opens orders
     of magnitude cheaper than regeneration.  ``columnar=False`` (or a
     missing numpy) decodes the same files through the row engine instead.
-    ``threads`` / ``memory_budget_bytes`` are the usual execution-plane
-    knobs of :class:`Database`.
     """
     catalog = load_catalog(path)
     root = catalog.root
@@ -765,8 +758,6 @@ def open_database(
         name=catalog.name,
         columnar=use_columnar,
         dictionary=dictionary if use_columnar else None,
-        threads=threads,
-        memory_budget_bytes=memory_budget_bytes,
     )
     for stored in catalog.relations:
         name, base_length = stored.name, stored.base_length

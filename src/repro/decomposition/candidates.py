@@ -741,10 +741,6 @@ class CandidatesGraph:
     # ------------------------------------------------------------------
     # Accessors used by tests and by presentation code
     # ------------------------------------------------------------------
-    @property
-    def num_k_vertices(self) -> int:
-        return len(self._kv_masks)
-
     def all_k_vertices(self) -> Tuple[KVertex, ...]:
         edge_names = self.bitset.edge_names
         return tuple(edge_names(mask) for mask in self._kv_masks)

@@ -19,9 +19,8 @@ cross-check of :func:`repro.decomposition.kdecomp.has_width_at_most`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.decomposition.candidates import k_vertices
 from repro.decomposition.hypertree import HypertreeDecomposition, NodeId
@@ -29,19 +28,6 @@ from repro.decomposition.normal_form import treecomp
 from repro.exceptions import DecompositionError
 from repro.hypergraph.components import components, sub_components
 from repro.hypergraph.hypergraph import EdgeName, Hypergraph, Vertex
-
-
-@dataclass(frozen=True)
-class MarshalMove:
-    """One step of a marshal strategy: the marshals occupy ``edges`` while the
-    robber is confined to ``escape_space``."""
-
-    edges: FrozenSet[EdgeName]
-    escape_space: FrozenSet[Vertex]
-
-    @property
-    def blocked(self) -> FrozenSet[Vertex]:
-        return frozenset()  # populated by the strategy extractor (needs H)
 
 
 def extract_strategy(

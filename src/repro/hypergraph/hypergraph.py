@@ -99,11 +99,6 @@ class Hypergraph:
         """Edge names in a deterministic (sorted) order."""
         return tuple(sorted(self._edges))
 
-    @property
-    def edge_map(self) -> Mapping[EdgeName, FrozenSet[Vertex]]:
-        """Read-only view of the name -> vertex-set mapping."""
-        return dict(self._edges)
-
     def edge_vertices(self, name: EdgeName) -> FrozenSet[Vertex]:
         """Return ``var(h)`` for the edge named ``name``."""
         try:

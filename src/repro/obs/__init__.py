@@ -37,8 +37,9 @@ the answer path ever reads.  Timestamps come from ``time.monotonic()``
 and never feed back into scheduling, admission or kernel decisions, so
 answers, row order and all pre-existing ``OperatorStats`` counters are
 byte-identical with tracing on or off -- pinned by ``tests/test_obs.py``
-across thread counts, memory budgets and a multi-worker pool, and by a
-CI leg that runs the whole tier-1 suite under ``REPRO_OBS=1``.
+across thread counts, memory budgets and a multi-worker pool, and by the
+knob matrix in ``tests/test_parallel_chunked.py``, which draws a recorder
+beside ``threads`` and the memory budget.
 
 Viewing a trace in Perfetto
 ---------------------------
@@ -80,14 +81,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     NULL_SPAN,
-    OBS_ENV,
     Span,
     TraceRecorder,
     activated,
     active_recorder,
     current_span,
     note,
-    obs_enabled,
     span_context,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "NullMetricsRegistry",
-    "OBS_ENV",
     "Span",
     "TraceRecorder",
     "activated",
@@ -107,7 +105,6 @@ __all__ = [
     "chrome_trace_events",
     "current_span",
     "note",
-    "obs_enabled",
     "resolve_registry",
     "span_context",
     "validate_chrome_trace",

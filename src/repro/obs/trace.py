@@ -13,9 +13,10 @@ The design constraint is the standing invariant of every fast path in this
 repo: **observability is a write-only sidecar**.  Spans never influence
 control flow, never touch :class:`~repro.db.algebra.OperatorStats`, and a
 disabled recorder costs one ``None`` check per instrumented site
-(:func:`span_context` returns a shared null context).  ``REPRO_OBS=1``
-forces a throwaway recorder through the full span path everywhere, which is
-how CI pins the zero-perturbation guarantee.
+(:func:`span_context` returns a shared null context).  Tracing is on
+exactly where a caller passes a recorder; the tier-1 knob matrix
+(``tests/test_parallel_chunked.py``) pins the zero-perturbation guarantee
+by drawing ``trace`` beside ``threads`` and the memory budget.
 
 Allocation discipline: a span is one ``__slots__`` object plus its attrs
 dict; morsel-level detail goes through :func:`note`, which bumps a counter
@@ -30,21 +31,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager, nullcontext
-from typing import Dict, Iterable, List, Mapping, Optional
-
-#: Force-enable switch: with ``REPRO_OBS=1`` every ``execute_plan`` call
-#: records into a throwaway recorder even when the caller passed none, so
-#: whole test-suite runs exercise the recording path (CI's zero-
-#: perturbation matrix leg).
-OBS_ENV = "REPRO_OBS"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def obs_enabled() -> bool:
-    """Whether ``REPRO_OBS`` force-enables span recording."""
-    return os.environ.get(OBS_ENV, "").strip().lower() in _TRUTHY
-
+from typing import Dict, List, Mapping, Optional
 
 class Span:
     """One timed region.  ``start``/``end`` are ``time.monotonic()``
@@ -272,7 +259,6 @@ def activated(recorder: TraceRecorder):
 
 
 __all__ = [
-    "OBS_ENV",
     "NULL_SPAN",
     "Span",
     "TraceRecorder",
@@ -280,6 +266,5 @@ __all__ = [
     "active_recorder",
     "current_span",
     "note",
-    "obs_enabled",
     "span_context",
 ]

@@ -196,9 +196,9 @@ def compare_planners(
     roughly tens of seconds of pure-Python evaluation); a plan that exceeds
     it is reported with ``budget_exceeded=True`` and its work-so-far as a
     lower bound, mirroring a query timeout in a real system.  Every plan
-    executes under the database's ``threads``/``memory_budget_bytes``
-    knobs; work counters and answers are identical at any setting, so the
-    comparison stays fair.  ``plan_cache`` makes the whole sweep
+    executes under ``execute_plan``'s defaults (one thread, 64 MiB emit
+    chunks); work counters and answers are identical at any setting, so
+    the comparison stays fair.  ``plan_cache`` makes the whole sweep
     persistent: with unchanged statistics a repeated comparison replays
     every winning plan with zero planning time.
     """

@@ -288,6 +288,11 @@ _BAD_DAEMON_KNOBS = {
     "drain_timeout_seconds": (-1, float("nan"), float("inf")),
     "default_memory_budget_bytes": (0, -400),
     "global_memory_budget_bytes": (0, -1),
+    "workers": (0, -1),
+    "max_pending": (0,),
+    "max_worker_restarts": (-1,),
+    "default_max_attempts": (0,),
+    "retry_backoff_seconds": (-1, float("nan"), float("inf")),
 }
 
 #: The same settings as ``repro db daemon`` flags.
@@ -296,6 +301,7 @@ _BAD_CLI_KNOBS = [
     ("--io-timeout", "inf"), ("--drain-timeout", "inf"),
     ("--drain-timeout", "-1"), ("--memory-budget-bytes", "0"),
     ("--global-memory-budget-bytes", "-1"),
+    ("--workers", "0"), ("--max-attempts", "0"), ("--max-worker-restarts", "-3"),
 ]
 
 

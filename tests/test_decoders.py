@@ -73,6 +73,7 @@ from repro.db.serving import (
 from repro.db.storage import (
     PlanCache,
     cached_database,
+    load_catalog,
     open_database,
     storage_info,
     store_digest,
@@ -600,6 +601,80 @@ class TestStoreDocumentMutations:
 
 
 @pytest.fixture(scope="module")
+def column_store(tmp_path_factory):
+    """A saved store of :func:`_store_database` and the names of its column
+    and selection files."""
+    store = tmp_path_factory.mktemp("columns") / "store"
+    _store_database().save(store)
+    files = sorted(
+        column.file
+        for stored in load_catalog(store).relations
+        for column in stored.files
+    )
+    return store, files
+
+
+#: One query over every stored relation, ``rf``'s selection vector included.
+_COLUMN_QUERY = build_query(
+    [("r", ["A", "B"]), ("s", ["B"]), ("rf", ["A", "B"])],
+    output_variables=["A", "B"],
+    name="columns",
+)
+
+
+@st.composite
+def mutated_bytes(draw, original: bytes):
+    """``original`` with one bit flipped, cut short, or extended."""
+    kind = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if kind == "flip":
+        index = draw(st.integers(0, len(original) - 1))
+        flipped = bytearray(original)
+        flipped[index] ^= 1 << draw(st.integers(0, 7))
+        return bytes(flipped)
+    if kind == "truncate":
+        return original[: draw(st.integers(0, len(original) - 1))]
+    return original + draw(st.binary(min_size=1, max_size=16))
+
+
+class TestColumnFileMutations:
+    """Column and selection files as raw bytes: flipped, truncated or
+    extended.  The store opens or is refused with ``StorageFormatError``;
+    a plan run on what opened raises nothing but a ``ReproError``; and a
+    deep verify names the file whose bytes changed."""
+
+    @settings(max_examples=120, **FUZZ)
+    @given(data=st.data())
+    def test_mutated_column_file(self, column_store, data):
+        pristine, files = column_store
+        victim = data.draw(st.sampled_from(files))
+        original = (pristine / victim).read_bytes()
+        mutated_file = data.draw(mutated_bytes(original))
+        scratch = Path(tempfile.mkdtemp())
+        try:
+            store = scratch / "store"
+            shutil.copytree(pristine, store)
+            (store / victim).write_bytes(mutated_file)
+            payload = _wire(
+                _COLUMN_QUERY, {"kind": "join_order", "order": ["r", "s", "rf"]}
+            )
+            for columnar in (True, False):
+                try:
+                    database = open_database(store, columnar=columnar)
+                except StorageFormatError:
+                    continue
+                try:
+                    execute_payload(payload, database)
+                except ReproError:
+                    pass
+            report = verify_store(store, deep=True)
+            assert mutated_file != original
+            assert not report["ok"]
+            assert victim in {problem["file"] for problem in report["problems"]}
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
+@pytest.fixture(scope="module")
 def planned():
     """A query, its database, a structural wire payload and a warm plan
     cache (as entry documents by file name)."""
@@ -711,7 +786,7 @@ class TestPlanDocumentMutations:
         response, oracle = strip_provenance(response), _knob_oracle(payload, database)
         if (
             response["status"] == "budget_exceeded"
-            and payload.get("threads", database.threads) > 1
+            and (payload.get("threads") or 1) > 1
         ):
             # Whether a run exceeds its budget is scheduling-independent;
             # the work counted when it raised is not.

@@ -9,8 +9,8 @@ only the tracing toggle moves (budgeted runs legitimately differ from
 unbudgeted ones in ``peak_transient_elements``, which is a knob effect,
 not a tracing effect).
 
-Alongside: unit coverage of the recorder/metrics/export primitives, the
-``REPRO_OBS=1`` force-enable leg, and an end-to-end daemon session whose
+Alongside: unit coverage of the recorder/metrics/export primitives and an
+end-to-end daemon session whose
 ``--trace-out`` export must parse as valid Chrome trace-event JSON with
 admission / queue / attempt / kernel spans for every request.
 """
@@ -56,7 +56,6 @@ from repro.obs.trace import (
     active_recorder,
     current_span,
     note,
-    obs_enabled,
     span_context,
 )
 from repro.query.conjunctive import build_query
@@ -448,18 +447,6 @@ class TestExecutorByteIdentity:
                     merged[key] = merged.get(key, 0) + value
         assert merged.get("emit_morsels", 0) > 0
         assert merged.get("emitted", 0) > 0
-
-    def test_repro_obs_env_does_not_perturb(
-        self, database, hypertree_plan, monkeypatch
-    ):
-        knobs = dict(budget=5_000_000, threads=2, memory_budget_bytes=4_096)
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert not obs_enabled()
-        baseline = hypertree_plan.to_ir().execute(database, **knobs)
-        monkeypatch.setenv("REPRO_OBS", "1")
-        assert obs_enabled()
-        forced = hypertree_plan.to_ir().execute(database, **knobs)
-        _identical(forced, baseline)
 
     def test_planner_records_into_ambient_recorder(self, database):
         from repro.planner.cost_k_decomp import cost_k_decomp

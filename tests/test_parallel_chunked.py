@@ -9,18 +9,21 @@ Two invariants, each pinned against its reference:
   evaluation-budget stop behaviour as the unbudgeted run (one emit chunk
   at these sizes under the 64 MiB default);
 * **``execute_plan`` across configurations** -- any ``threads``/
-  ``memory_budget_bytes`` combination must return byte-identical answers
-  and counters as the ``threads=1`` unbounded run and as the row engine
-  (``columnar=False``, the independent oracle), and must raise
+  ``memory_budget_bytes``/``trace`` combination must return byte-identical
+  answers and counters as the ``threads=1`` unbounded run and as the row
+  engine (``columnar=False``, the independent oracle), and must raise
   :class:`EvaluationBudgetExceeded` exactly when that run does
   (``work_so_far`` at raise time is the only scheduling-dependent value,
   and is deterministic at ``threads=1``).
 
 Hypothesis drives randomised relations and trees through the
-configurations side by side; deterministic cases cover the budget-stop
-edges (budget hit exactly at an emit-chunk boundary, mid-chunk, on the
-first chunk, and with an all-matching key column) and the degenerate fast
-paths.
+configurations side by side.  ``test_every_configuration_matches_the_row_engine``
+is the knob matrix: it draws every execution option together with a query
+shape (a constant, a repeated variable, ``"fresh"`` completion, a Boolean
+query, an empty relation), so the suite runs once rather than once per
+setting.  Deterministic cases cover the budget-stop edges (budget hit
+exactly at an emit-chunk boundary, mid-chunk, on the first chunk, and with
+an all-matching key column) and the degenerate fast paths.
 """
 
 import random
@@ -40,14 +43,13 @@ from repro.db.algebra import (
     semijoin,
 )
 from repro.db.columnar import ColumnarRelation
-from repro.db.database import Database
 from repro.db.dictionary import Dictionary
 from repro.db.executor import build_tree_query, execute_plan
 from repro.db.plan_ir import hypertree_plan_ir
 from repro.db.relation import Relation
 from repro.db.scheduler import TaskScheduler
 from repro.db.yannakakis import evaluate
-from repro.exceptions import DatabaseError
+from repro.obs.trace import TraceRecorder
 from repro.query.conjunctive import build_query
 from repro.workloads.synthetic import workload_database
 
@@ -315,6 +317,45 @@ def _output_query(num_atoms=5):
     return build_query(body, output_variables=["X0", "X2"], name="cycle_out")
 
 
+def _answer(result):
+    """A result's verdict and rows, row order included (a Boolean query
+    has no relation)."""
+    relation = result.relation
+    rows = None if relation is None else (relation.attributes, relation.rows)
+    return result.boolean, rows
+
+
+def _cycle_shape(first, second, output_variables, name):
+    """The 5-cycle over ``r0`` .. ``r4`` with the terms of its first two
+    atoms replaced: every shape runs against the 5-cycle's database."""
+    body = [("r0", first), ("r1", second)] + [
+        (f"r{i}", [f"X{i}", f"X{(i + 1) % 5}"]) for i in range(2, 5)
+    ]
+    return build_query(body, output_variables=output_variables, name=name)
+
+
+#: The knob matrix's query shapes: ``name -> (query, completion, emptied
+#: relations)``.  A constant selects and drops a column, a repeated
+#: variable selects on equal positions, ``"fresh"`` completion binds
+#: surrogate columns, a Boolean query folds to a verdict, and an empty
+#: relation empties every join above it.
+QUERY_SHAPES = {
+    "constant": (
+        _cycle_shape(["X0", "X1"], ["X1", "2"], ["X0", "X3"], "constant"),
+        "post", (),
+    ),
+    "repeated": (
+        _cycle_shape(["X0", "X0"], ["X0", "X2"], ["X0", "X3"], "repeated"),
+        "post", (),
+    ),
+    "fresh": (_output_query(), "fresh", ()),
+    "boolean": (
+        _cycle_shape(["X0", "X1"], ["X1", "X2"], [], "boolean"), "post", (),
+    ),
+    "empty": (_output_query(), "post", ("r2",)),
+}
+
+
 class TestParallelExecutionEquivalence:
     @pytest.mark.parametrize("threads", [2, 4])
     @pytest.mark.parametrize("memory_budget", [None, 2_048, 1 << 20])
@@ -405,39 +446,51 @@ class TestParallelExecutionEquivalence:
             assert parallel.stats.snapshot() == serial.stats.snapshot()
 
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
+        shape=st.sampled_from(sorted(QUERY_SHAPES)),
         structural=st.booleans(),
         threads=st.sampled_from([1, 2, 4]),
-        memory_budget=st.sampled_from([None, 2_048]),
+        memory_budget=st.sampled_from([None, 1, 2_048, 262_144]),
+        traced=st.booleans(),
     )
     def test_every_configuration_matches_the_row_engine(
-        self, seed, structural, threads, memory_budget
+        self, seed, shape, structural, threads, memory_budget, traced
     ):
+        """The knob matrix: every ``threads`` x ``memory_budget_bytes`` x
+        ``trace`` setting, on every query shape, returns the row engine's
+        answers in the row engine's order with its work counters."""
         from repro.planner.baseline import baseline_plan
         from repro.planner.cost_k_decomp import cost_k_decomp
 
-        query = _output_query()
+        query, completion, emptied = QUERY_SHAPES[shape]
         twins = [
             workload_database(
-                query, tuples_per_relation=40, domain_size=6, seed=seed,
-                columnar=columnar,
+                _output_query(), tuples_per_relation=40, domain_size=6,
+                seed=seed, columnar=columnar,
             )
             for columnar in (False, True)
         ]
+        for database in twins:
+            for predicate in emptied:
+                stored = database.relation(predicate)
+                database.add_relation(Relation(predicate, stored.attributes, []))
         row_db, column_db = twins
         if structural:
-            plan = cost_k_decomp(query, row_db.statistics, 2, completion="fresh")
+            plan = cost_k_decomp(query, row_db.statistics, 2, completion=completion)
         else:
             plan = baseline_plan(query, row_db.statistics)
         knobs = dict(budget=20_000_000, memory_budget_bytes=memory_budget)
         oracle = plan.to_ir().execute(row_db, threads=1, **knobs)
         reference = plan.to_ir().execute(column_db, threads=1, **knobs)
-        result = plan.to_ir().execute(column_db, threads=threads, **knobs)
-        assert result.relation.attributes == oracle.relation.attributes
-        assert result.relation.rows == oracle.relation.rows  # incl. row order
-        # Scheduling-independent down to the peak-memory diagnostic ...
+        trace = TraceRecorder() if traced else None
+        result = plan.to_ir().execute(column_db, threads=threads, trace=trace, **knobs)
+        assert _answer(result) == _answer(oracle)  # incl. row order
+        if traced:
+            assert trace.spans()
+        # Scheduling- and tracing-independent down to the peak-memory
+        # diagnostic ...
         assert result.stats_payload() == reference.stats_payload()
         # ... which is the one counter the row engine does not keep.
         work, oracle_work = result.stats_payload(), oracle.stats_payload()
@@ -521,32 +574,7 @@ class TestParallelExecutionEquivalence:
         assert planned.value.budget == direct.value.budget == budget
 
 
-class TestKnobsAndScheduler:
-    def test_database_reads_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DB_THREADS", "3")
-        monkeypatch.setenv("REPRO_DB_MEMORY_BUDGET_BYTES", "65536")
-        database = Database(relations={"r": Relation("r", ["a"], [(1,)])})
-        assert database.threads == 3
-        assert database.memory_budget_bytes == 65536
-        monkeypatch.setenv("REPRO_DB_MEMORY_BUDGET_BYTES", "0")
-        assert Database().memory_budget_bytes is None
-
-    def test_explicit_knobs_override_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DB_THREADS", "8")
-        database = Database(threads=2, memory_budget_bytes=1_000)
-        assert database.threads == 2
-        assert database.memory_budget_bytes == 1_000
-
-    @pytest.mark.parametrize(
-        "knob", ["REPRO_DB_THREADS", "REPRO_DB_MEMORY_BUDGET_BYTES"]
-    )
-    @pytest.mark.parametrize("raw", ["four", "2.5", "-1"])
-    def test_malformed_env_knobs_raise(self, monkeypatch, knob, raw):
-        # A mistyped knob must not silently run serial / unbounded.
-        monkeypatch.setenv(knob, raw)
-        with pytest.raises(DatabaseError, match=knob):
-            Database()
-
+class TestScheduler:
     def test_scheduler_respects_dependencies(self):
         order = []
         tasks = [

@@ -6,8 +6,8 @@ in-process against the same store -- answers, row order, cardinality and
 the full ``stats`` payload -- including under per-query memory budgets,
 evaluation-budget aborts and warm plan-cache replay (where every payload
 must report ``planning_seconds == 0.0``).  Hypothesis drives randomised
-plan payloads (join-order permutations, answer modes, knob combinations)
-through one long-lived pool; deterministic cases cover the admission
+plan payloads (join-order permutations, answer modes, memory budgets,
+thread counts, tracing) through one long-lived pool; deterministic cases cover the admission
 controller, the protocol edges (empty relation, zero answers, Boolean
 queries) and pool degradation once the worker-restart budget
 is spent (the fault-injection suite, ``test_serving_faults.py``, covers
@@ -27,6 +27,7 @@ import gc
 import itertools
 import json
 import math
+import multiprocessing
 import shutil
 import tempfile
 from pathlib import Path
@@ -46,6 +47,7 @@ from repro.db.executor import execute_plan
 from repro.db.plan_ir import plan_ir_from_payload
 from repro.db.relation import Relation
 from repro.db.serving import (
+    TRACE_KEY,
     AdmissionRejected,
     ServingError,
     ServingPool,
@@ -134,18 +136,24 @@ class TestPoolMatchesSerialOracle:
         order=st.permutations(ATOMS),
         answer=st.sampled_from(["rows", "digest"]),
         memory_budget=st.sampled_from([None, 2_048, 1 << 20]),
+        threads=st.sampled_from([None, 1, 2, 4]),
+        trace=st.sampled_from([None, True]),
     )
-    def test_join_order_payloads(self, pool, serial_db, order, answer, memory_budget):
-        payload = _roundtrip(
-            _payload(
-                plan={"kind": "join_order", "order": list(order)},
-                answer=answer,
-                memory_budget_bytes=memory_budget,
-            )
+    def test_join_order_payloads(
+        self, pool, serial_db, order, answer, memory_budget, threads, trace
+    ):
+        # The oracle runs the same plan serially and untraced: the pooled
+        # answer may not depend on the thread count or on tracing.
+        knobs = dict(
+            plan={"kind": "join_order", "order": list(order)},
+            answer=answer,
+            memory_budget_bytes=memory_budget,
         )
-        oracle = execute_payload(payload, serial_db)
-        request = pool.submit(payload)
-        assert strip_provenance(pool.collect(request, timeout=60.0)) == oracle
+        payload = _roundtrip(_payload(threads=threads, trace=trace, **knobs))
+        oracle = execute_payload(_roundtrip(_payload(**knobs)), serial_db)
+        response = pool.collect(pool.submit(payload), timeout=60.0)
+        assert (TRACE_KEY in response) is bool(trace)
+        assert strip_provenance(response) == oracle
 
     def test_hypertree_payload(self, pool, serial_db):
         from repro.planner.cost_k_decomp import cost_k_decomp
@@ -301,16 +309,41 @@ class TestAdmission:
             ("default_deadline_seconds", float("nan")),
             ("default_memory_budget_bytes", 0),
             ("global_memory_budget_bytes", -1),
+            ("workers", 0),
+            ("workers", 1.5),
+            ("max_pending", 0),
+            ("max_worker_restarts", -3),
+            ("default_max_attempts", 0),
+            ("retry_backoff_seconds", -0.5),
+            ("retry_backoff_seconds", float("nan")),
         ],
     )
     def test_bad_defaults_are_refused_before_a_worker_starts(
         self, store, option, value
     ):
-        # The wire's rules apply to the pool's own defaults: an infinite
-        # deadline used to overflow collect(), and a budget below one byte
-        # was charged nothing at admission.
+        # The wire's rules apply to the pool's own options: an infinite
+        # deadline used to overflow collect(), a budget below one byte was
+        # charged nothing at admission, and the counts were clamped (0
+        # workers started one).
+        before = set(multiprocessing.active_children())
         with pytest.raises(DatabaseError, match=option):
-            ServingPool(store, workers=1, **{option: value})
+            ServingPool(store, **dict({"workers": 1}, **{option: value}))
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_cli_daemon_refuses_zero_counts_before_a_worker_starts(
+        self, store, capsys
+    ):
+        from repro.cli import main
+
+        before = set(multiprocessing.active_children())
+        argv = [
+            "db", "daemon", str(store), "--workers", "0",
+            "--max-attempts", "0", "--max-worker-restarts", "-3",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and err.count("\n") == 1, err
+        assert set(multiprocessing.active_children()) <= before
 
     def test_max_pending_backpressure(self, store):
         with ServingPool(store, workers=1, max_pending=2) as pool:

@@ -21,8 +21,9 @@ retry (a delayed attempt is written off, retried on another worker, and
 the late response drained -- never misdelivered), attempt-budget
 exhaustion as a ``"timeout": true`` error record, the
 ``collect(timeout=)`` poisoning fix (an expired request releases its
-admission slice), and a genuine ``SIGKILL`` mid-request.  The CI matrix
-re-runs this module under ``REPRO_SERVE_MP_CONTEXT=spawn``.
+admission slice), a genuine ``SIGKILL`` mid-request, and a ``SIGINT``
+that every worker ignores.  The CI matrix re-runs this module under
+``REPRO_SERVE_MP_CONTEXT=spawn``.
 """
 
 import json
@@ -531,44 +532,22 @@ class TestRetryBacklogScheduling:
         assert core.requests == {} and core.admitted_bytes == 0
 
 
-class TestSecondsFromEnv:
-    """The shared env-knob parser (here as ``REPRO_DB_THREADS`` reads it) must
-    reject malformed or negative values loudly -- a mistyped thread count
-    silently becoming "serial" is exactly the kind of operator error that
-    hides for months."""
-
-    ENV = "REPRO_DB_THREADS"
-
-    def _get(self, monkeypatch, raw, default=None):
-        from repro.db.scheduler import number_from_env
-
-        monkeypatch.setenv(self.ENV, raw)
-        return number_from_env(self.ENV, default)
-
-    def test_unset_and_empty_fall_back_to_default(self, monkeypatch):
-        from repro.db.scheduler import number_from_env
-
-        monkeypatch.delenv(self.ENV, raising=False)
-        assert number_from_env(self.ENV) is None
-        assert number_from_env(self.ENV, 7) == 7
-        assert self._get(monkeypatch, "", default=7) == 7
-        assert self._get(monkeypatch, "   ", default=7) == 7
-
-    def test_zero_means_disabled(self, monkeypatch):
-        assert self._get(monkeypatch, "0", default=7) == 7
-        assert self._get(monkeypatch, "0") is None
-
-    def test_valid_values_parse(self, monkeypatch):
-        assert self._get(monkeypatch, "4") == 4
-        assert self._get(monkeypatch, " 30 ") == 30
-
-    @pytest.mark.parametrize("raw", ["soon", "1.5s", "1,5", "NaN-ish"])
-    def test_malformed_values_raise(self, monkeypatch, raw):
-        with pytest.raises(DatabaseError, match="must be an integer"):
-            self._get(monkeypatch, raw)
-
-    @pytest.mark.parametrize("raw", ["-3", "-0.1"])
-    def test_negative_values_raise(self, monkeypatch, raw):
-        # ``-0.1`` is not an integer at all; either way the knob refuses it.
-        with pytest.raises(DatabaseError, match="non-negative|must be an integer"):
-            self._get(monkeypatch, raw)
+class TestWorkerSignals:
+    def test_sigint_leaves_every_worker_serving(self, store, serial_db):
+        """A terminal Ctrl-C signals the whole process group.  A worker's
+        lifetime belongs to the pool's ``stop`` message, so SIGINT must
+        neither kill a worker nor cost a restart."""
+        payloads = [_payload() for _ in range(4)]
+        oracle = [execute_payload(p, serial_db) for p in payloads]
+        with ServingPool(store, workers=2, max_worker_restarts=2) as pool:
+            pids = {slot: report["pid"] for slot, report in pool.worker_reports.items()}
+            for pid in pids.values():
+                os.kill(pid, signal.SIGINT)
+            time.sleep(0.3)  # let a default handler raise before the batch
+            responses = pool.run(payloads)
+            assert pool.restarts == 0
+            assert {
+                slot: report["pid"] for slot, report in pool.worker_reports.items()
+            } == pids
+        assert all(response["status"] == "ok" for response in responses)
+        assert [strip_provenance(r) for r in responses] == oracle
