@@ -54,6 +54,7 @@ from repro.db.algebra import (
     project,
 )
 from repro.db.database import Database
+from repro.db.lifecycle import check_integer
 from repro.db.plan_ir import (
     JoinNode,
     ProjectNode,
@@ -179,9 +180,11 @@ def execute_plan(
     :class:`repro.db.algebra.EvaluationBudgetExceeded` -- with ``threads >
     1`` the raise happens in whichever task crosses the budget first, but
     *whether* it happens is scheduling-independent (counters only grow).
-    ``threads``/``memory_budget_bytes``: see the module docstring.  Both
-    limits are set once, on the execution's :class:`OperatorStats`, which
-    is how the kernels see them.
+    ``threads``/``memory_budget_bytes``: see the module docstring; each is
+    ``None`` or an integer ``>= 1`` (the serving wire's rule,
+    :func:`~repro.db.lifecycle.check_integer`), anything else raises
+    :class:`DatabaseError`.  Both limits are set once, on the execution's
+    :class:`OperatorStats`, which is how the kernels see them.
 
     ``trace`` (a :class:`repro.obs.trace.TraceRecorder`) records one span
     per plan node (``scan:``/``join``/``project:``, category ``plan``) and
@@ -192,6 +195,8 @@ def execute_plan(
     order and every ``OperatorStats`` counter are byte-identical with it on
     or off.
     """
+    check_integer("threads", threads, 1)
+    check_integer("memory_budget_bytes", memory_budget_bytes, 1)
     scheduler = TaskScheduler(threads or 1)
     inline = TaskScheduler(1)
 

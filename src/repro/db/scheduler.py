@@ -46,7 +46,7 @@ class TaskScheduler:
     """Run dependency-ordered tasks, serially or on a thread pool."""
 
     def __init__(self, threads: int = 1) -> None:
-        self.threads = max(1, int(threads))
+        self.threads = threads
 
     def run(self, tasks: Sequence[Task], wrap=None) -> None:
         """Execute every ``(key, deps, fn)`` task respecting dependencies.

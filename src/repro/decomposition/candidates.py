@@ -53,18 +53,6 @@ produce **byte-identical** graphs (same node and arc ids, in the same
 canonical order), which the property tests pin, so the scalar engine is the
 equivalence oracle and the numpy-free fallback.
 
-**k-incremental construction.**  The canonical k-vertex enumeration is by
-size then lexicographic rank, so the k-vertices of bound ``k`` are a prefix
-of those of ``k' > k`` -- and with them the per-k-vertex subproblem blocks,
-the interned components and their frontiers.  The driver therefore takes an
-optional smaller-bound *base* graph (:meth:`CandidatesGraph.extend_to`) and
-re-uses every admission/containment/covering decision that involves only
-prefix k-vertices and old components, testing just the new k-vertices (and
-the components they expose); a fresh construction is the extension of the
-empty graph.  The result is byte-identical whatever the base.
-:class:`CandidatesGraphFamily` wraps this into a per-``k`` cache for sweeps
-(the Fig. 8(A) ``k = 2..5`` sweep, repeated planner calls).
-
 Names appear only at the boundary: :meth:`CandidatesGraph.public_candidate`
 / :meth:`~CandidatesGraph.public_subproblem` translate one node id to its
 ``(edge names, vertex names)`` pair and :meth:`~CandidatesGraph.node_view`
@@ -120,8 +108,7 @@ def k_vertex_masks(hypergraph: Hypergraph, k: int) -> Tuple[int, ...]:
     enumeration order of :func:`k_vertices`.
 
     The order is *nested in k*: the masks for bound ``k`` are a prefix of
-    the masks for any bound ``k' > k``, which is what makes the candidates
-    graph incrementally extensible across a k-sweep.
+    the masks for any bound ``k' > k``.
     """
     bitset_view = _require_positive_k(hypergraph, k)
     num_edges = len(bitset_view.edges)
@@ -186,8 +173,8 @@ class CandidatesGraph:
         vertex mask: one label per distinct ``(λ, χ)`` pair, numbered by
         first occurrence over candidate ids (the order of
         ``dict.fromkeys(zip(cand_lambda, cand_chi))``).  Derived lazily, on
-        first use, from arrays that are byte-identical whichever engine and
-        base built the graph, so the labels are too.
+        first use, from arrays that are byte-identical whichever engine
+        built the graph, so the labels are too.
     """
 
     def __init__(
@@ -195,7 +182,6 @@ class CandidatesGraph:
         hypergraph: Hypergraph,
         k: int,
         vectorized: Optional[bool] = None,
-        _base: Optional["CandidatesGraph"] = None,
     ) -> None:
         if hypergraph.num_edges() == 0:
             raise DecompositionError("cannot decompose a hypergraph with no edges")
@@ -213,13 +199,10 @@ class CandidatesGraph:
         )
 
         #: Flattened subproblem arcs as (sub id array, cand id array) piece
-        #: pairs, filled by the vectorised engine (and concatenated into
-        #: ``_arc_subs`` / ``_arc_cands`` for reuse by extensions); ``None``
-        #: on the scalar engine.
+        #: pairs, filled by the vectorised engine; ``None`` on the scalar
+        #: engine.
         self._arc_pieces: Optional[List[Tuple[object, object]]] = None
-        self._arc_subs = None
-        self._arc_cands = None
-        self._build(_base)
+        self._build()
 
         # --- arcs: subproblem -> candidates that depend on it -------------
         # (the reverse of ``cand_subs``; the evaluation phase walks this
@@ -259,64 +242,21 @@ class CandidatesGraph:
     # ------------------------------------------------------------------
     # Construction (the Build phase of Fig. 2)
     # ------------------------------------------------------------------
-    def _build(self, base: Optional["CandidatesGraph"]) -> None:
-        """Build this bound-``k`` graph, from ``base`` (bound ``< k``) when
-        given; a fresh construction is the extension of the empty graph.
-
-        Everything decided by prefix k-vertices against old components is
-        copied (with candidate ids renumbered into the new per-component
-        order); only the new k-vertices -- and, for the components they
-        expose, the full k-vertex range -- are tested.  The result is
-        byte-identical whatever the base (and whichever engine built it).
-        """
+    def _build(self) -> None:
+        """Build this bound-``k`` graph from the empty graph."""
         self._kv_masks: Tuple[int, ...] = k_vertex_masks(self.hypergraph, self.k)
         all_vertices = self.bitset.all_vertices
-        if base is None:
-            # --- N_sub: the root subproblem gets id 0 ---------------------
-            self._kv_vars: List[int] = []
-            self._mvar_of: Dict[int, int] = {}
-            self.sub_keys: List[MaskSubproblem] = [(0, all_vertices)]
-            self._kv_sub_bounds: List[int] = [1]
-            # dict-as-ordered-set: deterministic iteration over components
-            self._seen_components: Dict[int, None] = {all_vertices: None}
-            self._mfrontier_of: Dict[int, int] = {}
-            self._mcomponent_edges: Dict[int, int] = {}
-            self._component_rows: List[Tuple[int, int, int]] = []
-            old_num_kvs = 0
-            old_by_component: Dict[int, range] = {}
-            new_id_of_old: List[int] = []
-        else:
-            if base.hypergraph != self.hypergraph:
-                raise DecompositionError(
-                    "cannot extend a candidates graph built for a different hypergraph"
-                )
-            if base.k >= self.k:
-                raise DecompositionError(
-                    f"extend_to requires a larger width bound (have k={base.k}, "
-                    f"requested k={self.k})"
-                )
-            # --- N_sub: prefix blocks are shared verbatim -----------------
-            self._kv_vars = list(base._kv_vars)
-            self._mvar_of = dict(base._mvar_of)
-            self.sub_keys = list(base.sub_keys)
-            self._kv_sub_bounds = list(base._kv_sub_bounds)
-            self._seen_components = dict(base._seen_components)
-            self._mfrontier_of = dict(base._mfrontier_of)
-            self._mcomponent_edges = dict(base._mcomponent_edges)
-            self._component_rows = list(base._component_rows)
-            old_num_kvs = len(base._kv_masks)
-            old_by_component = base._by_component
-            #: old candidate id -> new candidate id (monotone per component).
-            new_id_of_old = [0] * base.num_candidates
-        self._enumerate_subproblems(range(old_num_kvs, len(self._kv_masks)))
-        self._complete_component_rows()
+        # --- N_sub: the root subproblem gets id 0 -------------------------
+        self._kv_vars: List[int] = []
+        self._mvar_of: Dict[int, int] = {}
+        self.sub_keys: List[MaskSubproblem] = [(0, all_vertices)]
+        self._kv_sub_bounds: List[int] = [1]
+        component_rows = self._profile_components(self._enumerate_subproblems())
 
-        # --- N_sol: copy old per-component blocks, admit new k-vertices ---
+        # --- N_sol: admit every k-vertex, component block by block --------
         # Candidates are appended component-block by component-block (in
         # interning order, k-vertices in canonical order within each), so a
-        # component's ids are one contiguous ``range`` in the old and the
-        # new graph -- the copy and the old→new renumbering are slice
-        # arithmetic, no per-candidate loop.
+        # component's ids are one contiguous ``range``.
         self.cand_lambda: List[int] = []
         self.cand_chi: List[int] = []
         self.cand_comp: List[int] = []
@@ -329,36 +269,18 @@ class CandidatesGraph:
         admit = (
             self._vectorized_admitter() if self.vectorized else self._scalar_admitter()
         )
-        for row in self._component_rows:
-            component = row[0]
+        for row in component_rows:
             start = len(cand_lambda)
-            old_ids = old_by_component.get(component)
-            if old_ids is None:
-                # A component first exposed by a new k-vertex: full range.
-                admit(row, 0)
-            else:
-                lo, hi = old_ids.start, old_ids.stop
-                new_id_of_old[lo:hi] = range(start, start + hi - lo)
-                cand_lambda.extend(base.cand_lambda[lo:hi])
-                self.cand_chi.extend(base.cand_chi[lo:hi])
-                self.cand_comp.extend(repeat(component, hi - lo))
-                self._cand_kv_index.extend(base._cand_kv_index[lo:hi])
-                # Prefix k-vertex subproblem ids are unchanged, so the
-                # containment decisions carry over verbatim.
-                self.cand_subs.extend(base.cand_subs[lo:hi])
-                # Only the new k-vertices remain to be tested here.
-                admit(row, old_num_kvs)
-            self._by_component[component] = range(start, len(cand_lambda))
+            admit(row)
+            self._by_component[row[0]] = range(start, len(cand_lambda))
+        self._build_solver_arcs()
 
-        if self.vectorized and base is not None:
-            self._inherit_arc_pieces(base, new_id_of_old)
-        self._build_solver_arcs(base, new_id_of_old)
-
-    def _enumerate_subproblems(self, kv_indices: Iterable[int]) -> None:
-        """Append the subproblem block of every k-vertex in ``kv_indices``
-        to ``sub_keys``: one subproblem per ``[var(S)]``-component, ids
-        assigned in k-vertex order, so k-vertex ``i`` owns the contiguous id
-        block ``range(bounds[i], bounds[i+1])``."""
+    def _enumerate_subproblems(self) -> Iterable[int]:
+        """Append the subproblem block of every k-vertex to ``sub_keys``:
+        one subproblem per ``[var(S)]``-component, ids assigned in k-vertex
+        order, so k-vertex ``i`` owns the contiguous id block
+        ``range(bounds[i], bounds[i+1])``.  Returns the distinct components
+        (the root's first), in interning order."""
         bitset = self.bitset
         components_of = bitset.components
         var_of_edges = bitset.var_of_edges
@@ -367,9 +289,9 @@ class CandidatesGraph:
         var_of = self._mvar_of
         sub_keys = self.sub_keys
         kv_sub_bounds = self._kv_sub_bounds
-        seen_components = self._seen_components
-        for index in kv_indices:
-            kv = kv_masks[index]
+        # dict-as-ordered-set: deterministic iteration over components
+        seen_components: Dict[int, None] = {bitset.all_vertices: None}
+        for kv in kv_masks:
             variables = var_of_edges(kv)
             kv_vars.append(variables)
             var_of[kv] = variables
@@ -377,31 +299,32 @@ class CandidatesGraph:
                 sub_keys.append((kv, component))
                 seen_components[component] = None
             kv_sub_bounds.append(len(sub_keys))
+        return seen_components
 
-    def _complete_component_rows(self) -> None:
-        """Cache ``edges(C)``, ``var(edges(C))`` and the allowed-edge mask
-        for every distinct component not yet profiled, in interning order."""
+    def _profile_components(
+        self, components: Iterable[int]
+    ) -> List[Tuple[int, int, int]]:
+        """Cache ``edges(C)`` and ``var(edges(C))`` for every component and
+        return its ``(C, var(edges(C)), allowed edges)`` row, in order."""
         bitset = self.bitset
         edges_touching = bitset.edges_touching
         var_of_edges = bitset.var_of_edges
-        frontier_of = self._mfrontier_of
-        component_edges = self._mcomponent_edges
-        component_rows = self._component_rows
-        for component in self._seen_components:
-            if component in frontier_of:
-                continue
+        frontier_of = self._mfrontier_of = {}
+        component_edges = self._mcomponent_edges = {}
+        rows: List[Tuple[int, int, int]] = []
+        for component in components:
             edges = edges_touching(component)
             component_edges[component] = edges
             frontier = var_of_edges(edges)
             frontier_of[component] = frontier
-            component_rows.append((component, frontier, edges_touching(frontier)))
+            rows.append((component, frontier, edges_touching(frontier)))
+        return rows
 
     # ------------------------------------------------------------------
-    # Candidate admission: ``admit(row, kv_start)`` appends, for one
-    # component row, every candidate whose k-vertex index is ``≥ kv_start``
-    # to the parallel arrays, in canonical k-vertex order.  The factory
-    # shape lets the matrix engine build its mask matrices once per
-    # construction.
+    # Candidate admission: ``admit(row)`` appends, for one component row,
+    # every candidate to the parallel arrays, in canonical k-vertex order.
+    # The factory shape lets the matrix engine build its mask matrices once
+    # per construction.
     # ------------------------------------------------------------------
     def _scalar_admitter(self):
         """Pure mask algebra: membership, covering and subset tests are all
@@ -415,9 +338,9 @@ class CandidatesGraph:
         kv_index = self._cand_kv_index
         num_kvs = len(kv_masks)
 
-        def admit(row: Tuple[int, int, int], kv_start: int) -> None:
+        def admit(row: Tuple[int, int, int]) -> None:
             component, frontier, allowed_edges = row
-            for index in range(kv_start, num_kvs):
+            for index in range(num_kvs):
                 variables = kv_vars[index]
                 if not variables & component:
                     continue
@@ -463,15 +386,11 @@ class CandidatesGraph:
         kv_index = self._cand_kv_index
         arc_pieces = self._arc_pieces = []
 
-        def admit(row: Tuple[int, int, int], kv_start: int) -> None:
+        def admit(row: Tuple[int, int, int]) -> None:
             component, frontier, allowed_edges = row
             admitted_flags = kv_var_matrix.intersects(component)
             admitted_flags &= kv_edge_matrix.subset_of(allowed_edges)
-            if kv_start:
-                admitted_flags = admitted_flags[kv_start:]
             admitted = np.flatnonzero(admitted_flags)
-            if kv_start:
-                admitted += kv_start
             if not admitted.size:
                 return
             base_id = len(cand_lambda)
@@ -522,43 +441,18 @@ class CandidatesGraph:
 
         return admit
 
-    def _inherit_arc_pieces(
-        self, base: "CandidatesGraph", new_id_of_old: List[int]
-    ) -> None:
-        """The copied candidates' arcs, renumbered into the new id space
-        (prefix subproblem ids are unchanged), join the arc pieces the
-        matrix admitter collected for the new candidates."""
-        if base._arc_subs is not None:
-            base_arc_subs, base_arc_cands = base._arc_subs, base._arc_cands
-        else:  # scalar-built base: flatten its cand_subs once
-            flat_subs: List[int] = []
-            flat_cands: List[int] = []
-            for cand_id, subs in enumerate(base.cand_subs):
-                if subs:
-                    flat_subs.extend(subs)
-                    flat_cands.extend(repeat(cand_id, len(subs)))
-            base_arc_subs = np.asarray(flat_subs, dtype=np.int64)
-            base_arc_cands = np.asarray(flat_cands, dtype=np.int64)
-        if base_arc_subs.size:
-            remap = np.asarray(new_id_of_old, dtype=np.int64)
-            self._arc_pieces.append((base_arc_subs, remap[base_arc_cands]))
-
     def _dependents_from_arcs(self) -> List[Tuple[int, ...]]:
         """Group the flattened arc arrays into per-subproblem dependent
         tuples (ascending candidate id, matching the scalar walk)."""
         num_subs = len(self.sub_keys)
         pieces = self._arc_pieces or []
         if not pieces:
-            self._arc_subs = np.empty(0, dtype=np.int64)
-            self._arc_cands = np.empty(0, dtype=np.int64)
             return [()] * num_subs
         if len(pieces) == 1:
             subs, cands = pieces[0]
         else:
             subs = np.concatenate([piece[0] for piece in pieces])
             cands = np.concatenate([piece[1] for piece in pieces])
-        self._arc_subs = subs
-        self._arc_cands = cands
         order = np.lexsort((cands, subs))
         sorted_subs = subs[order]
         sorted_cands = cands[order].tolist()
@@ -573,9 +467,7 @@ class CandidatesGraph:
     # ------------------------------------------------------------------
     # Solver arcs: candidate -> subproblems it can solve
     # ------------------------------------------------------------------
-    def _build_solver_arcs(
-        self, base: Optional["CandidatesGraph"], new_id_of_old: List[int]
-    ) -> None:
+    def _build_solver_arcs(self) -> None:
         """``sub_solvers[q]``: the candidates of ``q``'s component whose
         ``var(λ)`` covers ``q``'s boundary, memoised per distinct
         ``(component, boundary)`` pair (many subproblems of one component
@@ -603,45 +495,19 @@ class CandidatesGraph:
         frontier_of = self._mfrontier_of
         var_of = self._mvar_of
         by_component = self._by_component
-        old_num_subs = 0 if base is None else len(base.sub_keys)
         cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         sub_solvers: List[Tuple[int, ...]] = []
-        for sub_id, (r_mask, component) in enumerate(self.sub_keys):
+        for r_mask, component in self.sub_keys:
             boundary = frontier_of[component] & (var_of[r_mask] if r_mask else 0)
             key = (component, boundary)
             solvers = cache.get(key)
             if solvers is None:
                 ids = by_component[component]
-                kept: List[int] = []
-                if sub_id < old_num_subs:
-                    # Old subproblem (its component is old too): keep the old
-                    # decisions, test only the candidates this extension
-                    # added (old candidates precede new ones per component).
-                    kept = [new_id_of_old[c] for c in base.sub_solvers[sub_id]]
-                    ids = ids[len(base._by_component[component]):]
-                if boundary and ids:
-                    kept += covered(boundary, ids)
-                else:
-                    kept += ids
-                solvers = cache[key] = tuple(kept)
+                solvers = cache[key] = tuple(
+                    covered(boundary, ids) if boundary and ids else ids
+                )
             sub_solvers.append(solvers)
         self.sub_solvers = sub_solvers
-
-    # ------------------------------------------------------------------
-    def extend_to(
-        self, k: int, vectorized: Optional[bool] = None
-    ) -> "CandidatesGraph":
-        """The candidates graph of the same hypergraph at a larger bound
-        ``k``, built incrementally from this one (see the class docstring);
-        byte-identical to ``CandidatesGraph(hypergraph, k)``.  Returns
-        ``self`` when ``k`` equals this graph's bound.  ``vectorized``
-        selects the engine for the *new* work (default: inherit this
-        graph's engine)."""
-        if k == self.k:
-            return self
-        if vectorized is None:
-            vectorized = self.vectorized
-        return CandidatesGraph(self.hypergraph, k, vectorized=vectorized, _base=self)
 
     # ------------------------------------------------------------------
     # Dense-id accessors (the algorithms' hot path)
@@ -674,7 +540,7 @@ class CandidatesGraph:
         distinct ``(λ, χ)`` pair gets the next id at its first occurrence
         over candidate ids (the order of ``dict.fromkeys(zip(cand_lambda,
         cand_chi))``), so the labels are as byte-identical across engines
-        and ``extend_to`` bases as the arrays they come from."""
+        as the arrays they come from."""
         if self._labels is None:
             ids: Dict[Tuple[int, int], int] = {}
             cand_label = [
@@ -800,48 +666,3 @@ def _resolve_vectorized(
             "pass vectorized=False (or None) for the scalar engine"
         )
     return bool(vectorized)
-
-
-class CandidatesGraphFamily:
-    """A per-``k`` cache of candidates graphs over one hypergraph.
-
-    ``graph(k)`` returns the cached graph for ``k``, building it via
-    :meth:`CandidatesGraph.extend_to` from the largest already-built smaller
-    bound (so an ascending sweep ``k = 2..5`` pays for each k-vertex,
-    component and arc decision exactly once) and from scratch otherwise.
-    All graphs share the hypergraph's bitset view, its component memo and
-    the interned label frozensets.
-    """
-
-    __slots__ = ("hypergraph", "vectorized", "_graphs")
-
-    def __init__(
-        self, hypergraph: Hypergraph, vectorized: Optional[bool] = None
-    ) -> None:
-        self.hypergraph = hypergraph
-        self.vectorized = vectorized
-        self._graphs: Dict[int, CandidatesGraph] = {}
-
-    def graph(self, k: int) -> CandidatesGraph:
-        built = self._graphs.get(k)
-        if built is not None:
-            return built
-        # The engine is re-resolved per bound (``vectorized=None`` may pick
-        # scalar at small k and the matrix engine once Ψ has grown).
-        engine = _resolve_vectorized(
-            self.vectorized, self.hypergraph.num_edges(), k
-        )
-        smaller = [bound for bound in self._graphs if bound < k]
-        if smaller:
-            built = self._graphs[max(smaller)].extend_to(k, vectorized=engine)
-        else:
-            built = CandidatesGraph(self.hypergraph, k, vectorized=engine)
-        self._graphs[k] = built
-        return built
-
-    def __repr__(self) -> str:
-        return (
-            f"CandidatesGraphFamily(bounds={sorted(self._graphs)}, "
-            f"hypergraph={self.hypergraph!r})"
-        )
-

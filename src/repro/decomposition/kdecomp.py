@@ -59,28 +59,19 @@ def hypertree_width(hypergraph: Hypergraph, max_k: Optional[int] = None) -> int:
 
     The search starts at 1 (acyclic hypergraphs are recognised directly via
     the GYO reduction, which is much cheaper than building a candidates
-    graph) and increases ``k`` until a decomposition exists; the candidates
-    graphs of the increasing bounds are built incrementally from each other
-    (:meth:`CandidatesGraph.extend_to`), so the search pays for each
-    k-vertex and component once, not once per attempted ``k``.  ``max_k``
-    caps the search; the default cap is the number of hyperedges, which
-    always suffices because the single node labelled with all edges is a
-    valid decomposition.
+    graph) and increases ``k`` until a decomposition exists, building one
+    fresh candidates graph per attempted ``k`` (only the current one stays
+    alive, so peak memory is one graph).  ``max_k`` caps the search; the
+    default cap is the number of hyperedges, which always suffices because
+    the single node labelled with all edges is a valid decomposition.
     """
     if hypergraph.num_edges() == 0:
         raise DecompositionError("hypertree width of an edgeless hypergraph is undefined")
     if is_acyclic(hypergraph):
         return 1
     cap = max_k if max_k is not None else hypergraph.num_edges()
-    # Chain extend_to directly (not a CandidatesGraphFamily): the ascending
-    # search never revisits a smaller bound, so only the current graph needs
-    # to stay alive -- peak memory is one graph, not the sum over all k.
-    graph = None
     for k in range(2, cap + 1):
-        graph = (
-            CandidatesGraph(hypergraph, k) if graph is None else graph.extend_to(k)
-        )
-        if has_width_at_most(hypergraph, k, graph=graph):
+        if has_width_at_most(hypergraph, k):
             return k
     raise NoDecompositionExistsError(
         cap, f"hypertree width exceeds the search cap {cap}"

@@ -25,7 +25,7 @@ import time
 from typing import Dict, Optional, Sequence
 
 from repro.db.statistics import CatalogStatistics
-from repro.decomposition.candidates import CandidatesGraph, CandidatesGraphFamily
+from repro.decomposition.candidates import CandidatesGraph
 from repro.decomposition.hypertree import DecompositionNode, HypertreeDecomposition
 from repro.decomposition.minimal import TieBreaker, minimal_k_decomp
 from repro.decomposition.normal_form import complete_decomposition
@@ -75,16 +75,16 @@ class CostPlanningFamily:
     refresh at a new ``k``.
 
     Holds the planned query (with its fresh completeness variables), its
-    hypergraph and bitset view, one :class:`QueryCostTAF` whose per-label
-    cost memos therefore persist across the sweep, and a
-    :class:`CandidatesGraphFamily` so each bound's candidates graph is
-    built incrementally from the previous one.  Construction does no
-    planning work; everything expensive happens inside the per-``k``
-    ``cost_k_decomp`` call (and is charged to its ``planning_seconds``).
+    hypergraph and one :class:`QueryCostTAF` whose per-label cost memos
+    therefore persist across the sweep -- the sweep's whole saving.  Each
+    bound's candidates graph is built fresh by its ``cost_k_decomp`` call
+    and not kept.  Construction does no planning work; everything expensive
+    happens inside the per-``k`` ``cost_k_decomp`` call (and is charged to
+    its ``planning_seconds``).
     """
 
     __slots__ = ("query", "statistics", "completion", "planned_query",
-                 "hypergraph", "taf", "graphs")
+                 "hypergraph", "taf")
 
     def __init__(
         self,
@@ -102,10 +102,6 @@ class CostPlanningFamily:
         )
         self.hypergraph = self.planned_query.hypergraph()
         self.taf = QueryCostTAF(self.planned_query, statistics)
-        self.graphs = CandidatesGraphFamily(self.hypergraph)
-
-    def graph(self, k: int) -> CandidatesGraph:
-        return self.graphs.graph(k)
 
     def matches(
         self, query: ConjunctiveQuery, statistics: CatalogStatistics, completion: str
@@ -160,10 +156,9 @@ def cost_k_decomp(
         match the hypergraph being decomposed.
     family:
         A :class:`CostPlanningFamily` (see :func:`planning_family`) shared
-        across several ``k``: the candidates graph is then built
-        incrementally from the family's largest smaller bound, and the
-        family's single TAF keeps its cost-model memos warm across the
-        sweep.  Mutually exclusive with ``graph``.
+        across several ``k``: the family's single TAF keeps its cost-model
+        memos warm across the sweep (the candidates graph is still built
+        fresh for each ``k``).  Mutually exclusive with ``graph``.
 
     Raises
     ------
@@ -184,12 +179,8 @@ def cost_k_decomp(
     started = time.perf_counter()
     started_monotonic = time.monotonic()
     if family is not None:
-        planned_query = family.planned_query
         hypergraph = family.hypergraph
         taf = family.taf
-        # Incremental (k-prefix-sharing) construction; charged to this
-        # call's planning time, like the fresh construction would be.
-        graph = family.graph(k)
     else:
         planned_query = (
             query.with_fresh_head_variables() if completion == "fresh" else query
@@ -257,9 +248,9 @@ def best_plan_over_k(
 ) -> Dict[int, HypertreePlan]:
     """Plans for several width bounds (the Fig. 8(A) sweep ``k = 2..5``).
 
-    The sweep shares one :class:`CostPlanningFamily`, so every candidates
-    graph after the first is built incrementally and the cost-model memos
-    stay warm across bounds.  With a ``plan_cache`` (a
+    The sweep shares one :class:`CostPlanningFamily`, so the cost-model
+    memos of its one TAF stay warm across bounds (each bound builds its own
+    candidates graph).  With a ``plan_cache`` (a
     :class:`~repro.db.storage.PlanCache`, keyed additionally by ``k`` and
     ``completion``) each bound is looked up first and a hit replays the
     stored winner with ``planning_seconds == 0.0``; the family is built on

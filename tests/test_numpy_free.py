@@ -19,12 +19,14 @@ import pytest
 
 
 def probe() -> dict:
-    """Q1 at k = 3 through the public entry points; JSON-able."""
+    """Q1 at k = 3, and its k = 2..4 sweep, through the public entry
+    points; JSON-able."""
     import repro
     import repro.cli  # noqa: F401 - the CLI must import without numpy too
     from repro.db.storage import decomposition_to_payload
     from repro.decomposition.candidates import CandidatesGraph
     from repro.decomposition.minimal import evaluate_candidates_graph
+    from repro.planner.cost_k_decomp import best_plan_over_k
     from repro.query.examples import q1
     from repro.workloads.paper_queries import fig5_statistics
 
@@ -45,6 +47,7 @@ def probe() -> dict:
     taf = repro.width_taf()
     narrowest = repro.minimal_k_decomp(hypergraph, 3, taf, graph=graph)
     plan = repro.cost_k_decomp(q1(), fig5_statistics(), 3)
+    sweep = best_plan_over_k(q1(), fig5_statistics(), (2, 3, 4))
     return {
         "numpy": "numpy" in sys.modules and sys.modules["numpy"] is not None,
         "engine": graph.vectorized,
@@ -54,6 +57,7 @@ def probe() -> dict:
         "width_decomposition": decomposition_to_payload(narrowest),
         "plan_cost": plan.estimated_cost,
         "plan_decomposition": decomposition_to_payload(plan.decomposition),
+        "sweep": {str(k): swept.to_payload() for k, swept in sweep.items()},
     }
 
 

@@ -1,25 +1,28 @@
 """Equivalence of the vectorised decomposition search plane with the scalar
 oracle.
 
-The mask-matrix kernels run candidates-graph construction and k-incremental
-extension on whole numpy arrays, under the same build driver as the scalar
-big-int kernels, which stay in place as the oracle (and the numpy-free
-fallback).  These tests pin the matrix engine to the scalar one on random
-hypergraphs, and the one lowering of TAFs to mask space to the name forms:
+The mask-matrix kernels run candidates-graph construction on whole numpy
+arrays, under the same build driver as the scalar big-int kernels, which stay
+in place as the oracle (and the numpy-free fallback).  These tests pin the
+matrix engine to the scalar one on random hypergraphs, the one lowering of
+TAFs to mask space to the name forms, and a k-sweep's shared TAF to
+standalone planning:
 
 * :class:`~repro.core.maskmatrix.MaskMatrix` against the big-int
   definitions of its three tests (including masks wider than one 64-bit
   word);
 * ``CandidatesGraph(vectorized=True)`` against ``vectorized=False``:
   byte-identical nodes, arcs, orders, (λ, χ) labels and ``size_report()``,
-  and the labels against their ``dict.fromkeys`` definition;
-* ``extend_to(k + 1)`` against a fresh construction at ``k + 1`` (both
-  engines, including switching engine at the extension step);
+  and the labels against their ``dict.fromkeys`` definition, and
+  ``hypertree_width`` (a fresh graph per bound) against both engines;
 * ``TreeAggregationFunction.bind_mask_space``: a name-only twin of every
   library TAF and of ``QueryCostTAF`` (lifted mask forms; the cost TAF's
   twin has its own estimator, is drawn over random queries and catalogs
   and is compared label by label too) evaluates, selects and recurses
   exactly like the native-mask original;
+* ``best_plan_over_k``, whose bounds share one ``QueryCostTAF``, against a
+  standalone ``cost_k_decomp`` per bound: byte-identical plans, also for
+  bounds fed out of order and revisited through ``family=``;
 * ``TieBreaker.choose`` with ``policy="first"`` picks the same candidate
   the full sort used to (satellite: ``min`` instead of an O(n log n) sort);
 * the kernel-level projection pushdown leaves answers and
@@ -35,10 +38,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.maskmatrix import MaskMatrix
-from repro.decomposition.candidates import (
-    CandidatesGraph,
-    CandidatesGraphFamily,
-)
+from repro.decomposition.candidates import CandidatesGraph
+from repro.decomposition.kdecomp import has_width_at_most, hypertree_width
 from repro.db.storage import decomposition_to_payload
 from repro.decomposition.minimal import (
     TieBreaker,
@@ -46,7 +47,7 @@ from repro.decomposition.minimal import (
     minimal_k_decomp,
 )
 from repro.decomposition.threshold import minimum_weight_recursive
-from repro.exceptions import NoDecompositionExistsError
+from repro.exceptions import NoDecompositionExistsError, PlanningError
 from repro.hypergraph.generators import (
     cycle_hypergraph,
     random_hypergraph,
@@ -62,6 +63,11 @@ from repro.weights.library import (
 )
 from repro.db.statistics import CatalogStatistics
 from repro.decomposition.hypertree import DecompositionNode
+from repro.planner.cost_k_decomp import (
+    best_plan_over_k,
+    cost_k_decomp,
+    planning_family,
+)
 from repro.weights.querycost import QueryCostTAF
 from repro.weights.taf import TreeAggregationFunction, zero_edge_weight
 from repro.workloads.paper_queries import fig5_statistics
@@ -186,6 +192,24 @@ class TestVectorizedCandidatesGraph:
         dense = CandidatesGraph(hypergraph, 2, vectorized=True)
         assert graph_snapshot(scalar) == graph_snapshot(dense)
 
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(hypergraph=small_hypergraph_strategy)
+    def test_width_is_the_least_bound_on_either_engine(self, hypergraph):
+        # hypertree_width builds a fresh graph per bound; a fresh graph of
+        # either engine must agree that hw is feasible and hw - 1 is not.
+        width = hypertree_width(hypergraph)
+        for engine in (False, True):
+            assert has_width_at_most(
+                hypergraph, width,
+                graph=CandidatesGraph(hypergraph, width, vectorized=engine),
+            )
+            if width > 1:
+                assert not has_width_at_most(
+                    hypergraph, width - 1,
+                    graph=CandidatesGraph(hypergraph, width - 1, vectorized=engine),
+                )
+
     def test_solver_arc_dedup_on_star(self):
         # Stars make thousands of subproblems share (component, boundary);
         # the memoised solver tuples must still match the plain definition.
@@ -193,38 +217,6 @@ class TestVectorizedCandidatesGraph:
         scalar = CandidatesGraph(hypergraph, 2, vectorized=False)
         dense = CandidatesGraph(hypergraph, 2, vectorized=True)
         assert graph_snapshot(scalar) == graph_snapshot(dense)
-
-    @settings(max_examples=18, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        hypergraph=small_hypergraph_strategy,
-        k=st.integers(min_value=1, max_value=3),
-        engines=st.tuples(st.booleans(), st.booleans()),
-    )
-    def test_extend_to_matches_fresh_construction(self, hypergraph, k, engines):
-        base_engine, extension_engine = engines
-        base = CandidatesGraph(hypergraph, k, vectorized=base_engine)
-        extended = base.extend_to(k + 1, vectorized=extension_engine)
-        fresh = CandidatesGraph(hypergraph, k + 1, vectorized=False)
-        assert graph_snapshot(extended) == graph_snapshot(fresh)
-        # Extending twice (and over a gap) also matches.
-        jumped = base.extend_to(k + 2, vectorized=extension_engine)
-        assert graph_snapshot(jumped) == graph_snapshot(
-            CandidatesGraph(hypergraph, k + 2, vectorized=False)
-        )
-
-    def test_extend_to_same_k_returns_self(self):
-        graph = CandidatesGraph(cycle_hypergraph(5), 2)
-        assert graph.extend_to(2) is graph
-
-    def test_family_caches_and_matches(self):
-        hypergraph = cycle_hypergraph(6)
-        family = CandidatesGraphFamily(hypergraph)
-        for k in (2, 3, 4):
-            assert graph_snapshot(family.graph(k)) == graph_snapshot(
-                CandidatesGraph(hypergraph, k, vectorized=False)
-            )
-        assert family.graph(3) is family.graph(3)
 
 
 # ----------------------------------------------------------------------
@@ -280,15 +272,18 @@ def assert_lowering_agrees(hypergraph, k, graph, native, twin):
 
 
 @st.composite
-def costed_queries(draw):
+def costed_queries(draw, fresh=True):
     """A ``random_cyclic_query`` (with the planner's fresh completeness
-    variables) and a catalog of drawn cardinalities and distinct counts."""
+    variables unless ``fresh=False``) and a catalog of drawn cardinalities
+    and distinct counts."""
     query = random_cyclic_query(
         draw(st.integers(min_value=3, max_value=7)),
         draw(st.integers(min_value=3, max_value=8)),
         arity=draw(st.integers(min_value=2, max_value=4)),
         seed=draw(st.integers(min_value=0, max_value=10_000)),
-    ).with_fresh_head_variables()
+    )
+    if fresh:
+        query = query.with_fresh_head_variables()
     cardinalities = {}
     selectivities = {}
     for atom in query.atoms:
@@ -397,6 +392,62 @@ class TestLowering:
             assert list(evaluate_candidates_graph(target, twin).weight_by_id) == list(
                 evaluate_candidates_graph(target, largest_chi_taf()).weight_by_id
             )
+
+
+# ----------------------------------------------------------------------
+# k-sweeps: one shared TAF == a standalone planner per bound
+# ----------------------------------------------------------------------
+def plan_fingerprint(plan):
+    return (
+        plan.estimated_cost.hex(),
+        plan.node_estimates,
+        decomposition_to_payload(plan.decomposition),
+    )
+
+
+class TestKSweep:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        case=costed_queries(fresh=False),
+        k_values=st.lists(
+            st.sampled_from([2, 3, 4]), min_size=1, max_size=3, unique=True
+        ),
+    )
+    def test_shared_taf_sweep_matches_standalone_plans(self, case, k_values):
+        query, statistics = case
+        standalone = {}
+        for k in k_values:
+            try:
+                standalone[k] = plan_fingerprint(cost_k_decomp(query, statistics, k))
+            except PlanningError:
+                pass
+        try:
+            swept = best_plan_over_k(query, statistics, k_values)
+        except PlanningError:
+            assert not standalone
+            return
+        assert {k: plan_fingerprint(plan) for k, plan in swept.items()} == standalone
+
+    def test_family_replans_any_bound_like_a_standalone_planner(self):
+        # Bounds out of order and revisited: the family keeps one TAF and
+        # no graph, so a repeat bound is planned again, identically.
+        query, statistics = q1(), fig5_statistics()
+        family = planning_family(query, statistics)
+        taf = family.taf
+        for k in (3, 2, 3, 4, 2):
+            shared = cost_k_decomp(query, statistics, k, family=family)
+            assert plan_fingerprint(shared) == plan_fingerprint(
+                cost_k_decomp(query, statistics, k)
+            )
+        assert family.taf is taf
+        with pytest.raises(PlanningError, match="graph= or family="):
+            cost_k_decomp(
+                query, statistics, 2, family=family,
+                graph=CandidatesGraph(family.hypergraph, 2),
+            )
+        with pytest.raises(PlanningError, match="different"):
+            cost_k_decomp(query, statistics, 2, family=family, completion="post")
 
 
 # ----------------------------------------------------------------------

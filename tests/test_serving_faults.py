@@ -428,6 +428,25 @@ class TestDeadlinesAndRetry:
         _check_payload(_payload(memory_budget_bytes=1))
         _check_payload(_payload(memory_budget_bytes=0, prewarm={}))
 
+    def test_execute_plan_refuses_what_the_wire_refuses(self, serial_db):
+        # A Python caller of execute_plan gets the wire's rule, not a clamp.
+        from repro.db.executor import execute_plan
+        from repro.db.plan_ir import plan_ir_from_payload
+        from repro.db.serving import _check_payload
+
+        plan = plan_ir_from_payload(_query(), _payload()["plan"])
+        refused = {"threads": (0, -3, True), "memory_budget_bytes": (0, -1)}
+        accepted = {"threads": (None, 1, 2), "memory_budget_bytes": (None, 1)}
+        for knob in refused:
+            for value in refused[knob]:
+                with pytest.raises(DatabaseError, match=knob):
+                    _check_payload(_payload(**{knob: value}))
+                with pytest.raises(DatabaseError, match=knob):
+                    execute_plan(plan, serial_db, **{knob: value})
+            for value in accepted[knob]:
+                _check_payload(_payload(**{knob: value}))
+                execute_plan(plan, serial_db, **{knob: value})
+
 
 class TestCollectTimeoutPoisoning:
     def test_expired_request_releases_slice_and_drains_late_response(
