@@ -26,7 +26,7 @@ from repro.decomposition.minimal import minimal_k_decomp, minimum_weight
 from repro.decomposition.normal_form import is_normal_form
 from repro.decomposition.candidates import count_k_vertices
 from repro.experiments.runner import ExperimentResult
-from repro.planner.cost_k_decomp import cost_k_decomp, planning_family
+from repro.planner.cost_k_decomp import best_plan_over_k
 from repro.query.examples import q0, q1
 from repro.weights.library import lexicographic_taf, lexicographic_weight_of_histogram
 from repro.workloads.paper_queries import (
@@ -224,9 +224,7 @@ def fig6_7_experiment(k_values: Sequence[int] = (2, 3, 4, 5)) -> ExperimentResul
         ),
     )
     previous_cost: Optional[float] = None
-    family = planning_family(query, statistics, completion="fresh")
-    for k in k_values:
-        plan = cost_k_decomp(query, statistics, k, completion="fresh", family=family)
+    for k, plan in best_plan_over_k(query, statistics, k_values).items():
         non_increasing = previous_cost is None or plan.estimated_cost <= previous_cost + 1e-9
         result.add_row(
             k=k,

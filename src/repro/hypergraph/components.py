@@ -168,8 +168,9 @@ def components_under_edge_set(
 ) -> Tuple[FrozenSet[Vertex], ...]:
     """The [var(S)]-components for a set ``S`` of edges.
 
-    Convenience wrapper used throughout the candidates-graph construction,
-    where separators are always of the form ``var(S)`` for a k-vertex ``S``.
+    A name-level view of the separators ``var(S)`` of Section 4; the
+    candidates graph computes the same components on masks
+    (``BitsetHypergraph.components``) and does not call this.
     """
     bitset = hypergraph.bitset()
     separator = bitset.var_of_edges(bitset.edge_mask(edge_names))

@@ -8,7 +8,6 @@ missing request-path view without disturbing them:
 * :mod:`repro.obs.trace` -- :class:`TraceRecorder` span recording with
   per-request trace ids.  Span taxonomy by category:
 
-  - ``planner``: ``plan:<query>`` around ``cost_k_decomp``'s timed search.
   - ``plan`` / ``yannakakis``: executor spans -- one per plan node
     (``scan:<atom>``, ``join``, ``project:<name>``) and one per
     Yannakakis task (``expr:<node>``, ``up:<node>``, ``down:<node>``,
@@ -18,8 +17,9 @@ missing request-path view without disturbing them:
     admission-control wait/reject decision), ``queue`` (backlog time
     per attempt), ``attempt`` (dispatch to result, with worker id and
     status), plus worker-side ``execute`` around the plan replay.
-  - ``daemon``: socket phases -- ``request`` from frame decode to
-    response encode.
+
+  The daemon records no span of its own: its decode-to-respond interval
+  per request is the ``request_latency_seconds`` histogram.
 
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms (mergeable across worker processes)
@@ -76,15 +76,12 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     resolve_registry,
 )
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
     TraceRecorder,
-    activated,
-    active_recorder,
     current_span,
     note,
     span_context,
@@ -97,11 +94,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
-    "NullMetricsRegistry",
     "Span",
     "TraceRecorder",
-    "activated",
-    "active_recorder",
     "chrome_trace_events",
     "current_span",
     "note",

@@ -18,9 +18,8 @@ upper boundary of the bucket in which the ``q``-th observation falls (the
 recorded maximum for the overflow bucket) -- monotone in ``q``, merge-
 stable, and exactly what p50/p95/p99 dashboards need.
 
-:class:`NullMetricsRegistry` is the disabled twin: same interface, no
-locks taken, nothing stored -- the benchmark's "observability fully off"
-baseline.
+There is no disabled twin: a pool or daemon always records into a live
+registry (its own, or one the caller passes in to share).
 """
 
 from __future__ import annotations
@@ -240,70 +239,10 @@ class MetricsRegistry:
             self.histogram(name, buckets).merge(hist_payload)
 
 
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-
-    def inc(self, by: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    value = 0
-    count = 0
-    total = 0.0
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def quantiles(self, qs: Iterable[float] = (0.5, 0.95, 0.99)) -> Dict[str, float]:
-        return {f"p{q * 100:g}": 0.0 for q in qs} | {
-            "count": 0, "sum": 0.0, "max": 0.0,
-        }
-
-    def to_payload(self):
-        return {}
-
-    def merge(self, payload: Mapping) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """The disabled registry: same surface, zero cost, nothing recorded."""
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, buckets=None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def to_payload(self) -> Dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge(self, payload: Mapping) -> None:
-        pass
-
-
 def resolve_registry(metrics):
-    """Normalise a metrics knob: ``None`` -> a fresh live registry,
-    ``False`` -> the null registry (observability fully off), a registry
-    instance -> itself (shared with the caller)."""
-    if metrics is None:
-        return MetricsRegistry()
-    if metrics is False:
-        return NullMetricsRegistry()
-    return metrics
+    """Normalise a metrics knob: ``None`` -> a fresh live registry, a
+    registry instance -> itself (shared with the caller)."""
+    return MetricsRegistry() if metrics is None else metrics
 
 
 __all__ = [
@@ -312,6 +251,5 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "resolve_registry",
 ]

@@ -230,40 +230,10 @@ def span_context(trace: Optional[TraceRecorder], name: str, category: str = "exe
     return trace.span(name, category, trace_id=trace_id, **attrs)
 
 
-# ----------------------------------------------------------------------
-# Ambient recorder: layers that predate the trace= plumbing (the planner)
-# record into whatever recorder the caller activated, if any.
-# ----------------------------------------------------------------------
-
-_AMBIENT: List[TraceRecorder] = []
-_AMBIENT_LOCK = threading.Lock()
-
-
-def active_recorder() -> Optional[TraceRecorder]:
-    """The innermost :func:`activated` recorder (``None`` outside)."""
-    return _AMBIENT[-1] if _AMBIENT else None
-
-
-@contextmanager
-def activated(recorder: TraceRecorder):
-    """Make ``recorder`` the ambient recorder for the dynamic extent of the
-    block: code without an explicit ``trace=`` parameter (the planner's
-    timed sections) records into it via :func:`active_recorder`."""
-    with _AMBIENT_LOCK:
-        _AMBIENT.append(recorder)
-    try:
-        yield recorder
-    finally:
-        with _AMBIENT_LOCK:
-            _AMBIENT.remove(recorder)
-
-
 __all__ = [
     "NULL_SPAN",
     "Span",
     "TraceRecorder",
-    "activated",
-    "active_recorder",
     "current_span",
     "note",
     "span_context",

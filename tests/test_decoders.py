@@ -355,20 +355,20 @@ class TestPlanCodec:
         with pytest.raises(DatabaseError):
             JoinOrderPlan.from_payload(query, structural)
 
-    def test_warm_k_sweep_builds_no_planning_family(self, tmp_path, monkeypatch):
+    def test_warm_k_sweep_builds_no_taf(self, tmp_path, monkeypatch):
         query, database = self._query_and_database()
         cache = PlanCache(tmp_path / "plans")
         cold = best_plan_over_k(query, database.statistics, (1, 2, 3), plan_cache=cache)
         assert sorted(cold) == [2, 3] and cache.stores == 2
 
-        def no_family(*args, **kwargs):
+        def no_taf(*args, **kwargs):
             raise AssertionError("a warm sweep must not build planner state")
 
         # (the package re-exports the function under the module's name)
         planner_module = sys.modules["repro.planner.cost_k_decomp"]
-        monkeypatch.setattr(planner_module, "CostPlanningFamily", no_family)
+        monkeypatch.setattr(planner_module, "QueryCostTAF", no_taf)
         # k=1 is infeasible, hence never cached: planning it again is what
-        # would build the family -- leave it out of the warm sweep.
+        # would build the TAF -- leave it out of the warm sweep.
         warm = best_plan_over_k(query, database.statistics, (2, 3), plan_cache=cache)
         assert cache.hits == 2
         for k, plan in warm.items():

@@ -45,15 +45,12 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     resolve_registry,
 )
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
     TraceRecorder,
-    activated,
-    active_recorder,
     current_span,
     note,
     span_context,
@@ -183,13 +180,6 @@ class TestTraceRecorder:
         assert sink.ingest({"spans": ["garbage", None]}) == 0  # skipped
         assert len(sink) == 2
 
-    def test_ambient_recorder_scoping(self):
-        assert active_recorder() is None
-        recorder = TraceRecorder()
-        with activated(recorder):
-            assert active_recorder() is recorder
-        assert active_recorder() is None
-
     def test_trace_ids_are_unique(self):
         recorder = TraceRecorder()
         ids = {recorder.new_trace_id("req") for _ in range(10)}
@@ -258,22 +248,10 @@ class TestMetrics:
         assert payload["histograms"]["lat"]["count"] == 2
         assert payload["histograms"]["lat"]["buckets"] == list(DEFAULT_BUCKETS)
 
-    def test_null_registry_records_nothing(self):
-        registry = NullMetricsRegistry()
-        registry.counter("x").inc()
-        registry.histogram("y").observe(1.0)
-        registry.gauge("z").set(9)
-        assert registry.counter("x").value == 0
-        assert registry.histogram("y").quantiles()["p50"] == 0.0
-        assert registry.to_payload() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
     def test_resolve_registry(self):
         live = MetricsRegistry()
         assert resolve_registry(live) is live
         assert isinstance(resolve_registry(None), MetricsRegistry)
-        assert isinstance(resolve_registry(False), NullMetricsRegistry)
 
 
 # ----------------------------------------------------------------------
@@ -448,21 +426,6 @@ class TestExecutorByteIdentity:
         assert merged.get("emit_morsels", 0) > 0
         assert merged.get("emitted", 0) > 0
 
-    def test_planner_records_into_ambient_recorder(self, database):
-        from repro.planner.cost_k_decomp import cost_k_decomp
-
-        recorder = TraceRecorder()
-        with activated(recorder):
-            plain = cost_k_decomp(_query(), database.statistics, 2)
-        silent = cost_k_decomp(_query(), database.statistics, 2)
-        [span] = [s for s in recorder.spans() if s.category == "planner"]
-        assert span.name == "plan:cycle_out"
-        assert span.attrs["k"] == 2
-        assert span.attrs["estimated_cost"] == pytest.approx(
-            float(plain.estimated_cost)
-        )
-        assert plain.estimated_cost == silent.estimated_cost
-
 
 # ----------------------------------------------------------------------
 # Serving: the "trace" response block next to the "serving" one.
@@ -583,16 +546,6 @@ class TestTracedPool:
         attempts = [s for s in recorder.spans() if s.name == "attempt"]
         assert {s.attrs.get("attempt") for s in attempts} >= {1, 2}
         assert pool.metrics.to_payload()["counters"]["retries"] >= 1
-
-    def test_metrics_off_pool_still_serves(self, store, serial_db):
-        with ServingPool(store, workers=1, metrics=False) as pool:
-            [response] = pool.run([_payload()])
-        assert strip_provenance(response) == strip_provenance(
-            execute_payload(_payload(), serial_db)
-        )
-        assert pool.metrics.to_payload() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
 
 
 # ----------------------------------------------------------------------

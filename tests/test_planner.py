@@ -4,6 +4,7 @@ comparison harness."""
 import pytest
 
 from repro.db.generator import uniform_database
+from repro.db.serving import prewarm
 from repro.db.statistics import CatalogStatistics
 from repro.exceptions import PlanningError
 from repro.planner.baseline import SystemROptimizer, baseline_plan
@@ -54,6 +55,31 @@ class TestCostKDecomp:
     def test_invalid_completion_mode(self):
         with pytest.raises(PlanningError):
             cost_k_decomp(q1(), fig5_statistics(), k=2, completion="bogus")
+
+    @pytest.mark.parametrize("entry", ["best_plan_over_k", "compare_planners", "prewarm"])
+    def test_sweeps_refuse_an_unknown_completion_mode(self, entry):
+        # A sweep skips the bounds no plan exists for; an unknown mode is
+        # not such a bound, and prewarm must not fall back to the baseline.
+        sweeps = {
+            "best_plan_over_k": lambda: best_plan_over_k(
+                q1(), fig5_statistics(), (2, 3), completion="bogus"
+            ),
+            "compare_planners": lambda: compare_planners(
+                q1(), fig8_database(q1(), 50), k_values=(2, 3), completion="bogus"
+            ),
+            "prewarm": lambda: prewarm(
+                fig8_database(q1(), 50), [q1()], k_values=(2,), completion="bogus"
+            ),
+        }
+        with pytest.raises(PlanningError, match="unknown completion mode 'bogus'"):
+            sweeps[entry]()
+
+    def test_prewarm_falls_back_only_when_no_k_admits_a_plan(self):
+        database = fig8_database(q1(), 50)
+        [fallback] = prewarm(database, [q1()], k_values=(1,))
+        [structural] = prewarm(database, [q1()], k_values=(1, 2))
+        assert fallback["plan"]["kind"] == "join_order"
+        assert structural["plan"]["kind"] == "hypertree"
 
     def test_width_bound_too_small(self):
         with pytest.raises(PlanningError):

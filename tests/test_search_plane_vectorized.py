@@ -22,7 +22,7 @@ standalone planning:
   exactly like the native-mask original;
 * ``best_plan_over_k``, whose bounds share one ``QueryCostTAF``, against a
   standalone ``cost_k_decomp`` per bound: byte-identical plans, also for
-  bounds fed out of order and revisited through ``family=``;
+  bounds fed out of order and revisited, and one TAF for the cold sweep;
 * ``TieBreaker.choose`` with ``policy="first"`` picks the same candidate
   the full sort used to (satellite: ``min`` instead of an O(n log n) sort);
 * the kernel-level projection pushdown leaves answers and
@@ -32,6 +32,7 @@ standalone planning:
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -66,7 +67,6 @@ from repro.decomposition.hypertree import DecompositionNode
 from repro.planner.cost_k_decomp import (
     best_plan_over_k,
     cost_k_decomp,
-    planning_family,
 )
 from repro.weights.querycost import QueryCostTAF
 from repro.weights.taf import TreeAggregationFunction, zero_edge_weight
@@ -429,25 +429,31 @@ class TestKSweep:
             return
         assert {k: plan_fingerprint(plan) for k, plan in swept.items()} == standalone
 
-    def test_family_replans_any_bound_like_a_standalone_planner(self):
-        # Bounds out of order and revisited: the family keeps one TAF and
-        # no graph, so a repeat bound is planned again, identically.
+    def test_sweep_replans_any_bound_like_a_standalone_planner(self):
+        # Bounds out of order and revisited: the sweep keeps one TAF and no
+        # graph, so every bound plans exactly like a standalone call.
         query, statistics = q1(), fig5_statistics()
-        family = planning_family(query, statistics)
-        taf = family.taf
-        for k in (3, 2, 3, 4, 2):
-            shared = cost_k_decomp(query, statistics, k, family=family)
-            assert plan_fingerprint(shared) == plan_fingerprint(
+        swept = best_plan_over_k(query, statistics, (3, 2, 3, 4, 2))
+        assert list(swept) == [3, 2, 4]
+        for k, plan in swept.items():
+            assert plan_fingerprint(plan) == plan_fingerprint(
                 cost_k_decomp(query, statistics, k)
             )
-        assert family.taf is taf
-        with pytest.raises(PlanningError, match="graph= or family="):
-            cost_k_decomp(
-                query, statistics, 2, family=family,
-                graph=CandidatesGraph(family.hypergraph, 2),
-            )
-        with pytest.raises(PlanningError, match="different"):
-            cost_k_decomp(query, statistics, 2, family=family, completion="post")
+
+    def test_a_cold_sweep_builds_exactly_one_taf(self, monkeypatch):
+        built = []
+
+        class CountingTAF(QueryCostTAF):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        # (the package re-exports the function under the module's name)
+        planner_module = sys.modules["repro.planner.cost_k_decomp"]
+        monkeypatch.setattr(planner_module, "QueryCostTAF", CountingTAF)
+        swept = best_plan_over_k(q1(), fig5_statistics(), (1, 2, 3, 4))
+        assert sorted(swept) == [2, 3, 4]
+        assert len(built) == 1
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Prints, per Python file under the given root (default ``src``), the raw
 line count and the *code-only* count -- physical lines that carry at least
 one token other than a comment, outside module / class / function
-docstrings -- then the totals and the distinct ``REPRO_[A-Z_]+``
-environment-knob names the tree mentions.
+docstrings -- then the totals, the number of options (parameters with a
+default on public functions and on ``__init__``s) and the distinct
+``REPRO_[A-Z_]+`` environment-knob names the tree mentions.
 
     python tools/loc.py [root] [--quiet]
 """
@@ -43,6 +44,17 @@ def _docstring_lines(tree: ast.AST) -> Set[int]:
     return lines
 
 
+def options(tree: ast.AST) -> int:
+    """Defaulted parameters of the public functions and ``__init__``s."""
+    return sum(
+        len(node.args.defaults)
+        + sum(default is not None for default in node.args.kw_defaults)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (not node.name.startswith("_") or node.name == "__init__")
+    )
+
+
 def count(text: str) -> Tuple[int, int]:
     """``(raw lines, code-only lines)`` of one source text."""
     code: Set[int] = set()
@@ -55,7 +67,7 @@ def count(text: str) -> Tuple[int, int]:
 def main(argv) -> int:
     quiet = "--quiet" in argv
     roots = [arg for arg in argv if not arg.startswith("--")] or ["src"]
-    total_raw = total_code = 0
+    total_raw = total_code = total_options = 0
     knobs: Set[str] = set()
     for root in roots:
         for path in sorted(Path(root).rglob("*.py")):
@@ -63,6 +75,7 @@ def main(argv) -> int:
             raw, code = count(text)
             total_raw += raw
             total_code += code
+            total_options += options(ast.parse(text))
             knobs.update(_KNOB.findall(text))
             if not quiet:
                 print(f"{raw:7d} {code:7d}  {path}")
@@ -70,6 +83,7 @@ def main(argv) -> int:
         f"{total_raw:7d} {total_code:7d}  total (raw, code-only) "
         f"under {' '.join(roots)}"
     )
+    print(f"{total_options} options (defaulted parameters of public functions)")
     print(f"{len(knobs)} REPRO_* names: {' '.join(sorted(knobs))}")
     return 0
 
