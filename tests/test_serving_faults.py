@@ -29,6 +29,8 @@ that every worker ignores.  The CI matrix re-runs this module under
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -330,6 +332,46 @@ class TestSupervisorRestart:
             responses = pool.run(payloads)
             assert pool.restarts >= 1
         assert [strip_provenance(r) for r in responses] == oracle
+
+    def test_death_is_seen_where_sigchld_is_ignored(self, store, serial_db):
+        """A process that inherits an ignored SIGCHLD has its children
+        reaped by the kernel, so ``waitpid`` fails and ``is_alive()`` calls
+        a dead worker alive.  The pool reads deaths from the process
+        sentinel instead: the crash-lost request is retried and answered
+        like the oracle.  Runs in a subprocess (the disposition is
+        process-wide) under a time limit, so a regression fails instead
+        of hanging the suite."""
+        payloads = [_payload() for _ in range(3)]
+        oracle = [execute_payload(p, serial_db) for p in payloads]
+        script = (
+            "import json, signal, sys\n"
+            "from repro.db.serving import ServingPool, strip_provenance\n"
+            "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+            "payloads = json.load(sys.stdin)\n"
+            "fault = [{'kind': 'worker_exit', 'request_index': 1}]\n"
+            "with ServingPool(sys.argv[1], workers=2, max_worker_restarts=1,\n"
+            "                 fault_plan=fault) as pool:\n"
+            "    ids = [pool.submit(p) for p in payloads]\n"
+            "    responses = [pool.collect(i, timeout=30.0) for i in ids]\n"
+            "    restarts = pool.restarts\n"
+            "json.dump({'restarts': restarts,\n"
+            "           'attempts': [r['serving']['attempts'] for r in responses],\n"
+            "           'responses': [strip_provenance(r) for r in responses]},\n"
+            "          sys.stdout)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(store)],
+            input=json.dumps(payloads),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert report["restarts"] == 1
+        assert report["attempts"] == [1, 2, 1]
+        assert report["responses"] == json.loads(json.dumps(oracle))
 
 
 class TestInjectedRaise:
