@@ -21,12 +21,6 @@ performance is measured by ``bench/``:
   stores, the warm run replays every winning plan and must report
   ``planning_seconds == 0.0`` for baseline and every ``k`` (the cache
   hit skips planning entirely).
-* ``test_packed_vs_raw_store`` -- the same full-scale Fig. 5 database
-  saved under ``encoding="packed"`` and ``encoding="raw"``: bytes on
-  disk (the packed store must be at least 4x smaller), warm-open time,
-  and the Q1 budget-abort execution fingerprint plus its wall time on
-  each store (identical abort point: the packed kernels are
-  byte-equivalent to the int64 oracle).
 * ``test_budgeted_execution_below_raw_footprint`` -- the scaled Fig. 5
   Q1 structural plan run to completion under a ``memory_budget_bytes``
   an order of magnitude *smaller than the raw int64 column footprint*
@@ -46,7 +40,7 @@ import pytest
 
 from repro.db.algebra import EvaluationBudgetExceeded
 from repro.db.generator import database_from_statistics
-from repro.db.storage import PlanCache, open_database, save_database, storage_info
+from repro.db.storage import PlanCache, open_database, save_database
 from repro.planner.compare import compare_planners
 from repro.planner.cost_k_decomp import cost_k_decomp
 from repro.query.examples import q1
@@ -59,7 +53,6 @@ _BUCKETS = {}
 
 OPEN_MODES = ("cold_generate", "warm_open")
 PLAN_MODES = ("plan_cold", "plan_warm")
-ENCODING_MODES = ("packed", "raw")
 
 #: Tight budget for the abort-point fingerprint: reached long before the
 #: ~51M-tuple full evaluation, but only after every relation has been
@@ -68,30 +61,18 @@ _ABORT_BUDGET = 2_000_000
 
 
 def _generate_full_scale():
-    return database_from_statistics(
-        q1(), fig5_statistics(), seed=0, scale=1.0, columnar=True
-    )
+    return database_from_statistics(q1(), fig5_statistics(), seed=0, scale=1.0)
 
 
 def _fig5_stored():
     """One cold-generated, saved copy of the full-scale Fig. 5 database
-    plus the Q1 k=3 plan (untimed shared setup).  Saved packed -- this
-    store doubles as the packed side of the encoding comparison."""
+    plus the Q1 k=3 plan (untimed shared setup)."""
     if "fig5" not in _STATE:
         database = _generate_full_scale()
-        save_database(database, _SCRATCH / "fig5-packed", encoding="packed")
+        save_database(database, _SCRATCH / "fig5-packed")
         plan = cost_k_decomp(q1(), database.statistics, 3, completion="fresh")
         _STATE["fig5"] = (database, plan)
     return _STATE["fig5"]
-
-
-def _fig5_store_for(encoding: str) -> Path:
-    """The full-scale Fig. 5 store under one encoding (saved lazily)."""
-    database, _ = _fig5_stored()
-    target = _SCRATCH / f"fig5-{encoding}"
-    if not (target / "catalog.json").exists():
-        save_database(database, target, encoding=encoding)
-    return target
 
 
 def _execution_fingerprint(plan, database):
@@ -148,7 +129,7 @@ def test_plan_cache_cold_vs_warm(benchmark, mode):
     """Scaled Fig. 5 Q1 k-sweep with a persistent plan cache: plan+store,
     then replay with zero planning time."""
     if "plan_db" not in _STATE:
-        _STATE["plan_db"] = fig5_database(seed=0, scale=0.2, columnar=True)
+        _STATE["plan_db"] = fig5_database(seed=0, scale=0.2)
     database = _STATE["plan_db"]
     cache = _STATE.setdefault("plan_cache", PlanCache(_SCRATCH / "plans"))
     query = q1()
@@ -189,43 +170,12 @@ def test_plan_cache_cold_vs_warm(benchmark, mode):
         )
 
 
-@pytest.mark.parametrize("mode", ENCODING_MODES)
-def test_packed_vs_raw_store(benchmark, mode):
-    """Full-scale Fig. 5 under both encodings: store bytes, warm open,
-    and the Q1 budget-abort join time -- interleaved packed-vs-raw rows."""
-    _, plan = _fig5_stored()
-    target = _fig5_store_for(mode)
-    info = storage_info(target)
-
-    database = benchmark.pedantic(
-        lambda: open_database(target), rounds=1, iterations=1
-    )
-    abort_work = _execution_fingerprint(plan, database)
-
-    seen = _BUCKETS.setdefault("encoding", {})
-    seen[mode] = {
-        "bytes": info["total_column_bytes"],
-        "ratio": info["compression_ratio"],
-        "abort_work": abort_work,
-    }
-    if len(seen) == len(ENCODING_MODES):
-        packed, raw = seen["packed"], seen["raw"]
-        assert packed["abort_work"] == raw["abort_work"], (
-            "packed kernels must reach the identical budget-abort point"
-        )
-        assert raw["bytes"] >= 4 * packed["bytes"], (
-            f"the packed Fig. 5 store should be at least 4x smaller "
-            f"({packed['bytes']:,}B packed vs {raw['bytes']:,}B raw)"
-        )
-        assert packed["ratio"] >= 4.0
-
-
 def test_budgeted_execution_below_raw_footprint(benchmark):
     """Scaled Fig. 5 Q1 runs to completion under a memory budget an order
     of magnitude smaller than the raw int64 column footprint, with the
     answer and every work counter byte-identical to the unbudgeted run."""
     if "plan_db" not in _STATE:
-        _STATE["plan_db"] = fig5_database(seed=0, scale=0.2, columnar=True)
+        _STATE["plan_db"] = fig5_database(seed=0, scale=0.2)
     database = _STATE["plan_db"]
     raw_footprint = database.statistics.estimated_raw_bytes()
     budget_bytes = raw_footprint // 8

@@ -22,6 +22,8 @@ Run with::
 from __future__ import annotations
 
 from repro.db.columnar import ColumnarRelation
+from repro.db.database import Database
+from repro.db.relation import Relation
 from repro.planner.baseline import baseline_plan
 from repro.planner.cost_k_decomp import cost_k_decomp
 from repro.query.examples import q1
@@ -30,7 +32,7 @@ from repro.workloads.paper_queries import fig8_database
 
 def main() -> None:
     query = q1()
-    database = fig8_database(query, tuples_per_relation=150, seed=3, columnar=True)
+    database = fig8_database(query, tuples_per_relation=150, seed=3)
     stored = database.relation(query.atoms[0].predicate)
     assert isinstance(stored, ColumnarRelation), "database should be columnar"
     print(database.describe())
@@ -56,7 +58,14 @@ def main() -> None:
 
     # Cross-check the engines: same data in the row-based reference engine
     # must yield byte-identical work counters for both plans.
-    reference = fig8_database(query, tuples_per_relation=150, seed=3, columnar=False)
+    reference = Database(
+        relations={n: database.relation(n) for n in database.relation_names()},
+        statistics=database.statistics,
+        columnar=False,
+    )
+    assert all(
+        type(reference.relation(n)) is Relation for n in reference.relation_names()
+    ), "the reference database should hold row relations"
     for plan, columnar_result in (
         (baseline, baseline_result),
         (structural, structural_result),

@@ -105,12 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     db_save.add_argument("--tuples", type=int, default=150, help="tuples per relation")
     db_save.add_argument("--domain", type=int, default=30, help="attribute domain size")
     db_save.add_argument("--seed", type=int, default=0)
-    db_save.add_argument(
-        "--encoding",
-        choices=("packed", "raw"),
-        default=None,
-        help="column codec: frame-of-reference packed (default) or raw int64",
-    )
 
     db_open = db_commands.add_parser(
         "open", help="open a stored database (mmap) and print its schema"
@@ -320,7 +314,7 @@ def _command_db(args) -> int:
             domain_size=args.domain,
             seed=args.seed,
         )
-        database.save(args.path, encoding=args.encoding)
+        database.save(args.path)
         info = storage_info(args.path)
         print(
             f"saved {info['total_rows']:,} rows in {len(info['relations'])} "

@@ -53,7 +53,6 @@ from repro.db.storage import (
     open_database,
     pack_ids,
     query_fingerprint,
-    resolve_encoding,
     save_database,
     statistics_digest,
     storage_info,
@@ -112,7 +111,6 @@ __all__ = [
     "open_database",
     "pack_ids",
     "query_fingerprint",
-    "resolve_encoding",
     "save_database",
     "statistics_digest",
     "storage_info",

@@ -97,7 +97,7 @@ class OperatorStats:
     largest batch of transient index elements any single columnar kernel
     invocation materialised (see the accounting constants in
     :mod:`repro.db.columnar`).  It counts *elements*, never bytes, so it is
-    identical between packed and raw column encodings; its byte-level
+    identical between packed and int64 columns; its byte-level
     sibling ``peak_transient_bytes`` additionally weighs each batch by the
     actual dtypes involved (key arrays included) and is the only counter
     allowed to differ across encodings.  Both are deliberately *not* part

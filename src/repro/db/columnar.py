@@ -48,7 +48,8 @@ dictionary/value boundary.  Join/semijoin/project output row order depends
 only on key *equality classes* (stable sorts keep original order among
 equal keys; the dedup keeps each key's smallest row; both probes return
 the same ranges), so packed execution is byte-identical -- answers, row
-order and ``OperatorStats`` -- to the int64 oracle.
+order and ``OperatorStats`` -- to the same ids held in int64 columns, as
+an in-memory database holds them.
 
 The string/value-at-the-boundary invariant of the decomposition core holds
 here too: ids never escape.  :attr:`ColumnarRelation.rows` and every other
@@ -71,10 +72,10 @@ runs once over arrays that are input-sized whatever the budget.  Results,
 emit counts, budget-stop behaviour and ``OperatorStats`` counters are
 **byte-identical** under any budget; only the peak size of the
 intermediates changes.  All sizing decisions are computed from element
-counts only -- never dtypes -- so packed and raw runs of the same query
+counts only -- never dtypes -- so packed and int64 runs of the same query
 make identical chunking decisions and report identical
 ``peak_transient_elements``.  The join's count table is the one choice
-that depends on key *values* (FOR shifts them, so packed and raw runs may
+that depends on key *values* (FOR shifts them, so packed and int64 runs may
 choose differently); it is bounded by the input sizes, feeds no element
 count or chunking decision, and shows only in ``peak_transient_bytes``.
 
@@ -722,7 +723,7 @@ def columnar_natural_join(
     chunk.  The total emit count is known before any chunk is built, so the
     budget stop, the output (values **and** row order) and all
     ``OperatorStats`` counters do not depend on the budget.  All sizing
-    decisions are element counts, never bytes-of-dtype, so packed and raw
+    decisions are element counts, never bytes-of-dtype, so packed and int64
     runs chunk identically and ``peak_transient_elements`` stays pinned.
     """
     positions = right._positions
@@ -802,7 +803,7 @@ def columnar_natural_join(
     # found on a strictly increasing cost curve (cum is non-decreasing, the
     # 3-per-row term strictly increases) -- built only when the whole join
     # does not fit one chunk.  All quantities are element counts (dtype
-    # independent), so packed and raw runs make identical decisions.
+    # independent), so packed and int64 runs make identical decisions.
     budget_bytes = None if stats is None else stats.memory_budget_bytes
     if budget_bytes is None or budget_bytes <= 0:
         budget_bytes = _DEFAULT_BUDGET_BYTES

@@ -6,8 +6,11 @@ By default every stored relation is interned at load time into the columnar
 representation (:class:`~repro.db.columnar.ColumnarRelation`) against the
 database's shared value :class:`~repro.db.dictionary.Dictionary`, so the
 whole execution pipeline -- binding, joins, semijoins, Yannakakis -- runs on
-dense int columns; ``columnar=False`` keeps the row-based storage (the
-reference engine the equivalence tests and benchmarks compare against).
+dense int columns.  The engine is decided where a database comes into
+being -- ``Database(columnar=)`` or :meth:`Database.open` -- and nowhere
+else: ``columnar=False`` holds plain row relations (the reference engine the
+equivalence tests and benchmarks compare against), decoding any columnar
+relation it is given.
 
 The central operation for query evaluation is :meth:`Database.bind_atom`,
 which renames a relation's columns to the variables of a query atom (and
@@ -65,9 +68,13 @@ class Database:
 
     # ------------------------------------------------------------------
     def _intern(self, relation: Relation) -> Relation:
-        if not self.columnar or ColumnarRelation is None:
+        if ColumnarRelation is None:
             return relation
-        return ColumnarRelation.from_relation(relation, self.dictionary)
+        if self.columnar:
+            return ColumnarRelation.from_relation(relation, self.dictionary)
+        if isinstance(relation, ColumnarRelation):
+            return Relation(relation.name, relation.attributes, relation.rows)
+        return relation
 
     def add_relation(self, relation: Relation) -> None:
         self._relations[relation.name] = self._intern(relation)
@@ -90,23 +97,22 @@ class Database:
         return sum(r.cardinality for r in self._relations.values())
 
     # ------------------------------------------------------------------
-    def save(self, path, encoding: Optional[str] = None) -> "Database":
+    def save(self, path) -> "Database":
         """Persist this database to ``path`` in the mmap-able columnar
         storage format (see :mod:`repro.db.storage`): a JSON catalog plus
-        one binary file per column.  ``encoding`` picks the column codec
-        (``"packed"`` frame-of-reference, the default; ``"raw"`` int64
-        oracle).  Returns ``self`` for chaining."""
+        one frame-of-reference packed file per column, whose width the
+        column's id span picks.  Returns ``self`` for chaining."""
         from repro.db.storage import save_database
 
-        save_database(self, path, encoding=encoding)
+        save_database(self, path)
         return self
 
     @classmethod
     def open(cls, path, columnar: bool = True) -> "Database":
-        """Open a stored database.  Under the columnar engine every column
-        is ``np.memmap``'d read-only straight into the relations -- no
-        interning, no row materialisation; without numpy (or with
-        ``columnar=False``) the stored ids decode through the row engine.
+        """Open a stored database.  Under the columnar engine (the
+        default) every column is ``np.memmap``'d read-only straight into the
+        relations -- no interning, no row materialisation; ``columnar=False``
+        (or a missing numpy) decodes the stored ids through the row engine.
         Statistics come back verbatim from the catalog."""
         from repro.db.storage import open_database
 

@@ -118,10 +118,12 @@ class ExecutionResult:
         """A JSON-safe rendering of the work counters: the representation-
         blind :meth:`OperatorStats.snapshot` plus the per-operator counts
         and ``peak_transient_elements``.  Every field is deterministic
-        across engines, encodings, chunkings and thread counts, so two
+        across column widths, chunkings and thread counts, so two
         executions of the same plan against the same data must produce
-        equal payloads (the serving plane's determinism contract).  The
-        dtype-aware ``peak_transient_bytes`` is deliberately excluded."""
+        equal payloads (the serving plane's determinism contract); the row
+        engine keeps every field but ``peak_transient_elements``, which
+        it reports as 0.  The dtype-aware ``peak_transient_bytes`` is
+        deliberately excluded."""
         payload = dict(self.stats.snapshot())
         payload["operations"] = {
             key: self.stats.operations[key]

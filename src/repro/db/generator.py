@@ -76,9 +76,9 @@ def _add_generated(
     columns: Sequence[List[int]],
 ) -> None:
     """Store generated value columns in the database: interned straight into
-    its dictionary when the database is columnar, materialised as row tuples
-    otherwise (the single place where the two representations split)."""
-    if database.columnar and ColumnarRelation is not None:
+    its dictionary, or materialised as row tuples when numpy is missing (the
+    single place where the two representations split)."""
+    if ColumnarRelation is not None:
         database.add_relation(
             ColumnarRelation.from_value_columns(
                 name, attributes, columns, database.dictionary
@@ -116,7 +116,6 @@ def database_from_statistics(
     seed: int = 0,
     scale: float = 1.0,
     name: str = "synthetic",
-    columnar: bool = True,
 ) -> Database:
     """Generate a database realising a declared statistics profile for the
     relations used by ``query``.
@@ -128,12 +127,12 @@ def database_from_statistics(
     shrinking a relation shrinks its value sets too, but more slowly, which
     keeps joins selective.
 
-    ``columnar`` selects the engine: the generated columns are interned
-    straight into the database dictionary without ever materialising rows
-    (the default), or kept as row tuples for the reference engine.  Both
-    paths draw from the same random stream, so the data is identical.
+    The generated columns are interned straight into the database
+    dictionary without ever materialising rows.  A row-engine twin of the
+    result is ``Database(relations=..., columnar=False)`` over its
+    relations.
     """
-    database = Database(name=name, columnar=columnar)
+    database = Database(name=name)
     for atom in query.atoms:
         if database.has_relation(atom.predicate):
             continue
@@ -161,7 +160,6 @@ def uniform_database(
     domain_size: int = 30,
     seed: int = 0,
     name: str = "uniform",
-    columnar: bool = True,
 ) -> Database:
     """A database with the same cardinality for every relation and a common
     value domain -- the "1500 data tuples" setting of the Fig. 8 experiments.
@@ -170,13 +168,12 @@ def uniform_database(
     blow up more, larger domains make them more selective.
     """
     rng = random.Random(seed)
-    database = Database(name=name, columnar=columnar)
+    database = Database(name=name)
     for atom in query.atoms:
         if database.has_relation(atom.predicate):
             continue
         attributes = list(atom.terms)
-        # Row-major draws (one tuple at a time) keep the random stream -- and
-        # therefore the data -- identical across both representations.
+        # Row-major draws: one tuple at a time, column by column.
         columns: List[List[int]] = [[] for _ in attributes]
         for _ in range(tuples_per_relation):
             for column in columns:

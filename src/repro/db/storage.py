@@ -15,9 +15,9 @@ frame-of-reference packed columns (codec ``"for"``: the file holds
 ``id - reference`` in the smallest unsigned dtype covering the column's id
 span; the reference is recorded in the catalog) and ``i64`` for raw int64
 columns (codec ``"raw"``, reference 0).  :func:`pack_ids` /
-:func:`unpack_ids` are the codec; :func:`resolve_encoding` picks the
-store-wide mode (``"packed"`` by default, ``"raw"`` as the oracle,
-overridable per save).
+:func:`unpack_ids` are the codec, and the data picks the width: a save
+writes ``i64`` only for a span over 32 bits, while the reader accepts an
+``i64`` column wherever one is on disk.
 
 **One decode per document.**  :func:`load_catalog` is the only reader of
 ``catalog.json``: it returns a frozen :class:`Catalog` of
@@ -37,8 +37,8 @@ stored width** -- no interning, no row materialisation, no decode: the
 kernels run on the packed ids and never mutate input columns, so the maps
 are read-only.  Without numpy (or with ``columnar=False``) the same files
 decode through the row engine.  A round-tripped database yields
-byte-identical answers, row order and ``OperatorStats`` whichever encoding
-it was saved under (``tests/test_storage.py``,
+byte-identical answers, row order and ``OperatorStats`` to the in-memory
+database it was saved from (``tests/test_storage.py``,
 ``tests/test_packed_encoding.py``).
 
 **The workload cache** (:func:`cached_database`) -- a content-addressed
@@ -95,10 +95,6 @@ _CATALOG_FILE = "catalog.json"
 _DICTIONARY_FILE = "dictionary.json"
 _COLUMN_DIR = "cols"
 
-#: Store-wide encoding modes.
-_ENCODINGS = ("packed", "raw")
-_DEFAULT_ENCODING = "packed"
-
 #: Environment knob of the workload cache: the directory that activates it.
 CACHE_DIR_ENV = "REPRO_WORKLOAD_CACHE_DIR"
 
@@ -116,18 +112,6 @@ _DTYPE_TAGS = {
     "u4": ("I", 4, "<u4"),
     "i64": ("q", 8, "<i8"),
 }
-
-
-def resolve_encoding(encoding: Optional[str] = None) -> str:
-    """The effective store-wide encoding mode: an explicit argument, else
-    ``"packed"``.  Unknown names raise :class:`StorageFormatError`."""
-    encoding = _DEFAULT_ENCODING if encoding is None else str(encoding).lower()
-    if encoding not in _ENCODINGS:
-        raise StorageFormatError(
-            f"unknown storage encoding {encoding!r}; expected one of "
-            f"{', '.join(_ENCODINGS)}"
-        )
-    return encoding
 
 
 def _id_bounds(ids, reference: int = 0):
@@ -157,7 +141,6 @@ def _span_tag(lo: int, hi: int) -> str:
 
 def pack_ids(
     ids,
-    mode: str = "packed",
     reference: int = 0,
     frame_of_reference: bool = True,
 ) -> "tuple[bytes, Dict[str, Any]]":
@@ -169,14 +152,13 @@ def pack_ids(
     scratch, so re-saving a packed store re-packs optimally.  With
     ``frame_of_reference=False`` (selection vectors: the values are real
     row indices that fancy indexing consumes directly) the new reference is
-    pinned to 0 and only the width narrows.  ``mode="raw"`` always yields
-    codec ``"raw"``: int64, reference 0.  Negative ids (never produced by the dictionary, but legal int64
-    input) fall back to the raw codec unless a frame shift absorbs them.
+    pinned to 0 and only the width narrows.  A span over 32 bits yields
+    codec ``"raw"``: int64, reference 0.  Negative ids (never produced by
+    the dictionary, but legal int64 input) fall back to the raw codec unless
+    a frame shift absorbs them.
     """
     lo, hi = _id_bounds(ids, reference)
-    if mode == "raw":
-        tag, new_reference = "i64", 0
-    elif frame_of_reference:
+    if frame_of_reference:
         tag = _span_tag(lo, hi)
         new_reference = lo if tag != "i64" else 0
     else:
@@ -552,7 +534,7 @@ def _encoded_relations(database: Database):
 
     Columnar relations are already in id space over the database's shared
     dictionary (their columns may be packed with per-column references).
-    Row relations (the ``columnar=False`` engine) are encoded column-major
+    Row relations (a ``columnar=False`` database) are encoded column-major
     into a fresh dictionary at save time, in relation order -- the same
     interning order the columnar generator produces, so the stored bytes
     are identical whichever engine generated the data.
@@ -590,7 +572,7 @@ def _encoded_relations(database: Database):
     return dictionary, encoded
 
 
-def save_database(database: Database, path, encoding: Optional[str] = None) -> Path:
+def save_database(database: Database, path) -> Path:
     """Write ``database`` to ``path`` (a directory, created as needed) in
     the mmap-able columnar format.  Existing contents are replaced
     **atomically**: the whole store is encoded into a staging sibling
@@ -600,16 +582,15 @@ def save_database(database: Database, path, encoding: Optional[str] = None) -> P
     of old and new files.  The statistics catalog is stored verbatim, so
     opening restores it without re-analysis.  Every column/selection file
     and the dictionary carry a SHA-256 content digest in the catalog
-    (checked by ``verify_store(deep=True)``).  ``encoding`` picks the
-    column codec (``"packed"`` / ``"raw"``; ``None`` defers to
-    :func:`resolve_encoding`).  Returns the directory path."""
+    (checked by ``verify_store(deep=True)``).  Every column is packed by
+    :func:`pack_ids`.  Returns the directory path."""
     root = Path(path)
     root.parent.mkdir(parents=True, exist_ok=True)
     staging = root.parent / f".{root.name}.saving.{os.getpid()}"
     if staging.exists():
         shutil.rmtree(staging)
     try:
-        _write_store(database, staging, encoding)
+        _write_store(database, staging)
         _publish_store(staging, root)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -638,8 +619,7 @@ def _publish_store(staging: Path, root: Path) -> None:
         os.rename(staging, root)
 
 
-def _write_store(database: Database, root: Path, encoding: Optional[str]) -> None:
-    mode = resolve_encoding(encoding)
+def _write_store(database: Database, root: Path) -> None:
     column_dir = root / _COLUMN_DIR
     column_dir.mkdir(parents=True, exist_ok=True)
 
@@ -651,9 +631,7 @@ def _write_store(database: Database, root: Path, encoding: Optional[str]) -> Non
     ) in enumerate(encoded):
         column_files = []
         for position, column in enumerate(columns):
-            payload, col_encoding = pack_ids(
-                column, mode=mode, reference=references[position]
-            )
+            payload, col_encoding = pack_ids(column, reference=references[position])
             file_name = (
                 f"{_COLUMN_DIR}/r{index}_c{position}.{col_encoding['dtype']}"
             )
@@ -673,9 +651,7 @@ def _write_store(database: Database, root: Path, encoding: Optional[str]) -> Non
         if selection is not None:
             # Selection values are real row indices consumed by fancy
             # indexing, so they pack width-only (reference pinned to 0).
-            payload, sel_encoding = pack_ids(
-                selection, mode=mode, frame_of_reference=False
-            )
+            payload, sel_encoding = pack_ids(selection, frame_of_reference=False)
             file_name = f"{_COLUMN_DIR}/r{index}_sel.{sel_encoding['dtype']}"
             (root / file_name).write_bytes(payload)
             nbytes = len(payload)
@@ -983,7 +959,6 @@ def cached_database(
     kind: str,
     params: Mapping[str, Any],
     builder: Callable[[], Database],
-    columnar: bool = True,
     cache_dir=None,
 ) -> Database:
     """Generate-or-reuse a workload database.
@@ -1001,10 +976,6 @@ def cached_database(
     concurrent processes never observe a half-written entry).  The cache
     lives in ``cache_dir``, else in ``REPRO_WORKLOAD_CACHE_DIR``; with
     neither set this is exactly ``builder()``.
-
-    The ``columnar`` flag selects the *representation* of the returned
-    database only; it is deliberately not part of the key, because both
-    engines hold identical data.
     """
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_DIR_ENV, "").strip() or None
@@ -1015,7 +986,7 @@ def cached_database(
     entry = root / f"{kind}-{digest[:20]}"
     if (entry / _CATALOG_FILE).exists():
         try:
-            database = open_database(entry, columnar=columnar)
+            database = open_database(entry)
             _workload_cache_counters["hits"] += 1
             return database
         except StorageFormatError:

@@ -1,7 +1,7 @@
 """Experiment drivers regenerating the paper's tables and figures."""
 
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.fig8 import fig8_all, fig8a_experiment, fig8b_experiment
+from repro.experiments.fig8 import fig8a_experiment, fig8b_experiment
 from repro.experiments.tables import (
     example31_experiment,
     fig1_experiment,
@@ -18,7 +18,6 @@ from repro.experiments.ablation import (
 
 __all__ = [
     "ExperimentResult",
-    "fig8_all",
     "fig8a_experiment",
     "fig8b_experiment",
     "example31_experiment",

@@ -17,7 +17,7 @@ what determines who wins and how the ratio moves with ``k``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.runner import ExperimentResult
 from repro.planner.compare import ComparisonReport, compare_planners
@@ -30,34 +30,24 @@ def fig8a_experiment(
     k_values: Sequence[int] = (2, 3, 4, 5),
     seed: int = 3,
     budget: Optional[int] = 6_000_000,
-    columnar: bool = True,
-    plan_cache=None,
 ) -> ExperimentResult:
     """Fig. 8(A): Q1, sweep of the width bound ``k``.
 
-    ``columnar`` selects the execution engine (the row-based reference with
-    ``False``).  For plans that complete, the work counters are
-    engine-independent and only the seconds move; a budget-aborted plan
-    reports the work-so-far lower bound, which depends on where the engine
-    stopped (the columnar join aborts with the exact would-be total, the
-    row join one probe batch past the budget).
-
-    The database comes through the storage plane's workload cache (when
-    ``REPRO_WORKLOAD_CACHE_DIR`` is configured a repeat run mmaps the
-    stored columns instead of regenerating), and ``plan_cache`` (a
-    :class:`repro.db.storage.PlanCache`) replays the winning plans of a
-    previous sweep with zero planning time.
+    A budget-aborted plan reports the work-so-far lower bound (the columnar
+    join aborts with the exact would-be total).  The database comes through
+    the storage plane's workload cache: when ``REPRO_WORKLOAD_CACHE_DIR`` is
+    configured a repeat run mmaps the stored columns instead of
+    regenerating.  Every plan is planned afresh, so ``planning_s`` is the
+    cost-k-decomp search time the paper's total-time ratio charges.
     """
     query = q1()
     database = fig8_database(
         query,
         tuples_per_relation=tuples_per_relation,
         seed=seed,
-        columnar=columnar,
     )
     report = compare_planners(
-        query, database, k_values=k_values, completion="fresh", budget=budget,
-        plan_cache=plan_cache,
+        query, database, k_values=k_values, completion="fresh", budget=budget
     )
     result = ExperimentResult(
         name="Fig. 8(A) -- Q1, cost-k-decomp vs quantitative-only baseline",
@@ -113,11 +103,9 @@ def fig8b_experiment(
     k: int = 3,
     seed: int = 11,
     budget: Optional[int] = 6_000_000,
-    columnar: bool = True,
-    plan_cache=None,
 ) -> ExperimentResult:
     """Fig. 8(B): absolute evaluation measurements for Q2 and Q3 at ``k``
-    (workload cache and ``plan_cache`` as in :func:`fig8a_experiment`)."""
+    (workload cache as in :func:`fig8a_experiment`)."""
     result = ExperimentResult(
         name="Fig. 8(B) -- Q2 and Q3, baseline vs cost-k-decomp",
         description=(
@@ -131,11 +119,9 @@ def fig8b_experiment(
             tuples_per_relation=tuples_per_relation,
             selectivity=selectivity,
             seed=seed,
-            columnar=columnar,
         )
         report = compare_planners(
-            query, database, k_values=(k,), completion="fresh", budget=budget,
-            plan_cache=plan_cache,
+            query, database, k_values=(k,), completion="fresh", budget=budget
         )
         base = report.baseline
         structural = report.structural[k]
@@ -162,10 +148,3 @@ def fig8b_experiment(
     )
     return result
 
-
-def fig8_all(seed: int = 3) -> Dict[str, ExperimentResult]:
-    """Both Fig. 8 experiments with default parameters."""
-    return {
-        "fig8a": fig8a_experiment(seed=seed),
-        "fig8b": fig8b_experiment(seed=seed + 8),
-    }

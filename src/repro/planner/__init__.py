@@ -8,7 +8,6 @@ from repro.planner.compare import (
     PlanMeasurement,
     compare_planners,
     measure_baseline,
-    measure_structural,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "PlanMeasurement",
     "compare_planners",
     "measure_baseline",
-    "measure_structural",
 ]

@@ -4,10 +4,9 @@ baseline.
 This is the measurement core behind the Fig. 8 experiments: for a query, a
 database and a set of width bounds, it
 
-1. plans the query with the baseline left-deep optimiser and executes the
-   plan,
-2. plans it with cost-k-decomp for every requested ``k`` and executes those
-   plans,
+1. plans the query with cost-k-decomp for every requested ``k``,
+2. plans it with the baseline left-deep optimiser and executes that plan,
+   then executes the structural plans,
 3. reports, per plan, the planning time, the estimated cost, the evaluation
    work (tuples read + emitted, the hardware-independent proxy), the
    wall-clock evaluation time, and the baseline/structural ratios the paper
@@ -16,8 +15,8 @@ database and a set of width bounds, it
 Correctness is also cross-checked: every structural plan must return exactly
 the same answer as the baseline plan.
 
-Every ``measure_*`` entry point (and :func:`compare_planners`) accepts a
-``plan_cache`` -- a :class:`repro.db.storage.PlanCache` -- and hands it to
+:func:`measure_baseline` and :func:`compare_planners` accept a
+``plan_cache`` -- a :class:`repro.db.storage.PlanCache` -- and hand it to
 the planners (:func:`~repro.planner.baseline.baseline_plan`,
 :func:`~repro.planner.cost_k_decomp.best_plan_over_k`): a hit replays the
 stored winner with ``planning_seconds == 0.0``, any statistics change is a
@@ -156,31 +155,6 @@ def measure_baseline(
     return _execute_and_measure(plan, database, "baseline(left-deep)", budget)
 
 
-def _measure_structural_plan(k: int, plan, database, budget) -> PlanMeasurement:
-    return _execute_and_measure(
-        plan, database, f"cost-{k}-decomp", budget, width=plan.width,
-        weighting=plan.weighting,
-    )
-
-
-def measure_structural(
-    query: ConjunctiveQuery,
-    database: Database,
-    k: int,
-    completion: str = "fresh",
-    budget: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-) -> PlanMeasurement:
-    """Plan with cost-k-decomp for one ``k`` (or replay the cached winner)
-    and execute.  Raises ``PlanningError`` when ``k`` is below the query's
-    hypertree width."""
-    plans = best_plan_over_k(
-        query, database.statistics, (k,), completion=completion,
-        plan_cache=plan_cache,
-    )
-    return _measure_structural_plan(k, plans[k], database, budget)
-
-
 def compare_planners(
     query: ConjunctiveQuery,
     database: Database,
@@ -200,18 +174,24 @@ def compare_planners(
     chunks); work counters and answers are identical at any setting, so
     the comparison stays fair.  ``plan_cache`` makes the whole sweep
     persistent: with unchanged statistics a repeated comparison replays
-    every winning plan with zero planning time.
+    every winning plan with zero planning time.  The structural plans are
+    planned first, so a sweep that cannot plan (an unknown ``completion``,
+    or every ``k`` below the hypertree width) raises ``PlanningError``
+    before any plan executes.
     """
-    baseline_measurement = measure_baseline(
-        query, database, budget=budget, plan_cache=plan_cache,
-    )
-    report = ComparisonReport(query_name=query.name, baseline=baseline_measurement)
     plans = best_plan_over_k(
         query, database.statistics, k_values, completion=completion,
         plan_cache=plan_cache,
     )
+    baseline_measurement = measure_baseline(
+        query, database, budget=budget, plan_cache=plan_cache,
+    )
+    report = ComparisonReport(query_name=query.name, baseline=baseline_measurement)
     for k, plan in plans.items():
-        measurement = _measure_structural_plan(k, plan, database, budget)
+        measurement = _execute_and_measure(
+            plan, database, f"cost-{k}-decomp", budget, width=plan.width,
+            weighting=plan.weighting,
+        )
         report.structural[k] = measurement
         answers_comparable = (
             not measurement.budget_exceeded and not baseline_measurement.budget_exceeded

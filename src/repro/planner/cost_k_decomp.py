@@ -71,7 +71,7 @@ def _strip_fresh_variables(
 
 
 def _check_completion(completion: str) -> None:
-    if completion not in ("fresh", "post", "none"):
+    if completion not in ("fresh", "post"):
         raise PlanningError(f"unknown completion mode {completion!r}")
 
 
@@ -115,7 +115,7 @@ def _plan(
 
     if completion == "post":
         decomposition = complete_decomposition(decomposition)
-    elif completion == "fresh":
+    else:
         # The fresh variables have served their purpose (forcing strong
         # covering); execute against the original query hypergraph.
         decomposition = _strip_fresh_variables(decomposition, query.hypergraph())
@@ -152,9 +152,7 @@ def cost_k_decomp(
     completion:
         ``"fresh"`` (default) uses the fresh-variable construction so the
         minimal decomposition is complete by construction; ``"post"``
-        decomposes the original hypergraph and completes afterwards;
-        ``"none"`` returns the NF decomposition as-is (only useful for
-        inspection, not for execution).
+        decomposes the original hypergraph and completes afterwards.
 
     Several bounds over one query are cheaper through
     :func:`best_plan_over_k`, which shares one TAF across them.
@@ -184,9 +182,10 @@ def best_plan_over_k(
     keyed additionally by ``k`` and ``completion``) each bound is looked up
     first and a hit replays the stored winner with ``planning_seconds ==
     0.0``; the TAF is built on the first miss, so a fully warm sweep builds
-    no planner state at all.  Returns a dict ``k -> plan``; values of ``k``
-    below the query's hypertree width are silently skipped (planning fails
-    there by definition), an unknown ``completion`` is not.
+    no planner state at all.  Returns a dict ``k -> plan`` keyed in
+    first-seen order, each bound planned once however often it repeats;
+    values of ``k`` below the query's hypertree width are silently skipped
+    (planning fails there by definition), an unknown ``completion`` is not.
     """
     _check_completion(completion)
     planned: Optional[Tuple[Hypergraph, QueryCostTAF]] = None
@@ -198,7 +197,7 @@ def best_plan_over_k(
         return _plan(query, k, completion, *planned)
 
     plans: Dict[int, HypertreePlan] = {}
-    for k in k_values:
+    for k in dict.fromkeys(k_values):
         try:
             plans[k] = cached_plan(
                 plan_cache, HypertreePlan, query, statistics, lambda: plan(k),

@@ -8,7 +8,6 @@ from repro.workloads.paper_queries import (
     fig5_statistics,
     fig8_database,
     fig8_statistics,
-    paper_workload,
 )
 from repro.workloads.synthetic import (
     chain_query,
@@ -28,7 +27,6 @@ __all__ = [
     "fig5_statistics",
     "fig8_database",
     "fig8_statistics",
-    "paper_workload",
     "chain_query",
     "cycle_query",
     "random_cyclic_query",

@@ -14,14 +14,14 @@ Primed variables of the paper (``X'``) are spelled with a trailing ``p``
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.db.database import Database
 from repro.db.generator import database_from_statistics
 from repro.db.statistics import CatalogStatistics
 from repro.db.storage import cached_database, query_fingerprint
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.examples import q1, q2, q3
+from repro.query.examples import q1
 
 #: Fig. 5 -- number of tuples per relation of Q1.
 FIG5_CARDINALITIES: Dict[str, int] = {
@@ -64,16 +64,13 @@ def fig5_statistics() -> CatalogStatistics:
     return CatalogStatistics.from_declared(FIG5_CARDINALITIES, FIG5_SELECTIVITIES)
 
 
-def fig5_database(
-    seed: int = 0, scale: float = 0.05, columnar: bool = True, cache_dir=None
-) -> Database:
+def fig5_database(seed: int = 0, scale: float = 0.05, cache_dir=None) -> Database:
     """A synthetic database realising the Fig. 5 profile.
 
     ``scale`` scales the cardinalities (default 5% so the full evaluation
     comparison runs in seconds in pure Python); the attribute selectivities
     are scaled gently (square root of the cardinality ratio) by the
-    generator.  ``columnar`` picks the storage engine (the row engine is the
-    reference the benchmarks compare against).  Generation is routed
+    generator.  Generation is routed
     through the content-addressed workload cache (see
     :func:`repro.db.storage.cached_database`), so repeated sweeps over the
     same profile reopen the stored columns instead of regenerating.
@@ -82,9 +79,8 @@ def fig5_database(
         kind="fig5",
         params={"seed": int(seed), "scale": float(scale)},
         builder=lambda: database_from_statistics(
-            q1(), fig5_statistics(), seed=seed, scale=scale, columnar=columnar
+            q1(), fig5_statistics(), seed=seed, scale=scale
         ),
-        columnar=columnar,
         cache_dir=cache_dir,
     )
 
@@ -131,7 +127,6 @@ def fig8_database(
     tuples_per_relation: int = 1500,
     selectivity: int = 15,
     seed: int = 0,
-    columnar: bool = True,
     cache_dir=None,
 ) -> Database:
     """A database for the Fig. 8 timing comparison.
@@ -141,8 +136,6 @@ def fig8_database(
     magnitude slower per tuple than a C engine, so the experiments default to
     smaller cardinalities via ``tuples_per_relation`` while keeping the same
     density regime (cardinality much larger than the attribute domains).
-    ``columnar=False`` materialises the same data in the row-based reference
-    engine (identical random stream, identical tuples).
     """
     query = query or q1()
     stats = fig8_statistics(query, tuples_per_relation, selectivity)
@@ -154,26 +147,7 @@ def fig8_database(
             "selectivity": int(selectivity),
             "seed": int(seed),
         },
-        builder=lambda: database_from_statistics(
-            query, stats, seed=seed, scale=1.0, columnar=columnar
-        ),
-        columnar=columnar,
+        builder=lambda: database_from_statistics(query, stats, seed=seed, scale=1.0),
         cache_dir=cache_dir,
     )
 
-
-def paper_workload(
-    seed: int = 0, tuples_per_relation: int = 1500, columnar: bool = True
-) -> Dict[str, Dict[str, object]]:
-    """The full Fig. 8 workload: for each of Q1, Q2, Q3 the query and its
-    database, keyed by query name."""
-    result: Dict[str, Dict[str, object]] = {}
-    for query in (q1(), q2(), q3()):
-        database = fig8_database(
-            query,
-            tuples_per_relation=tuples_per_relation,
-            seed=seed,
-            columnar=columnar,
-        )
-        result[query.name] = {"query": query, "database": database}
-    return result

@@ -120,7 +120,6 @@ def workload_database(
     tuples_per_relation: int = 200,
     domain_size: int = 10,
     seed: int = 0,
-    columnar: bool = True,
     cache_dir=None,
 ) -> Database:
     """A random database for a synthetic query.
@@ -151,9 +150,7 @@ def workload_database(
             tuples_per_relation=tuples_per_relation,
             domain_size=domain_size,
             seed=seed,
-            columnar=columnar,
         ),
-        columnar=columnar,
         cache_dir=cache_dir,
     )
 

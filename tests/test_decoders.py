@@ -469,14 +469,15 @@ class TestCatalogFailsClosed:
         # A self-consistent lie: every field that restates the row count
         # agrees on 10**12, so only the file itself contradicts it.
         target = tmp_path / "store"
-        _store_database().save(target, encoding="raw")
+        _store_database().save(target)
+        itemsize = {"u1": 1, "u2": 2, "u4": 4, "i64": 8}
 
         def lie(catalog):
             relation = catalog["relations"][0]
             assert relation["selection"] is None
             relation["base_length"] = relation["cardinality"] = 10**12
             for column in relation["columns"]:
-                column["bytes"] = 8 * 10**12
+                column["bytes"] = itemsize[column["encoding"]["dtype"]] * 10**12
 
         _rewrite(target / "catalog.json", lie)
         with pytest.raises(StorageFormatError, match="bytes, expected"):

@@ -6,11 +6,15 @@ Four invariants are pinned here:
   every bit-width boundary (1/8/9/32/33 bits), for negative references,
   empty and single-value columns -- and the numpy and numpy-free encoders
   produce byte-identical payloads.
-* **Packed == raw oracle.**  A database saved under ``encoding="packed"``
-  answers every plan byte-identically (rows, order, ``OperatorStats``) to
-  the same database saved raw -- serially, on the row engine, and under
+* **Packed == in-memory oracle.**  A packed store answers every plan
+  byte-identically (rows, order, ``OperatorStats``) to the in-memory
+  database it was saved from -- serially, on the row engine, and under
   ``threads=4`` plus a tiny memory budget.  ``peak_transient_elements`` is
   pinned equal; only ``peak_transient_bytes`` may shrink.
+* **The ``i64`` reader.**  No save writes an ``i64`` column for a span
+  within 32 bits, but one already on disk (built here by the
+  ``rewrite_column_as_i64`` fixture) opens identically on both engines,
+  verifies deep, and is range-checked like any other column.
 * **Version gate.**  A hand-built version-1 store (no ``"encoding"``
   metadata, raw ``.i64`` files) is refused with a re-save hint -- only the
   current format version is read -- and a ``cached_database`` entry at a
@@ -18,7 +22,7 @@ Four invariants are pinned here:
 * **Adaptive emit chunks.**  ``memory_budget_bytes`` (and, when none is
   set, the module constant ``columnar._DEFAULT_BUDGET_BYTES``) bounds the
   join's transient footprint without changing a single output byte, and
-  packed/raw runs chunk identically.
+  narrow and int64 columns chunk identically.
 """
 
 import json
@@ -50,7 +54,6 @@ from repro.db.storage import (
     open_database,
     pack_ids,
     reset_workload_cache_stats,
-    resolve_encoding,
     save_database,
     storage_info,
     unpack_ids,
@@ -181,9 +184,9 @@ class TestCodecBoundaries:
         assert payload == b"\x00"
         assert unpack_ids(payload, meta, 1) == [123456]
 
-    def test_raw_mode_is_v1_byte_identical(self):
+    def test_wide_span_is_plain_int64_bytes(self):
         ids = [0, 300, 5, 2**40]
-        payload, meta = pack_ids(ids, mode="raw")
+        payload, meta = pack_ids(ids)
         assert meta == {"codec": "raw", "dtype": "i64", "reference": 0}
         assert payload == np.array(ids, dtype="<i8").tobytes()
 
@@ -209,15 +212,6 @@ class TestCodecBoundaries:
         with pytest.raises(StorageFormatError, match="expected"):
             unpack_ids(payload, meta, 4)
 
-    def test_resolve_encoding(self, monkeypatch):
-        assert resolve_encoding() == "packed"
-        assert resolve_encoding("raw") == "raw"
-        # The environment no longer steers the codec: the argument alone does.
-        monkeypatch.setenv("REPRO_STORAGE_ENCODING", "raw")
-        assert resolve_encoding() == "packed"
-        with pytest.raises(StorageFormatError, match="unknown storage encoding"):
-            resolve_encoding("zstd")
-
 
 class TestCodecProperties:
     @settings(max_examples=120, deadline=None)
@@ -225,13 +219,12 @@ class TestCodecProperties:
         ids=st.lists(
             st.integers(min_value=-(2**62), max_value=2**62), max_size=40
         ),
-        mode=st.sampled_from(["packed", "raw"]),
     )
-    def test_round_trip_and_encoder_parity(self, ids, mode):
+    def test_round_trip_and_encoder_parity(self, ids):
         # The numpy and numpy-free encoders agree byte for byte, and
         # unpack inverts pack exactly.
-        list_payload, list_meta = pack_ids(list(ids), mode=mode)
-        np_payload, np_meta = pack_ids(np.array(ids, dtype=np.int64), mode=mode)
+        list_payload, list_meta = pack_ids(list(ids))
+        np_payload, np_meta = pack_ids(np.array(ids, dtype=np.int64))
         assert list_meta == np_meta
         assert list_payload == np_payload
         assert unpack_ids(np_payload, np_meta, len(ids)) == ids
@@ -244,10 +237,9 @@ class TestCodecProperties:
             st.integers(min_value=0, max_value=2**40), min_size=1, max_size=40
         )
     )
-    def test_packed_never_larger_than_raw(self, ids):
-        packed, packed_meta = pack_ids(ids, mode="packed")
-        raw, _ = pack_ids(ids, mode="raw")
-        assert len(packed) <= len(raw)
+    def test_packed_never_larger_than_int64(self, ids):
+        packed, packed_meta = pack_ids(ids)
+        assert len(packed) <= 8 * len(ids)
         if packed_meta["codec"] == "for":
             assert min(ids) == packed_meta["reference"]
 
@@ -269,21 +261,19 @@ class TestPackedStoreRoundTrip:
         )
         original.analyze()
         target = fresh_dir(tmp_path)
-        save_database(original, target, encoding="packed")
+        save_database(original, target)
         assert_same_database(original, open_database(target))
         assert_same_database(original, open_database(target, columnar=False))
 
-    def test_packed_and_raw_stores_open_identically(self, tmp_path):
+    def test_packed_store_opens_like_the_in_memory_database(self, tmp_path):
         query = cycle_query(4, name="enc_cycle")
         original = uniform_database(
             query, tuples_per_relation=60, domain_size=6, seed=3
         )
-        packed_dir, raw_dir = fresh_dir(tmp_path), fresh_dir(tmp_path)
-        save_database(original, packed_dir, encoding="packed")
-        save_database(original, raw_dir, encoding="raw")
-        packed, raw = open_database(packed_dir), open_database(raw_dir)
+        packed_dir = fresh_dir(tmp_path)
+        save_database(original, packed_dir)
+        packed = open_database(packed_dir)
         assert_same_database(original, packed)
-        assert_same_database(raw, packed)
         # The packed reopen really holds narrow columns with references.
         dtypes = {
             column.dtype.itemsize
@@ -291,9 +281,12 @@ class TestPackedStoreRoundTrip:
             for column in packed.relation(name)._columns
         }
         assert dtypes and max(dtypes) < 8
-        raw_info, packed_info = storage_info(raw_dir), storage_info(packed_dir)
-        assert packed_info["total_column_bytes"] < raw_info["total_column_bytes"]
-        assert raw_info["compression_ratio"] == 1.0
+        packed_info = storage_info(packed_dir)
+        assert (
+            packed_info["total_column_bytes"]
+            < packed_info["total_raw_column_bytes"]
+            == 8 * original.total_tuples() * 2
+        )
 
     def test_fig5_scale_store_compresses_at_least_4x(self, tmp_path):
         # The acceptance bar: at fig5-ish scale the packed store is >= 4x
@@ -303,7 +296,7 @@ class TestPackedStoreRoundTrip:
             query, tuples_per_relation=1000, domain_size=100, seed=0
         )
         target = fresh_dir(tmp_path)
-        save_database(original, target, encoding="packed")
+        save_database(original, target)
         info = storage_info(target)
         assert info["compression_ratio"] >= 4.0
         assert info["total_raw_column_bytes"] == sum(
@@ -324,7 +317,7 @@ class TestPackedStoreRoundTrip:
         base.add_relation(filtered.rename({}, name="rf"))
         base.analyze()
         target = fresh_dir(tmp_path)
-        save_database(base, target, encoding="packed")
+        save_database(base, target)
         for columnar in (True, False):
             reopened = open_database(target, columnar=columnar)
             assert reopened.relation("rf").rows == filtered.rows
@@ -341,8 +334,8 @@ class TestPackedStoreRoundTrip:
             query, tuples_per_relation=40, domain_size=5, seed=1
         )
         first, second = fresh_dir(tmp_path), fresh_dir(tmp_path)
-        save_database(original, first, encoding="packed")
-        save_database(open_database(first), second, encoding="packed")
+        save_database(original, first)
+        save_database(open_database(first), second)
         first_cols = {
             f.name: f.read_bytes() for f in sorted((first / "cols").iterdir())
         }
@@ -361,49 +354,48 @@ QUERIES = (
 
 class TestPackedExecutionEquivalence:
     """The oracle pin: packed stores answer every plan byte-identically to
-    raw int64 stores -- serially and on the parallel, memory-bounded plane."""
+    the in-memory database they were saved from (int64 columns, no save or
+    reopen code shared with the store) -- serially and on the parallel,
+    memory-bounded plane."""
 
     @settings(max_examples=8, **ROUND_TRIP_SETTINGS)
     @given(index=st.integers(0, len(QUERIES) - 1), seed=st.integers(0, 3))
-    def test_packed_vs_raw_plans_byte_identical(self, tmp_path, index, seed):
+    def test_packed_plans_match_the_in_memory_database(self, tmp_path, index, seed):
         query = QUERIES[index]
         original = uniform_database(
             query, tuples_per_relation=50, domain_size=6, seed=seed
         )
-        packed_dir, raw_dir = fresh_dir(tmp_path), fresh_dir(tmp_path)
-        save_database(original, packed_dir, encoding="packed")
-        save_database(original, raw_dir, encoding="raw")
-        packed, raw = open_database(packed_dir), open_database(raw_dir)
+        packed_dir = fresh_dir(tmp_path)
+        save_database(original, packed_dir)
+        packed = open_database(packed_dir)
         base = baseline_plan(query, original.statistics)
         structural = cost_k_decomp(query, original.statistics, k=2)
         for plan in (base, structural):
             # Serial oracle, then the parallel + memory-bounded plane.
-            assert_same_execution(plan, raw, packed)
-            assert_same_execution(
-                plan, raw, packed, threads=4, memory_budget_bytes=16384
-            )
+            for knobs in ({}, {"threads": 4, "memory_budget_bytes": 16384}):
+                ours, theirs = assert_same_execution(plan, original, packed, **knobs)
+                assert ours.stats_payload() == theirs.stats_payload()
 
-    def test_packed_transient_bytes_never_exceed_raw(self, tmp_path):
+    def test_packed_transient_bytes_never_exceed_in_memory(self, tmp_path):
         query = cycle_query(4, name="pk_bytes")
         original = uniform_database(
             query, tuples_per_relation=80, domain_size=4, seed=2
         )
-        packed_dir, raw_dir = fresh_dir(tmp_path), fresh_dir(tmp_path)
-        save_database(original, packed_dir, encoding="packed")
-        save_database(original, raw_dir, encoding="raw")
+        packed_dir = fresh_dir(tmp_path)
+        save_database(original, packed_dir)
         plan = baseline_plan(query, original.statistics)
-        packed_run, raw_run = (
+        packed_run, memory_run = (
             plan.execute(open_database(packed_dir)),
-            plan.execute(open_database(raw_dir)),
+            plan.execute(original),
         )
         assert (
             packed_run.stats.peak_transient_elements
-            == raw_run.stats.peak_transient_elements
+            == memory_run.stats.peak_transient_elements
         )
         assert packed_run.stats.peak_transient_bytes > 0
         assert (
             packed_run.stats.peak_transient_bytes
-            <= raw_run.stats.peak_transient_bytes
+            <= memory_run.stats.peak_transient_bytes
         )
 
     def test_packed_row_engine_matches_columnar(self, tmp_path):
@@ -412,7 +404,7 @@ class TestPackedExecutionEquivalence:
             query, tuples_per_relation=40, domain_size=6, seed=0
         )
         target = fresh_dir(tmp_path)
-        save_database(original, target, encoding="packed")
+        save_database(original, target)
         row_db = open_database(target, columnar=False)
         assert not isinstance(
             next(iter(row_db._relations.values())), ColumnarRelation
@@ -446,7 +438,7 @@ class TestPackedAtomBinding:
         )
         original.analyze()
         target = fresh_dir(tmp_path)
-        save_database(original, target, encoding="packed")
+        save_database(original, target)
         packed = open_database(target)
         stored = packed.relation("r")
         assert any(stored._references), "expected a reference-shifted column"
@@ -479,9 +471,9 @@ class TestPackedAtomBinding:
 
 def _downgrade_to_v1(target: Path) -> None:
     """Rewrite a store's version markers back to 1 and strip the
-    ``"encoding"`` metadata.  Applied to a ``encoding="raw"`` store this
-    produces an exact version-1 store (raw ``.i64`` files, no encoding
-    keys)."""
+    ``"encoding"`` metadata.  Applied to a store whose every column is
+    ``i64`` this produces an exact version-1 store (raw ``.i64`` files, no
+    encoding keys)."""
     for file_name in ("catalog.json", "dictionary.json"):
         payload = json.loads((target / file_name).read_text())
         assert payload["version"] == FORMAT_VERSION
@@ -504,7 +496,8 @@ class TestV1BackwardCompatibility:
     was retired with the single catalog decoder (the only v1 stores in
     existence were the ones this file builds by hand)."""
 
-    def _v1_store(self, tmp_path):
+    @pytest.fixture
+    def v1_store(self, tmp_path, rewrite_column_as_i64):
         base = Database(
             relations={
                 "r": Relation(
@@ -520,14 +513,19 @@ class TestV1BackwardCompatibility:
         )
         base.analyze()
         target = fresh_dir(tmp_path)
-        save_database(base, target, encoding="raw")
+        save_database(base, target)
+        for index, name in enumerate(base.relation_names()):
+            for position in range(len(base.relation(name).attributes)):
+                rewrite_column_as_i64(target, index, position)
+        rewrite_column_as_i64(target, base.relation_names().index("rf"), "selection")
+        assert {f.suffix for f in (target / "cols").iterdir()} == {".i64"}
         _downgrade_to_v1(target)
-        return base, target
+        return target
 
-    def test_v1_store_is_refused_with_a_resave_hint(self, tmp_path):
+    def test_v1_store_is_refused_with_a_resave_hint(self, v1_store):
         # Version-1 read support is retired: every entry point that decodes
         # the catalog refuses the store and says what to do about it.
-        _, target = self._v1_store(tmp_path)
+        target = v1_store
         for columnar in (True, False):
             with pytest.raises(StorageFormatError, match="version 1.*re-save"):
                 open_database(target, columnar=columnar)
@@ -537,8 +535,8 @@ class TestV1BackwardCompatibility:
         assert not report["ok"]
         assert [problem["file"] for problem in report["problems"]] == ["catalog.json"]
 
-    def test_future_version_still_rejected(self, tmp_path):
-        _, target = self._v1_store(tmp_path)
+    def test_future_version_still_rejected(self, v1_store):
+        target = v1_store
         payload = json.loads((target / "catalog.json").read_text())
         payload["version"] = 999
         (target / "catalog.json").write_text(json.dumps(payload))
@@ -754,39 +752,93 @@ class TestAdaptiveMorsels:
 
 
 # ----------------------------------------------------------------------
-# CLI: db save --encoding / db info encoding report.
+# The i64 reader: columns stored in the int64 codec still open.
 # ----------------------------------------------------------------------
 
 
-class TestDbInfoCli:
-    def _save(self, tmp_path, capsys, encoding=None):
-        target = str(Path(tmp_path) / f"cli-{encoding or 'default'}")
-        argv = [
-            "db", "save", target,
-            "--query", "ans <- r(X,Y), s(Y,Z)",
-            "--tuples", "80", "--domain", "9", "--seed", "1",
-        ]
-        if encoding:
-            argv += ["--encoding", encoding]
-        assert cli_main(argv) == 0
-        capsys.readouterr()
-        return target
+class TestI64Reader:
+    @pytest.fixture
+    def stores(self, tmp_path, rewrite_column_as_i64):
+        query = cycle_query(4, name="i64_cycle")
+        original = uniform_database(
+            query, tuples_per_relation=60, domain_size=6, seed=3
+        )
+        target = fresh_dir(tmp_path)
+        save_database(original, target)
+        column_file = rewrite_column_as_i64(target, relation=1, column=1)
+        return query, original, target, column_file
 
+    def test_opens_identically_on_both_engines(self, stores):
+        query, original, target, _ = stores
+        mapped = open_database(target)
+        assert_same_database(original, mapped)
+        assert mapped.relation(original.relation_names()[1])._columns[1].dtype == np.int64
+        plans = (
+            baseline_plan(query, original.statistics),
+            cost_k_decomp(query, original.statistics, k=2),
+        )
+        for plan in plans:
+            assert_same_execution(plan, original, mapped)
+        row_db = open_database(target, columnar=False)
+        assert_same_database(original, row_db)
+        for plan in plans:
+            ours, theirs = plan.execute(original), plan.execute(row_db)
+            assert (ours.cardinality, ours.boolean) == (theirs.cardinality, theirs.boolean)
+            assert ours.stats.snapshot() == theirs.stats.snapshot()
+
+    def test_verifies_deep(self, stores):
+        _, _, target, _ = stores
+        report = verify_store(target, deep=True)
+        assert report["ok"], report["problems"]
+        assert report["hashed_files"] == report["checked_files"]
+
+    def test_info_reports_the_raw_codec(self, stores, capsys):
+        _, _, target, _ = stores
+        assert cli_main(["db", "info", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("raw/i64 ref=0") == 1
+        assert "for/u1" in out
+
+    def test_a_negative_id_is_refused(self, stores):
+        # Only a signed column can hold -1: this is the negative-id check
+        # of the range scan every open performs.
+        _, _, target, column_file = stores
+        payload = bytearray(column_file.read_bytes())
+        payload[:8] = (-1).to_bytes(8, "little", signed=True)
+        column_file.write_bytes(bytes(payload))
+        for columnar in (True, False):
+            with pytest.raises(StorageFormatError, match="out of range"):
+                open_database(target, columnar=columnar)
+
+
+# ----------------------------------------------------------------------
+# CLI: db save / db info encoding report.
+# ----------------------------------------------------------------------
+
+SAVE_ARGV = [
+    "--query", "ans <- r(X,Y), s(Y,Z)",
+    "--tuples", "80", "--domain", "9", "--seed", "1",
+]
+
+
+class TestDbInfoCli:
     def test_info_reports_packed_encoding(self, tmp_path, capsys):
-        target = self._save(tmp_path, capsys)  # default is packed
+        target = str(Path(tmp_path) / "cli")
+        assert cli_main(["db", "save", target, *SAVE_ARGV]) == 0
+        capsys.readouterr()
         assert cli_main(["db", "info", target]) == 0
         out = capsys.readouterr().out
         assert "raw int64 bytes:" in out
         assert "compression:" in out
         assert "for/u1" in out
+        assert "raw/" not in out
         info = storage_info(target)
         assert f"compression: {info['compression_ratio']:.2f}x" in out
         assert info["compression_ratio"] >= 4.0
 
-    def test_info_reports_raw_encoding(self, tmp_path, capsys):
-        target = self._save(tmp_path, capsys, encoding="raw")
-        assert cli_main(["db", "info", target]) == 0
-        out = capsys.readouterr().out
-        assert "compression: 1.00x" in out
-        assert "raw/i64 ref=0" in out
-        assert "for/" not in out
+    def test_save_takes_no_encoding_flag(self, tmp_path):
+        target = str(Path(tmp_path) / "cli")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["db", "save", target, *SAVE_ARGV, "--encoding", "raw"])
+        assert exit_info.value.code == 2
+        assert not Path(target).exists()

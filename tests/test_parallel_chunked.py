@@ -43,6 +43,7 @@ from repro.db.algebra import (
     semijoin,
 )
 from repro.db.columnar import ColumnarRelation
+from repro.db.database import Database
 from repro.db.dictionary import Dictionary
 from repro.db.executor import build_tree_query, execute_plan
 from repro.db.plan_ir import hypertree_plan_ir
@@ -100,7 +101,7 @@ def _fig5_q1_plan(memory_budget):
     from repro.query.examples import q1
     from repro.workloads.paper_queries import fig5_database
 
-    database = fig5_database(seed=0, scale=0.2, columnar=True)
+    database = fig5_database(seed=0, scale=0.2)
     plan = cost_k_decomp(q1(), database.statistics, 3, completion="fresh")
     result = plan.to_ir().execute(
         database, budget=50_000_000, memory_budget_bytes=memory_budget
@@ -465,18 +466,17 @@ class TestParallelExecutionEquivalence:
         from repro.planner.cost_k_decomp import cost_k_decomp
 
         query, completion, emptied = QUERY_SHAPES[shape]
-        twins = [
-            workload_database(
-                _output_query(), tuples_per_relation=40, domain_size=6,
-                seed=seed, columnar=columnar,
-            )
-            for columnar in (False, True)
-        ]
-        for database in twins:
-            for predicate in emptied:
-                stored = database.relation(predicate)
-                database.add_relation(Relation(predicate, stored.attributes, []))
-        row_db, column_db = twins
+        column_db = workload_database(
+            _output_query(), tuples_per_relation=40, domain_size=6, seed=seed
+        )
+        for predicate in emptied:
+            stored = column_db.relation(predicate)
+            column_db.add_relation(Relation(predicate, stored.attributes, []))
+        row_db = Database(
+            relations={n: column_db.relation(n) for n in column_db.relation_names()},
+            statistics=column_db.statistics,
+            columnar=False,
+        )
         if structural:
             plan = cost_k_decomp(query, row_db.statistics, 2, completion=completion)
         else:

@@ -3,18 +3,23 @@ comparison harness."""
 
 import pytest
 
+import repro.planner.compare as compare_module
 from repro.db.generator import uniform_database
 from repro.db.serving import prewarm
 from repro.db.statistics import CatalogStatistics
 from repro.exceptions import PlanningError
 from repro.planner.baseline import SystemROptimizer, baseline_plan
-from repro.planner.compare import compare_planners, measure_baseline, measure_structural
+from repro.planner.compare import compare_planners, measure_baseline
 from repro.planner.cost_k_decomp import best_plan_over_k, cost_k_decomp
 from repro.planner.plans import HypertreePlan, JoinOrderPlan
 from repro.query.conjunctive import build_query
 from repro.query.examples import q1, q2
 from repro.workloads.paper_queries import fig5_statistics, fig8_database
 from repro.workloads.synthetic import cycle_query, workload_database
+
+
+def _no_execution(*args, **kwargs):
+    raise AssertionError("a plan was executed")
 
 
 @pytest.fixture
@@ -46,33 +51,38 @@ class TestCostKDecomp:
         plan = cost_k_decomp(q1(), fig5_statistics(), k=2, completion="post")
         assert plan.decomposition.is_complete()
 
-    def test_none_completion_returns_nf_decomposition(self):
-        from repro.decomposition.normal_form import is_normal_form
-
-        plan = cost_k_decomp(q1(), fig5_statistics(), k=2, completion="none")
-        assert is_normal_form(plan.decomposition)
-
-    def test_invalid_completion_mode(self):
+    @pytest.mark.parametrize("mode", ["bogus", "none"])
+    def test_invalid_completion_mode(self, mode):
         with pytest.raises(PlanningError):
-            cost_k_decomp(q1(), fig5_statistics(), k=2, completion="bogus")
+            cost_k_decomp(q1(), fig5_statistics(), k=2, completion=mode)
 
+    @pytest.mark.parametrize("mode", ["bogus", "none"])
     @pytest.mark.parametrize("entry", ["best_plan_over_k", "compare_planners", "prewarm"])
-    def test_sweeps_refuse_an_unknown_completion_mode(self, entry):
+    def test_sweeps_refuse_an_unknown_completion_mode(self, entry, mode, monkeypatch):
         # A sweep skips the bounds no plan exists for; an unknown mode is
         # not such a bound, and prewarm must not fall back to the baseline.
+        # compare_planners refuses before it executes any plan.
+        monkeypatch.setattr(compare_module, "_execute_and_measure", _no_execution)
         sweeps = {
             "best_plan_over_k": lambda: best_plan_over_k(
-                q1(), fig5_statistics(), (2, 3), completion="bogus"
+                q1(), fig5_statistics(), (2, 3), completion=mode
             ),
             "compare_planners": lambda: compare_planners(
-                q1(), fig8_database(q1(), 50), k_values=(2, 3), completion="bogus"
+                q1(), fig8_database(q1(), 50), k_values=(2, 3), completion=mode
             ),
             "prewarm": lambda: prewarm(
-                fig8_database(q1(), 50), [q1()], k_values=(2,), completion="bogus"
+                fig8_database(q1(), 50), [q1()], k_values=(2,), completion=mode
             ),
         }
-        with pytest.raises(PlanningError, match="unknown completion mode 'bogus'"):
+        with pytest.raises(PlanningError, match=f"unknown completion mode '{mode}'"):
             sweeps[entry]()
+
+    def test_compare_planners_executes_nothing_when_no_k_admits_a_plan(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(compare_module, "_execute_and_measure", _no_execution)
+        with pytest.raises(PlanningError, match="no plan found"):
+            compare_planners(q1(), fig8_database(q1(), 50), k_values=(1,))
 
     def test_prewarm_falls_back_only_when_no_k_admits_a_plan(self):
         database = fig8_database(q1(), 50)
@@ -170,8 +180,10 @@ class TestComparison:
     def test_measure_functions(self, cycle5_setup):
         query, database = cycle5_setup
         base = measure_baseline(query, database, budget=2_000_000)
-        structural = measure_structural(query, database, 2, budget=2_000_000)
+        report = compare_planners(query, database, k_values=(2,), budget=2_000_000)
+        structural = report.structural[2]
         assert base.evaluation_work > 0
+        assert report.baseline.evaluation_work == base.evaluation_work
         assert structural.width == 2
         assert structural.as_row()["plan"] == "cost-2-decomp"
 

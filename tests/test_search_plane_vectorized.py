@@ -440,6 +440,20 @@ class TestKSweep:
                 cost_k_decomp(query, statistics, k)
             )
 
+    def test_a_repeated_bound_is_planned_once(self, monkeypatch):
+        searched = []
+        planner_module = sys.modules["repro.planner.cost_k_decomp"]
+        search = planner_module.minimal_k_decomp
+
+        def counting_search(hypergraph, k, taf):
+            searched.append(k)
+            return search(hypergraph, k, taf)
+
+        monkeypatch.setattr(planner_module, "minimal_k_decomp", counting_search)
+        swept = best_plan_over_k(q1(), fig5_statistics(), (3, 2, 3, 4, 2))
+        assert searched == [3, 2, 4]
+        assert list(swept) == [3, 2, 4]
+
     def test_a_cold_sweep_builds_exactly_one_taf(self, monkeypatch):
         built = []
 

@@ -228,15 +228,19 @@ class TestDatabaseRoundTrip:
         assert mapped._selection is not None
         assert mapped._selection.tolist() == filtered._selection.tolist()
 
-    def test_row_engine_database_saves_too(self, tmp_path):
+    def test_row_engine_database_saves_too(self, tmp_path, row_twin):
         query = chain_query(3, name="rowsave")
-        original = uniform_database(
-            query, tuples_per_relation=30, domain_size=5, seed=2, columnar=False
+        generated = uniform_database(
+            query, tuples_per_relation=30, domain_size=5, seed=2
         )
-        target = fresh_dir(tmp_path)
+        original = row_twin(generated)
+        target, generated_target = fresh_dir(tmp_path), fresh_dir(tmp_path)
         save_database(original, target)
         for columnar in (True, False):
             assert_same_database(original, open_database(target, columnar=columnar))
+        # Row relations intern in the generator's order: the same store.
+        save_database(generated, generated_target)
+        assert store_digest(target) == store_digest(generated_target)
 
 
 QUERIES = (
@@ -271,10 +275,10 @@ class TestExecutionRoundTrip:
 
     @settings(max_examples=6, **ROUND_TRIP_SETTINGS)
     @given(index=st.integers(0, len(QUERIES) - 1), seed=st.integers(0, 3))
-    def test_row_fallback_byte_identical(self, tmp_path, index, seed):
+    def test_row_fallback_byte_identical(self, tmp_path, row_twin, index, seed):
         query = QUERIES[index]
-        row_original = uniform_database(
-            query, tuples_per_relation=40, domain_size=6, seed=seed, columnar=False
+        row_original = row_twin(
+            uniform_database(query, tuples_per_relation=40, domain_size=6, seed=seed)
         )
         target = fresh_dir(tmp_path)
         save_database(row_original, target)
@@ -463,20 +467,26 @@ class TestWorkloadCache:
 
 
 class TestStorageFormatErrors:
-    def _stored(self, tmp_path) -> Path:
-        # Saved raw so the corruption tests can poke at well-known .i64
-        # files; packed-store corruption is covered in
-        # tests/test_packed_encoding.py.
-        database = Database(
-            relations={"r": Relation("r", ["a", "b"], [(1, 2), (3, 4)])}
-        )
-        database.analyze()
-        target = fresh_dir(tmp_path)
-        save_database(database, target, encoding="raw")
-        return target
+    @pytest.fixture
+    def stored(self, tmp_path, rewrite_column_as_i64):
+        # Both columns rewritten as i64 so the corruption tests can poke
+        # at 8-byte signed ids; packed-store corruption is covered in
+        # tests/test_packed_encoding.py and tests/test_decoders.py.
+        def store() -> Path:
+            database = Database(
+                relations={"r": Relation("r", ["a", "b"], [(1, 2), (3, 4)])}
+            )
+            database.analyze()
+            target = fresh_dir(tmp_path)
+            save_database(database, target)
+            for position in range(2):
+                rewrite_column_as_i64(target, 0, position)
+            return target
 
-    def test_version_mismatch(self, tmp_path):
-        target = self._stored(tmp_path)
+        return store
+
+    def test_version_mismatch(self, stored):
+        target = stored()
         catalog = json.loads((target / "catalog.json").read_text())
         catalog["version"] = 999
         (target / "catalog.json").write_text(json.dumps(catalog))
@@ -485,16 +495,16 @@ class TestStorageFormatErrors:
         with pytest.raises(StorageFormatError, match="version"):
             storage_info(target)
 
-    def test_unknown_format_marker(self, tmp_path):
-        target = self._stored(tmp_path)
+    def test_unknown_format_marker(self, stored):
+        target = stored()
         catalog = json.loads((target / "catalog.json").read_text())
         catalog["format"] = "parquet"
         (target / "catalog.json").write_text(json.dumps(catalog))
         with pytest.raises(StorageFormatError, match="format marker"):
             load_catalog(target)
 
-    def test_truncated_column_file(self, tmp_path):
-        target = self._stored(tmp_path)
+    def test_truncated_column_file(self, stored):
+        target = stored()
         victim = next((target / "cols").glob("*.i64"))
         victim.write_bytes(victim.read_bytes()[:-3])
         with pytest.raises(StorageFormatError, match="bytes"):
@@ -502,48 +512,48 @@ class TestStorageFormatErrors:
         with pytest.raises(StorageFormatError, match="bytes"):
             open_database(target, columnar=False)
 
-    def test_missing_files(self, tmp_path):
-        target = self._stored(tmp_path)
+    def test_missing_files(self, tmp_path, stored):
+        target = stored()
         next((target / "cols").glob("*.i64")).unlink()
         with pytest.raises(StorageFormatError):
             open_database(target)
-        target = self._stored(tmp_path)
+        target = stored()
         (target / "dictionary.json").unlink()
         with pytest.raises(StorageFormatError):
             open_database(target)
         with pytest.raises(StorageFormatError):
             open_database(tmp_path / "never_saved")
 
-    def test_not_json(self, tmp_path):
-        target = self._stored(tmp_path)
+    def test_not_json(self, stored):
+        target = stored()
         (target / "catalog.json").write_text("][")
         with pytest.raises(StorageFormatError, match="JSON"):
             open_database(target)
 
-    def test_missing_catalog_keys_raise_storage_format_error(self, tmp_path):
+    def test_missing_catalog_keys_raise_storage_format_error(self, stored):
         # Valid JSON + valid format marker but missing required fields must
         # read as a corrupt store (so caches regenerate), not as KeyError.
         for victim in ("base_length", "name", "columns"):
-            target = self._stored(tmp_path)
+            target = stored()
             catalog = json.loads((target / "catalog.json").read_text())
             del catalog["relations"][0][victim]
             (target / "catalog.json").write_text(json.dumps(catalog))
             with pytest.raises(StorageFormatError, match="malformed catalog"):
                 open_database(target)
-        target = self._stored(tmp_path)
+        target = stored()
         catalog = json.loads((target / "catalog.json").read_text())
         del catalog["statistics"]["tables"]["r"]["cardinality"]
         (target / "catalog.json").write_text(json.dumps(catalog))
         with pytest.raises(StorageFormatError, match="malformed catalog"):
             open_database(target)
 
-    def test_out_of_range_ids_raise_instead_of_wrapping(self, tmp_path):
+    def test_out_of_range_ids_raise_instead_of_wrapping(self, stored):
         # Bit corruption that keeps the byte length intact must not decode
         # silently through negative/out-of-range indexing.
         import struct
 
         for bad_id in (-2, 10_000):
-            target = self._stored(tmp_path)
+            target = stored()
             victim = sorted((target / "cols").glob("*.i64"))[0]
             payload = bytearray(victim.read_bytes())
             payload[:8] = struct.pack("<q", bad_id)
@@ -568,10 +578,10 @@ class TestStorageFormatErrors:
             first, cached_database("unit", {"x": 9}, build, cache_dir=tmp_path)
         )
 
-    def test_format_name_is_stable(self, tmp_path):
+    def test_format_name_is_stable(self, stored):
         # The marker is part of the on-disk contract; changing it silently
         # would orphan every existing store.
-        target = self._stored(tmp_path)
+        target = stored()
         assert json.loads((target / "catalog.json").read_text())["format"] == (
             FORMAT_NAME
         ) == "repro-columnar-db"

@@ -14,7 +14,6 @@ from repro.workloads.paper_queries import (
     fig5_statistics,
     fig8_database,
     fig8_statistics,
-    paper_workload,
 )
 from repro.workloads.synthetic import (
     chain_query,
@@ -111,13 +110,6 @@ class TestPaperWorkload:
         db = fig8_database(q2(), tuples_per_relation=60, selectivity=10, seed=2)
         assert db.relation("r3").cardinality == 60
         assert db.relation("r3").distinct_count("C") == 10
-
-    def test_paper_workload_contains_all_queries(self):
-        workload = paper_workload(seed=0, tuples_per_relation=30)
-        assert set(workload) == {"Q1", "Q2", "Q3"}
-        for name, entry in workload.items():
-            assert entry["query"].name == name
-            assert entry["database"].total_tuples() > 0
 
     def test_paper_estimated_costs_shape(self):
         costs = PAPER_Q1_ESTIMATED_COSTS
