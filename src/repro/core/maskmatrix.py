@@ -11,10 +11,7 @@ array in the common ``W == 1`` case) so each test becomes one broadcasted
 array expression over all N rows at once.
 
 All query methods return numpy boolean vectors; combine them with ``&`` and
-turn them into index vectors with ``numpy.flatnonzero``.  An optional
-``rows`` index array restricts a test to a subset of rows (a fancy-indexing
-gather), which is how per-component candidate slices are tested without
-rebuilding matrices.
+turn them into index vectors with ``numpy.flatnonzero``.
 
 The scalar decomposition engine (``vectorized=False``) performs the same
 tests with big-int loops and is this module's oracle.
@@ -74,12 +71,9 @@ class MaskMatrix:
         return int(self._words.shape[0])
 
     # ------------------------------------------------------------------
-    def _rows(self, rows):
-        return self._words if rows is None else self._words[rows]
-
-    def intersects(self, mask: int, rows=None):
+    def intersects(self, mask: int):
         """Boolean vector: ``row & mask != 0`` per row."""
-        words = self._rows(rows)
+        words = self._words
         if self.width == 1:
             return (words & np.uint64(mask & _WORD_MASK)) != 0
         out = np.zeros(words.shape[0], dtype=bool)
@@ -88,9 +82,9 @@ class MaskMatrix:
                 out |= (words[:, w] & np.uint64(word)) != 0
         return out
 
-    def subset_of(self, mask: int, rows=None):
+    def subset_of(self, mask: int):
         """Boolean vector: ``row ⊆ mask`` (``row & ~mask == 0``) per row."""
-        words = self._rows(rows)
+        words = self._words
         if self.width == 1:
             forbidden = np.uint64(~mask & _WORD_MASK)
             return (words & forbidden) == 0
@@ -101,9 +95,9 @@ class MaskMatrix:
                 out &= (words[:, w] & np.uint64(forbidden)) == 0
         return out
 
-    def covers(self, mask: int, rows=None):
+    def covers(self, mask: int):
         """Boolean vector: ``row ⊇ mask`` (``mask & ~row == 0``) per row."""
-        words = self._rows(rows)
+        words = self._words
         if self.width == 1:
             wanted = np.uint64(mask & _WORD_MASK)
             return (words & wanted) == wanted

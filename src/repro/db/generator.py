@@ -21,7 +21,7 @@ All generation is deterministic given a seed.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 try:  # Columnar storage needs numpy; the generator then emits row relations.
     from repro.db.columnar import ColumnarRelation
@@ -29,7 +29,7 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     ColumnarRelation = None  # type: ignore[assignment]
 from repro.db.database import Database
 from repro.db.relation import Relation
-from repro.db.statistics import CatalogStatistics, TableStatistics
+from repro.db.statistics import CatalogStatistics
 from repro.exceptions import DatabaseError
 from repro.query.conjunctive import ConjunctiveQuery
 

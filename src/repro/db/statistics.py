@@ -18,7 +18,7 @@ distinct values the attribute takes in the relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional
 
 try:  # Columnar analysis needs numpy; the row path covers its absence.

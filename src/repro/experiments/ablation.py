@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 from repro.db.database import Database
 from repro.db.relation import Relation
@@ -38,7 +38,7 @@ from repro.reductions.coloring import (
     coloring_hwf,
     coloring_join_tree,
 )
-from repro.weights.library import lexicographic_taf, node_count_taf, width_taf
+from repro.weights.library import lexicographic_taf, width_taf
 from repro.weights.semiring import INFINITY
 from repro.workloads.synthetic import chain_query, cycle_query
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.runner import ExperimentResult
-from repro.planner.compare import ComparisonReport, compare_planners
+from repro.planner.compare import compare_planners
 from repro.query.examples import q1, q2, q3
 from repro.workloads.paper_queries import fig8_database
 

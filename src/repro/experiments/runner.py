@@ -9,7 +9,7 @@ process them (e.g. into pandas) without any dependency on a plotting stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 
 @dataclass

@@ -18,17 +18,17 @@ examples.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.decomposition.hypertree import HypertreeDecomposition
 from repro.decomposition.kdecomp import hypertree_width, k_decomp
-from repro.decomposition.minimal import minimal_k_decomp, minimum_weight
+from repro.decomposition.minimal import minimum_weight
 from repro.decomposition.normal_form import is_normal_form
 from repro.decomposition.candidates import count_k_vertices
 from repro.experiments.runner import ExperimentResult
 from repro.planner.cost_k_decomp import best_plan_over_k
 from repro.query.examples import q0, q1
-from repro.weights.library import lexicographic_taf, lexicographic_weight_of_histogram
+from repro.weights.library import lexicographic_taf
 from repro.workloads.paper_queries import (
     PAPER_Q1_ESTIMATED_COSTS,
     fig5_statistics,

@@ -24,7 +24,7 @@ decomposition; that bridge lives in :mod:`repro.decomposition.join_tree`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import HypergraphError
 from repro.hypergraph.hypergraph import EdgeName, Hypergraph, Vertex

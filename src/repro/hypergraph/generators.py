@@ -11,7 +11,7 @@ All generators are deterministic given a ``seed``.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.exceptions import HypergraphError
 from repro.hypergraph.hypergraph import Hypergraph

@@ -17,7 +17,7 @@ queue -> attempt -> kernel chain reads left to right.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Union
 
 
 def _span_payloads(spans_or_recorder) -> List[Mapping]:

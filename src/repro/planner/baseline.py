@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.db.costmodel import CardinalityEstimator
 from repro.db.statistics import CatalogStatistics

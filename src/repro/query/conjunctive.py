@@ -19,8 +19,8 @@ be written exactly as they appear in the paper::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.exceptions import QueryError
 from repro.hypergraph.hypergraph import Hypergraph

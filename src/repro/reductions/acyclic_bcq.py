@@ -27,7 +27,7 @@ decomposition back into a satisfying assignment.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.db.database import Database
 from repro.decomposition.hypertree import DecompositionNode, HypertreeDecomposition

@@ -24,8 +24,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.decomposition.hypertree import HypertreeDecomposition
-from repro.decomposition.join_tree import join_tree_to_decomposition
-from repro.hypergraph.acyclicity import JoinTree, all_join_trees
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.weights.hwf import CallableHWF
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.decomposition.hypertree import DecompositionNode, HypertreeDecomposition
-from repro.exceptions import WeightingError
 from repro.weights.semiring import SUM_MIN, Number, Semiring
 
 VertexWeight = Callable[[DecompositionNode], Number]

@@ -18,7 +18,7 @@ controlled structure:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.db.database import Database
 from repro.db.generator import uniform_database

@@ -10,7 +10,9 @@ tests pin the refactor to the original frozenset-of-names semantics:
 * :func:`k_vertices` must agree with direct enumeration over name
   combinations;
 * the :class:`CandidatesGraph` node sets and arcs must agree with a naive
-  reconstruction from the paper's definitions (Fig. 2);
+  reconstruction from the paper's definitions (Fig. 2), restricted to the
+  live candidates (those that solve some subproblem), and its evaluation
+  with a fold over the unpruned reconstruction;
 * the graph's internal keys must be plain ints (mask pairs / dense ids) --
   the inner loops allocate no per-test frozensets -- and evaluation over the
   mask path must reproduce the brute-force minimum over the enumerated
@@ -31,11 +33,20 @@ from hypothesis import strategies as st
 
 from repro.decomposition.candidates import CandidatesGraph, k_vertices
 from repro.decomposition.enumerate import enumerate_nf_decompositions
-from repro.decomposition.minimal import minimum_weight
+from repro.decomposition.hypertree import DecompositionNode
+from repro.decomposition.minimal import evaluate_candidates_graph, minimum_weight
 from repro.hypergraph.components import components
 from repro.hypergraph.generators import random_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.weights.library import lexicographic_taf
+from repro.weights.library import (
+    largest_chi_taf,
+    lexicographic_separator_taf,
+    lexicographic_taf,
+    node_count_taf,
+    separator_taf,
+    width_taf,
+)
+from repro.weights.semiring import INFINITY
 
 
 # ----------------------------------------------------------------------
@@ -214,17 +225,23 @@ class TestCandidatesGraphEquivalence:
     def test_nodes_and_arcs_match_naive_reference(self, hypergraph, k):
         graph = CandidatesGraph(hypergraph, k)
         subproblems, candidates, solvers = naive_candidates_graph(hypergraph, k)
+        # The graph keeps only the live candidates of the unpruned N_sol:
+        # those that solve at least one subproblem.
+        live = frozenset().union(*solvers.values())
 
         # Ids translated to names here, at the test's boundary.
         subs = [graph.public_subproblem(q) for q in range(graph.num_subproblems)]
         cands = [graph.public_candidate(i) for i in range(graph.num_candidates)]
         assert sorted(map(sorted_pair, subs)) == sorted(map(sorted_pair, subproblems))
-        assert set(cands) == set(candidates)
+        assert len(cands) == len(set(cands))
+        assert set(cands) == live
         for cand_id, key in enumerate(cands):
             assert graph.node_view(cand_id, 0).chi == candidates[key]["chi"]
             assert frozenset(subs[q] for q in graph.cand_subs[cand_id]) == (
                 candidates[key]["subproblems"]
             )
+        # No solver arc is lost: every subproblem keeps the unpruned
+        # reference's whole solver set.
         for sub_id, solved_by in enumerate(graph.sub_solvers):
             assert frozenset(cands[c] for c in solved_by) == solvers[subs[sub_id]]
 
@@ -232,6 +249,113 @@ class TestCandidatesGraphEquivalence:
 def sorted_pair(node):
     kv, comp = node
     return (tuple(sorted(kv)), tuple(sorted(comp)))
+
+
+# ----------------------------------------------------------------------
+# Evaluation over the pruned graph against a fold over the unpruned one
+# ----------------------------------------------------------------------
+LIBRARY_TAFS = (
+    lambda h: width_taf(),
+    lexicographic_taf,
+    lambda h: separator_taf(),
+    lexicographic_separator_taf,
+    lambda h: node_count_taf(),
+    lambda h: largest_chi_taf(),
+)
+
+
+def naive_evaluation(hypergraph: Hypergraph, k: int, taf):
+    """Fig. 2's evaluation phase over :func:`naive_candidates_graph`'s
+    unpruned N_sol, on the TAF's name forms: a candidate's weight is
+    ``v(p)`` combined, per subproblem, with the best ``weight(s) ⊕ e(p, s)``
+    over its surviving solvers ``s``; a candidate with a subproblem no
+    survivor solves is removed (``None``).  Returns the minimum weight and
+    each subproblem's survivors as ``(λ, χ, component)`` triples."""
+    subproblems, candidates, solvers = naive_candidates_graph(hypergraph, k)
+    combine = taf.semiring.combine
+    node = {
+        key: DecompositionNode(-1, key[0], info["chi"], key[1])
+        for key, info in candidates.items()
+    }
+    weight = {}
+
+    def fold(cand):
+        if cand not in weight:
+            total = taf.vertex_weight(node[cand])
+            for sub in candidates[cand]["subproblems"]:
+                options = [
+                    combine(fold(s), taf.edge_weight(node[cand], node[s]))
+                    for s in solvers[sub]
+                    if fold(s) is not None
+                ]
+                if not options:
+                    total = None
+                    break
+                total = combine(total, min(options))
+            weight[cand] = total
+        return weight[cand]
+
+    survivors = {
+        sub: frozenset(
+            (s[0], candidates[s]["chi"], s[1])
+            for s in solvers[sub]
+            if fold(s) is not None
+        )
+        for sub in subproblems
+    }
+    root = (frozenset(), frozenset(hypergraph.vertices))
+    roots = [weight[s] for s in solvers[root] if weight[s] is not None]
+    return (min(roots) if roots else INFINITY), survivors
+
+
+class TestPrunedEvaluation:
+    """Pruning N_sol to its live candidates cannot change a weight, a
+    survivor or the selection: the threshold recursion and the enumeration
+    walk the same pruned graph, so the oracle here folds the unpruned one."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        hypergraph=st.builds(
+            random_hypergraph,
+            num_vertices=st.integers(min_value=2, max_value=6),
+            num_edges=st.integers(min_value=1, max_value=5),
+            rank=st.integers(min_value=2, max_value=3),
+            seed=st.integers(min_value=0, max_value=10_000),
+            connected=st.booleans(),
+        ),
+        k=st.integers(min_value=1, max_value=3),
+        taf_index=st.integers(min_value=0, max_value=len(LIBRARY_TAFS) - 1),
+        vectorized=st.booleans(),
+    )
+    def test_fold_matches_unpruned_reference(
+        self, hypergraph, k, taf_index, vectorized
+    ):
+        taf = LIBRARY_TAFS[taf_index](hypergraph)
+        expected_minimum, expected_survivors = naive_evaluation(hypergraph, k, taf)
+
+        graph = CandidatesGraph(hypergraph, k, vectorized=vectorized)
+        result = evaluate_candidates_graph(graph, taf)
+        assert float.hex(float(result.minimum_weight())) == float.hex(
+            float(expected_minimum)
+        )
+
+        def triple(cand_id):
+            node = graph.node_view(cand_id, 0)
+            return (node.lambda_edges, node.chi, node.component)
+
+        survivors = {
+            graph.public_subproblem(q): frozenset(map(triple, alive))
+            for q, alive in enumerate(result.survivors_by_sub)
+        }
+        assert survivors == expected_survivors
+        assert {
+            sub: frozenset((kv, comp) for kv, _, comp in alive)
+            for sub, alive in expected_survivors.items()
+        } == {sub: frozenset(alive) for sub, alive in result.survivors.items()}
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.hypergraph.generators import (
     clique_hypergraph,
     cycle_hypergraph,
     grid_hypergraph,
-    paper_q0_hypergraph,
     path_hypergraph,
     star_hypergraph,
 )

@@ -18,7 +18,6 @@ from repro.hypergraph.generators import (
     clique_hypergraph,
     cycle_hypergraph,
     grid_hypergraph,
-    paper_q0_hypergraph,
     path_hypergraph,
 )
 from repro.weights.library import (

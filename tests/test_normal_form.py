@@ -15,7 +15,7 @@ from repro.decomposition.normal_form import (
     treecomp,
 )
 from repro.exceptions import DecompositionError
-from repro.hypergraph.generators import cycle_hypergraph, paper_q0_hypergraph
+from repro.hypergraph.generators import cycle_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 
 

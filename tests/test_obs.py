@@ -31,7 +31,6 @@ from repro.db.serving import (
     TRACE_KEY,
     ServingPool,
     execute_payload,
-    prewarm,
     query_to_payload,
     strip_provenance,
 )

@@ -65,7 +65,6 @@ from repro.obs.trace import TraceRecorder
 from repro.planner.baseline import baseline_plan
 from repro.planner.cost_k_decomp import cost_k_decomp
 from repro.query.atoms import Atom
-from repro.query.conjunctive import build_query
 from repro.workloads.synthetic import chain_query, cycle_query, star_query
 
 ROUND_TRIP_SETTINGS = dict(

@@ -12,7 +12,6 @@ from repro.planner.baseline import SystemROptimizer, baseline_plan
 from repro.planner.compare import compare_planners, measure_baseline
 from repro.planner.cost_k_decomp import best_plan_over_k, cost_k_decomp
 from repro.planner.plans import HypertreePlan, JoinOrderPlan
-from repro.query.conjunctive import build_query
 from repro.query.examples import q1, q2
 from repro.workloads.paper_queries import fig5_statistics, fig8_database
 from repro.workloads.synthetic import cycle_query, workload_database

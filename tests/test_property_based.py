@@ -17,8 +17,6 @@ These cover the properties the paper's correctness arguments lean on:
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +32,6 @@ from repro.decomposition.threshold import minimum_weight_recursive
 from repro.exceptions import NoDecompositionExistsError
 from repro.hypergraph.components import components
 from repro.hypergraph.generators import random_hypergraph
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.query.conjunctive import build_query
 from repro.weights.library import lexicographic_taf, node_count_taf
 from repro.weights.semiring import MAX_MIN, SUM_MIN
 from repro.weights.semiring import INFINITY

@@ -129,13 +129,9 @@ class TestMaskMatrix:
         probe = rng.getrandbits(num_bits)
         dense = MaskMatrix(masks, num_bits)
         assert len(dense) == len(masks)
-        rows = [i for i in range(len(masks)) if rng.random() < 0.5]
         for method, definition in _SCALAR.items():
             expected = [definition(m, probe) for m in masks]
             assert list(getattr(dense, method)(probe)) == expected, method
-            assert list(getattr(dense, method)(probe, rows)) == [
-                expected[i] for i in rows
-            ], method
         assert np.flatnonzero(dense.covers(probe)).tolist() == [
             i for i, m in enumerate(masks) if not probe & ~m
         ]
@@ -211,8 +207,8 @@ class TestVectorizedCandidatesGraph:
                 )
 
     def test_solver_arc_dedup_on_star(self):
-        # Stars make thousands of subproblems share (component, boundary);
-        # the memoised solver tuples must still match the plain definition.
+        # Stars make thousands of subproblems share one component; its one
+        # shared solver tuple must still be the same on both engines.
         hypergraph = star_hypergraph(12)
         scalar = CandidatesGraph(hypergraph, 2, vectorized=False)
         dense = CandidatesGraph(hypergraph, 2, vectorized=True)

@@ -16,11 +16,9 @@ from repro.hypergraph.generators import (
     clique_hypergraph,
     cycle_hypergraph,
     grid_hypergraph,
-    paper_q0_hypergraph,
     path_hypergraph,
 )
 from repro.weights.library import lexicographic_taf, node_count_taf, width_taf
-from repro.weights.semiring import INFINITY
 
 
 class TestThreshold:

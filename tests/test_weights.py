@@ -1,10 +1,8 @@
 """Tests for semirings, HWFs, vertex aggregation functions and TAFs."""
 
-import math
-
 import pytest
 
-from repro.decomposition.hypertree import DecompositionNode, HypertreeDecomposition
+from repro.decomposition.hypertree import DecompositionNode
 from repro.decomposition.kdecomp import k_decomp
 from repro.exceptions import WeightingError
 from repro.hypergraph.generators import cycle_hypergraph, paper_q0_hypergraph
@@ -28,8 +26,6 @@ from repro.weights.taf import (
     TreeAggregationFunction,
     from_edge_function,
     from_vertex_function,
-    zero_edge_weight,
-    zero_vertex_weight,
 )
 
 

@@ -7,8 +7,7 @@ join of all atoms.
 
 import pytest
 
-from repro.db.algebra import EvaluationBudgetExceeded, OperatorStats
-from repro.db.database import Database
+from repro.db.algebra import EvaluationBudgetExceeded
 from repro.db.executor import (
     build_tree_query,
     execute_hypertree_plan,
@@ -16,12 +15,11 @@ from repro.db.executor import (
 )
 from repro.db.relation import Relation
 from repro.db.yannakakis import TreeQuery, evaluate, evaluate_boolean, semijoin_reduce
-from repro.decomposition.kdecomp import k_decomp, optimal_decomposition
+from repro.decomposition.kdecomp import optimal_decomposition
 from repro.decomposition.normal_form import complete_decomposition
 from repro.db.generator import uniform_database
 from repro.exceptions import DatabaseError
 from repro.query.conjunctive import build_query
-from repro.query.examples import q0
 from repro.workloads.synthetic import cycle_query, chain_query
 
 
