@@ -7,8 +7,9 @@ TAF, extracting the minimal hypertree) and the relational substrate
 visible.
 """
 
-from repro.db.executor import execute_hypertree_plan
+from repro.db.executor import execute_plan
 from repro.db.generator import uniform_database
+from repro.db.plan_ir import hypertree_plan_ir
 from repro.decomposition.candidates import CandidatesGraph
 from repro.decomposition.kdecomp import optimal_decomposition
 from repro.decomposition.minimal import evaluate_candidates_graph, minimal_k_decomp
@@ -44,7 +45,7 @@ def test_hypertree_plan_execution_q0(benchmark):
     decomposition = complete_decomposition(optimal_decomposition(query.hypergraph()))
 
     def run():
-        return execute_hypertree_plan(query, database, decomposition)
+        return execute_plan(hypertree_plan_ir(query, decomposition), database)
 
     result = benchmark(run)
     assert result.boolean in (True, False)

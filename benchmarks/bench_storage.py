@@ -39,6 +39,7 @@ from pathlib import Path
 import pytest
 
 from repro.db.algebra import EvaluationBudgetExceeded
+from repro.db.executor import execute_plan
 from repro.db.generator import database_from_statistics
 from repro.db.storage import PlanCache, open_database, save_database
 from repro.planner.compare import compare_planners
@@ -79,7 +80,7 @@ def _execution_fingerprint(plan, database):
     """``work_so_far`` at the budget abort -- byte-identical engines abort
     at the identical point with the identical counter."""
     try:
-        plan.execute(database, budget=_ABORT_BUDGET)
+        execute_plan(plan.to_ir(), database, budget=_ABORT_BUDGET)
     except EvaluationBudgetExceeded as exc:
         return exc.work_so_far
     return -1  # full completion (would mean the budget was set too high)
@@ -181,10 +182,12 @@ def test_budgeted_execution_below_raw_footprint(benchmark):
     budget_bytes = raw_footprint // 8
     assert budget_bytes < raw_footprint
     plan = cost_k_decomp(q1(), database.statistics, 3, completion="fresh")
-    oracle = plan.execute(database)
+    oracle = execute_plan(plan.to_ir(), database)
 
     bounded = benchmark.pedantic(
-        lambda: plan.execute(database, memory_budget_bytes=budget_bytes),
+        lambda: execute_plan(
+            plan.to_ir(), database, memory_budget_bytes=budget_bytes
+        ),
         rounds=1,
         iterations=1,
     )

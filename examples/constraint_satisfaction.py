@@ -29,6 +29,7 @@ from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.db.database import Database
+from repro.db.executor import execute_plan
 from repro.db.relation import Relation
 from repro.decomposition.kdecomp import hypertree_width
 from repro.planner.cost_k_decomp import cost_k_decomp
@@ -57,7 +58,7 @@ def solve(vertices: Sequence[str], edges: Sequence[Tuple[str, str]], label: str)
     width = hypertree_width(query.hypergraph())
     k = max(width, 2)
     plan = cost_k_decomp(query, database.statistics, k)
-    result = plan.execute(database)
+    result = execute_plan(plan.to_ir(), database)
     print(f"{label}:")
     print(f"  constraints={len(edges)}  variables={len(vertices)}  hypertree width={width}")
     print(f"  plan width={plan.width}  estimated cost={plan.estimated_cost:,.0f}")

@@ -52,7 +52,7 @@ from repro.db import (
     Relation,
     TableStatistics,
     database_from_statistics,
-    execute_hypertree_plan,
+    execute_plan,
     uniform_database,
 )
 from repro.planner import (
@@ -105,7 +105,7 @@ __all__ = [
     "Relation",
     "TableStatistics",
     "database_from_statistics",
-    "execute_hypertree_plan",
+    "execute_plan",
     "uniform_database",
     "HypertreePlan",
     "JoinOrderPlan",

@@ -45,6 +45,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from repro.db.executor import execute_plan
 from repro.decomposition.kdecomp import hypertree_width
 from repro.decomposition.minimal import minimal_k_decomp
 from repro.exceptions import ReproError
@@ -273,7 +274,7 @@ def _command_plan(args) -> int:
     else:
         plan = cost_k_decomp(query, database.statistics, args.k)
         print(plan.describe())
-        result = plan.execute(database)
+        result = execute_plan(plan.to_ir(), database)
         print(
             f"answer cardinality: {result.cardinality}  "
             f"evaluation work: {result.stats.total_work:,} tuples"

@@ -22,7 +22,6 @@ from repro.db.database import Database
 from repro.db.algebra import (
     OperatorStats,
     cartesian_product,
-    evaluate_node_expression,
     join_all,
     natural_join,
     project,
@@ -30,7 +29,7 @@ from repro.db.algebra import (
     semijoin,
 )
 from repro.db.scheduler import TaskScheduler
-from repro.db.yannakakis import TreeQuery, evaluate, evaluate_boolean, semijoin_reduce
+from repro.db.yannakakis import TreeQuery
 from repro.db.plan_ir import (
     JoinNode,
     ProjectNode,
@@ -40,13 +39,7 @@ from repro.db.plan_ir import (
     hypertree_plan_ir,
     join_order_plan_ir,
 )
-from repro.db.executor import (
-    ExecutionResult,
-    build_tree_query,
-    execute_hypertree_plan,
-    execute_plan,
-    naive_join_evaluation,
-)
+from repro.db.executor import ExecutionResult, execute_plan
 from repro.db.storage import (
     PlanCache,
     cached_database,
@@ -92,20 +85,13 @@ __all__ = [
     "OperatorStats",
     "TaskScheduler",
     "cartesian_product",
-    "evaluate_node_expression",
     "join_all",
     "natural_join",
     "project",
     "select",
     "semijoin",
     "TreeQuery",
-    "evaluate",
-    "evaluate_boolean",
-    "semijoin_reduce",
     "ExecutionResult",
-    "build_tree_query",
-    "execute_hypertree_plan",
-    "naive_join_evaluation",
     "PlanCache",
     "cached_database",
     "open_database",

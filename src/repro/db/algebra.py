@@ -372,20 +372,3 @@ def cartesian_product(
     if _shared_attributes(left, right):
         raise DatabaseError("cartesian_product requires disjoint attribute sets")
     return natural_join(left, right, stats=stats)
-
-
-def evaluate_node_expression(
-    relations: Sequence[Relation],
-    projection: Sequence[str],
-    stats: Optional[OperatorStats] = None,
-) -> Relation:
-    """The paper's per-node expression ``E(p) = Π_{χ(p)} ⋈_{h ∈ λ(p)} rel(h)``.
-
-    Relations are joined smallest-first (a reasonable default order for the
-    handful of relations in a λ label) and the result is projected onto
-    ``projection`` -- which is pushed into the join kernels, so columns the
-    projection drops are never gathered (work counters unchanged).
-    """
-    ordered = sorted(range(len(relations)), key=lambda i: relations[i].cardinality)
-    joined = join_all(relations, stats=stats, order=ordered, needed=projection)
-    return project(joined, projection, stats=stats)

@@ -7,14 +7,16 @@ tree of relations is an acyclic *tree query* which Yannakakis' algorithm then
 answers in output-polynomial time.
 
 Both plan shapes -- hypertree plans and the baseline's left-deep join
-orders -- are lowered to the IR of :mod:`repro.db.plan_ir` and interpreted
-by :func:`execute_plan`, so they run on the identical operator kernels
-(columnar whenever the database is columnar) and their work counters are
-directly comparable.  :func:`execute_hypertree_plan` and
-:func:`naive_join_evaluation` remain as the public entry points and report
-the work performed, which is what the Fig. 8 experiments measure; they, like
-the plan classes' ``execute``, forward their execution options to
-:func:`execute_plan`, the one signature that names them.
+orders -- are lowered to the IR of :mod:`repro.db.plan_ir`
+(:func:`~repro.db.plan_ir.hypertree_plan_ir`, which refuses an incomplete
+decomposition, and :func:`~repro.db.plan_ir.join_order_plan_ir`) and
+interpreted by :func:`execute_plan`, so they run on the identical operator
+kernels (columnar whenever the database is columnar) and their work
+counters are directly comparable.  :func:`execute_plan` is the one way to
+execute a plan -- ``execute_plan(plan.to_ir(), database, ...)`` for the
+planner's plan classes -- and the one signature that names the execution
+options; its result reports the work performed, which is what the Fig. 8
+experiments measure.
 
 There is one execution path: every plan lowers to a task DAG
 (:func:`~repro.db.plan_ir.yannakakis_task_dag` /
@@ -45,14 +47,9 @@ already receives; ``threads`` and the trace options are consumed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.db.algebra import (
-    OperatorStats,
-    evaluate_node_expression,
-    join_all,
-    project,
-)
+from repro.db.algebra import OperatorStats, join_all, project
 from repro.db.database import Database
 from repro.db.lifecycle import check_integer
 from repro.db.plan_ir import (
@@ -61,9 +58,7 @@ from repro.db.plan_ir import (
     QueryPlanIR,
     ScanNode,
     YannakakisNode,
-    hypertree_plan_ir,
     join_input_task_dag,
-    join_order_plan_ir,
     scan_order,
     yannakakis_task_dag,
 )
@@ -71,9 +66,7 @@ from repro.db.relation import Relation
 from repro.db.scheduler import TaskScheduler
 from repro.db.yannakakis import TreeQuery, fold_plan, fold_steps, reduction_steps
 from repro.obs.trace import span_context
-from repro.decomposition.hypertree import HypertreeDecomposition
 from repro.exceptions import DatabaseError
-from repro.query.conjunctive import ConjunctiveQuery
 
 
 @dataclass
@@ -131,36 +124,6 @@ class ExecutionResult:
         }
         payload["peak_transient_elements"] = self.stats.peak_transient_elements
         return payload
-
-
-def build_tree_query(
-    query: ConjunctiveQuery,
-    database: Database,
-    decomposition: HypertreeDecomposition,
-    stats: Optional[OperatorStats] = None,
-) -> TreeQuery:
-    """Materialise ``E(p)`` for every decomposition node and assemble the
-    acyclic tree query."""
-    bound = database.bind_query(query)
-    relations: Dict[object, Relation] = {}
-    for node in decomposition.nodes():
-        inputs = []
-        for edge_name in sorted(node.lambda_edges):
-            if edge_name not in bound:
-                raise DatabaseError(
-                    f"decomposition uses edge {edge_name!r} which is not an atom "
-                    f"of query {query.name!r}"
-                )
-            inputs.append(bound[edge_name])
-        projection = sorted(node.chi)
-        relations[node.node_id] = evaluate_node_expression(
-            inputs, projection, stats=stats
-        )
-    children = {
-        node_id: decomposition.children(node_id)
-        for node_id in decomposition.node_ids()
-    }
-    return TreeQuery(root=decomposition.root, children=children, relations=relations)
 
 
 def execute_plan(
@@ -342,39 +305,3 @@ def _execute_yannakakis(
         )
     )
     return ExecutionResult(relation=relations[root.root], boolean=None, stats=stats)
-
-
-def execute_hypertree_plan(
-    query: ConjunctiveQuery,
-    database: Database,
-    decomposition: HypertreeDecomposition,
-    **options,
-) -> ExecutionResult:
-    """Run the query through the hypertree plan.
-
-    The decomposition must be *complete* for the answer to be correct (every
-    atom strongly covered), so an incomplete one is refused.  ``options``
-    (``budget``, ``threads``, ...) are :func:`execute_plan`'s.
-    """
-    if not decomposition.is_complete():
-        raise DatabaseError(
-            "the decomposition is not complete (no node strongly covers "
-            f"{list(decomposition.not_strongly_covered())}); complete it first "
-            "(repro.decomposition.complete_decomposition) or plan with the "
-            "fresh-variable construction"
-        )
-    return execute_plan(hypertree_plan_ir(query, decomposition), database, **options)
-
-
-def naive_join_evaluation(
-    query: ConjunctiveQuery,
-    database: Database,
-    order: Optional[Tuple[str, ...]] = None,
-    **options,
-) -> ExecutionResult:
-    """Evaluate the query by joining all bound atoms in a (given or textual)
-    order, with no structural awareness -- the "flat" evaluation a
-    quantitative-only engine performs once its optimiser has fixed a join
-    order.  Used as the execution backend of the baseline optimiser.
-    ``options`` are :func:`execute_plan`'s."""
-    return execute_plan(join_order_plan_ir(query, order), database, **options)

@@ -19,14 +19,21 @@ Nodes
 * :class:`YannakakisNode` -- evaluate per-node expressions, assemble the
   acyclic tree query and run Yannakakis' algorithm over it.
 
+:func:`hypertree_plan_ir` is the one lowering of a decomposition (each
+``E(p)`` becomes ``ProjectNode(JoinNode(..., smallest_first=True))``) and
+refuses an incomplete one, so no plan that reaches
+:func:`~repro.db.executor.execute_plan` -- the one way to execute a plan --
+can skip the completeness precondition of Section 6.
+
 Plan payloads
 -------------
 This module owns "bytes -> validated plan".
 :func:`decomposition_from_payload` is the one decomposition decoder: it
 rebuilds the tree and then checks Definition 2.1's four conditions *and*
-completeness against the query's own hypergraph, so a decomposition that is
-not a query plan is refused with a :class:`~repro.exceptions.DatabaseError`
-naming what it violates -- never executed.  :func:`plan_ir_from_payload`
+completeness (the same check, and message, as :func:`hypertree_plan_ir`)
+against the query's own hypergraph, so a decomposition that is not a query
+plan is refused with a :class:`~repro.exceptions.DatabaseError` naming what
+it violates -- never executed.  :func:`plan_ir_from_payload`
 decodes a whole plan block for execution.  Both ways a plan arrives as data
 end here: the wire (``execute_payload``) and a
 :class:`~repro.db.storage.PlanCache` entry (the plan classes'
@@ -109,20 +116,6 @@ class QueryPlanIR:
     query: ConjunctiveQuery
     root: PlanNode
     boolean: bool = False
-
-    def execute(self, database, **options):
-        """Interpret the plan against ``database``: ``options`` (``budget``,
-        ``threads``, ``memory_budget_bytes``, ``trace``, ``trace_id``) are
-        :func:`repro.db.executor.execute_plan`'s, which documents them.
-
-        The resulting ``OperatorStats`` stay representation-blind: every
-        work counter and ``peak_transient_elements`` are byte-identical
-        across column encodings, thread counts and chunkings; only the
-        dtype-aware ``peak_transient_bytes`` reflects the actual packed
-        widths."""
-        from repro.db.executor import execute_plan
-
-        return execute_plan(self, database, **options)
 
 
 # ----------------------------------------------------------------------
@@ -320,12 +313,24 @@ def decomposition_from_payload(hypergraph, payload) -> HypertreeDecomposition:
         raise DatabaseError(f"malformed decomposition payload: {exc!r}") from exc
     except (DecompositionError, HypergraphError) as exc:
         raise DatabaseError(f"decomposition is not a query plan: {exc}") from exc
-    if not decomposition.is_complete():
+    _check_complete(decomposition, hypergraph.edge_names)
+    return decomposition
+
+
+def _check_complete(decomposition, atom_names) -> None:
+    """Raise :class:`DatabaseError` naming the atoms no node strongly
+    covers: Yannakakis over an incomplete decomposition answers a different
+    query (Section 6), so such a decomposition is never a plan.  An atom of
+    ``atom_names`` that the decomposition's own hypergraph lacks counts as
+    not covered too: a decomposition of another hypergraph never saw it."""
+    edges = set(decomposition.hypergraph.edge_names)
+    uncovered = list(decomposition.not_strongly_covered())
+    uncovered += sorted(name for name in atom_names if name not in edges)
+    if uncovered:
         raise DatabaseError(
             "decomposition is not a query plan: it is not complete, no node "
-            f"strongly covers {list(decomposition.not_strongly_covered())}"
+            f"strongly covers {uncovered}"
         )
-    return decomposition
 
 
 def plan_ir_from_payload(query: ConjunctiveQuery, plan_meta) -> QueryPlanIR:
@@ -384,7 +389,11 @@ def join_order_plan_ir(
 
 def hypertree_plan_ir(query: ConjunctiveQuery, decomposition) -> QueryPlanIR:
     """The structural plan: ``E(p) = Π_{χ(p)} ⋈_{h ∈ λ(p)} rel(h)`` per
-    decomposition node, then Yannakakis over the resulting tree query."""
+    decomposition node, then Yannakakis over the resulting tree query.
+
+    This is the one lowering of a decomposition, so it is where
+    completeness is enforced: an incomplete decomposition (some atom not
+    strongly covered) raises :class:`DatabaseError` naming the atoms."""
     atom_names = {atom.name for atom in query.atoms}
     expressions = []
     for node in decomposition.nodes():
@@ -406,6 +415,7 @@ def hypertree_plan_ir(query: ConjunctiveQuery, decomposition) -> QueryPlanIR:
                 ),
             )
         )
+    _check_complete(decomposition, atom_names)
     children = tuple(
         (node_id, tuple(decomposition.children(node_id)))
         for node_id in decomposition.node_ids()

@@ -18,8 +18,8 @@ For a Boolean query the third pass is unnecessary: after the first pass the
 answer is *true* iff the root relation is non-empty.
 
 The node relations here are arbitrary relations over query variables; the
-caller (the hypertree-plan executor or the acyclic-query evaluator) decides
-what each node holds.
+caller (the executor, over a plan lowered by
+:func:`repro.db.plan_ir.hypertree_plan_ir`) decides what each node holds.
 
 Both semijoin passes and the join pass are *per-subtree parallel*: sibling
 subtrees never read each other's relations, only parent/child pairs do.
@@ -28,9 +28,8 @@ of each pass: dictionaries of per-node step callables over a shared
 relation mapping, keyed exactly like the dependency DAG of
 :func:`repro.db.plan_ir.yannakakis_task_dag` and inserted in the serial
 algorithm's order.  The executor zips them with the DAG and runs them on a
-:class:`~repro.db.scheduler.TaskScheduler`; :func:`semijoin_reduce`,
-:func:`evaluate_boolean` and :func:`evaluate` simply call them in
-insertion order.
+:class:`~repro.db.scheduler.TaskScheduler`; calling the steps in insertion
+order is the serial algorithm (what the executor does at ``threads=1``).
 """
 
 from __future__ import annotations
@@ -118,33 +117,6 @@ def reduction_steps(
             for child in tree.children.get(node, ()):
                 steps[("down", child)] = reduce_step(child, (node,))
     return steps
-
-
-def semijoin_reduce(
-    tree: TreeQuery,
-    stats: Optional[OperatorStats] = None,
-    full: bool = True,
-) -> TreeQuery:
-    """The semijoin program of Yannakakis' algorithm.
-
-    The bottom-up pass is always performed; the top-down pass only when
-    ``full`` is true (it is not needed for Boolean queries).  Returns a new
-    :class:`TreeQuery` with reduced relations.
-    """
-    tree.validate()
-    relations = dict(tree.relations)
-    for step in reduction_steps(tree, relations, stats, full).values():
-        step()
-    return TreeQuery(root=tree.root, children=dict(tree.children), relations=relations)
-
-
-def evaluate_boolean(
-    tree: TreeQuery, stats: Optional[OperatorStats] = None
-) -> bool:
-    """Answer the Boolean query represented by the tree: true iff the
-    semijoin-reduced root is non-empty."""
-    reduced = semijoin_reduce(tree, stats=stats, full=False)
-    return reduced.relations[reduced.root].cardinality > 0
 
 
 @dataclass
@@ -257,25 +229,3 @@ def fold_steps(
     }
     steps[("project", "answer")] = answer_step
     return steps
-
-
-def evaluate(
-    tree: TreeQuery,
-    output_variables: Sequence[str],
-    stats: Optional[OperatorStats] = None,
-) -> Relation:
-    """Full evaluation: the projection of the join of all node relations onto
-    ``output_variables`` (all variables of the tree if empty).
-
-    After full semijoin reduction, nodes are joined bottom-up; each
-    intermediate result is projected onto the output variables plus the
-    variables shared with the remaining (upper) part of the tree (the
-    precomputed :func:`fold_plan`).
-    """
-    reduced = semijoin_reduce(tree, stats=stats, full=True)
-    folded = dict(reduced.relations)
-    for step in fold_steps(
-        reduced, folded, fold_plan(reduced, output_variables), stats
-    ).values():
-        step()
-    return folded[reduced.root]

@@ -263,16 +263,10 @@ def evaluate_candidates_graph(
                     best = value
             weights[cand_id] = combine(weights[cand_id], best)
 
-    # Drop candidates removed after their subproblem's survivor list was
-    # already recorded (a candidate can be pruned late through one of its
-    # *other* subproblems; filter defensively so downstream code never sees
-    # pruned nodes).
-    survivors_by_sub = [
-        alive
-        if all(not removed[c] for c in alive)
-        else tuple(c for c in alive if not removed[c])
-        for alive in survivors_by_sub
-    ]
+    # Every survivor list is final when recorded: a candidate is removed
+    # only while one of its own subproblems is processed, and those are
+    # components strictly inside the one it solves, so ``sub_order``
+    # settles it before any list that holds it is recorded.
     return EvaluationResult(
         graph=graph,
         weight_by_id=weights,

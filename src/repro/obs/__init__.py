@@ -50,9 +50,10 @@ Export a trace from the serving daemon (written when its drain completes)::
 
 or programmatically::
 
+    from repro.db.executor import execute_plan
     from repro.obs import TraceRecorder, write_chrome_trace
     trace = TraceRecorder()
-    plan.to_ir().execute(database, trace=trace)
+    execute_plan(plan.to_ir(), database, trace=trace)
     write_chrome_trace("trace.json", trace)
 
 Then open https://ui.perfetto.dev in a browser, choose *Open trace

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.db.database import Database
+from repro.db.executor import execute_plan
 from repro.db.storage import PlanCache
 from repro.exceptions import PlanningError
 from repro.planner.baseline import baseline_plan
@@ -128,7 +129,7 @@ def _execute_and_measure(
     plan_ir = plan.to_ir()
     started = time.perf_counter()
     try:
-        result = plan_ir.execute(database, budget=budget)
+        result = execute_plan(plan_ir, database, budget=budget)
         work, cardinality = result.stats.total_work, result.cardinality
     except EvaluationBudgetExceeded as exc:
         work, cardinality = exc.work_so_far, -1

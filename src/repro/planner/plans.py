@@ -9,9 +9,11 @@ Two plan shapes appear in the paper's experiments:
   optimisers explore; produced by the baseline System-R style optimiser that
   stands in for "CommDB".
 
-Both know how to execute themselves against a :class:`repro.db.database.Database`
-and return an :class:`repro.db.executor.ExecutionResult` carrying the work
-counters the experiments compare.  Both own one ``to_payload()`` /
+Both lower to the shared plan-node IR with ``to_ir()``, and
+``execute_plan(plan.to_ir(), database, ...)`` (:mod:`repro.db.executor`) --
+the one way to execute a plan -- runs them and returns an
+:class:`~repro.db.executor.ExecutionResult` carrying the work counters the
+experiments compare.  Both own one ``to_payload()`` /
 ``from_payload()`` pair whose JSON block is the
 :class:`~repro.db.storage.PlanCache` entry and the serving wire's ``"plan"``
 alike (execution reads only ``kind`` + ``decomposition`` | ``order``, the
@@ -25,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Tuple
 
-from repro.db.database import Database
-from repro.db.executor import ExecutionResult
 from repro.db.plan_ir import (
     QueryPlanIR,
     decomposition_from_payload,
@@ -65,11 +65,6 @@ class HypertreePlan:
         """Lower the plan to the shared plan-node IR (the same node tree and
         kernels the baseline plan executes on)."""
         return hypertree_plan_ir(self.query, self.decomposition)
-
-    def execute(self, database: Database, **options) -> ExecutionResult:
-        """Run the plan: per-node joins, then Yannakakis over the tree
-        (``options`` are :func:`repro.db.executor.execute_plan`'s)."""
-        return self.to_ir().execute(database, **options)
 
     def to_payload(self) -> Dict[str, object]:
         return {
@@ -139,12 +134,6 @@ class JoinOrderPlan:
     def to_ir(self) -> QueryPlanIR:
         """Lower the plan to the shared plan-node IR."""
         return join_order_plan_ir(self.query, self.order)
-
-    def execute(self, database: Database, **options) -> ExecutionResult:
-        """Join the atoms left-to-right in the chosen order (no structural
-        awareness: no semijoin reduction, no early projection; ``options``
-        are :func:`repro.db.executor.execute_plan`'s)."""
-        return self.to_ir().execute(database, **options)
 
     def to_payload(self) -> Dict[str, object]:
         return {

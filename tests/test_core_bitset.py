@@ -342,6 +342,11 @@ class TestPrunedEvaluation:
         assert float.hex(float(result.minimum_weight())) == float.hex(
             float(expected_minimum)
         )
+        # Every candidate is settled before a survivor list holding it is
+        # recorded, so no recorded survivor is ever removed later.
+        assert not any(
+            result.removed[c] for alive in result.survivors_by_sub for c in alive
+        )
 
         def triple(cand_id):
             node = graph.node_view(cand_id, 0)

@@ -32,10 +32,11 @@ from repro.db.columnar import (
 )
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
-from repro.db.executor import execute_hypertree_plan, naive_join_evaluation
+from repro.db.executor import execute_plan
 from repro.db.generator import uniform_database
+from repro.db.plan_ir import hypertree_plan_ir, join_order_plan_ir
 from repro.db.relation import Relation
-from repro.db.yannakakis import TreeQuery, evaluate, evaluate_boolean, semijoin_reduce
+from repro.db.yannakakis import TreeQuery, fold_plan, fold_steps, reduction_steps
 from repro.decomposition.kdecomp import optimal_decomposition
 from repro.decomposition.normal_form import complete_decomposition
 from repro.query.conjunctive import build_query
@@ -278,19 +279,33 @@ def _path_trees(r_rows, s_rows, t_rows):
     )
 
 
+def _serial_passes(tree, stats, full=True, output=None):
+    """Yannakakis' passes as the executor runs them at ``threads=1``: every
+    step of :func:`reduction_steps` (then, given ``output``, of
+    :func:`fold_steps`) in insertion order.  Returns the relation slots."""
+    relations = dict(tree.relations)
+    for step in reduction_steps(tree, relations, stats, full=full).values():
+        step()
+    if output is not None:
+        plan = fold_plan(tree, output)
+        for step in fold_steps(tree, relations, plan, stats).values():
+            step()
+    return relations
+
+
 ROWS_XY = st.lists(st.tuples(VALUES, VALUES), min_size=0, max_size=20)
 
 
 class TestYannakakisEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(r=ROWS_XY, s=ROWS_XY, t=ROWS_XY)
-    def test_semijoin_reduce_matches_rows(self, r, s, t):
+    def test_semijoin_passes_match_rows(self, r, s, t):
         row_tree, col_tree = _path_trees(r, s, t)
         row_stats, col_stats = OperatorStats(), OperatorStats()
-        reduced_rows = semijoin_reduce(row_tree, stats=row_stats, full=True)
-        reduced_cols = semijoin_reduce(col_tree, stats=col_stats, full=True)
+        reduced_rows = _serial_passes(row_tree, row_stats)
+        reduced_cols = _serial_passes(col_tree, col_stats)
         for node in ("r", "s", "t"):
-            assert reduced_rows.relations[node] == reduced_cols.relations[node]
+            assert reduced_rows[node] == reduced_cols[node]
         assert_same_stats(row_stats, col_stats)
 
     @settings(max_examples=40, deadline=None)
@@ -298,9 +313,9 @@ class TestYannakakisEquivalence:
     def test_boolean_pass_matches_rows(self, r, s, t):
         row_tree, col_tree = _path_trees(r, s, t)
         row_stats, col_stats = OperatorStats(), OperatorStats()
-        assert evaluate_boolean(row_tree, stats=row_stats) == evaluate_boolean(
-            col_tree, stats=col_stats
-        )
+        row_root = _serial_passes(row_tree, row_stats, full=False)["s"]
+        col_root = _serial_passes(col_tree, col_stats, full=False)["s"]
+        assert (row_root.cardinality > 0) == (col_root.cardinality > 0)
         assert_same_stats(row_stats, col_stats)
 
     @settings(max_examples=40, deadline=None)
@@ -308,8 +323,8 @@ class TestYannakakisEquivalence:
     def test_full_evaluation_matches_rows(self, r, s, t):
         row_tree, col_tree = _path_trees(r, s, t)
         row_stats, col_stats = OperatorStats(), OperatorStats()
-        answer_rows = evaluate(row_tree, ["x", "w"], stats=row_stats)
-        answer_cols = evaluate(col_tree, ["x", "w"], stats=col_stats)
+        answer_rows = _serial_passes(row_tree, row_stats, output=["x", "w"])["s"]
+        answer_cols = _serial_passes(col_tree, col_stats, output=["x", "w"])["s"]
         assert answer_rows == answer_cols
         assert_same_stats(row_stats, col_stats)
 
@@ -339,7 +354,8 @@ class TestEndToEndEquivalence:
             baseline_plan(query, col_db.statistics),
             cost_k_decomp(query, col_db.statistics, 2),
         ):
-            ours, theirs = plan.execute(col_db), plan.execute(row_db)
+            ours = execute_plan(plan.to_ir(), col_db)
+            theirs = execute_plan(plan.to_ir(), row_db)
             assert ours.cardinality > 0
             assert ours.relation.rows == theirs.relation.rows  # incl. order
             work, row_work = ours.stats_payload(), theirs.stats_payload()
@@ -357,12 +373,13 @@ class TestEndToEndEquivalence:
         decomposition = complete_decomposition(
             optimal_decomposition(query.hypergraph())
         )
-        row_plan = execute_hypertree_plan(query, row_db, decomposition)
-        col_plan = execute_hypertree_plan(query, col_db, decomposition)
+        structural = hypertree_plan_ir(query, decomposition)
+        row_plan = execute_plan(structural, row_db)
+        col_plan = execute_plan(structural, col_db)
         assert row_plan.boolean == col_plan.boolean
         assert row_plan.stats.snapshot() == col_plan.stats.snapshot()
-        row_naive = naive_join_evaluation(query, row_db)
-        col_naive = naive_join_evaluation(query, col_db)
+        row_naive = execute_plan(join_order_plan_ir(query), row_db)
+        col_naive = execute_plan(join_order_plan_ir(query), col_db)
         assert row_naive.boolean == col_naive.boolean
         assert row_naive.stats.snapshot() == col_naive.stats.snapshot()
 
@@ -377,8 +394,9 @@ class TestEndToEndEquivalence:
         decomposition = complete_decomposition(
             optimal_decomposition(query.hypergraph())
         )
-        row_result = execute_hypertree_plan(query, row_db, decomposition)
-        col_result = execute_hypertree_plan(query, col_db, decomposition)
+        structural = hypertree_plan_ir(query, decomposition)
+        row_result = execute_plan(structural, row_db)
+        col_result = execute_plan(structural, col_db)
         assert row_result.relation == col_result.relation
         assert row_result.stats.snapshot() == col_result.stats.snapshot()
 

@@ -55,6 +55,7 @@ from repro.db.daemon import (
     encode_frame,
 )
 from repro.db.database import Database
+from repro.db.executor import execute_plan
 from repro.db.faults import FAULTS_ENV, FaultPlan
 from repro.db.plan_ir import (
     decomposition_from_payload,
@@ -339,11 +340,12 @@ class TestPlanCodec:
             assert rebuilt.planning_seconds == 0.0
             assert rebuilt.to_payload() == plan.to_payload()
             assert rebuilt.estimated_cost == plan.estimated_cost
-            ours, theirs = plan.execute(database), rebuilt.execute(database)
+            ours = execute_plan(plan.to_ir(), database)
+            theirs = execute_plan(rebuilt.to_ir(), database)
             assert ours.relation.rows == theirs.relation.rows
             assert ours.stats_payload() == theirs.stats_payload()
             # ... and the very same block is what the executor reads.
-            replayed = plan_ir_from_payload(query, payload).execute(database)
+            replayed = execute_plan(plan_ir_from_payload(query, payload), database)
             assert replayed.relation.rows == ours.relation.rows
 
     def test_a_plan_class_refuses_the_other_kind(self):
@@ -742,7 +744,9 @@ class TestPlanDocumentMutations:
     @given(data=st.data())
     def test_mutated_plan_cache_entry_never_raises(self, planned, data):
         query, database, _, entries = planned
-        oracle = baseline_plan(query, database.statistics).execute(database)
+        oracle = execute_plan(
+            baseline_plan(query, database.statistics).to_ir(), database
+        )
         victim = data.draw(st.sampled_from(sorted(entries)))
         scratch = Path(tempfile.mkdtemp())
         try:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db.executor import execute_plan
 from repro.db.generator import uniform_database
 from repro.decomposition.kdecomp import hypertree_width
 from repro.decomposition.minimal import minimal_k_decomp
@@ -81,6 +82,10 @@ class TestEndToEndPipeline:
         database = workload_database(
             query, tuples_per_relation=60, domain_size=10, seed=9
         )
-        structural = cost_k_decomp(query, database.statistics, 2).execute(database)
-        baseline = baseline_plan(query, database.statistics).execute(database)
+        structural = execute_plan(
+            cost_k_decomp(query, database.statistics, 2).to_ir(), database
+        )
+        baseline = execute_plan(
+            baseline_plan(query, database.statistics).to_ir(), database
+        )
         assert structural.boolean == baseline.boolean

@@ -108,7 +108,8 @@ class TestSQLFrontend:
         # The SQL translation evaluates to the same result as the hand-built
         # conjunctive query.
         from repro.db.database import Database
-        from repro.db.executor import naive_join_evaluation
+        from repro.db.executor import execute_plan
+        from repro.db.plan_ir import join_order_plan_ir
         from repro.db.relation import Relation
         from repro.query.conjunctive import build_query
 
@@ -124,8 +125,8 @@ class TestSQLFrontend:
         direct = build_query(
             [("r", ["A", "B"]), ("s", ["B", "C"])], output_variables=["A", "C"]
         )
-        sql_answer = naive_join_evaluation(sql_query, db).relation
-        direct_answer = naive_join_evaluation(direct, db).relation
+        sql_answer = execute_plan(join_order_plan_ir(sql_query), db).relation
+        direct_answer = execute_plan(join_order_plan_ir(direct), db).relation
         assert set(sql_answer.rows) == set(direct_answer.rows)
 
 

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
+from repro.db.executor import execute_plan
 from repro.db.serving import (
     PROVENANCE_KEY,
     TRACE_KEY,
@@ -329,10 +330,11 @@ class TestExecutorByteIdentity:
             budget=5_000_000, threads=threads,
             memory_budget_bytes=memory_budget,
         )
-        untraced = hypertree_plan.to_ir().execute(database, **knobs)
+        untraced = execute_plan(hypertree_plan.to_ir(), database, **knobs)
         recorder = TraceRecorder()
-        traced = hypertree_plan.to_ir().execute(
-            database, trace=recorder, trace_id="req-hyper", **knobs
+        traced = execute_plan(
+            hypertree_plan.to_ir(), database,
+            trace=recorder, trace_id="req-hyper", **knobs,
         )
         _identical(traced, untraced)
         spans = recorder.spans()
@@ -353,9 +355,9 @@ class TestExecutorByteIdentity:
 
         plan = baseline_plan(_query(), database.statistics)
         knobs = dict(budget=20_000_000, threads=threads)
-        untraced = plan.to_ir().execute(database, **knobs)
+        untraced = execute_plan(plan.to_ir(), database, **knobs)
         recorder = TraceRecorder()
-        traced = plan.to_ir().execute(database, trace=recorder, **knobs)
+        traced = execute_plan(plan.to_ir(), database, trace=recorder, **knobs)
         _identical(traced, untraced)
         names = {s.name for s in recorder.spans()}
         assert any(n.startswith("scan:") for n in names)
@@ -377,8 +379,9 @@ class TestExecutorByteIdentity:
 
         def span_multiset(threads):
             recorder = TraceRecorder()
-            plan.to_ir().execute(
-                database, budget=20_000_000, threads=threads, trace=recorder
+            execute_plan(
+                plan.to_ir(), database,
+                budget=20_000_000, threads=threads, trace=recorder,
             )
             return Counter((s.category, s.name) for s in recorder.spans())
 
@@ -413,8 +416,9 @@ class TestExecutorByteIdentity:
         self, database, hypertree_plan
     ):
         recorder = TraceRecorder()
-        hypertree_plan.to_ir().execute(
-            database, budget=5_000_000, memory_budget_bytes=2_048,
+        execute_plan(
+            hypertree_plan.to_ir(), database,
+            budget=5_000_000, memory_budget_bytes=2_048,
             trace=recorder,
         )
         merged = {}

@@ -46,6 +46,7 @@ from repro.db.columnar import (
 )
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
+from repro.db.executor import execute_plan
 from repro.db.generator import uniform_database
 from repro.db.relation import Relation
 from repro.db.storage import (
@@ -104,8 +105,8 @@ def assert_same_database(original: Database, reopened: Database) -> None:
 def assert_same_execution(plan, original: Database, reopened: Database, **knobs):
     """Executing one plan on both databases is byte-identical: answer rows
     in order, Boolean answers, and every ``OperatorStats`` counter."""
-    ours = plan.execute(original, **knobs)
-    theirs = plan.execute(reopened, **knobs)
+    ours = execute_plan(plan.to_ir(), original, **knobs)
+    theirs = execute_plan(plan.to_ir(), reopened, **knobs)
     assert ours.cardinality == theirs.cardinality
     assert ours.boolean == theirs.boolean
     if ours.relation is not None:
@@ -384,8 +385,8 @@ class TestPackedExecutionEquivalence:
         save_database(original, packed_dir)
         plan = baseline_plan(query, original.statistics)
         packed_run, memory_run = (
-            plan.execute(open_database(packed_dir)),
-            plan.execute(original),
+            execute_plan(plan.to_ir(), open_database(packed_dir)),
+            execute_plan(plan.to_ir(), original),
         )
         assert (
             packed_run.stats.peak_transient_elements
@@ -409,8 +410,8 @@ class TestPackedExecutionEquivalence:
             next(iter(row_db._relations.values())), ColumnarRelation
         )
         plan = baseline_plan(query, original.statistics)
-        ours = plan.execute(open_database(target))
-        theirs = plan.execute(row_db)
+        ours = execute_plan(plan.to_ir(), open_database(target))
+        theirs = execute_plan(plan.to_ir(), row_db)
         assert ours.cardinality == theirs.cardinality
         assert ours.boolean == theirs.boolean
         if ours.relation is not None:
@@ -781,7 +782,8 @@ class TestI64Reader:
         row_db = open_database(target, columnar=False)
         assert_same_database(original, row_db)
         for plan in plans:
-            ours, theirs = plan.execute(original), plan.execute(row_db)
+            ours = execute_plan(plan.to_ir(), original)
+            theirs = execute_plan(plan.to_ir(), row_db)
             assert (ours.cardinality, ours.boolean) == (theirs.cardinality, theirs.boolean)
             assert ours.stats.snapshot() == theirs.stats.snapshot()
 

@@ -20,10 +20,11 @@ Hypothesis drives randomised relations and trees through the
 configurations side by side.  ``test_every_configuration_matches_the_row_engine``
 is the knob matrix: it draws every execution option together with a query
 shape (a constant, a repeated variable, ``"fresh"`` completion, a Boolean
-query, an empty relation), so the suite runs once rather than once per
-setting.  Deterministic cases cover the budget-stop edges (budget hit
-exactly at an emit-chunk boundary, mid-chunk, on the first chunk, and with
-an all-matching key column) and the degenerate fast paths.
+query, an empty relation, the paper's Q1 on its Fig. 8 database), so the
+suite runs once rather than once per setting.  Deterministic cases cover the
+budget-stop edges (budget hit exactly at an emit-chunk boundary, mid-chunk,
+on the first chunk, and with an all-matching key column) and the degenerate
+fast paths.
 """
 
 import random
@@ -38,6 +39,7 @@ from hypothesis import strategies as st
 from repro.db.algebra import (
     EvaluationBudgetExceeded,
     OperatorStats,
+    join_all,
     natural_join,
     project,
     semijoin,
@@ -45,13 +47,15 @@ from repro.db.algebra import (
 from repro.db.columnar import ColumnarRelation
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
-from repro.db.executor import build_tree_query, execute_plan
+from repro.db.executor import execute_plan
 from repro.db.plan_ir import hypertree_plan_ir
 from repro.db.relation import Relation
 from repro.db.scheduler import TaskScheduler
-from repro.db.yannakakis import evaluate
+from repro.db.yannakakis import TreeQuery, fold_plan, fold_steps, reduction_steps
 from repro.obs.trace import TraceRecorder
 from repro.query.conjunctive import build_query
+from repro.query.examples import q1
+from repro.workloads.paper_queries import fig8_database
 from repro.workloads.synthetic import workload_database
 
 VALUES = [0, 1, 2, 3, "a", "b"]
@@ -103,8 +107,8 @@ def _fig5_q1_plan(memory_budget):
 
     database = fig5_database(seed=0, scale=0.2)
     plan = cost_k_decomp(q1(), database.statistics, 3, completion="fresh")
-    result = plan.to_ir().execute(
-        database, budget=50_000_000, memory_budget_bytes=memory_budget
+    result = execute_plan(
+        plan.to_ir(), database, budget=50_000_000, memory_budget_bytes=memory_budget
     )
     assert result.boolean is True
     return result.boolean, result.stats
@@ -335,25 +339,38 @@ def _cycle_shape(first, second, output_variables, name):
     return build_query(body, output_variables=output_variables, name=name)
 
 
+def _cycle_database(seed):
+    return workload_database(
+        _output_query(), tuples_per_relation=40, domain_size=6, seed=seed
+    )
+
+
+def _q1_database(seed):
+    return fig8_database(q1(), tuples_per_relation=150, seed=seed)
+
+
 #: The knob matrix's query shapes: ``name -> (query, completion, emptied
-#: relations)``.  A constant selects and drops a column, a repeated
-#: variable selects on equal positions, ``"fresh"`` completion binds
-#: surrogate columns, a Boolean query folds to a verdict, and an empty
-#: relation empties every join above it.
+#: relations, database(seed))``.  A constant selects and drops a column, a
+#: repeated variable selects on equal positions, ``"fresh"`` completion
+#: binds surrogate columns, a Boolean query folds to a verdict, an empty
+#: relation empties every join above it, and ``"q1"`` is the paper's Q1 on
+#: its Fig. 8 database (nine atoms, both planners).
 QUERY_SHAPES = {
     "constant": (
         _cycle_shape(["X0", "X1"], ["X1", "2"], ["X0", "X3"], "constant"),
-        "post", (),
+        "post", (), _cycle_database,
     ),
     "repeated": (
         _cycle_shape(["X0", "X0"], ["X0", "X2"], ["X0", "X3"], "repeated"),
-        "post", (),
+        "post", (), _cycle_database,
     ),
-    "fresh": (_output_query(), "fresh", ()),
+    "fresh": (_output_query(), "fresh", (), _cycle_database),
     "boolean": (
         _cycle_shape(["X0", "X1"], ["X1", "X2"], [], "boolean"), "post", (),
+        _cycle_database,
     ),
-    "empty": (_output_query(), "post", ("r2",)),
+    "empty": (_output_query(), "post", ("r2",), _cycle_database),
+    "q1": (q1(), "fresh", (), _q1_database),
 }
 
 
@@ -368,9 +385,9 @@ class TestParallelExecutionEquivalence:
             query, tuples_per_relation=80, domain_size=12, seed=7
         )
         plan = cost_k_decomp(query, database.statistics, 2, completion="fresh")
-        serial = plan.to_ir().execute(database, budget=5_000_000)
-        parallel = plan.to_ir().execute(
-            database,
+        serial = execute_plan(plan.to_ir(), database, budget=5_000_000)
+        parallel = execute_plan(
+            plan.to_ir(), database,
             budget=5_000_000,
             threads=threads,
             memory_budget_bytes=memory_budget,
@@ -389,9 +406,10 @@ class TestParallelExecutionEquivalence:
             query, tuples_per_relation=60, domain_size=10, seed=3
         )
         plan = baseline_plan(query, database.statistics)
-        serial = plan.to_ir().execute(database, budget=20_000_000)
-        parallel = plan.to_ir().execute(
-            database, budget=20_000_000, threads=threads, memory_budget_bytes=4_096
+        serial = execute_plan(plan.to_ir(), database, budget=20_000_000)
+        parallel = execute_plan(
+            plan.to_ir(), database,
+            budget=20_000_000, threads=threads, memory_budget_bytes=4_096,
         )
         assert parallel.relation.rows == serial.relation.rows
         assert parallel.stats.snapshot() == serial.stats.snapshot()
@@ -406,8 +424,10 @@ class TestParallelExecutionEquivalence:
             query, tuples_per_relation=80, domain_size=15, seed=11
         )
         plan = cost_k_decomp(query, database.statistics, 2, completion="fresh")
-        serial = plan.to_ir().execute(database, budget=5_000_000)
-        parallel = plan.to_ir().execute(database, budget=5_000_000, threads=threads)
+        serial = execute_plan(plan.to_ir(), database, budget=5_000_000)
+        parallel = execute_plan(
+            plan.to_ir(), database, budget=5_000_000, threads=threads
+        )
         assert parallel.boolean == serial.boolean
         assert parallel.stats.snapshot() == serial.stats.snapshot()
 
@@ -421,8 +441,9 @@ class TestParallelExecutionEquivalence:
         )
         plan = baseline_plan(query, database.statistics)
         with pytest.raises(EvaluationBudgetExceeded):
-            plan.to_ir().execute(
-                database, budget=200, threads=threads, memory_budget_bytes=1_024
+            execute_plan(
+                plan.to_ir(), database,
+                budget=200, threads=threads, memory_budget_bytes=1_024,
             )
 
     @settings(max_examples=10, deadline=None)
@@ -435,10 +456,10 @@ class TestParallelExecutionEquivalence:
             query, tuples_per_relation=40, domain_size=6, seed=seed
         )
         plan = cost_k_decomp(query, database.statistics, 2, completion="fresh")
-        serial = plan.to_ir().execute(database, budget=5_000_000)
+        serial = execute_plan(plan.to_ir(), database, budget=5_000_000)
         for threads, memory_budget in ((2, None), (4, 1_024)):
-            parallel = plan.to_ir().execute(
-                database,
+            parallel = execute_plan(
+                plan.to_ir(), database,
                 budget=5_000_000,
                 threads=threads,
                 memory_budget_bytes=memory_budget,
@@ -465,10 +486,8 @@ class TestParallelExecutionEquivalence:
         from repro.planner.baseline import baseline_plan
         from repro.planner.cost_k_decomp import cost_k_decomp
 
-        query, completion, emptied = QUERY_SHAPES[shape]
-        column_db = workload_database(
-            _output_query(), tuples_per_relation=40, domain_size=6, seed=seed
-        )
+        query, completion, emptied, database = QUERY_SHAPES[shape]
+        column_db = database(seed)
         for predicate in emptied:
             stored = column_db.relation(predicate)
             column_db.add_relation(Relation(predicate, stored.attributes, []))
@@ -482,10 +501,12 @@ class TestParallelExecutionEquivalence:
         else:
             plan = baseline_plan(query, row_db.statistics)
         knobs = dict(budget=20_000_000, memory_budget_bytes=memory_budget)
-        oracle = plan.to_ir().execute(row_db, threads=1, **knobs)
-        reference = plan.to_ir().execute(column_db, threads=1, **knobs)
+        oracle = execute_plan(plan.to_ir(), row_db, threads=1, **knobs)
+        reference = execute_plan(plan.to_ir(), column_db, threads=1, **knobs)
         trace = TraceRecorder() if traced else None
-        result = plan.to_ir().execute(column_db, threads=threads, trace=trace, **knobs)
+        result = execute_plan(
+            plan.to_ir(), column_db, threads=threads, trace=trace, **knobs
+        )
         assert _answer(result) == _answer(oracle)  # incl. row order
         if traced:
             assert trace.spans()
@@ -524,7 +545,7 @@ class TestParallelExecutionEquivalence:
         assert any(
             len(decomposition.children(n)) > 1 for n in decomposition.node_ids()
         )
-        reference = plan.to_ir().execute(database, threads=1)
+        reference = execute_plan(plan.to_ir(), database, threads=1)
 
         rng = random.Random(13)
 
@@ -543,15 +564,16 @@ class TestParallelExecutionEquivalence:
 
         monkeypatch.setattr(TaskScheduler, "run", run_shuffled)
         for _ in range(25):
-            shuffled = plan.to_ir().execute(database, threads=1)
+            shuffled = execute_plan(plan.to_ir(), database, threads=1)
             assert shuffled.relation.rows == reference.relation.rows
             assert shuffled.stats_payload() == reference.stats_payload()
 
     @pytest.mark.parametrize("share", [0.1, 0.4, 0.7, 0.95])
     def test_budget_abort_at_one_thread_matches_direct_evaluation(self, share):
-        # execute_plan at threads=1 and a hand-driven build_tree_query +
-        # yannakakis.evaluate run the same steps in the same order, so they
-        # abort at the same operator with the same work_so_far.
+        # execute_plan at threads=1 and a hand-driven direct evaluation --
+        # E(p) per node, then reduction_steps and fold_steps in insertion
+        # order -- run the same steps in the same order, so they abort at
+        # the same operator with the same work_so_far.
         from repro.planner.cost_k_decomp import cost_k_decomp
 
         query = _output_query()
@@ -567,9 +589,29 @@ class TestParallelExecutionEquivalence:
         with pytest.raises(EvaluationBudgetExceeded) as planned:
             execute_plan(ir, database, budget=budget, threads=1)
         stats = OperatorStats(budget=budget)
+        decomposition = plan.decomposition
         with pytest.raises(EvaluationBudgetExceeded) as direct:
-            tree = build_tree_query(executed, database, plan.decomposition, stats)
-            evaluate(tree, list(executed.output_variables), stats=stats)
+            bound = database.bind_query(executed)
+            relations = {}
+            for node in decomposition.nodes():
+                # E(p) = Π_χ(p) ⋈_λ(p), joined smallest first.
+                inputs = [bound[name] for name in sorted(node.lambda_edges)]
+                chi = sorted(node.chi)
+                order = sorted(range(len(inputs)), key=lambda i: inputs[i].cardinality)
+                joined = join_all(inputs, stats=stats, order=order, needed=chi)
+                relations[node.node_id] = project(joined, chi, stats=stats)
+            tree = TreeQuery(
+                root=decomposition.root,
+                children={
+                    n: decomposition.children(n) for n in decomposition.node_ids()
+                },
+                relations=relations,
+            )
+            for step in reduction_steps(tree, relations, stats).values():
+                step()
+            fold = fold_plan(tree, list(executed.output_variables))
+            for step in fold_steps(tree, relations, fold, stats).values():
+                step()
         assert planned.value.work_so_far == direct.value.work_so_far
         assert planned.value.budget == direct.value.budget == budget
 

@@ -4,6 +4,7 @@ comparison harness."""
 import pytest
 
 import repro.planner.compare as compare_module
+from repro.db.executor import execute_plan
 from repro.db.generator import uniform_database
 from repro.db.serving import prewarm
 from repro.db.statistics import CatalogStatistics
@@ -113,8 +114,10 @@ class TestCostKDecomp:
     def test_plan_execution_matches_baseline_answer(self, cycle5_setup):
         query, database = cycle5_setup
         plan = cost_k_decomp(query, database.statistics, k=2)
-        structural = plan.execute(database)
-        naive = baseline_plan(query, database.statistics).execute(database)
+        structural = execute_plan(plan.to_ir(), database)
+        naive = execute_plan(
+            baseline_plan(query, database.statistics).to_ir(), database
+        )
         assert structural.boolean == naive.boolean
 
 
@@ -151,7 +154,7 @@ class TestBaseline:
     def test_baseline_execution_answers_query(self, cycle5_setup):
         query, database = cycle5_setup
         plan = baseline_plan(query, database.statistics)
-        result = plan.execute(database)
+        result = execute_plan(plan.to_ir(), database)
         assert result.boolean in (True, False)
 
 

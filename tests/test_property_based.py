@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db.algebra import natural_join, project, semijoin
-from repro.db.executor import execute_hypertree_plan, naive_join_evaluation
+from repro.db.executor import execute_plan
 from repro.db.generator import uniform_database
+from repro.db.plan_ir import hypertree_plan_ir, join_order_plan_ir
 from repro.db.relation import Relation
 from repro.decomposition.enumerate import enumerate_nf_decompositions
 from repro.decomposition.kdecomp import hypertree_width, optimal_decomposition
@@ -197,6 +198,6 @@ def test_hypertree_plan_equals_naive_join_on_random_cycles(seed, num_atoms):
     query = cycle_query(num_atoms)
     database = uniform_database(query, tuples_per_relation=20, domain_size=3, seed=seed)
     decomposition = complete_decomposition(optimal_decomposition(query.hypergraph()))
-    structural = execute_hypertree_plan(query, database, decomposition)
-    naive = naive_join_evaluation(query, database)
+    structural = execute_plan(hypertree_plan_ir(query, decomposition), database)
+    naive = execute_plan(join_order_plan_ir(query), database)
     assert structural.boolean == naive.boolean

@@ -6,14 +6,17 @@ from repro.db.algebra import (
     EvaluationBudgetExceeded,
     OperatorStats,
     cartesian_product,
-    evaluate_node_expression,
     join_all,
     natural_join,
     project,
     select,
     semijoin,
 )
+from repro.db.database import Database
+from repro.db.executor import execute_plan
+from repro.db.plan_ir import JoinNode, ProjectNode, QueryPlanIR, ScanNode
 from repro.db.relation import Relation
+from repro.query.conjunctive import build_query
 from repro.exceptions import DatabaseError
 
 
@@ -155,10 +158,16 @@ class TestProjectSelect:
         filtered = select(r, lambda row: row["x"] == 1)
         assert filtered.cardinality == 2
 
-    def test_evaluate_node_expression(self, r, s):
-        # E(p) for λ = {r, s} and χ = {x, z}.
-        result = evaluate_node_expression([r, s], ["x", "z"])
-        assert set(result.attributes) == {"x", "z"}
+    def test_node_expression_projects_the_join(self, r, s):
+        # E(p) for λ = {r, s} and χ = {x, z}, as hypertree_plan_ir lowers it
+        # and execute_plan interprets it.
+        query = build_query([("r", ["X", "Y"]), ("s", ["Y", "Z"])])
+        expression = ProjectNode(
+            JoinNode((ScanNode("r"), ScanNode("s")), smallest_first=True), ("X", "Z")
+        )
+        database = Database(relations={"r": r, "s": s})
+        result = execute_plan(QueryPlanIR(query, expression), database).relation
+        assert set(result.attributes) == {"X", "Z"}
         assert result.cardinality == result.distinct_cardinality()
         assert (1, 100) in result.rows
 

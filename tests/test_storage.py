@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.db.columnar import ColumnarRelation, columnar_semijoin
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
+from repro.db.executor import execute_plan
 from repro.db.generator import uniform_database
 from repro.db.relation import Relation
 from repro.db.storage import (
@@ -95,8 +96,8 @@ def assert_same_database(original: Database, reopened: Database) -> None:
 def assert_same_execution(plan, original: Database, reopened: Database, **knobs):
     """Executing one plan on both databases is byte-identical: answer rows
     in order, Boolean answers, and every ``OperatorStats`` counter."""
-    ours = plan.execute(original, **knobs)
-    theirs = plan.execute(reopened, **knobs)
+    ours = execute_plan(plan.to_ir(), original, **knobs)
+    theirs = execute_plan(plan.to_ir(), reopened, **knobs)
     assert ours.cardinality == theirs.cardinality
     assert ours.boolean == theirs.boolean
     if ours.relation is not None:
@@ -303,9 +304,9 @@ class TestExecutionRoundTrip:
         reopened = open_database(target)
         plan = baseline_plan(query, original.statistics)
         with pytest.raises(EvaluationBudgetExceeded) as ours:
-            plan.execute(original, budget=500)
+            execute_plan(plan.to_ir(), original, budget=500)
         with pytest.raises(EvaluationBudgetExceeded) as theirs:
-            plan.execute(reopened, budget=500)
+            execute_plan(plan.to_ir(), reopened, budget=500)
         assert ours.value.work_so_far == theirs.value.work_so_far
 
 
