@@ -20,13 +20,19 @@ relation sizes and attribute selectivities (distinct-value counts):
   measured work are directly comparable.
 
 The estimates only require a :class:`~repro.db.statistics.CatalogStatistics`,
-never the data itself, exactly like a DBMS optimiser.
+never the data itself, exactly like a DBMS optimiser.  The estimator reads
+them once, at construction, into one record per atom -- its cardinality and
+its ``(variable, selectivity)`` pairs in the atom's variable order -- which
+the planner's hot path (:meth:`CardinalityEstimator.join_cardinality`,
+:meth:`CardinalityEstimator.lambda_terms`) reads directly.  Every
+cardinality and selectivity is at least 1, so every estimate is at least one
+tuple (:func:`capped_size`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.db.statistics import CatalogStatistics
 from repro.exceptions import DatabaseError
@@ -51,10 +57,22 @@ class AtomProfile:
 #: (:meth:`CardinalityEstimator.lambda_terms`).
 LambdaTerms = Tuple[float, float, Dict[str, float]]
 
+#: ``(cardinality, ((variable, selectivity), ...))`` of one atom.
+AtomRecord = Tuple[float, Tuple[Tuple[str, float], ...]]
+
 
 def capped_size(join_size: float, domain_sizes: Iterable[float]) -> float:
     """``|Π_χ(⋈ λ)|``: the join size capped by the product of χ's domain
-    sizes (multiplied in the given order), and at least one tuple."""
+    sizes (multiplied in the given order), and at least one tuple.
+
+    With the estimator's inputs the one-tuple floor never binds:
+    :meth:`CardinalityEstimator.join_cardinality` returns at least 1.0, and
+    every domain size is a selectivity, which the estimator floors at 1
+    (as it does every cardinality), so the cap is a product of factors
+    ``>= 1`` and ``min(join, cap) >= 1`` already.  The floor is kept for a
+    caller that passes sizes below one.  ``QueryCostTAF``'s batched
+    weighing computes the same ``max(min(join, cap), 1.0)`` and inherits
+    the argument."""
     cap = 1.0
     for size in domain_sizes:
         cap *= size
@@ -69,8 +87,16 @@ class CardinalityEstimator:
         self.query = query
         self.statistics = statistics
         self._profiles: Dict[str, AtomProfile] = {}
+        #: Per atom, ``(cardinality, ((variable, selectivity), ...))`` in
+        #: ``atom.variables`` order (a repeated variable repeats): what the
+        #: estimation loops read, without a profile or atom lookup.
+        self._atom_records: Dict[str, AtomRecord] = {}
         for atom in query.atoms:
-            self._profiles[atom.name] = self._profile(atom)
+            profile = self._profiles[atom.name] = self._profile(atom)
+            self._atom_records[atom.name] = (
+                profile.cardinality,
+                tuple((v, profile.selectivity(v)) for v in atom.variables),
+            )
         # Estimation is called very heavily by the planner (once per distinct
         # label of the candidates graph and per tree edge), so memoise every
         # purely statistics-driven quantity.
@@ -120,6 +146,14 @@ class CardinalityEstimator:
         except KeyError as exc:
             raise DatabaseError(f"unknown atom {atom_name!r}") from exc
 
+    def _records(self, atom_names: Sequence[str]) -> List[AtomRecord]:
+        """The atoms' records, in the given order."""
+        records = self._atom_records
+        try:
+            return [records[name] for name in atom_names]
+        except KeyError as exc:
+            raise DatabaseError(f"unknown atom {exc.args[0]!r}") from exc
+
     # ------------------------------------------------------------------
     def join_cardinality(self, atom_names: Sequence[str]) -> float:
         """Estimated size of the natural join of the given atoms.
@@ -132,20 +166,16 @@ class CardinalityEstimator:
         cached = self._join_cache.get(key)
         if cached is not None:
             return cached
-        names = list(atom_names)
-        if not names:
+        records = self._records(atom_names)
+        if not records:
             return 1.0
         size = 1.0
         variable_occurrences: Dict[str, list] = {}
-        for name in names:
-            profile = self.profile(name)
-            size *= profile.cardinality
-            atom = self.query.atom_by_name(name)
-            for variable in atom.variables:
-                variable_occurrences.setdefault(variable, []).append(
-                    profile.selectivity(variable)
-                )
-        for variable, counts in variable_occurrences.items():
+        for cardinality, selectivities in records:
+            size *= cardinality
+            for variable, selectivity in selectivities:
+                variable_occurrences.setdefault(variable, []).append(selectivity)
+        for counts in variable_occurrences.values():
             if len(counts) <= 1:
                 continue
             counts_sorted = sorted(counts)
@@ -180,15 +210,16 @@ class CardinalityEstimator:
         terms = self._lambda_terms.get(key)
         if terms is not None:
             return terms
-        names = sorted(key, key=lambda n: self.profile(n).cardinality)
-        base = sum(self.profile(n).cardinality for n in names)
+        records = self._records(key)
+        # Smallest first; the sort is stable, so ties keep name order.
+        order = sorted(range(len(key)), key=lambda i: records[i][0])
+        names = [key[i] for i in order]
+        base = sum([records[i][0] for i in order])
         for prefix_length in range(2, len(names) + 1):
             base += self.join_cardinality(names[:prefix_length])
         domains: Dict[str, float] = {}
-        for name in key:
-            profile = self.profile(name)
-            for variable in self.query.atom_by_name(name).variables:
-                count = profile.selectivity(variable)
+        for _, selectivities in records:
+            for variable, count in selectivities:
                 known = domains.get(variable)
                 if known is None or count < known:
                     domains[variable] = count

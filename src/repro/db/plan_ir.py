@@ -34,8 +34,9 @@ completeness (the same check, and message, as :func:`hypertree_plan_ir`)
 against the query's own hypergraph, so a decomposition that is not a query
 plan is refused with a :class:`~repro.exceptions.DatabaseError` naming what
 it violates -- never executed.  :func:`plan_ir_from_payload`
-decodes a whole plan block for execution.  Both ways a plan arrives as data
-end here: the wire (``execute_payload``) and a
+decodes a whole plan block for execution, checking completeness once (in
+the decoder; its lowering does not repeat the check).  Both ways a plan
+arrives as data end here: the wire (``execute_payload``) and a
 :class:`~repro.db.storage.PlanCache` entry (the plan classes'
 ``from_payload``).
 
@@ -350,11 +351,12 @@ def plan_ir_from_payload(query: ConjunctiveQuery, plan_meta) -> QueryPlanIR:
             raise DatabaseError(f"malformed join-order plan payload: {exc}") from exc
         return join_order_plan_ir(query, order)
     if kind == "hypertree":
-        return hypertree_plan_ir(
+        return _lower_hypertree(
             query,
             decomposition_from_payload(
                 query.hypergraph(), plan_meta.get("decomposition")
             ),
+            checked=True,
         )
     raise DatabaseError(f"unknown plan payload kind {kind!r}")
 
@@ -394,6 +396,13 @@ def hypertree_plan_ir(query: ConjunctiveQuery, decomposition) -> QueryPlanIR:
     This is the one lowering of a decomposition, so it is where
     completeness is enforced: an incomplete decomposition (some atom not
     strongly covered) raises :class:`DatabaseError` naming the atoms."""
+    return _lower_hypertree(query, decomposition, checked=False)
+
+
+def _lower_hypertree(query: ConjunctiveQuery, decomposition, checked: bool):
+    """:func:`hypertree_plan_ir`; ``checked`` skips the completeness check
+    for a decomposition :func:`decomposition_from_payload` already checked
+    against ``query.hypergraph()``."""
     atom_names = {atom.name for atom in query.atoms}
     expressions = []
     for node in decomposition.nodes():
@@ -415,7 +424,8 @@ def hypertree_plan_ir(query: ConjunctiveQuery, decomposition) -> QueryPlanIR:
                 ),
             )
         )
-    _check_complete(decomposition, atom_names)
+    if not checked:
+        _check_complete(decomposition, atom_names)
     children = tuple(
         (node_id, tuple(decomposition.children(node_id)))
         for node_id in decomposition.node_ids()

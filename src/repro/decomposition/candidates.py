@@ -111,7 +111,12 @@ MaskCandidate = Tuple[int, int]
 
 #: Below this many k-vertices the per-component numpy dispatch overhead
 #: outweighs the loop it replaces, so ``vectorized=None`` stays scalar.
-_VECTORIZE_MIN_K_VERTICES = 64
+#: Set from a paired sweep of both engines (2-CPU x86-64, CPython 3.11,
+#: numpy 2.4): the scalar engine built every graph with Ψ < 250 faster, by
+#: 1.3-2.8x (q1 k = 3, cycle12 k = 2, chain16 k = 2, ...); the matrix
+#: engine won from Ψ = 381 (q1 k = 5, 1.3x) up to 2.3x at Ψ = 2,516; at
+#: Ψ = 255-469 the two are within 15% of each other.
+_VECTORIZE_MIN_K_VERTICES = 300
 
 
 def k_vertices(hypergraph: Hypergraph, k: int) -> Tuple[KVertex, ...]:

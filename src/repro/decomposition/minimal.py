@@ -25,11 +25,13 @@ emitted decomposition only.
 
 ``v_H`` and ``e_H`` of Definition 4.1 see a node only through its labels,
 and candidates repeat a label many times over (3-24x on the benchmark's
-fifteen planning cases).  The evaluation therefore calls the vertex weight and the
-separable edge parts once per distinct ``(λ, χ)`` label of the graph
-(``label_lambda`` / ``label_chi``) and gathers the results into the
-per-candidate lists the fold loops over (through ``cand_label``); the fold
-itself runs over candidate ids.  The threshold recursion
+fifteen planning cases).  The evaluation therefore weighs every distinct
+``(λ, χ)`` label of the graph (``label_lambda`` / ``label_chi``) in one
+call of the TAF's label batch (``mask_label_weights``, which the lowering
+provides: a TAF's native batch, or its per-label mask forms mapped over
+the labels) and gathers the results into the per-candidate lists the fold
+loops over (through ``cand_label``); the fold itself runs over candidate
+ids.  Selection asks the per-label mask forms, and the threshold recursion
 (:mod:`repro.decomposition.threshold`) keeps calling the TAF per candidate:
 it is the independent cross-check of this phase.
 
@@ -187,28 +189,29 @@ def evaluate_candidates_graph(
     cand_lambda = graph.cand_lambda
     cand_chi = graph.cand_chi
     # ``v_H`` and the separable parts see a node only through its labels:
-    # weigh each distinct (λ, χ) label once, then gather per candidate.
+    # weigh every distinct (λ, χ) label in one batch, then gather per
+    # candidate.
     cand_label = graph.cand_label
-    label_lambda = graph.label_lambda
-    label_chi = graph.label_chi
+    vertex_by_label, parent_by_label, child_by_label = taf.mask_label_weights(
+        graph.label_lambda, graph.label_chi
+    )
 
-    def per_candidate(part) -> List[Number]:
-        by_label = list(map(part, label_lambda, label_chi))
+    def per_candidate(by_label: List[Number]) -> List[Number]:
         return list(map(by_label.__getitem__, cand_label))
 
-    weights = per_candidate(taf.mask_vertex_weight)
+    weights = per_candidate(vertex_by_label)
 
     # The separable path is gated on the *string* parts (the authoritative
     # definition of the TAF).
     separable = taf.has_separable_edge
     if separable:
-        parent_part = taf.mask_edge_parent_part
-        child_part = taf.mask_edge_child_part
-        parent_parts = per_candidate(parent_part)
-        # A single shared part function (e.g. cost_H(Q)'s |E(p)|) is
-        # evaluated once per label, not twice.
+        parent_parts = per_candidate(parent_by_label)
+        # A single shared part function (e.g. cost_H(Q)'s |E(p)|) gives one
+        # list, gathered once.
         child_parts = (
-            parent_parts if child_part is parent_part else per_candidate(child_part)
+            parent_parts
+            if child_by_label is parent_by_label
+            else per_candidate(child_by_label)
         )
     else:
         edge_weight = taf.mask_edge_weight
@@ -217,15 +220,22 @@ def evaluate_candidates_graph(
     survivors_by_sub: List[Tuple[int, ...]] = [()] * graph.num_subproblems
     sub_solvers = graph.sub_solvers
     sub_dependents = graph.sub_dependents
+    # Until the first removal every solver is alive, and the survivor
+    # tuple is the solver tuple itself.
+    any_removed = False
 
     for sub_id in graph.sub_order:
-        alive = tuple(c for c in sub_solvers[sub_id] if not removed[c])
+        if any_removed:
+            alive = tuple(c for c in sub_solvers[sub_id] if not removed[c])
+        else:
+            alive = sub_solvers[sub_id]
         survivors_by_sub[sub_id] = alive
         if not alive:
             # No way to solve this subproblem: every candidate that depends on
             # it is removed from the graph.
             for cand_id in sub_dependents[sub_id]:
                 removed[cand_id] = 1
+            any_removed = True
             continue
         # Fold the best solver of ``subproblem`` into each candidate that has
         # it as a subproblem.

@@ -24,11 +24,18 @@ name forms go through too) and compute a χ's projection cap from bits,
 without translating χ to names.  The two forms are equal float for float,
 which ``tests/test_search_plane_vectorized.py`` pins by Hypothesis against a
 name-only twin.
+
+The planner's evaluation phase weighs every distinct (λ, χ) label of the
+candidates graph in one call of the batch form (``mask_label_weights``).
+With numpy it computes the projection caps as columns -- one running
+product per label, multiplied bit by bit in ascending vertex order -- and
+gives the same floats as the per-label forms; without numpy it is those
+forms, mapped over the labels.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.bitset import iter_bits
 from repro.db.costmodel import CardinalityEstimator, capped_size
@@ -37,6 +44,14 @@ from repro.decomposition.hypertree import DecompositionNode
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.weights.semiring import SUM_MIN
 from repro.weights.taf import TreeAggregationFunction, _memoised
+
+try:  # The column batch needs numpy; the per-label forms are the fallback.
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only without numpy
+    np = None
+
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
 
 
 class QueryCostTAF(TreeAggregationFunction):
@@ -105,7 +120,8 @@ class QueryCostTAF(TreeAggregationFunction):
     def _native_mask_forms(self, bitset):
         """``v*`` and ``|E(p)|`` computed from masks (the planner's
         evaluation fold is dominated by these calls, so they skip the
-        generic node lift and never translate χ to names).
+        generic node lift and never translate χ to names), and with numpy
+        their column batch over many labels.
 
         Per λ mask the estimator's :meth:`~CardinalityEstimator.lambda_terms`
         gives the base cost, the join size and the domain sizes, re-keyed by
@@ -118,16 +134,14 @@ class QueryCostTAF(TreeAggregationFunction):
         edge_names = bitset.edge_names
         vertex_bit = bitset.vertices.bit
         terms_by_lambda: dict = {}
+        domains_by_bit: dict = {}
         estimates: dict = {}
 
         def terms_of(lambda_mask: int):
             terms = terms_by_lambda.get(lambda_mask)
             if terms is None:
-                base, join_size, domains = lambda_terms(sorted(edge_names(lambda_mask)))
-                terms = terms_by_lambda[lambda_mask] = (
-                    base,
-                    join_size,
-                    {vertex_bit(v): size for v, size in domains.items()},
+                terms = terms_by_lambda[lambda_mask] = lambda_terms(
+                    sorted(edge_names(lambda_mask))
                 )
             return terms
 
@@ -135,7 +149,12 @@ class QueryCostTAF(TreeAggregationFunction):
             key = (lambda_mask, chi_mask)
             found = estimates.get(key)
             if found is None:
-                _, join_size, domain_of = terms_of(lambda_mask)
+                _, join_size, domains = terms_of(lambda_mask)
+                domain_of = domains_by_bit.get(lambda_mask)
+                if domain_of is None:
+                    domain_of = domains_by_bit[lambda_mask] = {
+                        vertex_bit(v): size for v, size in domains.items()
+                    }
                 found = estimates[key] = capped_size(
                     join_size, [domain_of.get(bit, 1.0) for bit in iter_bits(chi_mask)]
                 )
@@ -144,7 +163,69 @@ class QueryCostTAF(TreeAggregationFunction):
         def cost(lambda_mask: int, chi_mask: int) -> float:
             return terms_of(lambda_mask)[0] + estimate(lambda_mask, chi_mask)
 
-        return cost, None, estimate, estimate
+        label_weights = None
+        if np is not None:
+            vertex_index = bitset.vertices.index_of
+            num_vertices = len(bitset.vertices)
+
+            def label_weights(label_lambda, label_chi):
+                return _column_label_weights(
+                    label_lambda, label_chi, terms_of, vertex_index, num_vertices
+                )
+
+        return cost, None, estimate, estimate, label_weights
+
+
+def _column_label_weights(
+    label_lambda: Sequence[int],
+    label_chi: Sequence[int],
+    terms_of,
+    vertex_index,
+    num_vertices: int,
+) -> Tuple[List[float], List[float], List[float]]:
+    """``(v*, |E(p)|, |E(p)|)`` of every label, as the per-label forms
+    compute them, with the projection caps computed as columns.
+
+    The distinct λ masks are asked for their terms in first-occurrence
+    order over the labels -- the order in which mapping ``v*`` over the
+    labels asks them, so the estimator memoises the same joins in the same
+    order.  Each label's cap starts at 1.0 and is multiplied, for every
+    vertex bit in ascending order, by its λ's domain size where χ has the
+    bit; skipping a bit multiplies by 1.0, which is exact, so every cap
+    equals :func:`capped_size`'s left-to-right product.  One column of N
+    domain sizes is gathered per bit, never an N × V matrix.  χ masks wider
+    than one 64-bit word are split into words."""
+    slot_of = {mask: slot for slot, mask in enumerate(dict.fromkeys(label_lambda))}
+    terms = [terms_of(mask) for mask in slot_of]
+    domains = np.ones((num_vertices, len(terms)))  # vertex index × λ slot
+    for slot, (_, _, by_name) in enumerate(terms):
+        for variable, size in by_name.items():
+            domains[vertex_index(variable), slot] = size
+    slots = np.fromiter(
+        map(slot_of.__getitem__, label_lambda), dtype=np.intp, count=len(label_lambda)
+    )
+    cap = np.ones(len(label_chi))
+    union = 0
+    for chi_mask in label_chi:
+        union |= chi_mask
+    for offset in range(0, union.bit_length(), _WORD_BITS):
+        word_union = (union >> offset) & _WORD_MASK
+        if not word_union:
+            continue
+        words = np.fromiter(
+            ((chi_mask >> offset) & _WORD_MASK for chi_mask in label_chi),
+            dtype=np.uint64,
+            count=len(label_chi),
+        )
+        for bit in iter_bits(word_union):
+            has = (words & np.uint64(bit)) != 0
+            column = domains[offset + bit.bit_length() - 1][slots]
+            np.multiply(cap, column, out=cap, where=has)
+    join = np.array([t[1] for t in terms])[slots]
+    estimate = np.maximum(np.minimum(join, cap), 1.0)
+    base = np.array([t[0] for t in terms])[slots]
+    estimates = estimate.tolist()
+    return (base + estimate).tolist(), estimates, estimates
 
 
 def query_cost_taf(

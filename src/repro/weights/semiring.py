@@ -18,6 +18,7 @@ sampled values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -107,17 +108,15 @@ class Semiring:
                         )
 
 
-def _add(a: Number, b: Number) -> Number:
-    return a + b
-
-
 def _max(a: Number, b: Number) -> Number:
     return a if a >= b else b
 
 
 #: ``⟨R+, +, min, 0, ∞⟩`` -- total-cost aggregation (vertex aggregation
-#: functions, the query-cost TAF of Example 4.3).
-SUM_MIN = Semiring(name="sum-min", combine=_add, neutral=0.0)
+#: functions, the query-cost TAF of Example 4.3).  ``⊕`` is the builtin
+#: ``operator.add`` (the same IEEE ``+``, without a Python frame per call:
+#: the evaluation fold calls it once per solver and per dependent).
+SUM_MIN = Semiring(name="sum-min", combine=operator.add, neutral=0.0)
 
 #: ``⟨R+, max, min, 0, ∞⟩`` -- bottleneck aggregation (the width TAF of
 #: Example 4.2 and the separator-size TAF).

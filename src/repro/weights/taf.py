@@ -17,7 +17,7 @@ the flag is carried through so experiments can report which complexity regime
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.decomposition.hypertree import DecompositionNode, HypertreeDecomposition
 from repro.weights.semiring import SUM_MIN, Number, Semiring
@@ -30,6 +30,16 @@ EdgeWeight = Callable[[DecompositionNode, DecompositionNode], Number]
 #: receives ``(parent λ, parent χ, child λ, child χ)``.
 MaskVertexWeight = Callable[[int, int], Number]
 MaskEdgeWeight = Callable[[int, int, int, int], Number]
+
+#: The label-batch form: receives the ``λ`` masks and the ``χ`` masks of
+#: many labels (two equally long sequences) and returns their vertex
+#: weights, edge parent parts and edge child parts as lists (the parts are
+#: ``None`` for a TAF without a separable edge weight; one shared part
+#: function gives one list object).
+MaskLabelWeights = Callable[
+    [Sequence[int], Sequence[int]],
+    Tuple[List[Number], Optional[List[Number]], Optional[List[Number]]],
+]
 
 
 def zero_vertex_weight(node: DecompositionNode) -> Number:
@@ -56,6 +66,26 @@ def _memoised(function, first_of, second_of):
         return cached
 
     return lookup
+
+
+def _mapped_over_labels(
+    vertex: MaskVertexWeight,
+    parent_part: Optional[MaskVertexWeight],
+    child_part: Optional[MaskVertexWeight],
+) -> MaskLabelWeights:
+    """The default label batch: each per-label form mapped over the labels,
+    the vertex weight first; a shared part function is mapped once."""
+
+    def label_weights(label_lambda, label_chi):
+        vertices = list(map(vertex, label_lambda, label_chi))
+        if parent_part is None:
+            return vertices, None, None
+        parents = list(map(parent_part, label_lambda, label_chi))
+        if child_part is parent_part:
+            return vertices, parents, parents
+        return vertices, parents, list(map(child_part, label_lambda, label_chi))
+
+    return label_weights
 
 
 class TreeAggregationFunction:
@@ -95,7 +125,9 @@ class TreeAggregationFunction:
         string-labelled nodes.  They must agree with their string
         counterparts; the structural TAFs in :mod:`repro.weights.library`
         supply both.  The decomposition algorithms only ever call mask
-        forms: :meth:`bind_mask_space` lowers whatever is missing.
+        forms: :meth:`bind_mask_space` lowers whatever is missing, and adds
+        the label-batch form ``mask_label_weights`` the evaluation phase
+        weighs a graph's labels with.
     """
 
     def __init__(
@@ -140,7 +172,9 @@ class TreeAggregationFunction:
             self.mask_edge_weight,
             self.mask_edge_parent_part,
             self.mask_edge_child_part,
+            None,
         )
+        self.mask_label_weights: Optional[MaskLabelWeights] = None
         self._mask_bitset = None
 
     @property
@@ -160,10 +194,13 @@ class TreeAggregationFunction:
         parts is their ``⊕``); a missing one is the lift of its name form
         over one ``DecompositionNode(-1, λ names, χ names)`` per distinct
         ``(λ mask, χ mask)`` pair (``v_H`` / ``e_H`` of Definition 4.1 see a
-        node only through its labels).  The decomposition algorithms call
-        this on entry, so they never build node views themselves.  Binding
-        again to the same bitset is a no-op (memos stay warm across a
-        k-sweep); binding to another one rebuilds the non-native forms.
+        node only through its labels).  The label-batch form
+        ``mask_label_weights(label_lambda, label_chi)`` is a subclass's
+        native batch when it has one, otherwise the per-label mask forms
+        mapped over the labels.  The decomposition algorithms call this on
+        entry, so they never build node views themselves.  Binding again to
+        the same bitset is a no-op (memos stay warm across a k-sweep);
+        binding to another one rebuilds the non-native forms.
         """
         if self._mask_bitset is bitset:
             return
@@ -179,7 +216,9 @@ class TreeAggregationFunction:
                 node_of(lambda_mask, chi_mask)
             )
 
-        vertex, edge, parent_part, child_part = self._native_mask_forms(bitset)
+        vertex, edge, parent_part, child_part, label_weights = (
+            self._native_mask_forms(bitset)
+        )
         self.mask_vertex_weight = vertex or lift(self.vertex_weight)
         if edge is not None:
             self.mask_edge_weight = edge
@@ -205,10 +244,17 @@ class TreeAggregationFunction:
                 )
             self.mask_edge_parent_part = parent_part
             self.mask_edge_child_part = child_part
+            parts = (parent_part, child_part)
+        else:
+            parts = (None, None)
+        self.mask_label_weights = label_weights or _mapped_over_labels(
+            self.mask_vertex_weight, *parts
+        )
 
     def _native_mask_forms(self, bitset):
-        """The ``(vertex, edge, parent part, child part)`` mask forms this
-        TAF supplies itself for ``bitset``; ``None`` entries are lifted."""
+        """The ``(vertex, edge, parent part, child part, label batch)`` mask
+        forms this TAF supplies itself for ``bitset``; ``None`` entries are
+        lifted (the batch is mapped from the per-label forms)."""
         return self._supplied_mask_forms
 
     # ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the cardinality estimator and the query-cost TAF (Example 4.3)."""
 
+import itertools
+import math
+
 import pytest
 
-from repro.db.costmodel import CardinalityEstimator
+from repro.db.costmodel import CardinalityEstimator, capped_size
 from repro.db.statistics import CatalogStatistics
 from repro.decomposition.hypertree import DecompositionNode
 from repro.decomposition.kdecomp import k_decomp
@@ -35,6 +38,38 @@ class TestCardinalityEstimator:
         assert profile.selectivity("unknown") == 1000
         with pytest.raises(DatabaseError):
             estimator.profile("nope")
+
+    def test_unknown_atom_rejected_by_every_estimate(self, simple_query, simple_stats):
+        estimator = CardinalityEstimator(simple_query, simple_stats)
+        with pytest.raises(DatabaseError, match="unknown atom 'nope'"):
+            estimator.join_cardinality(["r", "nope"])
+        with pytest.raises(DatabaseError, match="unknown atom 'nope'"):
+            estimator.lambda_terms(["nope", "s"])
+
+    def test_one_tuple_floor_never_binds(self):
+        # capped_size's max(..., 1.0) cannot change an estimate: a zero
+        # cardinality and a zero distinct count are floored at one, so
+        # every join is >= 1, every domain size is >= 1, and so the capped
+        # size is >= 1 before the floor.
+        query = build_query(
+            [("r", ["X", "Y"]), ("s", ["Y", "Z"]), ("t", ["Z", "X"])], name="zeros"
+        )
+        statistics = CatalogStatistics.from_declared(
+            {"r": 0, "s": 5, "t": 3},
+            {"r": {"X": 0, "Y": 0}, "s": {"Y": 0, "Z": 2}, "t": {"Z": 3, "X": 0}},
+        )
+        estimator = CardinalityEstimator(query, statistics)
+        for size in (1, 2, 3):
+            for atoms in itertools.combinations(["r", "s", "t"], size):
+                _, join, domains = estimator.lambda_terms(atoms)
+                assert join == estimator.join_cardinality(atoms) >= 1.0
+                assert min(domains.values()) >= 1.0
+                for width in range(len(domains) + 1):
+                    for chi in itertools.combinations(sorted(domains), width):
+                        sizes = [domains[v] for v in chi]
+                        unfloored = min(join, math.prod(sizes))
+                        assert unfloored >= 1.0
+                        assert capped_size(join, sizes) == unfloored
 
     def test_missing_statistics_rejected(self, simple_query):
         with pytest.raises(DatabaseError):

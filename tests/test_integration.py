@@ -54,16 +54,21 @@ class TestEndToEndPipeline:
 
     def test_q1_execution_agrees_between_planners(self):
         query = q1()
-        database = fig8_database(query, tuples_per_relation=80, seed=4)
-        report = compare_planners(query, database, k_values=(2, 3), budget=3_000_000)
-        assert 2 in report.structural and 3 in report.structural
-        # All plans that completed within budget agree on the answer.
-        answers = {
-            m.answer_cardinality
-            for m in [report.baseline, *report.structural.values()]
-            if not m.budget_exceeded
-        }
-        assert len(answers) == 1
+        # The sparse input answers False, the dense one True: the planners
+        # must agree on a satisfiable Q1 too.
+        for tuples, seed, satisfiable in ((80, 4, False), (400, 0, True)):
+            database = fig8_database(query, tuples_per_relation=tuples, seed=seed)
+            report = compare_planners(
+                query, database, k_values=(2, 3), budget=3_000_000
+            )
+            assert 2 in report.structural and 3 in report.structural
+            # All plans that completed within budget agree on the answer.
+            answers = {
+                m.answer_cardinality
+                for m in [report.baseline, *report.structural.values()]
+                if not m.budget_exceeded
+            }
+            assert answers == {int(satisfiable)}
 
     def test_cyclic_workload_structural_advantage(self):
         query = cycle_query(8)

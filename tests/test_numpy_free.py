@@ -1,4 +1,4 @@
-"""The numpy-free fallback, exercised: ten modules guard ``import numpy``
+"""The numpy-free fallback, exercised: eleven modules guard ``import numpy``
 with ``except ImportError``; this runs the decomposition plane and the
 planner in a subprocess where that import fails and compares everything it
 produces with the numpy-backed parent process.
@@ -19,8 +19,11 @@ import pytest
 
 
 def probe() -> dict:
-    """Q1 at k = 3, and its k = 2..4 sweep, through the public entry
-    points; JSON-able."""
+    """Q1's candidates graph at k = 5 (Ψ = 381: the matrix engine when
+    numpy is there), Q1 planned at k = 3, and its k = 2..4 sweep, through
+    the public entry points; JSON-able.  ``cost_weights`` pins the
+    query-cost TAF's label batch (numpy columns in the parent, the
+    per-label forms here) through every weight of Q1's k = 3 fold."""
     import repro
     import repro.cli  # noqa: F401 - the CLI must import without numpy too
     from repro.db.storage import decomposition_to_payload
@@ -28,10 +31,12 @@ def probe() -> dict:
     from repro.decomposition.minimal import evaluate_candidates_graph
     from repro.planner.cost_k_decomp import best_plan_over_k
     from repro.query.examples import q1
+    from repro.weights.querycost import QueryCostTAF
     from repro.workloads.paper_queries import fig5_statistics
 
-    hypergraph = q1().with_fresh_head_variables().hypergraph()
-    graph = CandidatesGraph(hypergraph, 3)
+    planned = q1().with_fresh_head_variables()
+    hypergraph = planned.hypergraph()
+    graph = CandidatesGraph(hypergraph, 5)
     snapshot = (
         graph.sub_keys,
         graph.cand_lambda,
@@ -45,9 +50,12 @@ def probe() -> dict:
         sorted(graph.size_report().items()),
     )
     taf = repro.width_taf()
-    narrowest = repro.minimal_k_decomp(hypergraph, 3, taf, graph=graph)
+    narrowest = repro.minimal_k_decomp(hypergraph, 5, taf, graph=graph)
     plan = repro.cost_k_decomp(q1(), fig5_statistics(), 3)
     sweep = best_plan_over_k(q1(), fig5_statistics(), (2, 3, 4))
+    cost_weights = evaluate_candidates_graph(
+        CandidatesGraph(hypergraph, 3), QueryCostTAF(planned, fig5_statistics())
+    ).weight_by_id
     return {
         "numpy": "numpy" in sys.modules and sys.modules["numpy"] is not None,
         "engine": graph.vectorized,
@@ -58,6 +66,7 @@ def probe() -> dict:
         "plan_cost": plan.estimated_cost,
         "plan_decomposition": decomposition_to_payload(plan.decomposition),
         "sweep": {str(k): swept.to_payload() for k, swept in sweep.items()},
+        "cost_weights": [weight.hex() for weight in cost_weights],
     }
 
 
@@ -78,7 +87,7 @@ def test_numpy_free_fallback_matches_numpy_process():
     # Round-trip the parent's result through JSON too (tuples become lists).
     with_numpy = json.loads(json.dumps(probe()))
     assert with_numpy.pop("numpy") and not without.pop("numpy")
-    # Q1 at k = 3 has Ψ >= 64: the parent really ran the matrix engine.
+    # Q1 at k = 5 has Ψ >= 300: the parent really ran the matrix engine.
     assert with_numpy.pop("engine") and not without.pop("engine")
     assert without == with_numpy
 

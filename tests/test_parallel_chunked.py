@@ -349,12 +349,18 @@ def _q1_database(seed):
     return fig8_database(q1(), tuples_per_relation=150, seed=seed)
 
 
+def _dense_q1_database(seed):
+    return fig8_database(q1(), tuples_per_relation=400, seed=seed)
+
+
 #: The knob matrix's query shapes: ``name -> (query, completion, emptied
 #: relations, database(seed))``.  A constant selects and drops a column, a
 #: repeated variable selects on equal positions, ``"fresh"`` completion
 #: binds surrogate columns, a Boolean query folds to a verdict, an empty
 #: relation empties every join above it, and ``"q1"`` is the paper's Q1 on
-#: its Fig. 8 database (nine atoms, both planners).
+#: its Fig. 8 database (nine atoms, both planners), which answers False at
+#: 150 tuples per relation; ``"q1_dense"`` is the same at 400 tuples, where
+#: Q1 answers True (every seed 0-15 checked).
 QUERY_SHAPES = {
     "constant": (
         _cycle_shape(["X0", "X1"], ["X1", "2"], ["X0", "X3"], "constant"),
@@ -371,6 +377,7 @@ QUERY_SHAPES = {
     ),
     "empty": (_output_query(), "post", ("r2",), _cycle_database),
     "q1": (q1(), "fresh", (), _q1_database),
+    "q1_dense": (q1(), "fresh", (), _dense_q1_database),
 }
 
 

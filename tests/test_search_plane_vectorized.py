@@ -18,8 +18,10 @@ standalone planning:
 * ``TreeAggregationFunction.bind_mask_space``: a name-only twin of every
   library TAF and of ``QueryCostTAF`` (lifted mask forms; the cost TAF's
   twin has its own estimator, is drawn over random queries and catalogs
-  and is compared label by label too) evaluates, selects and recurses
-  exactly like the native-mask original;
+  and is compared label by label and label batch to label batch too)
+  evaluates, selects and recurses exactly like the native-mask original,
+  and the cost TAF's numpy column batch equals its per-label forms
+  ``float.hex`` for ``float.hex`` on χ masks two words wide;
 * ``best_plan_over_k``, whose bounds share one ``QueryCostTAF``, against a
   standalone ``cost_k_decomp`` per bound: byte-identical plans, also for
   bounds fed out of order and revisited, and one TAF for the cold sweep;
@@ -71,7 +73,7 @@ from repro.planner.cost_k_decomp import (
 from repro.weights.querycost import QueryCostTAF
 from repro.weights.taf import TreeAggregationFunction, zero_edge_weight
 from repro.workloads.paper_queries import fig5_statistics
-from repro.workloads.synthetic import random_cyclic_query
+from repro.workloads.synthetic import chain_query, random_cyclic_query
 from repro.query.examples import q1
 
 np = pytest.importorskip("numpy")
@@ -342,7 +344,52 @@ class TestLowering:
             assert native.mask_edge_parent_part(lambda_mask, chi_mask) == (
                 twin.mask_edge_parent_part(lambda_mask, chi_mask)
             )
+        # The native column batch against the twin's per-label map.
+        labels = (graph.label_lambda, graph.label_chi)
+        assert native.mask_label_weights(*labels) == twin.mask_label_weights(*labels)
         assert_lowering_agrees(hypergraph, k, graph, native, twin)
+
+    def test_querycost_batch_matches_labels_on_multiword_chi(self):
+        # With fresh head variables chain_query(33) has 67 vertices, so
+        # some χ masks span two 64-bit words.  The catalog makes every cap
+        # bind and exceed 2**53: its product of odd domain sizes rounds
+        # differently in another order, so the batch must multiply in
+        # ascending vertex order across both words to match.
+        query = chain_query(33).with_fresh_head_variables()
+        rng = random.Random(33)
+        cardinalities = {}
+        selectivities = {}
+        for atom in query.atoms:
+            cardinalities[atom.predicate] = 10**12 + rng.randrange(10**9)
+            selectivities[atom.predicate] = {
+                variable: rng.randrange(500, 5000) | 1 for variable in atom.variables
+            }
+        statistics = CatalogStatistics.from_declared(cardinalities, selectivities)
+        hypergraph = query.hypergraph()
+        graph = CandidatesGraph(hypergraph, 2)
+        assert len(graph.bitset.vertices) == 67
+        assert any(chi_mask >> 64 for chi_mask in graph.label_chi)
+        native = QueryCostTAF(query, statistics)
+        native.bind_mask_space(graph.bitset)
+        vertex, parent, child = native.mask_label_weights(
+            graph.label_lambda, graph.label_chi
+        )
+        assert child is parent
+        # The per-label forms of a TAF with memos of its own.
+        scalar = QueryCostTAF(query, statistics)
+        scalar.bind_mask_space(graph.bitset)
+        labels = list(zip(graph.label_lambda, graph.label_chi))
+        assert [w.hex() for w in vertex] == [
+            scalar.mask_vertex_weight(*label).hex() for label in labels
+        ]
+        assert [w.hex() for w in parent] == [
+            scalar.mask_edge_parent_part(*label).hex() for label in labels
+        ]
+        assert_lowering_agrees(
+            hypergraph, 2, graph,
+            QueryCostTAF(query, statistics),
+            name_only_twin(QueryCostTAF(query, statistics)),
+        )
 
     def test_querycost_twin_matches_after_estimate_first(self):
         # A TAF whose first question is |E(p)| of a >= 3-atom λ (a name
