@@ -7,7 +7,9 @@ vectorised mask-matrix kernels -- over the identical, equally-warm graphs,
 and asserts the outputs are byte-identical:
 
 * ``test_candidates_graph_construction_plane`` -- one big grid-query
-  candidates graph (the Theorem 4.5 build phase), scalar vs vectorised.
+  candidates graph (the Theorem 4.5 build phase): the scalar engine's
+  per-component loop over Ψ against the matrix engine's block kernel, which
+  admits every component row × every k-vertex in a few 2-D broadcasts.
 """
 
 import time
@@ -30,14 +32,18 @@ def _interleaved(label_a, run_a, label_b, run_b, rounds=2):
 
 
 def _graph_fingerprint(graph: CandidatesGraph):
-    """Byte-identity proxy: all counts plus the exact node/arc arrays."""
+    """Byte-identity proxy: all counts plus the exact node/arc arrays,
+    including the two the evaluation's fold reads (``sub_dependents`` and
+    ``cand_label``)."""
     return (
         graph.size_report(),
         tuple(graph.cand_lambda),
         tuple(graph.cand_chi),
         tuple(graph.cand_comp),
         tuple(graph.cand_subs),
+        tuple(graph.cand_label),
         tuple(graph.sub_solvers),
+        tuple(graph.sub_dependents),
         tuple(graph.sub_order),
     )
 
@@ -45,7 +51,7 @@ def _graph_fingerprint(graph: CandidatesGraph):
 def test_candidates_graph_construction_plane(benchmark):
     """Build phase on a 4x4 grid query at k=3 (Ψ=2324, 3,393 subproblems,
     30,788 live candidates of ~3M that pass the other two admission tests):
-    per-component Ψ-length loops vs whole-array mask-matrix kernels."""
+    per-component Ψ-length loops vs the whole-graph block kernel."""
     hypergraph = grid_hypergraph(4, 4)
     hypergraph.bitset()  # one shared component memo: both engines equally warm
 

@@ -1,25 +1,30 @@
-"""Batched bitmask algebra: N arbitrary-width masks as an N×W uint64 matrix.
+"""Batched bitmask algebra: N arbitrary-width masks as uint64 word vectors.
 
 The decomposition search plane (candidates-graph construction) runs three
-set tests per inner loop -- *does the row intersect S*, *is the row a subset
-of S*, *does the row cover S* -- over the
-``Ψ = Σ_{i≤k} C(n,i)`` k-vertices and their components.  The scalar core
+set tests -- *does the row intersect the probe*, *is the row a subset of the
+probe*, *does the row cover the probe* -- over every pair of the
+``Ψ = Σ_{i≤k} C(n,i)`` k-vertices and the components.  The scalar core
 (:mod:`repro.core.bitset_hypergraph`) performs them one ``&`` at a time on
-Python big-ints; a :class:`MaskMatrix` stores the same masks as an ``N×W``
-``uint64`` numpy array (``W = ceil(num_bits/64)`` words per row, a flat 1-D
-array in the common ``W == 1`` case) so each test becomes one broadcasted
-array expression over all N rows at once.
+Python big-ints; a :class:`MaskMatrix` stores the same masks as ``W =
+ceil(num_bits/64)`` contiguous ``uint64`` vectors of length N (one per
+64-bit word), so a test becomes one broadcasted array expression per word:
 
-All query methods return numpy boolean vectors; combine them with ``&`` and
-turn them into index vectors with ``numpy.flatnonzero``.
+* :meth:`MaskMatrix.block` tests every row against a block of probe rows
+  (a 2-D boolean ``probes × rows`` result);
+* :meth:`MaskMatrix.pairs` tests gathered rows against gathered probe rows
+  pairwise (a boolean vector).
 
-The scalar decomposition engine (``vectorized=False``) performs the same
-tests with big-int loops and is this module's oracle.
+A matrix only answers set tests: callers gather the masks themselves, as
+Python ints, from the list the matrix was built from.  This module is the
+one place where ints become words.  The scalar decomposition engine
+(``vectorized=False``) performs the same tests with big-int loops and is
+this module's oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+import operator
+from typing import Sequence
 
 try:  # pragma: no cover - numpy is present in the supported environments
     import numpy as np
@@ -31,82 +36,75 @@ WORD_BITS = 64
 
 _WORD_MASK = (1 << WORD_BITS) - 1
 
-
-def _word_count(num_bits: int) -> int:
-    return max(1, (num_bits + WORD_BITS - 1) // WORD_BITS)
-
-
-def _split_words(mask: int, width: int) -> Tuple[int, ...]:
-    """The ``width`` little-endian 64-bit words of ``mask``."""
-    return tuple((mask >> (WORD_BITS * w)) & _WORD_MASK for w in range(width))
+#: Each set test of a row against a probe: its test on one word of both,
+#: and how the per-word verdicts combine (in place) into the whole mask's.
+_TESTS = {
+    "intersects": (lambda row, probe: (row & probe) != 0, operator.ior),
+    "subset_of": (lambda row, probe: (row & ~probe) == 0, operator.iand),
+    "covers": (lambda row, probe: (row & probe) == probe, operator.iand),
+}
 
 
 class MaskMatrix:
-    """N bitmasks of up to ``num_bits`` bits, stored row-wise as uint64 words.
+    """N bitmasks of up to ``num_bits`` bits, stored as one uint64 vector
+    per 64-bit word (little-endian).
 
     Rows keep their construction order, so a row index is an index into the
-    list of Python ints the matrix was built from (callers gather masks from
-    that list; the matrix only answers set tests).
+    sequence of Python ints the matrix was built from.  ``test`` names one
+    of ``"intersects"`` (``row & probe != 0``), ``"subset_of"`` (``row ⊆
+    probe``) and ``"covers"`` (``row ⊇ probe``); the probes are the rows of
+    a second matrix of the same width.
     """
 
     __slots__ = ("num_bits", "width", "_words")
 
-    def __init__(self, masks: Iterable[int], num_bits: int) -> None:
+    def __init__(self, masks: Sequence[int], num_bits: int) -> None:
         if np is None:
             raise RuntimeError("MaskMatrix requires numpy")
         self.num_bits = num_bits
-        self.width = _word_count(num_bits)
-        mask_list = masks if isinstance(masks, list) else list(masks)
-        if self.width == 1:
-            self._words = np.fromiter(
-                mask_list, dtype=np.uint64, count=len(mask_list)
+        self.width = max(1, -(-num_bits // WORD_BITS))
+        count = len(masks)
+        self._words = [np.fromiter(masks, dtype=np.uint64, count=count)] if (
+            self.width == 1
+        ) else [
+            np.fromiter(
+                ((mask >> shift) & _WORD_MASK for mask in masks),
+                dtype=np.uint64,
+                count=count,
             )
-        else:
-            words = np.empty((len(mask_list), self.width), dtype=np.uint64)
-            for row, mask in enumerate(mask_list):
-                words[row, :] = _split_words(mask, self.width)
-            self._words = words
+            for shift in range(0, WORD_BITS * self.width, WORD_BITS)
+        ]
 
     def __len__(self) -> int:
-        return int(self._words.shape[0])
+        return len(self._words[0])
 
-    # ------------------------------------------------------------------
-    def intersects(self, mask: int):
-        """Boolean vector: ``row & mask != 0`` per row."""
-        words = self._words
-        if self.width == 1:
-            return (words & np.uint64(mask & _WORD_MASK)) != 0
-        out = np.zeros(words.shape[0], dtype=bool)
-        for w, word in enumerate(_split_words(mask, self.width)):
-            if word:
-                out |= (words[:, w] & np.uint64(word)) != 0
-        return out
+    def block(self, test: str, probes: "MaskMatrix", lo: int, hi: int):
+        """Boolean ``(hi - lo) × len(self)`` matrix: cell ``[i, j]`` is
+        ``test`` of row ``j`` against probe row ``lo + i``."""
+        return _combine(
+            test,
+            [words[None, :] for words in self._words],
+            [words[lo:hi, None] for words in probes._words],
+        )
 
-    def subset_of(self, mask: int):
-        """Boolean vector: ``row ⊆ mask`` (``row & ~mask == 0``) per row."""
-        words = self._words
-        if self.width == 1:
-            forbidden = np.uint64(~mask & _WORD_MASK)
-            return (words & forbidden) == 0
-        out = np.ones(words.shape[0], dtype=bool)
-        for w, word in enumerate(_split_words(mask, self.width)):
-            forbidden = ~word & _WORD_MASK
-            if forbidden:
-                out &= (words[:, w] & np.uint64(forbidden)) == 0
-        return out
-
-    def covers(self, mask: int):
-        """Boolean vector: ``row ⊇ mask`` (``mask & ~row == 0``) per row."""
-        words = self._words
-        if self.width == 1:
-            wanted = np.uint64(mask & _WORD_MASK)
-            return (words & wanted) == wanted
-        out = np.ones(words.shape[0], dtype=bool)
-        for w, word in enumerate(_split_words(mask, self.width)):
-            if word:
-                wanted = np.uint64(word)
-                out &= (words[:, w] & wanted) == wanted
-        return out
+    def pairs(self, test: str, rows, probes: "MaskMatrix", probe_rows):
+        """Boolean vector: entry ``a`` is ``test`` of row ``rows[a]``
+        against probe row ``probe_rows[a]`` (two equal-length index
+        arrays)."""
+        return _combine(
+            test,
+            [words[rows] for words in self._words],
+            [words[probe_rows] for words in probes._words],
+        )
 
     def __repr__(self) -> str:
         return f"MaskMatrix({len(self)} rows × {self.width} words)"
+
+
+def _combine(test: str, row_words, probe_words):
+    """Run ``test`` word by word over broadcastable word arrays."""
+    word_test, combine = _TESTS[test]
+    verdict = word_test(row_words[0], probe_words[0])
+    for row, probe in zip(row_words[1:], probe_words[1:]):
+        verdict = combine(verdict, word_test(row, probe))
+    return verdict

@@ -65,15 +65,17 @@ labels, so the evaluation weighs each label once.
 construction path; the two hot filters of the build phase -- candidate
 admission (``var(S) ∩ C ≠ 0`` ∧ ``var(edges(C)) ∖ C ⊆ var(S)`` ∧ ``S ⊆
 edges(var(edges(C)))``) and subproblem containment (``C'' ⊆ C``) -- run
-under it either as scalar big-int loops or as whole-array
-:class:`~repro.core.maskmatrix.MaskMatrix` kernels (one broadcasted test per
-component).  The solver arcs need no filter of their own: ``sub_solvers[q]``
-is the candidate range of ``q``'s component.  ``vectorized=None``
-picks the matrix engine when numpy is available and ``Ψ`` is big enough to
-amortise the array overhead.  Both engines fill the same containers and
-produce **byte-identical** graphs (same node and arc ids, in the same
-canonical order), which the property tests pin, so the scalar engine is the
-equivalence oracle and the numpy-free fallback.
+under it either as scalar big-int loops, one component at a time, or as one
+whole-graph :class:`~repro.core.maskmatrix.MaskMatrix` block kernel: every
+component row × every k-vertex in 2-D broadcasts, a block of rows at a
+time (``_BLOCK_CELLS`` bounds the transient arrays), then one gathered
+containment test per subproblem arc.  The solver arcs need no filter of
+their own: ``sub_solvers[q]`` is the candidate range of ``q``'s component.
+``vectorized=None`` picks the matrix engine whenever numpy is importable.
+Both engines fill the same containers and produce **byte-identical** graphs
+(same node and arc ids, in the same canonical order), which the property
+tests pin, so the scalar engine is the equivalence oracle and the
+numpy-free fallback.
 
 Names appear only at the boundary: :meth:`CandidatesGraph.public_candidate`
 / :meth:`~CandidatesGraph.public_subproblem` translate one node id to its
@@ -84,8 +86,10 @@ to a labelled :class:`DecompositionNode`.
 from __future__ import annotations
 
 from array import array
-from itertools import combinations, repeat
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from collections.abc import Sequence
+from itertools import combinations
+from operator import and_
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 try:  # The matrix engine needs numpy; the scalar engine is the fallback.
     import numpy as np
@@ -109,14 +113,10 @@ Candidate = Tuple[KVertex, Component]
 MaskSubproblem = Tuple[int, int]
 MaskCandidate = Tuple[int, int]
 
-#: Below this many k-vertices the per-component numpy dispatch overhead
-#: outweighs the loop it replaces, so ``vectorized=None`` stays scalar.
-#: Set from a paired sweep of both engines (2-CPU x86-64, CPython 3.11,
-#: numpy 2.4): the scalar engine built every graph with Ψ < 250 faster, by
-#: 1.3-2.8x (q1 k = 3, cycle12 k = 2, chain16 k = 2, ...); the matrix
-#: engine won from Ψ = 381 (q1 k = 5, 1.3x) up to 2.3x at Ψ = 2,516; at
-#: Ψ = 255-469 the two are within 15% of each other.
-_VECTORIZE_MIN_K_VERTICES = 300
+#: The most ``component row × k-vertex × word`` cells one admission block
+#: tests at once (a block holds at least one row): the block kernel's
+#: transient arrays take a few bytes per cell.
+_BLOCK_CELLS = 1 << 18
 
 
 def k_vertices(hypergraph: Hypergraph, k: int) -> Tuple[KVertex, ...]:
@@ -179,10 +179,9 @@ class CandidatesGraph:
         The hypergraph and the width bound.
     vectorized:
         ``True`` forces the :class:`~repro.core.maskmatrix.MaskMatrix`
-        construction kernels (requires numpy), ``False`` the scalar big-int
-        loops; ``None`` (default) picks the matrix engine when numpy is
-        available and ``Ψ`` is large enough to amortise it.  Both engines
-        build byte-identical graphs.
+        block kernel (requires numpy), ``False`` the scalar big-int loops;
+        ``None`` (default) picks the block kernel when numpy is importable.
+        Both engines build byte-identical graphs.
 
     Dense-id arrays (the algorithms' surface; ``q`` ranges over subproblem
     ids, ``i`` over candidate ids):
@@ -200,6 +199,9 @@ class CandidatesGraph:
     ``cand_chi[i]`` / ``cand_comp[i]`` / ``cand_subs[i]``
         per-candidate identity, ``λ`` edge mask, ``var(λ)`` vertex mask,
         ``χ`` vertex mask, component vertex mask, and subproblem-id tuple.
+        ``cand_keys``, ``cand_var`` and ``cand_comp`` are derived lazily
+        (the evaluation reads none of them); the block kernel's
+        ``cand_subs`` slices each tuple from its arc array on access.
     ``cand_label[i]`` / ``label_lambda[l]`` / ``label_chi[l]``
         per-candidate label id, and per label its ``λ`` edge mask and ``χ``
         vertex mask: one label per distinct ``(λ, χ)`` pair, numbered by
@@ -226,31 +228,8 @@ class CandidatesGraph:
             frozenset(),
             bitset.vertex_names(all_vertices),
         )
-        self.vectorized = _resolve_vectorized(
-            vectorized, hypergraph.num_edges(), k
-        )
-
-        #: Flattened subproblem arcs as (sub id array, cand id array) piece
-        #: pairs, filled by the vectorised engine; ``None`` on the scalar
-        #: engine.
-        self._arc_pieces: Optional[List[Tuple[object, object]]] = None
+        self.vectorized = _resolve_vectorized(vectorized)
         self._build()
-
-        # --- arcs: subproblem -> candidates that depend on it -------------
-        # (the reverse of ``cand_subs``; the evaluation phase walks this
-        # index, so build it once here).  The vectorised engine groups its
-        # flattened arc arrays with one lexsort; the scalar engine walks
-        # ``cand_subs``.
-        if self._arc_pieces is not None:
-            self.sub_dependents = self._dependents_from_arcs()
-        else:
-            dependents_lists: List[List[int]] = [[] for _ in self.sub_keys]
-            for cand_id, subs in enumerate(self.cand_subs):
-                for sub_id in subs:
-                    dependents_lists[sub_id].append(cand_id)
-            self.sub_dependents: List[Tuple[int, ...]] = [
-                tuple(cands) for cands in dependents_lists
-            ]
 
         # Processing order (increasing component size; ties broken by the
         # canonical masks, which are deterministic per hypergraph).
@@ -268,6 +247,7 @@ class CandidatesGraph:
         # algorithm consumes these; they serve the name boundary and tests).
         self._cand_keys: Optional[List[MaskCandidate]] = None
         self._cand_var: Optional[List[int]] = None
+        self._cand_comp: Optional[List[int]] = None
         # Lazily interned (λ, χ) labels (see ``cand_label``).
         self._labels: Optional[Tuple[List[int], List[int], List[int]]] = None
 
@@ -285,26 +265,15 @@ class CandidatesGraph:
         self._kv_sub_bounds: List[int] = [1]
         component_rows = self._profile_components(self._enumerate_subproblems())
 
-        # --- N_sol: admit the live k-vertices, component block by block ---
-        # Candidates are appended component-block by component-block (in
+        # --- N_sol: admit the live k-vertices ------------------------------
+        # Candidates are numbered component block by component block (in
         # interning order, k-vertices in canonical order within each), so a
-        # component's ids are one contiguous ``range``.
-        self.cand_lambda: List[int] = []
-        self.cand_chi: List[int] = []
-        self.cand_comp: List[int] = []
-        self.cand_subs: List[Tuple[int, ...]] = []
-        #: candidate id -> index of its λ in the k-vertex enumeration (a
-        #: flat int64 buffer: appendable without numpy, viewable by it)
-        self._cand_kv_index = array("q")
-        self._by_component: Dict[int, range] = {}
-        cand_lambda = self.cand_lambda
-        admit = (
-            self._vectorized_admitter() if self.vectorized else self._scalar_admitter()
-        )
-        for row in component_rows:
-            start = len(cand_lambda)
-            admit(row)
-            self._by_component[row[0]] = range(start, len(cand_lambda))
+        # component's ids are one contiguous ``range``; each engine also
+        # fills ``sub_dependents``, the reverse of ``cand_subs``.
+        if self.vectorized:
+            self._admit_blocks(component_rows)
+        else:
+            self._admit_scalar(component_rows)
         self._build_solver_arcs()
 
     def _enumerate_subproblems(self) -> Iterable[int]:
@@ -315,7 +284,7 @@ class CandidatesGraph:
         (the root's first), in interning order."""
         bitset = self.bitset
         components_of = bitset.components
-        var_of_edges = bitset.var_of_edges
+        edge_masks = bitset.edge_masks
         kv_masks = self._kv_masks
         kv_vars = self._kv_vars
         var_of = self._mvar_of
@@ -324,7 +293,10 @@ class CandidatesGraph:
         # dict-as-ordered-set: deterministic iteration over components
         seen_components: Dict[int, None] = {bitset.all_vertices: None}
         for kv in kv_masks:
-            variables = var_of_edges(kv)
+            # var(S) = var(S minus its lowest edge) ∪ that edge: the smaller
+            # k-vertex comes earlier in the (size, lexicographic) order.
+            lowest = kv & -kv
+            variables = var_of.get(kv ^ lowest, 0) | edge_masks[lowest.bit_length() - 1]
             kv_vars.append(variables)
             var_of[kv] = variables
             for component in components_of(variables):
@@ -338,33 +310,39 @@ class CandidatesGraph:
     ) -> List[Tuple[int, int, int, int]]:
         """Cache ``edges(C)`` and ``var(edges(C))`` for every component and
         return its ``(C, var(edges(C)), allowed edges, boundary)`` row, in
-        order.  The boundary ``var(edges(C)) ∖ C`` is every subproblem
-        ``(R, C)``'s ``var(edges(C)) ∩ var(R)`` (see the module docstring)."""
+        order.  The allowed edges ``edges(var(edges(C)))`` are the union of
+        the edges sharing a vertex with some edge of ``C``, so one walk
+        over ``edges(C)`` yields both unions.  The boundary ``var(edges(C))
+        ∖ C`` is every subproblem ``(R, C)``'s ``var(edges(C)) ∩ var(R)``
+        (see the module docstring)."""
         bitset = self.bitset
         edges_touching = bitset.edges_touching
-        var_of_edges = bitset.var_of_edges
+        edge_masks = bitset.edge_masks
+        neighbours = [edges_touching(mask) for mask in edge_masks]
         frontier_of = self._mfrontier_of = {}
         component_edges = self._mcomponent_edges = {}
         rows: List[Tuple[int, int, int, int]] = []
         for component in components:
-            edges = edges_touching(component)
+            edges = rest = edges_touching(component)
+            frontier = allowed = 0
+            while rest:
+                bit = rest & -rest
+                index = bit.bit_length() - 1
+                frontier |= edge_masks[index]
+                allowed |= neighbours[index]
+                rest ^= bit
             component_edges[component] = edges
-            frontier = var_of_edges(edges)
             frontier_of[component] = frontier
-            rows.append(
-                (component, frontier, edges_touching(frontier), frontier & ~component)
-            )
+            rows.append((component, frontier, allowed, frontier & ~component))
         return rows
 
     # ------------------------------------------------------------------
-    # Candidate admission: ``admit(row)`` appends, for one component row,
-    # every live candidate to the parallel arrays, in canonical k-vertex
-    # order: a k-vertex ``S`` that meets ``C``, whose ``var`` covers ``C``'s
-    # boundary and whose edges all lie in ``edges(var(edges(C)))``.  The
-    # factory shape lets the matrix engine build its mask matrices once per
-    # construction.
+    # Candidate admission: for every component row, every live candidate,
+    # in canonical k-vertex order: a k-vertex ``S`` that meets ``C``, whose
+    # ``var`` covers ``C``'s boundary and whose edges all lie in
+    # ``edges(var(edges(C)))``.  Both engines fill the same arrays.
     # ------------------------------------------------------------------
-    def _scalar_admitter(self):
+    def _admit_scalar(self, component_rows: List[Tuple[int, int, int, int]]) -> None:
         """Pure mask algebra: membership, covering and subset tests are all
         single ``&``/``~`` operations on ints; candidates are appended to the
         parallel arrays, so the loop performs no hashing."""
@@ -372,135 +350,115 @@ class CandidatesGraph:
         kv_vars = self._kv_vars
         bounds = self._kv_sub_bounds
         sub_keys = self.sub_keys
-        cand_lambda = self.cand_lambda
-        kv_index = self._cand_kv_index
-        num_kvs = len(kv_masks)
-
-        def admit(row: Tuple[int, int, int, int]) -> None:
-            component, frontier, allowed_edges, boundary = row
-            for index in range(num_kvs):
-                variables = kv_vars[index]
+        self.cand_lambda = cand_lambda = []
+        self.cand_chi = cand_chi = []
+        self.cand_subs = cand_subs = []
+        #: candidate id -> index of its λ in the k-vertex enumeration (a
+        #: flat int64 buffer: appendable without numpy, viewable by it)
+        self._cand_kv_index = kv_index = array("q")
+        self._by_component = {}
+        for component, frontier, allowed_edges, boundary in component_rows:
+            start = len(cand_lambda)
+            for index, variables in enumerate(kv_vars):
                 if boundary & ~variables or not variables & component:
                     continue
                 if kv_masks[index] & ~allowed_edges:
                     continue
                 cand_lambda.append(kv_masks[index])
                 kv_index.append(index)
-                self.cand_chi.append(frontier & variables)
-                self.cand_comp.append(component)
-                self.cand_subs.append(
+                cand_chi.append(frontier & variables)
+                cand_subs.append(
                     tuple(
                         sub_id
                         for sub_id in range(bounds[index], bounds[index + 1])
                         if not sub_keys[sub_id][1] & ~component
                     )
                 )
+            self._by_component[component] = range(start, len(cand_lambda))
+        dependents: List[List[int]] = [[] for _ in sub_keys]
+        for cand_id, subs in enumerate(cand_subs):
+            for sub_id in subs:
+                dependents[sub_id].append(cand_id)
+        self.sub_dependents = list(map(tuple, dependents))
 
-        return admit
-
-    def _vectorized_admitter(self):
-        """The admission loop as whole-array kernels: per component, one
-        broadcasted intersection + covering + subset test over every
-        k-vertex at once and one containment test over every subproblem at
-        once (folded into per-k-vertex id slices by ``searchsorted`` over
-        the contiguous subproblem blocks).  An admitted row's λ is gathered from the
-        k-vertex list and its χ is ``frontier & var(λ)`` on the k-vertex's
-        variable mask, both plain ints whatever the mask width; the only
-        other Python-level loop runs over the admitted candidates that
-        actually have subproblems."""
-        vertex_bits = len(self.bitset.vertices)
-        edge_bits = len(self.bitset.edges)
-        kv_var_matrix = MaskMatrix(self._kv_vars, vertex_bits)
-        kv_edge_matrix = MaskMatrix(list(self._kv_masks), edge_bits)
-        sub_comp_matrix = MaskMatrix(
-            [component for _, component in self.sub_keys], vertex_bits
+    def _admit_blocks(self, component_rows: List[Tuple[int, int, int, int]]) -> None:
+        """The admission as one block kernel over every component row × every
+        k-vertex: the three tests run as 2-D :class:`MaskMatrix` broadcasts,
+        a block of rows at a time (at most ``_BLOCK_CELLS`` cells), and
+        ``np.nonzero`` lists the admitted ``(row, k-vertex)`` pairs in
+        row-major order -- the scalar engine's candidate-id order.  A
+        pair's subproblem arcs are its k-vertex's subproblem block, kept
+        where the subproblem's component lies in the pair's (one gathered
+        test per arc, never a components × components matrix);
+        ``cand_subs`` and ``sub_dependents`` are grouped from the one arc
+        array.  λ and χ are gathered as Python ints, so wide masks are
+        never rebuilt from words."""
+        bitset = self.bitset
+        vertex_bits, edge_bits = len(bitset.vertices), len(bitset.edges)
+        components, frontiers, allowed, boundaries = zip(*component_rows)
+        kv_masks, kv_vars = self._kv_masks, self._kv_vars
+        kv_var_matrix = MaskMatrix(kv_vars, vertex_bits)
+        kv_edge_matrix = MaskMatrix(kv_masks, edge_bits)
+        comp_matrix = MaskMatrix(components, vertex_bits)
+        boundary_matrix = MaskMatrix(boundaries, vertex_bits)
+        allowed_matrix = MaskMatrix(allowed, edge_bits)
+        row_of = {component: row for row, component in enumerate(components)}
+        sub_rows = np.fromiter(
+            (row_of[component] for _, component in self.sub_keys),
+            dtype=np.int64,
+            count=len(self.sub_keys),
         )
-        kv_masks = self._kv_masks
-        kv_vars = self._kv_vars
         bounds = np.asarray(self._kv_sub_bounds, dtype=np.int64)
-        cand_lambda = self.cand_lambda
-        cand_subs = self.cand_subs
-        kv_index = self._cand_kv_index
-        arc_pieces = self._arc_pieces = []
-
-        def admit(row: Tuple[int, int, int, int]) -> None:
-            component, frontier, allowed_edges, boundary = row
-            admitted_flags = kv_var_matrix.intersects(component)
-            admitted_flags &= kv_var_matrix.covers(boundary)
-            admitted_flags &= kv_edge_matrix.subset_of(allowed_edges)
-            admitted = np.flatnonzero(admitted_flags)
-            if not admitted.size:
-                return
-            base_id = len(cand_lambda)
-            kv_index.frombytes(admitted.astype(np.int64, copy=False).tobytes())
-            # λ and χ are gathered from the k-vertex lists as Python ints
-            # (a matrix row would have to be rebuilt word by word).
-            admitted_list = admitted.tolist()
-            cand_lambda.extend(map(kv_masks.__getitem__, admitted_list))
-            self.cand_chi.extend([frontier & kv_vars[i] for i in admitted_list])
-            self.cand_comp.extend(repeat(component, admitted.size))
-            # Subproblem ids are contiguous per k-vertex, so the ids of the
-            # contained subproblems of k-vertex ``i`` are one slice of the
-            # component's contained-id vector, located by searchsorted over
-            # the block bounds.
-            contained_ids = np.flatnonzero(sub_comp_matrix.subset_of(component))
-            if not contained_ids.size:
-                cand_subs.extend(repeat((), admitted.size))
-                return
-            positions = np.searchsorted(contained_ids, bounds)
-            lows = positions[admitted]
-            highs = positions[admitted + 1]
-            counts = highs - lows
-            occupied = np.flatnonzero(counts)
-            if not occupied.size:
-                cand_subs.extend(repeat((), admitted.size))
-                return
-            block: List[Tuple[int, ...]] = [()] * admitted.size
-            contained_list = contained_ids.tolist()
-            lows_list = lows.tolist()
-            highs_list = highs.tolist()
-            for j in occupied.tolist():
-                block[j] = tuple(contained_list[lows_list[j]:highs_list[j]])
-            cand_subs.extend(block)
-            # Flattened (sub id, cand id) arc arrays: expand every [lo, hi)
-            # slice arithmetically (dependents are grouped from these by one
-            # lexsort at the end of construction).
-            total = int(counts.sum())
-            starts = np.repeat(lows, counts)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
+        num_rows = len(components)
+        widest = max(kv_var_matrix.width, kv_edge_matrix.width)
+        step = max(1, _BLOCK_CELLS // (len(kv_masks) * widest))
+        pair_rows, pair_kvs, arc_subs, arc_cands = [], [], [], []
+        num_cands = 0
+        for lo in range(0, num_rows, step):
+            hi = min(lo + step, num_rows)
+            admitted = kv_var_matrix.block("intersects", comp_matrix, lo, hi)
+            admitted &= kv_var_matrix.block("covers", boundary_matrix, lo, hi)
+            admitted &= kv_edge_matrix.block("subset_of", allowed_matrix, lo, hi)
+            rows, kvs = np.nonzero(admitted)
+            rows += lo
+            # Expand every pair's [bounds[kv], bounds[kv + 1]) subproblem
+            # block into flat (candidate, subproblem) arc arrays.
+            counts = bounds[kvs + 1] - bounds[kvs]
+            cands = np.repeat(np.arange(kvs.size), counts)
+            subs = np.arange(cands.size) + np.repeat(
+                bounds[kvs] - (np.cumsum(counts) - counts), counts
             )
-            arc_pieces.append(
-                (
-                    contained_ids[starts + within],
-                    np.repeat(base_id + np.arange(admitted.size), counts),
-                )
+            inside = comp_matrix.pairs(
+                "subset_of", sub_rows[subs], comp_matrix, rows[cands]
             )
-
-        return admit
-
-    def _dependents_from_arcs(self) -> List[Tuple[int, ...]]:
-        """Group the flattened arc arrays into per-subproblem dependent
-        tuples (ascending candidate id, matching the scalar walk)."""
-        num_subs = len(self.sub_keys)
-        pieces = self._arc_pieces or []
-        if not pieces:
-            return [()] * num_subs
-        if len(pieces) == 1:
-            subs, cands = pieces[0]
-        else:
-            subs = np.concatenate([piece[0] for piece in pieces])
-            cands = np.concatenate([piece[1] for piece in pieces])
-        order = np.lexsort((cands, subs))
-        sorted_subs = subs[order]
-        sorted_cands = cands[order].tolist()
-        boundaries = np.searchsorted(
-            sorted_subs, np.arange(num_subs + 1, dtype=np.int64)
-        ).tolist()
-        return [
-            tuple(sorted_cands[boundaries[q]:boundaries[q + 1]])
-            for q in range(num_subs)
-        ]
+            arc_subs.append(subs[inside])
+            arc_cands.append(cands[inside] + num_cands)
+            pair_rows.append(rows)
+            pair_kvs.append(kvs)
+            num_cands += kvs.size
+        rows, kvs = np.concatenate(pair_rows), np.concatenate(pair_kvs)
+        subs, cands = np.concatenate(arc_subs), np.concatenate(arc_cands)
+        row_list, kv_list = rows.tolist(), kvs.tolist()
+        self.cand_lambda = list(map(kv_masks.__getitem__, kv_list))
+        self.cand_chi = list(
+            map(
+                and_,
+                map(frontiers.__getitem__, row_list),
+                map(kv_vars.__getitem__, kv_list),
+            )
+        )
+        self._cand_kv_index = array("q", kvs.astype(np.int64).tobytes())
+        row_ends = np.cumsum(np.bincount(rows, minlength=num_rows)).tolist()
+        self._by_component = dict(
+            zip(components, map(range, [0, *row_ends], row_ends))
+        )
+        # The arcs run in candidate order; a stable sort by subproblem keeps
+        # each subproblem's dependents ascending, as the scalar walk does.
+        self.cand_subs = _Groups(subs, cands, num_cands)
+        order = np.argsort(subs, kind="stable")
+        self.sub_dependents = list(
+            _Groups(cands[order], subs[order], len(self.sub_keys))
+        )
 
     # ------------------------------------------------------------------
     # Solver arcs: candidate -> subproblems it can solve
@@ -534,6 +492,18 @@ class CandidatesGraph:
         if self._cand_keys is None:
             self._cand_keys = list(zip(self.cand_lambda, self.cand_comp))
         return self._cand_keys
+
+    @property
+    def cand_comp(self) -> List[int]:
+        """Per-candidate component vertex masks, expanded (lazily, once)
+        from the components' candidate ranges."""
+        if self._cand_comp is None:
+            self._cand_comp = [
+                component
+                for component, ids in self._by_component.items()
+                for _ in ids
+            ]
+        return self._cand_comp
 
     @property
     def cand_var(self) -> List[int]:
@@ -662,13 +632,34 @@ class CandidatesGraph:
         )
 
 
-def _resolve_vectorized(
-    vectorized: Optional[bool], num_edges: int, k: int
-) -> bool:
+class _Groups(Sequence):
+    """A flat id array split into tuples: group ``i`` is the ``values``
+    whose ``groups`` entry is ``i`` (``values`` ordered by ascending
+    ``groups``), sliced as a tuple of Python ints on access."""
+
+    __slots__ = ("_flat", "_ends")
+
+    def __init__(self, values, groups, num_groups: int) -> None:
+        ends = np.cumsum(np.bincount(groups, minlength=num_groups)).tolist()
+        self._ends = [0, *ends]
+        self._flat = tuple(values.tolist())
+
+    def __len__(self) -> int:
+        return len(self._ends) - 1
+
+    def __getitem__(self, index: int) -> Tuple[int, ...]:
+        index = range(len(self._ends) - 1)[index]  # negative and range checks
+        return self._flat[self._ends[index]:self._ends[index + 1]]
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        flat, ends = self._flat, self._ends
+        for start, end in zip(ends, ends[1:]):
+            yield flat[start:end]
+
+
+def _resolve_vectorized(vectorized: Optional[bool]) -> bool:
     if vectorized is None:
-        return np is not None and count_k_vertices(num_edges, k) >= (
-            _VECTORIZE_MIN_K_VERTICES
-        )
+        return np is not None
     if vectorized and np is None:
         raise DecompositionError(
             "vectorized candidates-graph construction requires numpy; "

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.exceptions import QueryError
@@ -89,7 +90,16 @@ class ConjunctiveQuery:
     def hypergraph(self) -> Hypergraph:
         """The query hypergraph ``H(Q)``: vertices are the body variables,
         and each atom ``A`` contributes the hyperedge ``var(A)`` named after
-        the atom."""
+        the atom.
+
+        Built once per query: the query and the hypergraph are immutable,
+        so every plan of one query refers to the same hypergraph (and its
+        cached bitset view).  The memo is not a dataclass field, so eq,
+        hash and repr ignore it."""
+        return self._hypergraph
+
+    @cached_property
+    def _hypergraph(self) -> Hypergraph:
         edges: Dict[str, Tuple[str, ...]] = {}
         for atom in self.atoms:
             if not atom.variables:

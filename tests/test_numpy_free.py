@@ -19,9 +19,9 @@ import pytest
 
 
 def probe() -> dict:
-    """Q1's candidates graph at k = 5 (Ψ = 381: the matrix engine when
-    numpy is there), Q1 planned at k = 3, and its k = 2..4 sweep, through
-    the public entry points; JSON-able.  ``cost_weights`` pins the
+    """Q1's candidates graph at k = 5 (the matrix engine whenever numpy
+    is there), Q1 planned at k = 3, and its k = 2..4 sweep, through the
+    public entry points; JSON-able.  ``cost_weights`` pins the
     query-cost TAF's label batch (numpy columns in the parent, the
     per-label forms here) through every weight of Q1's k = 3 fold."""
     import repro
@@ -37,13 +37,15 @@ def probe() -> dict:
     planned = q1().with_fresh_head_variables()
     hypergraph = planned.hypergraph()
     graph = CandidatesGraph(hypergraph, 5)
+    # ``cand_subs`` is a list on the scalar engine and a lazy sequence of
+    # the same tuples on the matrix engine: compare its content.
     snapshot = (
         graph.sub_keys,
         graph.cand_lambda,
         graph.cand_var,
         graph.cand_chi,
         graph.cand_comp,
-        graph.cand_subs,
+        list(graph.cand_subs),
         graph.sub_solvers,
         graph.sub_dependents,
         graph.sub_order,
@@ -87,7 +89,7 @@ def test_numpy_free_fallback_matches_numpy_process():
     # Round-trip the parent's result through JSON too (tuples become lists).
     with_numpy = json.loads(json.dumps(probe()))
     assert with_numpy.pop("numpy") and not without.pop("numpy")
-    # Q1 at k = 5 has Ψ >= 300: the parent really ran the matrix engine.
+    # With numpy the parent really ran the matrix engine.
     assert with_numpy.pop("engine") and not without.pop("engine")
     assert without == with_numpy
 

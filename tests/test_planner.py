@@ -111,6 +111,21 @@ class TestCostKDecomp:
         with pytest.raises(PlanningError):
             best_plan_over_k(q1(), fig5_statistics(), k_values=(1,))
 
+    @pytest.mark.parametrize("completion", ["fresh", "post"])
+    def test_plans_of_one_query_share_its_hypergraph(self, completion):
+        # The query memoises H(Q), so a kept plan holds no private copy of
+        # it; the memo is no dataclass field, so equality, hashing and repr
+        # of the query do not see it.
+        query, untouched = q1(), q1()
+        first = cost_k_decomp(query, fig5_statistics(), 2, completion=completion)
+        second = cost_k_decomp(query, fig5_statistics(), 3, completion=completion)
+        assert first.decomposition.hypergraph is query.hypergraph()
+        assert second.decomposition.hypergraph is first.decomposition.hypergraph
+        assert query == untouched and hash(query) == hash(untouched)
+        assert repr(query) == repr(untouched)
+        assert untouched.hypergraph() is not query.hypergraph()
+        assert untouched.hypergraph() == query.hypergraph()
+
     def test_plan_execution_matches_baseline_answer(self, cycle5_setup):
         query, database = cycle5_setup
         plan = cost_k_decomp(query, database.statistics, k=2)

@@ -8,13 +8,16 @@ matrix engine to the scalar one on random hypergraphs, the one lowering of
 TAFs to mask space to the name forms, and a k-sweep's shared TAF to
 standalone planning:
 
-* :class:`~repro.core.maskmatrix.MaskMatrix` against the big-int
-  definitions of its three tests (including masks wider than one 64-bit
-  word);
-* ``CandidatesGraph(vectorized=True)`` against ``vectorized=False``:
-  byte-identical nodes, arcs, orders, (λ, χ) labels and ``size_report()``,
-  and the labels against their ``dict.fromkeys`` definition, and
-  ``hypertree_width`` (a fresh graph per bound) against both engines;
+* :class:`~repro.core.maskmatrix.MaskMatrix`'s block and pairs tests
+  against the big-int definitions of its three set tests (including masks
+  wider than one 64-bit word);
+* ``CandidatesGraph(vectorized=True)`` (the block kernel, also cut into
+  many small row blocks and on masks two words wide) against
+  ``vectorized=False``: byte-identical nodes, arcs, orders, (λ, χ) labels
+  and ``size_report()``, and the labels against their ``dict.fromkeys``
+  definition, and ``hypertree_width`` (a fresh graph per bound) against
+  both engines; the edge cases of the kernel's arrays; its transient
+  memory bound;
 * ``TreeAggregationFunction.bind_mask_space``: a name-only twin of every
   library TAF and of ``QueryCostTAF`` (lifted mask forms; the cost TAF's
   twin has its own estimator, is drawn over random queries and catalogs
@@ -35,12 +38,14 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.maskmatrix import MaskMatrix
+from repro.decomposition import candidates as candidates_module
 from repro.decomposition.candidates import CandidatesGraph
 from repro.decomposition.kdecomp import has_width_at_most, hypertree_width
 from repro.db.storage import decomposition_to_payload
@@ -51,6 +56,7 @@ from repro.decomposition.minimal import (
 )
 from repro.decomposition.threshold import minimum_weight_recursive
 from repro.exceptions import NoDecompositionExistsError, PlanningError
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.generators import (
     cycle_hypergraph,
     random_hypergraph,
@@ -93,6 +99,7 @@ def graph_snapshot(graph: CandidatesGraph):
     return (
         graph.sub_keys,
         list(graph.cand_keys),
+        list(graph._cand_kv_index),
         list(graph.cand_lambda),
         list(graph.cand_var),
         list(graph.cand_chi),
@@ -119,53 +126,183 @@ _SCALAR = {
 }
 
 
+def random_mask(rng, num_bits):
+    """A dense, a sparse (one or two bits) or the empty mask."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.getrandbits(num_bits)
+    if kind == 1:
+        return (1 << rng.randrange(num_bits)) | (1 << rng.randrange(num_bits))
+    return 0
+
+
+def probe_masks(rng, masks, num_bits, count):
+    """Random probes, most of them a row grown, cut or with one bit
+    flipped, so ``subset_of`` and ``covers`` hold often enough to be tested
+    and fail on a single word."""
+    probes = []
+    for _ in range(count):
+        probe = random_mask(rng, num_bits)
+        if masks and rng.random() < 3 / 4:
+            row = rng.choice(masks)
+            probe = rng.choice(
+                [row | probe, row & probe, row ^ (1 << rng.randrange(num_bits))]
+            )
+        probes.append(probe)
+    return probes
+
+
 class TestMaskMatrix:
     @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(
         num_bits=st.integers(min_value=1, max_value=200),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    def test_queries_match_scalar_twin(self, num_bits, seed):
+    def test_block_and_pairs_match_scalar_twin(self, num_bits, seed):
         rng = random.Random(seed)
-        masks = [rng.getrandbits(num_bits) for _ in range(rng.randint(0, 20))]
-        probe = rng.getrandbits(num_bits)
-        dense = MaskMatrix(masks, num_bits)
-        assert len(dense) == len(masks)
-        for method, definition in _SCALAR.items():
-            expected = [definition(m, probe) for m in masks]
-            assert list(getattr(dense, method)(probe)) == expected, method
-        assert np.flatnonzero(dense.covers(probe)).tolist() == [
-            i for i, m in enumerate(masks) if not probe & ~m
-        ]
+        masks = [random_mask(rng, num_bits) for _ in range(rng.randint(0, 20))]
+        probes = probe_masks(rng, masks, num_bits, rng.randint(1, 12))
+        matrix = MaskMatrix(masks, num_bits)
+        probe_matrix = MaskMatrix(probes, num_bits)
+        assert len(matrix) == len(masks) and len(probe_matrix) == len(probes)
+        lo = rng.randint(0, len(probes))
+        hi = rng.randint(lo, len(probes))
+        rows = [rng.randrange(len(masks)) for _ in range(15)] if masks else []
+        probe_rows = [rng.randrange(len(probes)) for _ in rows]
+        for test, definition in _SCALAR.items():
+            block = matrix.block(test, probe_matrix, lo, hi)
+            assert block.shape == (hi - lo, len(masks)), test
+            assert block.tolist() == [
+                [definition(mask, probe) for mask in masks] for probe in probes[lo:hi]
+            ], test
+            paired = matrix.pairs(
+                test, np.array(rows, dtype=np.int64),
+                probe_matrix, np.array(probe_rows, dtype=np.int64),
+            )
+            assert paired.tolist() == [
+                definition(masks[row], probes[probe])
+                for row, probe in zip(rows, probe_rows)
+            ], test
 
     def test_semantics_against_definitions(self):
-        masks = [0b1010, 0b0110, 0, 0b1111]
-        matrix = MaskMatrix(masks, 4)
-        assert list(matrix.intersects(0b0010)) == [True, True, False, True]
-        assert list(matrix.subset_of(0b1110)) == [True, True, True, False]
-        assert list(matrix.covers(0b1010)) == [True, False, False, True]
+        matrix = MaskMatrix([0b1010, 0b0110, 0, 0b1111], 4)
+        probes = MaskMatrix([0b0010, 0b1110, 0b1010], 4)
+        assert matrix.block("intersects", probes, 0, 1).tolist() == [
+            [True, True, False, True]
+        ]
+        assert matrix.block("subset_of", probes, 1, 2).tolist() == [
+            [True, True, True, False]
+        ]
+        assert matrix.block("covers", probes, 2, 3).tolist() == [
+            [True, False, False, True]
+        ]
+        # Rows against probes, not probes against rows.
+        assert matrix.pairs("subset_of", [2, 3], probes, [0, 1]).tolist() == [
+            True, False,
+        ]
 
     def test_multiword_rows(self):
         masks = [1 << 130, (1 << 64) | 1, (1 << 200) - 1]
         matrix = MaskMatrix(masks, 201)
         assert matrix.width == 4
-        assert list(matrix.covers((1 << 64) | 1)) == [False, True, True]
+        probes = MaskMatrix([(1 << 64) | 1, 1 << 200], 201)
+        assert matrix.block("covers", probes, 0, 2).tolist() == [
+            [False, True, True],
+            [False, False, False],
+        ]
+        assert matrix.block("intersects", probes, 1, 2).tolist() == [
+            [False, False, False]
+        ]
+        assert matrix.pairs("subset_of", [0, 1], matrix, [2, 2]).tolist() == [
+            True, True,
+        ]
 
 
 # ----------------------------------------------------------------------
 # CandidatesGraph: vectorised engine == scalar oracle
 # ----------------------------------------------------------------------
+def padded(hypergraph: Hypergraph, pad: str) -> Hypergraph:
+    """``hypergraph`` with masks two words wide: one more edge over 64 new
+    vertices (``pad="vertices"``) or 64 copies of its first edge
+    (``"edges"``).  The new names sort first, so the original vertices or
+    edges all take bits of the second word."""
+    edges = {name: hypergraph.edge_vertices(name) for name in hypergraph.edge_names}
+    if pad == "vertices":
+        anchor = min(hypergraph.vertices)
+        edges["p"] = {f"P{i:02d}" for i in range(64)} | {anchor}
+    else:
+        first = edges[hypergraph.edge_names[0]]
+        edges.update({f"a{i:02d}": first for i in range(64)})
+    return Hypergraph(edges)
+
+
 class TestVectorizedCandidatesGraph:
     @settings(max_examples=35, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         hypergraph=small_hypergraph_strategy,
         k=st.integers(min_value=1, max_value=4),
+        pad=st.sampled_from([None, "vertices", "edges"]),
+        block_cells=st.sampled_from([None, 1, 5, 64]),
     )
-    def test_engines_build_identical_graphs(self, hypergraph, k):
+    def test_engines_build_identical_graphs(self, hypergraph, k, pad, block_cells):
+        # ``block_cells`` shrinks the kernel's row blocks so that one graph
+        # spans many of them (1: one component row per block); ``pad``
+        # widens the masks past one 64-bit word.
+        if pad is not None:
+            hypergraph = padded(hypergraph, pad)
+            k = min(k, 2)
         scalar = CandidatesGraph(hypergraph, k, vectorized=False)
-        dense = CandidatesGraph(hypergraph, k, vectorized=True)
+        with pytest.MonkeyPatch.context() as patch:
+            if block_cells is not None:
+                patch.setattr(candidates_module, "_BLOCK_CELLS", block_cells)
+            dense = CandidatesGraph(hypergraph, k, vectorized=True)
         assert graph_snapshot(scalar) == graph_snapshot(dense)
+        # The kernel's ``cand_subs`` is a lazy sequence: index it like a list.
+        ids = range(-dense.num_candidates, dense.num_candidates)
+        assert [dense.cand_subs[i] for i in ids] == [scalar.cand_subs[i] for i in ids]
+
+    def test_single_edge_graph_has_no_subproblem_arcs(self):
+        # The one k-vertex covers every vertex: no component is left, so the
+        # kernel's arc arrays are empty.
+        hypergraph = Hypergraph({"e": ("A", "B")})
+        for engine in (False, True):
+            graph = CandidatesGraph(hypergraph, 1, vectorized=engine)
+            assert graph.sub_keys == [(0, 0b11)]
+            assert list(graph.cand_subs) == [()]
+            assert list(graph.sub_dependents) == [()]
+            assert list(graph.sub_solvers) == [(0,)]
+        assert graph_snapshot(
+            CandidatesGraph(hypergraph, 1, vectorized=False)
+        ) == graph_snapshot(graph)
+
+    def test_component_without_candidates(self):
+        # Triangle at k = 1: the component {C} of var(ab) needs one edge
+        # that meets C and covers its boundary {A, B}; none exists.  The
+        # same holds for {A} and {B}, so every component row but the root's
+        # admits nothing, the last row included.
+        hypergraph = Hypergraph({"ab": ("A", "B"), "bc": ("B", "C"), "ca": ("C", "A")})
+        scalar = CandidatesGraph(hypergraph, 1, vectorized=False)
+        dense = CandidatesGraph(hypergraph, 1, vectorized=True)
+        assert graph_snapshot(scalar) == graph_snapshot(dense)
+        assert dense.public_subproblem(1) == (frozenset({"ab"}), frozenset({"C"}))
+        assert dense.sub_solvers == [(0, 1, 2), (), (), ()]
+
+    def test_block_cap_bounds_the_transient_peak(self):
+        # cycle_hypergraph(70) at k = 2: 4,761 component rows × 2,485
+        # k-vertices × 2 words.  Unchunked, the kernel's transients peaked
+        # at about 127 MiB (traced); block by block the whole build peaks at
+        # about 11 MiB, the graph included.  A first build warms the
+        # hypergraph's component memo, so only the kernel's build is traced.
+        hypergraph = cycle_hypergraph(70)
+        CandidatesGraph(hypergraph, 2, vectorized=True)
+        tracemalloc.start()
+        try:
+            CandidatesGraph(hypergraph, 2, vectorized=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
